@@ -52,10 +52,10 @@ def kernel_fields(surface: SurfaceState, coeffs: GDefCoefficients,
     nk = coeffs.n_j[:, 1:]          # (N, 2)
     ndot_k = coeffs.ndot[:, 1:]
     ndot_0 = coeffs.ndot[:, 0]
-    da = np.stack([np.stack([grid.ddx1(a1), grid.ddx2(a1)], axis=-1),
-                   np.stack([grid.ddx1(a2), grid.ddx2(a2)], axis=-1)], axis=1)
-    dadot = np.stack([np.stack([grid.ddx1(a1dot), grid.ddx2(a1dot)], axis=-1),
-                      np.stack([grid.ddx1(a2dot), grid.ddx2(a2dot)], axis=-1)], axis=1)
+    da = np.stack([np.stack(grid.grad(a1), axis=-1),
+                   np.stack(grid.grad(a2), axis=-1)], axis=1)
+    dadot = np.stack([np.stack(grid.grad(a1dot), axis=-1),
+                      np.stack(grid.grad(a2dot), axis=-1)], axis=1)
     adot = np.stack([a1dot, a2dot], axis=-1)
     a_vec = np.stack([a1, a2], axis=-1)
     out = np.empty((grid.n_nodes, 2))

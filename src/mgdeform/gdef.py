@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._contract import contract
 from .metrics import AmbientMetric
 from .surface import SurfaceState
 from .transport import (
@@ -96,10 +97,6 @@ class GDefCoefficients:
         return float(np.max(np.abs(getattr(self, name))))
 
 
-def _grid_d(grid, f):
-    return grid.ddx1(f), grid.ddx2(f)
-
-
 def assemble_coefficients(metric: AmbientMetric, surface: SurfaceState,
                           deform: DeformationState, k_max: int = 4,
                           history: TransportHistory | None = None,
@@ -122,35 +119,35 @@ def assemble_coefficients(metric: AmbientMetric, surface: SurfaceState,
     s2 = s1 - a1_term
 
     z = hist.z[-1]
-    z1, z2 = _grid_d(grid, z)
+    z1, z2 = grid.grad(z)
     zder = np.stack([z1, z2], axis=-1)          # (N, 3, 2)
     tang = surface.tangents()                   # (N, 3, 2)
     gamma0 = surface.ambient_gamma
     # Gamma(0)(., z): gz[n, a, s] = Gamma^a_{b s} z^b
-    gz = np.einsum("nabs,nb->nas", gamma0, z)
+    gz = contract("nabs,nb->nas", gamma0, z)
     m1_core = a1_term - gz
-    s3 = np.einsum("nas,nsi->nai", m1_core + s2, tang)
+    s3 = contract("nas,nsi->nai", m1_core + s2, tang)
 
-    da1 = np.stack(_grid_d(grid, deform.a1), axis=-1)   # (N, 2)
-    da2 = np.stack(_grid_d(grid, deform.a2), axis=-1)
-    dc = np.stack(_grid_d(grid, deform.c), axis=-1)
+    da1 = np.stack(grid.grad(deform.a1), axis=-1)   # (N, 2)
+    da2 = np.stack(grid.grad(deform.a2), axis=-1)
+    dc = np.stack(grid.grad(deform.c), axis=-1)
     da = np.stack([da1, da2], axis=1)                    # (N, j, i) = d_i a^j
     # bracket_i = z_,i - (d_i a^j) y_,j  (the non-frame part of Eq. 2.27)
-    bracket = zder - np.einsum("nji,nsj->nsi", da, tang)
+    bracket = zder - contract("nji,nsj->nsi", da, tang)
     # surface-Christoffel drag term Gamma^j_{pi} a^p y_,j
     a_vec = np.stack([deform.a1, deform.a2], axis=-1)
-    surf_term = np.einsum("njpi,np,nsj->nsi", surface.gamma_surface, a_vec, tang)
+    surf_term = contract("njpi,np,nsj->nsi", surface.gamma_surface, a_vec, tang)
     c_n = dc[:, None, :] * surface.n[:, :, None]
-    s4 = s3 + np.einsum("nas,nsi->nai", s1, bracket - c_n - surf_term)
-    s5 = s4 + np.einsum("nas,nsi->nai", s1, surf_term)
+    s4 = s3 + contract("nas,nsi->nai", s1, bracket - c_n - surf_term)
+    s5 = s4 + contract("nas,nsi->nai", s1, surf_term)
 
     t0 = np.einsum("nas,ns->na", s1, surface.n)
-    tj = np.einsum("nas,nsi->nai", s1, tang)
+    tj = contract("nas,nsi->nai", s1, tang)
     a0 = surface.ambient_a
     n_j = np.empty((n_nodes, 3))
     n_j[:, 0] = np.einsum("nab,na,nb->n", a0, t0, surface.n)
-    n_j[:, 1:] = np.einsum("nab,nai,nb->ni", a0, tj, surface.n)
-    q_i = np.einsum("nab,nai,nb->ni", a0, s5, surface.n)
+    n_j[:, 1:] = contract("nab,nai,nb->ni", a0, tj, surface.n)
+    q_i = contract("nab,nai,nb->ni", a0, s5, surface.n)
 
     if prev is not None and dt:
         ndot = (n_j - prev.n_j) / dt
@@ -167,9 +164,9 @@ def gdef_residual(surface: SurfaceState, coeffs: GDefCoefficients,
                   deform: DeformationState):
     """r_i = a^l b_li + (1 + N_0) c_,i + (d_i a^j) N_j + Q_i."""
     grid = surface.grid
-    dc = np.stack(_grid_d(grid, deform.c), axis=-1)
-    da1 = np.stack(_grid_d(grid, deform.a1), axis=-1)
-    da2 = np.stack(_grid_d(grid, deform.a2), axis=-1)
+    dc = np.stack(grid.grad(deform.c), axis=-1)
+    da1 = np.stack(grid.grad(deform.a1), axis=-1)
+    da2 = np.stack(grid.grad(deform.a2), axis=-1)
     a_vec = np.stack([deform.a1, deform.a2], axis=-1)
     ab = np.einsum("nl,nli->ni", a_vec, surface.b)
     nk = coeffs.n_j[:, 1:]
@@ -191,7 +188,7 @@ def gdef_normal_residual(metric: AmbientMetric, surface: SurfaceState,
     """
     grid = surface.grid
     hist = deform.history
-    z1, z2 = _grid_d(grid, hist.z[-1])
+    z1, z2 = grid.grad(hist.z[-1])
     out = np.empty((grid.n_nodes, 2))
     for i, zi in enumerate((z1, z2)):
         seed = (surface.y1 if i == 0 else surface.y2) + zi

@@ -3,9 +3,9 @@
 Nodes are the disk center plus ``n_r`` rings of ``n_theta`` equally spaced
 angles, with the outermost ring lying on the boundary circle.  Fields live on
 the flat node axis (center first, then ring-major) and may carry trailing
-tensor axes.  Differentiation is spectral in the angle and one-dimensional
-finite differences of order four along rays; every ray is extended through
-the center onto its antipodal ray so that no one-sided stencil is needed away
+tensor axes.  Differentiation is spectral in the angle and a 7-point,
+sixth-order finite difference along rays; every ray is extended through the
+center onto its antipodal ray so that no one-sided stencil is needed away
 from the rim.
 """
 
@@ -88,6 +88,7 @@ class DiskGrid:
         self.boundary_theta = thetas
         self._build_area_weights()
         self._build_radial_stencils()
+        self._build_derivative_tables()
         self._build_cumint_weights()
         self._kernel_cache = None
         self._caches = {}
@@ -169,87 +170,92 @@ class DiskGrid:
         self._dr_idx = stencil_idx
         self._dr_w = stencil_w
 
-    def d_r(self, f):
-        """Radial derivative on rings; the center slot is set to zero."""
-        center, rings, tail = self._split(f)
-        flat = np.asarray(f).reshape(self.n_nodes, -1)
-        vals = flat[self._dr_idx]  # (n_r, 5, n_theta, M)
-        out_rings = np.einsum("is,isjm->ijm", self._dr_w, vals)
-        out_center = np.zeros_like(center)
-        return self._join(out_center, out_rings, tail)
-
-    def d_theta(self, f):
-        """Angular derivative (spectral); zero at the center."""
-        center, rings, tail = self._split(f)
+    def _build_derivative_tables(self):
+        """Per-grid factors of the Cartesian gradient, shared by every call."""
         nt = self.n_theta
         k = np.fft.fftfreq(nt, d=1.0 / nt)
         k[nt // 2] = 0.0  # odd derivative of the Nyquist mode
-        spec = np.fft.fft(rings, axis=1)
-        spec *= (1j * k)[None, :, None]
-        out = np.fft.ifft(spec, axis=1)
-        if not np.iscomplexobj(rings):
-            out = out.real
-        return self._join(np.zeros_like(center), out, tail)
-
-    def _center_gradient(self, f):
-        """(d/dx1, d/dx2) at the center from m=1 ring modes (6th order).
-
-        The m=1 Fourier coefficient of a smooth field along ring r expands in
-        odd powers of r; Richardson over the first three rings isolates the
-        linear term, whose real/imag parts carry the Cartesian gradient.
-        """
-        _, rings, _ = self._split(f)
+        self._ik = 1j * k
+        cos = np.cos(self.theta)
+        sin = np.sin(self.theta)
+        rinv = np.zeros_like(self.r)
+        rinv[1:] = 1.0 / self.r[1:]
+        self._cos = cos
+        self._sin = sin
+        self._sin_rinv = sin * rinv
+        self._cos_rinv = cos * rinv
+        # center gradient: the m=1 Fourier coefficient of a smooth field on
+        # ring r expands in odd powers of r; Richardson weights over the
+        # first three rings isolate the linear term.  With
+        # alpha_pm = sum_i w_i sum_j f_ij e^{-+i theta_j} / n_theta the
+        # gradient is (alpha_+ + alpha_-, i (alpha_+ - alpha_-)), which folds
+        # into real weights 2 w_i (cos, sin)(theta_j) / n_theta.
         h = self.h
-        vand = np.array(
-            [[(k * h) ** p for p in (1, 3, 5)] for k in (1, 2, 3)]
-        )
+        vand = np.array([[(i * h) ** p for p in (1, 3, 5)] for i in (1, 2, 3)])
         w = np.linalg.solve(vand.T, np.array([1.0, 0.0, 0.0]))
-        alpha_p = 0.0
-        alpha_m = 0.0
-        for i in range(3):
-            spec = np.fft.fft(rings[i], axis=0) / self.n_theta
-            alpha_p = alpha_p + w[i] * spec[1]
-            alpha_m = alpha_m + w[i] * spec[-1]
-        fx = alpha_p + alpha_m
-        fy = 1j * (alpha_p - alpha_m)
-        if not np.iscomplexobj(np.asarray(f)):
-            fx, fy = fx.real, fy.real
-        return fx, fy
+        ring = 2.0 / nt * np.stack([np.cos(self.boundary_theta),
+                                    np.sin(self.boundary_theta)])
+        self._center_w = (ring[:, None, :] * w[None, :, None]).reshape(2, 3 * nt)
+
+    def d_r(self, f):
+        """Radial derivative on rings; the center slot is set to zero."""
+        f = np.asarray(f)
+        flat = f.reshape(self.n_nodes, -1)
+        vals = flat[self._dr_idx]  # (n_r, 7, n_theta, M)
+        rings = np.einsum("is,isjm->ijm", self._dr_w, vals)
+        out = np.zeros(flat.shape, dtype=rings.dtype)
+        out[1:] = rings.reshape(-1, flat.shape[1])
+        return out.reshape(f.shape)
+
+    def d_theta(self, f):
+        """Angular derivative (spectral); zero at the center."""
+        f = np.asarray(f)
+        flat = f.reshape(self.n_nodes, -1)
+        rings = flat[1:].reshape(self.n_r, self.n_theta, -1)
+        spec = np.fft.fft(rings, axis=1)
+        spec *= self._ik[None, :, None]
+        deriv = np.fft.ifft(spec, axis=1)
+        if not np.iscomplexobj(rings):
+            deriv = deriv.real
+        out = np.zeros(flat.shape, dtype=deriv.dtype)
+        out[1:] = deriv.reshape(-1, flat.shape[1])
+        return out.reshape(f.shape)
+
+    def grad(self, f):
+        """Cartesian gradient (d/dx1, d/dx2) of a field with trailing axes.
+
+        One radial pass, one angular pass and one center-gradient product
+        serve both components; ``ddx1``, ``ddx2``, ``dz_bar`` and ``dz`` all
+        go through here.
+        """
+        f = np.asarray(f)
+        fr = self.d_r(f)
+        ft = self.d_theta(f)
+        shape = (self.n_nodes,) + (1,) * (f.ndim - 1)
+        f1 = self._cos.reshape(shape) * fr - self._sin_rinv.reshape(shape) * ft
+        f2 = self._sin.reshape(shape) * fr + self._cos_rinv.reshape(shape) * ft
+        inner = f.reshape(self.n_nodes, -1)[1 : 1 + 3 * self.n_theta]
+        center = self._center_w @ inner  # (2, M)
+        f1[0] = center[0].reshape(f.shape[1:])
+        f2[0] = center[1].reshape(f.shape[1:])
+        return f1, f2
 
     def ddx1(self, f):
         """Cartesian derivative along x1."""
-        fr = self.d_r(f)
-        ft = self.d_theta(f)
-        cos = np.cos(self.theta)
-        sin = np.sin(self.theta)
-        rinv = np.zeros_like(self.r)
-        rinv[1:] = 1.0 / self.r[1:]
-        shape = (self.n_nodes,) + (1,) * (np.asarray(f).ndim - 1)
-        out = cos.reshape(shape) * fr - (sin * rinv).reshape(shape) * ft
-        fx, _ = self._center_gradient(f)
-        out[0] = fx.reshape(np.asarray(f).shape[1:])
-        return out
+        return self.grad(f)[0]
 
     def ddx2(self, f):
         """Cartesian derivative along x2."""
-        fr = self.d_r(f)
-        ft = self.d_theta(f)
-        cos = np.cos(self.theta)
-        sin = np.sin(self.theta)
-        rinv = np.zeros_like(self.r)
-        rinv[1:] = 1.0 / self.r[1:]
-        shape = (self.n_nodes,) + (1,) * (np.asarray(f).ndim - 1)
-        out = sin.reshape(shape) * fr + (cos * rinv).reshape(shape) * ft
-        _, fy = self._center_gradient(f)
-        out[0] = fy.reshape(np.asarray(f).shape[1:])
-        return out
+        return self.grad(f)[1]
 
     def dz_bar(self, f):
         """Wirtinger derivative 0.5*(d/dx1 + i d/dx2)."""
-        return 0.5 * (self.ddx1(f) + 1j * self.ddx2(f))
+        f1, f2 = self.grad(f)
+        return 0.5 * (f1 + 1j * f2)
 
     def dz(self, f):
-        return 0.5 * (self.ddx1(f) - 1j * self.ddx2(f))
+        f1, f2 = self.grad(f)
+        return 0.5 * (f1 - 1j * f2)
 
     # -- cumulative radial integration ---------------------------------------
 
@@ -262,7 +268,8 @@ class DiskGrid:
             s0 = int(np.clip(i - 2, 0, n_r - 3))
             starts[i - 1] = s0
             w[i - 1] = _lagrange_integral_weights(rs[s0 : s0 + 4], rs[i - 1], rs[i])
-        self._cum_starts = starts
+        # ray levels read by each panel's cubic: (n_r, 4)
+        self._cum_idx = starts[:, None] + np.arange(4)[None, :]
         self._cum_w = w
 
     def _ray_values(self, f):
@@ -273,17 +280,16 @@ class DiskGrid:
         rays[1:] = rings
         return rays, tail
 
+    def _cumulate_rays(self, rays, tail):
+        """Cumulative panel integrals of ray samples, as a node field."""
+        incr = np.einsum("is,isjm->ijm", self._cum_w, rays[self._cum_idx])
+        cum = np.cumsum(incr, axis=0)
+        center = np.zeros(rays.shape[2], dtype=cum.dtype)
+        return self._join(center, cum, tail)
+
     def cumint_radial(self, f):
         """Cumulative integral of f along each ray from the center outward."""
-        rays, tail = self._ray_values(f)
-        n_r = self.n_r
-        incr = np.empty((n_r, self.n_theta, rays.shape[2]), dtype=rays.dtype)
-        for i in range(n_r):
-            s0 = self._cum_starts[i]
-            incr[i] = np.einsum("s,sjm->jm", self._cum_w[i], rays[s0 : s0 + 4])
-        cum = np.cumsum(incr, axis=0)
-        center = np.zeros(rays.shape[2], dtype=rays.dtype)
-        return self._join(center, cum, tail)
+        return self._cumulate_rays(*self._ray_values(f))
 
     def line_integral_center(self, p, q):
         """Integral of p dx1 + q dx2 along straight rays from the center."""
@@ -292,14 +298,7 @@ class DiskGrid:
         p_rays, tail = self._ray_values(p)
         q_rays, _ = self._ray_values(q)
         integrand = p_rays * cos[None, :, None] + q_rays * sin[None, :, None]
-        n_r = self.n_r
-        incr = np.empty((n_r, self.n_theta, p_rays.shape[2]), dtype=p_rays.dtype)
-        for i in range(n_r):
-            s0 = self._cum_starts[i]
-            incr[i] = np.einsum("s,sjm->jm", self._cum_w[i], integrand[s0 : s0 + 4])
-        cum = np.cumsum(incr, axis=0)
-        center = np.zeros(p_rays.shape[2], dtype=p_rays.dtype)
-        return self._join(center, cum, tail)
+        return self._cumulate_rays(integrand, tail)
 
     # -- interpolation and generic segments ----------------------------------
 
@@ -377,5 +376,7 @@ class DiskGrid:
         return perm
 
     def reflect(self, f):
-        perm = self.reflection_permutation()
+        perm = self._caches.get("reflect")
+        if perm is None:
+            perm = self._caches["reflect"] = self.reflection_permutation()
         return np.asarray(f)[perm]

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._contract import contract
 from .errors import DegenerateCurvatureError, GeometryError
 from .gdef import DeformationState, GDefCoefficients
 from .metrics import AmbientMetric, christoffel_at
@@ -30,7 +31,7 @@ def _sym(m):
 
 
 def _dfields(grid, f):
-    return np.stack([grid.ddx1(f), grid.ddx2(f)], axis=-1)
+    return np.stack(grid.grad(f), axis=-1)
 
 
 @dataclass
@@ -92,12 +93,12 @@ def delta_g(metric: AmbientMetric, surface: SurfaceState, z, z1, z2, c) -> GVari
     da0z = np.einsum("nabs,ns->nab", metric.dmetric(surface.y), z)
     gamma0 = surface.ambient_gamma
     gz = np.einsum("nags,ns->nag", gamma0, z)
-    dstar_z = zder + np.einsum("nag,ngj->naj", gz, tang)
+    dstar_z = zder + contract("nag,ngj->naj", gz, tang)
 
-    lead = np.einsum("nab,nai,nbj->nij", a0, tang, dstar_z)
-    mid = np.einsum("nab,nai,nbj->nij", a_t - a0 - da0z, tang, tang)
-    cross = np.einsum("nab,nai,nbj->nij", a_t - a0, tang, zder)
-    quad = np.einsum("nab,nai,nbj->nij", a_t, zder, zder)
+    lead = contract("nab,nai,nbj->nij", a0, tang, dstar_z)
+    mid = contract("nab,nai,nbj->nij", a_t - a0 - da0z, tang, tang)
+    cross = contract("nab,nai,nbj->nij", a_t - a0, tang, zder)
+    quad = contract("nab,nai,nbj->nij", a_t, zder, zder)
     dg_ij = _sym(lead) + mid + _sym(cross) + quad
 
     g_inv = surface.g_inv
@@ -127,7 +128,7 @@ def delta_b(metric: AmbientMetric, surface: SurfaceState, deform: DeformationSta
     if z is None:
         z = deform.history.z[-1]
     if z1 is None:
-        z1, z2 = grid.ddx1(z), grid.ddx2(z)
+        z1, z2 = grid.grad(z)
     zder = np.stack([z1, z2], axis=-1)
     tang = surface.tangents()
     tang_t = tang + zder
@@ -144,54 +145,54 @@ def delta_b(metric: AmbientMetric, surface: SurfaceState, deform: DeformationSta
     n_til = fwd.n_t * inv_norm[:, None]
     dinv = _dfields(grid, inv_norm)              # (N, 2)
     ntil_der = _dfields(grid, n_til)             # (N, 3, 2)
-    dstar_ntil = ntil_der + np.einsum("ngab,naj,nb->ngj", gamma_t, tang_t, n_til)
+    dstar_ntil = ntil_der + contract("ngab,naj,nb->ngj", gamma_t, tang_t, n_til)
 
     da1 = _dfields(grid, deform.a1)
     da2 = _dfields(grid, deform.a2)
     da = np.stack([da1, da2], axis=1)            # (N, k, i)
-    bracket = zder - np.einsum("nki,nsk->nsi", da, tang)
-    m1 = -np.einsum("nab,nai,nbj->nij", a_t, bracket, dstar_ntil)
+    bracket = zder - contract("nki,nsk->nsi", da, tang)
+    m1 = -contract("nab,nai,nbj->nij", a_t, bracket, dstar_ntil)
 
-    da_y = np.einsum("nki,nsk->nsi", da, tang)
-    bΓ = np.einsum("njk,nkl->njl", surface.b, surface.g_inv)
-    dstar_n0 = -np.einsum("njl,nsl->nsj", bΓ, tang)
+    da_y = contract("nki,nsk->nsi", da, tang)
+    bΓ = contract("njk,nkl->njl", surface.b, surface.g_inv)
+    dstar_n0 = -contract("njl,nsl->nsj", bΓ, tang)
     m2 = (
-        -np.einsum("nab,nai,nbj->nij", a_t, da_y, dstar_ntil)
-        + np.einsum("nab,nai,nbj->nij", a0, da_y, dstar_n0)
+        -contract("nab,nai,nbj->nij", a_t, da_y, dstar_ntil)
+        + contract("nab,nai,nbj->nij", a0, da_y, dstar_n0)
         + m1
     )
 
     a1m = fwd.a1_mat
-    a1m_der = np.stack([grid.ddx1(a1m), grid.ddx2(a1m)], axis=-1)  # (N,3,3,2)
+    a1m_der = _dfields(grid, a1m)                                   # (N,3,3,2)
     a2v_der = _dfields(grid, fwd.a2_vec)                            # (N,3,2)
     a1n0 = np.einsum("nbs,ns->nb", a1m, n0)
     tails = (
-        np.einsum("nbs,nsj->nbj", a1m, surface.n_deriv)
+        contract("nbs,nsj->nbj", a1m, surface.n_deriv)
         + a2v_der
-        + np.einsum("nbmt,nmj,nt->nbj", gamma0, tang, a1n0)
-        + np.einsum("nbmt,nmj,nt->nbj", gamma0, tang, fwd.a2_vec)
-        + np.einsum("nbmt,nmj,nt->nbj", dgamma, tang, n0)
-        + np.einsum("nbmt,nmj,nt->nbj", dgamma, tang, fwd.a1_vec)
-        + np.einsum("nbmt,nmj,nt->nbj", gamma0, zder, fwd.a1_vec)
-        + np.einsum("nbmt,nmj,nt->nbj", dgamma, zder, fwd.n_t)
+        + contract("nbmt,nmj,nt->nbj", gamma0, tang, a1n0)
+        + contract("nbmt,nmj,nt->nbj", gamma0, tang, fwd.a2_vec)
+        + contract("nbmt,nmj,nt->nbj", dgamma, tang, n0)
+        + contract("nbmt,nmj,nt->nbj", dgamma, tang, fwd.a1_vec)
+        + contract("nbmt,nmj,nt->nbj", gamma0, zder, fwd.a1_vec)
+        + contract("nbmt,nmj,nt->nbj", dgamma, zder, fwd.n_t)
     )
     core = (
-        np.einsum("nbsj,ns->nbj", a1m_der, n0)
-        + np.einsum("nbmt,nmj,nt->nbj", gamma0, zder, n0)
+        contract("nbsj,ns->nbj", a1m_der, n0)
+        + contract("nbmt,nmj,nt->nbj", gamma0, zder, n0)
     )
     dstar_nt = dstar_n0 + core + tails
 
     inv3 = inv_norm[:, None, None]
     m3 = (
         np.swapaxes(surface.b, 1, 2) * ((1.0 - norm) * inv_norm)[:, None, None]
-        - np.einsum("nab,nai,nbj->nij", a0, tang, core) * inv3
-        - np.einsum("nab,nai,nbj->nij", a0, tang, tails) * inv3
-        - np.einsum("nab,nai,nbj->nij", a_t - a0, tang, dstar_nt) * inv3
+        - contract("nab,nai,nbj->nij", a0, tang, core) * inv3
+        - contract("nab,nai,nbj->nij", a0, tang, tails) * inv3
+        - contract("nab,nai,nbj->nij", a_t - a0, tang, dstar_nt) * inv3
     )
-    at_y_nt = np.einsum("nab,nai,nb->ni", a_t, tang, fwd.n_t)
+    at_y_nt = contract("nab,nai,nb->ni", a_t, tang, fwd.n_t)
     m4 = m2 + m3 - at_y_nt[:, :, None] * dinv[:, None, :]
 
-    db_ij = np.einsum("nki,njk->nij", da, surface.b) + m4
+    db_ij = contract("nki,njk->nij", da, surface.b) + m4
     w2b = db_ij[:, 0, 0] * db_ij[:, 1, 1] - db_ij[:, 0, 1] * db_ij[:, 1, 0]
     db = surface.V * (db_ij[:, 0, 0] + db_ij[:, 1, 1]) + w2b
     b_t = surface.b_det + db
@@ -216,7 +217,7 @@ def assemble_variation(metric, surface, deform: DeformationState,
     grid = surface.grid
     hist = history if history is not None else deform.history
     z = hist.z[-1]
-    z1, z2 = grid.ddx1(z), grid.ddx2(z)
+    z1, z2 = grid.grad(z)
     gvar = delta_g(metric, surface, z, z1, z2, deform.c)
     fwd = transport_normal(metric, surface.y, hist, surface.n, substeps)
     bvar = delta_b(metric, surface, deform, fwd, gvar, z, z1, z2)
@@ -230,10 +231,9 @@ def equation_coefficients(surface: SurfaceState) -> EquationCoefficients:
         raise GeometryError("coefficients need V > 0 and det g > 0")
     ln_v = np.log(surface.V)
     ln_sg = 0.5 * np.log(surface.g_det)
-    p1 = grid.ddx2(ln_v)
-    p2 = -grid.ddx1(ln_v)
-    q1 = grid.ddx1(ln_sg)
-    q2 = grid.ddx2(ln_sg)
+    v1, v2 = grid.grad(ln_v)
+    q1, q2 = grid.grad(ln_sg)
+    p1, p2 = v2, -v1
     return EquationCoefficients(
         p1=p1, p2=p2, q1=q1, q2=q2, qb1=2.0 * q1, qb2=2.0 * q2,
         qb0=4.0 * surface.H,
@@ -249,9 +249,9 @@ def assemble_rates(metric: AmbientMetric, surface: SurfaceState,
     if z is None:
         z = deform.history.z[-1]
     if z1 is None:
-        z1, z2 = grid.ddx1(z), grid.ddx2(z)
+        z1, z2 = grid.grad(z)
     zder = np.stack([z1, z2], axis=-1)
-    zdot_der = np.stack([grid.ddx1(zdot), grid.ddx2(zdot)], axis=-1)
+    zdot_der = _dfields(grid, zdot)
     tang = surface.tangents()
     pts = surface.y + z
     a_t = metric.metric(pts)
@@ -263,18 +263,18 @@ def assemble_rates(metric: AmbientMetric, surface: SurfaceState,
     def gtrace(mat):
         return np.einsum("nij,nij->n", g_inv, mat)
 
-    t1 = np.einsum("nab,nai,nbj->nij", da_t_zdot - da0_zdot, tang, tang)
-    t2 = np.einsum("nab,nai,nbj->nij", da_t_zdot, tang, zder)
-    t3 = np.einsum("nab,nai,nbj->nij", a_t - a0, tang, zdot_der)
-    t4 = np.einsum("nab,nai,nbj->nij", da_t_zdot, zder, zder)
-    t5 = np.einsum("nab,nai,nbj->nij", a_t, zdot_der, zder)
-    t6 = np.einsum("nab,nai,nbj->nij", a_t, zder, zdot_der)
+    t1 = contract("nab,nai,nbj->nij", da_t_zdot - da0_zdot, tang, tang)
+    t2 = contract("nab,nai,nbj->nij", da_t_zdot, tang, zder)
+    t3 = contract("nab,nai,nbj->nij", a_t - a0, tang, zdot_der)
+    t4 = contract("nab,nai,nbj->nij", da_t_zdot, zder, zder)
+    t5 = contract("nab,nai,nbj->nij", a_t, zdot_der, zder)
+    t6 = contract("nab,nai,nbj->nij", a_t, zder, zdot_der)
     w1dot = gtrace(t1) + 2 * gtrace(t2) + 2 * gtrace(t3) + gtrace(t4) + gtrace(t5) + gtrace(t6)
 
     gamma0 = surface.ambient_gamma
     gzd = np.einsum("nags,ns->nag", gamma0, zdot)
-    dstar_zdot = zdot_der + np.einsum("nag,ngj->naj", gzd, tang)
-    s_lead = np.einsum("nab,nai,nbj->nij", a0, tang, dstar_zdot)
+    dstar_zdot = zdot_der + contract("nag,ngj->naj", gzd, tang)
+    s_lead = contract("nab,nai,nbj->nij", a0, tang, dstar_zdot)
     dgdot_ij = (
         _sym(s_lead)
         + t1
@@ -296,7 +296,7 @@ def assemble_rates(metric: AmbientMetric, surface: SurfaceState,
     else:
         m4dot = np.zeros_like(bvar.m4)
     dadot = np.stack([_dfields(grid, a1dot), _dfields(grid, a2dot)], axis=1)
-    dbdot_ij = np.einsum("nki,njk->nij", dadot, surface.b) + m4dot
+    dbdot_ij = contract("nki,njk->nij", dadot, surface.b) + m4dot
     db_ij = bvar.db_ij
     w2bdot = (
         dbdot_ij[:, 0, 0] * db_ij[:, 1, 1]

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._contract import contract
 from .errors import DegenerateMetricError
 
 _FD_STEP = 1e-5
@@ -202,7 +203,7 @@ def christoffel_at(metric: AmbientMetric, points) -> ChristoffelField:
         + np.einsum("...mab->...abm", da)
         - da
     )
-    gamma_upper = np.einsum("...gm,...abm->...gab", ainv, low)
+    gamma_upper = contract("...gm,...abm->...gab", ainv, low)
     # same array read as Gamma_{as,b} = low[..., a, s, b]
     return ChristoffelField(gamma_upper=gamma_upper, gamma_lower=low)
 

@@ -105,7 +105,6 @@ class SurfaceState:
     y: np.ndarray            # (N, 3)
     y1: np.ndarray           # (N, 3) tangent d y / d x1
     y2: np.ndarray           # (N, 3)
-    y_hess: np.ndarray       # (N, 3, 2, 2) partial second derivatives
     n: np.ndarray            # (N, 3) unit normal in the ambient metric
     n_deriv: np.ndarray      # (N, 3, 2) partial derivatives of n
     g: np.ndarray            # (N, 2, 2)
@@ -125,12 +124,6 @@ class SurfaceState:
     def tangents(self):
         return np.stack([self.y1, self.y2], axis=-1)  # (N, 3, 2)
 
-    def y_hess_cov(self):
-        """Surface-covariant second derivatives of the immersion."""
-        tang = self.tangents()  # (N, 3, 2)
-        corr = np.einsum("npij,nsp->nsij", self.gamma_surface, tang)
-        return self.y_hess - corr
-
 
 def _normal_field(metric, y, y1, y2):
     a = metric.metric(y)
@@ -148,16 +141,16 @@ def raw_fundamental_forms(grid, metric, y, y1=None, y2=None):
     Tangents default to grid differentiation of the position field; the
     normal derivative is always grid-differentiated.  Returns a dict.
     """
-    if y1 is None:
-        y1 = grid.ddx1(y)
-    if y2 is None:
-        y2 = grid.ddx2(y)
+    if y1 is None or y2 is None:
+        d1, d2 = grid.grad(y)
+        y1 = d1 if y1 is None else y1
+        y2 = d2 if y2 is None else y2
     a = metric.metric(y)
     n = _normal_field(metric, y, y1, y2)
     tang = np.stack([y1, y2], axis=-1)
     g = np.einsum("nab,nai,nbj->nij", a, tang, tang)
     ch = christoffel_at(metric, y)
-    n_deriv = np.stack([grid.ddx1(n), grid.ddx2(n)], axis=-1)  # (N, 3, 2)
+    n_deriv = np.stack(grid.grad(n), axis=-1)  # (N, 3, 2)
     # D*_j n = dn/dx_j + Gamma(y)(y_,j, n)
     dstar_n = n_deriv + np.einsum("ngab,naj,nb->ngj", ch.gamma_upper, tang, n)
     b = -np.einsum("nab,nai,nbj->nij", a, tang, dstar_n)
@@ -178,7 +171,7 @@ def gauss_curvature_of(grid, metric, y, y1=None, y2=None):
 
 
 def _surface_christoffels(grid, g, g_inv):
-    dg = np.stack([grid.ddx1(g), grid.ddx2(g)], axis=-1)  # (N, i, j, k) = d_k g_ij
+    dg = np.stack(grid.grad(g), axis=-1)  # (N, i, j, k) = d_k g_ij
     # Gamma_{ij,l} = 0.5 (d_i g_{jl} + d_j g_{il} - d_l g_{ij})
     low = 0.5 * (
         np.einsum("njli->nijl", dg)
@@ -195,12 +188,6 @@ def build_surface(immersion: Immersion, metric: AmbientMetric, grid: DiskGrid,
     jac = immersion.jacobian(grid.x1, grid.x2)
     y1 = jac[..., 0]
     y2 = jac[..., 1]
-    # y_hess[n, s, j, i] = d_i d_j y^s
-    y_hess = np.empty((grid.n_nodes, 3, 2, 2))
-    y_hess[:, :, 0, 0] = grid.ddx1(y1)
-    y_hess[:, :, 0, 1] = grid.ddx2(y1)
-    y_hess[:, :, 1, 0] = grid.ddx1(y2)
-    y_hess[:, :, 1, 1] = grid.ddx2(y2)
 
     a = metric.metric(y)
     n = _normal_field(metric, y, y1, y2)
@@ -213,7 +200,7 @@ def build_surface(immersion: Immersion, metric: AmbientMetric, grid: DiskGrid,
     g_inv = np.linalg.inv(g)
 
     ch = christoffel_at(metric, y)
-    n_deriv = np.stack([grid.ddx1(n), grid.ddx2(n)], axis=-1)
+    n_deriv = np.stack(grid.grad(n), axis=-1)
     dstar_n = n_deriv + np.einsum("ngab,naj,nb->ngj", ch.gamma_upper, tang, n)
     b = -np.einsum("nab,nai,nbj->nij", a, tang, dstar_n)
     h = 0.5 * np.einsum("nij,nij->n", g_inv, b)
@@ -250,7 +237,7 @@ def build_surface(immersion: Immersion, metric: AmbientMetric, grid: DiskGrid,
 
     gamma_surface = _surface_christoffels(grid, g, g_inv)
     return SurfaceState(
-        grid=grid, metric=metric, y=y, y1=y1, y2=y2, y_hess=y_hess, n=n,
+        grid=grid, metric=metric, y=y, y1=y1, y2=y2, n=n,
         n_deriv=n_deriv, g=g, g_inv=g_inv, g_det=g_det, b=b, b_det=b_det,
         V=v, K=b_det / g_det, H=h, gamma_surface=gamma_surface,
         ambient_gamma=ch.gamma_upper, ambient_a=a, ci_residual=ci_res,
@@ -274,7 +261,7 @@ def validate_hypotheses(state: SurfaceState, b12_override=None):
     fields = {"y": state.y, "n": state.n, "V": state.V, "K": state.K, "H": state.H}
     c0 = {k: float(np.max(np.abs(v))) for k, v in fields.items()}
     c1 = {
-        k: float(max(np.max(np.abs(grid.ddx1(v))), np.max(np.abs(grid.ddx2(v)))))
+        k: float(max(np.max(np.abs(d)) for d in grid.grad(v)))
         for k, v in fields.items()
     }
     a_n = np.einsum("nab,na,nb->n", state.ambient_a, state.n, state.n)

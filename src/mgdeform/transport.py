@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._contract import contract
 from .errors import EmptyHistoryError, MgError
 from .metrics import AmbientMetric, christoffel_at
 
@@ -99,7 +100,7 @@ def _gamma_zdot(metric, y0, z, zdot):
         return np.zeros(z.shape[:-1] + (3, 3))
     pts = np.asarray(y0, dtype=float) + z
     ch = christoffel_at(metric, pts)
-    return np.einsum("ngab,na->ngb", ch.gamma_upper, zdot)
+    return contract("ngab,na->ngb", ch.gamma_upper, zdot)
 
 
 def transport_tensor_ode(metric: AmbientMetric, y0, history: TransportHistory, seed,
@@ -142,7 +143,7 @@ def transport_tensor_ode(metric: AmbientMetric, y0, history: TransportHistory, s
             def rhs(s, val):
                 z, zd = history.hermite(m, s)
                 g = _gamma_zdot(metric, y0, z, zd)
-                return sign * np.einsum("ngb,nbk->ngk", g, val)
+                return sign * contract("ngb,nbk->ngk", g, val)
 
             k1 = rhs(s0, a)
             k2 = rhs(s_half, a + 0.5 * h * k1)

@@ -257,15 +257,14 @@ def holomorphic_field(grid: DiskGrid, coeffs):
     nt = grid.n_theta
     if len(coeffs) > nt:
         raise MgError("too many holomorphic coefficients for this grid")
-    spec = np.zeros(nt, dtype=complex)
+    # ring i carries the Fourier coefficients coeffs[k] r_i^k; one batched
+    # inverse transform evaluates every ring
+    spec = np.zeros((grid.n_r, nt), dtype=complex)
+    pows = np.arange(len(coeffs))
+    spec[:, : len(coeffs)] = coeffs[None, :] * grid.r_levels[1:, None] ** pows[None, :]
     out = np.empty(grid.n_nodes, dtype=complex)
     out[0] = coeffs[0]
-    pows = np.arange(len(coeffs))
-    for i in range(1, grid.n_r + 1):
-        r = grid.r_levels[i]
-        spec[: len(coeffs)] = coeffs * r**pows
-        vals = np.fft.ifft(spec * nt)
-        out[grid.node_index(i, np.arange(nt))] = vals
+    out[1:] = np.fft.ifft(spec * nt, axis=1).reshape(-1)
     return out
 
 

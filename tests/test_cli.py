@@ -9,6 +9,7 @@ from mgdeform.cli import (
     main,
     parse_config,
     run_from_config,
+    within_tolerances,
 )
 from mgdeform.errors import ConfigError
 
@@ -97,6 +98,17 @@ def test_run_deterministic(tiny_run, tmp_path):
     run_from_config(cfg, out_dir=str(out2), log=lambda *a, **k: None)
     for name in ("trace.jsonl", "step_0000.tsv", "step_0001.tsv", "summary.json"):
         assert (out / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_within_tolerances_checks_oracle_and_fixed_point(tiny_run):
+    _, summary = tiny_run
+    flow_cfg = build_problem_objects(parse_config(MINIMAL))[3]
+    report = dict(summary["flow_report"])
+    assert within_tolerances(report, flow_cfg)
+    # each check alone turns the verdict
+    assert not within_tolerances(
+        dict(report, max_dk_oracle_rel=2.0 * flow_cfg.tol_K), flow_cfg)
+    assert not within_tolerances(dict(report, max_fixed_point_z=1e-9), flow_cfg)
 
 
 def test_zero_data_negative_index_identity(tmp_path):

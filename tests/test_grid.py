@@ -60,6 +60,39 @@ def test_derivative_vector_field_shapes():
     assert np.max(np.abs(d[:, 2] - g.x2)) < 1e-10
 
 
+@pytest.mark.parametrize("tail", [(), (3,), (3, 3)])
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_grad_bit_identical_to_single_derivatives(tail, complex_field):
+    g = DiskGrid(12, 24)
+    rng = np.random.default_rng(7)
+    base = np.exp(g.x1) * np.sin(2.0 * g.x2) + g.x1 * g.x2**2
+    f = base.reshape((-1,) + (1,) * len(tail)) * rng.normal(size=tail)
+    if complex_field:
+        f = f + 1j * np.cos(g.x1 - g.x2).reshape((-1,) + (1,) * len(tail))
+    f1, f2 = g.grad(f)
+    assert f1.shape == f2.shape == f.shape
+    assert np.array_equal(f1, g.ddx1(f))
+    assert np.array_equal(f2, g.ddx2(f))
+    assert np.array_equal(g.dz_bar(f), 0.5 * (f1 + 1j * f2))
+    assert np.array_equal(g.dz(f), 0.5 * (f1 - 1j * f2))
+
+
+def test_batched_ray_integrals_match_ring_loop():
+    g = DiskGrid(12, 24)
+    f = np.stack([np.exp(g.x1) * g.x2, np.cos(g.x1 + g.x2)], axis=1)
+    rays = np.empty((g.n_r + 1, g.n_theta, 2))
+    rays[0] = f[0]
+    rays[1:] = f[1:].reshape(g.n_r, g.n_theta, 2)
+    cum = np.zeros((g.n_theta, 2))
+    expect = np.empty_like(f)
+    expect[0] = 0.0
+    for i in range(g.n_r):  # one cubic panel per ring, as a plain loop
+        s0 = g._cum_idx[i, 0]
+        cum = cum + np.einsum("s,sjm->jm", g._cum_w[i], rays[s0 : s0 + 4])
+        expect[1 + i * g.n_theta : 1 + (i + 1) * g.n_theta] = cum
+    assert np.max(np.abs(g.cumint_radial(f) - expect)) <= 1e-15 * np.max(np.abs(expect))
+
+
 def test_complex_derivative_holomorphic():
     g = DiskGrid(24, 48)
     f = g.z**3
@@ -126,6 +159,16 @@ def test_reflection_involution_and_meaning():
     expect = 2.0 * g.x2 + 3.0 * g.x1**2
     assert np.max(np.abs(rf - expect)) < 1e-13
     assert np.max(np.abs(g.reflect(rf) - f)) == 0.0
+
+
+def test_cached_reflection_matches_permutation():
+    g = DiskGrid(8, 16)
+    perm = g.reflection_permutation()
+    fields = [g.x1 + 2.0 * g.x2**3, g.z**2, np.stack([g.x1, g.x2, g.r], axis=1)]
+    for f in fields:
+        for _ in range(2):  # the second call reads the cached permutation
+            assert np.array_equal(g.reflect(f), f[perm])
+        assert np.array_equal(g.reflect(g.reflect(f)), f)
 
 
 def test_reflection_requires_multiple_of_four():

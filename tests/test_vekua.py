@@ -12,6 +12,7 @@ from mgdeform.vekua import (
     BoundaryProblem,
     adjoint_null_functionals,
     bvp_solve,
+    holomorphic_field,
     homogeneous_rank,
     index_of,
     load_problem,
@@ -132,6 +133,15 @@ def test_schwarz_real_part_matches(grid):
     assert np.max(np.abs(s[grid.boundary_idx].real - f)) < 1e-12
     assert abs(s[0].imag) < 1e-12  # normalization Im S(0) = 0
     assert np.max(np.abs(grid.dz_bar(s)[1:-grid.n_theta])) < 1e-8
+
+
+def test_holomorphic_field_matches_power_sum(grid):
+    rng = np.random.default_rng(3)
+    for n_coef in (1, 7, grid.n_theta):
+        c = (rng.normal(size=n_coef) + 1j * rng.normal(size=n_coef)) / (1.0 + np.arange(n_coef))
+        direct = sum(ck * grid.z**k for k, ck in enumerate(c))
+        got = holomorphic_field(grid, c)
+        assert np.max(np.abs(got - direct)) <= 1e-13 * max(1.0, np.max(np.abs(direct)))
 
 
 def test_core_n0_cosine(grid):
