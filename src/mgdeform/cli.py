@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, MgError
-from .flow import BoundarySpec, FlowConfig, init_flow, step
+from .flow import BoundarySpec, FlowConfig, init_flow, run_flow
 from .grid import DiskGrid
 from .metrics import make_metric
 from .surface import IMMERSION_KINDS, build_surface, make_immersion, validate_hypotheses
@@ -70,7 +70,6 @@ SCHEMA = {
     "flow": {
         "t_final": (float, 0.05),
         "dt": (float, 0.0025),
-        "k_max": (int, 4),
         "tol_bvp": (float, 1e-10),
         "tol_cdot": (float, 1e-10),
         "max_iter_bvp": (int, 60),
@@ -203,7 +202,7 @@ def build_problem_objects(cfg: RunConfig):
     f = cfg["flow"]
     x0_node = 0 if f["x0"] == "center" else int(f["x0"])
     flow_cfg = FlowConfig(
-        t_final=f["t_final"], dt=f["dt"], k_max=f["k_max"],
+        t_final=f["t_final"], dt=f["dt"],
         tol_bvp=f["tol_bvp"], tol_cdot=f["tol_cdot"],
         max_iter_bvp=f["max_iter_bvp"], max_iter_cdot=f["max_iter_cdot"],
         parameter_policy=f["parameter_policy"], x0_node=x0_node,
@@ -254,39 +253,25 @@ def run_from_config(cfg: RunConfig, out_dir=None, log=print):
     state = init_flow(metric, surface, boundary, flow_cfg)
     trace_path = os.path.join(out_dir, "trace.jsonl")
     trace_fh = open(trace_path, "w") if cfg["output"]["trace"] else None
+
+    def on_step(rec):
+        if trace_fh:
+            trace_fh.write(json.dumps(rec.as_dict(), default=_json_default))
+            trace_fh.write("\n")
+        if rec.fields is not None:
+            _write_snapshot(
+                os.path.join(out_dir, f"step_{rec.step:04d}.tsv"),
+                surface.grid, rec.fields,
+            )
+        log(f"step {rec.step}: t={rec.t_new:.6g} "
+            f"dK/K={rec.dk_max_rel:.3e} G={rec.g_residual:.3e} "
+            f"B={rec.boundary_residual:.3e}")
+
     try:
-        while state.t < flow_cfg.t_final - 1e-12:
-            rec = step(state)
-            if trace_fh:
-                trace_fh.write(json.dumps(rec.as_dict(), default=_json_default))
-                trace_fh.write("\n")
-            if cfg["output"]["snapshots"] and rec.fields is not None:
-                _write_snapshot(
-                    os.path.join(out_dir, f"step_{rec.step:04d}.tsv"),
-                    surface.grid, rec.fields,
-                )
-            log(f"step {rec.step}: t={rec.t_new:.6g} "
-                f"dK/K={rec.dk_max_rel:.3e} G={rec.g_residual:.3e} "
-                f"B={rec.boundary_residual:.3e}")
+        report = run_flow(state, on_step)
     finally:
         if trace_fh:
             trace_fh.close()
-    recs = state.records
-    report = {
-        "steps": len(recs),
-        "t_final": state.t,
-        "index": state.statics.n,
-        "max_dk_rel": max((r.dk_max_rel for r in recs), default=0.0),
-        "max_dk_oracle_rel": max(
-            (r.dk_oracle_rel for r in recs if not np.isnan(r.dk_oracle_rel)),
-            default=0.0,
-        ),
-        "max_g_residual": max((r.g_residual for r in recs), default=0.0),
-        "max_boundary_residual": max((r.boundary_residual for r in recs), default=0.0),
-        "max_fixed_point_z": max((r.fixed_point_z for r in recs), default=0.0),
-        "family_dimension_before": recs[-1].family_dimension_before if recs else None,
-        "family_dimension_after": recs[-1].family_dimension_after if recs else None,
-    }
     report["within_tolerances"] = within_tolerances(report, flow_cfg)
     summary = {
         "version": __version__,

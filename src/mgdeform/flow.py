@@ -22,12 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cdot import PathIntegrator, solve_cdot
-from .errors import (
-    ContractionFailureError,
-    ConvergenceError,
-    MgError,
-    NoContractionError,
-)
+from .errors import MgError
 from .gdef import (
     DeformationState,
     assemble_coefficients,
@@ -92,16 +87,13 @@ class BoundarySpec:
 class FlowConfig:
     t_final: float = 0.05
     dt: float = 0.0025
-    k_max: int = 4
     tol_bvp: float = 1e-10
     tol_cdot: float = 1e-10
     max_iter_bvp: int = 60
     max_iter_cdot: int = 50
-    parameter_policy: str = "least_norm"   # or "fixed"
-    fixed_params: tuple = ()
+    parameter_policy: str = "least_norm"   # or "fixed" (zero parameters)
     x0_node: int = 0
     bvp_mode: str = "auto"
-    substeps: int = 1
     check_every: int = 1                   # rebuild-oracle cadence
     tol_K: float = 1e-4
     tol_G: float = 1e-6
@@ -122,6 +114,7 @@ class ProjectionResult:
     dimension_after: int
     rank: int
     point_residual: float
+    point_matrix: np.ndarray   # (2, nb): Re and Im of each basis member at x0
 
 
 def project_parameters(family, x0_node):
@@ -131,7 +124,7 @@ def project_parameters(family, x0_node):
         val = family.w[x0_node]
         return ProjectionResult(
             params=np.zeros(0), dimension_before=0, dimension_after=0,
-            rank=0, point_residual=float(abs(val)),
+            rank=0, point_residual=float(abs(val)), point_matrix=np.empty((2, 0)),
         )
     mat = np.empty((2, nb))
     for i, b in enumerate(family.basis):
@@ -143,7 +136,7 @@ def project_parameters(family, x0_node):
     resid = float(np.linalg.norm(mat @ params - rhs))
     return ProjectionResult(
         params=params, dimension_before=nb, dimension_after=nb - rank,
-        rank=rank, point_residual=resid,
+        rank=rank, point_residual=resid, point_matrix=mat,
     )
 
 
@@ -278,7 +271,7 @@ def _make_assembler(state: FlowState):
             hist = deform.history_with_rates(a1dot, a2dot, cdot_iter)
             return assemble_coefficients(
                 metric, surface, deform, history=hist,
-                prev=prev.coeffs, dt=prev.dt, substeps=cfg.substeps,
+                prev=prev.coeffs, dt=prev.dt,
             )
         return coeff_fn
 
@@ -290,9 +283,7 @@ def _make_assembler(state: FlowState):
             a1dot, a2dot, st.integ, tol=cfg.tol_cdot, max_iter=cfg.max_iter_cdot,
         )
         hist = deform.history_with_rates(a1dot, a2dot, sol.cdot)
-        gvar, bvar, fwd = assemble_variation(
-            metric, surface, deform, history=hist, substeps=cfg.substeps
-        )
+        gvar, bvar, fwd = assemble_variation(metric, surface, deform, history=hist)
         zdot = deform.rate_displacement(a1dot, a2dot, sol.cdot)
         m4dot_override = None
         if prev.m4 is None:
@@ -320,9 +311,7 @@ def _make_assembler(state: FlowState):
                 a1dot=a1dot, a2dot=a2dot, cdot=sol.cdot,
                 history=hist_v, t=deform.t + delta,
             )
-            _, bvar_v, _ = assemble_variation(
-                metric, surface, deform_v, substeps=cfg.substeps
-            )
+            _, bvar_v, _ = assemble_variation(metric, surface, deform_v)
             m4dot_override = (bvar_v.m4 - bvar.m4) / delta
         rates = assemble_rates(
             metric, surface, deform, gvar, bvar, zdot, a1dot, a2dot,
@@ -357,19 +346,15 @@ def step(state: FlowState):
         x0_node=st.x0_vek,
     )
     if cfg.parameter_policy == "fixed" or st.n < 0:
-        params = np.asarray(cfg.fixed_params, dtype=float)
-        if params.size != st.sym.family_size:
-            params = np.zeros(st.sym.family_size)
-        family = bvp_solve(problem, assembler, tol=cfg.tol_bvp,
-                           max_iter=cfg.max_iter_bvp, params=params,
-                           mode=cfg.bvp_mode, sym=st.sym)
-        family.basis = list(st.sym.basis)
+        params = np.zeros(st.sym.family_size)
+        final = bvp_solve(problem, assembler, tol=cfg.tol_bvp,
+                          max_iter=cfg.max_iter_bvp, params=params,
+                          mode=cfg.bvp_mode, sym=st.sym)
         proj = ProjectionResult(params=params,
                                 dimension_before=st.sym.family_size,
                                 dimension_after=st.sym.family_size,
-                                rank=0, point_residual=float(abs(family.w[st.x0_vek])))
-        w_final = family.w
-        fam_for_trace = family
+                                rank=0, point_residual=float(abs(final.w[st.x0_vek])),
+                                point_matrix=np.empty((2, 0)))
     else:
         family, _ = solve_family(problem, assembler, tol=cfg.tol_bvp,
                                  max_iter=cfg.max_iter_bvp, mode=cfg.bvp_mode,
@@ -377,12 +362,7 @@ def step(state: FlowState):
         proj = project_parameters(family, st.x0_vek)
         # iterate the point condition: the measured basis is accurate to the
         # coupling floor, so each correction shrinks |w(x0)| by that factor
-        nb = len(family.basis)
-        mat = np.empty((2, nb))
-        for i, bfield in enumerate(family.basis):
-            mat[0, i] = bfield[st.x0_vek].real
-            mat[1, i] = bfield[st.x0_vek].imag
-        pinv = np.linalg.pinv(mat)
+        pinv = np.linalg.pinv(proj.point_matrix)
         params = proj.params.copy()
         final = None
         for _ in range(4):
@@ -395,11 +375,9 @@ def step(state: FlowState):
             params = params + pinv @ np.array([-v0.real, -v0.imag])
         proj.params = params
         proj.point_residual = float(abs(final.w[st.x0_vek]))
-        w_final = final.w
-        fam_for_trace = final
 
-    # refresh the cached cdot/kpres pieces at the final iterate
-    assembler(w_final)
+    # bvp_solve's last assembler call is at the returned iterate, so the
+    # cached cdot/kpres pieces already belong to final.w
     last = cache["last"]
     sol = last["sol"]
     a1dot, a2dot, cdot = last["a1dot"], last["a2dot"], sol.cdot
@@ -427,8 +405,7 @@ def step(state: FlowState):
     )
 
     # monitors at the advanced state
-    gvar_n, bvar_n, _ = assemble_variation(metric, surface, deform_new,
-                                           substeps=cfg.substeps)
+    gvar_n, bvar_n, _ = assemble_variation(metric, surface, deform_new)
     k_scale = float(np.max(np.abs(surface.K)))
     dk_rel = float(np.max(np.abs(bvar_n.dK))) / k_scale
     if cfg.check_every and (state.step_index % cfg.check_every == 0):
@@ -437,8 +414,7 @@ def step(state: FlowState):
         dk_oracle = float(np.max(np.abs(k_def - k_base))) / k_scale
     else:
         dk_oracle = np.nan
-    g_res_fields = gdef_normal_residual(metric, surface, deform_new,
-                                        substeps=cfg.substeps)
+    g_res_fields = gdef_normal_residual(metric, surface, deform_new)
     g_res = float(np.max(np.abs(g_res_fields)))
     theta = grid.boundary_theta
     v_field = np.einsum(
@@ -454,9 +430,9 @@ def step(state: FlowState):
         step=state.step_index, t_new=state.t + dt, n=st.n,
         dk_max_rel=dk_rel, dk_oracle_rel=dk_oracle, g_residual=g_res,
         boundary_residual=b_res, fixed_point_z=z_x0,
-        bvp_iterations=fam_for_trace.iterations, bvp_ratio=fam_for_trace.ratio,
-        bvp_mode=fam_for_trace.mode,
-        bvp_fixed_point_residual=fam_for_trace.fixed_point_residual,
+        bvp_iterations=final.iterations, bvp_ratio=final.ratio,
+        bvp_mode=final.mode,
+        bvp_fixed_point_residual=final.fixed_point_residual,
         cdot_iterations=sol.iterations, cdot_rate=sol.rate,
         cdot_residual=sol.residual,
         family_dimension_before=proj.dimension_before,
@@ -480,33 +456,31 @@ def step(state: FlowState):
     return rec
 
 
-def run_flow(state: FlowState):
-    """Iterate steps to t_final; one dt-halving retry on contraction loss."""
-    cfg = state.config
-    halved = False
-    while state.t < cfg.t_final - 1e-12:
-        try:
-            step(state)
-        except (NoContractionError, ContractionFailureError, ConvergenceError):
-            if halved:
-                raise
-            halved = True
-            cfg.dt = cfg.dt / 2.0
+def run_flow(state: FlowState, on_step=None):
+    """Step to t_final and report the monitored maxima over all steps.
+
+    ``on_step(rec)`` runs after each completed step.  A failing step raises
+    its own error; the records of the completed steps stay in
+    ``state.records``.
+    """
+    while state.t < state.config.t_final - 1e-12:
+        rec = step(state)
+        if on_step is not None:
+            on_step(rec)
     recs = state.records
-    report = {
+    return {
         "steps": len(recs),
         "t_final": state.t,
         "index": state.statics.n if state.statics else None,
-        "max_dk_rel": max(r.dk_max_rel for r in recs) if recs else 0.0,
+        "max_dk_rel": max((r.dk_max_rel for r in recs), default=0.0),
         "max_dk_oracle_rel": max(
             (r.dk_oracle_rel for r in recs if not np.isnan(r.dk_oracle_rel)),
             default=0.0,
         ),
-        "max_g_residual": max(r.g_residual for r in recs) if recs else 0.0,
-        "max_boundary_residual": max(r.boundary_residual for r in recs) if recs else 0.0,
-        "max_fixed_point_z": max(r.fixed_point_z for r in recs) if recs else 0.0,
-        "family_dimension_after": recs[-1].family_dimension_after if recs else None,
+        "max_g_residual": max((r.g_residual for r in recs), default=0.0),
+        "max_boundary_residual": max((r.boundary_residual for r in recs), default=0.0),
+        "max_fixed_point_z": max((r.fixed_point_z for r in recs), default=0.0),
         "family_dimension_before": recs[-1].family_dimension_before if recs else None,
-        "max_rate_sup": max(r.rate_sup for r in recs) if recs else 0.0,
+        "family_dimension_after": recs[-1].family_dimension_after if recs else None,
+        "max_rate_sup": max((r.rate_sup for r in recs), default=0.0),
     }
-    return report

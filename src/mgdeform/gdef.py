@@ -98,7 +98,7 @@ class GDefCoefficients:
 
 
 def assemble_coefficients(metric: AmbientMetric, surface: SurfaceState,
-                          deform: DeformationState, k_max: int = 4,
+                          deform: DeformationState,
                           history: TransportHistory | None = None,
                           prev: GDefCoefficients | None = None,
                           dt: float | None = None,
@@ -155,7 +155,6 @@ def assemble_coefficients(metric: AmbientMetric, surface: SurfaceState,
     else:
         ndot = np.zeros_like(n_j)
         qdot = np.zeros_like(q_i)
-    _ = k_max  # truncation depth only matters for the series cross-checks
     return GDefCoefficients(s1=s1, s2=s2, s3=s3, s4=s4, s5=s5, t0=t0, tj=tj,
                             n_j=n_j, q_i=q_i, ndot=ndot, qdot=qdot)
 

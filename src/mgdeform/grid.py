@@ -17,6 +17,12 @@ from .errors import MgError
 
 _GAUSS4_X, _GAUSS4_W = np.polynomial.legendre.leggauss(4)
 
+# integrals over one unit-spaced panel of the cubic Lagrange basis on four
+# consecutive levels: first, middle and last panel of the stencil
+_PANEL_FIRST = np.array([9.0, 19.0, -5.0, 1.0]) / 24.0
+_PANEL_INTERIOR = np.array([-1.0, 13.0, 13.0, -1.0]) / 24.0
+_PANEL_RIM = np.array([1.0, -5.0, 19.0, 9.0]) / 24.0
+
 
 def fd_weights(x, x0, m):
     """Finite-difference weights for the m-th derivative at x0 on nodes x."""
@@ -43,18 +49,6 @@ def fd_weights(x, x0, m):
             c[j, 0] = c4 * c[j, 0] / c3
         c1 = c2
     return c[:, m]
-
-
-def _lagrange_integral_weights(xs, a, b):
-    """Integrals over [a, b] of the Lagrange basis on nodes xs."""
-    xs = np.asarray(xs, dtype=float)
-    w = np.zeros(len(xs))
-    for k in range(len(xs)):
-        others = np.delete(xs, k)
-        poly = np.poly(others) / np.prod(xs[k] - others)
-        anti = np.polyint(poly)
-        w[k] = np.polyval(anti, b) - np.polyval(anti, a)
-    return w
 
 
 class DiskGrid:
@@ -90,7 +84,6 @@ class DiskGrid:
         self._build_radial_stencils()
         self._build_derivative_tables()
         self._build_cumint_weights()
-        self._kernel_cache = None
         self._caches = {}
 
     # -- indexing -----------------------------------------------------------
@@ -260,17 +253,18 @@ class DiskGrid:
     # -- cumulative radial integration ---------------------------------------
 
     def _build_cumint_weights(self):
+        # panel [r_{i-1}, r_i] integrates the cubic through four uniform ray
+        # levels: the first panel and the rim panel sit at the ends of their
+        # stencils, every other panel in the middle
         n_r = self.n_r
-        rs = self.r_levels
-        w = np.zeros((n_r, 4))
-        starts = np.zeros(n_r, dtype=int)
-        for i in range(1, n_r + 1):
-            s0 = int(np.clip(i - 2, 0, n_r - 3))
-            starts[i - 1] = s0
-            w[i - 1] = _lagrange_integral_weights(rs[s0 : s0 + 4], rs[i - 1], rs[i])
+        starts = np.clip(np.arange(n_r) - 1, 0, n_r - 3)
+        w = np.empty((n_r, 4))
+        w[0] = _PANEL_FIRST
+        w[1:-1] = _PANEL_INTERIOR
+        w[-1] = _PANEL_RIM
         # ray levels read by each panel's cubic: (n_r, 4)
         self._cum_idx = starts[:, None] + np.arange(4)[None, :]
-        self._cum_w = w
+        self._cum_w = self.h * w
 
     def _ray_values(self, f):
         """Field values along each ray: shape (n_r + 1, n_theta, M)."""

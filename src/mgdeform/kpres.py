@@ -354,32 +354,3 @@ def rhs_psi(surface: SurfaceState, coeffs: GDefCoefficients,
         psi1_dot = np.zeros_like(psi1)
     psi3 = qb0 * p_field - rates.p0
     return psi1_dot, psi3, rates.p0, psi1
-
-
-def curvature_rate(surface, gvar, bvar, rates, coeffs_eq, deform,
-                   a1dot, a2dot, cdot):
-    """Diagnostic d(Delta K)/dt assembled from the explicit rate formula."""
-    grid = surface.grid
-    da1 = _dfields(grid, deform.a1)
-    da2 = _dfields(grid, deform.a2)
-    div_a = da1[:, 0] + da2[:, 1]
-    a_term = div_a + coeffs_eq.qb1 * deform.a1 + coeffs_eq.qb2 * deform.a2
-    rhs = (
-        2 * gvar.psi2
-        + (bvar.m4[:, 0, 0] + bvar.m4[:, 1, 1]) / surface.V
-        + bvar.w2b / surface.V**2
-    )
-    da1d = _dfields(grid, a1dot)
-    da2d = _dfields(grid, a2dot)
-    div_adot = da1d[:, 0] + da2d[:, 1]
-    adot_term = div_adot + coeffs_eq.qb1 * a1dot + coeffs_eq.qb2 * a2dot
-    g = surface.g_det
-    psi2dot = 2 * surface.H * cdot - rates.w1dot / 2 - rates.w2dot / (2 * g)
-    rhs_dot = (
-        2 * psi2dot
-        + (rates.m4dot[:, 0, 0] + rates.m4dot[:, 1, 1]) / surface.V
-        + rates.w2bdot / surface.V**2
-    )
-    term1 = -g * rates.dbdot / bvar.b_t**2 * (a_term - rhs)
-    term2 = g / bvar.b_t * (adot_term - rhs_dot)
-    return term1 + term2

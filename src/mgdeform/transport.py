@@ -214,20 +214,6 @@ def transport_series_terms(metric: AmbientMetric, y0, history: TransportHistory,
     return terms
 
 
-def series_forward_profile(metric, y0, history, k_max=1):
-    """Forward first-order term A_(1)(0, tau_m) for every sample m."""
-    y0 = np.asarray(y0, dtype=float)
-    if history.n_steps == 0:
-        n = history.n_points
-        return np.zeros((history.tau.size, n, 3, 3))
-    dt = history.tau[1] - history.tau[0]
-    g_samples = np.stack(
-        [_gamma_zdot(metric, y0, history.z[m], history.zdot[m])
-         for m in range(history.tau.size)]
-    )
-    return -_cumtrapz_from_start(g_samples, dt)
-
-
 @dataclass
 class NormalTransport:
     """Forward transport of the unit normal with its series tails."""

@@ -25,16 +25,13 @@ from .errors import (
 )
 from .grid import DiskGrid
 
-_KERNEL_CACHE_MAX_RINGS = 160
-
-
 # --------------------------------------------------------------------------
 # T operator
 # --------------------------------------------------------------------------
 
 def t_operator_direct(grid: DiskGrid, f, chunk=512):
-    """Reference all-pairs evaluation of T(f); used to cross-check the
-    convolution path on small grids."""
+    """Reference all-pairs evaluation of T(f); used to cross-check
+    ``t_operator`` on small grids."""
     f = np.asarray(f, dtype=complex)
     w = grid.area_weights
     zeta = grid.z
@@ -46,62 +43,6 @@ def t_operator_direct(grid: DiskGrid, f, chunk=512):
         ker = np.where(dz == 0, 0.0, num / np.where(dz == 0, 1.0, dz))
         out[lo:hi] = ker @ w
     return -out / np.pi + f * np.conj(zeta)
-
-
-def _ring_kernel_ffts(grid: DiskGrid):
-    """FFT of the ring-to-ring interaction kernels, negated-frequency order."""
-    if grid._kernel_cache is not None:
-        return grid._kernel_cache
-    n_r, nt = grid.n_r, grid.n_theta
-    radii = grid.r_levels[1:]
-    m = np.arange(nt)
-    phase = np.exp(1j * m * grid.dtheta)  # e^{i m dtheta}
-    ker = np.empty((n_r, n_r, nt), dtype=complex)
-    for it, r in enumerate(radii):
-        den = radii[:, None] * phase[None, :] - r  # (src_ring, m)
-        den[it, 0] = 1.0  # self term excluded below
-        kk = 1.0 / den
-        kk[it, 0] = 0.0
-        ker[it] = kk
-    khat = np.fft.fft(ker, axis=2)
-    khat_neg = np.concatenate([khat[..., :1], khat[..., :0:-1]], axis=2)
-    cache = khat_neg
-    if n_r <= _KERNEL_CACHE_MAX_RINGS:
-        grid._kernel_cache = cache
-    return cache
-
-
-def _pair_sums(grid: DiskGrid, g):
-    """S[g]_p = sum_{q != p} w_q g_q / (zeta_q - z_p) via ring convolutions."""
-    n_r, nt = grid.n_r, grid.n_theta
-    w_ring = np.array([grid.area_weights[grid.node_index(i, 0)] for i in range(1, n_r + 1)])
-    g_rings = g[1:].reshape(n_r, nt)
-    khat_neg = _ring_kernel_ffts(grid)
-    gw = g_rings * w_ring[:, None]
-    ghat = np.fft.fft(gw, axis=1)  # (src_ring, k)
-    spec = np.einsum("sk,tsk->tk", ghat, khat_neg)
-    ring_sums = np.fft.ifft(spec, axis=1)
-    ring_sums *= np.exp(-1j * grid.theta[1:]).reshape(n_r, nt)
-    out = np.empty(grid.n_nodes, dtype=complex)
-    # ring targets: add the center-source contribution w_0 g_0 / (0 - z_p)
-    w0 = grid.area_weights[0]
-    out[1:] = ring_sums.reshape(-1) - w0 * g[0] / grid.z[1:]
-    # center target: direct row over ring sources
-    out[0] = np.sum(grid.area_weights[1:] * g[1:] / grid.z[1:])
-    return out
-
-
-def t_operator_midpoint(grid: DiskGrid, f):
-    """Cell-midpoint quadrature of T with singularity subtraction.
-
-    T(f) = T(f - f(z)) + f(z) T(1) with the closed-disk identity
-    T(1)(z) = conj(z) applied exactly.  Kept as a cross-check; its accuracy
-    degrades to O(h) at the rim, which the mode-wise path does not suffer.
-    """
-    f = np.asarray(f, dtype=complex)
-    s_f = _pair_sums(grid, f)
-    s_1 = _pair_sums(grid, np.ones(grid.n_nodes, dtype=complex))
-    return -(s_f - f * s_1) / np.pi + f * np.conj(grid.z)
 
 
 def _t_mode_tables(grid: DiskGrid):
@@ -374,9 +315,7 @@ class SolutionFamily:
     mode: str = "picard"
     boundary_residual: float = 0.0
     fixed_point_residual: float = 0.0
-    pde_residual_fd: float = 0.0
     solvability: np.ndarray = field(default_factory=lambda: np.array([]))
-    solvability_count_primary: int = 0
 
     @property
     def dimension(self):
@@ -401,7 +340,6 @@ def rh_core_solve(grid: DiskGrid, lam, phi, params=None) -> SolutionFamily:
     return SolutionFamily(
         w=w, particular=w_p, basis=list(sym.basis), params=params, n=sym.n,
         boundary_residual=bres, solvability=resid,
-        solvability_count_primary=1 if sym.n < 0 else 0,
     )
 
 
@@ -652,15 +590,12 @@ def bvp_solve(problem: BoundaryProblem, psi_assembler=None, tol=1e-10,
     boundary_residual = float(np.max(np.abs(
         np.real(np.conj(lam) * w[bidx]) - problem.phi
     )))
-    pde = grid.dz_bar(w) + problem.volume_terms(w) - psi_final
     return SolutionFamily(
         w=w, particular=w, basis=list(sym.basis), params=params, n=n,
         iterations=iterations, ratio=ratio, mode=used_mode,
         boundary_residual=boundary_residual,
         fixed_point_residual=fixed_point_residual,
-        pde_residual_fd=float(np.max(np.abs(pde))),
         solvability=np.asarray(solv_hist),
-        solvability_count_primary=1 if n < 0 else 0,
     )
 
 

@@ -2,8 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mgdeform.cli import (
+    SCHEMA,
+    RunConfig,
     build_problem_objects,
     emit_config,
     main,
@@ -11,7 +15,8 @@ from mgdeform.cli import (
     run_from_config,
     within_tolerances,
 )
-from mgdeform.errors import ConfigError
+from mgdeform import flow
+from mgdeform.errors import ConfigError, ConvergenceError
 
 
 MINIMAL = """
@@ -50,6 +55,46 @@ def test_bad_value_reports_line():
     with pytest.raises(ConfigError) as exc:
         parse_config("[grid]\nn_r = soup\n")
     assert exc.value.errors[0][0] == 2
+
+
+# keys parse_config requires to be positive
+_POSITIVE = {("flow", k) for k in ("t_final", "dt", "tol_bvp", "tol_cdot",
+                                   "tol_k", "tol_g", "tol_b")} | {("boundary", "epsilon")}
+
+
+def _value_strategy(sec, key):
+    typ = SCHEMA[sec][key][0]
+    if isinstance(typ, tuple):
+        return st.sampled_from(typ)
+    if typ is bool:
+        return st.booleans()
+    if typ is float:
+        if (sec, key) in _POSITIVE:
+            return st.floats(min_value=1e-300, max_value=1e300)
+        return st.floats(allow_nan=False, allow_infinity=False)
+    if typ is int:
+        if (sec, key) == ("grid", "n_theta"):
+            return st.integers(-1000, 1000).map(lambda k: 4 * k)
+        return st.integers(-10**6, 10**6)
+    if (sec, key) == ("flow", "x0"):
+        return st.one_of(st.just("center"), st.integers(0, 10**4).map(str))
+    return st.text("abcdefghijklmnopqrstuvwxyz0123456789_-./", min_size=1, max_size=20)
+
+
+_CONFIGS = st.fixed_dictionaries({
+    sec: st.fixed_dictionaries({key: _value_strategy(sec, key) for key in keys})
+    for sec, keys in SCHEMA.items()
+})
+
+
+@settings(derandomize=True, deadline=None)
+@given(_CONFIGS)
+def test_emit_parse_roundtrip_property(sections):
+    cfg = RunConfig(sections=sections)
+    text = emit_config(cfg)
+    again = parse_config(text)
+    assert again.sections == sections
+    assert emit_config(again) == text
 
 
 def test_roundtrip_canonical_form():
@@ -119,6 +164,27 @@ def test_zero_data_negative_index_identity(tmp_path):
     assert rep["index"] == -1
     assert rep["max_dk_rel"] < 1e-12
     assert rep["max_fixed_point_z"] == 0.0
+    assert rep["max_rate_sup"] <= 1e-12
+
+
+def test_failed_step_exits_2_and_keeps_completed_trace(tmp_path, monkeypatch):
+    real_step = flow.step
+    calls = []
+
+    def fail_second_call(flow_state):
+        calls.append(flow_state.step_index)
+        if len(calls) == 2:
+            raise ConvergenceError("injected failure")
+        return real_step(flow_state)
+
+    monkeypatch.setattr(flow, "step", fail_second_call)
+    cpath = tmp_path / "cfg.txt"
+    cpath.write_text(MINIMAL + "\n[boundary]\nwinding = -1\ngamma_kind = zero\n")
+    rc = main(["--log-level", "quiet", "run", "--config", str(cpath),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    lines = (tmp_path / "out" / "trace.jsonl").read_text().splitlines()
+    assert [json.loads(line)["step"] for line in lines] == [0]
 
 
 def test_cli_bvp_subcommand(tmp_path):

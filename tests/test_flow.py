@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from mgdeform import flow
+from mgdeform.errors import ConvergenceError
 from mgdeform.flow import (
     BoundarySpec,
     FlowConfig,
@@ -33,6 +35,30 @@ def test_zero_data_negative_index_is_identity_flow(flat_cap):
     assert rep["max_rate_sup"] <= 1e-12
     assert rep["max_dk_rel"] <= 1e-12
     assert np.max(np.abs(state.deform.z)) == 0.0
+
+
+def test_failed_step_raises_its_own_error(flat_cap, monkeypatch):
+    # no retry: the error of a failing step propagates unchanged, dt stays,
+    # and the completed steps stay recorded
+    metric, surf = flat_cap
+    boundary = BoundarySpec(winding=-1, gamma_kind="zero")
+    cfg = FlowConfig(t_final=0.02, dt=0.005)
+    state = init_flow(metric, surf, boundary, cfg)
+    real_step = flow.step
+    calls = []
+
+    def fail_second_call(flow_state):
+        calls.append(flow_state.step_index)
+        if len(calls) == 2:
+            raise ConvergenceError("injected failure")
+        return real_step(flow_state)
+
+    monkeypatch.setattr(flow, "step", fail_second_call)
+    with pytest.raises(ConvergenceError) as exc:
+        run_flow(state)
+    assert type(exc.value) is ConvergenceError
+    assert cfg.dt == 0.005
+    assert len(state.records) == 1
 
 
 def test_single_step_invariants(flat_cap):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mgdeform.errors import MgError
 from mgdeform.grid import DiskGrid
@@ -102,10 +104,12 @@ def test_complex_derivative_holomorphic():
 
 
 def test_cumint_radial_polynomial():
-    g = DiskGrid(16, 32)
-    f = g.r**3
-    val = g.cumint_radial(f)
-    assert np.max(np.abs(val - g.r**4 / 4.0)) < 1e-12
+    # cubic panels integrate r^p, p <= 3, exactly up to round-off
+    for n_r, n_theta in ((16, 32), (128, 256)):
+        g = DiskGrid(n_r, n_theta)
+        for p in range(4):
+            val = g.cumint_radial(g.r**p)
+            assert np.max(np.abs(val - g.r ** (p + 1) / (p + 1))) < 1e-13
 
 
 def test_line_integral_center_exact_linear():
@@ -182,3 +186,31 @@ def test_interp_matches_nodes():
     f = g.x1**2 + g.x2
     vals = g.interp(f, g.r[5:50], g.theta[5:50])
     assert np.max(np.abs(vals - f[5:50])) < 1e-12
+
+
+def _polynomial_coefficients(degree):
+    n_terms = (degree + 1) * (degree + 2) // 2
+    return st.lists(st.floats(-1.0, 1.0), min_size=n_terms, max_size=n_terms)
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.integers(0, 6).flatmap(_polynomial_coefficients))
+def test_grad_of_polynomials_matches_analytic(coeffs):
+    # sum of c x1^a x2^b over a + b <= degree; the 7-point radial stencil is
+    # exact to round-off through degree 6
+    g = DiskGrid(16, 32)
+    x, y = g.x1, g.x2
+    powers = [(a, k - a) for k in range(7) for a in range(k + 1)]
+    f = np.zeros(g.n_nodes)
+    fx = np.zeros(g.n_nodes)
+    fy = np.zeros(g.n_nodes)
+    for c, (a, b) in zip(coeffs, powers):
+        f += c * x**a * y**b
+        if a:
+            fx += c * a * x ** (a - 1) * y**b
+        if b:
+            fy += c * b * x**a * y ** (b - 1)
+    f1, f2 = g.grad(f)
+    bound = 1e-11 * max(np.abs(coeffs), default=0.0)
+    assert np.max(np.abs(f1 - fx)) <= bound
+    assert np.max(np.abs(f2 - fy)) <= bound
