@@ -1,12 +1,12 @@
 """Time-stepping driver for the curvature-preserving deformation.
 
 Each step solves the boundary-value problem for the tangential rates
-(complex field w-dot on the relabeled disk), reconstructs the normal rate
-from the base-point line integrals, projects the free parameters onto the
-point-fixing condition, and advances the state by explicit Euler while
-monitoring every defining property: curvature defect (formula and rebuild
-oracle), normal-transport residual, boundary condition, fixed point, and
-the family dimension.
+(complex field w-dot on the relabeled disk) once, with the free parameters
+pinned to the point-fixing condition inside the solve, reconstructs the
+normal rate from the base-point line integrals, and advances the state by
+explicit Euler while monitoring every defining property: curvature defect
+(formula and rebuild oracle), normal-transport residual, boundary
+condition, fixed point, and the family dimension.
 
 Coordinate bookkeeping: the elliptic pair takes the d_zbar form only after
 swapping the two disk coordinates.  The swap is realized as the exact node
@@ -17,7 +17,7 @@ permuted back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -39,6 +39,7 @@ from .surface import SurfaceState, gauss_curvature_of
 from .transport import TransportHistory
 from .vekua import (
     BoundaryProblem,
+    PointPin,
     assemble_AB,
     boundary_data,
     bvp_solve,
@@ -153,17 +154,15 @@ class PrevRecords:
 @dataclass
 class FlowStatics:
     eq: object
-    a_field: np.ndarray
-    b_field: np.ndarray
-    e0_point: np.ndarray
-    e0_weight: np.ndarray
-    lam: np.ndarray
+    problem: BoundaryProblem   # permuted A, B, E and symbol; phi set per step
     sym: object
     n: int
-    perm: np.ndarray
     ring_perm: np.ndarray
     integ: PathIntegrator
-    x0_vek: int
+    # linear-response basis pin and its point matrix at x0 (None for the
+    # fixed policy and for n < 0)
+    pin: PointPin | None
+    projection: ProjectionResult | None
 
 
 @dataclass
@@ -222,8 +221,7 @@ def _ring_perm(grid):
 
 
 def _build_statics(state: FlowState) -> FlowStatics:
-    surface, grid = state.surface, state.surface.grid
-    perm = grid.reflection_permutation()
+    surface, grid, cfg = state.surface, state.surface.grid, state.config
     ring_perm = _ring_perm(grid)
     eq = equation_coefficients(surface)
     a_field, b_field, e0_point, e0_weight = assemble_AB(
@@ -237,12 +235,22 @@ def _build_statics(state: FlowState) -> FlowStatics:
     lam_s, _, _ = boundary_data(surface, l_field, gdot0)
     lam = lam_s[ring_perm]
     sym = canonicalize(grid, lam)
-    x0_vek = int(perm[state.config.x0_node])
+    problem = BoundaryProblem(
+        grid=grid, lam=lam, phi=np.zeros(grid.n_theta), A=a_field, B=b_field,
+        e0_point=e0_point, e0_weight=e0_weight, e_swap=True,
+        x0_node=int(grid.reflection_permutation()[cfg.x0_node]),
+    )
+    pin = proj = None
+    if cfg.parameter_policy == "least_norm" and sym.n >= 0:
+        # A, B, E and the symbol are fixed over the flow, so the linear
+        # response of each family member is solved once, here
+        family, _ = solve_family(problem, tol=cfg.tol_bvp, max_iter=cfg.max_iter_bvp,
+                                 mode=cfg.bvp_mode, sym=sym)
+        proj = project_parameters(family, problem.x0_node)
+        pin = PointPin(basis=family.basis, pinv=np.linalg.pinv(proj.point_matrix))
     return FlowStatics(
-        eq=eq, a_field=a_field, b_field=b_field, e0_point=e0_point,
-        e0_weight=e0_weight, lam=lam, sym=sym, n=sym.n, perm=perm,
-        ring_perm=ring_perm, integ=PathIntegrator(grid, state.config.x0_node),
-        x0_vek=x0_vek,
+        eq=eq, problem=problem, sym=sym, n=sym.n, ring_perm=ring_perm,
+        integ=PathIntegrator(grid, cfg.x0_node), pin=pin, projection=proj,
     )
 
 
@@ -339,42 +347,11 @@ def step(state: FlowState):
     st = state.statics
     surface, metric, grid = state.surface, state.metric, state.surface.grid
     assembler, cache = _make_assembler(state)
-    phi = _phi_for(state, state.t)
-    problem = BoundaryProblem(
-        grid=grid, lam=st.lam, phi=phi, A=st.a_field, B=st.b_field,
-        e0_point=st.e0_point, e0_weight=st.e0_weight, e_swap=True,
-        x0_node=st.x0_vek,
-    )
-    if cfg.parameter_policy == "fixed" or st.n < 0:
-        params = np.zeros(st.sym.family_size)
-        final = bvp_solve(problem, assembler, tol=cfg.tol_bvp,
-                          max_iter=cfg.max_iter_bvp, params=params,
-                          mode=cfg.bvp_mode, sym=st.sym)
-        proj = ProjectionResult(params=params,
-                                dimension_before=st.sym.family_size,
-                                dimension_after=st.sym.family_size,
-                                rank=0, point_residual=float(abs(final.w[st.x0_vek])),
-                                point_matrix=np.empty((2, 0)))
-    else:
-        family, _ = solve_family(problem, assembler, tol=cfg.tol_bvp,
-                                 max_iter=cfg.max_iter_bvp, mode=cfg.bvp_mode,
-                                 sym=st.sym)
-        proj = project_parameters(family, st.x0_vek)
-        # iterate the point condition: the measured basis is accurate to the
-        # coupling floor, so each correction shrinks |w(x0)| by that factor
-        pinv = np.linalg.pinv(proj.point_matrix)
-        params = proj.params.copy()
-        final = None
-        for _ in range(4):
-            final = bvp_solve(problem, assembler, tol=cfg.tol_bvp,
-                              max_iter=cfg.max_iter_bvp, params=params,
-                              mode=cfg.bvp_mode, sym=st.sym)
-            v0 = final.w[st.x0_vek]
-            if abs(v0) <= 1e-12:
-                break
-            params = params + pinv @ np.array([-v0.real, -v0.imag])
-        proj.params = params
-        proj.point_residual = float(abs(final.w[st.x0_vek]))
+    problem = replace(st.problem, phi=_phi_for(state, state.t))
+    final = bvp_solve(problem, assembler, tol=cfg.tol_bvp, max_iter=cfg.max_iter_bvp,
+                      pin=st.pin, mode=cfg.bvp_mode, sym=st.sym)
+    dim_before = st.sym.family_size
+    dim_after = dim_before - (st.projection.rank if st.projection else 0)
 
     # bvp_solve's last assembler call is at the returned iterate, so the
     # cached cdot/kpres pieces already belong to final.w
@@ -435,9 +412,9 @@ def step(state: FlowState):
         bvp_fixed_point_residual=final.fixed_point_residual,
         cdot_iterations=sol.iterations, cdot_rate=sol.rate,
         cdot_residual=sol.residual,
-        family_dimension_before=proj.dimension_before,
-        family_dimension_after=proj.dimension_after,
-        params=[float(p) for p in np.atleast_1d(proj.params)],
+        family_dimension_before=dim_before,
+        family_dimension_after=dim_after,
+        params=[float(p) for p in final.params],
         rate_sup=float(np.max(np.abs(zdot))),
         step_displacement=float(dt * np.max(np.abs(zdot))),
     )

@@ -11,7 +11,7 @@ explicit in polynomial form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -396,7 +396,11 @@ def assemble_AB(p1, p2, qb1, qb2, q0=None, v=None):
 
 
 def _gmres(apply_op, rhs, tol, max_iter):
-    """Matrix-free GMRES on real vectors, no restarts, deterministic."""
+    """Matrix-free GMRES on real vectors, no restarts, deterministic.
+
+    Raises ConvergenceError when ``max_iter`` iterations leave the residual
+    above ``tol`` relative to the right-hand side.
+    """
     n = rhs.size
     beta = np.linalg.norm(rhs)
     if beta == 0:
@@ -417,27 +421,37 @@ def _gmres(apply_op, rhs, tol, max_iter):
         if rnorm <= tol * beta or h[k + 1, k] < 1e-300:
             return q[: k + 1].T @ ysol, k + 1
         q[k + 1] = v / h[k + 1, k]
-    ysol, *_ = np.linalg.lstsq(h[: max_iter + 1, :max_iter],
-                               np.concatenate([[beta], np.zeros(max_iter)]), rcond=None)
-    return q[:max_iter].T @ ysol, max_iter
+    raise ConvergenceError(
+        f"GMRES relative residual {rnorm / beta:.3e} above {tol:.1e} "
+        f"after {max_iter} iterations"
+    )
+
+
+@dataclass
+class PointPin:
+    """Least-norm hold of w(x0) = 0 through the linear-response basis."""
+
+    basis: list          # K_i = (I - L)^{-1} b_i, one per family member
+    pinv: np.ndarray     # (nb, 2) pseudo-inverse of [Re K_i(x0); Im K_i(x0)]
 
 
 def bvp_solve(problem: BoundaryProblem, psi_assembler=None, tol=1e-10,
-              max_iter=60, params=None, mode="picard", solvability_tol=1e-6,
-              sym: CanonicalSymbol | None = None) -> SolutionFamily:
+              max_iter=60, pin: PointPin | None = None, mode="picard",
+              solvability_tol=1e-6, sym: CanonicalSymbol | None = None) -> SolutionFamily:
     """Solve the full problem by alternating areal correction and core solve.
 
     ``psi_assembler`` maps the current iterate w to the right-hand side field;
     when None the fixed ``problem.psi`` (or zero) is used.  ``mode`` is
     "picard", "gmres", or "auto" (picard with gmres fallback on divergence).
+    With a ``pin`` every outer iterate is moved along the linear-response
+    basis to w(problem.x0_node) = 0 with least-norm family parameters;
+    without one the family parameters are zero.
     """
     grid = problem.grid
     if sym is None:
         sym = canonicalize(grid, problem.lam)
     n = sym.n
-    if params is None:
-        params = np.zeros(sym.family_size)
-    params = np.asarray(params, dtype=float)
+    params = np.zeros(sym.family_size)
 
     if psi_assembler is None:
         psi_fixed = problem.psi if problem.psi is not None else np.zeros(grid.n_nodes, complex)
@@ -448,7 +462,7 @@ def bvp_solve(problem: BoundaryProblem, psi_assembler=None, tol=1e-10,
 
     bidx = grid.boundary_idx
     lam = sym.lam
-    solv_hist = []
+    x0 = problem.x0_node
 
     def corrected_t(field_on_disk, phi_target):
         u = t_operator(grid, field_on_disk)
@@ -456,12 +470,6 @@ def bvp_solve(problem: BoundaryProblem, psi_assembler=None, tol=1e-10,
             sym, phi_target - np.real(np.conj(lam) * u[bidx])
         )
         return u + corr, resid
-
-    def data_term(psi_field, c):
-        u, resid = corrected_t(psi_field, np.asarray(problem.phi, dtype=float))
-        for ci, b in zip(c, sym.basis):
-            u = u + ci * b
-        return u, resid
 
     def linear_response(w):
         vol = problem.volume_terms(w)
@@ -522,54 +530,36 @@ def bvp_solve(problem: BoundaryProblem, psi_assembler=None, tol=1e-10,
         iterations += its
         return unpack(sol)
 
-    # The right-hand side may depend on first derivatives of the iterate, so
-    # the outer substitution loses smoothness order per pass: smooth
-    # components contract while near-Nyquist noise seeded by roundoff can
-    # grow.  Track the minimum successive difference and accept the best
-    # iterate once the differences stop shrinking.
+    # outer substitution of the iterate into the right-hand side; each pass
+    # solves the frozen-right-side problem with zero parameters, then adds
+    # the parameters that put the iterate on w(x0) = 0
     max_outer = 1 if psi_is_fixed else 16
-    accept_floor = 1e-3
     prev_d = np.inf
-    best_d = np.inf
-    best_w = w
-    scale0 = None
     for outer in range(max_outer):
-        if scale0 is not None and float(np.max(np.abs(w))) > 10.0 * scale0:
-            if best_d <= accept_floor * scale0:
-                w = best_w
-                break
-            raise ConvergenceError("right-hand-side coupling amplified the iterate")
-        rhs_field, resid = data_term(psi_assembler(w), params)
-        solv_hist = resid
+        rhs_field, solv_hist = corrected_t(psi_assembler(w), problem.phi)
         w_new = None
         if mode in ("picard", "auto") and used_mode == "picard":
             w_new = inner_picard(rhs_field)
         if w_new is None:
             w_new = inner_gmres(rhs_field)
+        if pin is not None:
+            params = pin.pinv @ -np.array([w_new[x0].real, w_new[x0].imag])
+            for c, k in zip(params, pin.basis):
+                w_new = w_new + c * k
         d = float(np.max(np.abs(w_new - w)))
-        scale = max(1.0, float(np.max(np.abs(w_new))))
-        if scale0 is None:
-            scale0 = scale
-        if d < best_d:
-            best_d = d
-            best_w = w_new
-        if psi_is_fixed or d <= tol * scale:
-            w = w_new
+        w = w_new
+        if psi_is_fixed or d <= tol * max(1.0, float(np.max(np.abs(w)))):
             break
-        if d >= 0.9 * prev_d and outer > 0:
-            if best_d <= accept_floor * scale:
-                w = best_w
-                break
+        if d >= 0.9 * prev_d:
             raise ConvergenceError(
                 "right-hand-side coupling stopped contracting "
-                f"(best step {best_d:.3e} after {outer + 1} passes)"
+                f"(step {d:.3e} after {outer + 1} passes)"
             )
-        w = w_new
         prev_d = d
     else:
-        if best_d > accept_floor * max(1.0, scale0 or 1.0):
-            raise ConvergenceError("outer right-hand-side iteration did not settle")
-        w = best_w
+        raise ConvergenceError(
+            f"outer right-hand-side iteration did not settle in {max_outer} passes"
+        )
 
     psi_final = psi_assembler(w)
     if n < 0 and len(solv_hist):
@@ -584,7 +574,9 @@ def bvp_solve(problem: BoundaryProblem, psi_assembler=None, tol=1e-10,
                 f"{np.max(np.abs(solv_hist)):.3e} exceed tolerance"
             )
 
-    fp_field, _ = data_term(psi_final, params)
+    fp_field, _ = corrected_t(psi_final, problem.phi)
+    for c, b in zip(params, sym.basis):
+        fp_field = fp_field + c * b
     fp_field = fp_field + linear_response(w)
     fixed_point_residual = float(np.max(np.abs(fp_field - w)))
     boundary_residual = float(np.max(np.abs(
@@ -599,21 +591,23 @@ def bvp_solve(problem: BoundaryProblem, psi_assembler=None, tol=1e-10,
     )
 
 
-def solve_family(problem: BoundaryProblem, psi_assembler=None, tol=1e-10,
-                 max_iter=60, mode="auto", sym=None):
-    """Particular solution plus measured homogeneous basis of the family."""
+def solve_family(problem: BoundaryProblem, tol=1e-10, max_iter=60, mode="auto",
+                 sym=None):
+    """Particular solution plus the linear-response basis of the family.
+
+    Member i is K_i = (I - L)^{-1} b_i for the core member b_i and the
+    volume-term response L: b_i plus one fixed-right-side solve with
+    psi = -(A b_i + B conj(b_i) + E(b_i)) and zero boundary data.
+    """
     if sym is None:
         sym = canonicalize(problem.grid, problem.lam)
-    base = bvp_solve(problem, psi_assembler, tol, max_iter,
-                     params=np.zeros(sym.family_size), mode=mode, sym=sym)
-    basis = []
-    for i in range(sym.family_size):
-        e = np.zeros(sym.family_size)
-        e[i] = 1.0
-        fam = bvp_solve(problem, psi_assembler, tol, max_iter, params=e,
-                        mode=base.mode if base.mode == "gmres" else mode, sym=sym)
-        basis.append(fam.w - base.w)
-    base.basis = basis
+    base = bvp_solve(problem, tol=tol, max_iter=max_iter, mode=mode, sym=sym)
+    zero_phi = np.zeros(problem.grid.n_theta)
+    base.basis = [
+        b + bvp_solve(replace(problem, phi=zero_phi, psi=-problem.volume_terms(b)),
+                      tol=tol, max_iter=max_iter, mode=mode, sym=sym).w
+        for b in sym.basis
+    ]
     return base, sym
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mgdeform import flow
+from mgdeform import flow, vekua
 from mgdeform.errors import ConvergenceError
 from mgdeform.flow import (
     BoundarySpec,
@@ -12,7 +12,7 @@ from mgdeform.flow import (
     step,
 )
 from mgdeform.grid import DiskGrid
-from mgdeform.metrics import FlatMetric
+from mgdeform.metrics import FlatMetric, conformal_radial_metric
 from mgdeform.surface import SphereCapImmersion, build_surface
 from mgdeform.vekua import SolutionFamily
 
@@ -124,3 +124,44 @@ def test_continuity_bound(flat_cap):
     state = init_flow(metric, surf, boundary, cfg)
     rec = step(state)
     assert rec.step_displacement <= cfg.dt * rec.rate_sup + 1e-18
+
+
+def test_one_pinned_solve_per_step(flat_cap, monkeypatch):
+    # every step, step 0 included, makes exactly one solve with an assembler;
+    # the fixed-right-side solves of the linear-response basis run once, in
+    # step 0
+    metric, surf = flat_cap
+    boundary = BoundarySpec(winding=1, gamma_kind="harmonic", epsilon=1e-3, mode=1)
+    state = init_flow(metric, surf, boundary, FlowConfig(t_final=0.015, dt=0.005))
+    real_solve = vekua.bvp_solve
+    calls = []
+
+    def counting_solve(problem, psi_assembler=None, *args, **kwargs):
+        calls.append((state.step_index, psi_assembler is not None))
+        return real_solve(problem, psi_assembler, *args, **kwargs)
+
+    monkeypatch.setattr(vekua, "bvp_solve", counting_solve)
+    monkeypatch.setattr(flow, "bvp_solve", counting_solve)
+    run_flow(state)
+    assert [k for k, coupled in calls if coupled] == [0, 1, 2]
+    assert {k for k, coupled in calls if not coupled} == {0}
+
+
+def test_curved_metric_flow_meets_acceptance_bounds():
+    # criterion 11's monitors and bounds, in the curved conformal_radial metric
+    metric = conformal_radial_metric(0.5)
+    surf = build_surface(SphereCapImmersion(1.0, 0.5), metric, DiskGrid(16, 32),
+                         ci_tol=1e-5)
+    boundary = BoundarySpec(winding=1, gamma_kind="harmonic", epsilon=1e-3, mode=1)
+    cfg = FlowConfig(t_final=0.05, dt=0.005)
+    state = init_flow(metric, surf, boundary, cfg)
+    rep = run_flow(state)
+    assert rep["index"] == 1
+    assert rep["steps"] == 10
+    assert rep["max_dk_oracle_rel"] <= 1e-4
+    assert rep["max_g_residual"] <= 1e-6
+    assert rep["max_boundary_residual"] <= 1e-6
+    assert rep["max_fixed_point_z"] <= 1e-10
+    assert rep["family_dimension_after"] == 1
+    # the boundary data actually drives the surface
+    assert rep["max_rate_sup"] > 1e-4

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mgdeform.errors import (
     ContractionFailureError,
+    ConvergenceError,
     MgError,
     UnderResolvedError,
     UnsolvableDataError,
@@ -10,6 +13,7 @@ from mgdeform.errors import (
 from mgdeform.grid import DiskGrid
 from mgdeform.vekua import (
     BoundaryProblem,
+    PointPin,
     adjoint_null_functionals,
     bvp_solve,
     holomorphic_field,
@@ -189,6 +193,28 @@ def test_core_dressed_symbol(grid):
     assert np.max(np.abs(grid.dz_bar(fam.w)[1 : -grid.n_theta])) < 1e-6
 
 
+def _zzbar_coefficients(degree):
+    # complex integer coefficients of z^a conj(z)^b over a + b <= degree
+    n_terms = (degree + 1) * (degree + 2) // 2
+    return st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)),
+                    min_size=n_terms, max_size=n_terms)
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.integers(0, 3).flatmap(_zzbar_coefficients))
+def test_pompeiu_identity_on_polynomials(coeffs):
+    # d_zbar T(f) = f; T is exact on polynomials of degree <= 3 in z and
+    # conj(z) (cubic radial interpolation) and d_zbar is exact through 6
+    g = DiskGrid(12, 24)
+    powers = [(a, k - a) for k in range(4) for a in range(k + 1)]
+    c = np.array([re + 1j * im for re, im in coeffs])
+    f = np.zeros(g.n_nodes, dtype=complex)
+    for ck, (a, b) in zip(c, powers):
+        f += ck * g.z**a * np.conj(g.z) ** b
+    err = np.max(np.abs(g.dz_bar(t_operator(g, f)) - f))
+    assert err <= 1e-12 * max(np.abs(c), default=0.0)
+
+
 def test_homogeneous_rank_counts(grid):
     th = grid.boundary_theta
     for n in (0, 1, 2):
@@ -265,6 +291,33 @@ def test_contraction_failure_reported(grid):
     fam = bvp_solve(prob, mode="auto", max_iter=25)
     assert fam.mode == "gmres"
     assert fam.fixed_point_residual < 1e-7
+
+
+def test_pinned_solve_matches_least_norm_family_member(grid):
+    # fixed right side, n = 1: one pinned solve reproduces the particular
+    # solution plus the least-norm parameters that put w(x0) = 0
+    from mgdeform.flow import project_parameters
+
+    prob, _ = manufactured_problem(grid, n=1)
+    fam, sym = solve_family(prob, tol=1e-12, mode="picard")
+    proj = project_parameters(fam, prob.x0_node)
+    w_ref = fam.w + sum(c * k for c, k in zip(proj.params, fam.basis))
+    pin = PointPin(basis=fam.basis, pinv=np.linalg.pinv(proj.point_matrix))
+    pinned = bvp_solve(prob, tol=1e-12, pin=pin, mode="picard", sym=sym)
+    assert abs(fam.w[prob.x0_node]) > 1e-2
+    assert abs(pinned.w[prob.x0_node]) <= 1e-12
+    assert np.max(np.abs(pinned.w - w_ref)) <= 1e-10 * np.max(np.abs(w_ref))
+    assert np.max(np.abs(pinned.params - proj.params)) <= 1e-10
+    assert pinned.fixed_point_residual < 1e-10
+
+
+@pytest.mark.parametrize("mode", ["gmres", "auto"])
+def test_gmres_iteration_cap_raises(mode):
+    # four GMRES iterations leave a fixed-point residual of order 10 here;
+    # the solve must fail rather than return the unconverged field
+    prob, _ = manufactured_problem(DiskGrid(16, 32), n=0, amp=12.0)
+    with pytest.raises(ConvergenceError):
+        bvp_solve(prob, mode=mode, max_iter=1)
 
 
 def test_problem_file_roundtrip(tmp_path, grid):
