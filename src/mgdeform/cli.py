@@ -31,7 +31,7 @@ from .flow import BoundarySpec, FlowConfig, init_flow, run_flow
 from .grid import DiskGrid
 from .metrics import make_metric
 from .surface import IMMERSION_KINDS, build_surface, make_immersion, validate_hypotheses
-from .vekua import bvp_solve, load_problem, save_solution
+from .vekua import load_problem, save_solution, solve_family
 
 _FMT = "%.17g"
 
@@ -297,7 +297,8 @@ def cmd_run(args):
 
 def cmd_bvp(args):
     problem = load_problem(args.problem)
-    fam = bvp_solve(problem, tol=args.tol, mode=args.mode)
+    # the written basis_k are homogeneous solutions of the full problem
+    fam, _ = solve_family(problem, tol=args.tol, mode=args.mode)
     out = args.out or (os.path.splitext(args.problem)[0] + ".solution.txt")
     save_solution(out, fam)
     print(f"index {fam.n}, family dimension {fam.dimension}, "

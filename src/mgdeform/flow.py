@@ -36,7 +36,6 @@ from .kpres import (
     rhs_psi,
 )
 from .surface import SurfaceState, gauss_curvature_of
-from .transport import TransportHistory
 from .vekua import (
     BoundaryProblem,
     PointPin,
@@ -163,6 +162,7 @@ class FlowStatics:
     # fixed policy and for n < 0)
     pin: PointPin | None
     projection: ProjectionResult | None
+    k_base: np.ndarray         # rebuild-oracle curvature of the undeformed surface
 
 
 @dataclass
@@ -251,6 +251,7 @@ def _build_statics(state: FlowState) -> FlowStatics:
     return FlowStatics(
         eq=eq, problem=problem, sym=sym, n=sym.n, ring_perm=ring_perm,
         integ=PathIntegrator(grid, cfg.x0_node), pin=pin, projection=proj,
+        k_base=gauss_curvature_of(grid, state.metric, surface.y),
     )
 
 
@@ -306,12 +307,7 @@ def _make_assembler(state: FlowState):
                 deform.a2 + delta * a2dot,
                 deform.c + delta * sol.cdot,
             )
-            tau_v = np.concatenate([hist.tau, [hist.tau[-1] + delta]])
-            hist_v = TransportHistory(
-                tau_v,
-                np.concatenate([hist.z, z_v[None]], axis=0),
-                np.concatenate([hist.zdot, zdot[None]], axis=0),
-            )
+            hist_v = hist.advance(delta, z_v, zdot)
             deform_v = DeformationState(
                 surface=surface,
                 a1=deform.a1 + delta * a1dot, a2=deform.a2 + delta * a2dot,
@@ -364,17 +360,12 @@ def step(state: FlowState):
     a2_new = state.deform.a2 + dt * a2dot
     c_new = state.deform.c + dt * cdot
     zdot = state.deform.rate_displacement(a1dot, a2dot, cdot)
-    hist_old = state.deform.history
     z_new = (
         a1_new[:, None] * surface.y1
         + a2_new[:, None] * surface.y2
         + c_new[:, None] * surface.n
     )
-    tau = np.concatenate([hist_old.tau, [state.t + dt]])
-    zs = np.concatenate([hist_old.z, z_new[None]], axis=0)
-    zds = np.concatenate([hist_old.zdot, zdot[None]], axis=0)
-    zds[-2] = zdot  # the rate actually used to leave the previous sample
-    hist_new = TransportHistory(tau, zs, zds)
+    hist_new = state.deform.history.advance(dt, z_new, zdot)
     deform_new = DeformationState(
         surface=surface, a1=a1_new, a2=a2_new, c=c_new,
         a1dot=a1dot, a2dot=a2dot, cdot=cdot, history=hist_new,
@@ -387,8 +378,7 @@ def step(state: FlowState):
     dk_rel = float(np.max(np.abs(bvar_n.dK))) / k_scale
     if cfg.check_every and (state.step_index % cfg.check_every == 0):
         k_def = gauss_curvature_of(grid, metric, surface.y + z_new)
-        k_base = gauss_curvature_of(grid, metric, surface.y)
-        dk_oracle = float(np.max(np.abs(k_def - k_base))) / k_scale
+        dk_oracle = float(np.max(np.abs(k_def - st.k_base))) / k_scale
     else:
         dk_oracle = np.nan
     g_res_fields = gdef_normal_residual(metric, surface, deform_new)

@@ -22,9 +22,7 @@ from .transport import (
     TransportHistory,
     op_inf_norm,
     static_history,
-    transport_matrix,
-    transport_series_terms,
-    transport_tensor_ode,
+    transport_propagator,
 )
 
 
@@ -101,21 +99,21 @@ def assemble_coefficients(metric: AmbientMetric, surface: SurfaceState,
                           deform: DeformationState,
                           history: TransportHistory | None = None,
                           prev: GDefCoefficients | None = None,
-                          dt: float | None = None,
-                          substeps: int = 1) -> GDefCoefficients:
+                          dt: float | None = None) -> GDefCoefficients:
     """Build all coefficient fields at the history's final time.
 
     The leading matrix is taken from the transport propagator itself (exact
     resummation); the first series term comes from direct quadrature so the
-    tail splits off without truncation error.  Rates are backward finite
-    differences against ``prev`` when given.
+    tail splits off without truncation error.  Both come from the history's
+    cached propagator, so only the final interval is integrated here.  Rates
+    are backward finite differences against ``prev`` when given.
     """
     grid = surface.grid
     hist = history if history is not None else deform.history
     n_nodes = grid.n_nodes
-    mback = transport_matrix(metric, surface.y, hist, "backward", substeps)
-    s1 = mback - np.eye(3)[None, :, :]
-    a1_term = transport_series_terms(metric, surface.y, hist, 1, "backward")[0]
+    prop = transport_propagator(metric, surface.y, hist)
+    s1 = prop.backward - np.eye(3)[None, :, :]
+    a1_term = prop.integral
     s2 = s1 - a1_term
 
     z = hist.z[-1]
@@ -187,11 +185,12 @@ def gdef_normal_residual(metric: AmbientMetric, surface: SurfaceState,
     """
     grid = surface.grid
     hist = deform.history
+    mback = transport_propagator(metric, surface.y, hist, substeps).backward
     z1, z2 = grid.grad(hist.z[-1])
     out = np.empty((grid.n_nodes, 2))
     for i, zi in enumerate((z1, z2)):
         seed = (surface.y1 if i == 0 else surface.y2) + zi
-        back = transport_tensor_ode(metric, surface.y, hist, seed, "backward", substeps)
+        back = np.einsum("nab,nb->na", mback, seed)
         out[:, i] = np.einsum("nab,na,nb->n", surface.ambient_a, back, surface.n)
     return out
 

@@ -211,15 +211,14 @@ def delta_b(metric: AmbientMetric, surface: SurfaceState, deform: DeformationSta
                       norm_n=norm)
 
 
-def assemble_variation(metric, surface, deform: DeformationState,
-                       history=None, substeps=1):
+def assemble_variation(metric, surface, deform: DeformationState, history=None):
     """Full variation state at the history's final time."""
     grid = surface.grid
     hist = history if history is not None else deform.history
     z = hist.z[-1]
     z1, z2 = grid.grad(z)
     gvar = delta_g(metric, surface, z, z1, z2, deform.c)
-    fwd = transport_normal(metric, surface.y, hist, surface.n, substeps)
+    fwd = transport_normal(metric, surface.y, hist, surface.n)
     bvar = delta_b(metric, surface, deform, fwd, gvar, z, z1, z2)
     return gvar, bvar, fwd
 

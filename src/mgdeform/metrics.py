@@ -187,6 +187,9 @@ def check_positive_definite(a, det_tol=1e-14):
 def christoffel_at(metric: AmbientMetric, points) -> ChristoffelField:
     """Gamma^g_{ab} = 0.5 a^{gm} (d_a a_{mb} + d_b a_{ma} - d_m a_{ab})."""
     y = np.asarray(points, dtype=float)
+    if metric.is_flat():
+        shape = y.shape[:-1] + (3, 3, 3)
+        return ChristoffelField(gamma_upper=np.zeros(shape), gamma_lower=np.zeros(shape))
     a = metric.metric(y)
     ok, det = check_positive_definite(a)
     if not np.all(ok):

@@ -6,6 +6,11 @@ dA/dtau + Gamma(u(tau)) zdot(tau) A = 0 either backward (seed given at
 tau = t, value wanted at tau = 0) or forward.  The same propagator has a
 nested-integral series representation whose terms are produced by repeated
 cumulative quadrature with the chain contraction of successive indices.
+
+The flow's consumers read the propagator through ``transport_propagator``,
+which keeps the integrated prefix of a history (intervals 0..M-2) in a cache
+the history shares with its ``replace_final_rate`` children and hands to
+``advance``; each call integrates only the final interval.
 """
 
 from __future__ import annotations
@@ -23,7 +28,9 @@ class TransportHistory:
     """Uniform samples (tau_m, z_m, zdot_m) of the deformation paths.
 
     ``z`` and ``zdot`` have shape (M+1, n_pts, 3).  The initial sample must
-    be the undeformed state z = 0.
+    be the undeformed state z = 0.  The history caches its integrated
+    propagator, so samples are not changed in place: ``replace_final_rate``
+    and ``advance`` make the new histories.
     """
 
     def __init__(self, tau, z, zdot):
@@ -42,6 +49,11 @@ class TransportHistory:
                 raise MgError("tau samples must increase strictly")
             if np.max(np.abs(steps - steps[0])) > 1e-12 * max(1.0, steps[0]):
                 raise MgError("tau samples must be uniformly spaced")
+        # propagator over intervals 0..M-2, shared with the histories that
+        # agree on them (see transport_propagator); the whole-history result
+        # is kept per instance
+        self._prefix = _PrefixSlot()
+        self._full = None
 
     @property
     def n_steps(self):
@@ -56,10 +68,32 @@ class TransportHistory:
         return self.z.shape[1]
 
     def replace_final_rate(self, zdot_final):
-        """History with the rate of the last sample swapped out."""
+        """History with the rate of the last sample swapped out.
+
+        Only the final interval changes, so the child shares this history's
+        propagator prefix cache.
+        """
         zd = self.zdot.copy()
         zd[-1] = zdot_final
-        return TransportHistory(self.tau, self.z, zd)
+        child = TransportHistory(self.tau, self.z, zd)
+        child._prefix = self._prefix
+        return child
+
+    def advance(self, dt, z_new, zdot):
+        """History one step longer: the last sample's rate becomes ``zdot``
+        (the rate that left it) and (tau_M + dt, z_new, zdot) is appended.
+
+        Intervals 0..M-2 are unchanged, so the extended history starts from
+        this history's cached prefix and integrates interval M-1 once.
+        """
+        zdot = np.asarray(zdot, dtype=float)
+        child = TransportHistory(
+            np.append(self.tau, self.tau[-1] + dt),
+            np.concatenate([self.z, np.asarray(z_new, dtype=float)[None]], axis=0),
+            np.concatenate([self.zdot[:-1], zdot[None], zdot[None]], axis=0),
+        )
+        child._prefix.entry = self._prefix.entry
+        return child
 
     def hermite(self, m, s):
         """Cubic Hermite state and rate inside interval m at fraction s."""
@@ -103,15 +137,68 @@ def _gamma_zdot(metric, y0, z, zdot):
     return contract("ngab,na->ngb", ch.gamma_upper, zdot)
 
 
+def _stage_fractions(substeps):
+    """Fractions s = j / (2 substeps) of an interval holding its RK4 stages."""
+    return np.arange(2 * substeps + 1) / (2 * substeps)
+
+
+def _interval_gammas(metric, y0, history, m, fractions, g_start=None, g_end=None):
+    """G = Gamma zdot along interval m at ``fractions``, end values reused.
+
+    Hermite interpolation is exact at s = 0 and 1, so an end value taken over
+    from the neighbouring interval or a sample is bit-identical.
+    """
+    out = []
+    last = len(fractions) - 1
+    for j, s in enumerate(fractions):
+        if j == 0 and g_start is not None:
+            out.append(g_start)
+        elif j == last and g_end is not None:
+            out.append(g_end)
+        else:
+            out.append(_gamma_zdot(metric, y0, *history.hermite(m, s)))
+    return out
+
+
+def _rk4_step(g0, g_half, g1, a, h, sign):
+    """One classical RK4 step of dA = sign G A with G at start, middle, end."""
+    k1 = sign * contract("ngb,nbk->ngk", g0, a)
+    k2 = sign * contract("ngb,nbk->ngk", g_half, a + 0.5 * h * k1)
+    k3 = sign * contract("ngb,nbk->ngk", g_half, a + 0.5 * h * k2)
+    k4 = sign * contract("ngb,nbk->ngk", g1, a + h * k3)
+    return a + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def _interval_step(gs, a, h, direction):
+    """Carry ``a`` (n, 3, k) across one interval; ``gs`` holds G at the
+    stage fractions, ``h`` is the substep length."""
+    last = len(gs) - 1
+    for q in range(last // 2):
+        if direction == "forward":
+            a = _rk4_step(gs[2 * q], gs[2 * q + 1], gs[2 * q + 2], a, h, -1.0)
+        else:
+            j = last - 2 * q
+            a = _rk4_step(gs[j], gs[j - 1], gs[j - 2], a, h, 1.0)
+    return a
+
+
+def _check_direction(direction):
+    if direction not in ("backward", "forward"):
+        raise MgError(f"unknown direction {direction!r}")
+
+
 def transport_tensor_ode(metric: AmbientMetric, y0, history: TransportHistory, seed,
                          direction="backward", substeps=1):
-    """Integrate the transport system with classical RK4.
+    """Integrate the transport system with classical RK4 over every interval.
 
     ``seed`` is (n_pts, 3) or (n_pts, 3, k); backward means the seed sits at
-    tau = t and the value at tau = 0 is returned, forward the reverse.
+    tau = t and the value at tau = 0 is returned, forward the reverse.  The
+    all-interval reference for ``transport_propagator``: each distinct stage
+    point is evaluated once, 2 M substeps + 1 Christoffel evaluations in all.
     """
     if history.tau.size == 0:
         raise EmptyHistoryError("empty history")
+    _check_direction(direction)
     y0 = np.asarray(y0, dtype=float)
     a = np.array(seed, dtype=float)
     vec_mode = a.ndim == 2
@@ -120,44 +207,121 @@ def transport_tensor_ode(metric: AmbientMetric, y0, history: TransportHistory, s
     if history.n_steps == 0 or metric.is_flat():
         return a[..., 0] if vec_mode else a
 
-    if direction == "backward":
-        intervals = range(history.n_steps - 1, -1, -1)
-        s_of = lambda q: 1.0 - q
-        sign = 1.0
-    elif direction == "forward":
-        intervals = range(history.n_steps)
-        s_of = lambda q: q
-        sign = -1.0
-    else:
-        raise MgError(f"unknown direction {direction!r}")
-
+    fractions = _stage_fractions(substeps)
+    backward = direction == "backward"
+    intervals = range(history.n_steps - 1, -1, -1) if backward else range(history.n_steps)
+    shared = None   # G at the sample this interval shares with the previous one
     for m in intervals:
-        dt_full = (history.tau[m + 1] - history.tau[m]) / substeps
-        for q in range(substeps):
-            # fractions within interval m at the RK4 stage points
-            s0 = s_of(q / substeps)
-            s_half = s_of((q + 0.5) / substeps)
-            s1 = s_of((q + 1.0) / substeps)
-            h = dt_full
-
-            def rhs(s, val):
-                z, zd = history.hermite(m, s)
-                g = _gamma_zdot(metric, y0, z, zd)
-                return sign * contract("ngb,nbk->ngk", g, val)
-
-            k1 = rhs(s0, a)
-            k2 = rhs(s_half, a + 0.5 * h * k1)
-            k3 = rhs(s_half, a + 0.5 * h * k2)
-            k4 = rhs(s1, a + h * k3)
-            a = a + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        h = (history.tau[m + 1] - history.tau[m]) / substeps
+        if backward:
+            gs = _interval_gammas(metric, y0, history, m, fractions, g_end=shared)
+            shared = gs[0]
+        else:
+            gs = _interval_gammas(metric, y0, history, m, fractions, g_start=shared)
+            shared = gs[-1]
+        a = _interval_step(gs, a, h, direction)
     return a[..., 0] if vec_mode else a
+
+
+@dataclass(frozen=True, eq=False)
+class Propagator:
+    """Transport over the first ``k`` intervals of a history.
+
+    ``backward`` = R_0 ... R_{k-1} carries a seed from tau_k to 0 and
+    ``forward`` = R'_{k-1} ... R'_0 carries it back, where R_m, R'_m are the
+    per-node RK4 maps of interval m.  ``integral`` is the trapezoid integral
+    of G = Gamma(u) zdot over [tau_0, tau_k]: the first series term
+    A_(1)(tau_k, 0), whose forward counterpart is its negative.  ``g_end`` is
+    G at sample k, the start of the next interval (None where nothing is
+    integrated).  The key fields say which metric, base points and substep
+    count the maps belong to.
+    """
+
+    metric: AmbientMetric
+    y0: np.ndarray
+    substeps: int
+    k: int
+    backward: np.ndarray
+    forward: np.ndarray
+    integral: np.ndarray
+    g_end: np.ndarray | None
+
+    def matches(self, metric, y0, substeps):
+        return self.metric is metric and self.y0 is y0 and self.substeps == substeps
+
+    def extended(self, history: TransportHistory) -> Propagator:
+        """The propagator over one more interval of ``history``."""
+        m = self.k
+        gs = _interval_gammas(self.metric, self.y0, history, m,
+                              _stage_fractions(self.substeps), g_start=self.g_end)
+        dt = history.tau[m + 1] - history.tau[m]
+        h = dt / self.substeps
+        eye = np.broadcast_to(np.eye(3), self.backward.shape)
+        r_back = _interval_step(gs, eye, h, "backward")
+        r_fwd = _interval_step(gs, eye, h, "forward")
+        return _frozen_propagator(
+            self.metric, self.y0, self.substeps, m + 1,
+            backward=self.backward @ r_back,
+            forward=r_fwd @ self.forward,
+            integral=self.integral + 0.5 * dt * (gs[0] + gs[-1]),
+            g_end=gs[-1],
+        )
+
+
+def _frozen_propagator(metric, y0, substeps, k, **fields):
+    # cached maps are handed to every consumer; none may write to them
+    for arr in fields.values():
+        arr.flags.writeable = False
+    return Propagator(metric, y0, substeps, k, **fields)
+
+
+class _PrefixSlot:
+    """One-entry cache of the propagator over intervals 0..M-2."""
+
+    __slots__ = ("entry",)
+
+    def __init__(self):
+        self.entry = None
+
+
+def transport_propagator(metric: AmbientMetric, y0, history: TransportHistory,
+                         substeps=1) -> Propagator:
+    """Propagator and first series term over the whole history.
+
+    Intervals 0..M-2 come from the history's prefix cache, extended as the
+    history grows; only the final interval, the one a new final rate changes,
+    is integrated when the cache holds the prefix.  The cache is keyed by the
+    identity of ``metric`` and ``y0`` and by ``substeps``: another key starts
+    it afresh, so neither object may be changed in place while in use.
+    """
+    y0 = np.asarray(y0, dtype=float)   # the same object when y0 is a float array
+    n = history.n_points
+    eye = np.broadcast_to(np.eye(3), (n, 3, 3))
+    if metric.is_flat() or history.n_steps == 0:
+        # nothing to integrate; with no interval, sample 0 is the final
+        # sample, whose rate the children change, so nothing is cached
+        zeros = np.broadcast_to(0.0, (n, 3, 3))
+        return Propagator(metric, y0, substeps, history.n_steps, eye, eye, zeros, None)
+    full = history._full
+    if full is not None and full.matches(metric, y0, substeps):
+        return full
+    entry = history._prefix.entry
+    if entry is None or not entry.matches(metric, y0, substeps):
+        g0 = _gamma_zdot(metric, y0, history.z[0], history.zdot[0])
+        entry = _frozen_propagator(metric, y0, substeps, 0, backward=eye, forward=eye,
+                                   integral=np.zeros((n, 3, 3)), g_end=g0)
+    while entry.k < history.n_steps - 1:
+        entry = entry.extended(history)
+    history._prefix.entry = entry
+    history._full = entry.extended(history)
+    return history._full
 
 
 def transport_matrix(metric, y0, history, direction="backward", substeps=1):
     """Propagator matrix M with M @ seed = transported seed."""
-    n = history.n_points
-    eye = np.broadcast_to(np.eye(3), (n, 3, 3)).copy()
-    return transport_tensor_ode(metric, y0, history, eye, direction, substeps)
+    _check_direction(direction)
+    prop = transport_propagator(metric, y0, history, substeps)
+    return np.array(prop.backward if direction == "backward" else prop.forward)
 
 
 def _cumtrapz_from_end(vals, dt):
@@ -226,13 +390,14 @@ class NormalTransport:
     forward_matrix: np.ndarray
 
 
-def transport_normal(metric: AmbientMetric, y0, history: TransportHistory, n0,
-                     substeps=1) -> NormalTransport:
+def transport_normal(metric: AmbientMetric, y0, history: TransportHistory,
+                     n0) -> NormalTransport:
     y0 = np.asarray(y0, dtype=float)
     n0 = np.asarray(n0, dtype=float)
-    mfwd = transport_matrix(metric, y0, history, "forward", substeps)
+    prop = transport_propagator(metric, y0, history)
+    mfwd = prop.forward
     n_t = np.einsum("ngb,nb->ng", mfwd, n0)
-    a1_mat = transport_series_terms(metric, y0, history, 1, "forward")[0]
+    a1_mat = -prop.integral
     a1_vec = n_t - n0
     a2_vec = a1_vec - np.einsum("ngb,nb->ng", a1_mat, n0)
     pts = y0 + history.z[-1]

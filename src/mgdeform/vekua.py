@@ -303,7 +303,13 @@ def _core_particular(sym: CanonicalSymbol, phi_boundary):
 
 @dataclass
 class SolutionFamily:
-    """Solved boundary-value problem: particular member plus free family."""
+    """Solved boundary-value problem: particular member plus free family.
+
+    ``basis`` holds the core members b_i (d_zbar b = 0, zero boundary data)
+    as returned by ``bvp_solve``; they solve the full homogeneous problem
+    only when A, B and E vanish.  ``solve_family`` replaces them with the
+    linear-response members K_i = (I - L)^{-1} b_i, which always do.
+    """
 
     w: np.ndarray
     particular: np.ndarray
@@ -445,7 +451,9 @@ def bvp_solve(problem: BoundaryProblem, psi_assembler=None, tol=1e-10,
     "picard", "gmres", or "auto" (picard with gmres fallback on divergence).
     With a ``pin`` every outer iterate is moved along the linear-response
     basis to w(problem.x0_node) = 0 with least-norm family parameters;
-    without one the family parameters are zero.
+    without one the family parameters are zero.  The returned ``basis`` are
+    the core members b_i, not homogeneous solutions of the full problem;
+    ``solve_family`` adds the linear-response basis.
     """
     grid = problem.grid
     if sym is None:

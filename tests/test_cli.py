@@ -202,6 +202,55 @@ def test_cli_bvp_subcommand(tmp_path):
     assert "dimension 3" in text
 
 
+def _solution_blocks(path):
+    """begin/end blocks of a solution file as complex arrays."""
+    blocks, name, rows = {}, None, []
+    for line in path.read_text().splitlines():
+        if line.startswith("begin "):
+            name, rows = line.split()[1], []
+        elif line == "end":
+            blocks[name] = np.array([complex(float(a), float(b))
+                                     for a, b in (r.split() for r in rows)])
+            name = None
+        elif name is not None:
+            rows.append(line)
+    return blocks
+
+
+def test_cli_bvp_writes_homogeneous_basis(tmp_path):
+    # each written basis_k solves the full homogeneous problem: zero boundary
+    # data, and K - L(K) is a core member (the integral form of
+    # d_zbar K + A K + B conj(K) + E(K) = 0, with L(w) the corrected
+    # T(-(A w + B conj(w) + E(w))))
+    from helpers import manufactured_problem
+    from mgdeform.grid import DiskGrid
+    from mgdeform.vekua import rh_core_solve, save_problem, t_operator
+
+    grid = DiskGrid(16, 32)
+    prob, _ = manufactured_problem(grid, n=1)
+    ppath = tmp_path / "prob.txt"
+    save_problem(ppath, prob)
+    assert main(["bvp", str(ppath), "--out", str(tmp_path / "sol.txt")]) == 0
+    blocks = _solution_blocks(tmp_path / "sol.txt")
+    basis = [blocks[f"basis_{k}"] for k in range(3)]
+    assert "basis_3" not in blocks
+
+    bidx, lam = grid.boundary_idx, prob.lam
+
+    def response(w):
+        u = t_operator(grid, -prob.volume_terms(w))
+        return u + rh_core_solve(grid, lam, -np.real(np.conj(lam) * u[bidx])).w
+
+    core = np.stack(rh_core_solve(grid, lam, np.zeros(grid.n_theta)).basis, axis=1)
+    core_ri = np.concatenate([core.real, core.imag])
+    for k in basis:
+        scale = np.max(np.abs(k))
+        v = k - response(k)
+        c, *_ = np.linalg.lstsq(core_ri, np.concatenate([v.real, v.imag]), rcond=None)
+        assert np.max(np.abs(v - core @ c)) <= 1e-8 * scale
+        assert np.max(np.abs(np.real(np.conj(lam) * k[bidx]))) <= 1e-8 * scale
+
+
 def test_cli_bvp_empty_file(tmp_path):
     p = tmp_path / "empty.txt"
     p.write_text("")

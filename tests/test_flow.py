@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mgdeform import flow, vekua
+from mgdeform import flow, kpres, metrics, surface, transport, vekua
 from mgdeform.errors import ConvergenceError
 from mgdeform.flow import (
     BoundarySpec,
@@ -147,7 +147,7 @@ def test_one_pinned_solve_per_step(flat_cap, monkeypatch):
     assert {k for k, coupled in calls if not coupled} == {0}
 
 
-def test_curved_metric_flow_meets_acceptance_bounds():
+def test_curved_metric_flow_meets_acceptance_bounds(monkeypatch):
     # criterion 11's monitors and bounds, in the curved conformal_radial metric
     metric = conformal_radial_metric(0.5)
     surf = build_surface(SphereCapImmersion(1.0, 0.5), metric, DiskGrid(16, 32),
@@ -155,7 +155,25 @@ def test_curved_metric_flow_meets_acceptance_bounds():
     boundary = BoundarySpec(winding=1, gamma_kind="harmonic", epsilon=1e-3, mode=1)
     cfg = FlowConfig(t_final=0.05, dt=0.005)
     state = init_flow(metric, surf, boundary, cfg)
-    rep = run_flow(state)
+    calls = []
+    real = metrics.christoffel_at
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for module in (metrics, transport, kpres, surface):
+        monkeypatch.setattr(module, "christoffel_at", counting)
+    per_step = []
+
+    def on_step(rec):
+        per_step.append(len(calls))
+        calls.clear()
+
+    rep = run_flow(state, on_step)
+    # the transport prefix is cached on the history, so a step's Christoffel
+    # work does not grow with the history length
+    assert len(set(per_step[2:])) == 1
     assert rep["index"] == 1
     assert rep["steps"] == 10
     assert rep["max_dk_oracle_rel"] <= 1e-4

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
+from mgdeform import metrics, transport
+from mgdeform._contract import contract
 from mgdeform.errors import EmptyHistoryError, MgError
+from mgdeform.grid import DiskGrid
 from mgdeform.metrics import FlatMetric, conformal_linear_metric, conformal_radial_metric
+from mgdeform.surface import SphereCapImmersion, build_surface
 from mgdeform.transport import (
     TransportHistory,
     history_from_path,
@@ -11,9 +15,12 @@ from mgdeform.transport import (
     static_history,
     transport_matrix,
     transport_normal,
+    transport_propagator,
     transport_series_terms,
     transport_tensor_ode,
 )
+
+from helpers import prescribed_deformation, smooth_scalar
 
 
 def straight_history(t, n_steps, v=(0.3, -0.2, 0.1)):
@@ -147,3 +154,130 @@ def test_transport_normal_norm_preserved_curved():
     # series tails consistent: a1_vec - a1_mat n0 = a2_vec
     recon = res.a1_vec - np.einsum("ngb,nb->ng", res.a1_mat, n0)
     assert np.max(np.abs(recon - res.a2_vec)) < 1e-14
+
+
+@pytest.fixture
+def christoffel_calls(monkeypatch):
+    """Counts christoffel_at evaluations made through the transport module."""
+    calls = []
+    real = metrics.christoffel_at
+
+    def counting(metric, points):
+        calls.append(1)
+        return real(metric, points)
+
+    monkeypatch.setattr(transport, "christoffel_at", counting)
+    return calls
+
+
+def _per_stage_rk4(metric, y0, history, seed, direction):
+    """Textbook RK4 evaluating Gamma zdot afresh at each of the 4 stages."""
+    a = np.array(seed, dtype=float)
+    n = history.n_steps
+    backward = direction == "backward"
+    sign = 1.0 if backward else -1.0
+
+    def rhs(m, s, val):
+        z, zd = history.hermite(m, s)
+        ch = metrics.christoffel_at(metric, y0 + z)
+        g = contract("ngab,na->ngb", ch.gamma_upper, zd)
+        return sign * contract("ngb,nbk->ngk", g, val)
+
+    for m in (range(n - 1, -1, -1) if backward else range(n)):
+        s0, s1 = (1.0, 0.0) if backward else (0.0, 1.0)
+        h = history.tau[m + 1] - history.tau[m]
+        k1 = rhs(m, s0, a)
+        k2 = rhs(m, 0.5, a + 0.5 * h * k1)
+        k3 = rhs(m, 0.5, a + 0.5 * h * k2)
+        k4 = rhs(m, s1, a + h * k3)
+        a = a + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return a
+
+
+def test_ode_evaluates_each_stage_point_once(christoffel_calls):
+    m = conformal_radial_metric(0.7)
+    y0 = np.array([[0.2, 0.1, -0.3], [0.0, 0.4, 0.5]])
+    h = history_from_path(lambda tau: tau * np.array([0.25, 0.3, -0.1]) + tau**2,
+                          lambda tau: np.array([0.25, 0.3, -0.1]) + 2 * tau,
+                          0.5, 7, n_points=2)
+    mat_seed = np.broadcast_to(np.eye(3), (2, 3, 3)).copy()
+    vec_seed = np.array([[1.0, 0.2, -0.3], [-0.5, 0.8, 0.1]])
+    for direction in ("backward", "forward"):
+        christoffel_calls.clear()
+        out = transport_tensor_ode(m, y0, h, mat_seed, direction)
+        assert len(christoffel_calls) == 2 * h.n_steps + 1   # 4 M before sharing
+        assert np.array_equal(out, _per_stage_rk4(m, y0, h, mat_seed, direction))
+        out = transport_tensor_ode(m, y0, h, vec_seed, direction)
+        ref = _per_stage_rk4(m, y0, h, vec_seed[..., None], direction)[..., 0]
+        assert np.array_equal(out, ref)
+
+
+@pytest.fixture(scope="module")
+def curved_cap():
+    metric = conformal_radial_metric(0.5)
+    surf = build_surface(SphereCapImmersion(1.0, 0.5), metric, DiskGrid(16, 32),
+                         ci_tol=1e-5)
+    return metric, surf
+
+
+def _rel(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+def _check_against_full(metric, y0, hist, seed):
+    prop = transport_propagator(metric, y0, hist)
+    eye = np.broadcast_to(np.eye(3), prop.backward.shape)
+    assert _rel(prop.backward, transport_tensor_ode(metric, y0, hist, eye, "backward")) <= 1e-13
+    assert _rel(prop.forward, transport_tensor_ode(metric, y0, hist, eye, "forward")) <= 1e-13
+    back_a1, = transport_series_terms(metric, y0, hist, 1, "backward")
+    fwd_a1, = transport_series_terms(metric, y0, hist, 1, "forward")
+    assert _rel(prop.integral, back_a1) <= 1e-13
+    assert _rel(-prop.integral, fwd_a1) <= 1e-13
+    vec = np.einsum("nab,nb->na", prop.backward, seed)
+    assert _rel(vec, transport_tensor_ode(metric, y0, hist, seed, "backward")) <= 1e-13
+    assert _rel(transport_matrix(metric, y0, hist, "forward"), prop.forward) == 0.0
+
+
+def test_cached_propagator_matches_full_recomputation(curved_cap, christoffel_calls):
+    metric, surf = curved_cap
+    grid, y0 = surf.grid, surf.y
+    rates = [smooth_scalar(grid, seed, 2e-2) for seed in range(3)]
+    deform = prescribed_deformation(surf, *rates, 0.03, 6)
+
+    def rate(seed):
+        fields = [smooth_scalar(grid, seed + k, 2e-2) for k in range(3)]
+        return deform.rate_displacement(*fields)
+
+    hist = deform.history
+    christoffel_calls.clear()
+    _check_against_full(metric, y0, hist, surf.y1)
+    chain = [("replace", 20), ("replace", 30), ("advance", 40), ("replace", 50),
+             ("advance", 60), ("advance", 70), ("replace", 80)]
+    for kind, seed in chain:
+        if kind == "replace":
+            hist = hist.replace_final_rate(rate(seed))
+        else:
+            old = hist
+            z_new = hist.z[-1] + 0.005 * rate(seed)
+            hist = hist.advance(0.005, z_new, rate(seed))
+            assert np.array_equal(hist.tau[:-1], old.tau)
+            assert hist.tau[-1] == old.tau[-1] + 0.005
+            assert np.array_equal(hist.zdot[-2], hist.zdot[-1])
+            assert np.array_equal(hist.zdot[:-2], old.zdot[:-1])
+        christoffel_calls.clear()
+        prop = transport_propagator(metric, y0, hist)
+        # the cached prefix leaves the final interval (2 evaluations), plus
+        # one more interval after an advance
+        assert len(christoffel_calls) == (2 if kind == "replace" else 4)
+        assert transport_propagator(metric, y0, hist) is prop
+        _check_against_full(metric, y0, hist, surf.y2 + hist.z[-1])
+
+    # another metric or base-point object never reads the cached prefix
+    for other_metric, other_y0 in ((conformal_radial_metric(0.5), y0),
+                                   (metric, y0.copy()),
+                                   (conformal_radial_metric(0.7), y0)):
+        child = hist.replace_final_rate(rate(90))
+        christoffel_calls.clear()
+        prop = transport_propagator(other_metric, other_y0, child)
+        assert len(christoffel_calls) == 2 * child.n_steps + 1
+        _check_against_full(other_metric, other_y0, child, surf.y1)
