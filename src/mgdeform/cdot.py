@@ -14,7 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, NearSingularDenominatorError, NoContractionError
+from .errors import (
+    ConvergenceError,
+    MgError,
+    NearSingularDenominatorError,
+    NoContractionError,
+)
 from .gdef import GDefCoefficients
 from .grid import DiskGrid
 from .surface import SurfaceState
@@ -22,11 +27,15 @@ from .surface import SurfaceState
 
 @dataclass
 class PathIntegrator:
-    """Straight segments from the base node; the center base point rides the
-    grid rays exactly."""
+    """Straight segments from the base node, which is the disk center: the
+    paths ride the grid rays exactly."""
 
     grid: DiskGrid
     x0_node: int = 0
+
+    def __post_init__(self):
+        if self.x0_node != 0:
+            raise MgError(f"the base point is the center node 0, got {self.x0_node}")
 
     def line_integral(self, p, q):
         return self.grid.line_integral_from(self.x0_node, p, q)

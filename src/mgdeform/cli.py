@@ -74,10 +74,7 @@ SCHEMA = {
         "tol_cdot": (float, 1e-10),
         "max_iter_bvp": (int, 60),
         "max_iter_cdot": (int, 50),
-        "parameter_policy": (("least_norm", "fixed"), "least_norm"),
-        "x0": (str, "center"),
         "bvp_mode": (("picard", "gmres", "auto"), "auto"),
-        "check_every": (int, 1),
         "tol_k": (float, 1e-4),
         "tol_g": (float, 1e-6),
         "tol_b": (float, 1e-6),
@@ -200,13 +197,11 @@ def build_problem_objects(cfg: RunConfig):
         gamma_phase=b["gamma_phase"],
     )
     f = cfg["flow"]
-    x0_node = 0 if f["x0"] == "center" else int(f["x0"])
     flow_cfg = FlowConfig(
         t_final=f["t_final"], dt=f["dt"],
         tol_bvp=f["tol_bvp"], tol_cdot=f["tol_cdot"],
         max_iter_bvp=f["max_iter_bvp"], max_iter_cdot=f["max_iter_cdot"],
-        parameter_policy=f["parameter_policy"], x0_node=x0_node,
-        bvp_mode=f["bvp_mode"], check_every=f["check_every"],
+        bvp_mode=f["bvp_mode"],
         tol_K=f["tol_k"], tol_G=f["tol_g"], tol_B=f["tol_b"],
     )
     return metric, surface, boundary, flow_cfg

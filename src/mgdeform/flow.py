@@ -2,11 +2,12 @@
 
 Each step solves the boundary-value problem for the tangential rates
 (complex field w-dot on the relabeled disk) once, with the free parameters
-pinned to the point-fixing condition inside the solve, reconstructs the
-normal rate from the base-point line integrals, and advances the state by
-explicit Euler while monitoring every defining property: curvature defect
-(formula and rebuild oracle), normal-transport residual, boundary
-condition, fixed point, and the family dimension.
+pinned to the point-fixing condition w = 0 at the disk center inside the
+solve, reconstructs the normal rate from line integrals anchored at the
+center, and advances the state by explicit Euler while monitoring every
+defining property at every step: curvature defect (formula and rebuild
+oracle), normal-transport residual, boundary condition, fixed point, and
+the family dimension.
 
 Coordinate bookkeeping: the elliptic pair takes the d_zbar form only after
 swapping the two disk coordinates.  The swap is realized as the exact node
@@ -91,20 +92,27 @@ class FlowConfig:
     tol_cdot: float = 1e-10
     max_iter_bvp: int = 60
     max_iter_cdot: int = 50
-    parameter_policy: str = "least_norm"   # or "fixed" (zero parameters)
-    x0_node: int = 0
     bvp_mode: str = "auto"
-    check_every: int = 1                   # rebuild-oracle cadence
     tol_K: float = 1e-4
     tol_G: float = 1e-6
     tol_B: float = 1e-6
     capture_fields: bool = False           # stash per-node fields in records
 
+    @property
+    def n_steps(self):
+        """Steps of size dt to t_final; the stored history stays uniform."""
+        return round(self.t_final / self.dt)
+
     def validate(self):
         if self.dt <= 0 or self.t_final <= 0:
             raise MgError("dt and t_final must be positive")
-        if self.parameter_policy not in ("least_norm", "fixed"):
-            raise MgError(f"unknown parameter policy {self.parameter_policy!r}")
+        ratio = self.t_final / self.dt
+        if self.n_steps < 1 or abs(ratio - self.n_steps) > 1e-9 * self.n_steps:
+            raise MgError(f"t_final must be a whole number of steps dt, "
+                          f"got t_final/dt = {ratio:.17g}")
+        for name in ("max_iter_bvp", "max_iter_cdot"):
+            if getattr(self, name) < 1:
+                raise MgError(f"{name} must be at least 1, got {getattr(self, name)}")
 
 
 @dataclass
@@ -117,20 +125,21 @@ class ProjectionResult:
     point_matrix: np.ndarray   # (2, nb): Re and Im of each basis member at x0
 
 
-def project_parameters(family, x0_node):
-    """Impose w(x0) = 0 on the affine family; least-norm representative."""
+def project_parameters(family):
+    """Impose w(x0) = 0 at the center x0 (node 0) on the affine family;
+    least-norm representative."""
     nb = len(family.basis)
     if nb == 0:
-        val = family.w[x0_node]
+        val = family.w[0]
         return ProjectionResult(
             params=np.zeros(0), dimension_before=0, dimension_after=0,
             rank=0, point_residual=float(abs(val)), point_matrix=np.empty((2, 0)),
         )
     mat = np.empty((2, nb))
     for i, b in enumerate(family.basis):
-        mat[0, i] = b[x0_node].real
-        mat[1, i] = b[x0_node].imag
-    rhs = -np.array([family.w[x0_node].real, family.w[x0_node].imag])
+        mat[0, i] = b[0].real
+        mat[1, i] = b[0].imag
+    rhs = -np.array([family.w[0].real, family.w[0].imag])
     params, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
     rank = int(np.linalg.matrix_rank(mat, tol=1e-12 * max(1.0, np.abs(mat).max())))
     resid = float(np.linalg.norm(mat @ params - rhs))
@@ -158,8 +167,8 @@ class FlowStatics:
     n: int
     ring_perm: np.ndarray
     integ: PathIntegrator
-    # linear-response basis pin and its point matrix at x0 (None for the
-    # fixed policy and for n < 0)
+    # linear-response basis pin and its point matrix at the center (None
+    # for n < 0)
     pin: PointPin | None
     projection: ProjectionResult | None
     k_base: np.ndarray         # rebuild-oracle curvature of the undeformed surface
@@ -238,19 +247,18 @@ def _build_statics(state: FlowState) -> FlowStatics:
     problem = BoundaryProblem(
         grid=grid, lam=lam, phi=np.zeros(grid.n_theta), A=a_field, B=b_field,
         e0_point=e0_point, e0_weight=e0_weight, e_swap=True,
-        x0_node=int(grid.reflection_permutation()[cfg.x0_node]),
     )
     pin = proj = None
-    if cfg.parameter_policy == "least_norm" and sym.n >= 0:
+    if sym.n >= 0:
         # A, B, E and the symbol are fixed over the flow, so the linear
         # response of each family member is solved once, here
         family, _ = solve_family(problem, tol=cfg.tol_bvp, max_iter=cfg.max_iter_bvp,
                                  mode=cfg.bvp_mode, sym=sym)
-        proj = project_parameters(family, problem.x0_node)
+        proj = project_parameters(family)
         pin = PointPin(basis=family.basis, pinv=np.linalg.pinv(proj.point_matrix))
     return FlowStatics(
         eq=eq, problem=problem, sym=sym, n=sym.n, ring_perm=ring_perm,
-        integ=PathIntegrator(grid, cfg.x0_node), pin=pin, projection=proj,
+        integ=PathIntegrator(grid), pin=pin, projection=proj,
         k_base=gauss_curvature_of(grid, state.metric, surface.y),
     )
 
@@ -376,11 +384,8 @@ def step(state: FlowState):
     gvar_n, bvar_n, _ = assemble_variation(metric, surface, deform_new)
     k_scale = float(np.max(np.abs(surface.K)))
     dk_rel = float(np.max(np.abs(bvar_n.dK))) / k_scale
-    if cfg.check_every and (state.step_index % cfg.check_every == 0):
-        k_def = gauss_curvature_of(grid, metric, surface.y + z_new)
-        dk_oracle = float(np.max(np.abs(k_def - st.k_base))) / k_scale
-    else:
-        dk_oracle = np.nan
+    k_def = gauss_curvature_of(grid, metric, surface.y + z_new)
+    dk_oracle = float(np.max(np.abs(k_def - st.k_base))) / k_scale
     g_res_fields = gdef_normal_residual(metric, surface, deform_new)
     g_res = float(np.max(np.abs(g_res_fields)))
     theta = grid.boundary_theta
@@ -391,7 +396,7 @@ def step(state: FlowState):
                     z_new[grid.boundary_idx], v_field)
     gamma_target = state.boundary.gamma(theta, state.t + dt)
     b_res = float(np.max(np.abs(lhs - gamma_target)))
-    z_x0 = float(np.linalg.norm(z_new[cfg.x0_node]))
+    z_x0 = float(np.linalg.norm(z_new[0]))
 
     rec = StepRecord(
         step=state.step_index, t_new=state.t + dt, n=st.n,
@@ -430,7 +435,7 @@ def run_flow(state: FlowState, on_step=None):
     its own error; the records of the completed steps stay in
     ``state.records``.
     """
-    while state.t < state.config.t_final - 1e-12:
+    while state.step_index < state.config.n_steps:
         rec = step(state)
         if on_step is not None:
             on_step(rec)
@@ -440,10 +445,7 @@ def run_flow(state: FlowState, on_step=None):
         "t_final": state.t,
         "index": state.statics.n if state.statics else None,
         "max_dk_rel": max((r.dk_max_rel for r in recs), default=0.0),
-        "max_dk_oracle_rel": max(
-            (r.dk_oracle_rel for r in recs if not np.isnan(r.dk_oracle_rel)),
-            default=0.0,
-        ),
+        "max_dk_oracle_rel": max((r.dk_oracle_rel for r in recs), default=0.0),
         "max_g_residual": max((r.g_residual for r in recs), default=0.0),
         "max_boundary_residual": max((r.boundary_residual for r in recs), default=0.0),
         "max_fixed_point_z": max((r.fixed_point_z for r in recs), default=0.0),

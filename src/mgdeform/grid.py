@@ -15,8 +15,6 @@ import numpy as np
 
 from .errors import MgError
 
-_GAUSS4_X, _GAUSS4_W = np.polynomial.legendre.leggauss(4)
-
 # integrals over one unit-spaced panel of the cubic Lagrange basis on four
 # consecutive levels: first, middle and last panel of the stencil
 _PANEL_FIRST = np.array([9.0, 19.0, -5.0, 1.0]) / 24.0
@@ -294,66 +292,15 @@ class DiskGrid:
         integrand = p_rays * cos[None, :, None] + q_rays * sin[None, :, None]
         return self._cumulate_rays(integrand, tail)
 
-    # -- interpolation and generic segments ----------------------------------
-
-    def interp(self, f, r_pts, theta_pts):
-        """Bilinear interpolation in (r, theta); center handled as r=0 value."""
-        center, rings, tail = self._split(f)
-        r_pts = np.asarray(r_pts, dtype=float)
-        theta_pts = np.asarray(theta_pts, dtype=float)
-        u = np.clip(r_pts / self.h, 0.0, self.n_r)
-        i0 = np.minimum(u.astype(int), self.n_r - 1)
-        fu = u - i0
-        v = (theta_pts / self.dtheta) % self.n_theta
-        j0 = np.minimum(v.astype(int), self.n_theta - 1)
-        fv = v - j0
-        j1 = (j0 + 1) % self.n_theta
-
-        rays = np.empty((self.n_r + 1, self.n_theta, rings.shape[2]), dtype=rings.dtype)
-        rays[0] = center[None, :]
-        rays[1:] = rings
-        f00 = rays[i0, j0]
-        f01 = rays[i0, j1]
-        f10 = rays[i0 + 1, j0]
-        f11 = rays[i0 + 1, j1]
-        fu = fu[:, None]
-        fv = fv[:, None]
-        val = (
-            f00 * (1 - fu) * (1 - fv)
-            + f01 * (1 - fu) * fv
-            + f10 * fu * (1 - fv)
-            + f11 * fu * fv
-        )
-        return val.reshape(r_pts.shape + tail)
-
     def line_integral_from(self, x0_node, p, q):
         """Integral of p dx1 + q dx2 along straight segments x0 -> node.
 
-        The center base point uses the exact on-ray samples; any other grid
-        node falls back to composite Gauss quadrature with interpolation.
+        The flow anchors its path integrals at the disk center, so node 0 is
+        the only base point; it rides the grid rays exactly.
         """
-        if x0_node == 0:
-            return self.line_integral_center(p, q)
-        x0 = np.array([self.x1[x0_node], self.x2[x0_node]])
-        out = np.zeros(self.n_nodes, dtype=np.result_type(np.asarray(p), np.asarray(q)))
-        targets = np.stack([self.x1, self.x2], axis=1)
-        deltas = targets - x0[None, :]
-        n_panels = 2 * self.n_r
-        tpan = np.linspace(0.0, 1.0, n_panels + 1)
-        mid = 0.5 * (tpan[:-1] + tpan[1:])
-        halfw = 0.5 * (tpan[1] - tpan[0])
-        tq = (mid[:, None] + halfw * _GAUSS4_X[None, :]).ravel()
-        wq = np.tile(_GAUSS4_W * halfw, n_panels)
-        for node in range(self.n_nodes):
-            if node == x0_node:
-                continue
-            pts = x0[None, :] + tq[:, None] * deltas[node][None, :]
-            rr = np.hypot(pts[:, 0], pts[:, 1])
-            th = np.arctan2(pts[:, 1], pts[:, 0])
-            pv = self.interp(p, rr, th)
-            qv = self.interp(q, rr, th)
-            out[node] = np.sum(wq * (pv * deltas[node, 0] + qv * deltas[node, 1]))
-        return out
+        if x0_node != 0:
+            raise MgError(f"line integrals start at the center node 0, got {x0_node}")
+        return self.line_integral_center(p, q)
 
     # -- reflection (coordinate relabel x1 <-> x2) ----------------------------
 

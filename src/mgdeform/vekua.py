@@ -2,8 +2,8 @@
 
 Solves d_zbar w + A w + B conj(w) + E(w) = Psi on the unit disk with
 Re{conj(lambda) w} = phi on the boundary, where E is a path-integral volume
-term anchored at a base node.  The areal operator T is the right inverse of
-d_zbar; the boundary symbol is reduced to the monomial z^n by factoring a
+term anchored at the disk center.  The areal operator T is the right inverse
+of d_zbar; the boundary symbol is reduced to the monomial z^n by factoring a
 zero-index unimodular function through a Schwarz-operator extension, after
 which the (2n+1)-real-parameter solution family of the core problem is
 explicit in polynomial form.
@@ -366,7 +366,6 @@ class BoundaryProblem:
     e0_weight: np.ndarray | None = None  # V at the integration point
     e_swap: bool = False            # pair (Im w, Re w) with (dx1, dx2) instead
     psi: np.ndarray | None = None   # fixed right-hand side (file problems)
-    x0_node: int = 0
 
     def e_operator(self, w):
         if self.e0_point is None:
@@ -376,7 +375,7 @@ class BoundaryProblem:
         if self.e_swap:
             h1, h2 = h2, h1
         weight = self.e0_weight if self.e0_weight is not None else np.ones(self.grid.n_nodes)
-        path = self.grid.line_integral_from(self.x0_node, weight * h1, weight * h2)
+        path = self.grid.line_integral_from(0, weight * h1, weight * h2)
         return self.e0_point * path
 
     def volume_terms(self, w):
@@ -407,6 +406,8 @@ def _gmres(apply_op, rhs, tol, max_iter):
     Raises ConvergenceError when ``max_iter`` iterations leave the residual
     above ``tol`` relative to the right-hand side.
     """
+    if max_iter < 1:
+        raise MgError(f"GMRES needs max_iter >= 1, got {max_iter}")
     n = rhs.size
     beta = np.linalg.norm(rhs)
     if beta == 0:
@@ -435,10 +436,11 @@ def _gmres(apply_op, rhs, tol, max_iter):
 
 @dataclass
 class PointPin:
-    """Least-norm hold of w(x0) = 0 through the linear-response basis."""
+    """Least-norm hold of w = 0 at the center node through the
+    linear-response basis."""
 
     basis: list          # K_i = (I - L)^{-1} b_i, one per family member
-    pinv: np.ndarray     # (nb, 2) pseudo-inverse of [Re K_i(x0); Im K_i(x0)]
+    pinv: np.ndarray     # (nb, 2) pseudo-inverse of [Re K_i(0); Im K_i(0)]
 
 
 def bvp_solve(problem: BoundaryProblem, psi_assembler=None, tol=1e-10,
@@ -450,7 +452,7 @@ def bvp_solve(problem: BoundaryProblem, psi_assembler=None, tol=1e-10,
     when None the fixed ``problem.psi`` (or zero) is used.  ``mode`` is
     "picard", "gmres", or "auto" (picard with gmres fallback on divergence).
     With a ``pin`` every outer iterate is moved along the linear-response
-    basis to w(problem.x0_node) = 0 with least-norm family parameters;
+    basis to w = 0 at the center node with least-norm family parameters;
     without one the family parameters are zero.  The returned ``basis`` are
     the core members b_i, not homogeneous solutions of the full problem;
     ``solve_family`` adds the linear-response basis.
@@ -470,7 +472,6 @@ def bvp_solve(problem: BoundaryProblem, psi_assembler=None, tol=1e-10,
 
     bidx = grid.boundary_idx
     lam = sym.lam
-    x0 = problem.x0_node
 
     def corrected_t(field_on_disk, phi_target):
         u = t_operator(grid, field_on_disk)
@@ -540,7 +541,7 @@ def bvp_solve(problem: BoundaryProblem, psi_assembler=None, tol=1e-10,
 
     # outer substitution of the iterate into the right-hand side; each pass
     # solves the frozen-right-side problem with zero parameters, then adds
-    # the parameters that put the iterate on w(x0) = 0
+    # the parameters that put the iterate on w = 0 at the center
     max_outer = 1 if psi_is_fixed else 16
     prev_d = np.inf
     for outer in range(max_outer):
@@ -551,7 +552,7 @@ def bvp_solve(problem: BoundaryProblem, psi_assembler=None, tol=1e-10,
         if w_new is None:
             w_new = inner_gmres(rhs_field)
         if pin is not None:
-            params = pin.pinv @ -np.array([w_new[x0].real, w_new[x0].imag])
+            params = pin.pinv @ -np.array([w_new[0].real, w_new[0].imag])
             for c, k in zip(params, pin.basis):
                 w_new = w_new + c * k
         d = float(np.max(np.abs(w_new - w)))
@@ -695,42 +696,25 @@ def _fmt(x):
     return f"{x:.17g}"
 
 
-def save_problem(path, problem: BoundaryProblem):
-    grid = problem.grid
-    lines = ["# mgdeform vekua problem v1",
-             f"n_r {grid.n_r}",
-             f"n_theta {grid.n_theta}",
-             f"x0_node {problem.x0_node}",
-             f"e_swap {int(problem.e_swap)}"]
-
-    def emit_complex(name, arr):
-        lines.append(f"begin {name}")
-        for v in arr:
-            lines.append(f"{_fmt(v.real)} {_fmt(v.imag)}")
-        lines.append("end")
-
-    def emit_real(name, arr):
-        lines.append(f"begin {name}")
-        for v in arr:
-            lines.append(_fmt(float(v)))
-        lines.append("end")
-
-    emit_complex("lambda", problem.lam)
-    emit_real("phi", problem.phi)
-    if problem.A is not None:
-        emit_complex("A", problem.A)
-    if problem.B is not None:
-        emit_complex("B", problem.B)
-    if problem.e0_point is not None:
-        emit_complex("e0_point", problem.e0_point)
-        emit_real("e0_weight", problem.e0_weight)
-    if problem.psi is not None:
-        emit_complex("psi", problem.psi)
+def _write_text(path, header, blocks):
+    """Header lines, then one ``begin name`` ... ``end`` block per
+    (name, values, is_complex): one "re im" row per complex value, one value
+    per row otherwise."""
+    parts = list(header)
+    for name, values, is_complex in blocks:
+        if is_complex:
+            values = np.asarray(values, dtype=complex)
+            rows = map("{:.17g} {:.17g}".format, values.real.tolist(), values.imag.tolist())
+        else:
+            rows = map("{:.17g}".format, np.asarray(values, dtype=float).tolist())
+        parts += [f"begin {name}", "\n".join(rows), "end"]
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(parts) + "\n")
 
 
-def load_problem(path) -> BoundaryProblem:
+def _read_text(path):
+    """Header key -> value and block name -> row lines; blank lines and
+    ``#`` comments are skipped."""
     with open(path) as fh:
         raw = [ln.strip() for ln in fh]
     raw = [ln for ln in raw if ln and not ln.startswith("#")]
@@ -744,76 +728,93 @@ def load_problem(path) -> BoundaryProblem:
             raise FormatError(f"{path}: bad header line {raw[i]!r}")
         header[parts[0]] = parts[1]
         i += 1
-    try:
-        n_r = int(header["n_r"])
-        n_theta = int(header["n_theta"])
-    except KeyError as exc:
-        raise FormatError(f"{path}: missing header key {exc}") from exc
-    grid = DiskGrid(n_r, n_theta)
     blocks = {}
     while i < len(raw):
         if not raw[i].startswith("begin "):
             raise FormatError(f"{path}: expected 'begin', got {raw[i]!r}")
         name = raw[i].split(None, 1)[1]
-        i += 1
-        rows = []
-        while i < len(raw) and raw[i] != "end":
-            rows.append(raw[i].split())
-            i += 1
-        if i == len(raw):
-            raise FormatError(f"{path}: unterminated block {name!r}")
-        i += 1
-        blocks[name] = rows
+        try:
+            end = raw.index("end", i + 1)
+        except ValueError:
+            raise FormatError(f"{path}: unterminated block {name!r}") from None
+        blocks[name] = raw[i + 1 : end]
+        i = end + 1
+    return header, blocks
 
-    def as_complex(name, count):
-        rows = blocks[name]
-        if len(rows) != count or any(len(r) != 2 for r in rows):
-            raise FormatError(f"{path}: block {name!r} must have {count} 're im' rows")
-        arr = np.array([[float(a), float(b)] for a, b in rows])
-        return arr[:, 0] + 1j * arr[:, 1]
 
-    def as_real(name, count):
-        rows = blocks[name]
-        if len(rows) != count or any(len(r) != 1 for r in rows):
-            raise FormatError(f"{path}: block {name!r} must have {count} value rows")
-        return np.array([float(r[0]) for r in rows])
+def save_problem(path, problem: BoundaryProblem):
+    grid = problem.grid
+    header = ["# mgdeform vekua problem v1",
+              f"n_r {grid.n_r}",
+              f"n_theta {grid.n_theta}",
+              "x0_node 0",
+              f"e_swap {int(problem.e_swap)}"]
+    # the E weight is written only together with its point factor
+    e0_weight = problem.e0_weight if problem.e0_point is not None else None
+    blocks = [("lambda", problem.lam, True), ("phi", problem.phi, False),
+              ("A", problem.A, True), ("B", problem.B, True),
+              ("e0_point", problem.e0_point, True), ("e0_weight", e0_weight, False),
+              ("psi", problem.psi, True)]
+    _write_text(path, header, [b for b in blocks if b[1] is not None])
 
+
+def load_problem(path) -> BoundaryProblem:
+    header, blocks = _read_text(path)
+    try:
+        n_r = int(header["n_r"])
+        n_theta = int(header["n_theta"])
+        x0_node = int(header.get("x0_node", 0))
+        e_swap = bool(int(header.get("e_swap", 0)))
+    except KeyError as exc:
+        raise FormatError(f"{path}: missing header key {exc}") from exc
+    except ValueError as exc:
+        raise FormatError(f"{path}: bad header value: {exc}") from None
+    if x0_node != 0:
+        raise FormatError(f"{path}: x0_node must be 0 (the disk center), got {x0_node}")
     if "lambda" not in blocks or "phi" not in blocks:
         raise FormatError(f"{path}: lambda and phi blocks are required")
-    prob = BoundaryProblem(
+    grid = DiskGrid(n_r, n_theta)
+
+    def block(name, count, is_complex=True):
+        """The values of an optional block, checked against its row shape."""
+        if name not in blocks:
+            return None
+        rows = blocks[name]
+        shape = f"{count} 're im' rows" if is_complex else f"{count} value rows"
+        if len(rows) != count:
+            raise FormatError(f"{path}: block {name!r} must have {shape}")
+        try:
+            vals = np.array(" ".join(rows).split(), float)
+        except ValueError as exc:
+            raise FormatError(f"{path}: block {name!r}: {exc}") from None
+        if vals.size != (2 if is_complex else 1) * count:
+            raise FormatError(f"{path}: block {name!r} must have {shape}")
+        return vals[0::2] + 1j * vals[1::2] if is_complex else vals
+
+    return BoundaryProblem(
         grid=grid,
-        lam=as_complex("lambda", n_theta),
-        phi=as_real("phi", n_theta),
-        A=as_complex("A", grid.n_nodes) if "A" in blocks else None,
-        B=as_complex("B", grid.n_nodes) if "B" in blocks else None,
-        e0_point=as_complex("e0_point", grid.n_nodes) if "e0_point" in blocks else None,
-        e0_weight=as_real("e0_weight", grid.n_nodes) if "e0_weight" in blocks else None,
-        psi=as_complex("psi", grid.n_nodes) if "psi" in blocks else None,
-        x0_node=int(header.get("x0_node", 0)),
-        e_swap=bool(int(header.get("e_swap", 0))),
+        lam=block("lambda", n_theta),
+        phi=block("phi", n_theta, is_complex=False),
+        A=block("A", grid.n_nodes),
+        B=block("B", grid.n_nodes),
+        e0_point=block("e0_point", grid.n_nodes),
+        e0_weight=block("e0_weight", grid.n_nodes, is_complex=False),
+        psi=block("psi", grid.n_nodes),
+        e_swap=e_swap,
     )
-    return prob
 
 
 def save_solution(path, family: SolutionFamily):
-    lines = ["# mgdeform vekua solution v1",
-             f"n {family.n}",
-             f"dimension {family.dimension}",
-             f"iterations {family.iterations}",
-             f"mode {family.mode}",
-             f"ratio {_fmt(family.ratio)}",
-             f"boundary_residual {_fmt(family.boundary_residual)}",
-             f"fixed_point_residual {_fmt(family.fixed_point_residual)}"]
+    header = ["# mgdeform vekua solution v1",
+              f"n {family.n}",
+              f"dimension {family.dimension}",
+              f"iterations {family.iterations}",
+              f"mode {family.mode}",
+              f"ratio {_fmt(family.ratio)}",
+              f"boundary_residual {_fmt(family.boundary_residual)}",
+              f"fixed_point_residual {_fmt(family.fixed_point_residual)}"]
     if len(family.solvability):
-        lines.append("solvability " + " ".join(_fmt(v) for v in family.solvability))
-    lines.append("begin w")
-    for v in family.w:
-        lines.append(f"{_fmt(v.real)} {_fmt(v.imag)}")
-    lines.append("end")
-    for k, b in enumerate(family.basis):
-        lines.append(f"begin basis_{k}")
-        for v in b:
-            lines.append(f"{_fmt(v.real)} {_fmt(v.imag)}")
-        lines.append("end")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        header.append("solvability " + " ".join(_fmt(v) for v in family.solvability))
+    blocks = [("w", family.w, True)]
+    blocks += [(f"basis_{k}", b, True) for k, b in enumerate(family.basis)]
+    _write_text(path, header, blocks)

@@ -9,7 +9,7 @@ from mgdeform.cdot import (
     loop_closedness,
     solve_cdot,
 )
-from mgdeform.errors import NearSingularDenominatorError
+from mgdeform.errors import MgError, NearSingularDenominatorError
 from mgdeform.gdef import assemble_coefficients
 from mgdeform.grid import DiskGrid
 from mgdeform.metrics import FlatMetric, conformal_radial_metric
@@ -198,3 +198,10 @@ def test_near_singular_denominator_raises(setup_curved):
     with pytest.raises(NearSingularDenominatorError):
         kernel_fields(surf, coeffs, coeffs.n_j[:, 1], coeffs.n_j[:, 2],
                       coeffs.n_j[:, 1], coeffs.n_j[:, 2])
+
+
+def test_path_integrator_base_point_is_center():
+    grid = DiskGrid(8, 16)
+    assert PathIntegrator(grid, 0).x0_node == 0
+    with pytest.raises(MgError):
+        PathIntegrator(grid, 5)

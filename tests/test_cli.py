@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,6 +53,37 @@ def test_unknown_kind_and_key_errors():
     assert "nosuch" in str(exc.value)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("x0", "center"), ("parameter_policy", "least_norm"), ("check_every", "1"),
+])
+def test_removed_flow_keys_are_unknown(key, value):
+    # the flow is anchored at the center and runs the oracle every step
+    with pytest.raises(ConfigError) as exc:
+        parse_config(f"[flow]\n{key} = {value}\n")
+    line, _, msg = exc.value.errors[0]
+    assert line == 2 and f"unknown key {key!r}" in msg
+
+
+def _readme_config_block():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return re.search(r"## Configuration\n.*?```\n(.*?)```", text, re.S).group(1)
+
+
+def test_readme_config_block_matches_schema():
+    block = _readme_config_block()
+    # the block parses and shows the defaults
+    assert parse_config(block).sections == parse_config("").sections
+    listed, section = {}, None
+    for line in block.splitlines():
+        line = line.split("#", 1)[0].strip()
+        if line.startswith("["):
+            section = line[1:-1]
+            listed[section] = []
+        elif line:
+            listed[section].append(line.partition("=")[0].strip())
+    assert listed == {sec: list(keys) for sec, keys in SCHEMA.items()}
+
+
 def test_bad_value_reports_line():
     with pytest.raises(ConfigError) as exc:
         parse_config("[grid]\nn_r = soup\n")
@@ -76,8 +109,6 @@ def _value_strategy(sec, key):
         if (sec, key) == ("grid", "n_theta"):
             return st.integers(-1000, 1000).map(lambda k: 4 * k)
         return st.integers(-10**6, 10**6)
-    if (sec, key) == ("flow", "x0"):
-        return st.one_of(st.just("center"), st.integers(0, 10**4).map(str))
     return st.text("abcdefghijklmnopqrstuvwxyz0123456789_-./", min_size=1, max_size=20)
 
 
@@ -268,6 +299,21 @@ def test_cli_run_and_validate(tmp_path):
     assert rc == 0
     rc = main(["run", "--config", str(tmp_path / "missing.txt")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("lines, name", [
+    ("max_iter_bvp = 0", "max_iter_bvp"),
+    ("max_iter_cdot = 0", "max_iter_cdot"),
+    ("t_final = 0.01\ndt = 0.004", "t_final"),
+])
+def test_cli_run_rejects_invalid_flow_settings(tmp_path, capsys, lines, name):
+    cpath = tmp_path / "cfg.txt"
+    cpath.write_text(MINIMAL + lines + "\n")
+    rc = main(["--log-level", "quiet", "run", "--config", str(cpath),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "MgError" and name in err["message"]
 
 
 def test_cli_bad_config_exit_code(tmp_path):

