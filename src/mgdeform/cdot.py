@@ -20,7 +20,7 @@ from .errors import (
     NearSingularDenominatorError,
     NoContractionError,
 )
-from .gdef import GDefCoefficients
+from .gdef import GDefCoefficients, tangential_grad
 from .grid import DiskGrid
 from .surface import SurfaceState
 
@@ -48,9 +48,9 @@ def gamma_t(surface: SurfaceState, a1dot, a2dot, integrator: PathIntegrator):
 
 
 def kernel_fields(surface: SurfaceState, coeffs: GDefCoefficients,
-                  a1, a2, a1dot, a2dot):
-    """The two bracketed kernel components (one per differential)."""
-    grid = surface.grid
+                  a_vec, adot, da, dadot):
+    """The two bracketed kernel components (one per differential), from the
+    stacked fields and rates (N, 2) and their d_i a^j as (N, j, i)."""
     n0 = coeffs.n_j[:, 0]
     den = 1.0 + n0
     if np.min(np.abs(den)) <= 0.5:
@@ -61,13 +61,7 @@ def kernel_fields(surface: SurfaceState, coeffs: GDefCoefficients,
     nk = coeffs.n_j[:, 1:]          # (N, 2)
     ndot_k = coeffs.ndot[:, 1:]
     ndot_0 = coeffs.ndot[:, 0]
-    da = np.stack([np.stack(grid.grad(a1), axis=-1),
-                   np.stack(grid.grad(a2), axis=-1)], axis=1)
-    dadot = np.stack([np.stack(grid.grad(a1dot), axis=-1),
-                      np.stack(grid.grad(a2dot), axis=-1)], axis=1)
-    adot = np.stack([a1dot, a2dot], axis=-1)
-    a_vec = np.stack([a1, a2], axis=-1)
-    out = np.empty((grid.n_nodes, 2))
+    out = np.empty((surface.grid.n_nodes, 2))
     for i in range(2):
         numer = (
             -v * adot[:, i] * n0
@@ -101,20 +95,32 @@ class CdotSolution:
 
 def solve_cdot(surface: SurfaceState, coeff_fn, a1, a2, a1dot, a2dot,
                integrator: PathIntegrator, tol=1e-10, max_iter=50,
-               c0=None) -> CdotSolution:
+               c0=None, da=None) -> CdotSolution:
     """Successive approximations for cdot = L(cdot) + gamma.
 
     ``coeff_fn(cdot_iterate)`` must return coefficient fields whose rates
-    reflect the iterate through the final history sample.
+    reflect the iterate through the final history sample.  ``da`` is a
+    state's cached d_i a^j, taken here when not given; the rates are
+    differentiated once per solve.
     """
+    grid = surface.grid
+    a_vec = np.stack([a1, a2], axis=-1)
+    adot = np.stack([a1dot, a2dot], axis=-1)
+    if da is None:
+        da = tangential_grad(grid, a1, a2)
+    dadot = tangential_grad(grid, a1dot, a2dot)
+
+    def kernel_integral(coeffs):
+        b1, b2 = kernel_fields(surface, coeffs, a_vec, adot, da, dadot)
+        return integrator.line_integral(b1, b2)
+
     gamma = gamma_t(surface, a1dot, a2dot, integrator)
     cdot = gamma.copy() if c0 is None else np.asarray(c0, dtype=float).copy()
     diffs = []
     coeffs = None
     for k in range(max_iter):
         coeffs = coeff_fn(cdot)
-        b1, b2 = kernel_fields(surface, coeffs, a1, a2, a1dot, a2dot)
-        cdot_new = integrator.line_integral(b1, b2) + gamma
+        cdot_new = kernel_integral(coeffs) + gamma
         d = float(np.max(np.abs(cdot_new - cdot)))
         diffs.append(d)
         cdot = cdot_new
@@ -133,8 +139,7 @@ def solve_cdot(surface: SurfaceState, coeff_fn, a1, a2, a1dot, a2dot,
         if diffs[i - 1] > 1e-300 and diffs[i] > 0:
             rate = max(rate, diffs[i] / diffs[i - 1])
     coeffs = coeff_fn(cdot)
-    b1, b2 = kernel_fields(surface, coeffs, a1, a2, a1dot, a2dot)
-    residual = float(np.max(np.abs(cdot - integrator.line_integral(b1, b2) - gamma)))
+    residual = float(np.max(np.abs(cdot - kernel_integral(coeffs) - gamma)))
     return CdotSolution(cdot=cdot, gamma=gamma, iterations=len(diffs),
                         rate=rate, residual=residual, coeffs=coeffs)
 
@@ -155,7 +160,10 @@ def loop_closedness(surface: SurfaceState, coeffs, a1, a2, a1dot, a2dot):
     """Curl of the converged integrand over the grid (path-independence
     diagnostic: the one-form must be closed up to discretization error)."""
     grid = surface.grid
-    b1, b2 = kernel_fields(surface, coeffs, a1, a2, a1dot, a2dot)
+    b1, b2 = kernel_fields(
+        surface, coeffs, np.stack([a1, a2], axis=-1), np.stack([a1dot, a2dot], axis=-1),
+        tangential_grad(grid, a1, a2), tangential_grad(grid, a1dot, a2dot),
+    )
     v = surface.V
     p = b1 - v * a1dot
     q = b2 - v * a2dot

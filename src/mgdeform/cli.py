@@ -74,7 +74,6 @@ SCHEMA = {
         "tol_cdot": (float, 1e-10),
         "max_iter_bvp": (int, 60),
         "max_iter_cdot": (int, 50),
-        "bvp_mode": (("picard", "gmres", "auto"), "auto"),
         "tol_k": (float, 1e-4),
         "tol_g": (float, 1e-6),
         "tol_b": (float, 1e-6),
@@ -201,7 +200,6 @@ def build_problem_objects(cfg: RunConfig):
         t_final=f["t_final"], dt=f["dt"],
         tol_bvp=f["tol_bvp"], tol_cdot=f["tol_cdot"],
         max_iter_bvp=f["max_iter_bvp"], max_iter_cdot=f["max_iter_cdot"],
-        bvp_mode=f["bvp_mode"],
         tol_K=f["tol_k"], tol_G=f["tol_g"], tol_B=f["tol_b"],
     )
     return metric, surface, boundary, flow_cfg
@@ -293,7 +291,7 @@ def cmd_run(args):
 def cmd_bvp(args):
     problem = load_problem(args.problem)
     # the written basis_k are homogeneous solutions of the full problem
-    fam, _ = solve_family(problem, tol=args.tol, mode=args.mode)
+    fam, _ = solve_family(problem, tol=args.tol, mode="auto")
     out = args.out or (os.path.splitext(args.problem)[0] + ".solution.txt")
     save_solution(out, fam)
     print(f"index {fam.n}, family dimension {fam.dimension}, "
@@ -328,7 +326,6 @@ def main(argv=None):
     p_bvp.add_argument("problem")
     p_bvp.add_argument("--out", default=None)
     p_bvp.add_argument("--tol", type=float, default=1e-10)
-    p_bvp.add_argument("--mode", default="picard", choices=["picard", "gmres", "auto"])
     p_bvp.set_defaults(func=cmd_bvp)
 
     p_val = sub.add_parser("validate", help="check the configured surface")

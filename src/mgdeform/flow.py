@@ -92,7 +92,6 @@ class FlowConfig:
     tol_cdot: float = 1e-10
     max_iter_bvp: int = 60
     max_iter_cdot: int = 50
-    bvp_mode: str = "auto"
     tol_K: float = 1e-4
     tol_G: float = 1e-6
     tol_B: float = 1e-6
@@ -210,7 +209,6 @@ class FlowState:
     deform: DeformationState
     boundary: BoundarySpec
     config: FlowConfig
-    t: float = 0.0
     step_index: int = 0
     prev: PrevRecords = field(default_factory=PrevRecords)
     statics: FlowStatics | None = None
@@ -253,7 +251,7 @@ def _build_statics(state: FlowState) -> FlowStatics:
         # A, B, E and the symbol are fixed over the flow, so the linear
         # response of each family member is solved once, here
         family, _ = solve_family(problem, tol=cfg.tol_bvp, max_iter=cfg.max_iter_bvp,
-                                 mode=cfg.bvp_mode, sym=sym)
+                                 mode="auto", sym=sym)
         proj = project_parameters(family)
         pin = PointPin(basis=family.basis, pinv=np.linalg.pinv(proj.point_matrix))
     return FlowStatics(
@@ -298,6 +296,7 @@ def _make_assembler(state: FlowState):
         sol = solve_cdot(
             surface, coeff_fn_for(a1dot, a2dot), deform.a1, deform.a2,
             a1dot, a2dot, st.integ, tol=cfg.tol_cdot, max_iter=cfg.max_iter_cdot,
+            da=deform.da,
         )
         hist = deform.history_with_rates(a1dot, a2dot, sol.cdot)
         gvar, bvar, fwd = assemble_variation(metric, surface, deform, history=hist)
@@ -310,19 +309,7 @@ def _make_assembler(state: FlowState):
             # clamped to keep the displaced geometry admissible for any iterate
             rate_scale = max(1.0, float(np.max(np.abs(zdot))))
             delta = min(cfg.dt, 1e-3 / rate_scale)
-            z_v = deform.displacement(
-                deform.a1 + delta * a1dot,
-                deform.a2 + delta * a2dot,
-                deform.c + delta * sol.cdot,
-            )
-            hist_v = hist.advance(delta, z_v, zdot)
-            deform_v = DeformationState(
-                surface=surface,
-                a1=deform.a1 + delta * a1dot, a2=deform.a2 + delta * a2dot,
-                c=deform.c + delta * sol.cdot,
-                a1dot=a1dot, a2dot=a2dot, cdot=sol.cdot,
-                history=hist_v, t=deform.t + delta,
-            )
+            deform_v = deform.advance(delta, a1dot, a2dot, sol.cdot)
             _, bvar_v, _ = assemble_variation(metric, surface, deform_v)
             m4dot_override = (bvar_v.m4 - bvar.m4) / delta
         rates = assemble_rates(
@@ -351,9 +338,9 @@ def step(state: FlowState):
     st = state.statics
     surface, metric, grid = state.surface, state.metric, state.surface.grid
     assembler, cache = _make_assembler(state)
-    problem = replace(st.problem, phi=_phi_for(state, state.t))
+    problem = replace(st.problem, phi=_phi_for(state, state.deform.t))
     final = bvp_solve(problem, assembler, tol=cfg.tol_bvp, max_iter=cfg.max_iter_bvp,
-                      pin=st.pin, mode=cfg.bvp_mode, sym=st.sym)
+                      pin=st.pin, mode="auto", sym=st.sym)
     dim_before = st.sym.family_size
     dim_after = dim_before - (st.projection.rank if st.projection else 0)
 
@@ -364,21 +351,11 @@ def step(state: FlowState):
     a1dot, a2dot, cdot = last["a1dot"], last["a2dot"], sol.cdot
 
     dt = cfg.dt
-    a1_new = state.deform.a1 + dt * a1dot
-    a2_new = state.deform.a2 + dt * a2dot
-    c_new = state.deform.c + dt * cdot
-    zdot = state.deform.rate_displacement(a1dot, a2dot, cdot)
-    z_new = (
-        a1_new[:, None] * surface.y1
-        + a2_new[:, None] * surface.y2
-        + c_new[:, None] * surface.n
-    )
-    hist_new = state.deform.history.advance(dt, z_new, zdot)
-    deform_new = DeformationState(
-        surface=surface, a1=a1_new, a2=a2_new, c=c_new,
-        a1dot=a1dot, a2dot=a2dot, cdot=cdot, history=hist_new,
-        t=state.t + dt,
-    )
+    # times count whole steps, so they do not drift by repeated addition
+    t_new = (state.step_index + 1) * dt
+    deform_new = replace(state.deform.advance(dt, a1dot, a2dot, cdot), t=t_new)
+    z_new = deform_new.z
+    zdot = deform_new.rate_displacement()
 
     # monitors at the advanced state
     gvar_n, bvar_n, _ = assemble_variation(metric, surface, deform_new)
@@ -394,12 +371,12 @@ def step(state: FlowState):
     )
     lhs = np.einsum("nab,na,nb->n", surface.ambient_a[grid.boundary_idx],
                     z_new[grid.boundary_idx], v_field)
-    gamma_target = state.boundary.gamma(theta, state.t + dt)
+    gamma_target = state.boundary.gamma(theta, t_new)
     b_res = float(np.max(np.abs(lhs - gamma_target)))
     z_x0 = float(np.linalg.norm(z_new[0]))
 
     rec = StepRecord(
-        step=state.step_index, t_new=state.t + dt, n=st.n,
+        step=state.step_index, t_new=t_new, n=st.n,
         dk_max_rel=dk_rel, dk_oracle_rel=dk_oracle, g_residual=g_res,
         boundary_residual=b_res, fixed_point_z=z_x0,
         bvp_iterations=final.iterations, bvp_ratio=final.ratio,
@@ -415,14 +392,13 @@ def step(state: FlowState):
     )
     if cfg.capture_fields:
         rec.fields = {
-            "a1": a1_new, "a2": a2_new, "c": c_new, "dK": bvar_n.dK,
+            "a1": deform_new.a1, "a2": deform_new.a2, "c": deform_new.c, "dK": bvar_n.dK,
             "g_res1": g_res_fields[:, 0], "g_res2": g_res_fields[:, 1],
         }
 
     state.prev = PrevRecords(coeffs=sol.coeffs, m4=last["bvar"].m4,
                              psi1=last["psi1"], dt=dt)
     state.deform = deform_new
-    state.t += dt
     state.step_index += 1
     state.records.append(rec)
     return rec
@@ -442,7 +418,7 @@ def run_flow(state: FlowState, on_step=None):
     recs = state.records
     return {
         "steps": len(recs),
-        "t_final": state.t,
+        "t_final": state.deform.t,
         "index": state.statics.n if state.statics else None,
         "max_dk_rel": max((r.dk_max_rel for r in recs), default=0.0),
         "max_dk_oracle_rel": max((r.dk_oracle_rel for r in recs), default=0.0),

@@ -12,6 +12,7 @@ metric, where the system degenerates to c_,i = -a^l b_li.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,9 +27,21 @@ from .transport import (
 )
 
 
-@dataclass
+def tangential_grad(grid, a1, a2):
+    """d_i a^j of the tangential pair (a1, a2), laid out (N, j, i)."""
+    return np.stack([np.stack(grid.grad(a1), axis=-1),
+                     np.stack(grid.grad(a2), axis=-1)], axis=1)
+
+
+@dataclass(frozen=True)
 class DeformationState:
-    """Tangential/normal deformation fields, their rates, and path history."""
+    """Tangential/normal deformation fields, their rates, and path history.
+
+    Fields are never reassigned (the dataclass is frozen), so the
+    derivatives every assembly reads are taken once, on first use: ``dz``
+    (z_,i), ``da`` (d_i a^j) and ``dc`` (c_,i).  ``advance`` builds the
+    successor state.
+    """
 
     surface: SurfaceState
     a1: np.ndarray
@@ -58,11 +71,39 @@ class DeformationState:
     def z(self):
         return self.history.z[-1]
 
+    @cached_property
+    def dz(self):
+        """z_,i as (N, 3, 2)."""
+        return np.stack(self.surface.grid.grad(self.z), axis=-1)
+
+    @cached_property
+    def da(self):
+        """d_i a^j as (N, j, i)."""
+        return tangential_grad(self.surface.grid, self.a1, self.a2)
+
+    @cached_property
+    def dc(self):
+        """c_,i as (N, 2)."""
+        return np.stack(self.surface.grid.grad(self.c), axis=-1)
+
     def history_with_rates(self, a1dot, a2dot, cdot):
         """History whose final sample carries the given iterate rates."""
         return self.history.replace_final_rate(
             self.rate_displacement(a1dot, a2dot, cdot)
         )
+
+    def advance(self, dt, a1dot, a2dot, cdot):
+        """Explicit-Euler successor: the fields move by dt times the given
+        rates, which the successor carries, and the history gains the sample
+        (t + dt, z_new, zdot) with the rate that left this state."""
+        a1 = self.a1 + dt * a1dot
+        a2 = self.a2 + dt * a2dot
+        c = self.c + dt * cdot
+        history = self.history.advance(dt, self.displacement(a1, a2, c),
+                                       self.rate_displacement(a1dot, a2dot, cdot))
+        return DeformationState(surface=self.surface, a1=a1, a2=a2, c=c,
+                                a1dot=a1dot, a2dot=a2dot, cdot=cdot,
+                                history=history, t=self.t + dt)
 
 
 def new_deformation(surface: SurfaceState) -> DeformationState:
@@ -105,20 +146,20 @@ def assemble_coefficients(metric: AmbientMetric, surface: SurfaceState,
     The leading matrix is taken from the transport propagator itself (exact
     resummation); the first series term comes from direct quadrature so the
     tail splits off without truncation error.  Both come from the history's
-    cached propagator, so only the final interval is integrated here.  Rates
-    are backward finite differences against ``prev`` when given.
+    cached propagator, so only the final interval is integrated here.  A
+    given ``history`` must end at the state's displacement; it only swaps
+    the final rate.  Rates are backward finite differences against ``prev``
+    when given.
     """
-    grid = surface.grid
     hist = history if history is not None else deform.history
-    n_nodes = grid.n_nodes
+    n_nodes = surface.grid.n_nodes
     prop = transport_propagator(metric, surface.y, hist)
     s1 = prop.backward - np.eye(3)[None, :, :]
     a1_term = prop.integral
     s2 = s1 - a1_term
 
-    z = hist.z[-1]
-    z1, z2 = grid.grad(z)
-    zder = np.stack([z1, z2], axis=-1)          # (N, 3, 2)
+    z = deform.z
+    zder = deform.dz                            # (N, 3, 2)
     tang = surface.tangents()                   # (N, 3, 2)
     gamma0 = surface.ambient_gamma
     # Gamma(0)(., z): gz[n, a, s] = Gamma^a_{b s} z^b
@@ -126,16 +167,13 @@ def assemble_coefficients(metric: AmbientMetric, surface: SurfaceState,
     m1_core = a1_term - gz
     s3 = contract("nas,nsi->nai", m1_core + s2, tang)
 
-    da1 = np.stack(grid.grad(deform.a1), axis=-1)   # (N, 2)
-    da2 = np.stack(grid.grad(deform.a2), axis=-1)
-    dc = np.stack(grid.grad(deform.c), axis=-1)
-    da = np.stack([da1, da2], axis=1)                    # (N, j, i) = d_i a^j
+    da = deform.da                              # (N, j, i) = d_i a^j
     # bracket_i = z_,i - (d_i a^j) y_,j  (the non-frame part of Eq. 2.27)
     bracket = zder - contract("nji,nsj->nsi", da, tang)
     # surface-Christoffel drag term Gamma^j_{pi} a^p y_,j
     a_vec = np.stack([deform.a1, deform.a2], axis=-1)
     surf_term = contract("njpi,np,nsj->nsi", surface.gamma_surface, a_vec, tang)
-    c_n = dc[:, None, :] * surface.n[:, :, None]
+    c_n = deform.dc[:, None, :] * surface.n[:, :, None]
     s4 = s3 + contract("nas,nsi->nai", s1, bracket - c_n - surf_term)
     s5 = s4 + contract("nas,nsi->nai", s1, surf_term)
 
@@ -160,17 +198,14 @@ def assemble_coefficients(metric: AmbientMetric, surface: SurfaceState,
 def gdef_residual(surface: SurfaceState, coeffs: GDefCoefficients,
                   deform: DeformationState):
     """r_i = a^l b_li + (1 + N_0) c_,i + (d_i a^j) N_j + Q_i."""
-    grid = surface.grid
-    dc = np.stack(grid.grad(deform.c), axis=-1)
-    da1 = np.stack(grid.grad(deform.a1), axis=-1)
-    da2 = np.stack(grid.grad(deform.a2), axis=-1)
+    da = deform.da
     a_vec = np.stack([deform.a1, deform.a2], axis=-1)
     ab = np.einsum("nl,nli->ni", a_vec, surface.b)
     nk = coeffs.n_j[:, 1:]
     r = (
         ab
-        + (1.0 + coeffs.n_j[:, :1]) * dc
-        + da1 * nk[:, :1] + da2 * nk[:, 1:2]
+        + (1.0 + coeffs.n_j[:, :1]) * deform.dc
+        + da[:, 0] * nk[:, :1] + da[:, 1] * nk[:, 1:2]
         + coeffs.q_i
     )
     return r
@@ -183,13 +218,10 @@ def gdef_normal_residual(metric: AmbientMetric, surface: SurfaceState,
     Bypasses the S/N/Q algebra entirely; vanishing means the normal is
     carried by parallel transport (the defining property of the flow).
     """
-    grid = surface.grid
-    hist = deform.history
-    mback = transport_propagator(metric, surface.y, hist, substeps).backward
-    z1, z2 = grid.grad(hist.z[-1])
-    out = np.empty((grid.n_nodes, 2))
-    for i, zi in enumerate((z1, z2)):
-        seed = (surface.y1 if i == 0 else surface.y2) + zi
+    mback = transport_propagator(metric, surface.y, deform.history, substeps).backward
+    out = np.empty((surface.grid.n_nodes, 2))
+    for i in range(2):
+        seed = (surface.y1 if i == 0 else surface.y2) + deform.dz[:, :, i]
         back = np.einsum("nab,nb->na", mback, seed)
         out[:, i] = np.einsum("nab,na,nb->n", surface.ambient_a, back, surface.n)
     return out

@@ -20,7 +20,7 @@ import numpy as np
 
 from ._contract import contract
 from .errors import DegenerateCurvatureError, GeometryError
-from .gdef import DeformationState, GDefCoefficients
+from .gdef import DeformationState, GDefCoefficients, tangential_grad
 from .metrics import AmbientMetric, christoffel_at
 from .surface import SurfaceState
 from .transport import NormalTransport, transport_normal
@@ -121,15 +121,11 @@ def delta_g_direct(metric, surface, z, z1, z2):
 
 
 def delta_b(metric: AmbientMetric, surface: SurfaceState, deform: DeformationState,
-            fwd: NormalTransport, gvar: GVariation,
-            z=None, z1=None, z2=None) -> BVariation:
+            fwd: NormalTransport, gvar: GVariation) -> BVariation:
     """Second-form variation via the carried-normal cascade."""
     grid = surface.grid
-    if z is None:
-        z = deform.history.z[-1]
-    if z1 is None:
-        z1, z2 = grid.grad(z)
-    zder = np.stack([z1, z2], axis=-1)
+    z = deform.z
+    zder = deform.dz
     tang = surface.tangents()
     tang_t = tang + zder
     n0 = surface.n
@@ -147,9 +143,7 @@ def delta_b(metric: AmbientMetric, surface: SurfaceState, deform: DeformationSta
     ntil_der = _dfields(grid, n_til)             # (N, 3, 2)
     dstar_ntil = ntil_der + contract("ngab,naj,nb->ngj", gamma_t, tang_t, n_til)
 
-    da1 = _dfields(grid, deform.a1)
-    da2 = _dfields(grid, deform.a2)
-    da = np.stack([da1, da2], axis=1)            # (N, k, i)
+    da = deform.da                               # (N, k, i)
     bracket = zder - contract("nki,nsk->nsi", da, tang)
     m1 = -contract("nab,nai,nbj->nij", a_t, bracket, dstar_ntil)
 
@@ -212,14 +206,13 @@ def delta_b(metric: AmbientMetric, surface: SurfaceState, deform: DeformationSta
 
 
 def assemble_variation(metric, surface, deform: DeformationState, history=None):
-    """Full variation state at the history's final time."""
-    grid = surface.grid
+    """Full variation state at the history's final time; a given ``history``
+    must end at the state's displacement and only swaps the final rate."""
     hist = history if history is not None else deform.history
-    z = hist.z[-1]
-    z1, z2 = grid.grad(z)
-    gvar = delta_g(metric, surface, z, z1, z2, deform.c)
+    zder = deform.dz
+    gvar = delta_g(metric, surface, deform.z, zder[..., 0], zder[..., 1], deform.c)
     fwd = transport_normal(metric, surface.y, hist, surface.n)
-    bvar = delta_b(metric, surface, deform, fwd, gvar, z, z1, z2)
+    bvar = delta_b(metric, surface, deform, fwd, gvar)
     return gvar, bvar, fwd
 
 
@@ -242,17 +235,13 @@ def equation_coefficients(surface: SurfaceState) -> EquationCoefficients:
 def assemble_rates(metric: AmbientMetric, surface: SurfaceState,
                    deform: DeformationState, gvar: GVariation, bvar: BVariation,
                    zdot, a1dot, a2dot, prev_m4=None, dt=None,
-                   z=None, z1=None, z2=None, m4dot_override=None) -> VariationRates:
+                   m4dot_override=None) -> VariationRates:
     """Time rates of the variation fields at the current iterate."""
     grid = surface.grid
-    if z is None:
-        z = deform.history.z[-1]
-    if z1 is None:
-        z1, z2 = grid.grad(z)
-    zder = np.stack([z1, z2], axis=-1)
+    zder = deform.dz
     zdot_der = _dfields(grid, zdot)
     tang = surface.tangents()
-    pts = surface.y + z
+    pts = surface.y + deform.z
     a_t = metric.metric(pts)
     a0 = surface.ambient_a
     g_inv = surface.g_inv
@@ -294,7 +283,7 @@ def assemble_rates(metric: AmbientMetric, surface: SurfaceState,
         m4dot = (bvar.m4 - prev_m4) / dt
     else:
         m4dot = np.zeros_like(bvar.m4)
-    dadot = np.stack([_dfields(grid, a1dot), _dfields(grid, a2dot)], axis=1)
+    dadot = tangential_grad(grid, a1dot, a2dot)
     dbdot_ij = contract("nki,njk->nij", dadot, surface.b) + m4dot
     db_ij = bvar.db_ij
     w2bdot = (
@@ -318,20 +307,14 @@ def assemble_rates(metric: AmbientMetric, surface: SurfaceState,
 def psi1_bracket(surface: SurfaceState, coeffs: GDefCoefficients,
                  deform: DeformationState):
     """The curl-equation source Psi_1 = -(...)/V at the current state."""
-    grid = surface.grid
-    dc = _dfields(grid, deform.c)
-    dn0 = _dfields(grid, coeffs.n_j[:, 0])
-    dn1 = _dfields(grid, coeffs.n_j[:, 1])
-    dn2 = _dfields(grid, coeffs.n_j[:, 2])
-    da1 = _dfields(grid, deform.a1)
-    da2 = _dfields(grid, deform.a2)
-    dq1 = _dfields(grid, coeffs.q_i[:, 0])
-    dq2 = _dfields(grid, coeffs.q_i[:, 1])
+    dc, da = deform.dc, deform.da
+    dn = _dfields(surface.grid, coeffs.n_j)      # (N, j, i) = d_i N_j
+    dq = _dfields(surface.grid, coeffs.q_i)      # (N, k, i) = d_i Q_k
     bracket = (
-        dc[:, 0] * dn0[:, 1] - dc[:, 1] * dn0[:, 0]
-        + da1[:, 0] * dn1[:, 1] - da1[:, 1] * dn1[:, 0]
-        + da2[:, 0] * dn2[:, 1] - da2[:, 1] * dn2[:, 0]
-        + dq1[:, 1] - dq2[:, 0]
+        dc[:, 0] * dn[:, 0, 1] - dc[:, 1] * dn[:, 0, 0]
+        + da[:, 0, 0] * dn[:, 1, 1] - da[:, 0, 1] * dn[:, 1, 0]
+        + da[:, 1, 0] * dn[:, 2, 1] - da[:, 1, 1] * dn[:, 2, 0]
+        + dq[:, 0, 1] - dq[:, 1, 0]
     )
     return -bracket / surface.V
 

@@ -333,6 +333,8 @@ def test_criterion_11_end_to_end_flow(end_to_end_run):
            f"B {rep['max_boundary_residual']:.2e} (<= 1e-6), "
            f"|z(x0)| {rep['max_fixed_point_z']:.2e} (<= 1e-10), "
            f"dim {rep['family_dimension_after']} (= 2n-1), {elapsed:.0f}s (<= 600s)")
+    # times count whole steps, so ten steps of 0.005 end exactly at 0.05
+    assert rep["t_final"] == 0.05
 
 
 def test_criterion_12_determinism(end_to_end_run, tmp_path):

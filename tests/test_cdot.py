@@ -10,7 +10,7 @@ from mgdeform.cdot import (
     solve_cdot,
 )
 from mgdeform.errors import MgError, NearSingularDenominatorError
-from mgdeform.gdef import assemble_coefficients
+from mgdeform.gdef import assemble_coefficients, tangential_grad
 from mgdeform.grid import DiskGrid
 from mgdeform.metrics import FlatMetric, conformal_radial_metric
 from mgdeform.surface import SphereCapImmersion, build_surface
@@ -83,7 +83,9 @@ def test_flat_kernel_vanishes_and_cdot_is_gamma(setup_flat):
     deform = prescribed_deformation(surf, a1dot, a2dot, smooth_scalar(grid, 3, 1e-2), 0.1, 5)
     fn = make_coeff_fn(metric, surf, deform, a1dot, a2dot)
     coeffs = fn(deform.cdot)
-    b1, b2 = kernel_fields(surf, coeffs, deform.a1, deform.a2, a1dot, a2dot)
+    b1, b2 = kernel_fields(surf, coeffs, np.stack([deform.a1, deform.a2], axis=-1),
+                           np.stack([a1dot, a2dot], axis=-1), deform.da,
+                           tangential_grad(grid, a1dot, a2dot))
     assert np.max(np.abs(b1)) == 0.0 and np.max(np.abs(b2)) == 0.0
     sol = solve_cdot(surf, fn, deform.a1, deform.a2, a1dot, a2dot, integ)
     assert np.max(np.abs(sol.cdot - sol.gamma)) == 0.0
@@ -196,8 +198,8 @@ def test_near_singular_denominator_raises(setup_curved):
     )
     coeffs.n_j[:, 0] = -0.9  # force the denominator down
     with pytest.raises(NearSingularDenominatorError):
-        kernel_fields(surf, coeffs, coeffs.n_j[:, 1], coeffs.n_j[:, 2],
-                      coeffs.n_j[:, 1], coeffs.n_j[:, 2])
+        kernel_fields(surf, coeffs, coeffs.n_j[:, 1:], coeffs.n_j[:, 1:],
+                      coeffs.tj[:, :2], coeffs.tj[:, :2])
 
 
 def test_path_integrator_base_point_is_center():

@@ -55,6 +55,7 @@ def test_unknown_kind_and_key_errors():
 
 @pytest.mark.parametrize("key, value", [
     ("x0", "center"), ("parameter_policy", "least_norm"), ("check_every", "1"),
+    ("bvp_mode", "auto"),
 ])
 def test_removed_flow_keys_are_unknown(key, value):
     # the flow is anchored at the center and runs the oracle every step

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -204,3 +206,29 @@ def test_curved_metric_flow_meets_acceptance_bounds(monkeypatch):
     assert rep["family_dimension_after"] == 1
     # the boundary data actually drives the surface
     assert rep["max_rate_sup"] > 1e-4
+
+
+def test_state_fields_differentiated_once_per_step(flat_cap, monkeypatch):
+    # a state takes z_,i, d_i a^j and c_,i once; every assembly of the step
+    # (cdot sweeps, variations, rates, monitors) reads the cached fields
+    metric, surf = flat_cap
+    boundary = BoundarySpec(winding=1, gamma_kind="harmonic", epsilon=1e-3, mode=1)
+    state = init_flow(metric, surf, boundary, FlowConfig(t_final=0.005, dt=0.005))
+    args = []
+    real_grad = DiskGrid.grad
+
+    def recording_grad(self, f):
+        args.append(f)   # held, so no two recorded arrays share an address
+        return real_grad(self, f)
+
+    def key(a):
+        a = np.asarray(a)
+        return a.__array_interface__["data"][0], a.shape, a.strides
+
+    monkeypatch.setattr(DiskGrid, "grad", recording_grad)
+    before = state.deform
+    step(state)
+    seen = Counter(key(a) for a in args)
+    for deform in (before, state.deform):
+        for name in ("a1", "a2", "c", "z"):
+            assert seen[key(getattr(deform, name))] <= 1, name

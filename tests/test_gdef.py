@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from mgdeform.gdef import (
 from mgdeform.grid import DiskGrid
 from mgdeform.metrics import FlatMetric, conformal_radial_metric
 from mgdeform.surface import SphereCapImmersion, build_surface
+from mgdeform.transport import transport_propagator
 
 from helpers import prescribed_deformation, smooth_scalar
 
@@ -130,3 +133,31 @@ def test_rates_by_backward_difference(curved_sphere):
     recon = prev.n_j + dt * coeffs.ndot
     assert np.max(np.abs(recon - coeffs.n_j)) < 1e-14
     assert coeffs.sup("ndot") > 0
+
+
+def test_advance_matches_hand_built_successor(curved_sphere):
+    metric, surf = curved_sphere
+    grid = surf.grid
+    deform = prescribed_deformation(surf, *small_rates(grid), 0.02, 4)
+    transport_propagator(metric, surf.y, deform.history)   # fills the prefix cache
+    r1, r2, r3 = (smooth_scalar(grid, seed, 2e-2) for seed in (21, 22, 23))
+    dt = 0.005
+    a1, a2, c = deform.a1 + dt * r1, deform.a2 + dt * r2, deform.c + dt * r3
+    z_new = a1[:, None] * surf.y1 + a2[:, None] * surf.y2 + c[:, None] * surf.n
+    zdot = r1[:, None] * surf.y1 + r2[:, None] * surf.y2 + r3[:, None] * surf.n
+    hist = deform.history.advance(dt, z_new, zdot)
+
+    nxt = deform.advance(dt, r1, r2, r3)
+    for name, want in (("a1", a1), ("a2", a2), ("c", c),
+                       ("a1dot", r1), ("a2dot", r2), ("cdot", r3)):
+        assert np.array_equal(getattr(nxt, name), want), name
+    assert nxt.surface is surf and nxt.t == deform.t + dt
+    for name in ("tau", "z", "zdot"):
+        assert np.array_equal(getattr(nxt.history, name), getattr(hist, name)), name
+    assert deform.history._prefix.entry is not None
+    assert nxt.history._prefix.entry is deform.history._prefix.entry
+    # derivatives are taken once and kept; the fields cannot be reassigned
+    assert np.array_equal(nxt.dz, np.stack(grid.grad(nxt.z), axis=-1))
+    assert nxt.da is nxt.da and nxt.dc is nxt.dc
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        nxt.c = c
