@@ -1,29 +1,34 @@
-"""N-batched tensor contractions along a cached optimal pairwise order.
+"""Node-last layout of per-node tensor fields.
 
-A three-operand contraction such as ``nab,nai,nbj->nij`` runs several times
-faster as two pairwise steps than as one nested loop, and recent NumPy maps
-each pairwise step onto a batched matrix product.  The order depends only on
-the subscripts and the operand shapes, so it is searched once per shape
-combination.  Matrix-vector products on a trailing axis and plain traces are
-already as fast in a single ``np.einsum`` call and stay there.
+Fields on the grid are (N, ...) arrays: one small tensor per node.  A
+contraction of such tensors, ``nab,nai,nbj->nij`` say, runs fastest as one
+plain ``np.einsum`` call when the node axis is last and contiguous, so that
+the inner loop runs over the N nodes rather than over the 2 or 3 entries of
+a tensor index.  Batched matrix products and contraction-order search only
+pay off for large tensor blocks; with 3x3 blocks per node the layout decides
+the cost.
+
+The per-node kernels (kpres, gdef, transport, metrics, surface) therefore
+take ``node_last`` of their inputs on entry, contract in that layout, and
+hand their results out through ``node_first``: an (N, ...) view of the
+node-last array, so every public field keeps its (N, ...) form and a later
+``node_last`` of it is free.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 
-@lru_cache(maxsize=256)
-def _path(subscripts, shapes):
-    # the search reads shapes only; zero-stride views allocate nothing
-    dummies = [np.broadcast_to(0.0, shape) for shape in shapes]
-    return tuple(np.einsum_path(subscripts, *dummies, optimize="optimal")[0])
+def node_last(x):
+    """``x`` with its leading node axis moved last, C-contiguous.
+
+    No copy is made when ``x`` is already laid out that way, e.g. when it is
+    a ``node_first`` view.
+    """
+    return np.ascontiguousarray(np.moveaxis(x, 0, -1))
 
 
-def contract(subscripts, *operands):
-    """``np.einsum(subscripts, *operands)`` along the cached optimal path."""
-    operands = [np.asarray(op) for op in operands]
-    path = _path(subscripts, tuple(op.shape for op in operands))
-    return np.einsum(subscripts, *operands, optimize=path)
+def node_first(x):
+    """The (N, ...) view of a node-last array; no copy."""
+    return np.moveaxis(x, -1, 0)

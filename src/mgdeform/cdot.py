@@ -86,6 +86,7 @@ class CdotSolution:
     rate: float            # observed contraction ratio K3
     residual: float        # sup |cdot - L(cdot) - gamma|
     coeffs: GDefCoefficients
+    dadot: np.ndarray      # d_i adot^j of the solve's rates, (N, j, i)
 
     @property
     def p_field(self):
@@ -141,7 +142,7 @@ def solve_cdot(surface: SurfaceState, coeff_fn, a1, a2, a1dot, a2dot,
     coeffs = coeff_fn(cdot)
     residual = float(np.max(np.abs(cdot - kernel_integral(coeffs) - gamma)))
     return CdotSolution(cdot=cdot, gamma=gamma, iterations=len(diffs),
-                        rate=rate, residual=residual, coeffs=coeffs)
+                        rate=rate, residual=residual, coeffs=coeffs, dadot=dadot)
 
 
 def lipschitz_ratio(sol_a: CdotSolution, sol_b: CdotSolution,

@@ -315,6 +315,7 @@ def _make_assembler(state: FlowState):
         rates = assemble_rates(
             metric, surface, deform, gvar, bvar, zdot, a1dot, a2dot,
             prev_m4=prev.m4, dt=prev.dt, m4dot_override=m4dot_override,
+            dadot=sol.dadot,
         )
         psi1dot, psi3, _, psi1 = rhs_psi(
             surface, sol.coeffs, deform, rates, st.eq.qb0, sol.p_field,
@@ -352,8 +353,8 @@ def step(state: FlowState):
 
     dt = cfg.dt
     # times count whole steps, so they do not drift by repeated addition
-    t_new = (state.step_index + 1) * dt
-    deform_new = replace(state.deform.advance(dt, a1dot, a2dot, cdot), t=t_new)
+    deform_new = state.deform.advance(dt, a1dot, a2dot, cdot)
+    t_new = deform_new.t
     z_new = deform_new.z
     zdot = deform_new.rate_displacement()
 

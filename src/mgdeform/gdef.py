@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._contract import contract
+from ._contract import node_first, node_last
 from .metrics import AmbientMetric
 from .surface import SurfaceState
 from .transport import (
@@ -27,10 +27,15 @@ from .transport import (
 )
 
 
+def node_last_grad(grid, f):
+    """(d_1 f, d_2 f) of an (N, ...) field, node-last as (..., 2, N)."""
+    return node_last(np.stack(grid.grad(f), axis=-1))
+
+
 def tangential_grad(grid, a1, a2):
-    """d_i a^j of the tangential pair (a1, a2), laid out (N, j, i)."""
-    return np.stack([np.stack(grid.grad(a1), axis=-1),
-                     np.stack(grid.grad(a2), axis=-1)], axis=1)
+    """d_i a^j of the tangential pair (a1, a2) as (N, j, i), stored
+    node-last."""
+    return node_first(np.stack([node_last_grad(grid, a1), node_last_grad(grid, a2)]))
 
 
 @dataclass(frozen=True)
@@ -39,8 +44,8 @@ class DeformationState:
 
     Fields are never reassigned (the dataclass is frozen), so the
     derivatives every assembly reads are taken once, on first use: ``dz``
-    (z_,i), ``da`` (d_i a^j) and ``dc`` (c_,i).  ``advance`` builds the
-    successor state.
+    (z_,i), ``da`` (d_i a^j) and ``dc`` (c_,i), stored node-last.
+    ``advance`` builds the successor state.
     """
 
     surface: SurfaceState
@@ -74,7 +79,7 @@ class DeformationState:
     @cached_property
     def dz(self):
         """z_,i as (N, 3, 2)."""
-        return np.stack(self.surface.grid.grad(self.z), axis=-1)
+        return node_first(node_last_grad(self.surface.grid, self.z))
 
     @cached_property
     def da(self):
@@ -84,7 +89,7 @@ class DeformationState:
     @cached_property
     def dc(self):
         """c_,i as (N, 2)."""
-        return np.stack(self.surface.grid.grad(self.c), axis=-1)
+        return node_first(node_last_grad(self.surface.grid, self.c))
 
     def history_with_rates(self, a1dot, a2dot, cdot):
         """History whose final sample carries the given iterate rates."""
@@ -95,7 +100,9 @@ class DeformationState:
     def advance(self, dt, a1dot, a2dot, cdot):
         """Explicit-Euler successor: the fields move by dt times the given
         rates, which the successor carries, and the history gains the sample
-        (t + dt, z_new, zdot) with the rate that left this state."""
+        (t + dt, z_new, zdot) with the rate that left this state.  The
+        successor's time is its history's final time, which counts whole
+        steps."""
         a1 = self.a1 + dt * a1dot
         a2 = self.a2 + dt * a2dot
         c = self.c + dt * cdot
@@ -103,7 +110,7 @@ class DeformationState:
                                        self.rate_displacement(a1dot, a2dot, cdot))
         return DeformationState(surface=self.surface, a1=a1, a2=a2, c=c,
                                 a1dot=a1dot, a2dot=a2dot, cdot=cdot,
-                                history=history, t=self.t + dt)
+                                history=history, t=history.t_final)
 
 
 def new_deformation(surface: SurfaceState) -> DeformationState:
@@ -152,47 +159,44 @@ def assemble_coefficients(metric: AmbientMetric, surface: SurfaceState,
     when given.
     """
     hist = history if history is not None else deform.history
-    n_nodes = surface.grid.n_nodes
     prop = transport_propagator(metric, surface.y, hist)
-    s1 = prop.backward - np.eye(3)[None, :, :]
-    a1_term = prop.integral
+    st = surface.nl_statics
+    tang, n, a0 = st.tang, st.n, st.a           # (3, 2, N), (3, N), (3, 3, N)
+    s1 = node_last(prop.backward) - np.eye(3)[:, :, None]
+    a1_term = node_last(prop.integral)
     s2 = s1 - a1_term
 
-    z = deform.z
-    zder = deform.dz                            # (N, 3, 2)
-    tang = surface.tangents()                   # (N, 3, 2)
-    gamma0 = surface.ambient_gamma
-    # Gamma(0)(., z): gz[n, a, s] = Gamma^a_{b s} z^b
-    gz = contract("nabs,nb->nas", gamma0, z)
+    # Gamma(0)(., z): gz[a, s] = Gamma^a_{b s} z^b
+    gz = np.einsum("absn,bn->asn", st.gamma, node_last(deform.z))
     m1_core = a1_term - gz
-    s3 = contract("nas,nsi->nai", m1_core + s2, tang)
+    s3 = np.einsum("asn,sin->ain", m1_core + s2, tang)
 
-    da = deform.da                              # (N, j, i) = d_i a^j
+    da = node_last(deform.da)                   # (j, i, N) = d_i a^j
     # bracket_i = z_,i - (d_i a^j) y_,j  (the non-frame part of Eq. 2.27)
-    bracket = zder - contract("nji,nsj->nsi", da, tang)
+    bracket = node_last(deform.dz) - np.einsum("jin,sjn->sin", da, tang)
     # surface-Christoffel drag term Gamma^j_{pi} a^p y_,j
-    a_vec = np.stack([deform.a1, deform.a2], axis=-1)
-    surf_term = contract("njpi,np,nsj->nsi", surface.gamma_surface, a_vec, tang)
-    c_n = deform.dc[:, None, :] * surface.n[:, :, None]
-    s4 = s3 + contract("nas,nsi->nai", s1, bracket - c_n - surf_term)
-    s5 = s4 + contract("nas,nsi->nai", s1, surf_term)
+    a_vec = np.stack([deform.a1, deform.a2])
+    surf_term = np.einsum("jpin,pn,sjn->sin", st.gamma_surface, a_vec, tang)
+    c_n = n[:, None, :] * node_last(deform.dc)[None, :, :]
+    s4 = s3 + np.einsum("asn,sin->ain", s1, bracket - c_n - surf_term)
+    s5 = s4 + np.einsum("asn,sin->ain", s1, surf_term)
 
-    t0 = np.einsum("nas,ns->na", s1, surface.n)
-    tj = contract("nas,nsi->nai", s1, tang)
-    a0 = surface.ambient_a
-    n_j = np.empty((n_nodes, 3))
-    n_j[:, 0] = np.einsum("nab,na,nb->n", a0, t0, surface.n)
-    n_j[:, 1:] = contract("nab,nai,nb->ni", a0, tj, surface.n)
-    q_i = contract("nab,nai,nb->ni", a0, s5, surface.n)
+    t0 = np.einsum("asn,sn->an", s1, n)
+    tj = np.einsum("asn,sin->ain", s1, tang)
+    n_j = np.empty((3, surface.grid.n_nodes))
+    n_j[0] = np.einsum("abn,an,bn->n", a0, t0, n)
+    n_j[1:] = np.einsum("abn,ain,bn->in", a0, tj, n)
+    q_i = np.einsum("abn,ain,bn->in", a0, s5, n)
 
     if prev is not None and dt:
-        ndot = (n_j - prev.n_j) / dt
-        qdot = (q_i - prev.q_i) / dt
+        ndot = (n_j - node_last(prev.n_j)) / dt
+        qdot = (q_i - node_last(prev.q_i)) / dt
     else:
         ndot = np.zeros_like(n_j)
         qdot = np.zeros_like(q_i)
-    return GDefCoefficients(s1=s1, s2=s2, s3=s3, s4=s4, s5=s5, t0=t0, tj=tj,
-                            n_j=n_j, q_i=q_i, ndot=ndot, qdot=qdot)
+    out = dict(s1=s1, s2=s2, s3=s3, s4=s4, s5=s5, t0=t0, tj=tj,
+               n_j=n_j, q_i=q_i, ndot=ndot, qdot=qdot)
+    return GDefCoefficients(**{k: node_first(v) for k, v in out.items()})
 
 
 def gdef_residual(surface: SurfaceState, coeffs: GDefCoefficients,
@@ -219,12 +223,10 @@ def gdef_normal_residual(metric: AmbientMetric, surface: SurfaceState,
     carried by parallel transport (the defining property of the flow).
     """
     mback = transport_propagator(metric, surface.y, deform.history, substeps).backward
-    out = np.empty((surface.grid.n_nodes, 2))
-    for i in range(2):
-        seed = (surface.y1 if i == 0 else surface.y2) + deform.dz[:, :, i]
-        back = np.einsum("nab,nb->na", mback, seed)
-        out[:, i] = np.einsum("nab,na,nb->n", surface.ambient_a, back, surface.n)
-    return out
+    st = surface.nl_statics
+    seed = st.tang + node_last(deform.dz)          # y_,i + z_,i as (3, 2, N)
+    back = np.einsum("abn,bin->ain", node_last(mback), seed)
+    return node_first(np.einsum("abn,ain,bn->in", st.a, back, st.n))
 
 
 def norm_chain_report(coeffs: GDefCoefficients):

@@ -18,20 +18,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._contract import contract
+from ._contract import node_first, node_last
 from .errors import DegenerateCurvatureError, GeometryError
-from .gdef import DeformationState, GDefCoefficients, tangential_grad
+from .gdef import DeformationState, GDefCoefficients, node_last_grad, tangential_grad
 from .metrics import AmbientMetric, christoffel_at
 from .surface import SurfaceState
 from .transport import NormalTransport, transport_normal
 
 
 def _sym(m):
-    return m + np.swapaxes(m, 1, 2)
+    """m_ij + m_ji of a node-last (2, 2, N) field."""
+    return m + np.swapaxes(m, 0, 1)
 
 
-def _dfields(grid, f):
-    return np.stack(grid.grad(f), axis=-1)
+def _gtrace(g_inv, m):
+    """g^ij m_ij, node-last."""
+    return np.einsum("ijn,ijn->n", g_inv, m)
+
+
+def _form_product(a, u, v):
+    """a(u_i, v_j) per node: node-last (3, 3, N), (3, 2, N) -> (2, 2, N)."""
+    return np.einsum("abn,ain,bjn->ijn", a, u, v)
 
 
 @dataclass
@@ -85,32 +92,28 @@ class EquationCoefficients:
 
 def delta_g(metric: AmbientMetric, surface: SurfaceState, z, z1, z2, c) -> GVariation:
     """First-form variation, no linearization in z."""
-    tang = surface.tangents()
-    zder = np.stack([z1, z2], axis=-1)
+    st = surface.nl_statics
+    tang, a0 = st.tang, st.a
+    zder = node_last(np.stack([z1, z2], axis=-1))   # (3, 2, N)
     pts = surface.y + z
-    a_t = metric.metric(pts)
-    a0 = surface.ambient_a
-    da0z = np.einsum("nabs,ns->nab", metric.dmetric(surface.y), z)
-    gamma0 = surface.ambient_gamma
-    gz = np.einsum("nags,ns->nag", gamma0, z)
-    dstar_z = zder + contract("nag,ngj->naj", gz, tang)
+    a_t = node_last(metric.metric(pts))
+    z_l = node_last(z)
+    da0z = np.einsum("absn,sn->abn", node_last(metric.dmetric(surface.y)), z_l)
+    gz = np.einsum("agsn,sn->agn", st.gamma, z_l)
+    dstar_z = zder + np.einsum("agn,gjn->ajn", gz, tang)
 
-    lead = contract("nab,nai,nbj->nij", a0, tang, dstar_z)
-    mid = contract("nab,nai,nbj->nij", a_t - a0 - da0z, tang, tang)
-    cross = contract("nab,nai,nbj->nij", a_t - a0, tang, zder)
-    quad = contract("nab,nai,nbj->nij", a_t, zder, zder)
+    lead = _form_product(a0, tang, dstar_z)
+    mid = _form_product(a_t - a0 - da0z, tang, tang)
+    cross = _form_product(a_t - a0, tang, zder)
+    quad = _form_product(a_t, zder, zder)
     dg_ij = _sym(lead) + mid + _sym(cross) + quad
 
-    g_inv = surface.g_inv
-    w1 = (
-        np.einsum("nij,nij->n", g_inv, mid)
-        + 2.0 * np.einsum("nij,nij->n", g_inv, cross)
-        + np.einsum("nij,nij->n", g_inv, quad)
-    )
-    w2 = dg_ij[:, 0, 0] * dg_ij[:, 1, 1] - dg_ij[:, 0, 1] ** 2
-    dg = surface.g_det * np.einsum("nij,nij->n", g_inv, dg_ij) + w2
+    g_inv = st.g_inv
+    w1 = _gtrace(g_inv, mid) + 2.0 * _gtrace(g_inv, cross) + _gtrace(g_inv, quad)
+    w2 = dg_ij[0, 0] * dg_ij[1, 1] - dg_ij[0, 1] ** 2
+    dg = surface.g_det * _gtrace(g_inv, dg_ij) + w2
     psi2 = 2.0 * surface.H * c - w1 / 2.0 - w2 / (2.0 * surface.g_det)
-    return GVariation(dg_ij=dg_ij, dg=dg, w1=w1, w2=w2, psi2=psi2)
+    return GVariation(dg_ij=node_first(dg_ij), dg=dg, w1=w1, w2=w2, psi2=psi2)
 
 
 def delta_g_direct(metric, surface, z, z1, z2):
@@ -124,71 +127,74 @@ def delta_b(metric: AmbientMetric, surface: SurfaceState, deform: DeformationSta
             fwd: NormalTransport, gvar: GVariation) -> BVariation:
     """Second-form variation via the carried-normal cascade."""
     grid = surface.grid
-    z = deform.z
-    zder = deform.dz
-    tang = surface.tangents()
+    st = surface.nl_statics
+    tang, n0, a0, gamma0 = st.tang, st.n, st.a, st.gamma
+    zder = node_last(deform.dz)                  # (3, 2, N)
     tang_t = tang + zder
-    n0 = surface.n
-    pts = surface.y + z
-    a_t = metric.metric(pts)
-    a0 = surface.ambient_a
-    gamma0 = surface.ambient_gamma
-    gamma_t = christoffel_at(metric, pts).gamma_upper
+    pts = surface.y + deform.z
+    a_t = node_last(metric.metric(pts))
+    gamma_t = node_last(christoffel_at(metric, pts).gamma_upper)
     dgamma = gamma_t - gamma0
+    n_t = node_last(fwd.n_t)
+    a1_vec = node_last(fwd.a1_vec)
+    a2_vec = node_last(fwd.a2_vec)
+    a1m = node_last(fwd.a1_mat)                  # (3, 3, N)
 
     norm = fwd.norm
     inv_norm = 1.0 / norm
-    n_til = fwd.n_t * inv_norm[:, None]
-    dinv = _dfields(grid, inv_norm)              # (N, 2)
-    ntil_der = _dfields(grid, n_til)             # (N, 3, 2)
-    dstar_ntil = ntil_der + contract("ngab,naj,nb->ngj", gamma_t, tang_t, n_til)
+    n_til = n_t * inv_norm
+    dinv = node_last_grad(grid, inv_norm)        # (2, N)
+    ntil_der = node_last_grad(grid, node_first(n_til))   # (3, 2, N)
+    dstar_ntil = ntil_der + np.einsum("gabn,ajn,bn->gjn", gamma_t, tang_t, n_til)
 
-    da = deform.da                               # (N, k, i)
-    bracket = zder - contract("nki,nsk->nsi", da, tang)
-    m1 = -contract("nab,nai,nbj->nij", a_t, bracket, dstar_ntil)
+    da = node_last(deform.da)                    # (k, i, N)
+    da_y = np.einsum("kin,skn->sin", da, tang)
+    bracket = zder - da_y
+    m1 = -_form_product(a_t, bracket, dstar_ntil)
 
-    da_y = contract("nki,nsk->nsi", da, tang)
-    bΓ = contract("njk,nkl->njl", surface.b, surface.g_inv)
-    dstar_n0 = -contract("njl,nsl->nsj", bΓ, tang)
+    bΓ = np.einsum("jkn,kln->jln", st.b, st.g_inv)
+    dstar_n0 = -np.einsum("jln,sln->sjn", bΓ, tang)
     m2 = (
-        -contract("nab,nai,nbj->nij", a_t, da_y, dstar_ntil)
-        + contract("nab,nai,nbj->nij", a0, da_y, dstar_n0)
+        -_form_product(a_t, da_y, dstar_ntil)
+        + _form_product(a0, da_y, dstar_n0)
         + m1
     )
 
-    a1m = fwd.a1_mat
-    a1m_der = _dfields(grid, a1m)                                   # (N,3,3,2)
-    a2v_der = _dfields(grid, fwd.a2_vec)                            # (N,3,2)
-    a1n0 = np.einsum("nbs,ns->nb", a1m, n0)
+    a1m_der = node_last_grad(grid, fwd.a1_mat)   # (3, 3, 2, N)
+    a2v_der = node_last_grad(grid, fwd.a2_vec)   # (3, 2, N)
+    a1n0 = np.einsum("bsn,sn->bn", a1m, n0)
+
+    def gamma_term(gamma, u, v):
+        return np.einsum("bmtn,mjn,tn->bjn", gamma, u, v)
+
     tails = (
-        contract("nbs,nsj->nbj", a1m, surface.n_deriv)
+        np.einsum("bsn,sjn->bjn", a1m, st.n_deriv)
         + a2v_der
-        + contract("nbmt,nmj,nt->nbj", gamma0, tang, a1n0)
-        + contract("nbmt,nmj,nt->nbj", gamma0, tang, fwd.a2_vec)
-        + contract("nbmt,nmj,nt->nbj", dgamma, tang, n0)
-        + contract("nbmt,nmj,nt->nbj", dgamma, tang, fwd.a1_vec)
-        + contract("nbmt,nmj,nt->nbj", gamma0, zder, fwd.a1_vec)
-        + contract("nbmt,nmj,nt->nbj", dgamma, zder, fwd.n_t)
+        + gamma_term(gamma0, tang, a1n0)
+        + gamma_term(gamma0, tang, a2_vec)
+        + gamma_term(dgamma, tang, n0)
+        + gamma_term(dgamma, tang, a1_vec)
+        + gamma_term(gamma0, zder, a1_vec)
+        + gamma_term(dgamma, zder, n_t)
     )
     core = (
-        contract("nbsj,ns->nbj", a1m_der, n0)
-        + contract("nbmt,nmj,nt->nbj", gamma0, zder, n0)
+        np.einsum("bsjn,sn->bjn", a1m_der, n0)
+        + gamma_term(gamma0, zder, n0)
     )
     dstar_nt = dstar_n0 + core + tails
 
-    inv3 = inv_norm[:, None, None]
     m3 = (
-        np.swapaxes(surface.b, 1, 2) * ((1.0 - norm) * inv_norm)[:, None, None]
-        - contract("nab,nai,nbj->nij", a0, tang, core) * inv3
-        - contract("nab,nai,nbj->nij", a0, tang, tails) * inv3
-        - contract("nab,nai,nbj->nij", a_t - a0, tang, dstar_nt) * inv3
+        np.swapaxes(st.b, 0, 1) * ((1.0 - norm) * inv_norm)
+        - _form_product(a0, tang, core) * inv_norm
+        - _form_product(a0, tang, tails) * inv_norm
+        - _form_product(a_t - a0, tang, dstar_nt) * inv_norm
     )
-    at_y_nt = contract("nab,nai,nb->ni", a_t, tang, fwd.n_t)
-    m4 = m2 + m3 - at_y_nt[:, :, None] * dinv[:, None, :]
+    at_y_nt = np.einsum("abn,ain,bn->in", a_t, tang, n_t)
+    m4 = m2 + m3 - at_y_nt[:, None, :] * dinv[None, :, :]
 
-    db_ij = contract("nki,njk->nij", da, surface.b) + m4
-    w2b = db_ij[:, 0, 0] * db_ij[:, 1, 1] - db_ij[:, 0, 1] * db_ij[:, 1, 0]
-    db = surface.V * (db_ij[:, 0, 0] + db_ij[:, 1, 1]) + w2b
+    db_ij = np.einsum("kin,jkn->ijn", da, st.b) + m4
+    w2b = db_ij[0, 0] * db_ij[1, 1] - db_ij[0, 1] * db_ij[1, 0]
+    db = surface.V * (db_ij[0, 0] + db_ij[1, 1]) + w2b
     b_t = surface.b_det + db
     if np.any(b_t <= 0):
         node = int(np.argmax(b_t <= 0))
@@ -200,7 +206,8 @@ def delta_b(metric: AmbientMetric, surface: SurfaceState, deform: DeformationSta
     dk_reciprocal = (gvar.dg - (surface.g_det / surface.b_det) * db) / b_t
     g_t = surface.g_det + gvar.dg
     dK = b_t / g_t - surface.b_det / surface.g_det
-    return BVariation(m1=m1, m2=m2, m3=m3, m4=m4, db_ij=db_ij, w2b=w2b,
+    return BVariation(m1=node_first(m1), m2=node_first(m2), m3=node_first(m3),
+                      m4=node_first(m4), db_ij=node_first(db_ij), w2b=w2b,
                       db=db, b_t=b_t, dK=dK, dk_reciprocal=dk_reciprocal,
                       norm_n=norm)
 
@@ -235,34 +242,35 @@ def equation_coefficients(surface: SurfaceState) -> EquationCoefficients:
 def assemble_rates(metric: AmbientMetric, surface: SurfaceState,
                    deform: DeformationState, gvar: GVariation, bvar: BVariation,
                    zdot, a1dot, a2dot, prev_m4=None, dt=None,
-                   m4dot_override=None) -> VariationRates:
-    """Time rates of the variation fields at the current iterate."""
+                   m4dot_override=None, dadot=None) -> VariationRates:
+    """Time rates of the variation fields at the current iterate.
+
+    ``dadot`` is d_i adot^j as (N, j, i), e.g. a cdot solve's; it is taken
+    here when not given.
+    """
     grid = surface.grid
-    zder = deform.dz
-    zdot_der = _dfields(grid, zdot)
-    tang = surface.tangents()
+    st = surface.nl_statics
+    tang, a0, g_inv = st.tang, st.a, st.g_inv
+    zder = node_last(deform.dz)
+    zdot_der = node_last_grad(grid, zdot)        # (3, 2, N)
+    zdot_l = node_last(zdot)
     pts = surface.y + deform.z
-    a_t = metric.metric(pts)
-    a0 = surface.ambient_a
-    g_inv = surface.g_inv
-    da_t_zdot = np.einsum("nabs,ns->nab", metric.dmetric(pts), zdot)
-    da0_zdot = np.einsum("nabs,ns->nab", metric.dmetric(surface.y), zdot)
+    a_t = node_last(metric.metric(pts))
+    da_t_zdot = np.einsum("absn,sn->abn", node_last(metric.dmetric(pts)), zdot_l)
+    da0_zdot = np.einsum("absn,sn->abn", node_last(metric.dmetric(surface.y)), zdot_l)
 
-    def gtrace(mat):
-        return np.einsum("nij,nij->n", g_inv, mat)
+    t1 = _form_product(da_t_zdot - da0_zdot, tang, tang)
+    t2 = _form_product(da_t_zdot, tang, zder)
+    t3 = _form_product(a_t - a0, tang, zdot_der)
+    t4 = _form_product(da_t_zdot, zder, zder)
+    t5 = _form_product(a_t, zdot_der, zder)
+    t6 = _form_product(a_t, zder, zdot_der)
+    w1dot = (_gtrace(g_inv, t1) + 2 * _gtrace(g_inv, t2) + 2 * _gtrace(g_inv, t3)
+             + _gtrace(g_inv, t4) + _gtrace(g_inv, t5) + _gtrace(g_inv, t6))
 
-    t1 = contract("nab,nai,nbj->nij", da_t_zdot - da0_zdot, tang, tang)
-    t2 = contract("nab,nai,nbj->nij", da_t_zdot, tang, zder)
-    t3 = contract("nab,nai,nbj->nij", a_t - a0, tang, zdot_der)
-    t4 = contract("nab,nai,nbj->nij", da_t_zdot, zder, zder)
-    t5 = contract("nab,nai,nbj->nij", a_t, zdot_der, zder)
-    t6 = contract("nab,nai,nbj->nij", a_t, zder, zdot_der)
-    w1dot = gtrace(t1) + 2 * gtrace(t2) + 2 * gtrace(t3) + gtrace(t4) + gtrace(t5) + gtrace(t6)
-
-    gamma0 = surface.ambient_gamma
-    gzd = np.einsum("nags,ns->nag", gamma0, zdot)
-    dstar_zdot = zdot_der + contract("nag,ngj->naj", gzd, tang)
-    s_lead = contract("nab,nai,nbj->nij", a0, tang, dstar_zdot)
+    gzd = np.einsum("agsn,sn->agn", st.gamma, zdot_l)
+    dstar_zdot = zdot_der + np.einsum("agn,gjn->ajn", gzd, tang)
+    s_lead = _form_product(a0, tang, dstar_zdot)
     dgdot_ij = (
         _sym(s_lead)
         + t1
@@ -270,51 +278,52 @@ def assemble_rates(metric: AmbientMetric, surface: SurfaceState,
         + _sym(t3)
         + t4 + t5 + t6
     )
-    dg_ij = gvar.dg_ij
+    dg_ij = node_last(gvar.dg_ij)
     w2dot = (
-        dgdot_ij[:, 0, 0] * dg_ij[:, 1, 1]
-        + dg_ij[:, 0, 0] * dgdot_ij[:, 1, 1]
-        - 2.0 * dg_ij[:, 0, 1] * dgdot_ij[:, 0, 1]
+        dgdot_ij[0, 0] * dg_ij[1, 1]
+        + dg_ij[0, 0] * dgdot_ij[1, 1]
+        - 2.0 * dg_ij[0, 1] * dgdot_ij[0, 1]
     )
 
     if m4dot_override is not None:
-        m4dot = m4dot_override
+        m4dot = node_last(m4dot_override)
     elif prev_m4 is not None and dt:
-        m4dot = (bvar.m4 - prev_m4) / dt
+        m4dot = (node_last(bvar.m4) - node_last(prev_m4)) / dt
     else:
-        m4dot = np.zeros_like(bvar.m4)
-    dadot = tangential_grad(grid, a1dot, a2dot)
-    dbdot_ij = contract("nki,njk->nij", dadot, surface.b) + m4dot
-    db_ij = bvar.db_ij
+        m4dot = np.zeros((2, 2, grid.n_nodes))
+    if dadot is None:
+        dadot = tangential_grad(grid, a1dot, a2dot)
+    dbdot_ij = np.einsum("kin,jkn->ijn", node_last(dadot), st.b) + m4dot
+    db_ij = node_last(bvar.db_ij)
     w2bdot = (
-        dbdot_ij[:, 0, 0] * db_ij[:, 1, 1]
-        + db_ij[:, 0, 0] * dbdot_ij[:, 1, 1]
-        - dbdot_ij[:, 0, 1] * db_ij[:, 1, 0]
-        - db_ij[:, 0, 1] * dbdot_ij[:, 1, 0]
+        dbdot_ij[0, 0] * db_ij[1, 1]
+        + db_ij[0, 0] * dbdot_ij[1, 1]
+        - dbdot_ij[0, 1] * db_ij[1, 0]
+        - db_ij[0, 1] * dbdot_ij[1, 0]
     )
-    dbdot = surface.V * (dbdot_ij[:, 0, 0] + dbdot_ij[:, 1, 1]) + w2bdot
+    dbdot = surface.V * (dbdot_ij[0, 0] + dbdot_ij[1, 1]) + w2bdot
     p0 = (
         w1dot
         + w2dot / surface.g_det
-        - (m4dot[:, 0, 0] + m4dot[:, 1, 1]) / surface.V
+        - (m4dot[0, 0] + m4dot[1, 1]) / surface.V
         - w2bdot / surface.V**2
     )
-    return VariationRates(w1dot=w1dot, dgdot_ij=dgdot_ij, w2dot=w2dot,
-                          m4dot=m4dot, dbdot_ij=dbdot_ij, w2bdot=w2bdot,
-                          dbdot=dbdot, p0=p0)
+    return VariationRates(w1dot=w1dot, dgdot_ij=node_first(dgdot_ij), w2dot=w2dot,
+                          m4dot=node_first(m4dot), dbdot_ij=node_first(dbdot_ij),
+                          w2bdot=w2bdot, dbdot=dbdot, p0=p0)
 
 
 def psi1_bracket(surface: SurfaceState, coeffs: GDefCoefficients,
                  deform: DeformationState):
     """The curl-equation source Psi_1 = -(...)/V at the current state."""
-    dc, da = deform.dc, deform.da
-    dn = _dfields(surface.grid, coeffs.n_j)      # (N, j, i) = d_i N_j
-    dq = _dfields(surface.grid, coeffs.q_i)      # (N, k, i) = d_i Q_k
+    dc, da = node_last(deform.dc), node_last(deform.da)
+    dn = node_last_grad(surface.grid, coeffs.n_j)    # (j, i, N) = d_i N_j
+    dq = node_last_grad(surface.grid, coeffs.q_i)    # (k, i, N) = d_i Q_k
     bracket = (
-        dc[:, 0] * dn[:, 0, 1] - dc[:, 1] * dn[:, 0, 0]
-        + da[:, 0, 0] * dn[:, 1, 1] - da[:, 0, 1] * dn[:, 1, 0]
-        + da[:, 1, 0] * dn[:, 2, 1] - da[:, 1, 1] * dn[:, 2, 0]
-        + dq[:, 0, 1] - dq[:, 1, 0]
+        dc[0] * dn[0, 1] - dc[1] * dn[0, 0]
+        + da[0, 0] * dn[1, 1] - da[0, 1] * dn[1, 0]
+        + da[1, 0] * dn[2, 1] - da[1, 1] * dn[2, 0]
+        + dq[0, 1] - dq[1, 0]
     )
     return -bracket / surface.V
 

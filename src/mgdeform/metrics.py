@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._contract import contract
+from ._contract import node_first, node_last
 from .errors import DegenerateMetricError
 
 _FD_STEP = 1e-5
@@ -187,28 +187,31 @@ def check_positive_definite(a, det_tol=1e-14):
 def christoffel_at(metric: AmbientMetric, points) -> ChristoffelField:
     """Gamma^g_{ab} = 0.5 a^{gm} (d_a a_{mb} + d_b a_{ma} - d_m a_{ab})."""
     y = np.asarray(points, dtype=float)
+    # computed node-last over the flattened batch points p
+    lead = y.shape[:-1]
     if metric.is_flat():
-        shape = y.shape[:-1] + (3, 3, 3)
-        return ChristoffelField(gamma_upper=np.zeros(shape), gamma_lower=np.zeros(shape))
-    a = metric.metric(y)
-    ok, det = check_positive_definite(a)
-    if not np.all(ok):
-        bad = np.argwhere(~ok)
-        raise DegenerateMetricError(
-            f"metric not positive definite at {bad.shape[0]} point(s); "
-            f"first offending index {tuple(bad[0])}, det={det[tuple(bad[0])]:.3e}"
-        )
-    da = metric.dmetric(y)  # (..., a, b, s)
-    ainv = np.linalg.inv(a)
-    # lowered: Gamma_{ab,m} = 0.5 (d_a a_{mb} + d_b a_{ma} - d_m a_{ab})
-    low = 0.5 * (
-        np.einsum("...mba->...abm", da)
-        + np.einsum("...mab->...abm", da)
-        - da
+        n_pts = int(np.prod(lead))
+        gamma_upper = np.zeros((3, 3, 3, n_pts))
+        low = np.zeros((3, 3, 3, n_pts))
+    else:
+        a = metric.metric(y)
+        ok, det = check_positive_definite(a)
+        if not np.all(ok):
+            bad = np.argwhere(~ok)
+            raise DegenerateMetricError(
+                f"metric not positive definite at {bad.shape[0]} point(s); "
+                f"first offending index {tuple(bad[0])}, det={det[tuple(bad[0])]:.3e}"
+            )
+        da = node_last(metric.dmetric(y).reshape((-1, 3, 3, 3)))   # (a, b, s, p)
+        ainv = node_last(np.linalg.inv(a).reshape((-1, 3, 3)))
+        # lowered: Gamma_{ab,m} = 0.5 (d_a a_{mb} + d_b a_{ma} - d_m a_{ab})
+        low = 0.5 * (np.transpose(da, (2, 1, 0, 3)) + np.transpose(da, (1, 2, 0, 3)) - da)
+        gamma_upper = np.einsum("gmp,abmp->gabp", ainv, low)
+    # the lowered array read as Gamma_{as,b} = low[..., a, s, b]
+    return ChristoffelField(
+        gamma_upper=node_first(gamma_upper).reshape(lead + (3, 3, 3)),
+        gamma_lower=node_first(low).reshape(lead + (3, 3, 3)),
     )
-    gamma_upper = contract("...gm,...abm->...gab", ainv, low)
-    # same array read as Gamma_{as,b} = low[..., a, s, b]
-    return ChristoffelField(gamma_upper=gamma_upper, gamma_lower=low)
 
 
 def metric_compatibility_residual(metric: AmbientMetric, points):

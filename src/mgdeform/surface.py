@@ -9,9 +9,12 @@ where D* couples surface partials with ambient Christoffel contraction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
+from ._contract import node_first, node_last
 from .errors import CoordinateError, GeometryError
 from .grid import DiskGrid
 from .metrics import AmbientMetric, christoffel_at, norm_monitor
@@ -96,9 +99,27 @@ def make_immersion(kind, params=None):
     return IMMERSION_KINDS[kind](params)
 
 
+class NodeLastStatics(NamedTuple):
+    """The static tensors the per-node kernels read, node-last."""
+
+    tang: np.ndarray           # (3, 2, N) tangents y_,i
+    a: np.ndarray              # (3, 3, N) ambient metric at y
+    gamma: np.ndarray          # (3, 3, 3, N) ambient Gamma^g_{ab}(y)
+    n: np.ndarray              # (3, N)
+    n_deriv: np.ndarray        # (3, 2, N)
+    b: np.ndarray              # (2, 2, N)
+    g_inv: np.ndarray          # (2, 2, N)
+    gamma_surface: np.ndarray  # (2, 2, 2, N)
+
+
 @dataclass
 class SurfaceState:
-    """Immutable geometric data of the undeformed surface on the grid."""
+    """Immutable geometric data of the undeformed surface on the grid.
+
+    ``build_surface`` stores its computed tensors node-last behind (N, ...)
+    views, so ``nl_statics`` copies only the tangents, the ambient metric and
+    the normal.
+    """
 
     grid: DiskGrid
     metric: AmbientMetric
@@ -124,12 +145,22 @@ class SurfaceState:
     def tangents(self):
         return np.stack([self.y1, self.y2], axis=-1)  # (N, 3, 2)
 
+    @cached_property
+    def nl_statics(self) -> NodeLastStatics:
+        return NodeLastStatics(
+            tang=node_last(self.tangents()), a=node_last(self.ambient_a),
+            gamma=node_last(self.ambient_gamma), n=node_last(self.n),
+            n_deriv=node_last(self.n_deriv), b=node_last(self.b),
+            g_inv=node_last(self.g_inv), gamma_surface=node_last(self.gamma_surface),
+        )
 
-def _normal_field(metric, y, y1, y2):
-    a = metric.metric(y)
+
+def _normal_field(a, y1, y2):
+    """Unit normal (N, 3) in the metric ``a`` (N, 3, 3) of the tangents."""
     cross = np.cross(y1, y2)
     n = np.linalg.solve(a, cross[..., None])[..., 0]
-    nn = np.einsum("nab,na,nb->n", a, n, n)
+    n_l = node_last(n)
+    nn = np.einsum("abn,an,bn->n", node_last(a), n_l, n_l)
     if np.any(nn <= 0):
         raise GeometryError("degenerate tangent plane: zero normal")
     return n / np.sqrt(nn)[:, None]
@@ -146,21 +177,24 @@ def raw_fundamental_forms(grid, metric, y, y1=None, y2=None):
         y1 = d1 if y1 is None else y1
         y2 = d2 if y2 is None else y2
     a = metric.metric(y)
-    n = _normal_field(metric, y, y1, y2)
+    n = _normal_field(a, y1, y2)
     tang = np.stack([y1, y2], axis=-1)
-    g = np.einsum("nab,nai,nbj->nij", a, tang, tang)
+    a_l, tang_l = node_last(a), node_last(tang)
+    g = np.einsum("abn,ain,bjn->ijn", a_l, tang_l, tang_l)
     ch = christoffel_at(metric, y)
     n_deriv = np.stack(grid.grad(n), axis=-1)  # (N, 3, 2)
     # D*_j n = dn/dx_j + Gamma(y)(y_,j, n)
-    dstar_n = n_deriv + np.einsum("ngab,naj,nb->ngj", ch.gamma_upper, tang, n)
-    b = -np.einsum("nab,nai,nbj->nij", a, tang, dstar_n)
-    g_det = g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0]
-    b_det = b[:, 0, 0] * b[:, 1, 1] - b[:, 0, 1] * b[:, 1, 0]
-    h = 0.5 * np.einsum("nij,nij->n", np.linalg.inv(g), 0.5 * (b + np.swapaxes(b, 1, 2)))
+    dstar_n = node_last(n_deriv) + np.einsum(
+        "gabn,ajn,bn->gjn", node_last(ch.gamma_upper), tang_l, node_last(n))
+    b = -np.einsum("abn,ain,bjn->ijn", a_l, tang_l, dstar_n)
+    g_det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
+    b_det = b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0]
+    g_inv = node_last(np.linalg.inv(node_first(g)))
+    h = 0.5 * np.einsum("ijn,ijn->n", g_inv, 0.5 * (b + np.swapaxes(b, 0, 1)))
     return {
-        "a": a, "n": n, "n_deriv": n_deriv, "tang": tang, "g": g, "b": b,
-        "g_det": g_det, "b_det": b_det, "H": h, "K": b_det / g_det,
-        "gamma_ambient": ch.gamma_upper,
+        "a": a, "n": n, "n_deriv": n_deriv, "tang": tang, "g": node_first(g),
+        "b": node_first(b), "g_det": g_det, "b_det": b_det, "H": h,
+        "K": b_det / g_det, "gamma_ambient": ch.gamma_upper,
     }
 
 
@@ -171,14 +205,12 @@ def gauss_curvature_of(grid, metric, y, y1=None, y2=None):
 
 
 def _surface_christoffels(grid, g, g_inv):
-    dg = np.stack(grid.grad(g), axis=-1)  # (N, i, j, k) = d_k g_ij
+    """Gamma^k_{ij} of the first form, node-last (k, i, j, N), from node-last
+    g and g_inv."""
+    dg = node_last(np.stack(grid.grad(node_first(g)), axis=-1))  # (i, j, k, N) = d_k g_ij
     # Gamma_{ij,l} = 0.5 (d_i g_{jl} + d_j g_{il} - d_l g_{ij})
-    low = 0.5 * (
-        np.einsum("njli->nijl", dg)
-        + np.einsum("nilj->nijl", dg)
-        - dg
-    )
-    return np.einsum("nkl,nijl->nkij", g_inv, low)
+    low = 0.5 * (np.transpose(dg, (2, 0, 1, 3)) + np.transpose(dg, (0, 2, 1, 3)) - dg)
+    return np.einsum("kln,ijln->kijn", g_inv, low)
 
 
 def build_surface(immersion: Immersion, metric: AmbientMetric, grid: DiskGrid,
@@ -190,33 +222,35 @@ def build_surface(immersion: Immersion, metric: AmbientMetric, grid: DiskGrid,
     y2 = jac[..., 1]
 
     a = metric.metric(y)
-    n = _normal_field(metric, y, y1, y2)
-    tang = np.stack([y1, y2], axis=-1)
-    g = np.einsum("nab,nai,nbj->nij", a, tang, tang)
-    g_det = g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0]
+    n = _normal_field(a, y1, y2)
+    tang = node_last(np.stack([y1, y2], axis=-1))
+    a_l = node_last(a)
+    g = np.einsum("abn,ain,bjn->ijn", a_l, tang, tang)
+    g_det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
     if validate and np.any(g_det <= 0):
         node = int(np.argmax(g_det <= 0))
         raise GeometryError(f"first fundamental form degenerate at node {node}")
-    g_inv = np.linalg.inv(g)
+    g_inv = node_last(np.linalg.inv(node_first(g)))
 
     ch = christoffel_at(metric, y)
-    n_deriv = np.stack(grid.grad(n), axis=-1)
-    dstar_n = n_deriv + np.einsum("ngab,naj,nb->ngj", ch.gamma_upper, tang, n)
-    b = -np.einsum("nab,nai,nbj->nij", a, tang, dstar_n)
-    h = 0.5 * np.einsum("nij,nij->n", g_inv, b)
+    n_deriv = node_last(np.stack(grid.grad(n), axis=-1))
+    dstar_n = n_deriv + np.einsum(
+        "gabn,ajn,bn->gjn", node_last(ch.gamma_upper), tang, node_last(n))
+    b = -np.einsum("abn,ain,bjn->ijn", a_l, tang, dstar_n)
+    h = 0.5 * np.einsum("ijn,ijn->n", g_inv, b)
     if np.mean(h) < 0:
         n = -n
         n_deriv = -n_deriv
         b = -b
         h = -h
-    b_det = b[:, 0, 0] * b[:, 1, 1] - b[:, 0, 1] * b[:, 1, 0]
-    v = 0.5 * (b[:, 0, 0] + b[:, 1, 1])
+    b_det = b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0]
+    v = 0.5 * (b[0, 0] + b[1, 1])
 
     if validate:
         if np.any(h <= 0):
             node = int(np.argmax(h <= 0))
             raise GeometryError(f"mean curvature not strictly positive at node {node}")
-        bad = (b[:, 0, 0] <= 0) | (b_det <= 0)
+        bad = (b[0, 0] <= 0) | (b_det <= 0)
         if np.any(bad):
             node = int(np.argmax(bad))
             raise GeometryError(
@@ -225,9 +259,7 @@ def build_surface(immersion: Immersion, metric: AmbientMetric, grid: DiskGrid,
             )
     scale = float(np.max(np.abs(v)))
     ci_res = float(
-        np.max(
-            np.maximum(np.abs(b[:, 0, 0] - b[:, 1, 1]), np.abs(b[:, 0, 1]))
-        )
+        np.max(np.maximum(np.abs(b[0, 0] - b[1, 1]), np.abs(b[0, 1])))
     ) / max(scale, 1e-300)
     if validate and ci_res > ci_tol:
         raise CoordinateError(
@@ -238,9 +270,10 @@ def build_surface(immersion: Immersion, metric: AmbientMetric, grid: DiskGrid,
     gamma_surface = _surface_christoffels(grid, g, g_inv)
     return SurfaceState(
         grid=grid, metric=metric, y=y, y1=y1, y2=y2, n=n,
-        n_deriv=n_deriv, g=g, g_inv=g_inv, g_det=g_det, b=b, b_det=b_det,
-        V=v, K=b_det / g_det, H=h, gamma_surface=gamma_surface,
-        ambient_gamma=ch.gamma_upper, ambient_a=a, ci_residual=ci_res,
+        n_deriv=node_first(n_deriv), g=node_first(g), g_inv=node_first(g_inv),
+        g_det=g_det, b=node_first(b), b_det=b_det, V=v, K=b_det / g_det, H=h,
+        gamma_surface=node_first(gamma_surface), ambient_gamma=ch.gamma_upper,
+        ambient_a=a, ci_residual=ci_res,
     )
 
 

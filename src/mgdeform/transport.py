@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._contract import contract
+from ._contract import node_first, node_last
 from .errors import EmptyHistoryError, MgError
 from .metrics import AmbientMetric, christoffel_at
 
@@ -84,11 +84,13 @@ class TransportHistory:
         (the rate that left it) and (tau_M + dt, z_new, zdot) is appended.
 
         Intervals 0..M-2 are unchanged, so the extended history starts from
-        this history's cached prefix and integrates interval M-1 once.
+        this history's cached prefix and integrates interval M-1 once.  The
+        new time counts whole steps from tau_0, so it does not drift by
+        repeated addition.
         """
         zdot = np.asarray(zdot, dtype=float)
         child = TransportHistory(
-            np.append(self.tau, self.tau[-1] + dt),
+            np.append(self.tau, self.tau[0] + (self.n_steps + 1) * dt),
             np.concatenate([self.z, np.asarray(z_new, dtype=float)[None]], axis=0),
             np.concatenate([self.zdot[:-1], zdot[None], zdot[None]], axis=0),
         )
@@ -129,12 +131,12 @@ def history_from_path(path_fn, rate_fn, t, n_steps, n_points=1):
 
 
 def _gamma_zdot(metric, y0, z, zdot):
-    """Matrix G[n, g, b] = Gamma^g_{ab}(y0 + z) zdot^a."""
+    """Matrix G[g, b, n] = Gamma^g_{ab}(y0 + z) zdot^a, node-last."""
     if metric.is_flat():
-        return np.zeros(z.shape[:-1] + (3, 3))
+        return np.zeros((3, 3) + z.shape[:-1])
     pts = np.asarray(y0, dtype=float) + z
-    ch = christoffel_at(metric, pts)
-    return contract("ngab,na->ngb", ch.gamma_upper, zdot)
+    gamma = node_last(christoffel_at(metric, pts).gamma_upper)
+    return np.einsum("gabn,an->gbn", gamma, node_last(zdot))
 
 
 def _stage_fractions(substeps):
@@ -143,7 +145,8 @@ def _stage_fractions(substeps):
 
 
 def _interval_gammas(metric, y0, history, m, fractions, g_start=None, g_end=None):
-    """G = Gamma zdot along interval m at ``fractions``, end values reused.
+    """Node-last G = Gamma zdot along interval m at ``fractions``, end values
+    reused.
 
     Hermite interpolation is exact at s = 0 and 1, so an end value taken over
     from the neighbouring interval or a sample is bit-identical.
@@ -162,16 +165,16 @@ def _interval_gammas(metric, y0, history, m, fractions, g_start=None, g_end=None
 
 def _rk4_step(g0, g_half, g1, a, h, sign):
     """One classical RK4 step of dA = sign G A with G at start, middle, end."""
-    k1 = sign * contract("ngb,nbk->ngk", g0, a)
-    k2 = sign * contract("ngb,nbk->ngk", g_half, a + 0.5 * h * k1)
-    k3 = sign * contract("ngb,nbk->ngk", g_half, a + 0.5 * h * k2)
-    k4 = sign * contract("ngb,nbk->ngk", g1, a + h * k3)
+    k1 = sign * np.einsum("gbn,bkn->gkn", g0, a)
+    k2 = sign * np.einsum("gbn,bkn->gkn", g_half, a + 0.5 * h * k1)
+    k3 = sign * np.einsum("gbn,bkn->gkn", g_half, a + 0.5 * h * k2)
+    k4 = sign * np.einsum("gbn,bkn->gkn", g1, a + h * k3)
     return a + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 def _interval_step(gs, a, h, direction):
-    """Carry ``a`` (n, 3, k) across one interval; ``gs`` holds G at the
-    stage fractions, ``h`` is the substep length."""
+    """Carry ``a`` (3, k, n) across one interval, all node-last; ``gs``
+    holds G at the stage fractions, ``h`` is the substep length."""
     last = len(gs) - 1
     for q in range(last // 2):
         if direction == "forward":
@@ -202,10 +205,9 @@ def transport_tensor_ode(metric: AmbientMetric, y0, history: TransportHistory, s
     y0 = np.asarray(y0, dtype=float)
     a = np.array(seed, dtype=float)
     vec_mode = a.ndim == 2
-    if vec_mode:
-        a = a[..., None]
     if history.n_steps == 0 or metric.is_flat():
-        return a[..., 0] if vec_mode else a
+        return a
+    a = node_last(a[..., None] if vec_mode else a)
 
     fractions = _stage_fractions(substeps)
     backward = direction == "backward"
@@ -220,6 +222,7 @@ def transport_tensor_ode(metric: AmbientMetric, y0, history: TransportHistory, s
             gs = _interval_gammas(metric, y0, history, m, fractions, g_start=shared)
             shared = gs[-1]
         a = _interval_step(gs, a, h, direction)
+    a = node_first(a)
     return a[..., 0] if vec_mode else a
 
 
@@ -253,18 +256,20 @@ class Propagator:
         """The propagator over one more interval of ``history``."""
         m = self.k
         gs = _interval_gammas(self.metric, self.y0, history, m,
-                              _stage_fractions(self.substeps), g_start=self.g_end)
+                              _stage_fractions(self.substeps),
+                              g_start=node_last(self.g_end))
         dt = history.tau[m + 1] - history.tau[m]
         h = dt / self.substeps
-        eye = np.broadcast_to(np.eye(3), self.backward.shape)
+        eye = node_last(np.broadcast_to(np.eye(3), self.backward.shape))
         r_back = _interval_step(gs, eye, h, "backward")
         r_fwd = _interval_step(gs, eye, h, "forward")
+        backward = np.einsum("gbn,bkn->gkn", node_last(self.backward), r_back)
+        forward = np.einsum("gbn,bkn->gkn", r_fwd, node_last(self.forward))
+        integral = node_last(self.integral) + 0.5 * dt * (gs[0] + gs[-1])
         return _frozen_propagator(
             self.metric, self.y0, self.substeps, m + 1,
-            backward=self.backward @ r_back,
-            forward=r_fwd @ self.forward,
-            integral=self.integral + 0.5 * dt * (gs[0] + gs[-1]),
-            g_end=gs[-1],
+            backward=node_first(backward), forward=node_first(forward),
+            integral=node_first(integral), g_end=node_first(gs[-1]),
         )
 
 
@@ -309,7 +314,8 @@ def transport_propagator(metric: AmbientMetric, y0, history: TransportHistory,
     if entry is None or not entry.matches(metric, y0, substeps):
         g0 = _gamma_zdot(metric, y0, history.z[0], history.zdot[0])
         entry = _frozen_propagator(metric, y0, substeps, 0, backward=eye, forward=eye,
-                                   integral=np.zeros((n, 3, 3)), g_end=g0)
+                                   integral=node_first(np.zeros((3, 3, n))),
+                                   g_end=node_first(g0))
     while entry.k < history.n_steps - 1:
         entry = entry.extended(history)
     history._prefix.entry = entry
@@ -355,7 +361,7 @@ def transport_series_terms(metric: AmbientMetric, y0, history: TransportHistory,
         return [np.zeros((n, 3, 3)) for _ in range(k_max)]
     dt = history.tau[1] - history.tau[0]
     g_samples = np.stack(
-        [_gamma_zdot(metric, y0, history.z[m], history.zdot[m])
+        [node_first(_gamma_zdot(metric, y0, history.z[m], history.zdot[m]))
          for m in range(history.tau.size)]
     )  # (M+1, n, 3, 3)
     terms = []
@@ -395,16 +401,16 @@ def transport_normal(metric: AmbientMetric, y0, history: TransportHistory,
     y0 = np.asarray(y0, dtype=float)
     n0 = np.asarray(n0, dtype=float)
     prop = transport_propagator(metric, y0, history)
-    mfwd = prop.forward
-    n_t = np.einsum("ngb,nb->ng", mfwd, n0)
-    a1_mat = -prop.integral
-    a1_vec = n_t - n0
-    a2_vec = a1_vec - np.einsum("ngb,nb->ng", a1_mat, n0)
-    pts = y0 + history.z[-1]
-    a_t = metric.metric(pts)
-    norm = np.sqrt(np.einsum("nab,na,nb->n", a_t, n_t, n_t))
-    return NormalTransport(n_t=n_t, a1_vec=a1_vec, a2_vec=a2_vec,
-                           a1_mat=a1_mat, norm=norm, forward_matrix=mfwd)
+    n0_l = node_last(n0)
+    n_t = np.einsum("gbn,bn->gn", node_last(prop.forward), n0_l)
+    a1_mat = -node_last(prop.integral)
+    a1_vec = n_t - n0_l
+    a2_vec = a1_vec - np.einsum("gbn,bn->gn", a1_mat, n0_l)
+    a_t = node_last(metric.metric(y0 + history.z[-1]))
+    norm = np.sqrt(np.einsum("abn,an,bn->n", a_t, n_t, n_t))
+    return NormalTransport(n_t=node_first(n_t), a1_vec=node_first(a1_vec),
+                           a2_vec=node_first(a2_vec), a1_mat=node_first(a1_mat),
+                           norm=norm, forward_matrix=prop.forward)
 
 
 def path_norms(metric, y0, history):

@@ -1,23 +1,39 @@
-import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mgdeform._contract import _path, contract
+from mgdeform._contract import node_first, node_last
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "mgdeform"
+SOURCE = "".join(path.read_text() for path in SRC.glob("*.py"))
+
+# each per-node contraction of the flow step, in its node-first reading, and
+# the node-last subscripts the kernels run it with
+NODE_LAST = {
+    "...gm,...abm->...gab": "gmp,abmp->gabp",
+    "nab,nai,nb->ni": "abn,ain,bn->in",
+    "nab,nai,nbj->nij": "abn,ain,bjn->ijn",
+    "nabs,nb->nas": "absn,bn->asn",
+    "nag,ngj->naj": "agn,gjn->ajn",
+    "nas,nsi->nai": "asn,sin->ain",
+    "nbmt,nmj,nt->nbj": "bmtn,mjn,tn->bjn",
+    "nbs,nsj->nbj": "bsn,sjn->bjn",
+    "nbsj,ns->nbj": "bsjn,sn->bjn",
+    "ngab,na->ngb": "gabn,an->gbn",
+    "ngab,naj,nb->ngj": "gabn,ajn,bn->gjn",
+    "ngb,nbk->ngk": "gbn,bkn->gkn",
+    "nji,nsj->nsi": "jin,sjn->sin",
+    "njk,nkl->njl": "jkn,kln->jln",
+    "njl,nsl->nsj": "jln,sln->sjn",
+    "njpi,np,nsj->nsi": "jpin,pn,sjn->sin",
+    "nki,njk->nij": "kin,jkn->ijn",
+    "nki,nsk->nsi": "kin,skn->sin",
+}
 
 
-def _served_subscripts():
-    """Every subscript string the package passes to ``contract``."""
-    found = set()
-    for path in SRC.glob("*.py"):
-        found.update(re.findall(r'contract\("([^"]+)"', path.read_text()))
-    return sorted(found)
-
-
-SERVED = _served_subscripts()
+def _served(subscripts):
+    return f'np.einsum("{subscripts}"' in SOURCE
 
 
 def _operands(subscripts, rng, n=37):
@@ -34,27 +50,20 @@ def _operands(subscripts, rng, n=37):
 
 
 def test_contract_serves_the_hot_paths():
-    assert "nab,nai,nbj->nij" in SERVED
-    assert "nbmt,nmj,nt->nbj" in SERVED
-    assert "ngab,naj,nb->ngj" in SERVED
+    assert _served("abn,ain,bjn->ijn")
+    assert _served("bmtn,mjn,tn->bjn")
+    assert _served("gabn,ajn,bn->gjn")
 
 
-@pytest.mark.parametrize("subscripts", SERVED)
+@pytest.mark.parametrize("subscripts", sorted(NODE_LAST))
 def test_contract_matches_plain_einsum(subscripts):
+    # the node-last contraction a kernel runs, handed back through
+    # node_first, equals the node-first einsum it replaces
+    last = NODE_LAST[subscripts]
+    assert _served(last)
     rng = np.random.default_rng(11)
     ops = _operands(subscripts, rng)
     expect = np.einsum(subscripts, *ops)
-    got = contract(subscripts, *ops)
+    got = node_first(np.einsum(last, *[node_last(op) for op in ops]))
     assert got.shape == expect.shape
     assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
-
-
-def test_contract_path_found_once_per_shape():
-    rng = np.random.default_rng(5)
-    ops = _operands("nab,nai,nbj->nij", rng, n=29)
-    contract("nab,nai,nbj->nij", *ops)
-    before = _path.cache_info()
-    contract("nab,nai,nbj->nij", *ops)
-    after = _path.cache_info()
-    assert after.hits == before.hits + 1
-    assert after.misses == before.misses

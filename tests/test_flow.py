@@ -210,12 +210,20 @@ def test_curved_metric_flow_meets_acceptance_bounds(monkeypatch):
 
 def test_state_fields_differentiated_once_per_step(flat_cap, monkeypatch):
     # a state takes z_,i, d_i a^j and c_,i once; every assembly of the step
-    # (cdot sweeps, variations, rates, monitors) reads the cached fields
+    # (cdot sweeps, variations, rates, monitors) reads the cached fields, and
+    # the rates of each assembler iterate are differentiated once, by the
+    # cdot solve, whose d_i adot^j the rate assembly reads
     metric, surf = flat_cap
     boundary = BoundarySpec(winding=1, gamma_kind="harmonic", epsilon=1e-3, mode=1)
     state = init_flow(metric, surf, boundary, FlowConfig(t_final=0.005, dt=0.005))
     args = []
     real_grad = DiskGrid.grad
+    iterates = []
+    real_solve = flow.solve_cdot
+
+    def recording_solve(surface, coeff_fn, a1, a2, a1dot, a2dot, *rest, **kwargs):
+        iterates.append((a1dot, a2dot))
+        return real_solve(surface, coeff_fn, a1, a2, a1dot, a2dot, *rest, **kwargs)
 
     def recording_grad(self, f):
         args.append(f)   # held, so no two recorded arrays share an address
@@ -226,9 +234,25 @@ def test_state_fields_differentiated_once_per_step(flat_cap, monkeypatch):
         return a.__array_interface__["data"][0], a.shape, a.strides
 
     monkeypatch.setattr(DiskGrid, "grad", recording_grad)
+    monkeypatch.setattr(flow, "solve_cdot", recording_solve)
     before = state.deform
     step(state)
     seen = Counter(key(a) for a in args)
     for deform in (before, state.deform):
         for name in ("a1", "a2", "c", "z"):
             assert seen[key(getattr(deform, name))] <= 1, name
+    assert iterates
+    for a1dot, a2dot in iterates:
+        assert seen[key(a1dot)] == 1
+        assert seen[key(a2dot)] == 1
+
+
+def test_history_times_count_whole_steps(flat_cap):
+    # the history's sample times are k dt exactly, like the step clock
+    metric, surf = flat_cap
+    boundary = BoundarySpec(winding=1, gamma_kind="harmonic", epsilon=1e-3, mode=1)
+    state = init_flow(metric, surf, boundary, FlowConfig(t_final=0.05, dt=0.005))
+    run_flow(state)
+    history = state.deform.history
+    assert np.array_equal(history.tau, np.arange(11) * 0.005)
+    assert history.t_final == state.deform.t == 0.05

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mgdeform import metrics, transport
-from mgdeform._contract import contract
+from mgdeform._contract import node_first, node_last
 from mgdeform.errors import EmptyHistoryError, MgError
 from mgdeform.grid import DiskGrid
 from mgdeform.metrics import FlatMetric, conformal_linear_metric, conformal_radial_metric
@@ -171,8 +171,9 @@ def christoffel_calls(monkeypatch):
 
 
 def _per_stage_rk4(metric, y0, history, seed, direction):
-    """Textbook RK4 evaluating Gamma zdot afresh at each of the 4 stages."""
-    a = np.array(seed, dtype=float)
+    """Textbook RK4 evaluating Gamma zdot afresh at each of the 4 stages,
+    with the propagator's node-last stage product."""
+    a = node_last(np.array(seed, dtype=float))
     n = history.n_steps
     backward = direction == "backward"
     sign = 1.0 if backward else -1.0
@@ -180,8 +181,8 @@ def _per_stage_rk4(metric, y0, history, seed, direction):
     def rhs(m, s, val):
         z, zd = history.hermite(m, s)
         ch = metrics.christoffel_at(metric, y0 + z)
-        g = contract("ngab,na->ngb", ch.gamma_upper, zd)
-        return sign * contract("ngb,nbk->ngk", g, val)
+        g = np.einsum("gabn,an->gbn", node_last(ch.gamma_upper), node_last(zd))
+        return sign * np.einsum("gbn,bkn->gkn", g, val)
 
     for m in (range(n - 1, -1, -1) if backward else range(n)):
         s0, s1 = (1.0, 0.0) if backward else (0.0, 1.0)
@@ -191,7 +192,7 @@ def _per_stage_rk4(metric, y0, history, seed, direction):
         k3 = rhs(m, 0.5, a + 0.5 * h * k2)
         k4 = rhs(m, s1, a + h * k3)
         a = a + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return a
+    return node_first(a)
 
 
 def test_ode_evaluates_each_stage_point_once(christoffel_calls):
@@ -261,7 +262,7 @@ def test_cached_propagator_matches_full_recomputation(curved_cap, christoffel_ca
             z_new = hist.z[-1] + 0.005 * rate(seed)
             hist = hist.advance(0.005, z_new, rate(seed))
             assert np.array_equal(hist.tau[:-1], old.tau)
-            assert hist.tau[-1] == old.tau[-1] + 0.005
+            assert hist.tau[-1] == (old.n_steps + 1) * 0.005   # whole steps from tau_0 = 0
             assert np.array_equal(hist.zdot[-2], hist.zdot[-1])
             assert np.array_equal(hist.zdot[:-2], old.zdot[:-1])
         christoffel_calls.clear()
