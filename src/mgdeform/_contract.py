@@ -12,7 +12,8 @@ The per-node kernels (kpres, gdef, transport, metrics, surface) therefore
 take ``node_last`` of their inputs on entry, contract in that layout, and
 hand their results out through ``node_first``: an (N, ...) view of the
 node-last array, so every public field keeps its (N, ...) form and a later
-``node_last`` of it is free.
+``node_last`` of it is free.  ``SurfaceState`` stores every tensor that
+way, once, so the kernels read ``node_last(surface.<field>)`` at no cost.
 """
 
 from __future__ import annotations

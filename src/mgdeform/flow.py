@@ -22,6 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ._contract import node_last
 from .cdot import PathIntegrator, solve_cdot
 from .errors import MgError
 from .gdef import (
@@ -44,6 +45,7 @@ from .vekua import (
     boundary_data,
     bvp_solve,
     canonicalize,
+    point_pin,
     solve_family,
 )
 
@@ -114,40 +116,6 @@ class FlowConfig:
                 raise MgError(f"{name} must be at least 1, got {getattr(self, name)}")
 
 
-@dataclass
-class ProjectionResult:
-    params: np.ndarray
-    dimension_before: int
-    dimension_after: int
-    rank: int
-    point_residual: float
-    point_matrix: np.ndarray   # (2, nb): Re and Im of each basis member at x0
-
-
-def project_parameters(family):
-    """Impose w(x0) = 0 at the center x0 (node 0) on the affine family;
-    least-norm representative."""
-    nb = len(family.basis)
-    if nb == 0:
-        val = family.w[0]
-        return ProjectionResult(
-            params=np.zeros(0), dimension_before=0, dimension_after=0,
-            rank=0, point_residual=float(abs(val)), point_matrix=np.empty((2, 0)),
-        )
-    mat = np.empty((2, nb))
-    for i, b in enumerate(family.basis):
-        mat[0, i] = b[0].real
-        mat[1, i] = b[0].imag
-    rhs = -np.array([family.w[0].real, family.w[0].imag])
-    params, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
-    rank = int(np.linalg.matrix_rank(mat, tol=1e-12 * max(1.0, np.abs(mat).max())))
-    resid = float(np.linalg.norm(mat @ params - rhs))
-    return ProjectionResult(
-        params=params, dimension_before=nb, dimension_after=nb - rank,
-        rank=rank, point_residual=resid, point_matrix=mat,
-    )
-
-
 # -- per-step bookkeeping ------------------------------------------------------
 
 @dataclass
@@ -166,10 +134,7 @@ class FlowStatics:
     n: int
     ring_perm: np.ndarray
     integ: PathIntegrator
-    # linear-response basis pin and its point matrix at the center (None
-    # for n < 0)
-    pin: PointPin | None
-    projection: ProjectionResult | None
+    pin: PointPin | None       # linear-response basis pin (None for n < 0)
     k_base: np.ndarray         # rebuild-oracle curvature of the undeformed surface
 
 
@@ -246,17 +211,16 @@ def _build_statics(state: FlowState) -> FlowStatics:
         grid=grid, lam=lam, phi=np.zeros(grid.n_theta), A=a_field, B=b_field,
         e0_point=e0_point, e0_weight=e0_weight, e_swap=True,
     )
-    pin = proj = None
+    pin = None
     if sym.n >= 0:
         # A, B, E and the symbol are fixed over the flow, so the linear
         # response of each family member is solved once, here
         family, _ = solve_family(problem, tol=cfg.tol_bvp, max_iter=cfg.max_iter_bvp,
                                  mode="auto", sym=sym)
-        proj = project_parameters(family)
-        pin = PointPin(basis=family.basis, pinv=np.linalg.pinv(proj.point_matrix))
+        pin = point_pin(family.basis)
     return FlowStatics(
         eq=eq, problem=problem, sym=sym, n=sym.n, ring_perm=ring_perm,
-        integ=PathIntegrator(grid), pin=pin, projection=proj,
+        integ=PathIntegrator(grid), pin=pin,
         k_base=gauss_curvature_of(grid, state.metric, surface.y),
     )
 
@@ -343,7 +307,7 @@ def step(state: FlowState):
     final = bvp_solve(problem, assembler, tol=cfg.tol_bvp, max_iter=cfg.max_iter_bvp,
                       pin=st.pin, mode="auto", sym=st.sym)
     dim_before = st.sym.family_size
-    dim_after = dim_before - (st.projection.rank if st.projection else 0)
+    dim_after = dim_before - (st.pin.rank if st.pin else 0)
 
     # bvp_solve's last assembler call is at the returned iterate, so the
     # cached cdot/kpres pieces already belong to final.w
@@ -366,12 +330,11 @@ def step(state: FlowState):
     dk_oracle = float(np.max(np.abs(k_def - st.k_base))) / k_scale
     g_res_fields = gdef_normal_residual(metric, surface, deform_new)
     g_res = float(np.max(np.abs(g_res_fields)))
-    theta = grid.boundary_theta
-    v_field = np.einsum(
-        "ni,nsi->ns", state.boundary.l_field(theta), surface.tangents()[grid.boundary_idx]
-    )
-    lhs = np.einsum("nab,na,nb->n", surface.ambient_a[grid.boundary_idx],
-                    z_new[grid.boundary_idx], v_field)
+    theta, bidx = grid.boundary_theta, grid.boundary_idx
+    v_field = np.einsum("in,sin->sn", node_last(state.boundary.l_field(theta)),
+                        node_last(surface.tang)[..., bidx])
+    lhs = np.einsum("abn,an,bn->n", node_last(surface.ambient_a)[..., bidx],
+                    node_last(z_new[bidx]), v_field)
     gamma_target = state.boundary.gamma(theta, t_new)
     b_res = float(np.max(np.abs(lhs - gamma_target)))
     z_x0 = float(np.linalg.norm(z_new[0]))

@@ -160,14 +160,15 @@ def assemble_coefficients(metric: AmbientMetric, surface: SurfaceState,
     """
     hist = history if history is not None else deform.history
     prop = transport_propagator(metric, surface.y, hist)
-    st = surface.nl_statics
-    tang, n, a0 = st.tang, st.n, st.a           # (3, 2, N), (3, N), (3, 3, N)
+    tang, n = node_last(surface.tang), node_last(surface.n)    # (3, 2, N), (3, N)
+    a0 = node_last(surface.ambient_a)                          # (3, 3, N)
     s1 = node_last(prop.backward) - np.eye(3)[:, :, None]
     a1_term = node_last(prop.integral)
     s2 = s1 - a1_term
 
     # Gamma(0)(., z): gz[a, s] = Gamma^a_{b s} z^b
-    gz = np.einsum("absn,bn->asn", st.gamma, node_last(deform.z))
+    gz = np.einsum("absn,bn->asn", node_last(surface.ambient_gamma),
+                   node_last(deform.z))
     m1_core = a1_term - gz
     s3 = np.einsum("asn,sin->ain", m1_core + s2, tang)
 
@@ -176,7 +177,8 @@ def assemble_coefficients(metric: AmbientMetric, surface: SurfaceState,
     bracket = node_last(deform.dz) - np.einsum("jin,sjn->sin", da, tang)
     # surface-Christoffel drag term Gamma^j_{pi} a^p y_,j
     a_vec = np.stack([deform.a1, deform.a2])
-    surf_term = np.einsum("jpin,pn,sjn->sin", st.gamma_surface, a_vec, tang)
+    surf_term = np.einsum("jpin,pn,sjn->sin", node_last(surface.gamma_surface),
+                          a_vec, tang)
     c_n = n[:, None, :] * node_last(deform.dc)[None, :, :]
     s4 = s3 + np.einsum("asn,sin->ain", s1, bracket - c_n - surf_term)
     s5 = s4 + np.einsum("asn,sin->ain", s1, surf_term)
@@ -223,10 +225,10 @@ def gdef_normal_residual(metric: AmbientMetric, surface: SurfaceState,
     carried by parallel transport (the defining property of the flow).
     """
     mback = transport_propagator(metric, surface.y, deform.history, substeps).backward
-    st = surface.nl_statics
-    seed = st.tang + node_last(deform.dz)          # y_,i + z_,i as (3, 2, N)
+    seed = node_last(surface.tang) + node_last(deform.dz)   # y_,i + z_,i as (3, 2, N)
     back = np.einsum("abn,bin->ain", node_last(mback), seed)
-    return node_first(np.einsum("abn,ain,bn->in", st.a, back, st.n))
+    a0, n = node_last(surface.ambient_a), node_last(surface.n)
+    return node_first(np.einsum("abn,ain,bn->in", a0, back, n))
 
 
 def norm_chain_report(coeffs: GDefCoefficients):

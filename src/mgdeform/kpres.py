@@ -92,14 +92,13 @@ class EquationCoefficients:
 
 def delta_g(metric: AmbientMetric, surface: SurfaceState, z, z1, z2, c) -> GVariation:
     """First-form variation, no linearization in z."""
-    st = surface.nl_statics
-    tang, a0 = st.tang, st.a
+    tang, a0 = node_last(surface.tang), node_last(surface.ambient_a)
     zder = node_last(np.stack([z1, z2], axis=-1))   # (3, 2, N)
     pts = surface.y + z
     a_t = node_last(metric.metric(pts))
     z_l = node_last(z)
     da0z = np.einsum("absn,sn->abn", node_last(metric.dmetric(surface.y)), z_l)
-    gz = np.einsum("agsn,sn->agn", st.gamma, z_l)
+    gz = np.einsum("agsn,sn->agn", node_last(surface.ambient_gamma), z_l)
     dstar_z = zder + np.einsum("agn,gjn->ajn", gz, tang)
 
     lead = _form_product(a0, tang, dstar_z)
@@ -108,7 +107,7 @@ def delta_g(metric: AmbientMetric, surface: SurfaceState, z, z1, z2, c) -> GVari
     quad = _form_product(a_t, zder, zder)
     dg_ij = _sym(lead) + mid + _sym(cross) + quad
 
-    g_inv = st.g_inv
+    g_inv = node_last(surface.g_inv)
     w1 = _gtrace(g_inv, mid) + 2.0 * _gtrace(g_inv, cross) + _gtrace(g_inv, quad)
     w2 = dg_ij[0, 0] * dg_ij[1, 1] - dg_ij[0, 1] ** 2
     dg = surface.g_det * _gtrace(g_inv, dg_ij) + w2
@@ -118,7 +117,7 @@ def delta_g(metric: AmbientMetric, surface: SurfaceState, z, z1, z2, c) -> GVari
 
 def delta_g_direct(metric, surface, z, z1, z2):
     """Reference: recompute the displaced first form and subtract."""
-    tang_t = surface.tangents() + np.stack([z1, z2], axis=-1)
+    tang_t = surface.tang + np.stack([z1, z2], axis=-1)
     a_t = metric.metric(surface.y + z)
     return np.einsum("nab,nai,nbj->nij", a_t, tang_t, tang_t) - surface.g
 
@@ -127,8 +126,9 @@ def delta_b(metric: AmbientMetric, surface: SurfaceState, deform: DeformationSta
             fwd: NormalTransport, gvar: GVariation) -> BVariation:
     """Second-form variation via the carried-normal cascade."""
     grid = surface.grid
-    st = surface.nl_statics
-    tang, n0, a0, gamma0 = st.tang, st.n, st.a, st.gamma
+    tang, n0 = node_last(surface.tang), node_last(surface.n)
+    a0, gamma0 = node_last(surface.ambient_a), node_last(surface.ambient_gamma)
+    b0 = node_last(surface.b)
     zder = node_last(deform.dz)                  # (3, 2, N)
     tang_t = tang + zder
     pts = surface.y + deform.z
@@ -152,7 +152,7 @@ def delta_b(metric: AmbientMetric, surface: SurfaceState, deform: DeformationSta
     bracket = zder - da_y
     m1 = -_form_product(a_t, bracket, dstar_ntil)
 
-    bΓ = np.einsum("jkn,kln->jln", st.b, st.g_inv)
+    bΓ = np.einsum("jkn,kln->jln", b0, node_last(surface.g_inv))
     dstar_n0 = -np.einsum("jln,sln->sjn", bΓ, tang)
     m2 = (
         -_form_product(a_t, da_y, dstar_ntil)
@@ -168,7 +168,7 @@ def delta_b(metric: AmbientMetric, surface: SurfaceState, deform: DeformationSta
         return np.einsum("bmtn,mjn,tn->bjn", gamma, u, v)
 
     tails = (
-        np.einsum("bsn,sjn->bjn", a1m, st.n_deriv)
+        np.einsum("bsn,sjn->bjn", a1m, node_last(surface.n_deriv))
         + a2v_der
         + gamma_term(gamma0, tang, a1n0)
         + gamma_term(gamma0, tang, a2_vec)
@@ -184,7 +184,7 @@ def delta_b(metric: AmbientMetric, surface: SurfaceState, deform: DeformationSta
     dstar_nt = dstar_n0 + core + tails
 
     m3 = (
-        np.swapaxes(st.b, 0, 1) * ((1.0 - norm) * inv_norm)
+        np.swapaxes(b0, 0, 1) * ((1.0 - norm) * inv_norm)
         - _form_product(a0, tang, core) * inv_norm
         - _form_product(a0, tang, tails) * inv_norm
         - _form_product(a_t - a0, tang, dstar_nt) * inv_norm
@@ -192,7 +192,7 @@ def delta_b(metric: AmbientMetric, surface: SurfaceState, deform: DeformationSta
     at_y_nt = np.einsum("abn,ain,bn->in", a_t, tang, n_t)
     m4 = m2 + m3 - at_y_nt[:, None, :] * dinv[None, :, :]
 
-    db_ij = np.einsum("kin,jkn->ijn", da, st.b) + m4
+    db_ij = np.einsum("kin,jkn->ijn", da, b0) + m4
     w2b = db_ij[0, 0] * db_ij[1, 1] - db_ij[0, 1] * db_ij[1, 0]
     db = surface.V * (db_ij[0, 0] + db_ij[1, 1]) + w2b
     b_t = surface.b_det + db
@@ -249,8 +249,8 @@ def assemble_rates(metric: AmbientMetric, surface: SurfaceState,
     here when not given.
     """
     grid = surface.grid
-    st = surface.nl_statics
-    tang, a0, g_inv = st.tang, st.a, st.g_inv
+    tang, a0 = node_last(surface.tang), node_last(surface.ambient_a)
+    g_inv = node_last(surface.g_inv)
     zder = node_last(deform.dz)
     zdot_der = node_last_grad(grid, zdot)        # (3, 2, N)
     zdot_l = node_last(zdot)
@@ -268,7 +268,7 @@ def assemble_rates(metric: AmbientMetric, surface: SurfaceState,
     w1dot = (_gtrace(g_inv, t1) + 2 * _gtrace(g_inv, t2) + 2 * _gtrace(g_inv, t3)
              + _gtrace(g_inv, t4) + _gtrace(g_inv, t5) + _gtrace(g_inv, t6))
 
-    gzd = np.einsum("agsn,sn->agn", st.gamma, zdot_l)
+    gzd = np.einsum("agsn,sn->agn", node_last(surface.ambient_gamma), zdot_l)
     dstar_zdot = zdot_der + np.einsum("agn,gjn->ajn", gzd, tang)
     s_lead = _form_product(a0, tang, dstar_zdot)
     dgdot_ij = (
@@ -293,7 +293,7 @@ def assemble_rates(metric: AmbientMetric, surface: SurfaceState,
         m4dot = np.zeros((2, 2, grid.n_nodes))
     if dadot is None:
         dadot = tangential_grad(grid, a1dot, a2dot)
-    dbdot_ij = np.einsum("kin,jkn->ijn", node_last(dadot), st.b) + m4dot
+    dbdot_ij = np.einsum("kin,jkn->ijn", node_last(dadot), node_last(surface.b)) + m4dot
     db_ij = node_last(bvar.db_ij)
     w2bdot = (
         dbdot_ij[0, 0] * db_ij[1, 1]

@@ -8,9 +8,7 @@ where D* couples surface partials with ambient Christoffel contraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,33 +97,20 @@ def make_immersion(kind, params=None):
     return IMMERSION_KINDS[kind](params)
 
 
-class NodeLastStatics(NamedTuple):
-    """The static tensors the per-node kernels read, node-last."""
-
-    tang: np.ndarray           # (3, 2, N) tangents y_,i
-    a: np.ndarray              # (3, 3, N) ambient metric at y
-    gamma: np.ndarray          # (3, 3, 3, N) ambient Gamma^g_{ab}(y)
-    n: np.ndarray              # (3, N)
-    n_deriv: np.ndarray        # (3, 2, N)
-    b: np.ndarray              # (2, 2, N)
-    g_inv: np.ndarray          # (2, 2, N)
-    gamma_surface: np.ndarray  # (2, 2, 2, N)
-
-
-@dataclass
+@dataclass(frozen=True)
 class SurfaceState:
     """Immutable geometric data of the undeformed surface on the grid.
 
-    ``build_surface`` stores its computed tensors node-last behind (N, ...)
-    views, so ``nl_statics`` copies only the tangents, the ambient metric and
-    the normal.
+    Each tensor is stored once, node-last, behind its (N, ...) view, so a
+    kernel's ``node_last(surface.<field>)`` is free.  ``build_surface`` marks
+    every array read-only: the transport prefix cache is keyed by the
+    identity of ``y`` and relies on it never changing in place.
     """
 
     grid: DiskGrid
     metric: AmbientMetric
     y: np.ndarray            # (N, 3)
-    y1: np.ndarray           # (N, 3) tangent d y / d x1
-    y2: np.ndarray           # (N, 3)
+    tang: np.ndarray         # (N, 3, 2) tangents y_,i
     n: np.ndarray            # (N, 3) unit normal in the ambient metric
     n_deriv: np.ndarray      # (N, 3, 2) partial derivatives of n
     g: np.ndarray            # (N, 2, 2)
@@ -140,61 +125,61 @@ class SurfaceState:
     ambient_gamma: np.ndarray  # (N, 3, 3, 3) Gamma^g_{ab}(y)
     ambient_a: np.ndarray      # (N, 3, 3)
     ci_residual: float = 0.0
-    extras: dict = field(default_factory=dict)
 
-    def tangents(self):
-        return np.stack([self.y1, self.y2], axis=-1)  # (N, 3, 2)
+    @property
+    def y1(self):
+        """(N, 3) tangent d y / d x1, a view of ``tang``."""
+        return self.tang[..., 0]
 
-    @cached_property
-    def nl_statics(self) -> NodeLastStatics:
-        return NodeLastStatics(
-            tang=node_last(self.tangents()), a=node_last(self.ambient_a),
-            gamma=node_last(self.ambient_gamma), n=node_last(self.n),
-            n_deriv=node_last(self.n_deriv), b=node_last(self.b),
-            g_inv=node_last(self.g_inv), gamma_surface=node_last(self.gamma_surface),
-        )
-
-
-def _normal_field(a, y1, y2):
-    """Unit normal (N, 3) in the metric ``a`` (N, 3, 3) of the tangents."""
-    cross = np.cross(y1, y2)
-    n = np.linalg.solve(a, cross[..., None])[..., 0]
-    n_l = node_last(n)
-    nn = np.einsum("abn,an,bn->n", node_last(a), n_l, n_l)
-    if np.any(nn <= 0):
-        raise GeometryError("degenerate tangent plane: zero normal")
-    return n / np.sqrt(nn)[:, None]
+    @property
+    def y2(self):
+        """(N, 3) tangent d y / d x2, a view of ``tang``."""
+        return self.tang[..., 1]
 
 
 def raw_fundamental_forms(grid, metric, y, y1=None, y2=None):
-    """First/second forms of arbitrary immersion samples, no validation.
+    """Both fundamental forms of immersion samples: the one kernel behind
+    ``build_surface`` and the rebuild oracle.
 
-    Tangents default to grid differentiation of the position field; the
-    normal derivative is always grid-differentiated.  Returns a dict.
+    Without the tangents y1, y2 (give both or neither) they are taken by grid
+    differentiation of ``y``; the normal derivative always is.  No
+    orientation is chosen and nothing is validated beyond a degenerate
+    tangent plane or first form.  Returns a dict keyed by ``SurfaceState``
+    field names (``ambient_a``, ``n``, ``tang``, ``g``, ``g_inv``,
+    ``ambient_gamma``, ``n_deriv``, ``b``, ``g_det``, ``b_det``, ``H``,
+    ``K``); each tensor is the (N, ...) view of a node-last array.
     """
-    if y1 is None or y2 is None:
-        d1, d2 = grid.grad(y)
-        y1 = d1 if y1 is None else y1
-        y2 = d2 if y2 is None else y2
+    if y1 is None:
+        y1, y2 = grid.grad(y)
     a = metric.metric(y)
-    n = _normal_field(a, y1, y2)
-    tang = np.stack([y1, y2], axis=-1)
-    a_l, tang_l = node_last(a), node_last(tang)
-    g = np.einsum("abn,ain,bjn->ijn", a_l, tang_l, tang_l)
-    ch = christoffel_at(metric, y)
-    n_deriv = np.stack(grid.grad(n), axis=-1)  # (N, 3, 2)
-    # D*_j n = dn/dx_j + Gamma(y)(y_,j, n)
-    dstar_n = node_last(n_deriv) + np.einsum(
-        "gabn,ajn,bn->gjn", node_last(ch.gamma_upper), tang_l, node_last(n))
-    b = -np.einsum("abn,ain,bjn->ijn", a_l, tang_l, dstar_n)
+    # unit normal in the metric a: a^-1 (y1 x y2), normalized
+    n = np.linalg.solve(a, np.cross(y1, y2)[..., None])[..., 0]
+    a_l, n_l = node_last(a), node_last(n)
+    nn = np.einsum("abn,an,bn->n", a_l, n_l, n_l)
+    if np.any(nn <= 0):
+        raise GeometryError("degenerate tangent plane: zero normal")
+    n = n / np.sqrt(nn)[:, None]
+    n_l = node_last(n)
+    tang = node_last(np.stack([y1, y2], axis=-1))      # (3, 2, N)
+    g = np.einsum("abn,ain,bjn->ijn", a_l, tang, tang)
     g_det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-    b_det = b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0]
+    if np.any(g_det <= 0):
+        node = int(np.argmax(g_det <= 0))
+        raise GeometryError(f"first fundamental form degenerate at node {node}")
     g_inv = node_last(np.linalg.inv(node_first(g)))
-    h = 0.5 * np.einsum("ijn,ijn->n", g_inv, 0.5 * (b + np.swapaxes(b, 0, 1)))
+    ch = christoffel_at(metric, y)
+    n_deriv = node_last(np.stack(grid.grad(n), axis=-1))   # (3, 2, N)
+    # D*_j n = dn/dx_j + Gamma(y)(y_,j, n)
+    dstar_n = n_deriv + np.einsum(
+        "gabn,ajn,bn->gjn", node_last(ch.gamma_upper), tang, n_l)
+    b = -np.einsum("abn,ain,bjn->ijn", a_l, tang, dstar_n)
+    b_det = b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0]
+    h = 0.5 * np.einsum("ijn,ijn->n", g_inv, b)
     return {
-        "a": a, "n": n, "n_deriv": n_deriv, "tang": tang, "g": node_first(g),
-        "b": node_first(b), "g_det": g_det, "b_det": b_det, "H": h,
-        "K": b_det / g_det, "gamma_ambient": ch.gamma_upper,
+        "ambient_a": node_first(a_l), "n": node_first(n_l), "tang": node_first(tang),
+        "g": node_first(g), "g_inv": node_first(g_inv), "ambient_gamma": ch.gamma_upper,
+        "n_deriv": node_first(n_deriv), "b": node_first(b), "g_det": g_det,
+        "b_det": b_det, "H": h, "K": b_det / g_det,
     }
 
 
@@ -213,68 +198,59 @@ def _surface_christoffels(grid, g, g_inv):
     return np.einsum("kln,ijln->kijn", g_inv, low)
 
 
+def _ci_residual(b, v):
+    """Conjugate-isothermal residual max(|b11 - b22|, |b12|) of an (N, 2, 2)
+    second form, relative to max |V|."""
+    scale = float(np.max(np.abs(v)))
+    return float(
+        np.max(np.maximum(np.abs(b[:, 0, 0] - b[:, 1, 1]), np.abs(b[:, 0, 1])))
+    ) / max(scale, 1e-300)
+
+
 def build_surface(immersion: Immersion, metric: AmbientMetric, grid: DiskGrid,
-                  ci_tol=1e-6, validate=True) -> SurfaceState:
-    """Construct and validate the surface state on the grid."""
+                  ci_tol=1e-6) -> SurfaceState:
+    """Construct and validate the surface state on the grid.
+
+    The forms come from ``raw_fundamental_forms``; the surface adds the
+    orientation with positive mean curvature, the admissibility checks and
+    the surface Christoffels.
+    """
     y = immersion.chart(grid.x1, grid.x2)
     jac = immersion.jacobian(grid.x1, grid.x2)
-    y1 = jac[..., 0]
-    y2 = jac[..., 1]
-
-    a = metric.metric(y)
-    n = _normal_field(a, y1, y2)
-    tang = node_last(np.stack([y1, y2], axis=-1))
-    a_l = node_last(a)
-    g = np.einsum("abn,ain,bjn->ijn", a_l, tang, tang)
-    g_det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-    if validate and np.any(g_det <= 0):
-        node = int(np.argmax(g_det <= 0))
-        raise GeometryError(f"first fundamental form degenerate at node {node}")
-    g_inv = node_last(np.linalg.inv(node_first(g)))
-
-    ch = christoffel_at(metric, y)
-    n_deriv = node_last(np.stack(grid.grad(n), axis=-1))
-    dstar_n = n_deriv + np.einsum(
-        "gabn,ajn,bn->gjn", node_last(ch.gamma_upper), tang, node_last(n))
-    b = -np.einsum("abn,ain,bjn->ijn", a_l, tang, dstar_n)
-    h = 0.5 * np.einsum("ijn,ijn->n", g_inv, b)
-    if np.mean(h) < 0:
-        n = -n
-        n_deriv = -n_deriv
-        b = -b
-        h = -h
-    b_det = b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0]
+    forms = raw_fundamental_forms(grid, metric, y, jac[..., 0], jac[..., 1])
+    if np.mean(forms["H"]) < 0:
+        for key in ("n", "n_deriv", "b"):
+            forms[key] = node_first(-node_last(forms[key]))
+        forms["H"] = -forms["H"]
+    h, b = forms["H"], node_last(forms["b"])
     v = 0.5 * (b[0, 0] + b[1, 1])
 
-    if validate:
-        if np.any(h <= 0):
-            node = int(np.argmax(h <= 0))
-            raise GeometryError(f"mean curvature not strictly positive at node {node}")
-        bad = (b[0, 0] <= 0) | (b_det <= 0)
-        if np.any(bad):
-            node = int(np.argmax(bad))
-            raise GeometryError(
-                f"second fundamental form not positive definite at node {node} "
-                "(principal curvatures must be strictly positive)"
-            )
-    scale = float(np.max(np.abs(v)))
-    ci_res = float(
-        np.max(np.maximum(np.abs(b[0, 0] - b[1, 1]), np.abs(b[0, 1])))
-    ) / max(scale, 1e-300)
-    if validate and ci_res > ci_tol:
+    if np.any(h <= 0):
+        node = int(np.argmax(h <= 0))
+        raise GeometryError(f"mean curvature not strictly positive at node {node}")
+    bad = (b[0, 0] <= 0) | (forms["b_det"] <= 0)
+    if np.any(bad):
+        node = int(np.argmax(bad))
+        raise GeometryError(
+            f"second fundamental form not positive definite at node {node} "
+            "(principal curvatures must be strictly positive)"
+        )
+    ci_res = _ci_residual(forms["b"], v)
+    if ci_res > ci_tol:
         raise CoordinateError(
             f"parameterization is not conjugate isothermal: residual {ci_res:.3e} "
             f"exceeds {ci_tol:.1e} relative to V"
         )
 
-    gamma_surface = _surface_christoffels(grid, g, g_inv)
-    return SurfaceState(
-        grid=grid, metric=metric, y=y, y1=y1, y2=y2, n=n,
-        n_deriv=node_first(n_deriv), g=node_first(g), g_inv=node_first(g_inv),
-        g_det=g_det, b=node_first(b), b_det=b_det, V=v, K=b_det / g_det, H=h,
-        gamma_surface=node_first(gamma_surface), ambient_gamma=ch.gamma_upper,
-        ambient_a=a, ci_residual=ci_res,
-    )
+    gamma_surface = _surface_christoffels(
+        grid, node_last(forms["g"]), node_last(forms["g_inv"]))
+    state = SurfaceState(grid=grid, metric=metric, y=y, V=v,
+                         gamma_surface=node_first(gamma_surface),
+                         ci_residual=ci_res, **forms)
+    for value in vars(state).values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return state
 
 
 def validate_hypotheses(state: SurfaceState, b12_override=None):
@@ -286,10 +262,7 @@ def validate_hypotheses(state: SurfaceState, b12_override=None):
         b[:, 1, 0] = b12_override
     eig_g = np.linalg.eigvalsh(0.5 * (g + np.swapaxes(g, 1, 2)))
     eig_b = np.linalg.eigvalsh(0.5 * (b + np.swapaxes(b, 1, 2)))
-    scale = float(np.max(np.abs(state.V)))
-    ci_res = float(
-        np.max(np.maximum(np.abs(b[:, 0, 0] - b[:, 1, 1]), np.abs(b[:, 0, 1])))
-    ) / max(scale, 1e-300)
+    ci_res = _ci_residual(b, state.V)
     grid = state.grid
     fields = {"y": state.y, "n": state.n, "V": state.V, "K": state.K, "H": state.H}
     c0 = {k: float(np.max(np.abs(v))) for k, v in fields.items()}
@@ -298,7 +271,7 @@ def validate_hypotheses(state: SurfaceState, b12_override=None):
         for k, v in fields.items()
     }
     a_n = np.einsum("nab,na,nb->n", state.ambient_a, state.n, state.n)
-    a_nt = np.einsum("nab,na,nbi->ni", state.ambient_a, state.n, state.tangents())
+    a_nt = np.einsum("nab,na,nbi->ni", state.ambient_a, state.n, state.tang)
     report = {
         "min_eig_g": float(eig_g.min()),
         "min_eig_b": float(eig_b.min()),

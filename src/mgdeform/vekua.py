@@ -441,6 +441,16 @@ class PointPin:
 
     basis: list          # K_i = (I - L)^{-1} b_i, one per family member
     pinv: np.ndarray     # (nb, 2) pseudo-inverse of [Re K_i(0); Im K_i(0)]
+    rank: int            # constraints the pin imposes, at most 2
+
+
+def point_pin(basis) -> PointPin:
+    """Least-norm pin of w = 0 at the center node through the linear-response
+    ``basis``."""
+    at_center = np.array([k[0] for k in basis], dtype=complex)
+    mat = np.stack([at_center.real, at_center.imag])          # (2, nb)
+    tol = 1e-12 * max(1.0, np.abs(mat).max(initial=0.0))
+    return PointPin(basis, np.linalg.pinv(mat), int(np.linalg.matrix_rank(mat, tol=tol)))
 
 
 def bvp_solve(problem: BoundaryProblem, psi_assembler=None, tol=1e-10,

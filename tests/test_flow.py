@@ -9,14 +9,13 @@ from mgdeform.flow import (
     BoundarySpec,
     FlowConfig,
     init_flow,
-    project_parameters,
     run_flow,
     step,
 )
 from mgdeform.grid import DiskGrid
 from mgdeform.metrics import FlatMetric, conformal_radial_metric
 from mgdeform.surface import SphereCapImmersion, build_surface
-from mgdeform.vekua import SolutionFamily
+from mgdeform.vekua import point_pin
 
 
 @pytest.fixture(scope="module")
@@ -118,26 +117,20 @@ def test_flow_config_whole_steps(t_final, dt, n_steps):
     assert cfg.n_steps == n_steps
 
 
-def test_project_parameters_counts():
+def test_point_pin_counts():
     rng = np.random.default_rng(0)
     n_nodes = 40
     basis = [rng.normal(size=n_nodes) + 1j * rng.normal(size=n_nodes)
              for _ in range(3)]
     w = rng.normal(size=n_nodes) + 1j * rng.normal(size=n_nodes)
-    fam = SolutionFamily(w=w, particular=w, basis=basis,
-                         params=np.zeros(3), n=1)
-    proj = project_parameters(fam)
-    assert proj.dimension_before == 3
-    assert proj.rank == 2
-    assert proj.dimension_after == 1
-    combo = w[0] + sum(c * b[0] for c, b in zip(proj.params, basis))
+    pin = point_pin(basis)
+    assert pin.pinv.shape == (3, 2)
+    assert pin.rank == 2
+    params = pin.pinv @ -np.array([w[0].real, w[0].imag])
+    combo = w[0] + sum(c * b[0] for c, b in zip(params, basis))
     assert abs(combo) < 1e-12
-    # n = 0 family: one parameter, two constraints; report what is achieved
-    fam0 = SolutionFamily(w=w, particular=w, basis=basis[:1],
-                          params=np.zeros(1), n=0)
-    proj0 = project_parameters(fam0)
-    assert proj0.dimension_before == 1
-    assert proj0.dimension_after == 0
+    # n = 0 family: one parameter, two constraints; one is imposed
+    assert point_pin(basis[:1]).rank == 1
 
 
 def test_continuity_bound(flat_cap):

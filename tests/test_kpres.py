@@ -72,7 +72,7 @@ def test_delta_g_flat_normal_bump_vs_rebuild(flat48):
     z = deform.history.z[-1]
     z1, z2 = grid.ddx1(z), grid.ddx2(z)
     gvar = delta_g(metric, surf, z, z1, z2, deform.c)
-    tang_t = surf.tangents() + np.stack([z1, z2], axis=-1)
+    tang_t = surf.tang + np.stack([z1, z2], axis=-1)
     g_new = np.einsum("ab,nai,nbj->nij", np.eye(3), tang_t, tang_t)
     assert np.max(np.abs(gvar.dg_ij - (g_new - surf.g))) < 1e-10
 
@@ -101,7 +101,7 @@ def test_rigid_translation_preserves_curvature(flat48):
     metric, surf = flat48
     v = np.array([3e-4, -2e-4, 4e-4])
     # exact tangential/normal split of the constant displacement
-    proj = np.einsum("nsi,ns->ni", surf.tangents(), v[None, :].repeat(surf.grid.n_nodes, 0))
+    proj = np.einsum("nsi,ns->ni", surf.tang, v[None, :].repeat(surf.grid.n_nodes, 0))
     a_vec = np.einsum("nij,nj->ni", np.linalg.inv(surf.g), proj)
     c = surf.n @ v
     deform = prescribed_deformation(surf, a_vec[:, 0], a_vec[:, 1], c, 1.0, 4)

@@ -5,8 +5,8 @@ import numpy as np
 from mgdeform._contract import node_first, node_last
 from mgdeform.flow import BoundarySpec, FlowConfig, init_flow, step
 from mgdeform.grid import DiskGrid
-from mgdeform.metrics import conformal_radial_metric
-from mgdeform.surface import SphereCapImmersion, build_surface
+from mgdeform.metrics import FlatMetric, conformal_radial_metric
+from mgdeform.surface import SphereCapImmersion, build_surface, make_immersion
 
 KERNELS = ("kpres", "gdef", "transport", "metrics", "surface")
 
@@ -21,6 +21,24 @@ def test_node_first_view_converts_back_for_free():
     assert np.array_equal(view, x)
     again = node_last(view)
     assert again.flags.c_contiguous and np.shares_memory(again, last)
+
+
+def test_surface_tensors_stored_node_last():
+    # every surface tensor is the (N, ...) view of a node-last array, so the
+    # kernels' node_last of it is free; the paraboloid is built with its
+    # normal flipped
+    grid = DiskGrid(16, 32)
+    surfaces = [
+        build_surface(SphereCapImmersion(1.0, 0.5), conformal_radial_metric(0.5),
+                      grid, ci_tol=1e-5),
+        build_surface(make_immersion("paraboloid", {"curv": -1.0}), FlatMetric(), grid),
+    ]
+    for surf in surfaces:
+        for name in ("tang", "n", "ambient_a", "ambient_gamma", "g", "g_inv", "b",
+                     "n_deriv", "gamma_surface"):
+            f = getattr(surf, name)
+            assert f.shape[0] == grid.n_nodes, name
+            assert np.shares_memory(node_last(f), f), name
 
 
 def test_flow_step_contracts_node_last(monkeypatch):

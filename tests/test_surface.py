@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from mgdeform.surface import (
     build_surface,
     gauss_curvature_of,
     make_immersion,
+    raw_fundamental_forms,
     validate_hypotheses,
 )
 
@@ -57,7 +60,7 @@ def test_identity_k_g_equals_b(sphere_state):
 
 def test_normal_orthonormal(sphere_state):
     s = sphere_state
-    a_nt = np.einsum("nab,na,nbi->ni", s.ambient_a, s.n, s.tangents())
+    a_nt = np.einsum("nab,na,nbi->ni", s.ambient_a, s.n, s.tang)
     a_nn = np.einsum("nab,na,nb->n", s.ambient_a, s.n, s.n)
     assert np.max(np.abs(a_nt)) < 1e-10
     assert np.max(np.abs(a_nn - 1.0)) < 1e-12
@@ -114,3 +117,29 @@ def test_rebuild_matches_built_curvature(sphere_state):
     s = sphere_state
     k = gauss_curvature_of(s.grid, s.metric, s.y)
     assert np.max(np.abs(k - 1.0)) < 5e-5
+
+
+def test_surface_state_is_immutable(sphere_state):
+    s = sphere_state
+    with pytest.raises(FrozenInstanceError):
+        s.y = s.y.copy()
+    with pytest.raises(ValueError):
+        s.y[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        s.b[0, 0, 0] = 0.0
+
+
+@pytest.mark.parametrize("case", ["flat_cap", "curved_cap", "flipped_paraboloid"])
+def test_build_and_oracle_share_one_kernel(case):
+    # the surface's forms are the rebuild oracle's forms at its own tangents,
+    # bit for bit, up to the orientation the build chooses for b (the
+    # downward paraboloid is the one built with its normal flipped)
+    metric = conformal_radial_metric(0.5) if case == "curved_cap" else FlatMetric()
+    imm = (make_immersion("paraboloid", {"curv": -1.0}) if case == "flipped_paraboloid"
+           else SphereCapImmersion(1.0, 0.5))
+    s = build_surface(imm, metric, DiskGrid(16, 32), ci_tol=1e-5)
+    forms = raw_fundamental_forms(s.grid, s.metric, s.y, s.y1, s.y2)
+    for key in ("K", "g", "g_inv"):
+        assert np.array_equal(forms[key], getattr(s, key))
+    sign = -1.0 if case == "flipped_paraboloid" else 1.0
+    assert np.array_equal(forms["b"], sign * s.b)

@@ -13,13 +13,13 @@ from mgdeform.errors import (
 from mgdeform.grid import DiskGrid
 from mgdeform.vekua import (
     BoundaryProblem,
-    PointPin,
     adjoint_null_functionals,
     bvp_solve,
     holomorphic_field,
     homogeneous_rank,
     index_of,
     load_problem,
+    point_pin,
     rh_core_solve,
     save_problem,
     save_solution,
@@ -297,18 +297,16 @@ def test_contraction_failure_reported(grid):
 def test_pinned_solve_matches_least_norm_family_member(grid):
     # fixed right side, n = 1: one pinned solve reproduces the particular
     # solution plus the least-norm parameters that put w = 0 at the center
-    from mgdeform.flow import project_parameters
-
     prob, _ = manufactured_problem(grid, n=1)
     fam, sym = solve_family(prob, tol=1e-12, mode="picard")
-    proj = project_parameters(fam)
-    w_ref = fam.w + sum(c * k for c, k in zip(proj.params, fam.basis))
-    pin = PointPin(basis=fam.basis, pinv=np.linalg.pinv(proj.point_matrix))
+    pin = point_pin(fam.basis)
+    params = pin.pinv @ -np.array([fam.w[0].real, fam.w[0].imag])
+    w_ref = fam.w + sum(c * k for c, k in zip(params, fam.basis))
     pinned = bvp_solve(prob, tol=1e-12, pin=pin, mode="picard", sym=sym)
     assert abs(fam.w[0]) > 1e-2
     assert abs(pinned.w[0]) <= 1e-12
     assert np.max(np.abs(pinned.w - w_ref)) <= 1e-10 * np.max(np.abs(w_ref))
-    assert np.max(np.abs(pinned.params - proj.params)) <= 1e-10
+    assert np.max(np.abs(pinned.params - params)) <= 1e-10
     assert pinned.fixed_point_residual < 1e-10
 
 
