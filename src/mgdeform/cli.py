@@ -153,9 +153,6 @@ def parse_config(text) -> RunConfig:
                                               line_no, key, errors)
     if errors:
         raise ConfigError(errors)
-    grid_sec = sections["grid"]
-    if grid_sec["n_theta"] % 4 != 0:
-        raise ConfigError([(0, 0, "grid.n_theta must be divisible by 4")])
     for key in ("t_final", "dt", "tol_bvp", "tol_cdot", "tol_k", "tol_g", "tol_b"):
         if sections["flow"][key] <= 0:
             raise ConfigError([(0, 0, f"flow.{key} must be positive")])

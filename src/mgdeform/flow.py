@@ -1,19 +1,15 @@
 """Time-stepping driver for the curvature-preserving deformation.
 
-Each step solves the boundary-value problem for the tangential rates
-(complex field w-dot on the relabeled disk) once, with the free parameters
-pinned to the point-fixing condition w = 0 at the disk center inside the
-solve, reconstructs the normal rate from line integrals anchored at the
-center, and advances the state by explicit Euler while monitoring every
-defining property at every step: curvature defect (formula and rebuild
-oracle), normal-transport residual, boundary condition, fixed point, and
-the family dimension.
+Each step solves the boundary-value problem for the tangential rates once,
+with the free parameters pinned to the point-fixing condition w = 0 at the
+disk center inside the solve, reconstructs the normal rate from line
+integrals anchored at the center, and advances the state by explicit Euler
+while monitoring every defining property at every step: curvature defect
+(formula and rebuild oracle), normal-transport residual, boundary condition,
+fixed point, and the family dimension.
 
-Coordinate bookkeeping: the elliptic pair takes the d_zbar form only after
-swapping the two disk coordinates.  The swap is realized as the exact node
-permutation theta -> pi/2 - theta (requires n_theta divisible by 4); all
-fields entering the complex solver are permuted, and the solved rates are
-permuted back.
+The complex unknown is w = a2dot + i a1dot = i conj(a1dot + i a2dot), for
+which the elliptic pair takes the d_zbar form on the disk as it is.
 """
 
 from __future__ import annotations
@@ -129,10 +125,9 @@ class PrevRecords:
 @dataclass
 class FlowStatics:
     eq: object
-    problem: BoundaryProblem   # permuted A, B, E and symbol; phi set per step
+    problem: BoundaryProblem   # A, B, E and symbol in w; phi set per step
     sym: object
     n: int
-    ring_perm: np.ndarray
     integ: PathIntegrator
     pin: PointPin | None       # linear-response basis pin (None for n < 0)
     k_base: np.ndarray         # rebuild-oracle curvature of the undeformed surface
@@ -186,29 +181,26 @@ def init_flow(metric, surface, boundary, config) -> FlowState:
                      boundary=boundary, config=config)
 
 
-def _ring_perm(grid):
-    quarter = grid.n_theta // 4
-    j = np.arange(grid.n_theta)
-    return (quarter - j) % grid.n_theta
-
-
 def _build_statics(state: FlowState) -> FlowStatics:
     surface, grid, cfg = state.surface, state.surface.grid, state.config
-    ring_perm = _ring_perm(grid)
     eq = equation_coefficients(surface)
-    a_field, b_field, e0_point, e0_weight = assemble_AB(
-        grid.reflect(eq.p1), grid.reflect(eq.p2),
-        grid.reflect(eq.qb1), grid.reflect(eq.qb2),
-        q0=grid.reflect(eq.qb0), v=grid.reflect(surface.V),
+    # assemble_AB and boundary_data speak of u = a1dot + i a2dot, whose pair
+    # reads i d_z u + A u + B conj(u) + E = psi; in w = i conj(u) it becomes
+    # d_zbar w + i conj(A) w - i conj(B) conj(w) + E = -conj(psi) with the
+    # symbol i conj(lam).  E is imaginary, so it is unchanged, and e_swap
+    # pairs (Im w, Re w) = (a1dot, a2dot) with (dx1, dx2).
+    a_u, b_u, e0_point, e0_weight = assemble_AB(
+        eq.p1, eq.p2, eq.qb1, eq.qb2, q0=eq.qb0, v=surface.V,
     )
     theta = grid.boundary_theta
     l_field = state.boundary.l_field(theta)
     gdot0 = state.boundary.gamma_dot(theta, 0.0)
-    lam_s, _, _ = boundary_data(surface, l_field, gdot0)
-    lam = lam_s[ring_perm]
+    lam_u, _, _ = boundary_data(surface, l_field, gdot0)
+    lam = 1j * np.conj(lam_u)
     sym = canonicalize(grid, lam)
     problem = BoundaryProblem(
-        grid=grid, lam=lam, phi=np.zeros(grid.n_theta), A=a_field, B=b_field,
+        grid=grid, lam=lam, phi=np.zeros(grid.n_theta),
+        A=1j * np.conj(a_u), B=-1j * np.conj(b_u),
         e0_point=e0_point, e0_weight=e0_weight, e_swap=True,
     )
     pin = None
@@ -219,7 +211,7 @@ def _build_statics(state: FlowState) -> FlowStatics:
                                  mode="auto", sym=sym)
         pin = point_pin(family.basis)
     return FlowStatics(
-        eq=eq, problem=problem, sym=sym, n=sym.n, ring_perm=ring_perm,
+        eq=eq, problem=problem, sym=sym, n=sym.n,
         integ=PathIntegrator(grid), pin=pin,
         k_base=gauss_curvature_of(grid, state.metric, surface.y),
     )
@@ -230,15 +222,14 @@ def _phi_for(state: FlowState, t):
     theta = surface.grid.boundary_theta
     l_field = state.boundary.l_field(theta)
     gdot = state.boundary.gamma_dot(theta, t)
-    _, phi_s, _ = boundary_data(surface, l_field, gdot)
-    return phi_s[state.statics.ring_perm]
+    _, phi, _ = boundary_data(surface, l_field, gdot)
+    return phi
 
 
 def _make_assembler(state: FlowState):
     """psi-dot assembler closure over the current state; caches the pieces
     of its most recent evaluation for the advance step."""
     metric, surface = state.metric, state.surface
-    grid = surface.grid
     st = state.statics
     deform = state.deform
     prev = state.prev
@@ -254,9 +245,9 @@ def _make_assembler(state: FlowState):
             )
         return coeff_fn
 
-    def assembler(w_vek):
-        a1dot = grid.reflect(np.real(w_vek))
-        a2dot = grid.reflect(np.imag(w_vek))
+    def assembler(w):
+        a1dot = np.ascontiguousarray(w.imag)
+        a2dot = np.ascontiguousarray(w.real)
         sol = solve_cdot(
             surface, coeff_fn_for(a1dot, a2dot), deform.a1, deform.a2,
             a1dot, a2dot, st.integ, tol=cfg.tol_cdot, max_iter=cfg.max_iter_cdot,
@@ -285,12 +276,12 @@ def _make_assembler(state: FlowState):
             surface, sol.coeffs, deform, rates, st.eq.qb0, sol.p_field,
             prev_psi1=prev.psi1, dt=prev.dt,
         )
-        psi = 0.5 * (psi1dot + 1j * psi3)
         cache["last"] = {
             "sol": sol, "gvar": gvar, "bvar": bvar, "rates": rates,
             "psi1": psi1, "a1dot": a1dot, "a2dot": a2dot,
         }
-        return grid.reflect(psi)
+        # -conj(psi) for psi = (psi1dot + i psi3) / 2
+        return 0.5 * (-psi1dot + 1j * psi3)
 
     return assembler, cache
 

@@ -301,23 +301,3 @@ class DiskGrid:
         if x0_node != 0:
             raise MgError(f"line integrals start at the center node 0, got {x0_node}")
         return self.line_integral_center(p, q)
-
-    # -- reflection (coordinate relabel x1 <-> x2) ----------------------------
-
-    def reflection_permutation(self):
-        """Node permutation realizing (x1, x2) -> (x2, x1)."""
-        if self.n_theta % 4 != 0:
-            raise MgError("reflection requires n_theta divisible by 4")
-        quarter = self.n_theta // 4
-        perm = np.empty(self.n_nodes, dtype=int)
-        perm[0] = 0
-        j = np.arange(self.n_theta)
-        for i in range(1, self.n_r + 1):
-            perm[self.node_index(i, j)] = self.node_index(i, (quarter - j) % self.n_theta)
-        return perm
-
-    def reflect(self, f):
-        perm = self._caches.get("reflect")
-        if perm is None:
-            perm = self._caches["reflect"] = self.reflection_permutation()
-        return np.asarray(f)[perm]

@@ -364,7 +364,8 @@ class BoundaryProblem:
     B: np.ndarray | None = None
     e0_point: np.ndarray | None = None   # i q0 / 2 at the field point
     e0_weight: np.ndarray | None = None  # V at the integration point
-    e_swap: bool = False            # pair (Im w, Re w) with (dx1, dx2) instead
+    e_swap: bool = False            # pair (Im w, Re w) with (dx1, dx2), as for the
+                                    # flow's w = a2dot + i a1dot
     psi: np.ndarray | None = None   # fixed right-hand side (file problems)
 
     def e_operator(self, w):
@@ -521,7 +522,7 @@ def bvp_solve(problem: BoundaryProblem, psi_assembler=None, tol=1e-10,
             if d <= 0.5 * tol * max(1.0, float(np.max(np.abs(v)))):
                 break
             if (len(diffs) >= 4 and diffs[-1] > diffs[-2] > diffs[-3]
-                    and diffs[-1] > 10 * diffs[0]):
+                    and diffs[-1] > 10 * min(diffs)):
                 if mode == "picard":
                     raise ContractionFailureError(
                         "successive approximations diverged (spectral radius >= 1)"

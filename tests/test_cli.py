@@ -107,8 +107,6 @@ def _value_strategy(sec, key):
             return st.floats(min_value=1e-300, max_value=1e300)
         return st.floats(allow_nan=False, allow_infinity=False)
     if typ is int:
-        if (sec, key) == ("grid", "n_theta"):
-            return st.integers(-1000, 1000).map(lambda k: 4 * k)
         return st.integers(-10**6, 10**6)
     return st.text("abcdefghijklmnopqrstuvwxyz0123456789_-./", min_size=1, max_size=20)
 
@@ -142,6 +140,24 @@ def test_build_objects():
     metric, surface, boundary, flow_cfg = build_problem_objects(cfg)
     assert surface.grid.n_r == 12
     assert flow_cfg.dt == 0.005
+
+
+def test_n_theta_not_a_multiple_of_four_builds():
+    cfg = parse_config(MINIMAL.replace("n_theta = 24", "n_theta = 34"))
+    _, surface, _, _ = build_problem_objects(cfg)
+    assert surface.grid.n_theta == 34
+
+
+@pytest.mark.parametrize("n_theta", [17, 8])
+def test_run_rejects_grid_shape_with_mg_error(tmp_path, capsys, n_theta):
+    # the grid alone decides its shape: n_theta even and >= 16
+    cpath = tmp_path / "cfg.txt"
+    cpath.write_text(MINIMAL.replace("n_theta = 24", f"n_theta = {n_theta}"))
+    rc = main(["--log-level", "quiet", "run", "--config", str(cpath),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "MgError" and "n_theta" in err["message"]
 
 
 @pytest.fixture(scope="module")

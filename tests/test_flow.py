@@ -190,6 +190,9 @@ def test_curved_metric_flow_meets_acceptance_bounds(monkeypatch):
     # the transport prefix is cached on the history, so a step's Christoffel
     # work does not grow with the history length
     assert len(set(per_step[2:])) == 1
+    # a diverging inner Picard iteration hands over to GMRES once its
+    # difference has grown tenfold from its minimum, not after max_iter
+    assert state.records[0].bvp_iterations <= 150
     assert rep["index"] == 1
     assert rep["steps"] == 10
     assert rep["max_dk_oracle_rel"] <= 1e-4
@@ -198,6 +201,28 @@ def test_curved_metric_flow_meets_acceptance_bounds(monkeypatch):
     assert rep["max_fixed_point_z"] <= 1e-10
     assert rep["family_dimension_after"] == 1
     # the boundary data actually drives the surface
+    assert rep["max_rate_sup"] > 1e-4
+
+
+@pytest.mark.parametrize("metric, n_r, n_theta", [
+    (FlatMetric(), 16, 34),
+    (conformal_radial_metric(0.5), 24, 50),
+])
+def test_flow_on_grid_with_n_theta_not_a_multiple_of_four(metric, n_r, n_theta):
+    # the complex solve runs on the grid as it is, so any even n_theta does
+    surf = build_surface(SphereCapImmersion(1.0, 0.5), metric, DiskGrid(n_r, n_theta),
+                         ci_tol=1e-5)
+    boundary = BoundarySpec(winding=1, gamma_kind="harmonic", epsilon=1e-3, mode=1)
+    state = init_flow(metric, surf, boundary, FlowConfig(t_final=0.02, dt=0.005))
+    rep = run_flow(state)
+    assert rep["index"] == 1
+    assert rep["steps"] == 4
+    assert rep["max_dk_oracle_rel"] <= 1e-4
+    assert rep["max_g_residual"] <= 1e-6
+    assert rep["max_boundary_residual"] <= 1e-6
+    assert rep["max_fixed_point_z"] <= 1e-10
+    assert rep["family_dimension_before"] == 3
+    assert rep["family_dimension_after"] == 1
     assert rep["max_rate_sup"] > 1e-4
 
 

@@ -152,31 +152,6 @@ def test_line_integral_from_is_anchored_at_center():
         g.line_integral_from(5, p, q)
 
 
-def test_reflection_involution_and_meaning():
-    g = DiskGrid(8, 16)
-    f = 2.0 * g.x1 + 3.0 * g.x2**2
-    rf = g.reflect(f)
-    expect = 2.0 * g.x2 + 3.0 * g.x1**2
-    assert np.max(np.abs(rf - expect)) < 1e-13
-    assert np.max(np.abs(g.reflect(rf) - f)) == 0.0
-
-
-def test_cached_reflection_matches_permutation():
-    g = DiskGrid(8, 16)
-    perm = g.reflection_permutation()
-    fields = [g.x1 + 2.0 * g.x2**3, g.z**2, np.stack([g.x1, g.x2, g.r], axis=1)]
-    for f in fields:
-        for _ in range(2):  # the second call reads the cached permutation
-            assert np.array_equal(g.reflect(f), f[perm])
-        assert np.array_equal(g.reflect(g.reflect(f)), f)
-
-
-def test_reflection_requires_multiple_of_four():
-    g = DiskGrid(8, 18)
-    with pytest.raises(MgError):
-        g.reflection_permutation()
-
-
 def _polynomial_coefficients(degree):
     n_terms = (degree + 1) * (degree + 2) // 2
     return st.lists(st.floats(-1.0, 1.0), min_size=n_terms, max_size=n_terms)
