@@ -104,6 +104,8 @@ def solve_cdot(surface: SurfaceState, coeff_fn, a1, a2, a1dot, a2dot,
     state's cached d_i a^j, taken here when not given; the rates are
     differentiated once per solve.
     """
+    if not tol > 0:
+        raise MgError(f"tol must be positive, got {tol}")
     grid = surface.grid
     a_vec = np.stack([a1, a2], axis=-1)
     adot = np.stack([a1dot, a2dot], axis=-1)

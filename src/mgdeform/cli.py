@@ -235,12 +235,13 @@ def within_tolerances(report, flow_cfg):
 
 
 def run_from_config(cfg: RunConfig, out_dir=None, log=print):
-    out_dir = out_dir or cfg["output"]["directory"]
-    os.makedirs(out_dir, exist_ok=True)
     metric, surface, boundary, flow_cfg = build_problem_objects(cfg)
     hyp = validate_hypotheses(surface)
     flow_cfg.capture_fields = cfg["output"]["snapshots"]
     state = init_flow(metric, surface, boundary, flow_cfg)
+    # created only once the problem is built, so a rejected run leaves none
+    out_dir = out_dir or cfg["output"]["directory"]
+    os.makedirs(out_dir, exist_ok=True)
     trace_path = os.path.join(out_dir, "trace.jsonl")
     trace_fh = open(trace_path, "w") if cfg["output"]["trace"] else None
 
@@ -288,7 +289,7 @@ def cmd_run(args):
 def cmd_bvp(args):
     problem = load_problem(args.problem)
     # the written basis_k are homogeneous solutions of the full problem
-    fam, _ = solve_family(problem, tol=args.tol, mode="auto")
+    fam, _ = solve_family(problem, tol=args.tol)
     out = args.out or (os.path.splitext(args.problem)[0] + ".solution.txt")
     save_solution(out, fam)
     print(f"index {fam.n}, family dimension {fam.dimension}, "

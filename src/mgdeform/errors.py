@@ -41,10 +41,6 @@ class ConvergenceError(MgError):
     """An iteration exceeded its iteration budget without converging."""
 
 
-class ContractionFailureError(MgError):
-    """Successive approximations diverged."""
-
-
 class UnsolvableDataError(MgError):
     """Negative-index problem data violates its solvability conditions."""
 

@@ -70,16 +70,12 @@ class BoundarySpec:
             return out
         raise MgError(f"unknown tangent kind {self.tangent_kind!r}")
 
-    def gamma_dot(self, theta, t):
+    def gamma_dot(self, theta):
         if self.gamma_kind == "zero":
             return np.zeros_like(theta)
         if self.gamma_kind == "harmonic":
             return self.epsilon * np.cos(self.mode * theta + self.gamma_phase)
         raise MgError(f"unknown gamma kind {self.gamma_kind!r}")
-
-    def gamma(self, theta, t):
-        # the shipped rate plug-ins are steady, so the primitive is t * rate
-        return t * self.gamma_dot(theta, 0.0)
 
 
 @dataclass
@@ -119,18 +115,20 @@ class PrevRecords:
     coeffs: object = None      # GDefCoefficients at the previous step
     m4: np.ndarray | None = None
     psi1: np.ndarray | None = None
-    dt: float | None = None
 
 
 @dataclass
 class FlowStatics:
     eq: object
-    problem: BoundaryProblem   # A, B, E and symbol in w; phi set per step
+    problem: BoundaryProblem   # A, B, E, symbol and phi in w
     sym: object
-    n: int
     integ: PathIntegrator
     pin: PointPin | None       # linear-response basis pin (None for n < 0)
     k_base: np.ndarray         # rebuild-oracle curvature of the undeformed surface
+    k_scale: float             # max |K| of the undeformed surface
+    rim_metric: np.ndarray     # ambient metric at the rim nodes, node last
+    rim_dir: np.ndarray        # l^i y_,i at the rim nodes, node last
+    gamma_dot: np.ndarray      # boundary rate at the rim nodes
 
 
 @dataclass
@@ -169,61 +167,60 @@ class FlowState:
     deform: DeformationState
     boundary: BoundarySpec
     config: FlowConfig
+    statics: FlowStatics
     step_index: int = 0
     prev: PrevRecords = field(default_factory=PrevRecords)
-    statics: FlowStatics | None = None
     records: list = field(default_factory=list)
 
 
 def init_flow(metric, surface, boundary, config) -> FlowState:
     config.validate()
     return FlowState(metric=metric, surface=surface, deform=new_deformation(surface),
-                     boundary=boundary, config=config)
+                     boundary=boundary, config=config,
+                     statics=_build_statics(metric, surface, boundary, config))
 
 
-def _build_statics(state: FlowState) -> FlowStatics:
-    surface, grid, cfg = state.surface, state.surface.grid, state.config
+def _build_statics(metric, surface, boundary, config) -> FlowStatics:
+    """The solve setup and rim data, all fixed over a flow."""
+    grid = surface.grid
     eq = equation_coefficients(surface)
     # assemble_AB and boundary_data speak of u = a1dot + i a2dot, whose pair
     # reads i d_z u + A u + B conj(u) + E = psi; in w = i conj(u) it becomes
     # d_zbar w + i conj(A) w - i conj(B) conj(w) + E = -conj(psi) with the
-    # symbol i conj(lam).  E is imaginary, so it is unchanged, and e_swap
-    # pairs (Im w, Re w) = (a1dot, a2dot) with (dx1, dx2).
+    # symbol i conj(lam) and the same phi.  E is imaginary, so it is
+    # unchanged, and e_swap pairs (Im w, Re w) = (a1dot, a2dot) with (dx1, dx2).
     a_u, b_u, e0_point, e0_weight = assemble_AB(
         eq.p1, eq.p2, eq.qb1, eq.qb2, q0=eq.qb0, v=surface.V,
     )
-    theta = grid.boundary_theta
-    l_field = state.boundary.l_field(theta)
-    gdot0 = state.boundary.gamma_dot(theta, 0.0)
-    lam_u, _, _ = boundary_data(surface, l_field, gdot0)
+    theta, bidx = grid.boundary_theta, grid.boundary_idx
+    l_field = boundary.l_field(theta)
+    gamma_dot = boundary.gamma_dot(theta)
+    lam_u, phi, _ = boundary_data(surface, l_field, gamma_dot)
     lam = 1j * np.conj(lam_u)
     sym = canonicalize(grid, lam)
     problem = BoundaryProblem(
-        grid=grid, lam=lam, phi=np.zeros(grid.n_theta),
+        grid=grid, lam=lam, phi=phi,
         A=1j * np.conj(a_u), B=-1j * np.conj(b_u),
         e0_point=e0_point, e0_weight=e0_weight, e_swap=True,
     )
     pin = None
     if sym.n >= 0:
         # A, B, E and the symbol are fixed over the flow, so the linear
-        # response of each family member is solved once, here
-        family, _ = solve_family(problem, tol=cfg.tol_bvp, max_iter=cfg.max_iter_bvp,
-                                 mode="auto", sym=sym)
+        # response of each family member is solved once, here, with zero
+        # boundary data
+        family, _ = solve_family(replace(problem, phi=np.zeros(grid.n_theta)),
+                                 tol=config.tol_bvp, max_iter=config.max_iter_bvp, sym=sym)
         pin = point_pin(family.basis)
     return FlowStatics(
-        eq=eq, problem=problem, sym=sym, n=sym.n,
+        eq=eq, problem=problem, sym=sym,
         integ=PathIntegrator(grid), pin=pin,
-        k_base=gauss_curvature_of(grid, state.metric, surface.y),
+        k_base=gauss_curvature_of(grid, metric, surface.y),
+        k_scale=float(np.max(np.abs(surface.K))),
+        rim_metric=node_last(surface.ambient_a)[..., bidx],
+        rim_dir=np.einsum("in,sin->sn", node_last(l_field),
+                          node_last(surface.tang)[..., bidx]),
+        gamma_dot=gamma_dot,
     )
-
-
-def _phi_for(state: FlowState, t):
-    surface = state.surface
-    theta = surface.grid.boundary_theta
-    l_field = state.boundary.l_field(theta)
-    gdot = state.boundary.gamma_dot(theta, t)
-    _, phi, _ = boundary_data(surface, l_field, gdot)
-    return phi
 
 
 def _make_assembler(state: FlowState):
@@ -241,7 +238,7 @@ def _make_assembler(state: FlowState):
             hist = deform.history_with_rates(a1dot, a2dot, cdot_iter)
             return assemble_coefficients(
                 metric, surface, deform, history=hist,
-                prev=prev.coeffs, dt=prev.dt,
+                prev=prev.coeffs, dt=cfg.dt,
             )
         return coeff_fn
 
@@ -269,17 +266,14 @@ def _make_assembler(state: FlowState):
             m4dot_override = (bvar_v.m4 - bvar.m4) / delta
         rates = assemble_rates(
             metric, surface, deform, gvar, bvar, zdot, a1dot, a2dot,
-            prev_m4=prev.m4, dt=prev.dt, m4dot_override=m4dot_override,
+            prev_m4=prev.m4, dt=cfg.dt, m4dot_override=m4dot_override,
             dadot=sol.dadot,
         )
         psi1dot, psi3, _, psi1 = rhs_psi(
             surface, sol.coeffs, deform, rates, st.eq.qb0, sol.p_field,
-            prev_psi1=prev.psi1, dt=prev.dt,
+            prev_psi1=prev.psi1, dt=cfg.dt,
         )
-        cache["last"] = {
-            "sol": sol, "gvar": gvar, "bvar": bvar, "rates": rates,
-            "psi1": psi1, "a1dot": a1dot, "a2dot": a2dot,
-        }
+        cache["last"] = {"sol": sol, "bvar": bvar, "psi1": psi1}
         # -conj(psi) for psi = (psi1dot + i psi3) / 2
         return 0.5 * (-psi1dot + 1j * psi3)
 
@@ -288,15 +282,11 @@ def _make_assembler(state: FlowState):
 
 def step(state: FlowState):
     """One explicit-Euler step; returns the appended trace record."""
-    cfg = state.config
-    if state.statics is None:
-        state.statics = _build_statics(state)
-    st = state.statics
+    cfg, st = state.config, state.statics
     surface, metric, grid = state.surface, state.metric, state.surface.grid
     assembler, cache = _make_assembler(state)
-    problem = replace(st.problem, phi=_phi_for(state, state.deform.t))
-    final = bvp_solve(problem, assembler, tol=cfg.tol_bvp, max_iter=cfg.max_iter_bvp,
-                      pin=st.pin, mode="auto", sym=st.sym)
+    final = bvp_solve(st.problem, assembler, tol=cfg.tol_bvp, max_iter=cfg.max_iter_bvp,
+                      pin=st.pin, sym=st.sym)
     dim_before = st.sym.family_size
     dim_after = dim_before - (st.pin.rank if st.pin else 0)
 
@@ -304,34 +294,31 @@ def step(state: FlowState):
     # cached cdot/kpres pieces already belong to final.w
     last = cache["last"]
     sol = last["sol"]
-    a1dot, a2dot, cdot = last["a1dot"], last["a2dot"], sol.cdot
+    a1dot = np.ascontiguousarray(final.w.imag)
+    a2dot = np.ascontiguousarray(final.w.real)
 
     dt = cfg.dt
     # times count whole steps, so they do not drift by repeated addition
-    deform_new = state.deform.advance(dt, a1dot, a2dot, cdot)
+    deform_new = state.deform.advance(dt, a1dot, a2dot, sol.cdot)
     t_new = deform_new.t
     z_new = deform_new.z
     zdot = deform_new.rate_displacement()
 
     # monitors at the advanced state
     gvar_n, bvar_n, _ = assemble_variation(metric, surface, deform_new)
-    k_scale = float(np.max(np.abs(surface.K)))
-    dk_rel = float(np.max(np.abs(bvar_n.dK))) / k_scale
+    dk_rel = float(np.max(np.abs(bvar_n.dK))) / st.k_scale
     k_def = gauss_curvature_of(grid, metric, surface.y + z_new)
-    dk_oracle = float(np.max(np.abs(k_def - st.k_base))) / k_scale
+    dk_oracle = float(np.max(np.abs(k_def - st.k_base))) / st.k_scale
     g_res_fields = gdef_normal_residual(metric, surface, deform_new)
     g_res = float(np.max(np.abs(g_res_fields)))
-    theta, bidx = grid.boundary_theta, grid.boundary_idx
-    v_field = np.einsum("in,sin->sn", node_last(state.boundary.l_field(theta)),
-                        node_last(surface.tang)[..., bidx])
-    lhs = np.einsum("abn,an,bn->n", node_last(surface.ambient_a)[..., bidx],
-                    node_last(z_new[bidx]), v_field)
-    gamma_target = state.boundary.gamma(theta, t_new)
-    b_res = float(np.max(np.abs(lhs - gamma_target)))
+    lhs = np.einsum("abn,an,bn->n", st.rim_metric,
+                    node_last(z_new[grid.boundary_idx]), st.rim_dir)
+    # the shipped rate plug-ins are steady, so the primitive is t * rate
+    b_res = float(np.max(np.abs(lhs - t_new * st.gamma_dot)))
     z_x0 = float(np.linalg.norm(z_new[0]))
 
     rec = StepRecord(
-        step=state.step_index, t_new=t_new, n=st.n,
+        step=state.step_index, t_new=t_new, n=st.sym.n,
         dk_max_rel=dk_rel, dk_oracle_rel=dk_oracle, g_residual=g_res,
         boundary_residual=b_res, fixed_point_z=z_x0,
         bvp_iterations=final.iterations, bvp_ratio=final.ratio,
@@ -351,8 +338,7 @@ def step(state: FlowState):
             "g_res1": g_res_fields[:, 0], "g_res2": g_res_fields[:, 1],
         }
 
-    state.prev = PrevRecords(coeffs=sol.coeffs, m4=last["bvar"].m4,
-                             psi1=last["psi1"], dt=dt)
+    state.prev = PrevRecords(coeffs=sol.coeffs, m4=last["bvar"].m4, psi1=last["psi1"])
     state.deform = deform_new
     state.step_index += 1
     state.records.append(rec)
@@ -374,7 +360,7 @@ def run_flow(state: FlowState, on_step=None):
     return {
         "steps": len(recs),
         "t_final": state.deform.t,
-        "index": state.statics.n if state.statics else None,
+        "index": state.statics.sym.n,
         "max_dk_rel": max((r.dk_max_rel for r in recs), default=0.0),
         "max_dk_oracle_rel": max((r.dk_oracle_rel for r in recs), default=0.0),
         "max_g_residual": max((r.g_residual for r in recs), default=0.0),

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import (
-    ContractionFailureError,
     ConvergenceError,
     FormatError,
     MgError,
@@ -58,22 +57,20 @@ def _t_mode_tables(grid: DiskGrid):
     half = 0.5 * (rs[1:] - rs[:-1])
     rho = mid[:, None] + half[:, None] * gauss_x[None, :]      # (n_r, 4)
     wq = half[:, None] * np.tile(gauss_w, (n_r, 1))            # (n_r, 4)
-    # cubic interpolation of radial profiles onto the Gauss points
-    starts = np.zeros(n_r, dtype=int)
-    interp = np.zeros((n_r, 4, 4))
-    for i in range(n_r):
-        s0 = int(np.clip(i - 1, 0, n_r - 3))
-        starts[i] = s0
-        xs = rs[s0 : s0 + 4]
-        for q in range(4):
-            for s in range(4):
-                others = np.delete(xs, s)
-                interp[i, q, s] = np.prod((rho[i, q] - others) / (xs[s] - others))
-    # FFT index -> signed mode
+    # cubic Lagrange interpolation of radial profiles onto the Gauss points,
+    # through the four ray levels of the grid's panel stencil:
+    # interp[i, q, s] = prod over o != s of (rho_iq - x_o) / (x_s - x_o)
+    xs = rs[grid._cum_idx]                                     # (n_r, 4)
+    others = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
+    xo = xs[:, None, others]                                   # (n_r, 1, s, o)
+    fac = (rho[:, :, None, None] - xo) / (xs[:, None, :, None] - xo)
+    interp = fac[..., 0] * fac[..., 1] * fac[..., 2]           # (n_r, q, s)
+    # FFT index -> signed mode; T maps mode m to m - 1, so the lowest mode
+    # has no representable image and is left out
     k = np.arange(nt)
     modes = np.where(k < nt // 2, k, k - nt)
     pos = modes >= 1
-    neg = ~pos
+    neg = (modes <= 0) & (modes > -(nt // 2))
     mp = modes[pos]        # m >= 1, backward recurrence
     mn = modes[neg]        # m <= 0, forward recurrence
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -90,9 +87,10 @@ def _t_mode_tables(grid: DiskGrid):
     ker_f = (rho[:, :, None] / rs[1:, None, None]) ** (1 - mn[None, None, :])
     rat_f = (rs[:-1, None] / rs[1:, None]) ** (1 - mn[None, :])
     tables = {
-        "wq": wq, "starts": starts, "interp": interp, "pos": pos, "neg": neg,
-        "mp": mp, "mn": mn, "ker_b": ker_b, "rat_b": rat_b,
-        "ker_f": ker_f, "rat_f": rat_f, "modes": modes,
+        "wq": wq, "interp": interp, "pos": pos, "neg": neg,
+        "ker_b": ker_b, "rat_b": rat_b, "ker_f": ker_f, "rat_f": rat_f,
+        # output column of each mode's image m - 1
+        "dest_pos": (mp - 1) % nt, "dest_neg": (mn - 1) % nt,
     }
     grid._caches[key] = tables
     return tables
@@ -115,8 +113,7 @@ def t_operator(grid: DiskGrid, f):
     prof[1:] = ghat
     prof[0, 0] = f[0]                            # center carries mode 0 only
     # interpolate every mode profile onto the Gauss points of each interval
-    idx = tab["starts"][:, None] + np.arange(4)[None, :]
-    gp = np.einsum("iqs,isk->iqk", tab["interp"], prof[idx])   # (n_r, 4, k)
+    gp = np.einsum("iqs,isk->iqk", tab["interp"], prof[grid._cum_idx])   # (n_r, 4, k)
     wq = tab["wq"]
 
     out_prof = np.zeros((n_r + 1, nt), dtype=complex)
@@ -131,15 +128,9 @@ def t_operator(grid: DiskGrid, f):
     for i in range(n_r):
         w_neg[i + 1] = tab["rat_f"][i] * w_neg[i] + seg_f[i]
 
-    # scatter to output modes m - 1 (drop the unrepresentable lowest mode)
-    modes = tab["modes"]
-    low = -(nt // 2)
-    for j, m in enumerate(modes[tab["pos"]]):
-        out_prof[:, (m - 1) % nt] += w_pos[:, j]
-    for j, m in enumerate(modes[tab["neg"]]):
-        if m - 1 < low:
-            continue
-        out_prof[:, (m - 1) % nt] += w_neg[:, j]
+    # scatter to output modes m - 1
+    out_prof[:, tab["dest_pos"]] += w_pos
+    out_prof[:, tab["dest_neg"]] += w_neg
 
     out = np.empty(grid.n_nodes, dtype=complex)
     out[0] = out_prof[0, 0]
@@ -454,20 +445,29 @@ def point_pin(basis) -> PointPin:
     return PointPin(basis, np.linalg.pinv(mat), int(np.linalg.matrix_rank(mat, tol=tol)))
 
 
+# largest n < 0 solvability residual accepted, relative to the data scale
+SOLVABILITY_TOL = 1e-6
+
+
 def bvp_solve(problem: BoundaryProblem, psi_assembler=None, tol=1e-10,
-              max_iter=60, pin: PointPin | None = None, mode="picard",
-              solvability_tol=1e-6, sym: CanonicalSymbol | None = None) -> SolutionFamily:
+              max_iter=60, pin: PointPin | None = None, mode="auto",
+              sym: CanonicalSymbol | None = None) -> SolutionFamily:
     """Solve the full problem by alternating areal correction and core solve.
 
     ``psi_assembler`` maps the current iterate w to the right-hand side field;
-    when None the fixed ``problem.psi`` (or zero) is used.  ``mode`` is
-    "picard", "gmres", or "auto" (picard with gmres fallback on divergence).
+    when None the fixed ``problem.psi`` (or zero) is used.  ``mode`` must be
+    "auto": Picard iterations, handing over to GMRES when they diverge or
+    reach ``max_iter``; the result's ``mode`` names the solver that finished.
     With a ``pin`` every outer iterate is moved along the linear-response
     basis to w = 0 at the center node with least-norm family parameters;
     without one the family parameters are zero.  The returned ``basis`` are
     the core members b_i, not homogeneous solutions of the full problem;
     ``solve_family`` adds the linear-response basis.
     """
+    if mode != "auto":
+        raise MgError(f"the solve strategy is 'auto', got {mode!r}")
+    if not tol > 0:
+        raise MgError(f"tol must be positive, got {tol}")
     grid = problem.grid
     if sym is None:
         sym = canonicalize(grid, problem.lam)
@@ -523,16 +523,8 @@ def bvp_solve(problem: BoundaryProblem, psi_assembler=None, tol=1e-10,
                 break
             if (len(diffs) >= 4 and diffs[-1] > diffs[-2] > diffs[-3]
                     and diffs[-1] > 10 * min(diffs)):
-                if mode == "picard":
-                    raise ContractionFailureError(
-                        "successive approximations diverged (spectral radius >= 1)"
-                    )
                 return None
         else:
-            if mode == "picard":
-                raise ConvergenceError(
-                    f"no convergence in {max_iter} successive approximations"
-                )
             return None
         if len(diffs) >= 2 and diffs[-2] > 0:
             ratio = diffs[-1] / diffs[-2]
@@ -557,9 +549,7 @@ def bvp_solve(problem: BoundaryProblem, psi_assembler=None, tol=1e-10,
     prev_d = np.inf
     for outer in range(max_outer):
         rhs_field, solv_hist = corrected_t(psi_assembler(w), problem.phi)
-        w_new = None
-        if mode in ("picard", "auto") and used_mode == "picard":
-            w_new = inner_picard(rhs_field)
+        w_new = inner_picard(rhs_field) if used_mode == "picard" else None
         if w_new is None:
             w_new = inner_gmres(rhs_field)
         if pin is not None:
@@ -588,7 +578,7 @@ def bvp_solve(problem: BoundaryProblem, psi_assembler=None, tol=1e-10,
             float(np.max(np.abs(psi_final))),
             1e-30,
         )
-        if np.max(np.abs(solv_hist)) > solvability_tol * data_scale:
+        if np.max(np.abs(solv_hist)) > SOLVABILITY_TOL * data_scale:
             raise UnsolvableDataError(
                 f"negative index {n}: solvability residuals "
                 f"{np.max(np.abs(solv_hist)):.3e} exceed tolerance"
@@ -611,8 +601,7 @@ def bvp_solve(problem: BoundaryProblem, psi_assembler=None, tol=1e-10,
     )
 
 
-def solve_family(problem: BoundaryProblem, tol=1e-10, max_iter=60, mode="auto",
-                 sym=None):
+def solve_family(problem: BoundaryProblem, tol=1e-10, max_iter=60, sym=None):
     """Particular solution plus the linear-response basis of the family.
 
     Member i is K_i = (I - L)^{-1} b_i for the core member b_i and the
@@ -621,11 +610,11 @@ def solve_family(problem: BoundaryProblem, tol=1e-10, max_iter=60, mode="auto",
     """
     if sym is None:
         sym = canonicalize(problem.grid, problem.lam)
-    base = bvp_solve(problem, tol=tol, max_iter=max_iter, mode=mode, sym=sym)
+    base = bvp_solve(problem, tol=tol, max_iter=max_iter, sym=sym)
     zero_phi = np.zeros(problem.grid.n_theta)
     base.basis = [
         b + bvp_solve(replace(problem, phi=zero_phi, psi=-problem.volume_terms(b)),
-                      tol=tol, max_iter=max_iter, mode=mode, sym=sym).w
+                      tol=tol, max_iter=max_iter, sym=sym).w
         for b in sym.basis
     ]
     return base, sym

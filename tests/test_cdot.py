@@ -207,3 +207,13 @@ def test_path_integrator_base_point_is_center():
     assert PathIntegrator(grid, 0).x0_node == 0
     with pytest.raises(MgError):
         PathIntegrator(grid, 5)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-10, float("nan")])
+def test_non_positive_tolerance_rejected(setup_flat, tol):
+    metric, surf, integ = setup_flat
+    zero = np.zeros(surf.grid.n_nodes)
+    deform = prescribed_deformation(surf, zero, zero, zero, 0.01, 2)
+    fn = make_coeff_fn(metric, surf, deform, zero, zero)
+    with pytest.raises(MgError, match="tol"):
+        solve_cdot(surf, fn, deform.a1, deform.a2, zero, zero, integ, tol=tol)

@@ -150,7 +150,8 @@ def test_n_theta_not_a_multiple_of_four_builds():
 
 @pytest.mark.parametrize("n_theta", [17, 8])
 def test_run_rejects_grid_shape_with_mg_error(tmp_path, capsys, n_theta):
-    # the grid alone decides its shape: n_theta even and >= 16
+    # the grid alone decides its shape: n_theta even and >= 16; a rejected
+    # run leaves no output directory behind
     cpath = tmp_path / "cfg.txt"
     cpath.write_text(MINIMAL.replace("n_theta = 24", f"n_theta = {n_theta}"))
     rc = main(["--log-level", "quiet", "run", "--config", str(cpath),
@@ -158,6 +159,7 @@ def test_run_rejects_grid_shape_with_mg_error(tmp_path, capsys, n_theta):
     assert rc == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "MgError" and "n_theta" in err["message"]
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.fixture(scope="module")
@@ -299,6 +301,23 @@ def test_cli_bvp_writes_homogeneous_basis(tmp_path):
         assert np.max(np.abs(np.real(np.conj(lam) * k[bidx]))) <= 1e-8 * scale
 
 
+def test_cli_bvp_rejects_non_positive_tol(tmp_path, capsys, monkeypatch):
+    # refused before any iteration, not after the GMRES budget runs out
+    from mgdeform import vekua
+    from mgdeform.grid import DiskGrid
+    from mgdeform.vekua import BoundaryProblem, save_problem
+
+    grid = DiskGrid(16, 32)
+    th = grid.boundary_theta
+    ppath = tmp_path / "prob.txt"
+    save_problem(ppath, BoundaryProblem(grid=grid, lam=np.exp(1j * th), phi=np.cos(th)))
+    monkeypatch.setattr(vekua, "t_operator", None)
+    assert main(["bvp", str(ppath), "--tol", "0"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "MgError" and "tol" in err["message"]
+    assert not (tmp_path / "prob.solution.txt").exists()
+
+
 def test_cli_bvp_empty_file(tmp_path):
     p = tmp_path / "empty.txt"
     p.write_text("")
@@ -331,6 +350,7 @@ def test_cli_run_rejects_invalid_flow_settings(tmp_path, capsys, lines, name):
     assert rc == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "MgError" and name in err["message"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_bad_config_exit_code(tmp_path):

@@ -143,24 +143,51 @@ def test_continuity_bound(flat_cap):
 
 
 def test_one_pinned_solve_per_step(flat_cap, monkeypatch):
-    # every step, step 0 included, makes exactly one solve with an assembler;
     # the fixed-right-side solves of the linear-response basis run once, in
-    # step 0
+    # init_flow; every step, step 0 included, then makes exactly one solve,
+    # with an assembler
     metric, surf = flat_cap
     boundary = BoundarySpec(winding=1, gamma_kind="harmonic", epsilon=1e-3, mode=1)
-    state = init_flow(metric, surf, boundary, FlowConfig(t_final=0.015, dt=0.005))
     real_solve = vekua.bvp_solve
     calls = []
 
     def counting_solve(problem, psi_assembler=None, *args, **kwargs):
-        calls.append((state.step_index, psi_assembler is not None))
+        calls.append(psi_assembler is not None)
         return real_solve(problem, psi_assembler, *args, **kwargs)
 
     monkeypatch.setattr(vekua, "bvp_solve", counting_solve)
     monkeypatch.setattr(flow, "bvp_solve", counting_solve)
+    state = init_flow(metric, surf, boundary, FlowConfig(t_final=0.015, dt=0.005))
+    assert state.statics is not None
+    assert calls and not any(calls)
+    per_step = []
+
+    def on_step(rec):
+        per_step.append(list(calls))
+        calls.clear()
+
+    calls.clear()
+    run_flow(state, on_step)
+    assert per_step == [[True]] * 3
+
+
+def test_boundary_data_built_once_per_flow(flat_cap, monkeypatch):
+    # the shipped boundary rates are steady, so lambda and phi are flow
+    # statics
+    metric, surf = flat_cap
+    boundary = BoundarySpec(winding=1, gamma_kind="harmonic", epsilon=1e-3, mode=1)
+    real = vekua.boundary_data
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "boundary_data", counting)
+    state = init_flow(metric, surf, boundary, FlowConfig(t_final=0.015, dt=0.005))
     run_flow(state)
-    assert [k for k, coupled in calls if coupled] == [0, 1, 2]
-    assert {k for k, coupled in calls if not coupled} == {0}
+    assert len(state.records) == 3
+    assert len(calls) == 1
 
 
 def test_curved_metric_flow_meets_acceptance_bounds(monkeypatch):

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mgdeform.errors import (
-    ContractionFailureError,
     ConvergenceError,
     MgError,
     UnderResolvedError,
@@ -247,7 +246,7 @@ from helpers import manufactured_problem  # noqa: E402
 @pytest.mark.parametrize("swap", [False, True])
 def test_manufactured_recovery(grid, swap):
     prob, w_star = manufactured_problem(grid, n=1, swap=swap)
-    fam, _ = solve_family(prob, tol=1e-12, mode="auto")
+    fam, _ = solve_family(prob, tol=1e-12)
     # match the free family against the manufactured member
     cols = np.stack([np.concatenate([b.real, b.imag]) for b in fam.basis], axis=1)
     rhs = np.concatenate([(w_star - fam.w).real, (w_star - fam.w).imag])
@@ -263,7 +262,7 @@ def test_zero_coefficients_reduce_to_core(grid):
     lam = np.exp(1j * th)
     phi = np.cos(th)
     prob = BoundaryProblem(grid=grid, lam=lam, phi=phi)
-    fam = bvp_solve(prob, tol=1e-13, mode="picard")
+    fam = bvp_solve(prob, tol=1e-13)
     core = rh_core_solve(grid, lam, phi)
     assert np.max(np.abs(fam.w - core.w)) < 1e-11
     assert fam.iterations <= 3
@@ -285,11 +284,10 @@ def test_negative_index_unsolvable_data_raises(grid):
 
 
 def test_contraction_failure_reported(grid):
-    # huge coefficients push the iteration out of the contraction regime
+    # huge coefficients push the Picard iteration out of the contraction
+    # regime, and GMRES takes over
     prob, _ = manufactured_problem(grid, n=0, amp=12.0)
-    with pytest.raises(ContractionFailureError):
-        bvp_solve(prob, mode="picard", max_iter=25)
-    fam = bvp_solve(prob, mode="auto", max_iter=25)
+    fam = bvp_solve(prob, max_iter=25)
     assert fam.mode == "gmres"
     assert fam.fixed_point_residual < 1e-7
 
@@ -298,11 +296,11 @@ def test_pinned_solve_matches_least_norm_family_member(grid):
     # fixed right side, n = 1: one pinned solve reproduces the particular
     # solution plus the least-norm parameters that put w = 0 at the center
     prob, _ = manufactured_problem(grid, n=1)
-    fam, sym = solve_family(prob, tol=1e-12, mode="picard")
+    fam, sym = solve_family(prob, tol=1e-12)
     pin = point_pin(fam.basis)
     params = pin.pinv @ -np.array([fam.w[0].real, fam.w[0].imag])
     w_ref = fam.w + sum(c * k for c, k in zip(params, fam.basis))
-    pinned = bvp_solve(prob, tol=1e-12, pin=pin, mode="picard", sym=sym)
+    pinned = bvp_solve(prob, tol=1e-12, pin=pin, sym=sym)
     assert abs(fam.w[0]) > 1e-2
     assert abs(pinned.w[0]) <= 1e-12
     assert np.max(np.abs(pinned.w - w_ref)) <= 1e-10 * np.max(np.abs(w_ref))
@@ -310,13 +308,12 @@ def test_pinned_solve_matches_least_norm_family_member(grid):
     assert pinned.fixed_point_residual < 1e-10
 
 
-@pytest.mark.parametrize("mode", ["gmres", "auto"])
-def test_gmres_iteration_cap_raises(mode):
+def test_gmres_iteration_cap_raises():
     # four GMRES iterations leave a fixed-point residual of order 10 here;
     # the solve must fail rather than return the unconverged field
     prob, _ = manufactured_problem(DiskGrid(16, 32), n=0, amp=12.0)
     with pytest.raises(ConvergenceError):
-        bvp_solve(prob, mode=mode, max_iter=1)
+        bvp_solve(prob, max_iter=1)
 
 
 def test_zero_iteration_cap_is_rejected():
@@ -326,7 +323,22 @@ def test_zero_iteration_cap_is_rejected():
         _gmres(lambda v: v, np.ones(4), 1e-10, 0)
     prob, _ = manufactured_problem(DiskGrid(16, 32), n=1)
     with pytest.raises(MgError, match="max_iter"):
-        bvp_solve(prob, mode="gmres", max_iter=0)
+        bvp_solve(prob, max_iter=0)
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"tol": 0.0}, "tol"),
+    ({"tol": -1e-10}, "tol"),
+    ({"tol": float("nan")}, "tol"),
+    ({"mode": "picard"}, "picard"),
+    ({"mode": "gmres"}, "gmres"),
+])
+def test_bvp_solve_rejects_bad_settings(kwargs, name):
+    # rejected before any iteration: a tolerance no solve can reach, or a
+    # solve strategy other than Picard with GMRES hand-over
+    prob, _ = manufactured_problem(DiskGrid(16, 32), n=1)
+    with pytest.raises(MgError, match=name):
+        bvp_solve(prob, **kwargs)
 
 
 def test_problem_file_roundtrip(tmp_path, grid):
