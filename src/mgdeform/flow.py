@@ -115,6 +115,16 @@ class PrevRecords:
     coeffs: object = None      # GDefCoefficients at the previous step
     m4: np.ndarray | None = None
     psi1: np.ndarray | None = None
+    w: np.ndarray | None = None         # the previous step's solution w_n
+    w_before: np.ndarray | None = None  # and the one before it, w_{n-1}
+
+    def start(self):
+        """Start of the next step's solve: the linear extrapolation
+        2 w_n - w_{n-1}, w_n after one step, None at step 0.  It keeps the
+        fixed boundary data and the linear center pin exactly."""
+        if self.w is None or self.w_before is None:
+            return self.w
+        return 2.0 * self.w - self.w_before
 
 
 @dataclass
@@ -144,6 +154,7 @@ class StepRecord:
     bvp_iterations: int
     bvp_ratio: float
     bvp_mode: str
+    bvp_passes: int
     bvp_fixed_point_residual: float
     cdot_iterations: int
     cdot_rate: float
@@ -285,13 +296,14 @@ def step(state: FlowState):
     cfg, st = state.config, state.statics
     surface, metric, grid = state.surface, state.metric, state.surface.grid
     assembler, cache = _make_assembler(state)
+    prev = state.prev
     final = bvp_solve(st.problem, assembler, tol=cfg.tol_bvp, max_iter=cfg.max_iter_bvp,
-                      pin=st.pin, sym=st.sym)
+                      pin=st.pin, sym=st.sym, w0=prev.start())
     dim_before = st.sym.family_size
     dim_after = dim_before - (st.pin.rank if st.pin else 0)
 
-    # bvp_solve's last assembler call is at the returned iterate, so the
-    # cached cdot/kpres pieces already belong to final.w
+    # bvp_solve returns its last assembled iterate, so the cached cdot/kpres
+    # pieces already belong to final.w
     last = cache["last"]
     sol = last["sol"]
     a1dot = np.ascontiguousarray(final.w.imag)
@@ -322,7 +334,7 @@ def step(state: FlowState):
         dk_max_rel=dk_rel, dk_oracle_rel=dk_oracle, g_residual=g_res,
         boundary_residual=b_res, fixed_point_z=z_x0,
         bvp_iterations=final.iterations, bvp_ratio=final.ratio,
-        bvp_mode=final.mode,
+        bvp_mode=final.mode, bvp_passes=final.passes,
         bvp_fixed_point_residual=final.fixed_point_residual,
         cdot_iterations=sol.iterations, cdot_rate=sol.rate,
         cdot_residual=sol.residual,
@@ -338,7 +350,8 @@ def step(state: FlowState):
             "g_res1": g_res_fields[:, 0], "g_res2": g_res_fields[:, 1],
         }
 
-    state.prev = PrevRecords(coeffs=sol.coeffs, m4=last["bvar"].m4, psi1=last["psi1"])
+    state.prev = PrevRecords(coeffs=sol.coeffs, m4=last["bvar"].m4, psi1=last["psi1"],
+                             w=final.w, w_before=prev.w)
     state.deform = deform_new
     state.step_index += 1
     state.records.append(rec)

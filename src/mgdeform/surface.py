@@ -145,9 +145,10 @@ def raw_fundamental_forms(grid, metric, y, y1=None, y2=None):
     differentiation of ``y``; the normal derivative always is.  No
     orientation is chosen and nothing is validated beyond a degenerate
     tangent plane or first form.  Returns a dict keyed by ``SurfaceState``
-    field names (``ambient_a``, ``n``, ``tang``, ``g``, ``g_inv``,
-    ``ambient_gamma``, ``n_deriv``, ``b``, ``g_det``, ``b_det``, ``H``,
-    ``K``); each tensor is the (N, ...) view of a node-last array.
+    field names (``ambient_a``, ``n``, ``tang``, ``g``, ``ambient_gamma``,
+    ``n_deriv``, ``b``, ``g_det``, ``b_det``, ``K``); each tensor is the
+    (N, ...) view of a node-last array.  K = det b / det g needs no g^-1, so
+    ``build_surface``, the one reader of g^-1 and H, takes them itself.
     """
     if y1 is None:
         y1, y2 = grid.grad(y)
@@ -166,7 +167,6 @@ def raw_fundamental_forms(grid, metric, y, y1=None, y2=None):
     if np.any(g_det <= 0):
         node = int(np.argmax(g_det <= 0))
         raise GeometryError(f"first fundamental form degenerate at node {node}")
-    g_inv = node_last(np.linalg.inv(node_first(g)))
     ch = christoffel_at(metric, y)
     n_deriv = node_last(np.stack(grid.grad(n), axis=-1))   # (3, 2, N)
     # D*_j n = dn/dx_j + Gamma(y)(y_,j, n)
@@ -174,12 +174,11 @@ def raw_fundamental_forms(grid, metric, y, y1=None, y2=None):
         "gabn,ajn,bn->gjn", node_last(ch.gamma_upper), tang, n_l)
     b = -np.einsum("abn,ain,bjn->ijn", a_l, tang, dstar_n)
     b_det = b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0]
-    h = 0.5 * np.einsum("ijn,ijn->n", g_inv, b)
     return {
         "ambient_a": node_first(a_l), "n": node_first(n_l), "tang": node_first(tang),
-        "g": node_first(g), "g_inv": node_first(g_inv), "ambient_gamma": ch.gamma_upper,
+        "g": node_first(g), "ambient_gamma": ch.gamma_upper,
         "n_deriv": node_first(n_deriv), "b": node_first(b), "g_det": g_det,
-        "b_det": b_det, "H": h, "K": b_det / g_det,
+        "b_det": b_det, "K": b_det / g_det,
     }
 
 
@@ -211,13 +210,16 @@ def build_surface(immersion: Immersion, metric: AmbientMetric, grid: DiskGrid,
                   ci_tol=1e-6) -> SurfaceState:
     """Construct and validate the surface state on the grid.
 
-    The forms come from ``raw_fundamental_forms``; the surface adds the
-    orientation with positive mean curvature, the admissibility checks and
-    the surface Christoffels.
+    The forms come from ``raw_fundamental_forms``; the surface adds g^-1,
+    the mean curvature H and the orientation that makes it positive, the
+    admissibility checks and the surface Christoffels.
     """
     y = immersion.chart(grid.x1, grid.x2)
     jac = immersion.jacobian(grid.x1, grid.x2)
     forms = raw_fundamental_forms(grid, metric, y, jac[..., 0], jac[..., 1])
+    g_inv = node_last(np.linalg.inv(forms["g"]))
+    forms["g_inv"] = node_first(g_inv)
+    forms["H"] = 0.5 * np.einsum("ijn,ijn->n", g_inv, node_last(forms["b"]))
     if np.mean(forms["H"]) < 0:
         for key in ("n", "n_deriv", "b"):
             forms[key] = node_first(-node_last(forms[key]))
@@ -242,8 +244,7 @@ def build_surface(immersion: Immersion, metric: AmbientMetric, grid: DiskGrid,
             f"exceeds {ci_tol:.1e} relative to V"
         )
 
-    gamma_surface = _surface_christoffels(
-        grid, node_last(forms["g"]), node_last(forms["g_inv"]))
+    gamma_surface = _surface_christoffels(grid, node_last(forms["g"]), g_inv)
     state = SurfaceState(grid=grid, metric=metric, y=y, V=v,
                          gamma_surface=node_first(gamma_surface),
                          ci_residual=ci_res, **forms)

@@ -308,6 +308,7 @@ class SolutionFamily:
     params: np.ndarray
     n: int
     iterations: int = 0
+    passes: int = 0          # right-hand-side evaluations (assembler calls)
     ratio: float = 0.0
     mode: str = "picard"
     boundary_residual: float = 0.0
@@ -451,18 +452,24 @@ SOLVABILITY_TOL = 1e-6
 
 def bvp_solve(problem: BoundaryProblem, psi_assembler=None, tol=1e-10,
               max_iter=60, pin: PointPin | None = None, mode="auto",
-              sym: CanonicalSymbol | None = None) -> SolutionFamily:
+              sym: CanonicalSymbol | None = None, w0=None) -> SolutionFamily:
     """Solve the full problem by alternating areal correction and core solve.
 
     ``psi_assembler`` maps the current iterate w to the right-hand side field;
-    when None the fixed ``problem.psi`` (or zero) is used.  ``mode`` must be
-    "auto": Picard iterations, handing over to GMRES when they diverge or
-    reach ``max_iter``; the result's ``mode`` names the solver that finished.
-    With a ``pin`` every outer iterate is moved along the linear-response
-    basis to w = 0 at the center node with least-norm family parameters;
-    without one the family parameters are zero.  The returned ``basis`` are
-    the core members b_i, not homogeneous solutions of the full problem;
-    ``solve_family`` adds the linear-response basis.
+    when None the fixed ``problem.psi`` (or zero) is used and one pass returns
+    its image F(0).  With an assembler the outer passes w_{k+1} = F(w_k) start
+    at ``w0`` (zero when None) and stop once |F(w_k) - w_k| <= tol; the
+    returned iterate is that w_k, the last one whose right-hand side was
+    assembled, so the assembler's most recent call is at the returned w.
+    ``mode`` must be "auto": Picard iterations, handing over to GMRES when
+    they diverge or reach ``max_iter``; the result's ``mode`` names the solver
+    that finished.  Each pass's inner Picard iteration starts from the
+    previous pass's solution.  With a ``pin`` every outer iterate is moved
+    along the linear-response basis to w = 0 at the center node with
+    least-norm family parameters; without one the family parameters are
+    zero.  The returned ``basis`` are the core members b_i, not homogeneous
+    solutions of the full problem; ``solve_family`` adds the linear-response
+    basis.
     """
     if mode != "auto":
         raise MgError(f"the solve strategy is 'auto', got {mode!r}")
@@ -503,15 +510,18 @@ def bvp_solve(problem: BoundaryProblem, psi_assembler=None, tol=1e-10,
         half = v.size // 2
         return v[:half] + 1j * v[half:]
 
-    w = np.zeros(grid.n_nodes, dtype=complex)
+    if w0 is None:
+        w = np.zeros(grid.n_nodes, dtype=complex)
+    else:
+        w = np.asarray(w0, dtype=complex)
     iterations = 0
     ratio = 0.0
     used_mode = "picard"
 
-    def inner_picard(rhs):
-        """Successive substitution for v = rhs + L(v), frozen right side."""
+    def inner_picard(rhs, v):
+        """Successive substitution for v = rhs + L(v), frozen right side,
+        from the start ``v``."""
         nonlocal iterations, ratio
-        v = rhs.copy()
         diffs = []
         for k in range(max_iter):
             v_new = rhs + linear_response(v)
@@ -546,36 +556,47 @@ def bvp_solve(problem: BoundaryProblem, psi_assembler=None, tol=1e-10,
     # solves the frozen-right-side problem with zero parameters, then adds
     # the parameters that put the iterate on w = 0 at the center
     max_outer = 1 if psi_is_fixed else 16
-    prev_d = np.inf
+    pass_diffs = []
+    v = None          # the previous pass's solution before the pin
     for outer in range(max_outer):
-        rhs_field, solv_hist = corrected_t(psi_assembler(w), problem.phi)
-        w_new = inner_picard(rhs_field) if used_mode == "picard" else None
+        psi = psi_assembler(w)
+        rhs_field, solv_hist = corrected_t(psi, problem.phi)
+        w_new = None
+        if used_mode == "picard":
+            w_new = inner_picard(rhs_field, rhs_field if v is None else v)
         if w_new is None:
             w_new = inner_gmres(rhs_field)
+        v = w_new
         if pin is not None:
             params = pin.pinv @ -np.array([w_new[0].real, w_new[0].imag])
             for c, k in zip(params, pin.basis):
                 w_new = w_new + c * k
         d = float(np.max(np.abs(w_new - w)))
-        w = w_new
-        if psi_is_fixed or d <= tol * max(1.0, float(np.max(np.abs(w)))):
+        pass_diffs.append(d)
+        if psi_is_fixed:
+            w = w_new
             break
-        if d >= 0.9 * prev_d:
+        if d <= tol * max(1.0, float(np.max(np.abs(w_new)))):
+            break
+        if len(pass_diffs) >= 2 and d >= 0.9 * pass_diffs[-2]:
             raise ConvergenceError(
                 "right-hand-side coupling stopped contracting "
-                f"(step {d:.3e} after {outer + 1} passes)"
+                f"(step {d:.3e} after {outer + 1} passes; "
+                f"differences {_fmt_list(pass_diffs)})"
             )
-        prev_d = d
+        w = w_new
     else:
         raise ConvergenceError(
-            f"outer right-hand-side iteration did not settle in {max_outer} passes"
+            f"outer right-hand-side iteration did not settle in {max_outer} passes "
+            f"(differences {_fmt_list(pass_diffs)})"
         )
 
-    psi_final = psi_assembler(w)
+    # psi and rhs_field belong to the returned w: with an assembler w is the
+    # last assembled iterate, and a fixed psi does not depend on w
     if n < 0 and len(solv_hist):
         data_scale = max(
             float(np.max(np.abs(problem.phi))),
-            float(np.max(np.abs(psi_final))),
+            float(np.max(np.abs(psi))),
             1e-30,
         )
         if np.max(np.abs(solv_hist)) > SOLVABILITY_TOL * data_scale:
@@ -584,7 +605,7 @@ def bvp_solve(problem: BoundaryProblem, psi_assembler=None, tol=1e-10,
                 f"{np.max(np.abs(solv_hist)):.3e} exceed tolerance"
             )
 
-    fp_field, _ = corrected_t(psi_final, problem.phi)
+    fp_field = rhs_field
     for c, b in zip(params, sym.basis):
         fp_field = fp_field + c * b
     fp_field = fp_field + linear_response(w)
@@ -594,11 +615,15 @@ def bvp_solve(problem: BoundaryProblem, psi_assembler=None, tol=1e-10,
     )))
     return SolutionFamily(
         w=w, particular=w, basis=list(sym.basis), params=params, n=n,
-        iterations=iterations, ratio=ratio, mode=used_mode,
+        iterations=iterations, passes=len(pass_diffs), ratio=ratio, mode=used_mode,
         boundary_residual=boundary_residual,
         fixed_point_residual=fixed_point_residual,
         solvability=np.asarray(solv_hist),
     )
+
+
+def _fmt_list(values):
+    return ", ".join(f"{v:.3e}" for v in values)
 
 
 def solve_family(problem: BoundaryProblem, tol=1e-10, max_iter=60, sym=None):

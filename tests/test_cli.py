@@ -179,6 +179,8 @@ def test_run_writes_artifacts(tiny_run):
     assert len(lines) == summary["flow_report"]["steps"] == 2
     rec = json.loads(lines[0])
     assert "dk_max_rel" in rec
+    # right-hand-side assemblies of each step's coupled solve
+    assert [json.loads(line)["bvp_passes"] >= 1 for line in lines] == [True, True]
     head = (out / "step_0000.tsv").read_text().splitlines()[0]
     assert head.startswith("# node r theta a1 a2 c dK")
     assert summary["flow_report"]["within_tolerances"]

@@ -139,7 +139,10 @@ def test_build_and_oracle_share_one_kernel(case):
            else SphereCapImmersion(1.0, 0.5))
     s = build_surface(imm, metric, DiskGrid(16, 32), ci_tol=1e-5)
     forms = raw_fundamental_forms(s.grid, s.metric, s.y, s.y1, s.y2)
-    for key in ("K", "g", "g_inv"):
+    for key in ("K", "g"):
         assert np.array_equal(forms[key], getattr(s, key))
+    # the oracle reads only K, so g^-1 and H are the build's own
+    assert "g_inv" not in forms and "H" not in forms
+    assert np.array_equal(np.linalg.inv(forms["g"]), s.g_inv)
     sign = -1.0 if case == "flipped_paraboloid" else 1.0
     assert np.array_equal(forms["b"], sign * s.b)

@@ -341,6 +341,55 @@ def test_bvp_solve_rejects_bad_settings(kwargs, name):
         bvp_solve(prob, **kwargs)
 
 
+def test_solve_started_at_its_solution_makes_one_assembler_call():
+    prob, _ = manufactured_problem(DiskGrid(16, 32), n=1)
+    tol = 1e-10
+    calls = []
+
+    def assembler(w):
+        # a right-hand side that depends on the iterate
+        calls.append(1)
+        return prob.psi + 0.05 * np.conj(w)
+
+    cold = bvp_solve(prob, assembler, tol=tol)
+    assert cold.passes == len(calls) >= 3
+    assert cold.fixed_point_residual <= tol
+    calls.clear()
+    warm = bvp_solve(prob, assembler, tol=tol, w0=cold.w)
+    assert warm.passes == len(calls) == 1
+    assert np.max(np.abs(warm.w - cold.w)) <= tol
+    assert warm.fixed_point_residual <= tol
+
+
+def outer_differences(message):
+    listed = message.split("differences ", 1)[1].rstrip(")")
+    return [float(v) for v in listed.split(", ")]
+
+
+@pytest.mark.parametrize("factor, passes, reason", [
+    (-1.0, 2, "stopped contracting"),     # the iterate flips sign every pass
+    (0.85, 16, "did not settle"),         # contracts too slowly for the cap
+])
+def test_outer_failure_lists_every_pass(factor, passes, reason):
+    # a forced right-hand side scaled by factor**k on the k-th pass; the
+    # error lists the difference of every pass it made
+    grid = DiskGrid(16, 32)
+    prob = BoundaryProblem(grid=grid, lam=np.exp(1j * grid.boundary_theta),
+                           phi=np.zeros(grid.n_theta))
+    psi0 = smooth_complex(grid)
+    calls = []
+
+    def assembler(w):
+        calls.append(1)
+        return factor ** (len(calls) - 1) * psi0
+
+    with pytest.raises(ConvergenceError, match=reason) as exc:
+        bvp_solve(prob, assembler)
+    diffs = outer_differences(str(exc.value))
+    assert len(diffs) == len(calls) == passes
+    assert diffs[0] > 1e-3
+
+
 def test_problem_file_roundtrip(tmp_path, grid):
     prob, _ = manufactured_problem(grid, n=1)
     path = tmp_path / "problem.txt"
