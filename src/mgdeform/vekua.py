@@ -310,7 +310,7 @@ class SolutionFamily:
     iterations: int = 0
     passes: int = 0          # right-hand-side evaluations (assembler calls)
     ratio: float = 0.0
-    mode: str = "picard"
+    mode: str = "gmres"      # the one inner solver; kept for the output formats
     boundary_residual: float = 0.0
     fixed_point_residual: float = 0.0
     solvability: np.ndarray = field(default_factory=lambda: np.array([]))
@@ -393,21 +393,28 @@ def assemble_AB(p1, p2, qb1, qb2, q0=None, v=None):
     return a, b, e0_point, v
 
 
-def _gmres(apply_op, rhs, tol, max_iter):
-    """Matrix-free GMRES on real vectors, no restarts, deterministic.
+def _gmres(apply_op, rhs, atol, max_iter, x0=None):
+    """Matrix-free GMRES on real vectors from ``x0`` (zero when None), no
+    restarts, deterministic.
 
-    Raises ConvergenceError when ``max_iter`` iterations leave the residual
-    above ``tol`` relative to the right-hand side.
+    Returns (x, k, factor): the first iterate whose residual 2-norm is at
+    most ``atol``, the k Krylov iterations it took, and the observed
+    contraction (|r_k| / |r_0|)^(1/k), 0 when k = 0.  A given ``x0`` costs
+    one more ``apply_op`` call, for its residual.  Raises ConvergenceError
+    when ``max_iter`` iterations leave the residual above ``atol``.
     """
     if max_iter < 1:
         raise MgError(f"GMRES needs max_iter >= 1, got {max_iter}")
-    n = rhs.size
-    beta = np.linalg.norm(rhs)
-    if beta == 0:
-        return np.zeros(n), 0
-    q = np.empty((max_iter + 1, n))
+    if x0 is None:
+        x0, r0 = np.zeros(rhs.size), rhs
+    else:
+        r0 = rhs - apply_op(x0)
+    beta = np.linalg.norm(r0)
+    if beta <= atol:
+        return x0, 0, 0.0
+    q = np.empty((max_iter + 1, rhs.size))
     h = np.zeros((max_iter + 1, max_iter))
-    q[0] = rhs / beta
+    q[0] = r0 / beta
     for k in range(max_iter):
         v = apply_op(q[k])
         for j in range(k + 1):
@@ -416,14 +423,13 @@ def _gmres(apply_op, rhs, tol, max_iter):
         h[k + 1, k] = np.linalg.norm(v)
         e1 = np.zeros(k + 2)
         e1[0] = beta
-        ysol, res, *_ = np.linalg.lstsq(h[: k + 2, : k + 1], e1, rcond=None)
+        ysol, *_ = np.linalg.lstsq(h[: k + 2, : k + 1], e1, rcond=None)
         rnorm = np.linalg.norm(h[: k + 2, : k + 1] @ ysol - e1)
-        if rnorm <= tol * beta or h[k + 1, k] < 1e-300:
-            return q[: k + 1].T @ ysol, k + 1
+        if rnorm <= atol or h[k + 1, k] < 1e-300:
+            return x0 + q[: k + 1].T @ ysol, k + 1, (rnorm / beta) ** (1.0 / (k + 1))
         q[k + 1] = v / h[k + 1, k]
     raise ConvergenceError(
-        f"GMRES relative residual {rnorm / beta:.3e} above {tol:.1e} "
-        f"after {max_iter} iterations"
+        f"GMRES residual {rnorm:.3e} above {atol:.1e} after {max_iter} iterations"
     )
 
 
@@ -461,15 +467,16 @@ def bvp_solve(problem: BoundaryProblem, psi_assembler=None, tol=1e-10,
     at ``w0`` (zero when None) and stop once |F(w_k) - w_k| <= tol; the
     returned iterate is that w_k, the last one whose right-hand side was
     assembled, so the assembler's most recent call is at the returned w.
-    ``mode`` must be "auto": Picard iterations, handing over to GMRES when
-    they diverge or reach ``max_iter``; the result's ``mode`` names the solver
-    that finished.  Each pass's inner Picard iteration starts from the
-    previous pass's solution.  With a ``pin`` every outer iterate is moved
-    along the linear-response basis to w = 0 at the center node with
-    least-norm family parameters; without one the family parameters are
-    zero.  The returned ``basis`` are the core members b_i, not homogeneous
-    solutions of the full problem; ``solve_family`` adds the linear-response
-    basis.
+    Each pass solves its frozen-right-side problem (I - L) v = rhs by GMRES
+    (at most 4 ``max_iter`` iterations) from the previous pass's v, the first
+    pass from ``w0``; ``iterations`` counts the applications of L and
+    ``ratio`` is the largest per-pass contraction (|r_k| / |r_0|)^(1/k).
+    ``mode`` must be "auto", the one strategy.  With a ``pin`` every outer
+    iterate is moved along the linear-response basis to w = 0 at the center
+    node with least-norm family parameters; without one the family
+    parameters are zero.  The returned ``basis`` are the core members b_i,
+    not homogeneous solutions of the full problem; ``solve_family`` adds the
+    linear-response basis.
     """
     if mode != "auto":
         raise MgError(f"the solve strategy is 'auto', got {mode!r}")
@@ -510,63 +517,40 @@ def bvp_solve(problem: BoundaryProblem, psi_assembler=None, tol=1e-10,
         half = v.size // 2
         return v[:half] + 1j * v[half:]
 
+    # each pass's inner problem (I - L) v = rhs starts from the previous
+    # pass's solution before the pin, the first one from w0
     if w0 is None:
-        w = np.zeros(grid.n_nodes, dtype=complex)
+        w, v = np.zeros(grid.n_nodes, dtype=complex), None
     else:
-        w = np.asarray(w0, dtype=complex)
-    iterations = 0
+        w = v = np.asarray(w0, dtype=complex)
     ratio = 0.0
-    used_mode = "picard"
 
-    def inner_picard(rhs, v):
-        """Successive substitution for v = rhs + L(v), frozen right side,
-        from the start ``v``."""
-        nonlocal iterations, ratio
-        diffs = []
-        for k in range(max_iter):
-            v_new = rhs + linear_response(v)
-            d = float(np.max(np.abs(v_new - v)))
-            diffs.append(d)
-            v = v_new
-            iterations += 1
-            if d <= 0.5 * tol * max(1.0, float(np.max(np.abs(v)))):
-                break
-            if (len(diffs) >= 4 and diffs[-1] > diffs[-2] > diffs[-3]
-                    and diffs[-1] > 10 * min(diffs)):
-                return None
-        else:
-            return None
-        if len(diffs) >= 2 and diffs[-2] > 0:
-            ratio = diffs[-1] / diffs[-2]
-        return v
-
-    def inner_gmres(rhs):
-        nonlocal iterations, used_mode
-        used_mode = "gmres"
-
-        def apply_m(vec):
-            ww = unpack(vec)
-            return pack(ww - linear_response(ww))
-
-        sol, its = _gmres(apply_m, pack(rhs), 0.1 * tol, max_iter * 4)
-        iterations += its
-        return unpack(sol)
+    def apply_m(vec):
+        ww = unpack(vec)
+        return pack(ww - linear_response(ww))
 
     # outer substitution of the iterate into the right-hand side; each pass
     # solves the frozen-right-side problem with zero parameters, then adds
     # the parameters that put the iterate on w = 0 at the center
     max_outer = 1 if psi_is_fixed else 16
-    pass_diffs = []
-    v = None          # the previous pass's solution before the pin
+    pass_diffs, pass_iters = [], []
     for outer in range(max_outer):
         psi = psi_assembler(w)
         rhs_field, solv_hist = corrected_t(psi, problem.phi)
-        w_new = None
-        if used_mode == "picard":
-            w_new = inner_picard(rhs_field, rhs_field if v is None else v)
-        if w_new is None:
-            w_new = inner_gmres(rhs_field)
-        v = w_new
+        # a residual 2-norm below tol/2 bounds its sup norm too
+        atol = 0.5 * tol * max(1.0, float(np.max(np.abs(rhs_field))))
+        x0 = None if v is None else pack(v)
+        try:
+            sol, its, factor = _gmres(apply_m, pack(rhs_field), atol, 4 * max_iter,
+                                      x0=x0)
+        except ConvergenceError as exc:
+            earlier = (f"; earlier {_fmt_passes(pass_diffs, pass_iters)}"
+                       if pass_diffs else "")
+            raise ConvergenceError(f"outer pass {outer + 1}: {exc}{earlier}") from None
+        # applications of L: a start's residual takes one
+        pass_iters.append(its + (x0 is not None))
+        ratio = max(ratio, factor)
+        v = w_new = unpack(sol)
         if pin is not None:
             params = pin.pinv @ -np.array([w_new[0].real, w_new[0].imag])
             for c, k in zip(params, pin.basis):
@@ -582,13 +566,13 @@ def bvp_solve(problem: BoundaryProblem, psi_assembler=None, tol=1e-10,
             raise ConvergenceError(
                 "right-hand-side coupling stopped contracting "
                 f"(step {d:.3e} after {outer + 1} passes; "
-                f"differences {_fmt_list(pass_diffs)})"
+                f"{_fmt_passes(pass_diffs, pass_iters)})"
             )
         w = w_new
     else:
         raise ConvergenceError(
             f"outer right-hand-side iteration did not settle in {max_outer} passes "
-            f"(differences {_fmt_list(pass_diffs)})"
+            f"({_fmt_passes(pass_diffs, pass_iters)})"
         )
 
     # psi and rhs_field belong to the returned w: with an assembler w is the
@@ -615,15 +599,17 @@ def bvp_solve(problem: BoundaryProblem, psi_assembler=None, tol=1e-10,
     )))
     return SolutionFamily(
         w=w, particular=w, basis=list(sym.basis), params=params, n=n,
-        iterations=iterations, passes=len(pass_diffs), ratio=ratio, mode=used_mode,
+        iterations=sum(pass_iters), passes=len(pass_diffs), ratio=ratio,
         boundary_residual=boundary_residual,
         fixed_point_residual=fixed_point_residual,
         solvability=np.asarray(solv_hist),
     )
 
 
-def _fmt_list(values):
-    return ", ".join(f"{v:.3e}" for v in values)
+def _fmt_passes(diffs, inner):
+    """Each outer pass's difference with its inner iteration count."""
+    listed = ", ".join(f"{d:.3e} ({k} inner)" for d, k in zip(diffs, inner))
+    return f"pass differences {listed}"
 
 
 def solve_family(problem: BoundaryProblem, tol=1e-10, max_iter=60, sym=None):

@@ -18,6 +18,15 @@ from mgdeform.surface import SphereCapImmersion, build_surface
 from mgdeform.vekua import point_pin
 
 
+def assert_warm_inner_solves(records):
+    """Every warm-started step makes at most 5 inner iterations per pass,
+    and every step reports an observed inner contraction in (0, 1)."""
+    for rec in records[1:]:
+        assert rec.bvp_iterations <= 5 * rec.bvp_passes
+    for rec in records:
+        assert 0.0 < rec.bvp_ratio < 1.0
+
+
 @pytest.fixture(scope="module")
 def flat_cap():
     grid = DiskGrid(16, 32)
@@ -200,6 +209,8 @@ def test_warm_started_steps_make_at_most_two_assembler_calls(flat_cap, monkeypat
     assert [r.bvp_passes for r in state.records] == per_step
     assert per_step[0] <= 7
     assert max(per_step[1:]) <= 2
+    # each pass's inner GMRES starts from the previous solution
+    assert_warm_inner_solves(state.records)
     for rec in state.records:
         assert rec.bvp_fixed_point_residual <= cfg.tol_bvp
     assert rep["max_dk_oracle_rel"] <= 1e-4
@@ -255,9 +266,10 @@ def test_curved_metric_flow_meets_acceptance_bounds(monkeypatch):
     passes = [r.bvp_passes for r in state.records]
     per_pass = 9
     assert len({c - per_pass * p for c, p in zip(per_step[2:], passes[2:])}) == 1
-    # a diverging inner Picard iteration hands over to GMRES once its
-    # difference has grown tenfold from its minimum, not after max_iter
+    # the cold step 0 needs many passes; each inner GMRES starts from the
+    # previous pass's solution
     assert state.records[0].bvp_iterations <= 150
+    assert_warm_inner_solves(state.records)
     assert rep["index"] == 1
     assert rep["steps"] == 10
     assert rep["max_dk_oracle_rel"] <= 1e-4

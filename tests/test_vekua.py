@@ -1,3 +1,6 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -284,11 +287,10 @@ def test_negative_index_unsolvable_data_raises(grid):
 
 
 def test_contraction_failure_reported(grid):
-    # huge coefficients push the Picard iteration out of the contraction
-    # regime, and GMRES takes over
+    # huge coefficients put L far outside the contraction regime; GMRES
+    # still solves the fixed point, and needs more than max_iter iterations
     prob, _ = manufactured_problem(grid, n=0, amp=12.0)
     fam = bvp_solve(prob, max_iter=25)
-    assert fam.mode == "gmres"
     assert fam.fixed_point_residual < 1e-7
 
 
@@ -316,6 +318,20 @@ def test_gmres_iteration_cap_raises():
         bvp_solve(prob, max_iter=1)
 
 
+def test_gmres_started_at_the_solution_returns_it():
+    from mgdeform.vekua import _gmres
+
+    mat = np.array([[2.0, 1.0, 0.0], [0.0, 3.0, 1.0], [1.0, 0.0, 4.0]])
+    x = np.array([1.0, -2.0, 0.5])
+    sol, its, factor = _gmres(lambda v: mat @ v, mat @ x, 1e-12, 5, x0=x)
+    assert its == 0 and factor == 0.0
+    assert np.array_equal(sol, x)
+    # from zero it iterates to the same solution
+    sol, its, factor = _gmres(lambda v: mat @ v, mat @ x, 1e-12, 5)
+    assert 1 <= its <= 3 and 0 < factor < 1
+    assert np.max(np.abs(sol - x)) <= 1e-12
+
+
 def test_zero_iteration_cap_is_rejected():
     from mgdeform.vekua import _gmres
 
@@ -335,7 +351,7 @@ def test_zero_iteration_cap_is_rejected():
 ])
 def test_bvp_solve_rejects_bad_settings(kwargs, name):
     # rejected before any iteration: a tolerance no solve can reach, or a
-    # solve strategy other than Picard with GMRES hand-over
+    # solve strategy other than "auto", the one there is
     prob, _ = manufactured_problem(DiskGrid(16, 32), n=1)
     with pytest.raises(MgError, match=name):
         bvp_solve(prob, **kwargs)
@@ -357,37 +373,55 @@ def test_solve_started_at_its_solution_makes_one_assembler_call():
     calls.clear()
     warm = bvp_solve(prob, assembler, tol=tol, w0=cold.w)
     assert warm.passes == len(calls) == 1
+    # its inner solve starts at the solution too: one application of L
+    # forms the residual, and at most one iteration follows
+    assert warm.iterations <= 2
     assert np.max(np.abs(warm.w - cold.w)) <= tol
     assert warm.fixed_point_residual <= tol
 
 
-def outer_differences(message):
-    listed = message.split("differences ", 1)[1].rstrip(")")
-    return [float(v) for v in listed.split(", ")]
+def outer_passes(message):
+    """(difference, inner iterations) of every pass an outer-loop error lists."""
+    listed = re.findall(r"([-+.0-9e]+) \((\d+) inner\)", message)
+    return [(float(d), int(k)) for d, k in listed]
 
 
-@pytest.mark.parametrize("factor, passes, reason", [
-    (-1.0, 2, "stopped contracting"),     # the iterate flips sign every pass
-    (0.85, 16, "did not settle"),         # contracts too slowly for the cap
+@pytest.mark.parametrize("factor, passes, reason, amp, scale, max_iter", [
+    # the iterate flips sign every pass
+    pytest.param(-1.0, 2, "stopped contracting", 0.0, 1.0, 60,
+                 id="-1.0-2-stopped contracting"),
+    # contracts too slowly for the cap
+    pytest.param(0.85, 16, "did not settle", 0.0, 1.0, 60, id="0.85-16-did not settle"),
+    # a tiny first right side, then one GMRES cannot reach in 4 * max_iter
+    pytest.param(1e9, 2, "outer pass 2: GMRES", 1.0, 1e-9, 2, id="1e9-2-gmres cap"),
 ])
-def test_outer_failure_lists_every_pass(factor, passes, reason):
-    # a forced right-hand side scaled by factor**k on the k-th pass; the
-    # error lists the difference of every pass it made
+def test_outer_failure_lists_every_pass(factor, passes, reason, amp, scale, max_iter):
+    # a forced right-hand side scaled by scale * factor**k on the k-th pass;
+    # the error lists the difference and inner iterations of every pass it
+    # finished
     grid = DiskGrid(16, 32)
-    prob = BoundaryProblem(grid=grid, lam=np.exp(1j * grid.boundary_theta),
-                           phi=np.zeros(grid.n_theta))
+    if amp:
+        prob = replace(manufactured_problem(grid, n=1, amp=amp)[0],
+                       phi=np.zeros(grid.n_theta), psi=None)
+    else:
+        prob = BoundaryProblem(grid=grid, lam=np.exp(1j * grid.boundary_theta),
+                               phi=np.zeros(grid.n_theta))
     psi0 = smooth_complex(grid)
     calls = []
 
     def assembler(w):
         calls.append(1)
-        return factor ** (len(calls) - 1) * psi0
+        return scale * factor ** (len(calls) - 1) * psi0
 
     with pytest.raises(ConvergenceError, match=reason) as exc:
-        bvp_solve(prob, assembler)
-    diffs = outer_differences(str(exc.value))
-    assert len(diffs) == len(calls) == passes
-    assert diffs[0] > 1e-3
+        bvp_solve(prob, assembler, max_iter=max_iter)
+    listed = outer_passes(str(exc.value))
+    finished = passes if "GMRES" not in reason else passes - 1
+    assert len(calls) == passes and len(listed) == finished
+    assert listed[0][0] > 1e-3 * scale
+    if not amp:
+        # L = 0: one iteration from zero, then a residual and one iteration
+        assert [k for _, k in listed] == [1] + [2] * (passes - 1)
 
 
 def test_problem_file_roundtrip(tmp_path, grid):
