@@ -8,8 +8,10 @@ Subcommands:
 
 Config grammar (documented, versioned v1): line-oriented sections
 ``[name]`` with ``key = value`` entries; ``#`` starts a comment.  Unknown
-sections or keys, and values that fail to parse, are reported with their
-line numbers.  ``emit_config(parse_config(text))`` is the canonical form.
+sections or keys, values that fail to parse and non-finite floats are
+reported with their line numbers.  ``emit_config(parse_config(text))`` is
+the canonical form.  The [boundary] and [flow] sections are the fields of
+``BoundarySpec`` and ``FlowConfig``, with their defaults.
 
 Snapshot column order: node index, r, theta, a1, a2, c, dK, g_res1, g_res2.
 Numbers are printed with 17 significant digits so reruns diff byte-exact.
@@ -19,18 +21,26 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass, field
+import typing
+from dataclasses import fields
 
 import numpy as np
 
 from . import __version__
 from .errors import ConfigError, MgError
-from .flow import BoundarySpec, FlowConfig, init_flow, run_flow
+from .flow import GAMMA_KINDS, TANGENT_KINDS, BoundarySpec, FlowConfig, init_flow, run_flow
 from .grid import DiskGrid
-from .metrics import make_metric
-from .surface import IMMERSION_KINDS, build_surface, make_immersion, validate_hypotheses
+from .metrics import METRIC_KINDS, make_metric
+from .surface import (
+    CI_TOL,
+    IMMERSION_KINDS,
+    build_surface,
+    make_immersion,
+    validate_hypotheses,
+)
 from .vekua import load_problem, save_solution, solve_family
 
 _FMT = "%.17g"
@@ -38,10 +48,19 @@ _FMT = "%.17g"
 # bound on |z(x0)|: the flow fixes x0 exactly, so only round-off may remain
 FIXED_POINT_TOL = 1e-10
 
+
+def _fields_section(cls, kinds):
+    """Schema of a section that is dataclass ``cls``: each config field's type,
+    or its tuple of kinds from ``kinds``, and its default."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: (kinds.get(f.name, hints[f.name]), f.default)
+            for f in fields(cls) if f.metadata.get("config_key", True)}
+
+
 # section -> key -> (type, default); bool values are "true"/"false"
 SCHEMA = {
     "metric": {
-        "kind": (("flat", "conformal_linear", "conformal_radial"), "flat"),
+        "kind": (tuple(METRIC_KINDS), "flat"),
         "k1": (float, 1.0),
         "k2": (float, 0.0),
         "k3": (float, 0.0),
@@ -52,46 +71,21 @@ SCHEMA = {
         "radius": (float, 1.0),
         "cap": (float, 0.5),
         "curv": (float, 1.0),
-        "ci_tol": (float, 1e-6),
+        "ci_tol": (float, CI_TOL),
     },
     "grid": {
         "n_r": (int, 48),
         "n_theta": (int, 96),
     },
-    "boundary": {
-        "tangent_kind": (("winding", "first_tangent"), "winding"),
-        "winding": (int, 1),
-        "phase": (float, 0.0),
-        "gamma_kind": (("harmonic", "zero"), "harmonic"),
-        "epsilon": (float, 1e-3),
-        "mode": (int, 1),
-        "gamma_phase": (float, 0.0),
-    },
-    "flow": {
-        "t_final": (float, 0.05),
-        "dt": (float, 0.0025),
-        "tol_bvp": (float, 1e-10),
-        "tol_cdot": (float, 1e-10),
-        "max_iter_bvp": (int, 60),
-        "max_iter_cdot": (int, 50),
-        "tol_k": (float, 1e-4),
-        "tol_g": (float, 1e-6),
-        "tol_b": (float, 1e-6),
-    },
+    "boundary": _fields_section(BoundarySpec, {"tangent_kind": tuple(TANGENT_KINDS),
+                                               "gamma_kind": tuple(GAMMA_KINDS)}),
+    "flow": _fields_section(FlowConfig, {}),
     "output": {
         "directory": (str, "out"),
         "trace": (bool, True),
         "snapshots": (bool, True),
     },
 }
-
-
-@dataclass
-class RunConfig:
-    sections: dict = field(default_factory=dict)
-
-    def __getitem__(self, sec):
-        return self.sections[sec]
 
 
 def _parse_value(raw, spec, line_no, key, errors):
@@ -110,15 +104,20 @@ def _parse_value(raw, spec, line_no, key, errors):
         errors.append((line_no, 1, f"key {key!r}: expected true/false, got {raw!r}"))
         return spec[1]
     try:
-        return typ(raw)
+        value = typ(raw)
     except ValueError:
         errors.append((line_no, 1,
                        f"key {key!r}: cannot parse {raw!r} as {typ.__name__}"))
         return spec[1]
+    if typ is float and not math.isfinite(value):
+        errors.append((line_no, 1, f"key {key!r}: {raw!r} is not finite"))
+        return spec[1]
+    return value
 
 
-def parse_config(text) -> RunConfig:
-    """Parse and validate; raises ConfigError carrying (line, col, message)."""
+def parse_config(text) -> dict:
+    """Parse and validate into section -> key -> value, every key present;
+    raises ConfigError carrying (line, col, message)."""
     sections = {sec: {k: v[1] for k, v in keys.items()} for sec, keys in SCHEMA.items()}
     errors = []
     current = None
@@ -158,16 +157,16 @@ def parse_config(text) -> RunConfig:
             raise ConfigError([(0, 0, f"flow.{key} must be positive")])
     if sections["boundary"]["epsilon"] <= 0:
         raise ConfigError([(0, 0, "boundary.epsilon must be positive")])
-    return RunConfig(sections=sections)
+    return sections
 
 
-def emit_config(cfg: RunConfig) -> str:
+def emit_config(cfg: dict) -> str:
     """Canonical text form; emit(parse(x)) == emit(parse(emit(parse(x))))."""
     lines = []
     for sec in SCHEMA:
         lines.append(f"[{sec}]")
         for key in SCHEMA[sec]:
-            val = cfg.sections[sec][key]
+            val = cfg[sec][key]
             if isinstance(val, bool):
                 txt = "true" if val else "false"
             elif isinstance(val, float):
@@ -179,27 +178,14 @@ def emit_config(cfg: RunConfig) -> str:
     return "\n".join(lines)
 
 
-def build_problem_objects(cfg: RunConfig):
+def build_problem_objects(cfg: dict):
     m = cfg["metric"]
     metric = make_metric(m["kind"], m)
     grid = DiskGrid(cfg["grid"]["n_r"], cfg["grid"]["n_theta"])
     s = cfg["surface"]
     immersion = make_immersion(s["kind"], s)
     surface = build_surface(immersion, metric, grid, ci_tol=s["ci_tol"])
-    b = cfg["boundary"]
-    boundary = BoundarySpec(
-        tangent_kind=b["tangent_kind"], winding=b["winding"], phase=b["phase"],
-        gamma_kind=b["gamma_kind"], epsilon=b["epsilon"], mode=b["mode"],
-        gamma_phase=b["gamma_phase"],
-    )
-    f = cfg["flow"]
-    flow_cfg = FlowConfig(
-        t_final=f["t_final"], dt=f["dt"],
-        tol_bvp=f["tol_bvp"], tol_cdot=f["tol_cdot"],
-        max_iter_bvp=f["max_iter_bvp"], max_iter_cdot=f["max_iter_cdot"],
-        tol_K=f["tol_k"], tol_G=f["tol_g"], tol_B=f["tol_b"],
-    )
-    return metric, surface, boundary, flow_cfg
+    return metric, surface, BoundarySpec(**cfg["boundary"]), FlowConfig(**cfg["flow"])
 
 
 def _json_default(o):
@@ -226,15 +212,15 @@ def within_tolerances(report, flow_cfg):
     fixed point."""
     return bool(
         report["steps"]
-        and report["max_dk_rel"] <= flow_cfg.tol_K
-        and report["max_dk_oracle_rel"] <= flow_cfg.tol_K
-        and report["max_g_residual"] <= flow_cfg.tol_G
-        and report["max_boundary_residual"] <= flow_cfg.tol_B
+        and report["max_dk_rel"] <= flow_cfg.tol_k
+        and report["max_dk_oracle_rel"] <= flow_cfg.tol_k
+        and report["max_g_residual"] <= flow_cfg.tol_g
+        and report["max_boundary_residual"] <= flow_cfg.tol_b
         and report["max_fixed_point_z"] <= FIXED_POINT_TOL
     )
 
 
-def run_from_config(cfg: RunConfig, out_dir=None, log=print):
+def run_from_config(cfg: dict, out_dir=None, log=print):
     metric, surface, boundary, flow_cfg = build_problem_objects(cfg)
     hyp = validate_hypotheses(surface)
     flow_cfg.capture_fields = cfg["output"]["snapshots"]
@@ -266,7 +252,7 @@ def run_from_config(cfg: RunConfig, out_dir=None, log=print):
     report["within_tolerances"] = within_tolerances(report, flow_cfg)
     summary = {
         "version": __version__,
-        "config": cfg.sections,
+        "config": cfg,
         "hypothesis_report": hyp,
         "flow_report": report,
     }

@@ -48,9 +48,32 @@ from .vekua import (
 
 # -- boundary plug-ins --------------------------------------------------------
 
+def _winding_field(b, theta):
+    ang = -b.winding * theta + b.phase
+    return np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+
+
+# the tangent field l^i and the boundary rate along the rim, by kind
+TANGENT_KINDS = {
+    "winding": _winding_field,
+    "first_tangent": lambda b, theta: np.tile([1.0, 0.0], (len(theta), 1)),
+}
+GAMMA_KINDS = {
+    "harmonic": lambda b, theta: b.epsilon * np.cos(b.mode * theta + b.gamma_phase),
+    "zero": lambda b, theta: np.zeros_like(theta),
+}
+
+
+def _plugin(kinds, what, kind):
+    if kind not in kinds:
+        raise MgError(f"unknown {what} kind {kind!r}")
+    return kinds[kind]
+
+
 @dataclass
 class BoundarySpec:
-    """Tangent field and boundary rate data along the rim."""
+    """Tangent field and boundary rate data along the rim; the fields are
+    the keys of the config's [boundary] section."""
 
     tangent_kind: str = "winding"
     winding: int = 1
@@ -61,35 +84,28 @@ class BoundarySpec:
     gamma_phase: float = 0.0
 
     def l_field(self, theta):
-        if self.tangent_kind == "winding":
-            ang = -self.winding * theta + self.phase
-            return np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-        if self.tangent_kind == "first_tangent":
-            out = np.zeros((len(theta), 2))
-            out[:, 0] = 1.0
-            return out
-        raise MgError(f"unknown tangent kind {self.tangent_kind!r}")
+        return _plugin(TANGENT_KINDS, "tangent", self.tangent_kind)(self, theta)
 
     def gamma_dot(self, theta):
-        if self.gamma_kind == "zero":
-            return np.zeros_like(theta)
-        if self.gamma_kind == "harmonic":
-            return self.epsilon * np.cos(self.mode * theta + self.gamma_phase)
-        raise MgError(f"unknown gamma kind {self.gamma_kind!r}")
+        return _plugin(GAMMA_KINDS, "gamma", self.gamma_kind)(self, theta)
 
 
 @dataclass
 class FlowConfig:
+    """Step, solver and monitor settings; every field but ``capture_fields``
+    is a key of the config's [flow] section."""
+
     t_final: float = 0.05
     dt: float = 0.0025
     tol_bvp: float = 1e-10
     tol_cdot: float = 1e-10
     max_iter_bvp: int = 60
     max_iter_cdot: int = 50
-    tol_K: float = 1e-4
-    tol_G: float = 1e-6
-    tol_B: float = 1e-6
-    capture_fields: bool = False           # stash per-node fields in records
+    tol_k: float = 1e-4
+    tol_g: float = 1e-6
+    tol_b: float = 1e-6
+    # stash per-node fields in records; set from [output] snapshots
+    capture_fields: bool = field(default=False, metadata={"config_key": False})
 
     @property
     def n_steps(self):
@@ -97,9 +113,12 @@ class FlowConfig:
         return round(self.t_final / self.dt)
 
     def validate(self):
-        if self.dt <= 0 or self.t_final <= 0:
-            raise MgError("dt and t_final must be positive")
+        if not (0 < self.dt < np.inf and 0 < self.t_final < np.inf):
+            raise MgError(f"dt and t_final must be positive and finite, "
+                          f"got dt = {self.dt!r}, t_final = {self.t_final!r}")
         ratio = self.t_final / self.dt
+        if not np.isfinite(ratio):
+            raise MgError(f"t_final/dt must be finite, got {ratio!r}")
         if self.n_steps < 1 or abs(ratio - self.n_steps) > 1e-9 * self.n_steps:
             raise MgError(f"t_final must be a whole number of steps dt, "
                           f"got t_final/dt = {ratio:.17g}")
@@ -200,9 +219,7 @@ def _build_statics(metric, surface, boundary, config) -> FlowStatics:
     # d_zbar w + i conj(A) w - i conj(B) conj(w) + E = -conj(psi) with the
     # symbol i conj(lam) and the same phi.  E is imaginary, so it is
     # unchanged, and e_swap pairs (Im w, Re w) = (a1dot, a2dot) with (dx1, dx2).
-    a_u, b_u, e0_point, e0_weight = assemble_AB(
-        eq.p1, eq.p2, eq.qb1, eq.qb2, q0=eq.qb0, v=surface.V,
-    )
+    a_u, b_u, e0_point = assemble_AB(eq.p1, eq.p2, eq.qb1, eq.qb2, q0=eq.qb0)
     theta, bidx = grid.boundary_theta, grid.boundary_idx
     l_field = boundary.l_field(theta)
     gamma_dot = boundary.gamma_dot(theta)
@@ -212,7 +229,7 @@ def _build_statics(metric, surface, boundary, config) -> FlowStatics:
     problem = BoundaryProblem(
         grid=grid, lam=lam, phi=phi,
         A=1j * np.conj(a_u), B=-1j * np.conj(b_u),
-        e0_point=e0_point, e0_weight=e0_weight, e_swap=True,
+        e0_point=e0_point, e0_weight=surface.V, e_swap=True,
     )
     pin = None
     if sym.n >= 0:

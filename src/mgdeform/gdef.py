@@ -218,13 +218,13 @@ def gdef_residual(surface: SurfaceState, coeffs: GDefCoefficients,
 
 
 def gdef_normal_residual(metric: AmbientMetric, surface: SurfaceState,
-                         deform: DeformationState, substeps: int = 1):
+                         deform: DeformationState):
     """Independent check: transport y_,i + z_,i back and project on n.
 
     Bypasses the S/N/Q algebra entirely; vanishing means the normal is
     carried by parallel transport (the defining property of the flow).
     """
-    mback = transport_propagator(metric, surface.y, deform.history, substeps).backward
+    mback = transport_propagator(metric, surface.y, deform.history).backward
     seed = node_last(surface.tang) + node_last(deform.dz)   # y_,i + z_,i as (3, 2, N)
     back = np.einsum("abn,bin->ain", node_last(mback), seed)
     a0, n = node_last(surface.ambient_a), node_last(surface.n)

@@ -115,7 +115,7 @@ class ConformalMetric(AmbientMetric):
         )
 
 
-def conformal_linear_metric(k=(1.0, 0.0, 0.0)):
+def conformal_linear_metric(k):
     """Metric e^{2 k.y} delta."""
     k = np.asarray(k, dtype=float)
 
@@ -131,7 +131,7 @@ def conformal_linear_metric(k=(1.0, 0.0, 0.0)):
     return ConformalMetric(phi, grad, hess)
 
 
-def conformal_radial_metric(alpha=0.5):
+def conformal_radial_metric(alpha):
     """Metric e^{2 phi} delta with phi = alpha (|y|^2 - 1) / 2.
 
     Equals the identity on the unit sphere |y| = 1 while keeping a nonzero
@@ -152,11 +152,9 @@ def conformal_radial_metric(alpha=0.5):
 
 
 METRIC_KINDS = {
-    "flat": lambda params: FlatMetric(),
-    "conformal_linear": lambda params: conformal_linear_metric(
-        (params.get("k1", 1.0), params.get("k2", 0.0), params.get("k3", 0.0))
-    ),
-    "conformal_radial": lambda params: conformal_radial_metric(params.get("alpha", 0.5)),
+    "flat": lambda p: FlatMetric(),
+    "conformal_linear": lambda p: conformal_linear_metric((p["k1"], p["k2"], p["k3"])),
+    "conformal_radial": lambda p: conformal_radial_metric(p["alpha"]),
 }
 
 
@@ -175,12 +173,13 @@ class ChristoffelField:
     gamma_lower: np.ndarray  # (..., a, s, b) = Gamma_{as,b}
 
 
-def check_positive_definite(a, det_tol=1e-14):
-    """Leading principal minors of a symmetric (...,3,3) batch."""
+def check_positive_definite(a):
+    """Leading principal minors of a symmetric (...,3,3) batch; the
+    determinant must exceed 1e-14."""
     m1 = a[..., 0, 0]
     m2 = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
     m3 = np.linalg.det(a)
-    ok = (m1 > 0) & (m2 > 0) & (m3 > det_tol)
+    ok = (m1 > 0) & (m2 > 0) & (m3 > 1e-14)
     return ok, m3
 
 

@@ -17,14 +17,18 @@ from .errors import CoordinateError, GeometryError
 from .grid import DiskGrid
 from .metrics import AmbientMetric, christoffel_at, norm_monitor
 
+# default bound on the conjugate-isothermal residual, relative to max |V|
+CI_TOL = 1e-6
+
 
 class Immersion:
-    """Chart plug-in; jacobian defaults to central differences."""
+    """Chart plug-in; jacobian defaults to central differences of step 1e-6."""
 
     def chart(self, x1, x2):
         raise NotImplementedError
 
-    def jacobian(self, x1, x2, step=1e-6):
+    def jacobian(self, x1, x2):
+        step = 1e-6
         cols = []
         for k in range(2):
             d1 = step if k == 0 else 0.0
@@ -42,7 +46,7 @@ class SphereCapImmersion(Immersion):
     cap = 1 gives the full lower hemisphere.
     """
 
-    def __init__(self, radius=1.0, cap=0.8):
+    def __init__(self, radius, cap):
         if not 0 < cap <= 1.0:
             raise GeometryError(f"cap parameter must be in (0, 1], got {cap}")
         self.radius = radius
@@ -55,7 +59,7 @@ class SphereCapImmersion(Immersion):
         y = np.stack([2 * w1 / d, 2 * w2 / d, (d - 2.0) / d], axis=-1)
         return self.radius * y
 
-    def jacobian(self, x1, x2, step=None):
+    def jacobian(self, x1, x2):
         w1 = self.cap * np.asarray(x1, dtype=float)
         w2 = self.cap * np.asarray(x2, dtype=float)
         d = 1.0 + w1 * w1 + w2 * w2
@@ -82,11 +86,9 @@ class GraphImmersion(Immersion):
 
 
 IMMERSION_KINDS = {
-    "sphere_cap": lambda p: SphereCapImmersion(p.get("radius", 1.0), p.get("cap", 0.8)),
+    "sphere_cap": lambda p: SphereCapImmersion(p["radius"], p["cap"]),
     "plane": lambda p: GraphImmersion(lambda a, b: np.zeros_like(a)),
-    "paraboloid": lambda p: GraphImmersion(
-        lambda a, b: 0.5 * p.get("curv", 1.0) * (a * a + b * b)
-    ),
+    "paraboloid": lambda p: GraphImmersion(lambda a, b: 0.5 * p["curv"] * (a * a + b * b)),
 }
 
 
@@ -182,10 +184,11 @@ def raw_fundamental_forms(grid, metric, y, y1=None, y2=None):
     }
 
 
-def gauss_curvature_of(grid, metric, y, y1=None, y2=None):
-    """K = det b / det g of immersion samples; orientation-invariant, used
-    as the independent rebuild oracle."""
-    return raw_fundamental_forms(grid, metric, y, y1, y2)["K"]
+def gauss_curvature_of(grid, metric, y):
+    """K = det b / det g of immersion samples, tangents by grid
+    differentiation; orientation-invariant, used as the independent rebuild
+    oracle."""
+    return raw_fundamental_forms(grid, metric, y)["K"]
 
 
 def _surface_christoffels(grid, g, g_inv):
@@ -207,7 +210,7 @@ def _ci_residual(b, v):
 
 
 def build_surface(immersion: Immersion, metric: AmbientMetric, grid: DiskGrid,
-                  ci_tol=1e-6) -> SurfaceState:
+                  ci_tol=CI_TOL) -> SurfaceState:
     """Construct and validate the surface state on the grid.
 
     The forms come from ``raw_fundamental_forms``; the surface adds g^-1,
@@ -254,13 +257,9 @@ def build_surface(immersion: Immersion, metric: AmbientMetric, grid: DiskGrid,
     return state
 
 
-def validate_hypotheses(state: SurfaceState, b12_override=None):
+def validate_hypotheses(state: SurfaceState):
     """Diagnostic report of the admissibility hypotheses; never raises."""
-    g = state.g
-    b = state.b.copy()
-    if b12_override is not None:
-        b[:, 0, 1] = b12_override
-        b[:, 1, 0] = b12_override
+    g, b = state.g, state.b
     eig_g = np.linalg.eigvalsh(0.5 * (g + np.swapaxes(g, 1, 2)))
     eig_b = np.linalg.eigvalsh(0.5 * (b + np.swapaxes(b, 1, 2)))
     ci_res = _ci_residual(b, state.V)
@@ -287,6 +286,6 @@ def validate_hypotheses(state: SurfaceState, b12_override=None):
     report["positivity_ok"] = (
         report["min_eig_g"] > 0 and report["min_eig_b"] > 0 and report["min_H"] > 0
     )
-    report["conjugate_isothermal_ok"] = ci_res <= 1e-6
+    report["conjugate_isothermal_ok"] = ci_res <= CI_TOL
     report["ok"] = report["positivity_ok"] and report["conjugate_isothermal_ok"]
     return report

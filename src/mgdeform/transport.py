@@ -122,11 +122,11 @@ def static_history(t, n_steps, n_points):
     return TransportHistory(tau, zeros, zeros.copy())
 
 
-def history_from_path(path_fn, rate_fn, t, n_steps, n_points=1):
-    """Sampled history of an analytic path z(tau)."""
+def history_from_path(path_fn, rate_fn, t, n_steps):
+    """Sampled one-point history of an analytic path z(tau)."""
     tau = np.linspace(0.0, t, n_steps + 1)
-    z = np.stack([np.broadcast_to(path_fn(tm), (n_points, 3)).copy() for tm in tau])
-    zd = np.stack([np.broadcast_to(rate_fn(tm), (n_points, 3)).copy() for tm in tau])
+    z = np.stack([np.broadcast_to(path_fn(tm), (1, 3)).copy() for tm in tau])
+    zd = np.stack([np.broadcast_to(rate_fn(tm), (1, 3)).copy() for tm in tau])
     return TransportHistory(tau, z, zd)
 
 
@@ -236,48 +236,45 @@ class Propagator:
     of G = Gamma(u) zdot over [tau_0, tau_k]: the first series term
     A_(1)(tau_k, 0), whose forward counterpart is its negative.  ``g_end`` is
     G at sample k, the start of the next interval (None where nothing is
-    integrated).  The key fields say which metric, base points and substep
-    count the maps belong to.
+    integrated).  The key fields say which metric and base points the maps
+    belong to.  Each interval is one RK4 step.
     """
 
     metric: AmbientMetric
     y0: np.ndarray
-    substeps: int
     k: int
     backward: np.ndarray
     forward: np.ndarray
     integral: np.ndarray
     g_end: np.ndarray | None
 
-    def matches(self, metric, y0, substeps):
-        return self.metric is metric and self.y0 is y0 and self.substeps == substeps
+    def matches(self, metric, y0):
+        return self.metric is metric and self.y0 is y0
 
     def extended(self, history: TransportHistory) -> Propagator:
         """The propagator over one more interval of ``history``."""
         m = self.k
-        gs = _interval_gammas(self.metric, self.y0, history, m,
-                              _stage_fractions(self.substeps),
+        gs = _interval_gammas(self.metric, self.y0, history, m, _stage_fractions(1),
                               g_start=node_last(self.g_end))
         dt = history.tau[m + 1] - history.tau[m]
-        h = dt / self.substeps
         eye = node_last(np.broadcast_to(np.eye(3), self.backward.shape))
-        r_back = _interval_step(gs, eye, h, "backward")
-        r_fwd = _interval_step(gs, eye, h, "forward")
+        r_back = _interval_step(gs, eye, dt, "backward")
+        r_fwd = _interval_step(gs, eye, dt, "forward")
         backward = np.einsum("gbn,bkn->gkn", node_last(self.backward), r_back)
         forward = np.einsum("gbn,bkn->gkn", r_fwd, node_last(self.forward))
         integral = node_last(self.integral) + 0.5 * dt * (gs[0] + gs[-1])
         return _frozen_propagator(
-            self.metric, self.y0, self.substeps, m + 1,
+            self.metric, self.y0, m + 1,
             backward=node_first(backward), forward=node_first(forward),
             integral=node_first(integral), g_end=node_first(gs[-1]),
         )
 
 
-def _frozen_propagator(metric, y0, substeps, k, **fields):
+def _frozen_propagator(metric, y0, k, **fields):
     # cached maps are handed to every consumer; none may write to them
     for arr in fields.values():
         arr.flags.writeable = False
-    return Propagator(metric, y0, substeps, k, **fields)
+    return Propagator(metric, y0, k, **fields)
 
 
 class _PrefixSlot:
@@ -289,15 +286,15 @@ class _PrefixSlot:
         self.entry = None
 
 
-def transport_propagator(metric: AmbientMetric, y0, history: TransportHistory,
-                         substeps=1) -> Propagator:
+def transport_propagator(metric: AmbientMetric, y0,
+                         history: TransportHistory) -> Propagator:
     """Propagator and first series term over the whole history.
 
     Intervals 0..M-2 come from the history's prefix cache, extended as the
     history grows; only the final interval, the one a new final rate changes,
     is integrated when the cache holds the prefix.  The cache is keyed by the
-    identity of ``metric`` and ``y0`` and by ``substeps``: another key starts
-    it afresh, so neither object may be changed in place while in use.
+    identity of ``metric`` and ``y0``: another key starts it afresh, so
+    neither object may be changed in place while in use.
     """
     y0 = np.asarray(y0, dtype=float)   # the same object when y0 is a float array
     n = history.n_points
@@ -306,14 +303,14 @@ def transport_propagator(metric: AmbientMetric, y0, history: TransportHistory,
         # nothing to integrate; with no interval, sample 0 is the final
         # sample, whose rate the children change, so nothing is cached
         zeros = np.broadcast_to(0.0, (n, 3, 3))
-        return Propagator(metric, y0, substeps, history.n_steps, eye, eye, zeros, None)
+        return Propagator(metric, y0, history.n_steps, eye, eye, zeros, None)
     full = history._full
-    if full is not None and full.matches(metric, y0, substeps):
+    if full is not None and full.matches(metric, y0):
         return full
     entry = history._prefix.entry
-    if entry is None or not entry.matches(metric, y0, substeps):
+    if entry is None or not entry.matches(metric, y0):
         g0 = _gamma_zdot(metric, y0, history.z[0], history.zdot[0])
-        entry = _frozen_propagator(metric, y0, substeps, 0, backward=eye, forward=eye,
+        entry = _frozen_propagator(metric, y0, 0, backward=eye, forward=eye,
                                    integral=node_first(np.zeros((3, 3, n))),
                                    g_end=node_first(g0))
     while entry.k < history.n_steps - 1:
@@ -323,10 +320,10 @@ def transport_propagator(metric: AmbientMetric, y0, history: TransportHistory,
     return history._full
 
 
-def transport_matrix(metric, y0, history, direction="backward", substeps=1):
+def transport_matrix(metric, y0, history, direction="backward"):
     """Propagator matrix M with M @ seed = transported seed."""
     _check_direction(direction)
-    prop = transport_propagator(metric, y0, history, substeps)
+    prop = transport_propagator(metric, y0, history)
     return np.array(prop.backward if direction == "backward" else prop.forward)
 
 

@@ -28,9 +28,10 @@ from .grid import DiskGrid
 # T operator
 # --------------------------------------------------------------------------
 
-def t_operator_direct(grid: DiskGrid, f, chunk=512):
+def t_operator_direct(grid: DiskGrid, f):
     """Reference all-pairs evaluation of T(f); used to cross-check
     ``t_operator`` on small grids."""
+    chunk = 512   # rows of the all-pairs kernel per block
     f = np.asarray(f, dtype=complex)
     w = grid.area_weights
     zeta = grid.z
@@ -380,17 +381,17 @@ class BoundaryProblem:
         return out
 
 
-def assemble_AB(p1, p2, qb1, qb2, q0=None, v=None):
+def assemble_AB(p1, p2, qb1, qb2, q0=None):
     """Coefficient fields of the complex form of the elliptic pair.
 
     A = (p1 + qb2 + i qb1 - i p2)/4,  B = (p1 - qb2 + i qb1 + i p2)/4;
     the volume kernel splits as (i q0 / 2) at the field point times the
-    weight v at the integration point.
+    weight V at the integration point (``BoundaryProblem.e0_weight``).
     """
     a = 0.25 * (p1 + qb2 + 1j * qb1 - 1j * p2)
     b = 0.25 * (p1 - qb2 + 1j * qb1 + 1j * p2)
     e0_point = None if q0 is None else 0.5j * np.asarray(q0, dtype=float)
-    return a, b, e0_point, v
+    return a, b, e0_point
 
 
 def _gmres(apply_op, rhs, atol, max_iter, x0=None):
@@ -631,13 +632,14 @@ def solve_family(problem: BoundaryProblem, tol=1e-10, max_iter=60, sym=None):
     return base, sym
 
 
-def homogeneous_rank(grid: DiskGrid, lam, degree=None, threshold=1e-6):
+def homogeneous_rank(grid: DiskGrid, lam):
     """Numerical nullity of the boundary condition over holomorphic
-    polynomials, with the singular-value gap across the rank cut."""
+    polynomials of degree 2 max(n, 0) + 4, with the singular-value gap
+    across the rank cut at 1e-6 of the largest singular value."""
     lam = np.asarray(lam, dtype=complex)
     n = index_of(lam)
-    if degree is None:
-        degree = 2 * max(n, 0) + 4
+    degree = 2 * max(n, 0) + 4
+    threshold = 1e-6
     zb = np.exp(1j * grid.boundary_theta)
     cols = []
     for k in range(degree + 1):
@@ -775,11 +777,13 @@ def load_problem(path) -> BoundaryProblem:
         n_r = int(header["n_r"])
         n_theta = int(header["n_theta"])
         x0_node = int(header.get("x0_node", 0))
-        e_swap = bool(int(header.get("e_swap", 0)))
+        e_swap = int(header.get("e_swap", 0))
     except KeyError as exc:
         raise FormatError(f"{path}: missing header key {exc}") from exc
     except ValueError as exc:
         raise FormatError(f"{path}: bad header value: {exc}") from None
+    if e_swap not in (0, 1):
+        raise FormatError(f"{path}: e_swap must be 0 or 1, got {e_swap}")
     if x0_node != 0:
         raise FormatError(f"{path}: x0_node must be 0 (the disk center), got {x0_node}")
     if "lambda" not in blocks or "phi" not in blocks:
@@ -800,6 +804,8 @@ def load_problem(path) -> BoundaryProblem:
             raise FormatError(f"{path}: block {name!r}: {exc}") from None
         if vals.size != (2 if is_complex else 1) * count:
             raise FormatError(f"{path}: block {name!r} must have {shape}")
+        if not np.all(np.isfinite(vals)):
+            raise FormatError(f"{path}: block {name!r} has non-finite samples")
         return vals[0::2] + 1j * vals[1::2] if is_complex else vals
 
     return BoundaryProblem(
@@ -811,7 +817,7 @@ def load_problem(path) -> BoundaryProblem:
         e0_point=block("e0_point", grid.n_nodes),
         e0_weight=block("e0_weight", grid.n_nodes, is_complex=False),
         psi=block("psi", grid.n_nodes),
-        e_swap=e_swap,
+        e_swap=bool(e_swap),
     )
 
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from mgdeform.cli import (
     SCHEMA,
-    RunConfig,
     build_problem_objects,
     emit_config,
     main,
@@ -19,6 +18,9 @@ from mgdeform.cli import (
 )
 from mgdeform import flow
 from mgdeform.errors import ConfigError, ConvergenceError
+from mgdeform.flow import BoundarySpec, FlowConfig
+from mgdeform.metrics import METRIC_KINDS, make_metric
+from mgdeform.surface import IMMERSION_KINDS, SphereCapImmersion, make_immersion
 
 
 MINIMAL = """
@@ -73,7 +75,7 @@ def _readme_config_block():
 def test_readme_config_block_matches_schema():
     block = _readme_config_block()
     # the block parses and shows the defaults
-    assert parse_config(block).sections == parse_config("").sections
+    assert parse_config(block) == parse_config("")
     listed, section = {}, None
     for line in block.splitlines():
         line = line.split("#", 1)[0].strip()
@@ -89,6 +91,45 @@ def test_bad_value_reports_line():
     with pytest.raises(ConfigError) as exc:
         parse_config("[grid]\nn_r = soup\n")
     assert exc.value.errors[0][0] == 2
+
+
+def test_sections_are_their_objects():
+    # [boundary] and [flow] hold BoundarySpec's and FlowConfig's fields, with
+    # their defaults
+    cfg = parse_config("")
+    assert BoundarySpec(**cfg["boundary"]) == BoundarySpec()
+    assert FlowConfig(**cfg["flow"]) == FlowConfig()
+
+
+def test_every_kind_builds_from_schema_defaults():
+    cfg = parse_config("")
+    points = np.array([0.0, 0.3, -0.5]), np.array([0.0, -0.4, 0.2])
+    for kind in METRIC_KINDS:
+        metric = make_metric(kind, cfg["metric"])
+        assert np.all(np.isfinite(metric.metric(np.zeros((1, 3)))))
+    for kind in IMMERSION_KINDS:
+        immersion = make_immersion(kind, cfg["surface"])
+        assert np.all(np.isfinite(immersion.chart(*points)))
+    cap = make_immersion("sphere_cap", cfg["surface"])
+    assert isinstance(cap, SphereCapImmersion) and cap.cap == 0.5
+
+
+@pytest.mark.parametrize("section, line", [
+    ("flow", "dt = nan"), ("flow", "t_final = inf"),
+    ("boundary", "epsilon = nan"), ("flow", "tol_k = nan"),
+])
+def test_non_finite_value_is_a_config_error(tmp_path, capsys, section, line):
+    # rejected with its line when the config is parsed, before anything runs
+    text = MINIMAL + f"\n[{section}]\n{line}\n"
+    cpath = tmp_path / "cfg.txt"
+    cpath.write_text(text)
+    rc = main(["--log-level", "quiet", "run", "--config", str(cpath),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    line_no = text.splitlines().index(line) + 1
+    err = capsys.readouterr().err
+    assert f"line {line_no}, col 1: key {line.split()[0]!r}" in err and "not finite" in err
+    assert not (tmp_path / "out").exists()
 
 
 # keys parse_config requires to be positive
@@ -120,10 +161,9 @@ _CONFIGS = st.fixed_dictionaries({
 @settings(derandomize=True, deadline=None)
 @given(_CONFIGS)
 def test_emit_parse_roundtrip_property(sections):
-    cfg = RunConfig(sections=sections)
-    text = emit_config(cfg)
+    text = emit_config(sections)
     again = parse_config(text)
-    assert again.sections == sections
+    assert again == sections
     assert emit_config(again) == text
 
 
@@ -131,7 +171,7 @@ def test_roundtrip_canonical_form():
     cfg = parse_config(MINIMAL)
     text = emit_config(cfg)
     cfg2 = parse_config(text)
-    assert cfg2.sections == cfg.sections
+    assert cfg2 == cfg
     assert emit_config(cfg2) == text
 
 
@@ -204,7 +244,7 @@ def test_within_tolerances_checks_oracle_and_fixed_point(tiny_run):
     assert within_tolerances(report, flow_cfg)
     # each check alone turns the verdict
     assert not within_tolerances(
-        dict(report, max_dk_oracle_rel=2.0 * flow_cfg.tol_K), flow_cfg)
+        dict(report, max_dk_oracle_rel=2.0 * flow_cfg.tol_k), flow_cfg)
     assert not within_tolerances(dict(report, max_fixed_point_z=1e-9), flow_cfg)
 
 
@@ -318,6 +358,42 @@ def test_cli_bvp_rejects_non_positive_tol(tmp_path, capsys, monkeypatch):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "MgError" and "tol" in err["message"]
     assert not (tmp_path / "prob.solution.txt").exists()
+
+
+def _problem_text(tmp_path):
+    from helpers import manufactured_problem
+    from mgdeform.grid import DiskGrid
+    from mgdeform.vekua import save_problem
+
+    ppath = tmp_path / "prob.txt"
+    save_problem(ppath, manufactured_problem(DiskGrid(16, 32))[0])
+    return ppath, ppath.read_text()
+
+
+def _assert_format_error(capsys, ppath, *words):
+    assert main(["bvp", str(ppath)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "FormatError"
+    assert all(word in err["message"] for word in words)
+    assert not ppath.with_suffix(".solution.txt").exists()
+
+
+@pytest.mark.parametrize("block", ["lambda", "phi", "A", "B", "e0_point", "e0_weight", "psi"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_cli_bvp_rejects_non_finite_samples(tmp_path, capsys, block, value):
+    ppath, text = _problem_text(tmp_path)
+    head, _, rest = text.partition(f"begin {block}\n")
+    row, _, tail = rest.partition("\n")
+    ppath.write_text(head + f"begin {block}\n" + row.replace(row.split()[0], value, 1)
+                     + "\n" + tail)
+    _assert_format_error(capsys, ppath, repr(block), "non-finite")
+
+
+def test_cli_bvp_rejects_e_swap_other_than_0_or_1(tmp_path, capsys):
+    ppath, text = _problem_text(tmp_path)
+    assert "\ne_swap 0\n" in text
+    ppath.write_text(text.replace("\ne_swap 0\n", "\ne_swap 7\n"))
+    _assert_format_error(capsys, ppath, "e_swap", "7")
 
 
 def test_cli_bvp_empty_file(tmp_path):

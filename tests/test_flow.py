@@ -110,6 +110,9 @@ def test_step_refinement_first_order(flat_cap):
     ({"max_iter_cdot": 0}, "max_iter_cdot"),
     ({"t_final": 0.01, "dt": 0.004}, "t_final"),
     ({"t_final": 0.001, "dt": 0.004}, "t_final"),
+    # an error of the package, not a ValueError or OverflowError from round()
+    ({"dt": float("nan")}, "finite"), ({"t_final": float("inf")}, "finite"),
+    ({"dt": float("inf")}, "finite"), ({"t_final": 1e300, "dt": 1e-300}, "finite"),
 ])
 def test_flow_config_rejects_invalid_settings(kwargs, name):
     with pytest.raises(MgError, match=name):

@@ -13,7 +13,7 @@ from mgdeform.gdef import (
 from mgdeform.grid import DiskGrid
 from mgdeform.metrics import FlatMetric, conformal_radial_metric
 from mgdeform.surface import SphereCapImmersion, build_surface
-from mgdeform.transport import transport_propagator
+from mgdeform.transport import transport_propagator, transport_tensor_ode
 
 from helpers import prescribed_deformation, smooth_scalar
 
@@ -80,7 +80,11 @@ def test_residual_formulations_agree(curved_sphere):
     deform = prescribed_deformation(surface, a1dot, a2dot, cdot, 0.05, 10)
     coeffs = assemble_coefficients(metric, surface, deform)
     r_alg = gdef_residual(surface, coeffs, deform)
-    r_ode = gdef_normal_residual(metric, surface, deform, substeps=4)
+    # gdef_normal_residual's check with RK4 at four substeps per interval:
+    # carry y_,i + z_,i back along each path and project on n
+    back = transport_tensor_ode(metric, surface.y, deform.history,
+                                surface.tang + deform.dz, "backward", substeps=4)
+    r_ode = np.einsum("nab,nai,nb->ni", surface.ambient_a, back, surface.n)
     n0 = coeffs.n_j[:, 0]
     # the two formulations measure the same defect up to 1 + |N| factors
     bound = (1.0 + np.abs(n0))[:, None]

@@ -1,3 +1,4 @@
+import dataclasses
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -80,7 +81,7 @@ def test_non_conjugate_isothermal_rejected():
             y[..., 0] *= 1.2
             return y
 
-        def jacobian(self, x1, x2, step=1e-6):
+        def jacobian(self, x1, x2):
             j = super().jacobian(x1, x2)
             j[..., 0, :] *= 1.2
             return j
@@ -107,9 +108,9 @@ def test_validate_hypotheses_pass_and_flag(sphere_state):
     assert rep["ok"]
     assert rep["normal_tangency_residual"] < 1e-10
     # inject a b12 perturbation -> coordinate violation flagged
-    rep_bad = validate_hypotheses(
-        sphere_state, b12_override=1e-3 * np.ones(sphere_state.grid.n_nodes)
-    )
+    b = sphere_state.b.copy()
+    b[:, 0, 1] = b[:, 1, 0] = 1e-3
+    rep_bad = validate_hypotheses(dataclasses.replace(sphere_state, b=b))
     assert not rep_bad["conjugate_isothermal_ok"]
 
 

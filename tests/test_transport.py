@@ -121,8 +121,9 @@ def test_forward_backward_are_mutually_inverse():
     m = conformal_radial_metric(0.9)
     y0 = np.array([[0.3, -0.2, 0.1]])
     h = straight_history(0.3, 50)
-    mb = transport_matrix(m, y0, h, "backward", substeps=2)
-    mf = transport_matrix(m, y0, h, "forward", substeps=2)
+    eye = np.broadcast_to(np.eye(3), (1, 3, 3))
+    mb = transport_tensor_ode(m, y0, h, eye, "backward", substeps=2)
+    mf = transport_tensor_ode(m, y0, h, eye, "forward", substeps=2)
     prod = np.einsum("nab,nbc->nac", mb, mf)
     assert np.max(np.abs(prod - np.eye(3))) < 1e-9
 
@@ -198,9 +199,11 @@ def _per_stage_rk4(metric, y0, history, seed, direction):
 def test_ode_evaluates_each_stage_point_once(christoffel_calls):
     m = conformal_radial_metric(0.7)
     y0 = np.array([[0.2, 0.1, -0.3], [0.0, 0.4, 0.5]])
-    h = history_from_path(lambda tau: tau * np.array([0.25, 0.3, -0.1]) + tau**2,
-                          lambda tau: np.array([0.25, 0.3, -0.1]) + 2 * tau,
-                          0.5, 7, n_points=2)
+    # both points ride the path tau v + tau^2 over 7 steps to t = 0.5
+    tau = np.linspace(0.0, 0.5, 8)[:, None, None]
+    v = np.array([0.25, 0.3, -0.1])
+    h = TransportHistory(tau[:, 0, 0], np.repeat(tau * v + tau**2, 2, axis=1),
+                         np.repeat(v + 2 * tau, 2, axis=1))
     mat_seed = np.broadcast_to(np.eye(3), (2, 3, 3)).copy()
     vec_seed = np.array([[1.0, 0.2, -0.3], [-0.5, 0.8, 0.1]])
     for direction in ("backward", "forward"):

@@ -571,18 +571,18 @@ def test_assemble_ab_cases():
 
     n = 10
     zeros = np.zeros(n)
-    a, b, e0, v = assemble_AB(zeros, zeros, zeros, zeros)
+    a, b, e0 = assemble_AB(zeros, zeros, zeros, zeros)
     assert np.max(np.abs(a)) == 0.0 and np.max(np.abs(b)) == 0.0
-    assert e0 is None and v is None
+    assert e0 is None
     # real p1 only: A = B = p1 / 4
     p1 = np.linspace(0.5, 1.5, n)
-    a, b, _, _ = assemble_AB(p1, zeros, zeros, zeros)
+    a, b, _ = assemble_AB(p1, zeros, zeros, zeros)
     assert np.max(np.abs(a - p1 / 4)) < 1e-15
     assert np.max(np.abs(b - p1 / 4)) < 1e-15
     # generic values: spot-check the closed combination at three entries
     rng = np.random.default_rng(0)
     p1, p2, q1, q2 = rng.normal(size=(4, n))
-    a, b, e0, v = assemble_AB(p1, p2, q1, q2, q0=np.full(n, 4.0), v=np.full(n, 2.0))
+    a, b, e0 = assemble_AB(p1, p2, q1, q2, q0=np.full(n, 4.0))
     for i in (0, 3, 7):
         assert abs(a[i] - 0.25 * (p1[i] + q2[i] + 1j * q1[i] - 1j * p2[i])) < 1e-15
         assert abs(b[i] - 0.25 * (p1[i] - q2[i] + 1j * q1[i] + 1j * p2[i])) < 1e-15
