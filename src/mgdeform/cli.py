@@ -279,7 +279,7 @@ def cmd_bvp(args):
     out = args.out or (os.path.splitext(args.problem)[0] + ".solution.txt")
     save_solution(out, fam)
     print(f"index {fam.n}, family dimension {fam.dimension}, "
-          f"iterations {fam.iterations} ({fam.mode}), "
+          f"iterations {fam.iterations}, "
           f"boundary residual {fam.boundary_residual:.3e}")
     return 0
 

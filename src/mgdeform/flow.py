@@ -20,7 +20,7 @@ import numpy as np
 
 from ._contract import node_last
 from .cdot import PathIntegrator, solve_cdot
-from .errors import MgError
+from .errors import MgError, UnderResolvedError
 from .gdef import (
     DeformationState,
     assemble_coefficients,
@@ -49,6 +49,13 @@ from .vekua import (
 # -- boundary plug-ins --------------------------------------------------------
 
 def _winding_field(b, theta):
+    # the rim samples of windings k and k +- n_theta coincide, so a winding
+    # the rim cannot resolve would run as its alias
+    if 2 * abs(b.winding) >= len(theta):
+        raise UnderResolvedError(
+            f"winding {b.winding} needs |winding| < n_theta/2 = {len(theta) / 2:g}; "
+            "refine the boundary ring"
+        )
     ang = -b.winding * theta + b.phase
     return np.stack([np.cos(ang), np.sin(ang)], axis=-1)
 
@@ -172,7 +179,6 @@ class StepRecord:
     fixed_point_z: float
     bvp_iterations: int
     bvp_ratio: float
-    bvp_mode: str
     bvp_passes: int
     bvp_fixed_point_residual: float
     cdot_iterations: int
@@ -195,7 +201,6 @@ class FlowState:
     metric: object
     surface: SurfaceState
     deform: DeformationState
-    boundary: BoundarySpec
     config: FlowConfig
     statics: FlowStatics
     step_index: int = 0
@@ -206,7 +211,7 @@ class FlowState:
 def init_flow(metric, surface, boundary, config) -> FlowState:
     config.validate()
     return FlowState(metric=metric, surface=surface, deform=new_deformation(surface),
-                     boundary=boundary, config=config,
+                     config=config,
                      statics=_build_statics(metric, surface, boundary, config))
 
 
@@ -351,7 +356,7 @@ def step(state: FlowState):
         dk_max_rel=dk_rel, dk_oracle_rel=dk_oracle, g_residual=g_res,
         boundary_residual=b_res, fixed_point_z=z_x0,
         bvp_iterations=final.iterations, bvp_ratio=final.ratio,
-        bvp_mode=final.mode, bvp_passes=final.passes,
+        bvp_passes=final.passes,
         bvp_fixed_point_residual=final.fixed_point_residual,
         cdot_iterations=sol.iterations, cdot_rate=sol.rate,
         cdot_residual=sol.residual,

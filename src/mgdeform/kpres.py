@@ -3,8 +3,10 @@
 Delta(g_ij) follows from expanding the displaced metric around the base
 point; Delta(b_ij) = (d_i a^k) b_jk + M4_ij with the M-cascade collecting
 every transport, Christoffel-difference and normalization correction of the
-displaced second form built on the carried normal.  The curvature defect is
-Delta(K) = (Delta(g) - (g/b) Delta(b)) / b(t).
+displaced second form built on the carried normal.  The monitored curvature
+defect is Delta(K) = b(t)/g(t) - b/g for the determinants b, g; the
+variation of g/b, (Delta(g) - (g/b) Delta(b)) / b(t), equals
+-Delta(K) / (K K(t)) and vanishes with it.
 
 Time rates: W1-dot and Delta(g_ij)-dot have explicit forms and are built
 directly; rates of the M-cascade come from backward differences over the
@@ -47,50 +49,36 @@ class GVariation:
     dg: np.ndarray      # (N,)
     w1: np.ndarray
     w2: np.ndarray
-    psi2: np.ndarray
 
 
 @dataclass
 class BVariation:
-    m1: np.ndarray      # (N, 2, 2)
-    m2: np.ndarray
-    m3: np.ndarray
-    m4: np.ndarray
+    m4: np.ndarray      # (N, 2, 2)
     db_ij: np.ndarray
-    w2b: np.ndarray
     db: np.ndarray
-    b_t: np.ndarray
-    dK: np.ndarray           # true defect K(t) - K with K = det b / det g
-    dk_reciprocal: np.ndarray  # (dg - (g/b) db) / b(t) = variation of g/b
-    norm_n: np.ndarray
+    dK: np.ndarray      # true defect K(t) - K with K = det b / det g
 
 
 @dataclass
 class VariationRates:
     w1dot: np.ndarray
     dgdot_ij: np.ndarray
-    w2dot: np.ndarray
-    m4dot: np.ndarray
-    dbdot_ij: np.ndarray
-    w2bdot: np.ndarray
-    dbdot: np.ndarray
     p0: np.ndarray
 
 
 @dataclass
 class EquationCoefficients:
-    """t-independent coefficient fields of the elliptic pair."""
+    """t-independent coefficient fields of the elliptic pair; qb_k =
+    d_k ln det g is twice q_k = d_k ln sqrt(det g)."""
 
     p1: np.ndarray
     p2: np.ndarray
-    q1: np.ndarray
-    q2: np.ndarray
     qb1: np.ndarray
     qb2: np.ndarray
     qb0: np.ndarray
 
 
-def delta_g(metric: AmbientMetric, surface: SurfaceState, z, z1, z2, c) -> GVariation:
+def delta_g(metric: AmbientMetric, surface: SurfaceState, z, z1, z2) -> GVariation:
     """First-form variation, no linearization in z."""
     tang, a0 = node_last(surface.tang), node_last(surface.ambient_a)
     zder = node_last(np.stack([z1, z2], axis=-1))   # (3, 2, N)
@@ -111,8 +99,7 @@ def delta_g(metric: AmbientMetric, surface: SurfaceState, z, z1, z2, c) -> GVari
     w1 = _gtrace(g_inv, mid) + 2.0 * _gtrace(g_inv, cross) + _gtrace(g_inv, quad)
     w2 = dg_ij[0, 0] * dg_ij[1, 1] - dg_ij[0, 1] ** 2
     dg = surface.g_det * _gtrace(g_inv, dg_ij) + w2
-    psi2 = 2.0 * surface.H * c - w1 / 2.0 - w2 / (2.0 * surface.g_det)
-    return GVariation(dg_ij=node_first(dg_ij), dg=dg, w1=w1, w2=w2, psi2=psi2)
+    return GVariation(dg_ij=node_first(dg_ij), dg=dg, w1=w1, w2=w2)
 
 
 def delta_g_direct(metric, surface, z, z1, z2):
@@ -201,15 +188,9 @@ def delta_b(metric: AmbientMetric, surface: SurfaceState, deform: DeformationSta
         raise DegenerateCurvatureError(
             f"deformed second-form determinant vanished at node {node}"
         )
-    # both defects vanish together; the reciprocal form is the one whose
-    # vanishing the divergence equation encodes directly
-    dk_reciprocal = (gvar.dg - (surface.g_det / surface.b_det) * db) / b_t
     g_t = surface.g_det + gvar.dg
     dK = b_t / g_t - surface.b_det / surface.g_det
-    return BVariation(m1=node_first(m1), m2=node_first(m2), m3=node_first(m3),
-                      m4=node_first(m4), db_ij=node_first(db_ij), w2b=w2b,
-                      db=db, b_t=b_t, dK=dK, dk_reciprocal=dk_reciprocal,
-                      norm_n=norm)
+    return BVariation(m4=node_first(m4), db_ij=node_first(db_ij), db=db, dK=dK)
 
 
 def assemble_variation(metric, surface, deform: DeformationState, history=None):
@@ -217,26 +198,20 @@ def assemble_variation(metric, surface, deform: DeformationState, history=None):
     must end at the state's displacement and only swaps the final rate."""
     hist = history if history is not None else deform.history
     zder = deform.dz
-    gvar = delta_g(metric, surface, deform.z, zder[..., 0], zder[..., 1], deform.c)
+    gvar = delta_g(metric, surface, deform.z, zder[..., 0], zder[..., 1])
     fwd = transport_normal(metric, surface.y, hist, surface.n)
     bvar = delta_b(metric, surface, deform, fwd, gvar)
     return gvar, bvar, fwd
 
 
 def equation_coefficients(surface: SurfaceState) -> EquationCoefficients:
-    """p_k, q_k, and their divergence-equation versions; all t-independent."""
+    """p_k, qb_k and qb0 = 4H; all t-independent."""
     grid = surface.grid
     if np.any(surface.V <= 0) or np.any(surface.g_det <= 0):
         raise GeometryError("coefficients need V > 0 and det g > 0")
-    ln_v = np.log(surface.V)
-    ln_sg = 0.5 * np.log(surface.g_det)
-    v1, v2 = grid.grad(ln_v)
-    q1, q2 = grid.grad(ln_sg)
-    p1, p2 = v2, -v1
-    return EquationCoefficients(
-        p1=p1, p2=p2, q1=q1, q2=q2, qb1=2.0 * q1, qb2=2.0 * q2,
-        qb0=4.0 * surface.H,
-    )
+    v1, v2 = grid.grad(np.log(surface.V))
+    qb1, qb2 = grid.grad(np.log(surface.g_det))
+    return EquationCoefficients(p1=v2, p2=-v1, qb1=qb1, qb2=qb2, qb0=4.0 * surface.H)
 
 
 def assemble_rates(metric: AmbientMetric, surface: SurfaceState,
@@ -301,16 +276,13 @@ def assemble_rates(metric: AmbientMetric, surface: SurfaceState,
         - dbdot_ij[0, 1] * db_ij[1, 0]
         - db_ij[0, 1] * dbdot_ij[1, 0]
     )
-    dbdot = surface.V * (dbdot_ij[0, 0] + dbdot_ij[1, 1]) + w2bdot
     p0 = (
         w1dot
         + w2dot / surface.g_det
         - (m4dot[0, 0] + m4dot[1, 1]) / surface.V
         - w2bdot / surface.V**2
     )
-    return VariationRates(w1dot=w1dot, dgdot_ij=node_first(dgdot_ij), w2dot=w2dot,
-                          m4dot=node_first(m4dot), dbdot_ij=node_first(dbdot_ij),
-                          w2bdot=w2bdot, dbdot=dbdot, p0=p0)
+    return VariationRates(w1dot=w1dot, dgdot_ij=node_first(dgdot_ij), p0=p0)
 
 
 def psi1_bracket(surface: SurfaceState, coeffs: GDefCoefficients,

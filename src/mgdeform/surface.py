@@ -127,6 +127,7 @@ class SurfaceState:
     ambient_gamma: np.ndarray  # (N, 3, 3, 3) Gamma^g_{ab}(y)
     ambient_a: np.ndarray      # (N, 3, 3)
     ci_residual: float = 0.0
+    ci_tol: float = CI_TOL   # the bound build_surface admitted ci_residual under
 
     @property
     def y1(self):
@@ -250,7 +251,7 @@ def build_surface(immersion: Immersion, metric: AmbientMetric, grid: DiskGrid,
     gamma_surface = _surface_christoffels(grid, node_last(forms["g"]), g_inv)
     state = SurfaceState(grid=grid, metric=metric, y=y, V=v,
                          gamma_surface=node_first(gamma_surface),
-                         ci_residual=ci_res, **forms)
+                         ci_residual=ci_res, ci_tol=ci_tol, **forms)
     for value in vars(state).values():
         if isinstance(value, np.ndarray):
             value.flags.writeable = False
@@ -258,7 +259,8 @@ def build_surface(immersion: Immersion, metric: AmbientMetric, grid: DiskGrid,
 
 
 def validate_hypotheses(state: SurfaceState):
-    """Diagnostic report of the admissibility hypotheses; never raises."""
+    """Diagnostic report of the admissibility hypotheses, judged by the
+    bounds the surface was built under; never raises."""
     g, b = state.g, state.b
     eig_g = np.linalg.eigvalsh(0.5 * (g + np.swapaxes(g, 1, 2)))
     eig_b = np.linalg.eigvalsh(0.5 * (b + np.swapaxes(b, 1, 2)))
@@ -286,6 +288,6 @@ def validate_hypotheses(state: SurfaceState):
     report["positivity_ok"] = (
         report["min_eig_g"] > 0 and report["min_eig_b"] > 0 and report["min_H"] > 0
     )
-    report["conjugate_isothermal_ok"] = ci_res <= CI_TOL
+    report["conjugate_isothermal_ok"] = ci_res <= state.ci_tol
     report["ok"] = report["positivity_ok"] and report["conjugate_isothermal_ok"]
     return report

@@ -320,13 +320,6 @@ def transport_propagator(metric: AmbientMetric, y0,
     return history._full
 
 
-def transport_matrix(metric, y0, history, direction="backward"):
-    """Propagator matrix M with M @ seed = transported seed."""
-    _check_direction(direction)
-    prop = transport_propagator(metric, y0, history)
-    return np.array(prop.backward if direction == "backward" else prop.forward)
-
-
 def _cumtrapz_from_end(vals, dt):
     """C[m] = integral from tau_m to tau_M (trapezoid), vals shape (M+1, ...)."""
     inc = 0.5 * dt * (vals[1:] + vals[:-1])
@@ -390,7 +383,6 @@ class NormalTransport:
     a2_vec: np.ndarray       # tail beyond the first-order term
     a1_mat: np.ndarray       # first-order matrix A_(1)(0, t)
     norm: np.ndarray         # |n(t)| in the metric at the displaced point
-    forward_matrix: np.ndarray
 
 
 def transport_normal(metric: AmbientMetric, y0, history: TransportHistory,
@@ -407,7 +399,7 @@ def transport_normal(metric: AmbientMetric, y0, history: TransportHistory,
     norm = np.sqrt(np.einsum("abn,an,bn->n", a_t, n_t, n_t))
     return NormalTransport(n_t=node_first(n_t), a1_vec=node_first(a1_vec),
                            a2_vec=node_first(a2_vec), a1_mat=node_first(a1_mat),
-                           norm=norm, forward_matrix=prop.forward)
+                           norm=norm)
 
 
 def path_norms(metric, y0, history):

@@ -213,10 +213,6 @@ def schwarz_coefficients(boundary_vals, n_theta):
     return coeffs
 
 
-def schwarz_field(grid: DiskGrid, boundary_vals):
-    return holomorphic_field(grid, schwarz_coefficients(boundary_vals, grid.n_theta))
-
-
 @dataclass
 class CanonicalSymbol:
     """Reduction lambda = e^{i n theta} e^{i mu} with mu absorbed."""
@@ -295,7 +291,7 @@ def _core_particular(sym: CanonicalSymbol, phi_boundary):
 
 @dataclass
 class SolutionFamily:
-    """Solved boundary-value problem: particular member plus free family.
+    """Solved boundary-value problem: the solution w plus the free family.
 
     ``basis`` holds the core members b_i (d_zbar b = 0, zero boundary data)
     as returned by ``bvp_solve``; they solve the full homogeneous problem
@@ -304,14 +300,13 @@ class SolutionFamily:
     """
 
     w: np.ndarray
-    particular: np.ndarray
     basis: list
     params: np.ndarray
     n: int
     iterations: int = 0
     passes: int = 0          # right-hand-side evaluations (assembler calls)
     ratio: float = 0.0
-    mode: str = "gmres"      # the one inner solver; kept for the output formats
+    mode: str = "gmres"      # the one inner solver; read by perfbench's tracer
     boundary_residual: float = 0.0
     fixed_point_residual: float = 0.0
     solvability: np.ndarray = field(default_factory=lambda: np.array([]))
@@ -319,27 +314,6 @@ class SolutionFamily:
     @property
     def dimension(self):
         return len(self.basis)
-
-
-def rh_core_solve(grid: DiskGrid, lam, phi, params=None) -> SolutionFamily:
-    """Solve d_zbar w = 0 with Re{conj(lam) w} = phi on the rim."""
-    sym = canonicalize(grid, lam)
-    w_p, resid = _core_particular(sym, phi)
-    if params is None:
-        params = np.zeros(sym.family_size)
-    params = np.asarray(params, dtype=float)
-    if len(params) != sym.family_size:
-        raise MgError(f"expected {sym.family_size} parameters, got {len(params)}")
-    w = w_p.copy()
-    for c, b in zip(params, sym.basis):
-        w = w + c * b
-    bres = float(np.max(np.abs(
-        np.real(np.conj(sym.lam) * w[grid.boundary_idx]) - np.asarray(phi)
-    )))
-    return SolutionFamily(
-        w=w, particular=w_p, basis=list(sym.basis), params=params, n=sym.n,
-        boundary_residual=bres, solvability=resid,
-    )
 
 
 # --------------------------------------------------------------------------
@@ -599,7 +573,7 @@ def bvp_solve(problem: BoundaryProblem, psi_assembler=None, tol=1e-10,
         np.real(np.conj(lam) * w[bidx]) - problem.phi
     )))
     return SolutionFamily(
-        w=w, particular=w, basis=list(sym.basis), params=params, n=n,
+        w=w, basis=list(sym.basis), params=params, n=n,
         iterations=sum(pass_iters), passes=len(pass_diffs), ratio=ratio,
         boundary_residual=boundary_residual,
         fixed_point_residual=fixed_point_residual,
@@ -826,7 +800,6 @@ def save_solution(path, family: SolutionFamily):
               f"n {family.n}",
               f"dimension {family.dimension}",
               f"iterations {family.iterations}",
-              f"mode {family.mode}",
               f"ratio {_fmt(family.ratio)}",
               f"boundary_residual {_fmt(family.boundary_residual)}",
               f"fixed_point_residual {_fmt(family.fixed_point_residual)}"]

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from mgdeform.cdot import (
     loop_closedness,
     solve_cdot,
 )
-from mgdeform.errors import MgError, NearSingularDenominatorError
+from mgdeform.errors import MgError, NearSingularDenominatorError, NoContractionError
 from mgdeform.gdef import assemble_coefficients, tangential_grad
 from mgdeform.grid import DiskGrid
 from mgdeform.metrics import FlatMetric, conformal_radial_metric
@@ -217,3 +219,22 @@ def test_non_positive_tolerance_rejected(setup_flat, tol):
     fn = make_coeff_fn(metric, surf, deform, zero, zero)
     with pytest.raises(MgError, match="tol"):
         solve_cdot(surf, fn, deform.a1, deform.a2, zero, zero, integ, tol=tol)
+
+
+def test_expanding_iteration_raises_no_contraction(setup_flat):
+    # a coefficient rate that doubles and flips sign on every sweep makes the
+    # successive differences grow by 2 each sweep
+    metric, surf, integ = setup_flat
+    zero = np.zeros(surf.grid.n_nodes)
+    base = assemble_coefficients(metric, surf,
+                                 prescribed_deformation(surf, zero, zero, zero, 0.01, 2))
+    base = replace(base, qdot=np.ones_like(base.qdot))
+    sweeps = []
+
+    def coeff_fn(cdot_iter):
+        sweeps.append(cdot_iter)
+        return replace(base, qdot=base.qdot * (-2.0) ** (len(sweeps) - 1))
+
+    with pytest.raises(NoContractionError, match=r"ratio 2\.000"):
+        solve_cdot(surf, coeff_fn, zero, zero, zero, zero, integ, max_iter=8)
+    assert len(sweeps) == 8

@@ -316,7 +316,7 @@ def test_cli_bvp_writes_homogeneous_basis(tmp_path):
     # T(-(A w + B conj(w) + E(w))))
     from helpers import manufactured_problem
     from mgdeform.grid import DiskGrid
-    from mgdeform.vekua import rh_core_solve, save_problem, t_operator
+    from mgdeform.vekua import BoundaryProblem, bvp_solve, save_problem, t_operator
 
     grid = DiskGrid(16, 32)
     prob, _ = manufactured_problem(grid, n=1)
@@ -331,9 +331,11 @@ def test_cli_bvp_writes_homogeneous_basis(tmp_path):
 
     def response(w):
         u = t_operator(grid, -prob.volume_terms(w))
-        return u + rh_core_solve(grid, lam, -np.real(np.conj(lam) * u[bidx])).w
+        core_phi = -np.real(np.conj(lam) * u[bidx])
+        return u + bvp_solve(BoundaryProblem(grid, lam, core_phi)).w
 
-    core = np.stack(rh_core_solve(grid, lam, np.zeros(grid.n_theta)).basis, axis=1)
+    core = np.stack(bvp_solve(BoundaryProblem(grid, lam, np.zeros(grid.n_theta))).basis,
+                    axis=1)
     core_ri = np.concatenate([core.real, core.imag])
     for k in basis:
         scale = np.max(np.abs(k))
@@ -401,6 +403,20 @@ def test_cli_bvp_empty_file(tmp_path):
     p.write_text("")
     rc = main(["bvp", str(p)])
     assert rc == 2
+
+
+def test_validate_judges_by_the_configured_ci_tol(tmp_path, capsys):
+    # at 16x32 this curved cap has CI residual 1.0e-6: above the default
+    # bound, inside the configured one the surface was built under
+    cpath = tmp_path / "cfg.txt"
+    cpath.write_text("[metric]\nkind = conformal_radial\nalpha = 0.5\n\n"
+                     "[surface]\ncap = 0.8\nci_tol = 1e-5\n\n"
+                     "[grid]\nn_r = 16\nn_theta = 32\n")
+    rc = main(["validate", "--config", str(cpath)])
+    rep = json.loads(capsys.readouterr().out)
+    assert 1e-6 < rep["ci_residual"] <= 1e-5
+    assert rep["conjugate_isothermal_ok"] and rep["ok"]
+    assert rc == 0
 
 
 def test_cli_run_and_validate(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mgdeform import flow, kpres, metrics, surface, transport, vekua
-from mgdeform.errors import ConvergenceError, MgError
+from mgdeform.errors import ConvergenceError, MgError, UnderResolvedError
 from mgdeform.flow import (
     BoundarySpec,
     FlowConfig,
@@ -354,3 +354,22 @@ def test_history_times_count_whole_steps(flat_cap):
     history = state.deform.history
     assert np.array_equal(history.tau, np.arange(11) * 0.005)
     assert history.t_final == state.deform.t == 0.05
+
+
+@pytest.mark.parametrize("winding", [15, 16, 17, 40])
+def test_winding_beyond_the_rim_resolution_is_rejected(flat_cap, monkeypatch, winding):
+    # n_theta = 32 rim samples cannot tell winding k from k - 32: 40 would run
+    # as index 8 and 17 as index -15, so |winding| >= 16 fails before any solve
+    metric, surf = flat_cap
+    boundary = BoundarySpec(winding=winding)
+    cfg = FlowConfig(t_final=0.005, dt=0.005)
+    if winding < surf.grid.n_theta // 2:
+        assert run_flow(init_flow(metric, surf, boundary, cfg))["index"] == winding
+        return
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved an unresolved winding")
+
+    monkeypatch.setattr(flow, "solve_family", no_solve)
+    with pytest.raises(UnderResolvedError, match=f"winding {winding}"):
+        init_flow(metric, surf, boundary, cfg)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mgdeform.errors import DegenerateCurvatureError
 from mgdeform.gdef import assemble_coefficients, new_deformation
 from mgdeform.grid import DiskGrid
 from mgdeform.kpres import (
@@ -58,7 +59,7 @@ def test_delta_g_matches_direct(curved24):
     grid = surf.grid
     z = deform.history.z[-1]
     z1, z2 = grid.ddx1(z), grid.ddx2(z)
-    gvar = delta_g(metric, surf, z, z1, z2, deform.c)
+    gvar = delta_g(metric, surf, z, z1, z2)
     direct = delta_g_direct(metric, surf, z, z1, z2)
     assert np.max(np.abs(gvar.dg_ij - direct)) < 1e-13
 
@@ -71,7 +72,7 @@ def test_delta_g_flat_normal_bump_vs_rebuild(flat48):
     deform = prescribed_deformation(surf, zero, zero, c, 1.0, 4)
     z = deform.history.z[-1]
     z1, z2 = grid.ddx1(z), grid.ddx2(z)
-    gvar = delta_g(metric, surf, z, z1, z2, deform.c)
+    gvar = delta_g(metric, surf, z, z1, z2)
     tang_t = surf.tang + np.stack([z1, z2], axis=-1)
     g_new = np.einsum("ab,nai,nbj->nij", np.eye(3), tang_t, tang_t)
     assert np.max(np.abs(gvar.dg_ij - (g_new - surf.g))) < 1e-10
@@ -144,8 +145,8 @@ def test_equation_coefficients_sphere_closed_form(flat48):
     assert np.max(np.abs(coeffs.p1 - p1_exact)) < 1e-6
     assert np.max(np.abs(coeffs.p2 - p2_exact)) < 1e-6
     # g = V^2 for this surface: q_k = d_k ln V = -p2, p1 patterns
-    assert np.max(np.abs(coeffs.q1 + p2_exact)) < 1e-6
-    assert np.max(np.abs(coeffs.q2 - p1_exact)) < 1e-6
+    assert np.max(np.abs(0.5 * coeffs.qb1 + p2_exact)) < 1e-6
+    assert np.max(np.abs(0.5 * coeffs.qb2 - p1_exact)) < 1e-6
     assert np.max(np.abs(coeffs.qb0 - 4.0)) < 1e-6
 
 
@@ -162,14 +163,14 @@ def test_constant_v_gives_zero_p():
     coeffs = equation_coefficients(stub)
     assert np.max(np.abs(coeffs.p1)) < 1e-14
     assert np.max(np.abs(coeffs.p2)) < 1e-14
-    assert np.max(np.abs(coeffs.q1)) < 1e-14
+    assert np.max(np.abs(0.5 * coeffs.qb1)) < 1e-14
 
 
 def test_coefficients_frozen_rederivation_identical(flat48):
     _, surf = flat48
     c1 = equation_coefficients(surf)
     c2 = equation_coefficients(surf)
-    for name in ("p1", "p2", "q1", "q2", "qb1", "qb2", "qb0"):
+    for name in ("p1", "p2", "qb1", "qb2", "qb0"):
         assert np.array_equal(getattr(c1, name), getattr(c2, name))
 
 
@@ -185,7 +186,7 @@ def test_w1dot_explicit_matches_finite_difference(curved24):
         grid = surf.grid
         z = deform.history.z[-1]
         z1, z2 = grid.ddx1(z), grid.ddx2(z)
-        vals[tt] = delta_g(metric, surf, z, z1, z2, deform.c)
+        vals[tt] = delta_g(metric, surf, z, z1, z2)
     deform = prescribed_deformation(surf, a1d, a2d, cd, t, 8)
     gvar, bvar, _ = assemble_variation(metric, surf, deform)
     zdot = deform.rate_displacement()
@@ -252,3 +253,15 @@ def test_rhs_psi_zero_state_flat(flat48):
     assert np.max(np.abs(psi3)) == 0.0
     assert np.max(np.abs(p0)) == 0.0
     assert np.max(np.abs(psi1)) == 0.0
+
+
+def test_collapsed_surface_raises_degenerate_curvature():
+    # a unit normal displacement carries the unit sphere cap onto its center,
+    # where the deformed second form degenerates
+    grid = DiskGrid(16, 32)
+    metric = FlatMetric()
+    surf = build_surface(SphereCapImmersion(1.0, 0.5), metric, grid, ci_tol=1e-5)
+    zero = np.zeros(grid.n_nodes)
+    deform = prescribed_deformation(surf, zero, zero, np.ones(grid.n_nodes), 1.0, 4)
+    with pytest.raises(DegenerateCurvatureError, match="determinant vanished"):
+        assemble_variation(metric, surf, deform)

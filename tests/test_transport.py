@@ -13,7 +13,6 @@ from mgdeform.transport import (
     op_inf_norm,
     path_norms,
     static_history,
-    transport_matrix,
     transport_normal,
     transport_propagator,
     transport_series_terms,
@@ -239,7 +238,6 @@ def _check_against_full(metric, y0, hist, seed):
     assert _rel(-prop.integral, fwd_a1) <= 1e-13
     vec = np.einsum("nab,nb->na", prop.backward, seed)
     assert _rel(vec, transport_tensor_ode(metric, y0, hist, seed, "backward")) <= 1e-13
-    assert _rel(transport_matrix(metric, y0, hist, "forward"), prop.forward) == 0.0
 
 
 def test_cached_propagator_matches_full_recomputation(curved_cap, christoffel_calls):

@@ -22,10 +22,9 @@ from mgdeform.vekua import (
     index_of,
     load_problem,
     point_pin,
-    rh_core_solve,
     save_problem,
     save_solution,
-    schwarz_field,
+    schwarz_coefficients,
     solve_family,
     t_one_oracle,
     t_operator,
@@ -133,7 +132,7 @@ def test_index_errors(grid):
 def test_schwarz_real_part_matches(grid):
     th = grid.boundary_theta
     f = 0.3 + np.cos(2 * th) - 0.5 * np.sin(3 * th)
-    s = schwarz_field(grid, f)
+    s = holomorphic_field(grid, schwarz_coefficients(f, grid.n_theta))
     assert np.max(np.abs(s[grid.boundary_idx].real - f)) < 1e-12
     assert abs(s[0].imag) < 1e-12  # normalization Im S(0) = 0
     assert np.max(np.abs(grid.dz_bar(s)[1:-grid.n_theta])) < 1e-8
@@ -151,10 +150,10 @@ def test_holomorphic_field_matches_power_sum(grid):
 def test_core_n0_cosine(grid):
     # lambda = 1, phi = cos(theta): w = z + i c0, family dimension 1
     th = grid.boundary_theta
-    fam = rh_core_solve(grid, np.ones(grid.n_theta, complex), np.cos(th))
+    fam = bvp_solve(BoundaryProblem(grid, np.ones(grid.n_theta, complex), np.cos(th)))
     assert fam.n == 0
     assert fam.dimension == 1
-    assert np.max(np.abs(fam.particular - grid.z)) < 1e-12
+    assert np.max(np.abs(fam.w - grid.z)) < 1e-12
     assert np.max(np.abs(fam.basis[0] - 1j)) < 1e-12
     assert fam.boundary_residual < 1e-12
 
@@ -163,10 +162,13 @@ def test_core_n1_dimension_and_bc(grid):
     th = grid.boundary_theta
     lam = np.exp(1j * th)
     phi = 0.2 + np.sin(2 * th)
-    fam = rh_core_solve(grid, lam, phi, params=[0.3, -0.2, 0.5])
+    fam = bvp_solve(BoundaryProblem(grid, lam, phi))
     assert fam.n == 1
     assert fam.dimension == 3
     assert fam.boundary_residual < 1e-12
+    # so does every other member of the family
+    w = fam.w + sum(c * b for c, b in zip([0.3, -0.2, 0.5], fam.basis))
+    assert np.max(np.abs(np.real(np.conj(lam) * w[grid.boundary_idx]) - phi)) < 1e-12
     # basis members satisfy the homogeneous condition
     for b in fam.basis:
         bc = np.real(np.conj(lam) * b[grid.boundary_idx])
@@ -178,7 +180,7 @@ def test_core_negative_index(grid):
     th = grid.boundary_theta
     lam = np.exp(-1j * th)
     # solvable data: phi with vanishing mean after weighting (zero here)
-    fam = rh_core_solve(grid, lam, np.zeros(grid.n_theta))
+    fam = bvp_solve(BoundaryProblem(grid, lam, np.zeros(grid.n_theta)))
     assert fam.n == -1
     assert fam.dimension == 0
     assert np.max(np.abs(fam.w)) < 1e-13
@@ -190,7 +192,7 @@ def test_core_dressed_symbol(grid):
     th = grid.boundary_theta
     lam = np.exp(1j * th) * np.exp(0.4j * np.cos(th))
     phi = np.cos(2 * th) - 0.3
-    fam = rh_core_solve(grid, lam, phi)
+    fam = bvp_solve(BoundaryProblem(grid, lam, phi))
     assert fam.n == 1
     assert fam.boundary_residual < 1e-10
     assert np.max(np.abs(grid.dz_bar(fam.w)[1 : -grid.n_theta])) < 1e-6
@@ -266,8 +268,8 @@ def test_zero_coefficients_reduce_to_core(grid):
     phi = np.cos(th)
     prob = BoundaryProblem(grid=grid, lam=lam, phi=phi)
     fam = bvp_solve(prob, tol=1e-13)
-    core = rh_core_solve(grid, lam, phi)
-    assert np.max(np.abs(fam.w - core.w)) < 1e-11
+    # the core solution for this data is w = z^2
+    assert np.max(np.abs(fam.w - grid.z**2)) < 1e-11
     assert fam.iterations <= 3
 
 
@@ -488,7 +490,7 @@ def test_problem_and_solution_files_are_17_digit_rows(tmp_path):
     expect += ["end", "begin phi"] + [f"{float(v):.17g}" for v in prob.phi] + ["end"]
     assert path.read_text() == "\n".join(expect) + "\n"
 
-    fam = rh_core_solve(prob.grid, prob.lam, prob.phi)
+    fam = bvp_solve(BoundaryProblem(prob.grid, prob.lam, prob.phi))
     spath = tmp_path / "solution.txt"
     save_solution(spath, fam)
     lines = spath.read_text().splitlines()
