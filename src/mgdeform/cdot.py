@@ -84,8 +84,8 @@ class CdotSolution:
     gamma: np.ndarray
     iterations: int
     rate: float            # observed contraction ratio K3
-    residual: float        # sup |cdot - L(cdot) - gamma|
-    coeffs: GDefCoefficients
+    residual: float        # sup |L(cdot) + gamma - cdot|, from the certifying sweep
+    coeffs: GDefCoefficients   # coeff_fn(cdot), from that sweep
     dadot: np.ndarray      # d_i adot^j of the solve's rates, (N, j, i)
 
     @property
@@ -100,12 +100,17 @@ def solve_cdot(surface: SurfaceState, coeff_fn, a1, a2, a1dot, a2dot,
     """Successive approximations for cdot = L(cdot) + gamma.
 
     ``coeff_fn(cdot_iterate)`` must return coefficient fields whose rates
-    reflect the iterate through the final history sample.  ``da`` is a
-    state's cached d_i a^j, taken here when not given; the rates are
-    differentiated once per solve.
+    reflect the iterate through the final history sample.  Sweep k
+    assembles coeff_fn(c_k), from c_0 = ``c0`` or gamma, and the first c_k
+    with d_k = |L(c_k) + gamma - c_k| <= tol max(1, |c_k|) is returned with
+    those coefficients and ``residual`` d_k: the last ``coeff_fn`` call is at
+    the returned iterate.  ``da`` is a state's cached d_i a^j, taken here
+    when not given; the rates are differentiated once per solve.
     """
     if not tol > 0:
         raise MgError(f"tol must be positive, got {tol}")
+    if max_iter < 1:
+        raise MgError(f"cdot iteration needs max_iter >= 1, got {max_iter}")
     grid = surface.grid
     a_vec = np.stack([a1, a2], axis=-1)
     adot = np.stack([a1dot, a2dot], axis=-1)
@@ -113,38 +118,33 @@ def solve_cdot(surface: SurfaceState, coeff_fn, a1, a2, a1dot, a2dot,
         da = tangential_grad(grid, a1, a2)
     dadot = tangential_grad(grid, a1dot, a2dot)
 
-    def kernel_integral(coeffs):
-        b1, b2 = kernel_fields(surface, coeffs, a_vec, adot, da, dadot)
-        return integrator.line_integral(b1, b2)
-
     gamma = gamma_t(surface, a1dot, a2dot, integrator)
     cdot = gamma.copy() if c0 is None else np.asarray(c0, dtype=float).copy()
     diffs = []
-    coeffs = None
-    for k in range(max_iter):
+    for _ in range(max_iter):
         coeffs = coeff_fn(cdot)
-        cdot_new = kernel_integral(coeffs) + gamma
+        b1, b2 = kernel_fields(surface, coeffs, a_vec, adot, da, dadot)
+        cdot_new = integrator.line_integral(b1, b2) + gamma
         d = float(np.max(np.abs(cdot_new - cdot)))
         diffs.append(d)
-        cdot = cdot_new
-        scale = max(1.0, float(np.max(np.abs(cdot))))
-        if d <= tol * scale:
+        if d <= tol * max(1.0, float(np.max(np.abs(cdot)))):
             break
+        cdot = cdot_new
     else:
-        rate = diffs[-1] / diffs[-2] if len(diffs) > 1 and diffs[-2] > 0 else np.inf
+        # diffs[-2] > 0, or that sweep would have stopped the loop
+        rate = diffs[-1] / diffs[-2] if len(diffs) > 1 else 0.0
+        sweeps = "sweep differences " + ", ".join(f"{d:.3e}" for d in diffs)
         if rate >= 1.0:
             raise NoContractionError(
-                f"cdot iteration expands (ratio {rate:.3f}); reduce the time step"
+                f"cdot iteration expands (ratio {rate:.3f}); reduce the time step ({sweeps})"
             )
-        raise ConvergenceError(f"cdot iteration did not settle in {max_iter} sweeps")
+        raise ConvergenceError(f"cdot iteration did not settle in {max_iter} sweeps ({sweeps})")
     rate = 0.0
     for i in range(1, len(diffs)):
         if diffs[i - 1] > 1e-300 and diffs[i] > 0:
             rate = max(rate, diffs[i] / diffs[i - 1])
-    coeffs = coeff_fn(cdot)
-    residual = float(np.max(np.abs(cdot - kernel_integral(coeffs) - gamma)))
     return CdotSolution(cdot=cdot, gamma=gamma, iterations=len(diffs),
-                        rate=rate, residual=residual, coeffs=coeffs, dadot=dadot)
+                        rate=rate, residual=d, coeffs=coeffs, dadot=dadot)
 
 
 def lipschitz_ratio(sol_a: CdotSolution, sol_b: CdotSolution,

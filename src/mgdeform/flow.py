@@ -258,7 +258,10 @@ def _build_statics(metric, surface, boundary, config) -> FlowStatics:
 
 def _make_assembler(state: FlowState):
     """psi-dot assembler closure over the current state; caches the pieces
-    of its most recent evaluation for the advance step."""
+    of its most recent evaluation for the advance step.  The cdot solve's
+    last ``coeff_fn`` call is at the cdot it returns, so that call's trial
+    history, with its propagator memoised, serves the variation, and its
+    final rate sample is zdot."""
     metric, surface = state.metric, state.surface
     st = state.statics
     deform = state.deform
@@ -266,26 +269,24 @@ def _make_assembler(state: FlowState):
     cfg = state.config
     cache = {}
 
-    def coeff_fn_for(a1dot, a2dot):
-        def coeff_fn(cdot_iter):
-            hist = deform.history_with_rates(a1dot, a2dot, cdot_iter)
-            return assemble_coefficients(
-                metric, surface, deform, history=hist,
-                prev=prev.coeffs, dt=cfg.dt,
-            )
-        return coeff_fn
-
     def assembler(w):
         a1dot = np.ascontiguousarray(w.imag)
         a2dot = np.ascontiguousarray(w.real)
+        hist = None
+
+        def coeff_fn(cdot_iter):
+            nonlocal hist
+            hist = deform.history_with_rates(a1dot, a2dot, cdot_iter)
+            return assemble_coefficients(metric, surface, deform, history=hist,
+                                         prev=prev.coeffs, dt=cfg.dt)
+
         sol = solve_cdot(
-            surface, coeff_fn_for(a1dot, a2dot), deform.a1, deform.a2,
+            surface, coeff_fn, deform.a1, deform.a2,
             a1dot, a2dot, st.integ, tol=cfg.tol_cdot, max_iter=cfg.max_iter_cdot,
             da=deform.da,
         )
-        hist = deform.history_with_rates(a1dot, a2dot, sol.cdot)
         gvar, bvar, fwd = assemble_variation(metric, surface, deform, history=hist)
-        zdot = deform.rate_displacement(a1dot, a2dot, sol.cdot)
+        zdot = hist.zdot[-1]
         m4dot_override = None
         if prev.m4 is None:
             # first step: no stored history yet, so the M4 rate comes from a

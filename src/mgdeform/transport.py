@@ -199,8 +199,6 @@ def transport_tensor_ode(metric: AmbientMetric, y0, history: TransportHistory, s
     all-interval reference for ``transport_propagator``: each distinct stage
     point is evaluated once, 2 M substeps + 1 Christoffel evaluations in all.
     """
-    if history.tau.size == 0:
-        raise EmptyHistoryError("empty history")
     _check_direction(direction)
     y0 = np.asarray(y0, dtype=float)
     a = np.array(seed, dtype=float)

@@ -11,7 +11,12 @@ from mgdeform.cdot import (
     loop_closedness,
     solve_cdot,
 )
-from mgdeform.errors import MgError, NearSingularDenominatorError, NoContractionError
+from mgdeform.errors import (
+    ConvergenceError,
+    MgError,
+    NearSingularDenominatorError,
+    NoContractionError,
+)
 from mgdeform.gdef import assemble_coefficients, tangential_grad
 from mgdeform.grid import DiskGrid
 from mgdeform.metrics import FlatMetric, conformal_radial_metric
@@ -105,7 +110,7 @@ def test_zero_rates_zero_cdot(setup_curved):
     assert np.max(np.abs(sol.cdot)) == 0.0
 
 
-def contraction_run(metric, surf, integ, t, c0=None, tol=1e-12):
+def contraction_run(metric, surf, integ, t, c0=None, tol=1e-12, max_iter=50):
     grid = surf.grid
     a1dot = smooth_scalar(grid, 21, 5e-2)
     a2dot = smooth_scalar(grid, 22, 5e-2)
@@ -117,7 +122,7 @@ def contraction_run(metric, surf, integ, t, c0=None, tol=1e-12):
     prev = assemble_coefficients(metric, surf, prev_state)
     fn = make_coeff_fn(metric, surf, deform, a1dot, a2dot, prev=prev, dt=dt)
     return solve_cdot(surf, fn, deform.a1, deform.a2, a1dot, a2dot, integ,
-                      tol=tol, c0=c0), (a1dot, a2dot)
+                      tol=tol, c0=c0, max_iter=max_iter), (a1dot, a2dot)
 
 
 def test_contraction_rates_below_one_and_monotone(setup_curved):
@@ -235,6 +240,65 @@ def test_expanding_iteration_raises_no_contraction(setup_flat):
         sweeps.append(cdot_iter)
         return replace(base, qdot=base.qdot * (-2.0) ** (len(sweeps) - 1))
 
-    with pytest.raises(NoContractionError, match=r"ratio 2\.000"):
+    with pytest.raises(NoContractionError, match=r"ratio 2\.000") as err:
         solve_cdot(surf, coeff_fn, zero, zero, zero, zero, integ, max_iter=8)
     assert len(sweeps) == 8
+    listed = str(err.value).split("sweep differences ")[1].rstrip(")").split(", ")
+    assert len(listed) == 8
+    # past the first sweep, which starts from gamma = 0, each difference doubles
+    ratios = [float(b) / float(a) for a, b in zip(listed[1:], listed[2:])]
+    assert np.allclose(ratios, 2.0, rtol=1e-3)
+
+
+def test_max_iter_below_one_rejected_before_any_sweep(setup_flat):
+    metric, surf, integ = setup_flat
+    zero = np.zeros(surf.grid.n_nodes)
+    deform = prescribed_deformation(surf, zero, zero, zero, 0.01, 2)
+    sweeps = []
+    fn = make_coeff_fn(metric, surf, deform, zero, zero)
+
+    def coeff_fn(cdot_iter):
+        sweeps.append(1)
+        return fn(cdot_iter)
+
+    with pytest.raises(MgError, match="max_iter >= 1, got 0"):
+        solve_cdot(surf, coeff_fn, zero, zero, zero, zero, integ, max_iter=0)
+    assert sweeps == []
+
+
+def test_contracting_solve_cut_off_is_not_called_expanding(setup_curved):
+    # this solve contracts (ratio ~1e-4) but needs more than one sweep: cut
+    # off after one, no ratio has been measured, so it did not settle
+    metric, surf, integ = setup_curved
+    assert contraction_run(metric, surf, integ, 0.05)[0].iterations >= 2
+    with pytest.raises(ConvergenceError, match=r"in 1 sweeps \(sweep differences \S+\)$"):
+        contraction_run(metric, surf, integ, 0.05, max_iter=1)
+
+
+@pytest.mark.parametrize("fixture", ["setup_flat", "setup_curved"])
+def test_solution_is_the_iterate_its_last_sweep_certified(request, fixture):
+    # one coeff_fn call per sweep, the last at the returned cdot: the
+    # returned coefficients and residual are that sweep's, bit for bit
+    metric, surf, integ = request.getfixturevalue(fixture)
+    grid = surf.grid
+    a1dot = smooth_scalar(grid, 21, 5e-2)
+    a2dot = smooth_scalar(grid, 22, 5e-2)
+    deform = prescribed_deformation(surf, a1dot, a2dot, smooth_scalar(grid, 23, 5e-2), 0.05, 8)
+    fn = make_coeff_fn(metric, surf, deform, a1dot, a2dot)
+    calls = []
+
+    def coeff_fn(cdot_iter):
+        calls.append(cdot_iter.copy())
+        return fn(cdot_iter)
+
+    sol = solve_cdot(surf, coeff_fn, deform.a1, deform.a2, a1dot, a2dot, integ)
+    assert len(calls) == sol.iterations
+    assert np.array_equal(calls[-1], sol.cdot)
+    fresh = fn(sol.cdot)
+    for name in fresh.__dataclass_fields__:
+        assert np.array_equal(getattr(sol.coeffs, name), getattr(fresh, name)), name
+    b1, b2 = kernel_fields(surf, sol.coeffs, np.stack([deform.a1, deform.a2], axis=-1),
+                           np.stack([a1dot, a2dot], axis=-1), deform.da, sol.dadot)
+    image = integ.line_integral(b1, b2) + sol.gamma
+    assert sol.residual == float(np.max(np.abs(image - sol.cdot)))
+    assert sol.residual <= 1e-10 * max(1.0, float(np.max(np.abs(sol.cdot))))

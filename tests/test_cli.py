@@ -246,6 +246,12 @@ def test_within_tolerances_checks_oracle_and_fixed_point(tiny_run):
     assert not within_tolerances(
         dict(report, max_dk_oracle_rel=2.0 * flow_cfg.tol_k), flow_cfg)
     assert not within_tolerances(dict(report, max_fixed_point_z=1e-9), flow_cfg)
+    # for index n <= 0 the flow fixes no point, so |z(x0)| leaves the verdict
+    assert report["index"] == 1
+    loose = dict(report, max_fixed_point_z=4.2e-5)
+    for index in (-1, 0):
+        assert within_tolerances(dict(loose, index=index), flow_cfg)
+    assert not within_tolerances(loose, flow_cfg)
 
 
 def test_zero_data_negative_index_identity(tmp_path):

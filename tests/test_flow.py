@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from mgdeform import flow, kpres, metrics, surface, transport, vekua
+from mgdeform import flow, gdef, kpres, metrics, surface, transport, vekua
 from mgdeform.errors import ConvergenceError, MgError, UnderResolvedError
 from mgdeform.flow import (
     BoundarySpec,
@@ -267,7 +267,7 @@ def test_curved_metric_flow_meets_acceptance_bounds(monkeypatch):
     # work does not grow with the history length: past its fixed part it is
     # a fixed count per assembler call, and the calls vary from step to step
     passes = [r.bvp_passes for r in state.records]
-    per_pass = 9
+    per_pass = 5
     assert len({c - per_pass * p for c, p in zip(per_step[2:], passes[2:])}) == 1
     # the cold step 0 needs many passes; each inner GMRES starts from the
     # previous pass's solution
@@ -282,6 +282,46 @@ def test_curved_metric_flow_meets_acceptance_bounds(monkeypatch):
     assert rep["family_dimension_after"] == 1
     # the boundary data actually drives the surface
     assert rep["max_rate_sup"] > 1e-4
+
+
+def test_assembler_builds_one_trial_history_per_cdot_sweep(monkeypatch):
+    # the variation and zdot reuse the trial history of the cdot solve's last
+    # sweep, which is at the returned cdot: no history is built after it
+    metric = conformal_radial_metric(0.5)
+    surf = build_surface(SphereCapImmersion(1.0, 0.5), metric, DiskGrid(16, 32),
+                         ci_tol=1e-5)
+    state = init_flow(metric, surf, BoundarySpec(), FlowConfig(t_final=0.015, dt=0.005))
+    hists, sols, per_call = [], [], []
+    real_hist = gdef.DeformationState.history_with_rates
+    real_solve = flow.solve_cdot
+    real_make = flow._make_assembler
+
+    def counting_hist(self, *args):
+        hists.append(1)
+        return real_hist(self, *args)
+
+    def recording_solve(*args, **kwargs):
+        sols.append(real_solve(*args, **kwargs))
+        return sols[-1]
+
+    def make(flow_state):
+        assembler, cache = real_make(flow_state)
+
+        def counted(w):
+            hists.clear()
+            sols.clear()
+            out = assembler(w)
+            per_call.append((len(hists), [sol.iterations for sol in sols]))
+            return out
+
+        return counted, cache
+
+    monkeypatch.setattr(gdef.DeformationState, "history_with_rates", counting_hist)
+    monkeypatch.setattr(flow, "solve_cdot", recording_solve)
+    monkeypatch.setattr(flow, "_make_assembler", make)
+    run_flow(state)
+    assert all(its == [n] for n, its in per_call)
+    assert max(n for n, _ in per_call) >= 2
 
 
 @pytest.mark.parametrize("metric, n_r, n_theta", [
