@@ -5,6 +5,21 @@ ambient points, together with its first and second coordinate derivatives.
 Closed-form derivatives are supplied where available; the base class falls
 back to central differences with step 1e-5.
 
+Override points of a plug-in (subclass ``AmbientMetric``):
+
+- ``metric(y)`` is the one method a plug-in must supply.
+- ``dmetric(y)`` and ``d2metric(y)`` default to central differences.
+- ``christoffel(y)`` returns the ``ChristoffelField`` at points ``y`` and
+  raises ``DegenerateMetricError`` where the metric is not positive definite.
+  The default is the general path: it checks the leading minors, inverts the
+  N batched 3x3 metrics and builds the symbols from ``dmetric``.  A plug-in
+  whose symbols have a closed form overrides it: ``FlatMetric`` returns
+  zeros, and ``ConformalMetric`` (a = e^{2 phi} delta) returns
+  Gamma^g_{ab} = delta^g_a d_b phi + delta^g_b d_a phi - delta_ab d_g phi and
+  Gamma_{ab,g} = e^{2 phi} Gamma^g_{ab}, with det a = e^{6 phi}.
+
+``christoffel_at(metric, points)`` is the one entry point the package calls.
+
 Index conventions on arrays: metric (..., a, b); first derivative
 (..., a, b, s) meaning d a_{ab} / d y^s; Christoffel symbols (..., g, a, b)
 for Gamma^g_{ab}, lowered form (..., a, s, b) for Gamma_{as,b}.
@@ -20,6 +35,13 @@ from ._contract import node_first, node_last
 from .errors import DegenerateMetricError
 
 _FD_STEP = 1e-5
+
+# Gamma^g_{ab} of e^{2 phi} delta is _CONFORMAL_PATTERN[g, a, b, c] d_c phi:
+# delta^g_a delta_bc + delta^g_b delta_ac - delta_ab delta^g_c, entries 0, +-1
+_EYE = np.eye(3)
+_CONFORMAL_PATTERN = (np.einsum("ga,bc->gabc", _EYE, _EYE)
+                      + np.einsum("gb,ac->gabc", _EYE, _EYE)
+                      - np.einsum("ab,gc->gabc", _EYE, _EYE))
 
 
 class AmbientMetric:
@@ -49,6 +71,20 @@ class AmbientMetric:
             out[..., t] = (self.dmetric(y + e) - self.dmetric(y - e)) / (2 * _FD_STEP)
         return out
 
+    def christoffel(self, y) -> ChristoffelField:
+        """General path: Gamma^g_{ab} = 0.5 a^{gm} (d_a a_{mb} + d_b a_{ma} -
+        d_m a_{ab}), after the positivity check of every point."""
+        a = self.metric(y)
+        ok, det = check_positive_definite(a)
+        _require_positive(ok, det)
+        # computed node-last over the flattened batch points p
+        da = node_last(self.dmetric(y).reshape((-1, 3, 3, 3)))   # (a, b, s, p)
+        ainv = node_last(np.linalg.inv(a).reshape((-1, 3, 3)))
+        # lowered: Gamma_{ab,m} = 0.5 (d_a a_{mb} + d_b a_{ma} - d_m a_{ab})
+        low = 0.5 * (np.transpose(da, (2, 1, 0, 3)) + np.transpose(da, (1, 2, 0, 3)) - da)
+        gamma_upper = np.einsum("gmp,abmp->gabp", ainv, low)
+        return _field(y.shape[:-1], gamma_upper, low)
+
     def is_flat(self):
         return False
 
@@ -69,6 +105,11 @@ class FlatMetric(AmbientMetric):
     def d2metric(self, y):
         y = np.asarray(y, dtype=float)
         return np.zeros(y.shape[:-1] + (3, 3, 3, 3))
+
+    def christoffel(self, y) -> ChristoffelField:
+        lead = y.shape[:-1]
+        n_pts = int(np.prod(lead))
+        return _field(lead, np.zeros((3, 3, 3, n_pts)), np.zeros((3, 3, 3, n_pts)))
 
     def is_flat(self):
         return True
@@ -113,6 +154,19 @@ class ConformalMetric(AmbientMetric):
             * eye[..., :, :, None, None]
             * core[..., None, None, :, :]
         )
+
+    def christoffel(self, y) -> ChristoffelField:
+        """Closed form: Gamma^g_{ab} = delta^g_a d_b phi + delta^g_b d_a phi -
+        delta_ab d_g phi and Gamma_{ab,g} = e^{2 phi} Gamma^g_{ab}, after
+        checking det a = e^{6 phi} at every point."""
+        phi = self.phi_fn(y)
+        det = np.exp(6.0 * phi)
+        _require_positive(np.isfinite(det) & (det > 1e-14), det)
+        grad = node_last(self.grad_fn(y).reshape((-1, 3)))        # (c, p)
+        scale = np.exp(2.0 * phi).reshape(-1)                     # (p,)
+        gamma_upper = np.einsum("gabc,cp->gabp", _CONFORMAL_PATTERN, grad)
+        low = np.einsum("gabp,p->abgp", gamma_upper, scale)
+        return _field(y.shape[:-1], gamma_upper, low)
 
 
 def conformal_linear_metric(k):
@@ -183,34 +237,31 @@ def check_positive_definite(a):
     return ok, m3
 
 
-def christoffel_at(metric: AmbientMetric, points) -> ChristoffelField:
-    """Gamma^g_{ab} = 0.5 a^{gm} (d_a a_{mb} + d_b a_{ma} - d_m a_{ab})."""
-    y = np.asarray(points, dtype=float)
-    # computed node-last over the flattened batch points p
-    lead = y.shape[:-1]
-    if metric.is_flat():
-        n_pts = int(np.prod(lead))
-        gamma_upper = np.zeros((3, 3, 3, n_pts))
-        low = np.zeros((3, 3, 3, n_pts))
-    else:
-        a = metric.metric(y)
-        ok, det = check_positive_definite(a)
-        if not np.all(ok):
-            bad = np.argwhere(~ok)
-            raise DegenerateMetricError(
-                f"metric not positive definite at {bad.shape[0]} point(s); "
-                f"first offending index {tuple(bad[0])}, det={det[tuple(bad[0])]:.3e}"
-            )
-        da = node_last(metric.dmetric(y).reshape((-1, 3, 3, 3)))   # (a, b, s, p)
-        ainv = node_last(np.linalg.inv(a).reshape((-1, 3, 3)))
-        # lowered: Gamma_{ab,m} = 0.5 (d_a a_{mb} + d_b a_{ma} - d_m a_{ab})
-        low = 0.5 * (np.transpose(da, (2, 1, 0, 3)) + np.transpose(da, (1, 2, 0, 3)) - da)
-        gamma_upper = np.einsum("gmp,abmp->gabp", ainv, low)
+def _require_positive(ok, det):
+    """Raise DegenerateMetricError naming the first point where ``ok`` fails."""
+    if not np.all(ok):
+        bad = np.argwhere(~ok)
+        raise DegenerateMetricError(
+            f"metric not positive definite at {bad.shape[0]} point(s); "
+            f"first offending index {tuple(bad[0])}, det={det[tuple(bad[0])]:.3e}"
+        )
+
+
+def _field(lead, gamma_upper, low):
+    """The ChristoffelField of node-last (g, a, b, p) symbols and (a, s, b, p)
+    lowered ones over the flattened batch points p."""
     # the lowered array read as Gamma_{as,b} = low[..., a, s, b]
     return ChristoffelField(
         gamma_upper=node_first(gamma_upper).reshape(lead + (3, 3, 3)),
         gamma_lower=node_first(low).reshape(lead + (3, 3, 3)),
     )
+
+
+def christoffel_at(metric: AmbientMetric, points) -> ChristoffelField:
+    """Christoffel symbols of ``metric`` at (..., 3) points, by the plug-in's
+    ``christoffel``; raises DegenerateMetricError where a is not positive
+    definite."""
+    return metric.christoffel(np.asarray(points, dtype=float))
 
 
 def metric_compatibility_residual(metric: AmbientMetric, points):

@@ -156,8 +156,15 @@ def raw_fundamental_forms(grid, metric, y, y1=None, y2=None):
     if y1 is None:
         y1, y2 = grid.grad(y)
     a = metric.metric(y)
-    # unit normal in the metric a: a^-1 (y1 x y2), normalized
-    n = np.linalg.solve(a, np.cross(y1, y2)[..., None])[..., 0]
+    # unit normal in the metric a: a^-1 (y1 x y2), normalized.  Where a is a
+    # scalar multiple s delta at every node, a^-1 v is the quotient v / s;
+    # with NumPy's OpenBLAS it has the batched solve's bits
+    n = np.cross(y1, y2)
+    scalar = a[..., :1, 0]
+    if np.array_equal(a, scalar[..., None] * np.eye(3)):
+        n = n / scalar
+    else:
+        n = np.linalg.solve(a, n[..., None])[..., 0]
     a_l, n_l = node_last(a), node_last(n)
     nn = np.einsum("abn,an,bn->n", a_l, n_l, n_l)
     if np.any(nn <= 0):

@@ -13,7 +13,7 @@ from mgdeform.flow import (
     step,
 )
 from mgdeform.grid import DiskGrid
-from mgdeform.metrics import FlatMetric, conformal_radial_metric
+from mgdeform.metrics import AmbientMetric, FlatMetric, conformal_radial_metric
 from mgdeform.surface import SphereCapImmersion, build_surface
 from mgdeform.vekua import point_pin
 
@@ -282,6 +282,46 @@ def test_curved_metric_flow_meets_acceptance_bounds(monkeypatch):
     assert rep["family_dimension_after"] == 1
     # the boundary data actually drives the surface
     assert rep["max_rate_sup"] > 1e-4
+
+
+class GeneralPathMetric(AmbientMetric):
+    """A plug-in with only ``metric`` and ``dmetric``, delegating to
+    ``inner``: its Christoffel symbols take the general path."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def metric(self, y):
+        return self.inner.metric(y)
+
+    def dmetric(self, y):
+        return self.inner.dmetric(y)
+
+
+def test_closed_form_step_matches_general_path():
+    # one cold curved step with closed-form Christoffels and the same step
+    # through the general path: the same iterations, and the same results up
+    # to round-off
+    recs = []
+    for metric in (conformal_radial_metric(0.5),
+                   GeneralPathMetric(conformal_radial_metric(0.5))):
+        surf = build_surface(SphereCapImmersion(1.0, 0.5), metric, DiskGrid(16, 32),
+                             ci_tol=1e-5)
+        boundary = BoundarySpec(winding=1, gamma_kind="harmonic", epsilon=1e-3, mode=1)
+        state = init_flow(metric, surf, boundary, FlowConfig(t_final=0.005, dt=0.005))
+        recs.append(step(state))
+    closed, general = recs
+    for name in ("bvp_passes", "bvp_iterations", "cdot_iterations",
+                 "family_dimension_before", "family_dimension_after"):
+        assert getattr(closed, name) == getattr(general, name), name
+    for name in ("rate_sup", "step_displacement"):
+        a, b = getattr(closed, name), getattr(general, name)
+        assert abs(a - b) <= 1e-6 * abs(b), name
+    # residual monitors sit at round-off: they agree to 1e-6 of their bounds
+    for name, bound in (("dk_oracle_rel", 1e-4), ("g_residual", 1e-6),
+                        ("boundary_residual", 1e-6), ("fixed_point_z", 1e-10)):
+        assert abs(getattr(closed, name) - getattr(general, name)) <= 1e-6 * bound, name
+    assert np.allclose(closed.params, general.params, rtol=0.0, atol=1e-6 * general.rate_sup)
 
 
 def test_assembler_builds_one_trial_history_per_cdot_sweep(monkeypatch):

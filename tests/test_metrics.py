@@ -24,10 +24,41 @@ def fd_dmetric(metric, y, step=1e-6):
 
 
 def test_flat_christoffel_zero():
-    m = FlatMetric()
-    pts = np.random.default_rng(0).normal(size=(7, 3))
-    ch = christoffel_at(m, pts)
-    assert np.max(np.abs(ch.gamma_upper)) == 0.0
+    pts = np.random.default_rng(0).normal(size=(4, 5, 3))
+    ch = christoffel_at(FlatMetric(), pts)
+    for field in (ch.gamma_upper, ch.gamma_lower):
+        assert field.shape == (4, 5, 3, 3, 3)
+        assert np.array_equal(field, np.zeros((4, 5, 3, 3, 3)))
+
+
+@pytest.mark.parametrize("metric", [conformal_radial_metric(0.5),
+                                    conformal_linear_metric((0.3, 0.0, 0.2))],
+                         ids=["conformal_radial", "conformal_linear"])
+def test_closed_form_matches_general_path(metric):
+    # the conformal closed form against the general path (inverse, positivity
+    # check, symbols from dmetric) called explicitly
+    pts = np.random.default_rng(6).uniform(-1.5, 1.5, size=(2049, 3))
+    closed = christoffel_at(metric, pts)
+    general = AmbientMetric.christoffel(metric, pts)
+    assert closed.gamma_upper.shape == closed.gamma_lower.shape == (2049, 3, 3, 3)
+    scale = np.max(np.abs(general.gamma_upper), axis=(1, 2, 3))[:, None, None, None]
+    assert np.max(np.abs(closed.gamma_upper - general.gamma_upper) / scale) <= 1e-14
+    scale = np.max(np.abs(general.gamma_lower), axis=(1, 2, 3))[:, None, None, None]
+    assert np.max(np.abs(closed.gamma_lower - general.gamma_lower) / scale) <= 1e-14
+
+
+@pytest.mark.parametrize("y, det", [((-1.0, 0.0, 0.0), "det=8.757e-27"),
+                                    ((np.nan, 0.0, 0.0), "det=nan")],
+                         ids=["det_below_bound", "nan_point"])
+def test_closed_form_rejects_degenerate_points(y, det):
+    # det a = e^{6 phi} must be finite and exceed 1e-14; the message names
+    # the first offending index and its det, as the general path's does
+    metric = conformal_linear_metric((10.0, 0.0, 0.0))
+    pts = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], y, y])
+    message = rf"at 2 point\(s\); first offending index \((np\.int64\()?2\)?,\), {det}"
+    for path in (christoffel_at, AmbientMetric.christoffel):
+        with pytest.raises(DegenerateMetricError, match=message), np.errstate(invalid="ignore"):
+            path(metric, pts)
 
 
 def test_conformal_linear_christoffel_pattern():

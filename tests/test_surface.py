@@ -6,7 +6,7 @@ import pytest
 
 from mgdeform.errors import CoordinateError, GeometryError
 from mgdeform.grid import DiskGrid
-from mgdeform.metrics import FlatMetric, conformal_radial_metric
+from mgdeform.metrics import AmbientMetric, FlatMetric, conformal_radial_metric
 from mgdeform.surface import (
     SphereCapImmersion,
     build_surface,
@@ -63,6 +63,27 @@ def test_normal_orthonormal(sphere_state):
     s = sphere_state
     a_nt = np.einsum("nab,na,nbi->ni", s.ambient_a, s.n, s.tang)
     a_nn = np.einsum("nab,na,nb->n", s.ambient_a, s.n, s.n)
+    assert np.max(np.abs(a_nt)) < 1e-10
+    assert np.max(np.abs(a_nn - 1.0)) < 1e-12
+
+
+class AnisotropicMetric(AmbientMetric):
+    """Constant diag(1, 2, 3): not a scalar multiple of delta."""
+
+    def metric(self, y):
+        return np.broadcast_to(np.diag([1.0, 2.0, 3.0]), y.shape[:-1] + (3, 3)).copy()
+
+
+@pytest.mark.parametrize("metric", [conformal_radial_metric(0.5), AnisotropicMetric()],
+                         ids=["conformal_radial", "anisotropic"])
+def test_normal_orthonormal_in_other_metrics(sphere_state, metric):
+    # the normal is a-unit and a-orthogonal to both tangents, whether a is a
+    # scalar multiple of delta (a quotient) or not (a batched solve)
+    s = sphere_state
+    forms = raw_fundamental_forms(s.grid, metric, s.y, s.y1, s.y2)
+    a, n = forms["ambient_a"], forms["n"]
+    a_nt = np.einsum("nab,na,nbi->ni", a, n, forms["tang"])
+    a_nn = np.einsum("nab,na,nb->n", a, n, n)
     assert np.max(np.abs(a_nt)) < 1e-10
     assert np.max(np.abs(a_nn - 1.0)) < 1e-12
 
