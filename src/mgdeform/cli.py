@@ -50,11 +50,10 @@ FIXED_POINT_TOL = 1e-10
 
 
 def _fields_section(cls, kinds):
-    """Schema of a section that is dataclass ``cls``: each config field's type,
-    or its tuple of kinds from ``kinds``, and its default."""
+    """Schema of a section that is dataclass ``cls``: each field's type, or
+    its tuple of kinds from ``kinds``, and its default."""
     hints = typing.get_type_hints(cls)
-    return {f.name: (kinds.get(f.name, hints[f.name]), f.default)
-            for f in fields(cls) if f.metadata.get("config_key", True)}
+    return {f.name: (kinds.get(f.name, hints[f.name]), f.default) for f in fields(cls)}
 
 
 # section -> key -> (type, default); bool values are "true"/"false"
@@ -81,7 +80,6 @@ SCHEMA = {
                                                "gamma_kind": tuple(GAMMA_KINDS)}),
     "flow": _fields_section(FlowConfig, {}),
     "output": {
-        "directory": (str, "out"),
         "trace": (bool, True),
         "snapshots": (bool, True),
     },
@@ -152,7 +150,7 @@ def parse_config(text) -> dict:
                                               line_no, key, errors)
     if errors:
         raise ConfigError(errors)
-    for key in ("t_final", "dt", "tol_bvp", "tol_cdot", "tol_k", "tol_g", "tol_b"):
+    for key in ("t_final", "dt", "tol_k", "tol_g", "tol_b"):
         if sections["flow"][key] <= 0:
             raise ConfigError([(0, 0, f"flow.{key} must be positive")])
     if sections["boundary"]["epsilon"] <= 0:
@@ -221,13 +219,11 @@ def within_tolerances(report, flow_cfg):
     )
 
 
-def run_from_config(cfg: dict, out_dir=None, log=print):
+def run_from_config(cfg: dict, out_dir, log=print):
     metric, surface, boundary, flow_cfg = build_problem_objects(cfg)
     hyp = validate_hypotheses(surface)
-    flow_cfg.capture_fields = cfg["output"]["snapshots"]
     state = init_flow(metric, surface, boundary, flow_cfg)
     # created only once the problem is built, so a rejected run leaves none
-    out_dir = out_dir or cfg["output"]["directory"]
     os.makedirs(out_dir, exist_ok=True)
     trace_path = os.path.join(out_dir, "trace.jsonl")
     trace_fh = open(trace_path, "w") if cfg["output"]["trace"] else None
@@ -236,10 +232,10 @@ def run_from_config(cfg: dict, out_dir=None, log=print):
         if trace_fh:
             trace_fh.write(json.dumps(rec.as_dict(), default=_json_default))
             trace_fh.write("\n")
-        if rec.fields is not None:
+        if cfg["output"]["snapshots"]:
             _write_snapshot(
                 os.path.join(out_dir, f"step_{rec.step:04d}.tsv"),
-                surface.grid, rec.fields,
+                surface.grid, state.fields,
             )
         log(f"step {rec.step}: t={rec.t_new:.6g} "
             f"dK/K={rec.dk_max_rel:.3e} G={rec.g_residual:.3e} "
@@ -276,7 +272,7 @@ def cmd_run(args):
 def cmd_bvp(args):
     problem = load_problem(args.problem)
     # the written basis_k are homogeneous solutions of the full problem
-    fam, _ = solve_family(problem, tol=args.tol)
+    fam, _ = solve_family(problem)
     out = args.out or (os.path.splitext(args.problem)[0] + ".solution.txt")
     save_solution(out, fam)
     print(f"index {fam.n}, family dimension {fam.dimension}, "
@@ -304,13 +300,12 @@ def main(argv=None):
 
     p_run = sub.add_parser("run", help="execute a flow from a config file")
     p_run.add_argument("--config", required=True)
-    p_run.add_argument("--out", default=None)
+    p_run.add_argument("--out", default="out")
     p_run.set_defaults(func=cmd_run)
 
     p_bvp = sub.add_parser("bvp", help="solve a standalone problem file")
     p_bvp.add_argument("problem")
     p_bvp.add_argument("--out", default=None)
-    p_bvp.add_argument("--tol", type=float, default=1e-10)
     p_bvp.set_defaults(func=cmd_bvp)
 
     p_val = sub.add_parser("validate", help="check the configured surface")

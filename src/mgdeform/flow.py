@@ -14,7 +14,7 @@ which the elliptic pair takes the d_zbar form on the disk as it is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -99,20 +99,14 @@ class BoundarySpec:
 
 @dataclass
 class FlowConfig:
-    """Step, solver and monitor settings; every field but ``capture_fields``
-    is a key of the config's [flow] section."""
+    """Step and monitor settings; the fields are the keys of the config's
+    [flow] section.  The solves run at their own tolerances and caps."""
 
     t_final: float = 0.05
     dt: float = 0.0025
-    tol_bvp: float = 1e-10
-    tol_cdot: float = 1e-10
-    max_iter_bvp: int = 60
-    max_iter_cdot: int = 50
     tol_k: float = 1e-4
     tol_g: float = 1e-6
     tol_b: float = 1e-6
-    # stash per-node fields in records; set from [output] snapshots
-    capture_fields: bool = field(default=False, metadata={"config_key": False})
 
     @property
     def n_steps(self):
@@ -129,9 +123,6 @@ class FlowConfig:
         if self.n_steps < 1 or abs(ratio - self.n_steps) > 1e-9 * self.n_steps:
             raise MgError(f"t_final must be a whole number of steps dt, "
                           f"got t_final/dt = {ratio:.17g}")
-        for name in ("max_iter_bvp", "max_iter_cdot"):
-            if getattr(self, name) < 1:
-                raise MgError(f"{name} must be at least 1, got {getattr(self, name)}")
 
 
 # -- per-step bookkeeping ------------------------------------------------------
@@ -189,11 +180,9 @@ class StepRecord:
     params: list
     rate_sup: float
     step_displacement: float
-    fields: dict | None = None
 
     def as_dict(self):
-        return {k: getattr(self, k) for k in self.__dataclass_fields__
-                if k != "fields"}
+        return asdict(self)
 
 
 @dataclass
@@ -206,16 +195,17 @@ class FlowState:
     step_index: int = 0
     prev: PrevRecords = field(default_factory=PrevRecords)
     records: list = field(default_factory=list)
+    # per-node fields of the last completed step, replaced at every step
+    fields: dict | None = field(default=None, init=False)
 
 
 def init_flow(metric, surface, boundary, config) -> FlowState:
     config.validate()
     return FlowState(metric=metric, surface=surface, deform=new_deformation(surface),
-                     config=config,
-                     statics=_build_statics(metric, surface, boundary, config))
+                     config=config, statics=_build_statics(metric, surface, boundary))
 
 
-def _build_statics(metric, surface, boundary, config) -> FlowStatics:
+def _build_statics(metric, surface, boundary) -> FlowStatics:
     """The solve setup and rim data, all fixed over a flow."""
     grid = surface.grid
     eq = equation_coefficients(surface)
@@ -241,8 +231,7 @@ def _build_statics(metric, surface, boundary, config) -> FlowStatics:
         # A, B, E and the symbol are fixed over the flow, so the linear
         # response of each family member is solved once, here, with zero
         # boundary data
-        family, _ = solve_family(replace(problem, phi=np.zeros(grid.n_theta)),
-                                 tol=config.tol_bvp, max_iter=config.max_iter_bvp, sym=sym)
+        family, _ = solve_family(replace(problem, phi=np.zeros(grid.n_theta)), sym=sym)
         pin = point_pin(family.basis)
     return FlowStatics(
         eq=eq, problem=problem, sym=sym,
@@ -282,8 +271,7 @@ def _make_assembler(state: FlowState):
 
         sol = solve_cdot(
             surface, coeff_fn, deform.a1, deform.a2,
-            a1dot, a2dot, st.integ, tol=cfg.tol_cdot, max_iter=cfg.max_iter_cdot,
-            da=deform.da,
+            a1dot, a2dot, st.integ, da=deform.da,
         )
         gvar, bvar, fwd = assemble_variation(metric, surface, deform, history=hist)
         zdot = hist.zdot[-1]
@@ -320,8 +308,7 @@ def step(state: FlowState):
     surface, metric, grid = state.surface, state.metric, state.surface.grid
     assembler, cache = _make_assembler(state)
     prev = state.prev
-    final = bvp_solve(st.problem, assembler, tol=cfg.tol_bvp, max_iter=cfg.max_iter_bvp,
-                      pin=st.pin, sym=st.sym, w0=prev.start())
+    final = bvp_solve(st.problem, assembler, pin=st.pin, sym=st.sym, w0=prev.start())
     dim_before = st.sym.family_size
     dim_after = dim_before - (st.pin.rank if st.pin else 0)
 
@@ -367,12 +354,10 @@ def step(state: FlowState):
         rate_sup=float(np.max(np.abs(zdot))),
         step_displacement=float(dt * np.max(np.abs(zdot))),
     )
-    if cfg.capture_fields:
-        rec.fields = {
-            "a1": deform_new.a1, "a2": deform_new.a2, "c": deform_new.c, "dK": bvar_n.dK,
-            "g_res1": g_res_fields[:, 0], "g_res2": g_res_fields[:, 1],
-        }
-
+    state.fields = {
+        "a1": deform_new.a1, "a2": deform_new.a2, "c": deform_new.c, "dK": bvar_n.dK,
+        "g_res1": g_res_fields[:, 0], "g_res2": g_res_fields[:, 1],
+    }
     state.prev = PrevRecords(coeffs=sol.coeffs, m4=last["bvar"].m4, psi1=last["psi1"],
                              w=final.w, w_before=prev.w)
     state.deform = deform_new

@@ -241,9 +241,10 @@ def _require_positive(ok, det):
     """Raise DegenerateMetricError naming the first point where ``ok`` fails."""
     if not np.all(ok):
         bad = np.argwhere(~ok)
+        first = tuple(bad[0].tolist())
         raise DegenerateMetricError(
             f"metric not positive definite at {bad.shape[0]} point(s); "
-            f"first offending index {tuple(bad[0])}, det={det[tuple(bad[0])]:.3e}"
+            f"first offending index {first}, det={det[first]:.3e}"
         )
 
 

@@ -57,14 +57,24 @@ def test_unknown_kind_and_key_errors():
 
 @pytest.mark.parametrize("key, value", [
     ("x0", "center"), ("parameter_policy", "least_norm"), ("check_every", "1"),
-    ("bvp_mode", "auto"),
+    ("bvp_mode", "auto"), ("tol_bvp", "1e-10"), ("tol_cdot", "1e-10"),
+    ("max_iter_bvp", "60"), ("max_iter_cdot", "50"),
 ])
 def test_removed_flow_keys_are_unknown(key, value):
-    # the flow is anchored at the center and runs the oracle every step
+    # the flow is anchored at the center, runs the oracle every step and
+    # solves at the solvers' own tolerances and caps
     with pytest.raises(ConfigError) as exc:
         parse_config(f"[flow]\n{key} = {value}\n")
     line, _, msg = exc.value.errors[0]
     assert line == 2 and f"unknown key {key!r}" in msg
+
+
+def test_removed_output_directory_key_is_unknown():
+    # run --out names the output directory
+    with pytest.raises(ConfigError) as exc:
+        parse_config("[output]\ndirectory = out\n")
+    line, _, msg = exc.value.errors[0]
+    assert line == 2 and "unknown key 'directory'" in msg
 
 
 def _readme_config_block():
@@ -133,8 +143,8 @@ def test_non_finite_value_is_a_config_error(tmp_path, capsys, section, line):
 
 
 # keys parse_config requires to be positive
-_POSITIVE = {("flow", k) for k in ("t_final", "dt", "tol_bvp", "tol_cdot",
-                                   "tol_k", "tol_g", "tol_b")} | {("boundary", "epsilon")}
+_POSITIVE = {("flow", k) for k in ("t_final", "dt", "tol_k", "tol_g", "tol_b")} | {
+    ("boundary", "epsilon")}
 
 
 def _value_strategy(sec, key):
@@ -235,6 +245,45 @@ def test_run_deterministic(tiny_run, tmp_path):
     run_from_config(cfg, out_dir=str(out2), log=lambda *a, **k: None)
     for name in ("trace.jsonl", "step_0000.tsv", "step_0001.tsv", "summary.json"):
         assert (out / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_run_without_snapshots_writes_trace_and_summary_only(tmp_path, monkeypatch):
+    # --out defaults to ./out
+    (tmp_path / "cfg.txt").write_text(MINIMAL + "\n[output]\nsnapshots = false\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(["--log-level", "quiet", "run", "--config", "cfg.txt"]) == 0
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "summary.json", "trace.jsonl"]
+
+
+def _array_count(value):
+    if isinstance(value, np.ndarray):
+        return 1
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return sum(_array_count(v) for v in value)
+    return 0
+
+
+def test_snapshot_run_keeps_no_arrays_in_its_records(tmp_path, monkeypatch):
+    # snapshots are written from the flow state's fields of the last step,
+    # so the records of a long run hold scalars only
+    real_step = flow.step
+    records = []
+
+    def keep_record(flow_state):
+        records.append(real_step(flow_state))
+        return records[-1]
+
+    monkeypatch.setattr(flow, "step", keep_record)
+    cfg = parse_config(MINIMAL.replace("t_final = 0.01", "t_final = 0.2"))
+    assert cfg["output"]["snapshots"]
+    run_from_config(cfg, out_dir=str(tmp_path), log=lambda *a, **k: None)
+    assert len(records) == 40
+    assert sorted(p.name for p in tmp_path.glob("step_*.tsv")) == [
+        f"step_{k:04d}.tsv" for k in range(40)]
+    assert [_array_count(vars(rec)) for rec in records] == [0] * 40
 
 
 def test_within_tolerances_checks_oracle_and_fixed_point(tiny_run):
@@ -351,23 +400,6 @@ def test_cli_bvp_writes_homogeneous_basis(tmp_path):
         assert np.max(np.abs(np.real(np.conj(lam) * k[bidx]))) <= 1e-8 * scale
 
 
-def test_cli_bvp_rejects_non_positive_tol(tmp_path, capsys, monkeypatch):
-    # refused before any iteration, not after the GMRES budget runs out
-    from mgdeform import vekua
-    from mgdeform.grid import DiskGrid
-    from mgdeform.vekua import BoundaryProblem, save_problem
-
-    grid = DiskGrid(16, 32)
-    th = grid.boundary_theta
-    ppath = tmp_path / "prob.txt"
-    save_problem(ppath, BoundaryProblem(grid=grid, lam=np.exp(1j * th), phi=np.cos(th)))
-    monkeypatch.setattr(vekua, "t_operator", None)
-    assert main(["bvp", str(ppath), "--tol", "0"]) == 2
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "MgError" and "tol" in err["message"]
-    assert not (tmp_path / "prob.solution.txt").exists()
-
-
 def _problem_text(tmp_path):
     from helpers import manufactured_problem
     from mgdeform.grid import DiskGrid
@@ -438,8 +470,6 @@ def test_cli_run_and_validate(tmp_path):
 
 
 @pytest.mark.parametrize("lines, name", [
-    ("max_iter_bvp = 0", "max_iter_bvp"),
-    ("max_iter_cdot = 0", "max_iter_cdot"),
     ("t_final = 0.01\ndt = 0.004", "t_final"),
 ])
 def test_cli_run_rejects_invalid_flow_settings(tmp_path, capsys, lines, name):

@@ -55,7 +55,7 @@ def test_closed_form_rejects_degenerate_points(y, det):
     # the first offending index and its det, as the general path's does
     metric = conformal_linear_metric((10.0, 0.0, 0.0))
     pts = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], y, y])
-    message = rf"at 2 point\(s\); first offending index \((np\.int64\()?2\)?,\), {det}"
+    message = rf"at 2 point\(s\); first offending index \(2,\), {det}"
     for path in (christoffel_at, AmbientMetric.christoffel):
         with pytest.raises(DegenerateMetricError, match=message), np.errstate(invalid="ignore"):
             path(metric, pts)
