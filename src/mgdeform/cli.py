@@ -9,9 +9,8 @@ Subcommands:
 Config grammar (documented, versioned v1): line-oriented sections
 ``[name]`` with ``key = value`` entries; ``#`` starts a comment.  Unknown
 sections or keys, values that fail to parse and non-finite floats are
-reported with their line numbers.  ``emit_config(parse_config(text))`` is
-the canonical form.  The [boundary] and [flow] sections are the fields of
-``BoundarySpec`` and ``FlowConfig``, with their defaults.
+reported with their line numbers.  The [boundary] and [flow] sections are
+the fields of ``BoundarySpec`` and ``FlowConfig``, with their defaults.
 
 Snapshot column order: node index, r, theta, a1, a2, c, dK, g_res1, g_res2.
 Numbers are printed with 17 significant digits so reruns diff byte-exact.
@@ -43,7 +42,6 @@ from .surface import (
 )
 from .vekua import load_problem, save_solution, solve_family
 
-_FMT = "%.17g"
 
 # bound on |z(x0)|: the flow fixes x0 exactly, so only round-off may remain
 FIXED_POINT_TOL = 1e-10
@@ -158,24 +156,6 @@ def parse_config(text) -> dict:
     return sections
 
 
-def emit_config(cfg: dict) -> str:
-    """Canonical text form; emit(parse(x)) == emit(parse(emit(parse(x))))."""
-    lines = []
-    for sec in SCHEMA:
-        lines.append(f"[{sec}]")
-        for key in SCHEMA[sec]:
-            val = cfg[sec][key]
-            if isinstance(val, bool):
-                txt = "true" if val else "false"
-            elif isinstance(val, float):
-                txt = _FMT % val
-            else:
-                txt = str(val)
-            lines.append(f"{key} = {txt}")
-        lines.append("")
-    return "\n".join(lines)
-
-
 def build_problem_objects(cfg: dict):
     m = cfg["metric"]
     metric = make_metric(m["kind"], m)
@@ -196,12 +176,10 @@ def _json_default(o):
 
 def _write_snapshot(path, grid, fields):
     cols = ["a1", "a2", "c", "dK", "g_res1", "g_res2"]
-    with open(path, "w") as fh:
-        fh.write("# node r theta " + " ".join(cols) + "\n")
-        for node in range(grid.n_nodes):
-            row = [str(node), _FMT % grid.r[node], _FMT % grid.theta[node]]
-            row += [_FMT % fields[c][node] for c in cols]
-            fh.write(" ".join(row) + "\n")
+    table = np.column_stack([np.arange(grid.n_nodes), grid.r, grid.theta]
+                            + [fields[c] for c in cols])
+    np.savetxt(path, table, fmt=["%d"] + ["%.17g"] * 8,
+               header="node r theta " + " ".join(cols), comments="# ")
 
 
 def within_tolerances(report, flow_cfg):

@@ -21,32 +21,18 @@ _PANEL_FIRST = np.array([9.0, 19.0, -5.0, 1.0]) / 24.0
 _PANEL_INTERIOR = np.array([-1.0, 13.0, 13.0, -1.0]) / 24.0
 _PANEL_RIM = np.array([1.0, -5.0, 19.0, 9.0]) / 24.0
 
-
-def fd_weights(x, x0, m):
-    """Finite-difference weights for the m-th derivative at x0 on nodes x."""
-    x = np.asarray(x, dtype=float)
-    n = len(x)
-    c = np.zeros((n, m + 1))
-    c1 = 1.0
-    c4 = x[0] - x0
-    c[0, 0] = 1.0
-    for i in range(1, n):
-        mn = min(i, m)
-        c2 = 1.0
-        c5 = c4
-        c4 = x[i] - x0
-        for j in range(i):
-            c3 = x[i] - x[j]
-            c2 *= c3
-            if j == i - 1:
-                for k in range(mn, 0, -1):
-                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
-                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
-            for k in range(mn, 0, -1):
-                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
-            c[j, 0] = c4 * c[j, 0] / c3
-        c1 = c2
-    return c[:, m]
+# 60 times the 7-point, sixth-order first-derivative weights on unit-spaced
+# levels, evaluated at stencil slot 3 + s for row s: row 0 is centered, rows
+# 1-3 serve the last three rings, whose stencils stop at the rim
+_D1_ROWS = np.array([
+    [-1, 9, -45, 0, 45, -9, 1],
+    [1, -8, 30, -80, 35, 24, -2],
+    [-2, 15, -50, 100, -150, 77, 10],
+    [10, -72, 225, -400, 450, -360, 147],
+])
+# 30 times the Richardson weights c_i on rings i = 1, 2, 3 of unit spacing:
+# sum_i c_i i^p is 1 for p = 1 and 0 for p = 3, 5
+_CENTER_RICHARDSON = np.array([45, -9, 1])
 
 
 class DiskGrid:
@@ -146,20 +132,11 @@ class DiskGrid:
 
     def _build_radial_stencils(self):
         n_r = self.n_r
-        width = 7  # 6th-order first derivative
-        ext_r = (np.arange(2 * n_r + 1) - n_r) * self.h
-        ext_idx = self._ext_index_table()
-        stencil_idx = np.empty((n_r, width, self.n_theta), dtype=int)
-        stencil_w = np.empty((n_r, width))
-        half = width // 2
-        for i in range(1, n_r + 1):
-            k = n_r + i
-            lo = min(k - half, 2 * n_r - (width - 1))
-            rows = np.arange(lo, lo + width)
-            stencil_w[i - 1] = fd_weights(ext_r[rows], ext_r[k], 1)
-            stencil_idx[i - 1] = ext_idx[rows]
-        self._dr_idx = stencil_idx
-        self._dr_w = stencil_w
+        rings = np.arange(1, n_r + 1)
+        shift = np.maximum(0, rings - n_r + 3)
+        lo = n_r + rings - 3 - shift  # first extended-ray level of the stencil
+        self._dr_idx = self._ext_index_table()[lo[:, None] + np.arange(7)]
+        self._dr_w = _D1_ROWS[shift] * n_r / 60.0  # n_r = 1/h exactly
 
     def _build_derivative_tables(self):
         """Per-grid factors of the Cartesian gradient, shared by every call."""
@@ -181,9 +158,7 @@ class DiskGrid:
         # alpha_pm = sum_i w_i sum_j f_ij e^{-+i theta_j} / n_theta the
         # gradient is (alpha_+ + alpha_-, i (alpha_+ - alpha_-)), which folds
         # into real weights 2 w_i (cos, sin)(theta_j) / n_theta.
-        h = self.h
-        vand = np.array([[(i * h) ** p for p in (1, 3, 5)] for i in (1, 2, 3)])
-        w = np.linalg.solve(vand.T, np.array([1.0, 0.0, 0.0]))
+        w = _CENTER_RICHARDSON * self.n_r / 30.0
         ring = 2.0 / nt * np.stack([np.cos(self.boundary_theta),
                                     np.sin(self.boundary_theta)])
         self._center_w = (ring[:, None, :] * w[None, :, None]).reshape(2, 3 * nt)

@@ -271,7 +271,6 @@ def validate_hypotheses(state: SurfaceState):
     g, b = state.g, state.b
     eig_g = np.linalg.eigvalsh(0.5 * (g + np.swapaxes(g, 1, 2)))
     eig_b = np.linalg.eigvalsh(0.5 * (b + np.swapaxes(b, 1, 2)))
-    ci_res = _ci_residual(b, state.V)
     grid = state.grid
     fields = {"y": state.y, "n": state.n, "V": state.V, "K": state.K, "H": state.H}
     c0 = {k: float(np.max(np.abs(v))) for k, v in fields.items()}
@@ -285,7 +284,7 @@ def validate_hypotheses(state: SurfaceState):
         "min_eig_g": float(eig_g.min()),
         "min_eig_b": float(eig_b.min()),
         "min_H": float(state.H.min()),
-        "ci_residual": ci_res,
+        "ci_residual": state.ci_residual,
         "normal_unit_residual": float(np.max(np.abs(a_n - 1.0))),
         "normal_tangency_residual": float(np.max(np.abs(a_nt))),
         "c0_norms": c0,
@@ -295,6 +294,6 @@ def validate_hypotheses(state: SurfaceState):
     report["positivity_ok"] = (
         report["min_eig_g"] > 0 and report["min_eig_b"] > 0 and report["min_H"] > 0
     )
-    report["conjugate_isothermal_ok"] = ci_res <= state.ci_tol
+    report["conjugate_isothermal_ok"] = state.ci_residual <= state.ci_tol
     report["ok"] = report["positivity_ok"] and report["conjugate_isothermal_ok"]
     return report

@@ -4,13 +4,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from mgdeform.cli import (
     SCHEMA,
+    _write_snapshot,
     build_problem_objects,
-    emit_config,
     main,
     parse_config,
     run_from_config,
@@ -19,6 +17,7 @@ from mgdeform.cli import (
 from mgdeform import flow
 from mgdeform.errors import ConfigError, ConvergenceError
 from mgdeform.flow import BoundarySpec, FlowConfig
+from mgdeform.grid import DiskGrid
 from mgdeform.metrics import METRIC_KINDS, make_metric
 from mgdeform.surface import IMMERSION_KINDS, SphereCapImmersion, make_immersion
 
@@ -142,49 +141,6 @@ def test_non_finite_value_is_a_config_error(tmp_path, capsys, section, line):
     assert not (tmp_path / "out").exists()
 
 
-# keys parse_config requires to be positive
-_POSITIVE = {("flow", k) for k in ("t_final", "dt", "tol_k", "tol_g", "tol_b")} | {
-    ("boundary", "epsilon")}
-
-
-def _value_strategy(sec, key):
-    typ = SCHEMA[sec][key][0]
-    if isinstance(typ, tuple):
-        return st.sampled_from(typ)
-    if typ is bool:
-        return st.booleans()
-    if typ is float:
-        if (sec, key) in _POSITIVE:
-            return st.floats(min_value=1e-300, max_value=1e300)
-        return st.floats(allow_nan=False, allow_infinity=False)
-    if typ is int:
-        return st.integers(-10**6, 10**6)
-    return st.text("abcdefghijklmnopqrstuvwxyz0123456789_-./", min_size=1, max_size=20)
-
-
-_CONFIGS = st.fixed_dictionaries({
-    sec: st.fixed_dictionaries({key: _value_strategy(sec, key) for key in keys})
-    for sec, keys in SCHEMA.items()
-})
-
-
-@settings(derandomize=True, deadline=None)
-@given(_CONFIGS)
-def test_emit_parse_roundtrip_property(sections):
-    text = emit_config(sections)
-    again = parse_config(text)
-    assert again == sections
-    assert emit_config(again) == text
-
-
-def test_roundtrip_canonical_form():
-    cfg = parse_config(MINIMAL)
-    text = emit_config(cfg)
-    cfg2 = parse_config(text)
-    assert cfg2 == cfg
-    assert emit_config(cfg2) == text
-
-
 def test_build_objects():
     cfg = parse_config(MINIMAL)
     metric, surface, boundary, flow_cfg = build_problem_objects(cfg)
@@ -236,6 +192,28 @@ def test_run_writes_artifacts(tiny_run):
     assert summary["flow_report"]["within_tolerances"]
     # resolved config embedded for provenance
     assert summary["config"]["grid"]["n_r"] == 12
+
+
+def test_snapshot_row_columns_and_digits(tmp_path):
+    # one node per row: index, r, theta, then the six fields in the
+    # documented order, each float with 17 significant digits
+    grid = DiskGrid(8, 16)
+    cols = ["a1", "a2", "c", "dK", "g_res1", "g_res2"]
+    rng = np.random.default_rng(7)
+    fields = {c: rng.standard_normal(grid.n_nodes) * 10.0 ** rng.integers(-20, 3, grid.n_nodes)
+              for c in cols}
+    fields["c"][5] = -0.0
+    fields["dK"][5] = 0.0
+    path = tmp_path / "step.tsv"
+    _write_snapshot(path, grid, fields)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "# node r theta a1 a2 c dK g_res1 g_res2"
+    assert len(lines) == 1 + grid.n_nodes
+    node = 5
+    values = [grid.r[node], grid.theta[node]] + [fields[c][node] for c in cols]
+    assert lines[1 + node] == " ".join([str(node)] + ["%.17g" % v for v in values])
+    assert lines[1 + node].split()[5:7] == ["-0", "0"]
+    assert [float(t) for t in lines[1 + node].split()[1:]] == values
 
 
 def test_run_deterministic(tiny_run, tmp_path):
@@ -335,7 +313,6 @@ def test_failed_step_exits_2_and_keeps_completed_trace(tmp_path, monkeypatch):
 
 
 def test_cli_bvp_subcommand(tmp_path):
-    from mgdeform.grid import DiskGrid
     from mgdeform.vekua import BoundaryProblem, save_problem
 
     grid = DiskGrid(12, 24)
@@ -370,7 +347,6 @@ def test_cli_bvp_writes_homogeneous_basis(tmp_path):
     # d_zbar K + A K + B conj(K) + E(K) = 0, with L(w) the corrected
     # T(-(A w + B conj(w) + E(w))))
     from helpers import manufactured_problem
-    from mgdeform.grid import DiskGrid
     from mgdeform.vekua import BoundaryProblem, bvp_solve, save_problem, t_operator
 
     grid = DiskGrid(16, 32)
@@ -402,7 +378,6 @@ def test_cli_bvp_writes_homogeneous_basis(tmp_path):
 
 def _problem_text(tmp_path):
     from helpers import manufactured_problem
-    from mgdeform.grid import DiskGrid
     from mgdeform.vekua import save_problem
 
     ppath = tmp_path / "prob.txt"

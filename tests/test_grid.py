@@ -1,10 +1,12 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mgdeform.errors import MgError
-from mgdeform.grid import DiskGrid
+from mgdeform.grid import _CENTER_RICHARDSON, _D1_ROWS, DiskGrid
 
 
 def smooth_field(grid, fn):
@@ -40,6 +42,33 @@ def test_cartesian_derivatives_polynomial_exact():
     fy = 4.0 * g.x1 * g.x2 - 1.0
     assert np.max(np.abs(g.ddx1(f) - fx)) < 1e-10
     assert np.max(np.abs(g.ddx2(f) - fy)) < 1e-10
+
+
+def test_stencil_constants_are_exact():
+    # row s, over 60, evaluates d/dx at slot 3 + s of seven unit-spaced
+    # levels: exact on x^p, p = 0..6, at the integer offsets from that slot
+    for s, row in enumerate(_D1_ROWS):
+        offsets = np.arange(7) - 3 - s
+        for p in range(7):
+            value = sum(Fraction(int(w), 60) * Fraction(int(o)) ** p
+                        for w, o in zip(row, offsets))
+            assert value == (p == 1)
+    # center weights, over 30: sum_i c_i i^p = delta_{p1} on rings 1, 2, 3
+    for p in (1, 3, 5):
+        value = sum(Fraction(int(c), 30) * i**p
+                    for i, c in zip((1, 2, 3), _CENTER_RICHARDSON))
+        assert value == (p == 1)
+
+
+@pytest.mark.parametrize("n_r", [8, 24, 48])
+def test_rim_rings_take_shifted_stencil_rows(n_r):
+    # rings n_r, n_r - 1 and n_r - 2 take rows 3, 2 and 1, every other ring
+    # row 0; row s evaluates at slot 3 + s, which is the ring's own node
+    g = DiskGrid(n_r, 2 * n_r)
+    for i in range(1, n_r + 1):
+        s = {n_r: 3, n_r - 1: 2, n_r - 2: 1}.get(i, 0)
+        assert np.array_equal(g._dr_w[i - 1], _D1_ROWS[s] * n_r / 60.0)
+        assert np.array_equal(g._dr_idx[i - 1, 3 + s], g.node_index(i, np.arange(2 * n_r)))
 
 
 def test_cartesian_derivatives_convergence():

@@ -9,6 +9,7 @@ from mgdeform.grid import DiskGrid
 from mgdeform.metrics import AmbientMetric, FlatMetric, conformal_radial_metric
 from mgdeform.surface import (
     SphereCapImmersion,
+    _ci_residual,
     build_surface,
     gauss_curvature_of,
     make_immersion,
@@ -128,10 +129,14 @@ def test_validate_hypotheses_pass_and_flag(sphere_state):
     rep = validate_hypotheses(sphere_state)
     assert rep["ok"]
     assert rep["normal_tangency_residual"] < 1e-10
-    # inject a b12 perturbation -> coordinate violation flagged
+    assert rep["ci_residual"] == sphere_state.ci_residual
+    # inject a b12 perturbation, with the residual build_surface stores for
+    # it -> coordinate violation flagged
     b = sphere_state.b.copy()
     b[:, 0, 1] = b[:, 1, 0] = 1e-3
-    rep_bad = validate_hypotheses(dataclasses.replace(sphere_state, b=b))
+    bad = dataclasses.replace(sphere_state, b=b, ci_residual=_ci_residual(b, sphere_state.V))
+    rep_bad = validate_hypotheses(bad)
+    assert rep_bad["ci_residual"] > bad.ci_tol
     assert not rep_bad["conjugate_isothermal_ok"]
 
 
