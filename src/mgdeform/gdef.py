@@ -29,7 +29,7 @@ from .transport import (
 
 def node_last_grad(grid, f):
     """(d_1 f, d_2 f) of an (N, ...) field, node-last as (..., 2, N)."""
-    return node_last(np.stack(grid.grad(f), axis=-1))
+    return grid.grad_last(np.moveaxis(f, 0, -1))
 
 
 def tangential_grad(grid, a1, a2):

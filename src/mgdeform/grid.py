@@ -65,7 +65,6 @@ class DiskGrid:
         self.boundary_idx = self.node_index(n_r, np.arange(n_theta))
         self.boundary_theta = thetas
         self._build_area_weights()
-        self._build_radial_stencils()
         self._build_derivative_tables()
         self._build_cumint_weights()
         self._caches = {}
@@ -117,94 +116,95 @@ class DiskGrid:
         """Area integral over the closed disk."""
         return np.tensordot(self.area_weights, np.asarray(f), axes=(0, 0))
 
-    # -- radial stencils -----------------------------------------------------
-
-    def _ext_index_table(self):
-        """Node indices of each ray extended through the center, r=-1..1."""
-        n_r, nt = self.n_r, self.n_theta
-        half = nt // 2
-        idx = np.empty((2 * n_r + 1, nt), dtype=int)
-        idx[n_r] = 0  # center row
-        for i in range(1, n_r + 1):
-            idx[n_r + i] = self.node_index(i, np.arange(nt))
-            idx[n_r - i] = self.node_index(i, (np.arange(nt) + half) % nt)
-        return idx
-
-    def _build_radial_stencils(self):
-        n_r = self.n_r
-        rings = np.arange(1, n_r + 1)
-        shift = np.maximum(0, rings - n_r + 3)
-        lo = n_r + rings - 3 - shift  # first extended-ray level of the stencil
-        self._dr_idx = self._ext_index_table()[lo[:, None] + np.arange(7)]
-        self._dr_w = _D1_ROWS[shift] * n_r / 60.0  # n_r = 1/h exactly
+    # -- differentiation ------------------------------------------------------
 
     def _build_derivative_tables(self):
         """Per-grid factors of the Cartesian gradient, shared by every call."""
-        nt = self.n_theta
+        n_r, nt = self.n_r, self.n_theta
+        self._dr_w = _D1_ROWS * n_r / 60.0  # n_r = 1/h exactly
         k = np.fft.fftfreq(nt, d=1.0 / nt)
         k[nt // 2] = 0.0  # odd derivative of the Nyquist mode
         self._ik = 1j * k
-        cos = np.cos(self.theta)
-        sin = np.sin(self.theta)
         rinv = np.zeros_like(self.r)
         rinv[1:] = 1.0 / self.r[1:]
-        self._cos = cos
-        self._sin = sin
-        self._sin_rinv = sin * rinv
-        self._cos_rinv = cos * rinv
+        cos, sin = np.cos(self.theta), np.sin(self.theta)
+        rings = (n_r, nt)
+        self._cos = cos[1:].reshape(rings)
+        self._sin = sin[1:].reshape(rings)
+        self._sin_rinv = (sin * rinv)[1:].reshape(rings)
+        self._cos_rinv = (cos * rinv)[1:].reshape(rings)
         # center gradient: the m=1 Fourier coefficient of a smooth field on
         # ring r expands in odd powers of r; Richardson weights over the
         # first three rings isolate the linear term.  With
         # alpha_pm = sum_i w_i sum_j f_ij e^{-+i theta_j} / n_theta the
         # gradient is (alpha_+ + alpha_-, i (alpha_+ - alpha_-)), which folds
         # into real weights 2 w_i (cos, sin)(theta_j) / n_theta.
-        w = _CENTER_RICHARDSON * self.n_r / 30.0
-        ring = 2.0 / nt * np.stack([np.cos(self.boundary_theta),
-                                    np.sin(self.boundary_theta)])
+        self._rim_cos = np.cos(self.boundary_theta)
+        self._rim_sin = np.sin(self.boundary_theta)
+        w = _CENTER_RICHARDSON * n_r / 30.0
+        ring = 2.0 / nt * np.stack([self._rim_cos, self._rim_sin])
         self._center_w = (ring[:, None, :] * w[None, :, None]).reshape(2, 3 * nt)
 
-    def d_r(self, f):
-        """Radial derivative on rings; the center slot is set to zero."""
-        f = np.asarray(f)
-        flat = f.reshape(self.n_nodes, -1)
-        vals = flat[self._dr_idx]  # (n_r, 7, n_theta, M)
-        rings = np.einsum("is,isjm->ijm", self._dr_w, vals)
-        out = np.zeros(flat.shape, dtype=rings.dtype)
-        out[1:] = rings.reshape(-1, flat.shape[1])
-        return out.reshape(f.shape)
+    def grad_last(self, f):
+        """Cartesian gradient of a node-last field (..., N) as (..., 2, N).
 
-    def d_theta(self, f):
-        """Angular derivative (spectral); zero at the center."""
-        f = np.asarray(f)
-        flat = f.reshape(self.n_nodes, -1)
-        rings = flat[1:].reshape(self.n_r, self.n_theta, -1)
-        spec = np.fft.fft(rings, axis=1)
-        spec *= self._ik[None, :, None]
-        deriv = np.fft.ifft(spec, axis=1)
-        if not np.iscomplexobj(rings):
-            deriv = deriv.real
-        out = np.zeros(flat.shape, dtype=deriv.dtype)
-        out[1:] = deriv.reshape(-1, flat.shape[1])
-        return out.reshape(f.shape)
-
-    def grad(self, f):
-        """Cartesian gradient (d/dx1, d/dx2) of a field with trailing axes.
-
-        One radial pass, one angular pass and one center-gradient product
-        serve both components; ``ddx1``, ``ddx2``, ``dz_bar`` and ``dz`` all
-        go through here.
+        Each ray is extended through the center onto its antipodal ray in
+        one buffer of 2 n_r + 1 levels; the centered stencil row is a sum of
+        shifted slices and the three rim rows read the last seven levels.
+        The angular derivative is a real FFT for real fields.  Every grid
+        derivative goes through here; ``f`` may be any strided view.
         """
         f = np.asarray(f)
-        fr = self.d_r(f)
-        ft = self.d_theta(f)
-        shape = (self.n_nodes,) + (1,) * (f.ndim - 1)
-        f1 = self._cos.reshape(shape) * fr - self._sin_rinv.reshape(shape) * ft
-        f2 = self._sin.reshape(shape) * fr + self._cos_rinv.reshape(shape) * ft
-        inner = f.reshape(self.n_nodes, -1)[1 : 1 + 3 * self.n_theta]
-        center = self._center_w @ inner  # (2, M)
-        f1[0] = center[0].reshape(f.shape[1:])
-        f2[0] = center[1].reshape(f.shape[1:])
-        return f1, f2
+        n_r, nt, half = self.n_r, self.n_theta, self.n_theta // 2
+        tail = f.shape[:-1]
+        # levels: rings n_r..1 turned by half a turn, the center, rings 1..n_r
+        ext = np.empty(tail + (2 * n_r + 1, nt), dtype=np.result_type(f.dtype, np.float64))
+        rings = f[..., 1:].reshape(tail + (n_r, nt))
+        ext[..., n_r + 1:, :] = rings
+        ext[..., n_r, :] = f[..., :1]
+        ext[..., n_r - 1::-1, :half] = rings[..., half:]
+        ext[..., n_r - 1::-1, half:] = rings[..., :half]
+        ext = ext.reshape((-1, 2 * n_r + 1, nt))
+        rings = ext[:, n_r + 1:]
+
+        out = np.empty((ext.shape[0], 2, self.n_nodes), dtype=ext.dtype)
+        g1 = out[:, 0, 1:].reshape(rings.shape)
+        g2 = out[:, 1, 1:].reshape(rings.shape)
+
+        # radial: ring i reads levels n_r + i - 3 .. n_r + i + 3 (centered,
+        # summed slot by slot with g2 as scratch) up to ring n_r - 3; the
+        # last three rings read the last seven levels
+        k = n_r - 3
+        dr = np.empty_like(rings)
+        mid, tmp = dr[:, :k], g2[:, :k]
+        np.multiply(self._dr_w[0, 0], ext[:, n_r - 2 : n_r - 2 + k], out=mid)
+        for s in (1, 2, 4, 5, 6):
+            mid += np.multiply(self._dr_w[0, s], ext[:, n_r - 2 + s : n_r - 2 + s + k], out=tmp)
+        dr[:, k:] = np.einsum("rs,msj->mrj", self._dr_w[1:], ext[:, -7:])
+
+        if np.iscomplexobj(rings):
+            spec = np.fft.fft(rings, axis=-1)
+            spec *= self._ik
+            dt = np.fft.ifft(spec, axis=-1)
+        else:
+            spec = np.fft.rfft(rings, axis=-1)
+            spec *= self._ik[: half + 1]
+            dt = np.fft.irfft(spec, n=nt, axis=-1)
+
+        np.multiply(self._cos, dr, out=g1)
+        np.multiply(self._sin, dr, out=g2)
+        g1 -= np.multiply(self._sin_rinv, dt, out=dr)
+        g2 += np.multiply(self._cos_rinv, dt, out=dr)
+        out[:, :, 0] = ext[:, n_r + 1 : n_r + 4].reshape(-1, 3 * nt) @ self._center_w.T
+        return out.reshape(tail + (2, self.n_nodes))
+
+    def grad(self, f):
+        """Cartesian gradient (d/dx1, d/dx2) of an (N, ...) field, as two
+        (N, ...) views of ``grad_last``'s result; ``ddx1``, ``ddx2``,
+        ``dz_bar`` and ``dz`` all go through here.
+        """
+        g = self.grad_last(np.moveaxis(np.asarray(f), 0, -1))
+        return np.moveaxis(g[..., 0, :], -1, 0), np.moveaxis(g[..., 1, :], -1, 0)
 
     def ddx1(self, f):
         """Cartesian derivative along x1."""
@@ -260,11 +260,10 @@ class DiskGrid:
 
     def line_integral_center(self, p, q):
         """Integral of p dx1 + q dx2 along straight rays from the center."""
-        cos = np.cos(self.boundary_theta)
-        sin = np.sin(self.boundary_theta)
         p_rays, tail = self._ray_values(p)
         q_rays, _ = self._ray_values(q)
-        integrand = p_rays * cos[None, :, None] + q_rays * sin[None, :, None]
+        integrand = (p_rays * self._rim_cos[None, :, None]
+                     + q_rays * self._rim_sin[None, :, None])
         return self._cumulate_rays(integrand, tail)
 
     def line_integral_from(self, x0_node, p, q):

@@ -209,8 +209,8 @@ def equation_coefficients(surface: SurfaceState) -> EquationCoefficients:
     grid = surface.grid
     if np.any(surface.V <= 0) or np.any(surface.g_det <= 0):
         raise GeometryError("coefficients need V > 0 and det g > 0")
-    v1, v2 = grid.grad(np.log(surface.V))
-    qb1, qb2 = grid.grad(np.log(surface.g_det))
+    v1, v2 = grid.grad_last(np.log(surface.V))
+    qb1, qb2 = grid.grad_last(np.log(surface.g_det))
     return EquationCoefficients(p1=v2, p2=-v1, qb1=qb1, qb2=qb2, qb0=4.0 * surface.H)
 
 

@@ -154,7 +154,10 @@ def raw_fundamental_forms(grid, metric, y, y1=None, y2=None):
     ``build_surface``, the one reader of g^-1 and H, takes them itself.
     """
     if y1 is None:
-        y1, y2 = grid.grad(y)
+        tang = grid.grad_last(np.moveaxis(y, 0, -1))    # (3, 2, N)
+        y1, y2 = node_first(tang[:, 0]), node_first(tang[:, 1])
+    else:
+        tang = node_last(np.stack([y1, y2], axis=-1))
     a = metric.metric(y)
     # unit normal in the metric a: a^-1 (y1 x y2), normalized.  Where a is a
     # scalar multiple s delta at every node, a^-1 v is the quotient v / s;
@@ -171,14 +174,13 @@ def raw_fundamental_forms(grid, metric, y, y1=None, y2=None):
         raise GeometryError("degenerate tangent plane: zero normal")
     n = n / np.sqrt(nn)[:, None]
     n_l = node_last(n)
-    tang = node_last(np.stack([y1, y2], axis=-1))      # (3, 2, N)
     g = np.einsum("abn,ain,bjn->ijn", a_l, tang, tang)
     g_det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
     if np.any(g_det <= 0):
         node = int(np.argmax(g_det <= 0))
         raise GeometryError(f"first fundamental form degenerate at node {node}")
     ch = christoffel_at(metric, y)
-    n_deriv = node_last(np.stack(grid.grad(n), axis=-1))   # (3, 2, N)
+    n_deriv = grid.grad_last(n_l)                       # (3, 2, N)
     # D*_j n = dn/dx_j + Gamma(y)(y_,j, n)
     dstar_n = n_deriv + np.einsum(
         "gabn,ajn,bn->gjn", node_last(ch.gamma_upper), tang, n_l)
@@ -202,7 +204,7 @@ def gauss_curvature_of(grid, metric, y):
 def _surface_christoffels(grid, g, g_inv):
     """Gamma^k_{ij} of the first form, node-last (k, i, j, N), from node-last
     g and g_inv."""
-    dg = node_last(np.stack(grid.grad(node_first(g)), axis=-1))  # (i, j, k, N) = d_k g_ij
+    dg = grid.grad_last(g)                      # (i, j, k, N) = d_k g_ij
     # Gamma_{ij,l} = 0.5 (d_i g_{jl} + d_j g_{il} - d_l g_{ij})
     low = 0.5 * (np.transpose(dg, (2, 0, 1, 3)) + np.transpose(dg, (0, 2, 1, 3)) - dg)
     return np.einsum("kln,ijln->kijn", g_inv, low)

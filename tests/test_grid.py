@@ -63,12 +63,25 @@ def test_stencil_constants_are_exact():
 @pytest.mark.parametrize("n_r", [8, 24, 48])
 def test_rim_rings_take_shifted_stencil_rows(n_r):
     # rings n_r, n_r - 1 and n_r - 2 take rows 3, 2 and 1, every other ring
-    # row 0; row s evaluates at slot 3 + s, which is the ring's own node
+    # row 0.  Along the ray theta = 0, d/dx1 is the radial derivative.  Every
+    # row is exact on rho^p, p <= 6, at its own slot 3 + s; on rho^7 row s
+    # errs by h^6 sum_k w_k o_k^7, which is 36, -48, 120 and -720 for
+    # s = 0..3, so the error on x1^7 names the row each ring took
     g = DiskGrid(n_r, 2 * n_r)
+    sigma = []
+    for s, row in enumerate(_D1_ROWS):
+        offsets = np.arange(7) - 3 - s
+        sigma.append(float(sum(Fraction(int(w), 60) * Fraction(int(o)) ** 7
+                               for w, o in zip(row, offsets))))
+    assert sigma == [36.0, -48.0, 120.0, -720.0]
+    exact = g.grad_last(g.x1**6)[0]
+    probe = g.grad_last(g.x1**7)[0]
     for i in range(1, n_r + 1):
         s = {n_r: 3, n_r - 1: 2, n_r - 2: 1}.get(i, 0)
-        assert np.array_equal(g._dr_w[i - 1], _D1_ROWS[s] * n_r / 60.0)
-        assert np.array_equal(g._dr_idx[i - 1, 3 + s], g.node_index(i, np.arange(2 * n_r)))
+        node = g.node_index(i, 0)
+        assert abs(exact[node] - 6.0 * g.r[node] ** 5) < 1e-11
+        err = (probe[node] - 7.0 * g.r[node] ** 6) * n_r**6
+        assert abs(err - sigma[s]) < 0.05, (i, err, sigma[s])
 
 
 def test_cartesian_derivatives_convergence():
@@ -106,6 +119,73 @@ def test_grad_bit_identical_to_single_derivatives(tail, complex_field):
     assert np.array_equal(f2, g.ddx2(f))
     assert np.array_equal(g.dz_bar(f), 0.5 * (f1 + 1j * f2))
     assert np.array_equal(g.dz(f), 0.5 * (f1 - 1j * f2))
+
+
+def _gather_fft_grad(g, f):
+    """Reference gradient (N, ...) -> (..., 2, N): the 7-point radial stencils
+    gathered from a table of extended-ray node indices and contracted by one
+    einsum, the angular derivative by a complex FFT of every field, and the
+    Richardson center gradient."""
+    n_r, nt, half = g.n_r, g.n_theta, g.n_theta // 2
+    ext_idx = np.empty((2 * n_r + 1, nt), dtype=int)
+    ext_idx[n_r] = 0
+    for i in range(1, n_r + 1):
+        ext_idx[n_r + i] = g.node_index(i, np.arange(nt))
+        ext_idx[n_r - i] = g.node_index(i, np.arange(nt) + half)
+    rings = np.arange(1, n_r + 1)
+    shift = np.maximum(0, rings - n_r + 3)
+    dr_idx = ext_idx[(n_r + rings - 3 - shift)[:, None] + np.arange(7)]
+    dr_w = _D1_ROWS[shift] * n_r / 60.0
+    flat = f.reshape(g.n_nodes, -1)
+    fr = np.zeros(flat.shape, dtype=np.result_type(flat, 1.0))
+    fr[1:] = np.einsum("is,isjm->ijm", dr_w, flat[dr_idx]).reshape(-1, flat.shape[1])
+    k = np.fft.fftfreq(nt, d=1.0 / nt)
+    k[half] = 0.0
+    spec = np.fft.fft(flat[1:].reshape(n_r, nt, -1), axis=1) * (1j * k)[None, :, None]
+    deriv = np.fft.ifft(spec, axis=1)
+    ft = np.zeros(flat.shape, dtype=fr.dtype)
+    ft[1:] = (deriv if np.iscomplexobj(flat) else deriv.real).reshape(-1, flat.shape[1])
+    rinv = np.zeros(g.n_nodes)
+    rinv[1:] = 1.0 / g.r[1:]
+    cos, sin = np.cos(g.theta)[:, None], np.sin(g.theta)[:, None]
+    f1 = cos * fr - sin * rinv[:, None] * ft
+    f2 = sin * fr + cos * rinv[:, None] * ft
+    ring = 2.0 / nt * np.stack([np.cos(g.boundary_theta), np.sin(g.boundary_theta)])
+    center_w = ring[:, None, :] * (_CENTER_RICHARDSON * n_r / 30.0)[None, :, None]
+    f1[0], f2[0] = center_w.reshape(2, 3 * nt) @ flat[1 : 1 + 3 * nt]
+    return np.moveaxis(np.stack([f1, f2], axis=-1).reshape(f.shape + (2,)), 0, -1)
+
+
+@pytest.mark.parametrize("n_r, n_theta", [(16, 32), (48, 96)])
+@pytest.mark.parametrize("tail", [(), (3,), (3, 3), (3, 2)])
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_grad_last_matches_gather_and_complex_fft(n_r, n_theta, tail, complex_field):
+    # random fields carry every Fourier mode and every radial frequency
+    g = DiskGrid(n_r, n_theta)
+    rng = np.random.default_rng(n_r + len(tail))
+    f = rng.normal(size=(g.n_nodes,) + tail)
+    if complex_field:
+        f = f + 1j * rng.normal(size=f.shape)
+    got = g.grad_last(np.moveaxis(f, 0, -1))
+    want = _gather_fft_grad(g, f)
+    assert got.shape == tail + (2, g.n_nodes)
+    assert got.dtype == want.dtype == f.dtype
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+    f1, f2 = g.grad(f)
+    assert np.array_equal(np.moveaxis(f1, 0, -1), got[..., 0, :])
+    assert np.array_equal(np.moveaxis(f2, 0, -1), got[..., 1, :])
+
+
+def test_nyquist_mode_differentiates_to_zero():
+    # (-1)^j on every ring is constant along each extended ray away from the
+    # center, so rings 4..n_r see no radial change and only the Nyquist mode
+    g = DiskGrid(16, 32)
+    f = np.where(np.arange(g.n_nodes) % 2 == 1, 1.0, -1.0)
+    f[0] = 0.0
+    for field in (f, 1j * f):
+        d = g.grad_last(field)
+        assert np.isrealobj(d) == np.isrealobj(field)
+        assert np.max(np.abs(d[:, g.node_index(4, 0):])) < 1e-12
 
 
 def test_batched_ray_integrals_match_ring_loop():
