@@ -145,29 +145,3 @@ def solve_cdot(surface: SurfaceState, coeff_fn, a1, a2, a1dot, a2dot,
             rate = max(rate, diffs[i] / diffs[i - 1])
     return CdotSolution(cdot=cdot, gamma=gamma, iterations=len(diffs),
                         rate=rate, residual=d, coeffs=coeffs, dadot=dadot)
-
-
-def lipschitz_ratio(sol_a: CdotSolution, sol_b: CdotSolution,
-                    rates_a, rates_b):
-    """Diagnostic ||P_a - P_b|| / (||da1|| + ||da2||); 0/0 reports 0."""
-    num = float(np.max(np.abs(sol_a.p_field - sol_b.p_field)))
-    den = float(np.max(np.abs(rates_a[0] - rates_b[0]))) + float(
-        np.max(np.abs(rates_a[1] - rates_b[1]))
-    )
-    if den == 0.0:
-        return 0.0
-    return num / den
-
-
-def loop_closedness(surface: SurfaceState, coeffs, a1, a2, a1dot, a2dot):
-    """Curl of the converged integrand over the grid (path-independence
-    diagnostic: the one-form must be closed up to discretization error)."""
-    grid = surface.grid
-    b1, b2 = kernel_fields(
-        surface, coeffs, np.stack([a1, a2], axis=-1), np.stack([a1dot, a2dot], axis=-1),
-        tangential_grad(grid, a1, a2), tangential_grad(grid, a1dot, a2dot),
-    )
-    v = surface.V
-    p = b1 - v * a1dot
-    q = b2 - v * a2dot
-    return float(np.max(np.abs(grid.ddx1(q) - grid.ddx2(p))))

@@ -110,7 +110,7 @@ class FlowConfig:
 
     @property
     def n_steps(self):
-        """Steps of size dt to t_final; the stored history stays uniform."""
+        """Steps of size dt to t_final; ``advance`` counts whole steps."""
         return round(self.t_final / self.dt)
 
     def validate(self):

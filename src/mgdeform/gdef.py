@@ -19,12 +19,7 @@ import numpy as np
 from ._contract import node_first, node_last
 from .metrics import AmbientMetric
 from .surface import SurfaceState
-from .transport import (
-    TransportHistory,
-    op_inf_norm,
-    static_history,
-    transport_propagator,
-)
+from .transport import TransportHistory, static_history, transport_propagator
 
 
 def node_last_grad(grid, f):
@@ -119,7 +114,7 @@ def new_deformation(surface: SurfaceState) -> DeformationState:
     return DeformationState(
         surface=surface, a1=zeros.copy(), a2=zeros.copy(), c=zeros.copy(),
         a1dot=zeros.copy(), a2dot=zeros.copy(), cdot=zeros.copy(),
-        history=static_history(0.0, 0, n), t=0.0,
+        history=static_history(n), t=0.0,
     )
 
 
@@ -201,22 +196,6 @@ def assemble_coefficients(metric: AmbientMetric, surface: SurfaceState,
     return GDefCoefficients(**{k: node_first(v) for k, v in out.items()})
 
 
-def gdef_residual(surface: SurfaceState, coeffs: GDefCoefficients,
-                  deform: DeformationState):
-    """r_i = a^l b_li + (1 + N_0) c_,i + (d_i a^j) N_j + Q_i."""
-    da = deform.da
-    a_vec = np.stack([deform.a1, deform.a2], axis=-1)
-    ab = np.einsum("nl,nli->ni", a_vec, surface.b)
-    nk = coeffs.n_j[:, 1:]
-    r = (
-        ab
-        + (1.0 + coeffs.n_j[:, :1]) * deform.dc
-        + da[:, 0] * nk[:, :1] + da[:, 1] * nk[:, 1:2]
-        + coeffs.q_i
-    )
-    return r
-
-
 def gdef_normal_residual(metric: AmbientMetric, surface: SurfaceState,
                          deform: DeformationState):
     """Independent check: transport y_,i + z_,i back and project on n.
@@ -229,24 +208,3 @@ def gdef_normal_residual(metric: AmbientMetric, surface: SurfaceState,
     back = np.einsum("abn,bin->ain", node_last(mback), seed)
     a0, n = node_last(surface.ambient_a), node_last(surface.n)
     return node_first(np.einsum("abn,ain,bn->in", a0, back, n))
-
-
-def norm_chain_report(coeffs: GDefCoefficients):
-    """Discrete-norm chain of the coefficient cascade (diagnostic)."""
-    s1 = op_inf_norm(coeffs.s1)
-    s2 = op_inf_norm(coeffs.s2)
-    report = {
-        "s1": s1,
-        "s2": s2,
-        "s2_surrogate_bound": s1 * s1 / (1.0 - s1) if s1 < 1 else np.inf,
-        "n_sup": float(np.max(np.abs(coeffs.n_j))),
-        "q_sup": float(np.max(np.abs(coeffs.q_i))),
-        "s5_sup": float(np.max(np.abs(coeffs.s5))),
-        "t_sup": float(np.max(np.abs(coeffs.tj))),
-    }
-    report["ratio_n_over_s1"] = report["n_sup"] / s1 if s1 > 0 else 0.0
-    report["ratio_q_over_s5"] = (
-        report["q_sup"] / report["s5_sup"] if report["s5_sup"] > 0 else 0.0
-    )
-    return report
-

@@ -254,10 +254,6 @@ class DiskGrid:
         center = np.zeros(rays.shape[2], dtype=cum.dtype)
         return self._join(center, cum, tail)
 
-    def cumint_radial(self, f):
-        """Cumulative integral of f along each ray from the center outward."""
-        return self._cumulate_rays(*self._ray_values(f))
-
     def line_integral_center(self, p, q):
         """Integral of p dx1 + q dx2 along straight rays from the center."""
         p_rays, tail = self._ray_values(p)

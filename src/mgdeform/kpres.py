@@ -102,13 +102,6 @@ def delta_g(metric: AmbientMetric, surface: SurfaceState, z, z1, z2) -> GVariati
     return GVariation(dg_ij=node_first(dg_ij), dg=dg, w1=w1, w2=w2)
 
 
-def delta_g_direct(metric, surface, z, z1, z2):
-    """Reference: recompute the displaced first form and subtract."""
-    tang_t = surface.tang + np.stack([z1, z2], axis=-1)
-    a_t = metric.metric(surface.y + z)
-    return np.einsum("nab,nai,nbj->nij", a_t, tang_t, tang_t) - surface.g
-
-
 def delta_b(metric: AmbientMetric, surface: SurfaceState, deform: DeformationState,
             fwd: NormalTransport, gvar: GVariation) -> BVariation:
     """Second-form variation via the carried-normal cascade."""

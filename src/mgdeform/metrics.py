@@ -265,16 +265,6 @@ def christoffel_at(metric: AmbientMetric, points) -> ChristoffelField:
     return metric.christoffel(np.asarray(points, dtype=float))
 
 
-def metric_compatibility_residual(metric: AmbientMetric, points):
-    """Sup of | d a_{ab}/dy^s - (Gamma_{as,b} + Gamma_{bs,a}) |."""
-    y = np.asarray(points, dtype=float)
-    da = metric.dmetric(y)  # (..., a, b, s)
-    ch = christoffel_at(metric, y)
-    low = ch.gamma_lower  # (..., a, s, b)
-    recon = np.einsum("...asb->...abs", low) + np.einsum("...bsa->...abs", low)
-    return float(np.max(np.abs(da - recon)))
-
-
 def norm_monitor(metric: AmbientMetric, points):
     """Discrete sup norms of the metric and its derivatives vs the bound."""
     y = np.asarray(points, dtype=float)

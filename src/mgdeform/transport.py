@@ -1,11 +1,9 @@
 """Parallel transport along deformation paths.
 
 Each surface node owns the path u(tau) = y + z(tau), tau in [0, t], stored as
-uniform samples of z and zdot.  Transport of a tensor seed solves
-dA/dtau + Gamma(u(tau)) zdot(tau) A = 0 either backward (seed given at
-tau = t, value wanted at tau = 0) or forward.  The same propagator has a
-nested-integral series representation whose terms are produced by repeated
-cumulative quadrature with the chain contraction of successive indices.
+samples of z and zdot at strictly increasing tau.  Transport of a tensor seed
+solves dA/dtau + Gamma(u(tau)) zdot(tau) A = 0 either backward (seed given at
+tau = t, value wanted at tau = 0) or forward, one RK4 step per interval.
 
 The flow's consumers read the propagator through ``transport_propagator``,
 which keeps the integrated prefix of a history (intervals 0..M-2) in a cache
@@ -25,7 +23,8 @@ from .metrics import AmbientMetric, christoffel_at
 
 
 class TransportHistory:
-    """Uniform samples (tau_m, z_m, zdot_m) of the deformation paths.
+    """Samples (tau_m, z_m, zdot_m) of the deformation paths, tau strictly
+    increasing.
 
     ``z`` and ``zdot`` have shape (M+1, n_pts, 3).  The initial sample must
     be the undeformed state z = 0.  The history caches its integrated
@@ -43,12 +42,8 @@ class TransportHistory:
             raise MgError("history sample arrays disagree in shape")
         if np.max(np.abs(self.z[0])) > 1e-13:
             raise MgError("history must start from z(0) = 0")
-        if self.tau.size > 1:
-            steps = np.diff(self.tau)
-            if np.any(steps <= 0):
-                raise MgError("tau samples must increase strictly")
-            if np.max(np.abs(steps - steps[0])) > 1e-12 * max(1.0, steps[0]):
-                raise MgError("tau samples must be uniformly spaced")
+        if np.any(np.diff(self.tau) <= 0):
+            raise MgError("tau samples must increase strictly")
         # propagator over intervals 0..M-2, shared with the histories that
         # agree on them (see transport_propagator); the whole-history result
         # is kept per instance
@@ -86,8 +81,11 @@ class TransportHistory:
         Intervals 0..M-2 are unchanged, so the extended history starts from
         this history's cached prefix and integrates interval M-1 once.  The
         new time counts whole steps from tau_0, so it does not drift by
-        repeated addition.
+        repeated addition; every step already taken must therefore be ``dt``.
         """
+        if np.any(np.abs(np.diff(self.tau) - dt) > 1e-12 * max(1.0, dt)):
+            raise MgError(f"advance counts whole steps of {dt}, and this history "
+                          "has steps of another length")
         zdot = np.asarray(zdot, dtype=float)
         child = TransportHistory(
             np.append(self.tau, self.tau[0] + (self.n_steps + 1) * dt),
@@ -115,19 +113,10 @@ class TransportHistory:
         return z, zd
 
 
-def static_history(t, n_steps, n_points):
-    """All-zero history up to time t (undeformed state)."""
-    tau = np.linspace(0.0, t, n_steps + 1)
-    zeros = np.zeros((n_steps + 1, n_points, 3))
-    return TransportHistory(tau, zeros, zeros.copy())
-
-
-def history_from_path(path_fn, rate_fn, t, n_steps):
-    """Sampled one-point history of an analytic path z(tau)."""
-    tau = np.linspace(0.0, t, n_steps + 1)
-    z = np.stack([np.broadcast_to(path_fn(tm), (1, 3)).copy() for tm in tau])
-    zd = np.stack([np.broadcast_to(rate_fn(tm), (1, 3)).copy() for tm in tau])
-    return TransportHistory(tau, z, zd)
+def static_history(n_points):
+    """The undeformed state's history: its one sample z = zdot = 0 at tau = 0."""
+    zeros = np.zeros((1, n_points, 3))
+    return TransportHistory([0.0], zeros, zeros.copy())
 
 
 def _gamma_zdot(metric, y0, z, zdot):
@@ -139,30 +128,6 @@ def _gamma_zdot(metric, y0, z, zdot):
     return np.einsum("gabn,an->gbn", gamma, node_last(zdot))
 
 
-def _stage_fractions(substeps):
-    """Fractions s = j / (2 substeps) of an interval holding its RK4 stages."""
-    return np.arange(2 * substeps + 1) / (2 * substeps)
-
-
-def _interval_gammas(metric, y0, history, m, fractions, g_start=None, g_end=None):
-    """Node-last G = Gamma zdot along interval m at ``fractions``, end values
-    reused.
-
-    Hermite interpolation is exact at s = 0 and 1, so an end value taken over
-    from the neighbouring interval or a sample is bit-identical.
-    """
-    out = []
-    last = len(fractions) - 1
-    for j, s in enumerate(fractions):
-        if j == 0 and g_start is not None:
-            out.append(g_start)
-        elif j == last and g_end is not None:
-            out.append(g_end)
-        else:
-            out.append(_gamma_zdot(metric, y0, *history.hermite(m, s)))
-    return out
-
-
 def _rk4_step(g0, g_half, g1, a, h, sign):
     """One classical RK4 step of dA = sign G A with G at start, middle, end."""
     k1 = sign * np.einsum("gbn,bkn->gkn", g0, a)
@@ -170,58 +135,6 @@ def _rk4_step(g0, g_half, g1, a, h, sign):
     k3 = sign * np.einsum("gbn,bkn->gkn", g_half, a + 0.5 * h * k2)
     k4 = sign * np.einsum("gbn,bkn->gkn", g1, a + h * k3)
     return a + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-
-
-def _interval_step(gs, a, h, direction):
-    """Carry ``a`` (3, k, n) across one interval, all node-last; ``gs``
-    holds G at the stage fractions, ``h`` is the substep length."""
-    last = len(gs) - 1
-    for q in range(last // 2):
-        if direction == "forward":
-            a = _rk4_step(gs[2 * q], gs[2 * q + 1], gs[2 * q + 2], a, h, -1.0)
-        else:
-            j = last - 2 * q
-            a = _rk4_step(gs[j], gs[j - 1], gs[j - 2], a, h, 1.0)
-    return a
-
-
-def _check_direction(direction):
-    if direction not in ("backward", "forward"):
-        raise MgError(f"unknown direction {direction!r}")
-
-
-def transport_tensor_ode(metric: AmbientMetric, y0, history: TransportHistory, seed,
-                         direction="backward", substeps=1):
-    """Integrate the transport system with classical RK4 over every interval.
-
-    ``seed`` is (n_pts, 3) or (n_pts, 3, k); backward means the seed sits at
-    tau = t and the value at tau = 0 is returned, forward the reverse.  The
-    all-interval reference for ``transport_propagator``: each distinct stage
-    point is evaluated once, 2 M substeps + 1 Christoffel evaluations in all.
-    """
-    _check_direction(direction)
-    y0 = np.asarray(y0, dtype=float)
-    a = np.array(seed, dtype=float)
-    vec_mode = a.ndim == 2
-    if history.n_steps == 0 or metric.is_flat():
-        return a
-    a = node_last(a[..., None] if vec_mode else a)
-
-    fractions = _stage_fractions(substeps)
-    backward = direction == "backward"
-    intervals = range(history.n_steps - 1, -1, -1) if backward else range(history.n_steps)
-    shared = None   # G at the sample this interval shares with the previous one
-    for m in intervals:
-        h = (history.tau[m + 1] - history.tau[m]) / substeps
-        if backward:
-            gs = _interval_gammas(metric, y0, history, m, fractions, g_end=shared)
-            shared = gs[0]
-        else:
-            gs = _interval_gammas(metric, y0, history, m, fractions, g_start=shared)
-            shared = gs[-1]
-        a = _interval_step(gs, a, h, direction)
-    a = node_first(a)
-    return a[..., 0] if vec_mode else a
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,21 +163,25 @@ class Propagator:
         return self.metric is metric and self.y0 is y0
 
     def extended(self, history: TransportHistory) -> Propagator:
-        """The propagator over one more interval of ``history``."""
+        """The propagator over one more interval of ``history``: one RK4 step
+        each way, with G = Gamma zdot at the interval's start (``g_end``,
+        which Hermite interpolation reproduces bit for bit), middle and end.
+        """
         m = self.k
-        gs = _interval_gammas(self.metric, self.y0, history, m, _stage_fractions(1),
-                              g_start=node_last(self.g_end))
         dt = history.tau[m + 1] - history.tau[m]
+        g0 = node_last(self.g_end)
+        g_half = _gamma_zdot(self.metric, self.y0, *history.hermite(m, 0.5))
+        g1 = _gamma_zdot(self.metric, self.y0, *history.hermite(m, 1.0))
         eye = node_last(np.broadcast_to(np.eye(3), self.backward.shape))
-        r_back = _interval_step(gs, eye, dt, "backward")
-        r_fwd = _interval_step(gs, eye, dt, "forward")
+        r_back = _rk4_step(g1, g_half, g0, eye, dt, 1.0)
+        r_fwd = _rk4_step(g0, g_half, g1, eye, dt, -1.0)
         backward = np.einsum("gbn,bkn->gkn", node_last(self.backward), r_back)
         forward = np.einsum("gbn,bkn->gkn", r_fwd, node_last(self.forward))
-        integral = node_last(self.integral) + 0.5 * dt * (gs[0] + gs[-1])
+        integral = node_last(self.integral) + 0.5 * dt * (g0 + g1)
         return _frozen_propagator(
             self.metric, self.y0, m + 1,
             backward=node_first(backward), forward=node_first(forward),
-            integral=node_first(integral), g_end=node_first(gs[-1]),
+            integral=node_first(integral), g_end=node_first(g1),
         )
 
 
@@ -318,60 +235,6 @@ def transport_propagator(metric: AmbientMetric, y0,
     return history._full
 
 
-def _cumtrapz_from_end(vals, dt):
-    """C[m] = integral from tau_m to tau_M (trapezoid), vals shape (M+1, ...)."""
-    inc = 0.5 * dt * (vals[1:] + vals[:-1])
-    c = np.zeros_like(vals)
-    c[:-1] = np.cumsum(inc[::-1], axis=0)[::-1]
-    return c
-
-
-def _cumtrapz_from_start(vals, dt):
-    """C[m] = integral from tau_0 to tau_m."""
-    inc = 0.5 * dt * (vals[1:] + vals[:-1])
-    c = np.zeros_like(vals)
-    c[1:] = np.cumsum(inc, axis=0)
-    return c
-
-
-def transport_series_terms(metric: AmbientMetric, y0, history: TransportHistory,
-                           k_max, direction="backward"):
-    """Iterated transport integrals A_(k), k = 1..k_max, as matrices.
-
-    Backward terms are A_(k)(t, 0); forward terms A_(k)(0, t).  Index layout
-    matches the propagator: term[n, g, b] contracts the seed on b.
-    """
-    if k_max < 1:
-        raise MgError("k_max must be >= 1")
-    y0 = np.asarray(y0, dtype=float)
-    n = history.n_points
-    if history.n_steps == 0:
-        return [np.zeros((n, 3, 3)) for _ in range(k_max)]
-    dt = history.tau[1] - history.tau[0]
-    g_samples = np.stack(
-        [node_first(_gamma_zdot(metric, y0, history.z[m], history.zdot[m]))
-         for m in range(history.tau.size)]
-    )  # (M+1, n, 3, 3)
-    terms = []
-    if direction == "backward":
-        cur = _cumtrapz_from_end(g_samples, dt)
-        terms.append(cur[0])
-        for _ in range(1, k_max):
-            integrand = np.einsum("mngb,mnbc->mngc", g_samples, cur)
-            cur = _cumtrapz_from_end(integrand, dt)
-            terms.append(cur[0])
-    elif direction == "forward":
-        cur = -_cumtrapz_from_start(g_samples, dt)
-        terms.append(cur[-1])
-        for _ in range(1, k_max):
-            integrand = np.einsum("mngb,mnbc->mngc", g_samples, cur)
-            cur = -_cumtrapz_from_start(integrand, dt)
-            terms.append(cur[-1])
-    else:
-        raise MgError(f"unknown direction {direction!r}")
-    return terms
-
-
 @dataclass
 class NormalTransport:
     """Forward transport of the unit normal with its series tails."""
@@ -398,22 +261,3 @@ def transport_normal(metric: AmbientMetric, y0, history: TransportHistory,
     return NormalTransport(n_t=node_first(n_t), a1_vec=node_first(a1_vec),
                            a2_vec=node_first(a2_vec), a1_mat=node_first(a1_mat),
                            norm=norm)
-
-
-def path_norms(metric, y0, history):
-    """Discrete sup norms (Gamma, zdot) along the path, for bound monitors."""
-    y0 = np.asarray(y0, dtype=float)
-    sup_g = 0.0
-    sup_zd = 0.0
-    for m in range(history.tau.size):
-        pts = y0 + history.z[m]
-        ch = christoffel_at(metric, pts)
-        # operator norm compatible with |Gamma zdot v|_inf <= |Gamma| |zdot| |v|_inf
-        sup_g = max(sup_g, float(np.max(np.sum(np.abs(ch.gamma_upper), axis=(-2, -1)))))
-        sup_zd = max(sup_zd, float(np.max(np.abs(history.zdot[m]))))
-    return sup_g, sup_zd
-
-
-def op_inf_norm(mat):
-    """Max row sum, batched over leading axes."""
-    return float(np.max(np.sum(np.abs(mat), axis=-1)))

@@ -28,23 +28,6 @@ from .grid import DiskGrid
 # T operator
 # --------------------------------------------------------------------------
 
-def t_operator_direct(grid: DiskGrid, f):
-    """Reference all-pairs evaluation of T(f); used to cross-check
-    ``t_operator`` on small grids."""
-    chunk = 512   # rows of the all-pairs kernel per block
-    f = np.asarray(f, dtype=complex)
-    w = grid.area_weights
-    zeta = grid.z
-    out = np.empty(grid.n_nodes, dtype=complex)
-    for lo in range(0, grid.n_nodes, chunk):
-        hi = min(lo + chunk, grid.n_nodes)
-        dz = zeta[None, :] - zeta[lo:hi, None]
-        num = f[None, :] - f[lo:hi, None]
-        ker = np.where(dz == 0, 0.0, num / np.where(dz == 0, 1.0, dz))
-        out[lo:hi] = ker @ w
-    return -out / np.pi + f * np.conj(zeta)
-
-
 def _t_mode_tables(grid: DiskGrid):
     """Per-interval Gauss points, interpolation weights and power kernels for
     the mode-wise radial Volterra integrals of T."""
@@ -136,30 +119,6 @@ def t_operator(grid: DiskGrid, f):
     out = np.empty(grid.n_nodes, dtype=complex)
     out[0] = out_prof[0, 0]
     out[1:] = np.fft.ifft(out_prof[1:] * nt, axis=1).reshape(-1)
-    return out
-
-
-def t_one_oracle(grid: DiskGrid, targets_idx=None, n_phi=4096):
-    """High-resolution quadrature oracle for the area integral with f = 1.
-
-    Radial integration is exact, leaving a smooth periodic angle integral
-    evaluated by the trapezoid rule:  T(1)(z) = -(1/pi) int e^{-i phi} R dphi
-    with R(phi; z) the chord length from z to the rim.
-    """
-    if targets_idx is None:
-        targets_idx = np.arange(grid.n_nodes)
-    phi = np.arange(n_phi) * (2 * np.pi / n_phi)
-    e = np.exp(1j * phi)
-    out = np.empty(len(targets_idx), dtype=complex)
-    zs = grid.z[targets_idx]
-    chunk = max(1, int(2e6 // n_phi))
-    for lo in range(0, len(zs), chunk):
-        hi = min(lo + chunk, len(zs))
-        z = zs[lo:hi, None]
-        beta = np.real(np.conj(z) * e[None, :])
-        disc = np.maximum(beta**2 + 1.0 - np.abs(z) ** 2, 0.0)
-        radius = -beta + np.sqrt(disc)
-        out[lo:hi] = -(np.conj(e)[None, :] * radius).mean(axis=1) * 2 * np.pi / np.pi
     return out
 
 
@@ -606,29 +565,6 @@ def solve_family(problem: BoundaryProblem, tol=1e-10, max_iter=60, sym=None):
     return base, sym
 
 
-def homogeneous_rank(grid: DiskGrid, lam):
-    """Numerical nullity of the boundary condition over holomorphic
-    polynomials of degree 2 max(n, 0) + 4, with the singular-value gap
-    across the rank cut at 1e-6 of the largest singular value."""
-    lam = np.asarray(lam, dtype=complex)
-    n = index_of(lam)
-    degree = 2 * max(n, 0) + 4
-    threshold = 1e-6
-    zb = np.exp(1j * grid.boundary_theta)
-    cols = []
-    for k in range(degree + 1):
-        for unit in (1.0, 1j):
-            cols.append(np.real(np.conj(lam) * unit * zb**k))
-    m = np.stack(cols, axis=1)
-    sv = np.linalg.svd(m, compute_uv=False)
-    small = sv < threshold * sv[0]
-    nullity = int(np.sum(small)) + max(0, m.shape[1] - m.shape[0])
-    kept = sv[~small]
-    dropped = sv[small]
-    gap = float(kept[-1] / dropped[0]) if len(dropped) and len(kept) else np.inf
-    return nullity, gap
-
-
 def boundary_data(surface, l_field, gamma_dot):
     """Boundary symbol and right-hand side from a tangent field on the rim.
 
@@ -653,26 +589,6 @@ def boundary_data(surface, l_field, gamma_dot):
     lam = lam_k[:, 0] + 1j * lam_k[:, 1]
     scale = np.abs(lam)
     return lam / scale, phi / scale, lam_tilde
-
-
-def adjoint_null_functionals(grid: DiskGrid, lam, sym=None):
-    """Rows of the boundary-data -> solvability-residual map for n < 0.
-
-    Realizes the orthogonality conditions as discrete functionals on the
-    boundary samples (the adjoint null basis of the solution operator).
-    """
-    if sym is None:
-        sym = canonicalize(grid, lam)
-    if sym.n >= 0:
-        return np.zeros((0, grid.n_theta))
-    m = -sym.n
-    rows = np.empty((2 * m - 1, grid.n_theta))
-    for j in range(grid.n_theta):
-        e = np.zeros(grid.n_theta)
-        e[j] = 1.0
-        _, resid = _core_particular(sym, e)
-        rows[:, j] = resid
-    return rows
 
 
 # --------------------------------------------------------------------------

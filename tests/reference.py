@@ -1,0 +1,376 @@
+"""Reference computations and diagnostics that only the tests call.
+
+Each function here is an independent route to a quantity the package
+computes another way, or a diagnostic of a bound the package relies on:
+
+- the all-pairs T operator and the chord-length quadrature of T(1);
+- the homogeneous nullity and the n < 0 solvability functionals of the
+  boundary condition;
+- transport over a whole history by RK4 (optionally several substeps per
+  interval) and by its nested-integral series, with the path norms of the
+  series bound;
+- the metric-compatibility residual of a Christoffel plug-in, the displaced
+  first form by recomputation, the algebraic G-condition residual and the
+  norm chain of its coefficient cascade, and the cdot diagnostics;
+- the cumulative radial integral along the grid's rays.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from mgdeform._contract import node_first, node_last
+from mgdeform.cdot import CdotSolution, kernel_fields
+from mgdeform.errors import MgError
+from mgdeform.gdef import DeformationState, GDefCoefficients, tangential_grad
+from mgdeform.grid import DiskGrid
+from mgdeform.metrics import AmbientMetric, christoffel_at
+from mgdeform.surface import SurfaceState
+from mgdeform.transport import TransportHistory, _gamma_zdot, _rk4_step
+from mgdeform.vekua import _core_particular, canonicalize, index_of
+
+# --------------------------------------------------------------------------
+# vekua
+# --------------------------------------------------------------------------
+
+
+def t_operator_direct(grid: DiskGrid, f):
+    """Reference all-pairs evaluation of T(f); used to cross-check
+    ``t_operator`` on small grids."""
+    chunk = 512   # rows of the all-pairs kernel per block
+    f = np.asarray(f, dtype=complex)
+    w = grid.area_weights
+    zeta = grid.z
+    out = np.empty(grid.n_nodes, dtype=complex)
+    for lo in range(0, grid.n_nodes, chunk):
+        hi = min(lo + chunk, grid.n_nodes)
+        dz = zeta[None, :] - zeta[lo:hi, None]
+        num = f[None, :] - f[lo:hi, None]
+        ker = np.where(dz == 0, 0.0, num / np.where(dz == 0, 1.0, dz))
+        out[lo:hi] = ker @ w
+    return -out / np.pi + f * np.conj(zeta)
+
+
+def t_one_oracle(grid: DiskGrid, targets_idx=None, n_phi=4096):
+    """High-resolution quadrature oracle for the area integral with f = 1.
+
+    Radial integration is exact, leaving a smooth periodic angle integral
+    evaluated by the trapezoid rule:  T(1)(z) = -(1/pi) int e^{-i phi} R dphi
+    with R(phi; z) the chord length from z to the rim.
+    """
+    if targets_idx is None:
+        targets_idx = np.arange(grid.n_nodes)
+    phi = np.arange(n_phi) * (2 * np.pi / n_phi)
+    e = np.exp(1j * phi)
+    out = np.empty(len(targets_idx), dtype=complex)
+    zs = grid.z[targets_idx]
+    chunk = max(1, int(2e6 // n_phi))
+    for lo in range(0, len(zs), chunk):
+        hi = min(lo + chunk, len(zs))
+        z = zs[lo:hi, None]
+        beta = np.real(np.conj(z) * e[None, :])
+        disc = np.maximum(beta**2 + 1.0 - np.abs(z) ** 2, 0.0)
+        radius = -beta + np.sqrt(disc)
+        out[lo:hi] = -(np.conj(e)[None, :] * radius).mean(axis=1) * 2 * np.pi / np.pi
+    return out
+
+
+def homogeneous_rank(grid: DiskGrid, lam):
+    """Numerical nullity of the boundary condition over holomorphic
+    polynomials of degree 2 max(n, 0) + 4, with the singular-value gap
+    across the rank cut at 1e-6 of the largest singular value."""
+    lam = np.asarray(lam, dtype=complex)
+    n = index_of(lam)
+    degree = 2 * max(n, 0) + 4
+    threshold = 1e-6
+    zb = np.exp(1j * grid.boundary_theta)
+    cols = []
+    for k in range(degree + 1):
+        for unit in (1.0, 1j):
+            cols.append(np.real(np.conj(lam) * unit * zb**k))
+    m = np.stack(cols, axis=1)
+    sv = np.linalg.svd(m, compute_uv=False)
+    small = sv < threshold * sv[0]
+    nullity = int(np.sum(small)) + max(0, m.shape[1] - m.shape[0])
+    kept = sv[~small]
+    dropped = sv[small]
+    gap = float(kept[-1] / dropped[0]) if len(dropped) and len(kept) else np.inf
+    return nullity, gap
+
+
+def adjoint_null_functionals(grid: DiskGrid, lam, sym=None):
+    """Rows of the boundary-data -> solvability-residual map for n < 0.
+
+    Realizes the orthogonality conditions as discrete functionals on the
+    boundary samples (the adjoint null basis of the solution operator).
+    """
+    if sym is None:
+        sym = canonicalize(grid, lam)
+    if sym.n >= 0:
+        return np.zeros((0, grid.n_theta))
+    m = -sym.n
+    rows = np.empty((2 * m - 1, grid.n_theta))
+    for j in range(grid.n_theta):
+        e = np.zeros(grid.n_theta)
+        e[j] = 1.0
+        _, resid = _core_particular(sym, e)
+        rows[:, j] = resid
+    return rows
+
+
+# --------------------------------------------------------------------------
+# transport
+# --------------------------------------------------------------------------
+
+
+def history_from_path(path_fn, rate_fn, t, n_steps):
+    """Sampled one-point history of an analytic path z(tau)."""
+    tau = np.linspace(0.0, t, n_steps + 1)
+    z = np.stack([np.broadcast_to(path_fn(tm), (1, 3)).copy() for tm in tau])
+    zd = np.stack([np.broadcast_to(rate_fn(tm), (1, 3)).copy() for tm in tau])
+    return TransportHistory(tau, z, zd)
+
+
+def _stage_fractions(substeps):
+    """Fractions s = j / (2 substeps) of an interval holding its RK4 stages."""
+    return np.arange(2 * substeps + 1) / (2 * substeps)
+
+
+def _interval_gammas(metric, y0, history, m, fractions, g_start=None, g_end=None):
+    """Node-last G = Gamma zdot along interval m at ``fractions``, end values
+    reused.
+
+    Hermite interpolation is exact at s = 0 and 1, so an end value taken over
+    from the neighbouring interval or a sample is bit-identical.
+    """
+    out = []
+    last = len(fractions) - 1
+    for j, s in enumerate(fractions):
+        if j == 0 and g_start is not None:
+            out.append(g_start)
+        elif j == last and g_end is not None:
+            out.append(g_end)
+        else:
+            out.append(_gamma_zdot(metric, y0, *history.hermite(m, s)))
+    return out
+
+
+def _interval_step(gs, a, h, direction):
+    """Carry ``a`` (3, k, n) across one interval, all node-last; ``gs``
+    holds G at the stage fractions, ``h`` is the substep length."""
+    last = len(gs) - 1
+    for q in range(last // 2):
+        if direction == "forward":
+            a = _rk4_step(gs[2 * q], gs[2 * q + 1], gs[2 * q + 2], a, h, -1.0)
+        else:
+            j = last - 2 * q
+            a = _rk4_step(gs[j], gs[j - 1], gs[j - 2], a, h, 1.0)
+    return a
+
+
+def _check_direction(direction):
+    if direction not in ("backward", "forward"):
+        raise MgError(f"unknown direction {direction!r}")
+
+
+def transport_tensor_ode(metric: AmbientMetric, y0, history: TransportHistory, seed,
+                         direction="backward", substeps=1):
+    """Integrate the transport system with classical RK4 over every interval.
+
+    ``seed`` is (n_pts, 3) or (n_pts, 3, k); backward means the seed sits at
+    tau = t and the value at tau = 0 is returned, forward the reverse.  The
+    all-interval reference for ``transport_propagator``: each distinct stage
+    point is evaluated once, 2 M substeps + 1 Christoffel evaluations in all.
+    """
+    _check_direction(direction)
+    y0 = np.asarray(y0, dtype=float)
+    a = np.array(seed, dtype=float)
+    vec_mode = a.ndim == 2
+    if history.n_steps == 0 or metric.is_flat():
+        return a
+    a = node_last(a[..., None] if vec_mode else a)
+
+    fractions = _stage_fractions(substeps)
+    backward = direction == "backward"
+    intervals = range(history.n_steps - 1, -1, -1) if backward else range(history.n_steps)
+    shared = None   # G at the sample this interval shares with the previous one
+    for m in intervals:
+        h = (history.tau[m + 1] - history.tau[m]) / substeps
+        if backward:
+            gs = _interval_gammas(metric, y0, history, m, fractions, g_end=shared)
+            shared = gs[0]
+        else:
+            gs = _interval_gammas(metric, y0, history, m, fractions, g_start=shared)
+            shared = gs[-1]
+        a = _interval_step(gs, a, h, direction)
+    a = node_first(a)
+    return a[..., 0] if vec_mode else a
+
+
+def _cumtrapz_from_end(vals, dt):
+    """C[m] = integral from tau_m to tau_M (trapezoid), vals shape (M+1, ...),
+    ``dt`` the interval lengths broadcast against vals[1:]."""
+    inc = 0.5 * dt * (vals[1:] + vals[:-1])
+    c = np.zeros_like(vals)
+    c[:-1] = np.cumsum(inc[::-1], axis=0)[::-1]
+    return c
+
+
+def _cumtrapz_from_start(vals, dt):
+    """C[m] = integral from tau_0 to tau_m."""
+    inc = 0.5 * dt * (vals[1:] + vals[:-1])
+    c = np.zeros_like(vals)
+    c[1:] = np.cumsum(inc, axis=0)
+    return c
+
+
+def transport_series_terms(metric: AmbientMetric, y0, history: TransportHistory,
+                           k_max, direction="backward"):
+    """Iterated transport integrals A_(k), k = 1..k_max, as matrices.
+
+    Backward terms are A_(k)(t, 0); forward terms A_(k)(0, t).  Index layout
+    matches the propagator: term[n, g, b] contracts the seed on b.  Each
+    trapezoid panel spans its own interval, so tau need not be uniform.
+    """
+    if k_max < 1:
+        raise MgError("k_max must be >= 1")
+    y0 = np.asarray(y0, dtype=float)
+    n = history.n_points
+    if history.n_steps == 0:
+        return [np.zeros((n, 3, 3)) for _ in range(k_max)]
+    dt = np.diff(history.tau)[:, None, None, None]
+    g_samples = np.stack(
+        [node_first(_gamma_zdot(metric, y0, history.z[m], history.zdot[m]))
+         for m in range(history.tau.size)]
+    )  # (M+1, n, 3, 3)
+    terms = []
+    if direction == "backward":
+        cur = _cumtrapz_from_end(g_samples, dt)
+        terms.append(cur[0])
+        for _ in range(1, k_max):
+            integrand = np.einsum("mngb,mnbc->mngc", g_samples, cur)
+            cur = _cumtrapz_from_end(integrand, dt)
+            terms.append(cur[0])
+    elif direction == "forward":
+        cur = -_cumtrapz_from_start(g_samples, dt)
+        terms.append(cur[-1])
+        for _ in range(1, k_max):
+            integrand = np.einsum("mngb,mnbc->mngc", g_samples, cur)
+            cur = -_cumtrapz_from_start(integrand, dt)
+            terms.append(cur[-1])
+    else:
+        raise MgError(f"unknown direction {direction!r}")
+    return terms
+
+
+def path_norms(metric, y0, history):
+    """Discrete sup norms (Gamma, zdot) along the path, for bound monitors."""
+    y0 = np.asarray(y0, dtype=float)
+    sup_g = 0.0
+    sup_zd = 0.0
+    for m in range(history.tau.size):
+        pts = y0 + history.z[m]
+        ch = christoffel_at(metric, pts)
+        # operator norm compatible with |Gamma zdot v|_inf <= |Gamma| |zdot| |v|_inf
+        sup_g = max(sup_g, float(np.max(np.sum(np.abs(ch.gamma_upper), axis=(-2, -1)))))
+        sup_zd = max(sup_zd, float(np.max(np.abs(history.zdot[m]))))
+    return sup_g, sup_zd
+
+
+def op_inf_norm(mat):
+    """Max row sum, batched over leading axes."""
+    return float(np.max(np.sum(np.abs(mat), axis=-1)))
+
+
+# --------------------------------------------------------------------------
+# metrics, kpres, gdef, cdot
+# --------------------------------------------------------------------------
+
+
+def metric_compatibility_residual(metric: AmbientMetric, points):
+    """Sup of | d a_{ab}/dy^s - (Gamma_{as,b} + Gamma_{bs,a}) |."""
+    y = np.asarray(points, dtype=float)
+    da = metric.dmetric(y)  # (..., a, b, s)
+    ch = christoffel_at(metric, y)
+    low = ch.gamma_lower  # (..., a, s, b)
+    recon = np.einsum("...asb->...abs", low) + np.einsum("...bsa->...abs", low)
+    return float(np.max(np.abs(da - recon)))
+
+
+def delta_g_direct(metric, surface, z, z1, z2):
+    """Reference: recompute the displaced first form and subtract."""
+    tang_t = surface.tang + np.stack([z1, z2], axis=-1)
+    a_t = metric.metric(surface.y + z)
+    return np.einsum("nab,nai,nbj->nij", a_t, tang_t, tang_t) - surface.g
+
+
+def gdef_residual(surface: SurfaceState, coeffs: GDefCoefficients,
+                  deform: DeformationState):
+    """r_i = a^l b_li + (1 + N_0) c_,i + (d_i a^j) N_j + Q_i."""
+    da = deform.da
+    a_vec = np.stack([deform.a1, deform.a2], axis=-1)
+    ab = np.einsum("nl,nli->ni", a_vec, surface.b)
+    nk = coeffs.n_j[:, 1:]
+    r = (
+        ab
+        + (1.0 + coeffs.n_j[:, :1]) * deform.dc
+        + da[:, 0] * nk[:, :1] + da[:, 1] * nk[:, 1:2]
+        + coeffs.q_i
+    )
+    return r
+
+
+def norm_chain_report(coeffs: GDefCoefficients):
+    """Discrete-norm chain of the coefficient cascade (diagnostic)."""
+    s1 = op_inf_norm(coeffs.s1)
+    s2 = op_inf_norm(coeffs.s2)
+    report = {
+        "s1": s1,
+        "s2": s2,
+        "s2_surrogate_bound": s1 * s1 / (1.0 - s1) if s1 < 1 else np.inf,
+        "n_sup": float(np.max(np.abs(coeffs.n_j))),
+        "q_sup": float(np.max(np.abs(coeffs.q_i))),
+        "s5_sup": float(np.max(np.abs(coeffs.s5))),
+        "t_sup": float(np.max(np.abs(coeffs.tj))),
+    }
+    report["ratio_n_over_s1"] = report["n_sup"] / s1 if s1 > 0 else 0.0
+    report["ratio_q_over_s5"] = (
+        report["q_sup"] / report["s5_sup"] if report["s5_sup"] > 0 else 0.0
+    )
+    return report
+
+
+def lipschitz_ratio(sol_a: CdotSolution, sol_b: CdotSolution,
+                    rates_a, rates_b):
+    """Diagnostic ||P_a - P_b|| / (||da1|| + ||da2||); 0/0 reports 0."""
+    num = float(np.max(np.abs(sol_a.p_field - sol_b.p_field)))
+    den = float(np.max(np.abs(rates_a[0] - rates_b[0]))) + float(
+        np.max(np.abs(rates_a[1] - rates_b[1]))
+    )
+    if den == 0.0:
+        return 0.0
+    return num / den
+
+
+def loop_closedness(surface: SurfaceState, coeffs, a1, a2, a1dot, a2dot):
+    """Curl of the converged integrand over the grid (path-independence
+    diagnostic: the one-form must be closed up to discretization error)."""
+    grid = surface.grid
+    b1, b2 = kernel_fields(
+        surface, coeffs, np.stack([a1, a2], axis=-1), np.stack([a1dot, a2dot], axis=-1),
+        tangential_grad(grid, a1, a2), tangential_grad(grid, a1dot, a2dot),
+    )
+    v = surface.V
+    p = b1 - v * a1dot
+    q = b2 - v * a2dot
+    return float(np.max(np.abs(grid.ddx1(q) - grid.ddx2(p))))
+
+
+# --------------------------------------------------------------------------
+# grid
+# --------------------------------------------------------------------------
+
+
+def cumint_radial(grid: DiskGrid, f):
+    """Cumulative integral of f along each ray from the center outward."""
+    return grid._cumulate_rays(*grid._ray_values(f))

@@ -12,25 +12,28 @@ import pytest
 from mgdeform.cdot import PathIntegrator, solve_cdot
 from mgdeform.cli import parse_config, run_from_config
 from mgdeform.flow import BoundarySpec, FlowConfig, init_flow, run_flow
-from mgdeform.gdef import assemble_coefficients, gdef_residual
+from mgdeform.gdef import assemble_coefficients
 from mgdeform.grid import DiskGrid
 from mgdeform.kpres import assemble_variation
 from mgdeform.metrics import FlatMetric, conformal_linear_metric, conformal_radial_metric
 from mgdeform.surface import SphereCapImmersion, build_surface, gauss_curvature_of
-from mgdeform.transport import (
-    history_from_path,
-    op_inf_norm,
-    path_norms,
-    transport_series_terms,
-    transport_tensor_ode,
-)
-from mgdeform.vekua import homogeneous_rank, index_of, solve_family, t_one_oracle, t_operator
+from mgdeform.vekua import index_of, solve_family, t_operator
 
 from helpers import (
     make_coeff_fn,
     manufactured_problem,
     prescribed_deformation,
     smooth_scalar,
+)
+from reference import (
+    gdef_residual,
+    history_from_path,
+    homogeneous_rank,
+    op_inf_norm,
+    path_norms,
+    t_one_oracle,
+    transport_series_terms,
+    transport_tensor_ode,
 )
 
 

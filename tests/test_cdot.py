@@ -7,8 +7,6 @@ from mgdeform.cdot import (
     PathIntegrator,
     gamma_t,
     kernel_fields,
-    lipschitz_ratio,
-    loop_closedness,
     solve_cdot,
 )
 from mgdeform.errors import (
@@ -23,6 +21,7 @@ from mgdeform.metrics import FlatMetric, conformal_radial_metric
 from mgdeform.surface import SphereCapImmersion, build_surface
 
 from helpers import make_coeff_fn, prescribed_deformation, smooth_scalar
+from reference import lipschitz_ratio, loop_closedness
 
 
 @pytest.fixture(scope="module")

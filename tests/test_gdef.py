@@ -3,19 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from mgdeform.gdef import (
-    assemble_coefficients,
-    gdef_normal_residual,
-    gdef_residual,
-    new_deformation,
-    norm_chain_report,
-)
+from mgdeform.gdef import assemble_coefficients, gdef_normal_residual, new_deformation
 from mgdeform.grid import DiskGrid
 from mgdeform.metrics import FlatMetric, conformal_radial_metric
 from mgdeform.surface import SphereCapImmersion, build_surface
-from mgdeform.transport import transport_propagator, transport_tensor_ode
+from mgdeform.transport import transport_propagator
 
 from helpers import prescribed_deformation, smooth_scalar
+from reference import gdef_residual, norm_chain_report, transport_tensor_ode
 
 
 @pytest.fixture(scope="module")

@@ -8,7 +8,6 @@ from mgdeform.kpres import (
     assemble_rates,
     assemble_variation,
     delta_g,
-    delta_g_direct,
     equation_coefficients,
     psi1_bracket,
 )
@@ -16,6 +15,7 @@ from mgdeform.metrics import FlatMetric, conformal_radial_metric
 from mgdeform.surface import SphereCapImmersion, build_surface, gauss_curvature_of
 
 from helpers import prescribed_deformation, smooth_scalar
+from reference import delta_g_direct
 
 
 @pytest.fixture(scope="module")

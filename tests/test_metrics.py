@@ -9,9 +9,10 @@ from mgdeform.metrics import (
     conformal_linear_metric,
     conformal_radial_metric,
     make_metric,
-    metric_compatibility_residual,
     norm_monitor,
 )
+
+from reference import metric_compatibility_residual
 
 
 def fd_dmetric(metric, y, step=1e-6):

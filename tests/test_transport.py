@@ -9,17 +9,19 @@ from mgdeform.metrics import FlatMetric, conformal_linear_metric, conformal_radi
 from mgdeform.surface import SphereCapImmersion, build_surface
 from mgdeform.transport import (
     TransportHistory,
-    history_from_path,
-    op_inf_norm,
-    path_norms,
     static_history,
     transport_normal,
     transport_propagator,
-    transport_series_terms,
-    transport_tensor_ode,
 )
 
 from helpers import prescribed_deformation, smooth_scalar
+from reference import (
+    history_from_path,
+    op_inf_norm,
+    path_norms,
+    transport_series_terms,
+    transport_tensor_ode,
+)
 
 
 def straight_history(t, n_steps, v=(0.3, -0.2, 0.1)):
@@ -31,9 +33,15 @@ def test_history_validation():
     with pytest.raises(MgError):
         TransportHistory([0.0, 1.0], np.ones((2, 1, 3)), np.ones((2, 1, 3)))
     with pytest.raises(MgError):
-        TransportHistory([0.0, 0.5, 0.7], np.zeros((3, 1, 3)), np.zeros((3, 1, 3)))
+        TransportHistory([0.0, 0.5, 0.5], np.zeros((3, 1, 3)), np.zeros((3, 1, 3)))
     with pytest.raises(EmptyHistoryError):
         TransportHistory(np.zeros(0), np.zeros((0, 1, 3)), np.zeros((0, 1, 3)))
+    # uneven steps make a valid history, which advance cannot extend by whole
+    # steps (3 dt = 0.9 would still come after 0.7)
+    h = TransportHistory([0.0, 0.5, 0.7], np.zeros((3, 1, 3)), np.zeros((3, 1, 3)))
+    assert h.t_final == 0.7
+    with pytest.raises(MgError, match="whole steps"):
+        h.advance(0.3, np.zeros((1, 3)), np.zeros((1, 3)))
 
 
 def test_flat_transport_is_identity():
@@ -137,7 +145,7 @@ def test_transport_normal_trivial_cases():
     assert np.max(np.abs(res.a1_vec)) == 0.0
     assert abs(float(res.norm[0]) - 1.0) < 1e-14
     # t = 0: tails vanish, unit norm
-    h0 = static_history(0.0, 0, 1)
+    h0 = static_history(1)
     res0 = transport_normal(conformal_radial_metric(0.5), y0 + [[0, 0, 1.0]], h0, n0)
     assert np.max(np.abs(res0.a1_vec)) == 0.0
     assert np.max(np.abs(res0.a2_vec)) == 0.0
@@ -195,14 +203,20 @@ def _per_stage_rk4(metric, y0, history, seed, direction):
     return node_first(a)
 
 
-def test_ode_evaluates_each_stage_point_once(christoffel_calls):
-    m = conformal_radial_metric(0.7)
+def _quadratic_paths(tau):
+    """Two base points riding the path tau v + tau^2 at the samples ``tau``."""
     y0 = np.array([[0.2, 0.1, -0.3], [0.0, 0.4, 0.5]])
-    # both points ride the path tau v + tau^2 over 7 steps to t = 0.5
-    tau = np.linspace(0.0, 0.5, 8)[:, None, None]
+    tau = np.asarray(tau, dtype=float)[:, None, None]
     v = np.array([0.25, 0.3, -0.1])
     h = TransportHistory(tau[:, 0, 0], np.repeat(tau * v + tau**2, 2, axis=1),
                          np.repeat(v + 2 * tau, 2, axis=1))
+    return y0, h
+
+
+def test_ode_evaluates_each_stage_point_once(christoffel_calls):
+    m = conformal_radial_metric(0.7)
+    # over 7 steps to t = 0.5
+    y0, h = _quadratic_paths(np.linspace(0.0, 0.5, 8))
     mat_seed = np.broadcast_to(np.eye(3), (2, 3, 3)).copy()
     vec_seed = np.array([[1.0, 0.2, -0.3], [-0.5, 0.8, 0.1]])
     for direction in ("backward", "forward"):
@@ -213,6 +227,31 @@ def test_ode_evaluates_each_stage_point_once(christoffel_calls):
         out = transport_tensor_ode(m, y0, h, vec_seed, direction)
         ref = _per_stage_rk4(m, y0, h, vec_seed[..., None], direction)[..., 0]
         assert np.array_equal(out, ref)
+
+
+def test_propagator_takes_one_rk4_step_per_interval():
+    m = conformal_radial_metric(0.7)
+    eye = np.broadcast_to(np.eye(3), (2, 3, 3))
+    # one interval: the propagator's maps are the textbook step itself
+    y0, h = _quadratic_paths([0.0, 0.3])
+    prop = transport_propagator(m, y0, h)
+    assert np.array_equal(prop.backward, _per_stage_rk4(m, y0, h, eye, "backward"))
+    assert np.array_equal(prop.forward, _per_stage_rk4(m, y0, h, eye, "forward"))
+    # several intervals: the maps are composed in another order than the
+    # textbook carries its seed, so they agree to round-off
+    y0, h = _quadratic_paths(np.linspace(0.0, 0.5, 8))
+    prop = transport_propagator(m, y0, h)
+    assert _rel(prop.backward, _per_stage_rk4(m, y0, h, eye, "backward")) <= 1e-13
+    assert _rel(prop.forward, _per_stage_rk4(m, y0, h, eye, "forward")) <= 1e-13
+
+
+def test_nonuniform_history_matches_references():
+    m = conformal_radial_metric(0.7)
+    y0, h = _quadratic_paths([0.0, 0.03, 0.05, 0.11, 0.12, 0.2])
+    _check_against_full(m, y0, h, np.array([[1.0, 0.2, -0.3], [-0.5, 0.8, 0.1]]))
+    for dt in (0.01, 0.05):   # 6 dt = 0.06 or 0.3, before or after tau_M = 0.2
+        with pytest.raises(MgError, match="whole steps"):
+            h.advance(dt, h.z[-1], h.zdot[-1])
 
 
 @pytest.fixture(scope="module")

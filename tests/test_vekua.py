@@ -15,10 +15,8 @@ from mgdeform.errors import (
 from mgdeform.grid import DiskGrid
 from mgdeform.vekua import (
     BoundaryProblem,
-    adjoint_null_functionals,
     bvp_solve,
     holomorphic_field,
-    homogeneous_rank,
     index_of,
     load_problem,
     point_pin,
@@ -26,10 +24,10 @@ from mgdeform.vekua import (
     save_solution,
     schwarz_coefficients,
     solve_family,
-    t_one_oracle,
     t_operator,
-    t_operator_direct,
 )
+
+from reference import adjoint_null_functionals, homogeneous_rank, t_one_oracle, t_operator_direct
 
 
 @pytest.fixture(scope="module")
