@@ -50,32 +50,24 @@ def gamma_t(surface: SurfaceState, a1dot, a2dot, integrator: PathIntegrator):
 def kernel_fields(surface: SurfaceState, coeffs: GDefCoefficients,
                   a_vec, adot, da, dadot):
     """The two bracketed kernel components (one per differential), from the
-    stacked fields and rates (N, 2) and their d_i a^j as (N, j, i)."""
-    n0 = coeffs.n_j[:, 0]
+    stacked fields and rates (2, N) and their d_i a^j as (j, i, N)."""
+    n0 = coeffs.n_j[0]
     den = 1.0 + n0
     if np.min(np.abs(den)) <= 0.5:
         raise NearSingularDenominatorError(
             "1 + N0 dropped below 0.5; outside the contraction regime"
         )
     v = surface.V
-    nk = coeffs.n_j[:, 1:]          # (N, 2)
-    ndot_k = coeffs.ndot[:, 1:]
-    ndot_0 = coeffs.ndot[:, 0]
-    out = np.empty((surface.grid.n_nodes, 2))
-    for i in range(2):
-        numer = (
-            -v * adot[:, i] * n0
-            + np.einsum("nk,nk->n", nk, dadot[:, :, i])
-            + np.einsum("nk,nk->n", ndot_k, da[:, :, i])
-            + coeffs.qdot[:, i]
-        )
-        stat = (
-            v * a_vec[:, i]
-            + np.einsum("nk,nk->n", nk, da[:, :, i])
-            + coeffs.q_i[:, i]
-        )
-        out[:, i] = -numer / den + ndot_0 * stat / den**2
-    return out[:, 0], out[:, 1]
+    nk = coeffs.n_j[1:]             # (k, N)
+    numer = (
+        -v * adot * n0
+        + np.einsum("kn,kin->in", nk, dadot)
+        + np.einsum("kn,kin->in", coeffs.ndot[1:], da)
+        + coeffs.qdot
+    )
+    stat = v * a_vec + np.einsum("kn,kin->in", nk, da) + coeffs.q_i
+    out = -numer / den + coeffs.ndot[0] * stat / den**2
+    return out[0], out[1]
 
 
 @dataclass
@@ -86,7 +78,7 @@ class CdotSolution:
     rate: float            # observed contraction ratio K3
     residual: float        # sup |L(cdot) + gamma - cdot|, from the certifying sweep
     coeffs: GDefCoefficients   # coeff_fn(cdot), from that sweep
-    dadot: np.ndarray      # d_i adot^j of the solve's rates, (N, j, i)
+    dadot: np.ndarray      # d_i adot^j of the solve's rates, (j, i, N)
 
     @property
     def p_field(self):
@@ -112,8 +104,8 @@ def solve_cdot(surface: SurfaceState, coeff_fn, a1, a2, a1dot, a2dot,
     if max_iter < 1:
         raise MgError(f"cdot iteration needs max_iter >= 1, got {max_iter}")
     grid = surface.grid
-    a_vec = np.stack([a1, a2], axis=-1)
-    adot = np.stack([a1dot, a2dot], axis=-1)
+    a_vec = np.stack([a1, a2])
+    adot = np.stack([a1dot, a2dot])
     if da is None:
         da = tangential_grad(grid, a1, a2)
     dadot = tangential_grad(grid, a1dot, a2dot)

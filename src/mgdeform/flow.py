@@ -238,9 +238,8 @@ def _build_statics(metric, surface, boundary) -> FlowStatics:
         integ=PathIntegrator(grid), pin=pin,
         k_base=gauss_curvature_of(grid, metric, surface.y),
         k_scale=float(np.max(np.abs(surface.K))),
-        rim_metric=node_last(surface.ambient_a)[..., bidx],
-        rim_dir=np.einsum("in,sin->sn", node_last(l_field),
-                          node_last(surface.tang)[..., bidx]),
+        rim_metric=surface.ambient_a[..., bidx],
+        rim_dir=np.einsum("in,sin->sn", node_last(l_field), surface.tang[..., bidx]),
         gamma_dot=gamma_dot,
     )
 
@@ -356,7 +355,7 @@ def step(state: FlowState):
     )
     state.fields = {
         "a1": deform_new.a1, "a2": deform_new.a2, "c": deform_new.c, "dK": bvar_n.dK,
-        "g_res1": g_res_fields[:, 0], "g_res2": g_res_fields[:, 1],
+        "g_res1": g_res_fields[0], "g_res2": g_res_fields[1],
     }
     state.prev = PrevRecords(coeffs=sol.coeffs, m4=last["bvar"].m4, psi1=last["psi1"],
                              w=final.w, w_before=prev.w)

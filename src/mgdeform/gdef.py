@@ -16,21 +16,15 @@ from functools import cached_property
 
 import numpy as np
 
-from ._contract import node_first, node_last
+from ._contract import node_last
 from .metrics import AmbientMetric
 from .surface import SurfaceState
 from .transport import TransportHistory, static_history, transport_propagator
 
 
-def node_last_grad(grid, f):
-    """(d_1 f, d_2 f) of an (N, ...) field, node-last as (..., 2, N)."""
-    return grid.grad_last(np.moveaxis(f, 0, -1))
-
-
 def tangential_grad(grid, a1, a2):
-    """d_i a^j of the tangential pair (a1, a2) as (N, j, i), stored
-    node-last."""
-    return node_first(np.stack([node_last_grad(grid, a1), node_last_grad(grid, a2)]))
+    """d_i a^j of the tangential pair (a1, a2), node-last as (j, i, N)."""
+    return np.stack([grid.grad_last(a1), grid.grad_last(a2)])
 
 
 @dataclass(frozen=True)
@@ -39,7 +33,9 @@ class DeformationState:
 
     Fields are never reassigned (the dataclass is frozen), so the
     derivatives every assembly reads are taken once, on first use: ``dz``
-    (z_,i), ``da`` (d_i a^j) and ``dc`` (c_,i), stored node-last.
+    (z_,i), ``da`` (d_i a^j) and ``dc`` (c_,i), node-last.  The fields a1,
+    a2, c and their rates are (N,) scalars; z and its rate are (N, 3) point
+    vectors, as the history holds them.
     ``advance`` builds the successor state.
     """
 
@@ -73,18 +69,18 @@ class DeformationState:
 
     @cached_property
     def dz(self):
-        """z_,i as (N, 3, 2)."""
-        return node_first(node_last_grad(self.surface.grid, self.z))
+        """z_,i as (3, 2, N)."""
+        return self.surface.grid.grad_last(self.z.T)
 
     @cached_property
     def da(self):
-        """d_i a^j as (N, j, i)."""
+        """d_i a^j as (j, i, N)."""
         return tangential_grad(self.surface.grid, self.a1, self.a2)
 
     @cached_property
     def dc(self):
-        """c_,i as (N, 2)."""
-        return node_first(node_last_grad(self.surface.grid, self.c))
+        """c_,i as (2, N)."""
+        return self.surface.grid.grad_last(self.c)
 
     def history_with_rates(self, a1dot, a2dot, cdot):
         """History whose final sample carries the given iterate rates."""
@@ -120,19 +116,20 @@ def new_deformation(surface: SurfaceState) -> DeformationState:
 
 @dataclass
 class GDefCoefficients:
-    """S/T/N/Q coefficient fields at one time, plus finite-difference rates."""
+    """S/T/N/Q coefficient fields at one time, plus finite-difference rates;
+    all node-last."""
 
-    s1: np.ndarray      # (N, 3, 3) sum of all transport terms
-    s2: np.ndarray      # (N, 3, 3) tail beyond the first term
-    s3: np.ndarray      # (N, 3, 2)
+    s1: np.ndarray      # (3, 3, N) sum of all transport terms
+    s2: np.ndarray      # (3, 3, N) tail beyond the first term
+    s3: np.ndarray      # (3, 2, N)
     s4: np.ndarray
     s5: np.ndarray
-    t0: np.ndarray      # (N, 3)
-    tj: np.ndarray      # (N, 3, 2)
-    n_j: np.ndarray     # (N, 3) components N_0, N_1, N_2
-    q_i: np.ndarray     # (N, 2)
-    ndot: np.ndarray    # (N, 3)
-    qdot: np.ndarray    # (N, 2)
+    t0: np.ndarray      # (3, N)
+    tj: np.ndarray      # (3, 2, N)
+    n_j: np.ndarray     # (3, N) components N_0, N_1, N_2
+    q_i: np.ndarray     # (2, N)
+    ndot: np.ndarray    # (3, N)
+    qdot: np.ndarray    # (2, N)
 
     def sup(self, name):
         return float(np.max(np.abs(getattr(self, name))))
@@ -155,26 +152,22 @@ def assemble_coefficients(metric: AmbientMetric, surface: SurfaceState,
     """
     hist = history if history is not None else deform.history
     prop = transport_propagator(metric, surface.y, hist)
-    tang, n = node_last(surface.tang), node_last(surface.n)    # (3, 2, N), (3, N)
-    a0 = node_last(surface.ambient_a)                          # (3, 3, N)
-    s1 = node_last(prop.backward) - np.eye(3)[:, :, None]
-    a1_term = node_last(prop.integral)
+    tang, n, a0 = surface.tang, surface.n.T, surface.ambient_a
+    s1 = prop.backward - np.eye(3)[:, :, None]
+    a1_term = prop.integral
     s2 = s1 - a1_term
 
     # Gamma(0)(., z): gz[a, s] = Gamma^a_{b s} z^b
-    gz = np.einsum("absn,bn->asn", node_last(surface.ambient_gamma),
-                   node_last(deform.z))
+    gz = np.einsum("absn,bn->asn", surface.ambient_gamma, node_last(deform.z))
     m1_core = a1_term - gz
     s3 = np.einsum("asn,sin->ain", m1_core + s2, tang)
 
-    da = node_last(deform.da)                   # (j, i, N) = d_i a^j
     # bracket_i = z_,i - (d_i a^j) y_,j  (the non-frame part of Eq. 2.27)
-    bracket = node_last(deform.dz) - np.einsum("jin,sjn->sin", da, tang)
+    bracket = deform.dz - np.einsum("jin,sjn->sin", deform.da, tang)
     # surface-Christoffel drag term Gamma^j_{pi} a^p y_,j
     a_vec = np.stack([deform.a1, deform.a2])
-    surf_term = np.einsum("jpin,pn,sjn->sin", node_last(surface.gamma_surface),
-                          a_vec, tang)
-    c_n = n[:, None, :] * node_last(deform.dc)[None, :, :]
+    surf_term = np.einsum("jpin,pn,sjn->sin", surface.gamma_surface, a_vec, tang)
+    c_n = n[:, None, :] * deform.dc[None, :, :]
     s4 = s3 + np.einsum("asn,sin->ain", s1, bracket - c_n - surf_term)
     s5 = s4 + np.einsum("asn,sin->ain", s1, surf_term)
 
@@ -186,14 +179,13 @@ def assemble_coefficients(metric: AmbientMetric, surface: SurfaceState,
     q_i = np.einsum("abn,ain,bn->in", a0, s5, n)
 
     if prev is not None and dt:
-        ndot = (n_j - node_last(prev.n_j)) / dt
-        qdot = (q_i - node_last(prev.q_i)) / dt
+        ndot = (n_j - prev.n_j) / dt
+        qdot = (q_i - prev.q_i) / dt
     else:
         ndot = np.zeros_like(n_j)
         qdot = np.zeros_like(q_i)
-    out = dict(s1=s1, s2=s2, s3=s3, s4=s4, s5=s5, t0=t0, tj=tj,
-               n_j=n_j, q_i=q_i, ndot=ndot, qdot=qdot)
-    return GDefCoefficients(**{k: node_first(v) for k, v in out.items()})
+    return GDefCoefficients(s1=s1, s2=s2, s3=s3, s4=s4, s5=s5, t0=t0, tj=tj,
+                            n_j=n_j, q_i=q_i, ndot=ndot, qdot=qdot)
 
 
 def gdef_normal_residual(metric: AmbientMetric, surface: SurfaceState,
@@ -202,9 +194,8 @@ def gdef_normal_residual(metric: AmbientMetric, surface: SurfaceState,
 
     Bypasses the S/N/Q algebra entirely; vanishing means the normal is
     carried by parallel transport (the defining property of the flow).
+    Returns the residual of each tangent as (2, N).
     """
     mback = transport_propagator(metric, surface.y, deform.history).backward
-    seed = node_last(surface.tang) + node_last(deform.dz)   # y_,i + z_,i as (3, 2, N)
-    back = np.einsum("abn,bin->ain", node_last(mback), seed)
-    a0, n = node_last(surface.ambient_a), node_last(surface.n)
-    return node_first(np.einsum("abn,ain,bn->in", a0, back, n))
+    back = np.einsum("abn,bin->ain", mback, surface.tang + deform.dz)
+    return np.einsum("abn,ain,bn->in", surface.ambient_a, back, surface.n.T)

@@ -1,12 +1,13 @@
 """Polar tensor grid on the closed unit disk.
 
 Nodes are the disk center plus ``n_r`` rings of ``n_theta`` equally spaced
-angles, with the outermost ring lying on the boundary circle.  Fields live on
-the flat node axis (center first, then ring-major) and may carry trailing
-tensor axes.  Differentiation is spectral in the angle and a 7-point,
-sixth-order finite difference along rays; every ray is extended through the
-center onto its antipodal ray so that no one-sided stencil is needed away
-from the rim.
+angles, with the outermost ring lying on the boundary circle.  Nodes are
+numbered center first, then ring-major.  ``grad_last``, the one derivative,
+takes node-last fields (..., N) with any leading tensor axes; the line
+integrals take (N, ...) fields.  Differentiation is spectral in the angle
+and a 7-point, sixth-order finite difference along rays; every ray is
+extended through the center onto its antipodal ray so that no one-sided
+stencil is needed away from the rim.
 """
 
 from __future__ import annotations
@@ -197,31 +198,6 @@ class DiskGrid:
         g2 += np.multiply(self._cos_rinv, dt, out=dr)
         out[:, :, 0] = ext[:, n_r + 1 : n_r + 4].reshape(-1, 3 * nt) @ self._center_w.T
         return out.reshape(tail + (2, self.n_nodes))
-
-    def grad(self, f):
-        """Cartesian gradient (d/dx1, d/dx2) of an (N, ...) field, as two
-        (N, ...) views of ``grad_last``'s result; ``ddx1``, ``ddx2``,
-        ``dz_bar`` and ``dz`` all go through here.
-        """
-        g = self.grad_last(np.moveaxis(np.asarray(f), 0, -1))
-        return np.moveaxis(g[..., 0, :], -1, 0), np.moveaxis(g[..., 1, :], -1, 0)
-
-    def ddx1(self, f):
-        """Cartesian derivative along x1."""
-        return self.grad(f)[0]
-
-    def ddx2(self, f):
-        """Cartesian derivative along x2."""
-        return self.grad(f)[1]
-
-    def dz_bar(self, f):
-        """Wirtinger derivative 0.5*(d/dx1 + i d/dx2)."""
-        f1, f2 = self.grad(f)
-        return 0.5 * (f1 + 1j * f2)
-
-    def dz(self, f):
-        f1, f2 = self.grad(f)
-        return 0.5 * (f1 - 1j * f2)
 
     # -- cumulative radial integration ---------------------------------------
 

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._contract import node_first, node_last
+from ._contract import node_last
 from .errors import DegenerateCurvatureError, GeometryError
-from .gdef import DeformationState, GDefCoefficients, node_last_grad, tangential_grad
+from .gdef import DeformationState, GDefCoefficients, tangential_grad
 from .metrics import AmbientMetric, christoffel_at
 from .surface import SurfaceState
 from .transport import NormalTransport, transport_normal
@@ -45,7 +45,7 @@ def _form_product(a, u, v):
 
 @dataclass
 class GVariation:
-    dg_ij: np.ndarray   # (N, 2, 2)
+    dg_ij: np.ndarray   # (2, 2, N)
     dg: np.ndarray      # (N,)
     w1: np.ndarray
     w2: np.ndarray
@@ -53,17 +53,17 @@ class GVariation:
 
 @dataclass
 class BVariation:
-    m4: np.ndarray      # (N, 2, 2)
-    db_ij: np.ndarray
-    db: np.ndarray
+    m4: np.ndarray      # (2, 2, N)
+    db_ij: np.ndarray   # (2, 2, N)
+    db: np.ndarray      # (N,)
     dK: np.ndarray      # true defect K(t) - K with K = det b / det g
 
 
 @dataclass
 class VariationRates:
-    w1dot: np.ndarray
-    dgdot_ij: np.ndarray
-    p0: np.ndarray
+    w1dot: np.ndarray     # (N,)
+    dgdot_ij: np.ndarray  # (2, 2, N)
+    p0: np.ndarray        # (N,)
 
 
 @dataclass
@@ -79,14 +79,15 @@ class EquationCoefficients:
 
 
 def delta_g(metric: AmbientMetric, surface: SurfaceState, z, z1, z2) -> GVariation:
-    """First-form variation, no linearization in z."""
-    tang, a0 = node_last(surface.tang), node_last(surface.ambient_a)
-    zder = node_last(np.stack([z1, z2], axis=-1))   # (3, 2, N)
+    """First-form variation, no linearization in z; z and its partials z1,
+    z2 are (N, 3) point vectors."""
+    tang, a0 = surface.tang, surface.ambient_a
+    zder = np.stack([z1.T, z2.T], axis=1)         # (3, 2, N)
     pts = surface.y + z
     a_t = node_last(metric.metric(pts))
     z_l = node_last(z)
     da0z = np.einsum("absn,sn->abn", node_last(metric.dmetric(surface.y)), z_l)
-    gz = np.einsum("agsn,sn->agn", node_last(surface.ambient_gamma), z_l)
+    gz = np.einsum("agsn,sn->agn", surface.ambient_gamma, z_l)
     dstar_z = zder + np.einsum("agn,gjn->ajn", gz, tang)
 
     lead = _form_product(a0, tang, dstar_z)
@@ -95,44 +96,40 @@ def delta_g(metric: AmbientMetric, surface: SurfaceState, z, z1, z2) -> GVariati
     quad = _form_product(a_t, zder, zder)
     dg_ij = _sym(lead) + mid + _sym(cross) + quad
 
-    g_inv = node_last(surface.g_inv)
+    g_inv = surface.g_inv
     w1 = _gtrace(g_inv, mid) + 2.0 * _gtrace(g_inv, cross) + _gtrace(g_inv, quad)
     w2 = dg_ij[0, 0] * dg_ij[1, 1] - dg_ij[0, 1] ** 2
     dg = surface.g_det * _gtrace(g_inv, dg_ij) + w2
-    return GVariation(dg_ij=node_first(dg_ij), dg=dg, w1=w1, w2=w2)
+    return GVariation(dg_ij=dg_ij, dg=dg, w1=w1, w2=w2)
 
 
 def delta_b(metric: AmbientMetric, surface: SurfaceState, deform: DeformationState,
             fwd: NormalTransport, gvar: GVariation) -> BVariation:
     """Second-form variation via the carried-normal cascade."""
     grid = surface.grid
-    tang, n0 = node_last(surface.tang), node_last(surface.n)
-    a0, gamma0 = node_last(surface.ambient_a), node_last(surface.ambient_gamma)
-    b0 = node_last(surface.b)
-    zder = node_last(deform.dz)                  # (3, 2, N)
+    tang, n0 = surface.tang, surface.n.T
+    a0, gamma0, b0 = surface.ambient_a, surface.ambient_gamma, surface.b
+    zder = deform.dz                             # (3, 2, N)
     tang_t = tang + zder
     pts = surface.y + deform.z
     a_t = node_last(metric.metric(pts))
-    gamma_t = node_last(christoffel_at(metric, pts).gamma_upper)
+    gamma_t = christoffel_at(metric, pts)
     dgamma = gamma_t - gamma0
-    n_t = node_last(fwd.n_t)
-    a1_vec = node_last(fwd.a1_vec)
-    a2_vec = node_last(fwd.a2_vec)
-    a1m = node_last(fwd.a1_mat)                  # (3, 3, N)
+    n_t, a1_vec, a2_vec, a1m = fwd.n_t, fwd.a1_vec, fwd.a2_vec, fwd.a1_mat
 
     norm = fwd.norm
     inv_norm = 1.0 / norm
     n_til = n_t * inv_norm
-    dinv = node_last_grad(grid, inv_norm)        # (2, N)
-    ntil_der = node_last_grad(grid, node_first(n_til))   # (3, 2, N)
+    dinv = grid.grad_last(inv_norm)              # (2, N)
+    ntil_der = grid.grad_last(n_til)             # (3, 2, N)
     dstar_ntil = ntil_der + np.einsum("gabn,ajn,bn->gjn", gamma_t, tang_t, n_til)
 
-    da = node_last(deform.da)                    # (k, i, N)
+    da = deform.da                               # (k, i, N)
     da_y = np.einsum("kin,skn->sin", da, tang)
     bracket = zder - da_y
     m1 = -_form_product(a_t, bracket, dstar_ntil)
 
-    bΓ = np.einsum("jkn,kln->jln", b0, node_last(surface.g_inv))
+    bΓ = np.einsum("jkn,kln->jln", b0, surface.g_inv)
     dstar_n0 = -np.einsum("jln,sln->sjn", bΓ, tang)
     m2 = (
         -_form_product(a_t, da_y, dstar_ntil)
@@ -140,15 +137,15 @@ def delta_b(metric: AmbientMetric, surface: SurfaceState, deform: DeformationSta
         + m1
     )
 
-    a1m_der = node_last_grad(grid, fwd.a1_mat)   # (3, 3, 2, N)
-    a2v_der = node_last_grad(grid, fwd.a2_vec)   # (3, 2, N)
+    a1m_der = grid.grad_last(a1m)                # (3, 3, 2, N)
+    a2v_der = grid.grad_last(a2_vec)             # (3, 2, N)
     a1n0 = np.einsum("bsn,sn->bn", a1m, n0)
 
     def gamma_term(gamma, u, v):
         return np.einsum("bmtn,mjn,tn->bjn", gamma, u, v)
 
     tails = (
-        np.einsum("bsn,sjn->bjn", a1m, node_last(surface.n_deriv))
+        np.einsum("bsn,sjn->bjn", a1m, surface.n_deriv)
         + a2v_der
         + gamma_term(gamma0, tang, a1n0)
         + gamma_term(gamma0, tang, a2_vec)
@@ -183,7 +180,7 @@ def delta_b(metric: AmbientMetric, surface: SurfaceState, deform: DeformationSta
         )
     g_t = surface.g_det + gvar.dg
     dK = b_t / g_t - surface.b_det / surface.g_det
-    return BVariation(m4=node_first(m4), db_ij=node_first(db_ij), db=db, dK=dK)
+    return BVariation(m4=m4, db_ij=db_ij, db=db, dK=dK)
 
 
 def assemble_variation(metric, surface, deform: DeformationState, history=None):
@@ -191,7 +188,7 @@ def assemble_variation(metric, surface, deform: DeformationState, history=None):
     must end at the state's displacement and only swaps the final rate."""
     hist = history if history is not None else deform.history
     zder = deform.dz
-    gvar = delta_g(metric, surface, deform.z, zder[..., 0], zder[..., 1])
+    gvar = delta_g(metric, surface, deform.z, zder[:, 0].T, zder[:, 1].T)
     fwd = transport_normal(metric, surface.y, hist, surface.n)
     bvar = delta_b(metric, surface, deform, fwd, gvar)
     return gvar, bvar, fwd
@@ -213,15 +210,15 @@ def assemble_rates(metric: AmbientMetric, surface: SurfaceState,
                    m4dot_override=None, dadot=None) -> VariationRates:
     """Time rates of the variation fields at the current iterate.
 
-    ``dadot`` is d_i adot^j as (N, j, i), e.g. a cdot solve's; it is taken
-    here when not given.
+    ``zdot`` is the (N, 3) displacement rate.  ``dadot`` is d_i adot^j as
+    (j, i, N), e.g. a cdot solve's; it is taken here when not given.
+    ``prev_m4`` and ``m4dot_override`` are node-last (2, 2, N).
     """
     grid = surface.grid
-    tang, a0 = node_last(surface.tang), node_last(surface.ambient_a)
-    g_inv = node_last(surface.g_inv)
-    zder = node_last(deform.dz)
-    zdot_der = node_last_grad(grid, zdot)        # (3, 2, N)
+    tang, a0, g_inv = surface.tang, surface.ambient_a, surface.g_inv
+    zder = deform.dz
     zdot_l = node_last(zdot)
+    zdot_der = grid.grad_last(zdot_l)            # (3, 2, N)
     pts = surface.y + deform.z
     a_t = node_last(metric.metric(pts))
     da_t_zdot = np.einsum("absn,sn->abn", node_last(metric.dmetric(pts)), zdot_l)
@@ -236,7 +233,7 @@ def assemble_rates(metric: AmbientMetric, surface: SurfaceState,
     w1dot = (_gtrace(g_inv, t1) + 2 * _gtrace(g_inv, t2) + 2 * _gtrace(g_inv, t3)
              + _gtrace(g_inv, t4) + _gtrace(g_inv, t5) + _gtrace(g_inv, t6))
 
-    gzd = np.einsum("agsn,sn->agn", node_last(surface.ambient_gamma), zdot_l)
+    gzd = np.einsum("agsn,sn->agn", surface.ambient_gamma, zdot_l)
     dstar_zdot = zdot_der + np.einsum("agn,gjn->ajn", gzd, tang)
     s_lead = _form_product(a0, tang, dstar_zdot)
     dgdot_ij = (
@@ -246,7 +243,7 @@ def assemble_rates(metric: AmbientMetric, surface: SurfaceState,
         + _sym(t3)
         + t4 + t5 + t6
     )
-    dg_ij = node_last(gvar.dg_ij)
+    dg_ij = gvar.dg_ij
     w2dot = (
         dgdot_ij[0, 0] * dg_ij[1, 1]
         + dg_ij[0, 0] * dgdot_ij[1, 1]
@@ -254,15 +251,15 @@ def assemble_rates(metric: AmbientMetric, surface: SurfaceState,
     )
 
     if m4dot_override is not None:
-        m4dot = node_last(m4dot_override)
+        m4dot = m4dot_override
     elif prev_m4 is not None and dt:
-        m4dot = (node_last(bvar.m4) - node_last(prev_m4)) / dt
+        m4dot = (bvar.m4 - prev_m4) / dt
     else:
         m4dot = np.zeros((2, 2, grid.n_nodes))
     if dadot is None:
         dadot = tangential_grad(grid, a1dot, a2dot)
-    dbdot_ij = np.einsum("kin,jkn->ijn", node_last(dadot), node_last(surface.b)) + m4dot
-    db_ij = node_last(bvar.db_ij)
+    dbdot_ij = np.einsum("kin,jkn->ijn", dadot, surface.b) + m4dot
+    db_ij = bvar.db_ij
     w2bdot = (
         dbdot_ij[0, 0] * db_ij[1, 1]
         + db_ij[0, 0] * dbdot_ij[1, 1]
@@ -275,15 +272,15 @@ def assemble_rates(metric: AmbientMetric, surface: SurfaceState,
         - (m4dot[0, 0] + m4dot[1, 1]) / surface.V
         - w2bdot / surface.V**2
     )
-    return VariationRates(w1dot=w1dot, dgdot_ij=node_first(dgdot_ij), p0=p0)
+    return VariationRates(w1dot=w1dot, dgdot_ij=dgdot_ij, p0=p0)
 
 
 def psi1_bracket(surface: SurfaceState, coeffs: GDefCoefficients,
                  deform: DeformationState):
     """The curl-equation source Psi_1 = -(...)/V at the current state."""
-    dc, da = node_last(deform.dc), node_last(deform.da)
-    dn = node_last_grad(surface.grid, coeffs.n_j)    # (j, i, N) = d_i N_j
-    dq = node_last_grad(surface.grid, coeffs.q_i)    # (k, i, N) = d_i Q_k
+    dc, da = deform.dc, deform.da
+    dn = surface.grid.grad_last(coeffs.n_j)    # (j, i, N) = d_i N_j
+    dq = surface.grid.grad_last(coeffs.q_i)    # (k, i, N) = d_i Q_k
     bracket = (
         dc[0] * dn[0, 1] - dc[1] * dn[0, 0]
         + da[0, 0] * dn[1, 1] - da[0, 1] * dn[1, 0]

@@ -9,29 +9,29 @@ Override points of a plug-in (subclass ``AmbientMetric``):
 
 - ``metric(y)`` is the one method a plug-in must supply.
 - ``dmetric(y)`` and ``d2metric(y)`` default to central differences.
-- ``christoffel(y)`` returns the ``ChristoffelField`` at points ``y`` and
+- ``christoffel(y)`` returns the symbols Gamma^g_{ab} at points ``y`` and
   raises ``DegenerateMetricError`` where the metric is not positive definite.
   The default is the general path: it checks the leading minors, inverts the
   N batched 3x3 metrics and builds the symbols from ``dmetric``.  A plug-in
   whose symbols have a closed form overrides it: ``FlatMetric`` returns
   zeros, and ``ConformalMetric`` (a = e^{2 phi} delta) returns
-  Gamma^g_{ab} = delta^g_a d_b phi + delta^g_b d_a phi - delta_ab d_g phi and
-  Gamma_{ab,g} = e^{2 phi} Gamma^g_{ab}, with det a = e^{6 phi}.
+  Gamma^g_{ab} = delta^g_a d_b phi + delta^g_b d_a phi - delta_ab d_g phi,
+  with det a = e^{6 phi}.
 
 ``christoffel_at(metric, points)`` is the one entry point the package calls.
 
 Index conventions on arrays: metric (..., a, b); first derivative
-(..., a, b, s) meaning d a_{ab} / d y^s; Christoffel symbols (..., g, a, b)
-for Gamma^g_{ab}, lowered form (..., a, s, b) for Gamma_{as,b}.
+(..., a, b, s) meaning d a_{ab} / d y^s, both with the batch axes of ``y``
+first, as plug-ins evaluate them.  The Christoffel symbols are node-last,
+(g, a, b, ...) for Gamma^g_{ab} with the batch axes of ``y`` last, the layout
+the per-node kernels contract in.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from ._contract import node_first, node_last
+from ._contract import node_last
 from .errors import DegenerateMetricError
 
 _FD_STEP = 1e-5
@@ -71,9 +71,10 @@ class AmbientMetric:
             out[..., t] = (self.dmetric(y + e) - self.dmetric(y - e)) / (2 * _FD_STEP)
         return out
 
-    def christoffel(self, y) -> ChristoffelField:
+    def christoffel(self, y):
         """General path: Gamma^g_{ab} = 0.5 a^{gm} (d_a a_{mb} + d_b a_{ma} -
-        d_m a_{ab}), after the positivity check of every point."""
+        d_m a_{ab}) as (g, a, b, ...), after the positivity check of every
+        point."""
         a = self.metric(y)
         ok, det = check_positive_definite(a)
         _require_positive(ok, det)
@@ -82,8 +83,8 @@ class AmbientMetric:
         ainv = node_last(np.linalg.inv(a).reshape((-1, 3, 3)))
         # lowered: Gamma_{ab,m} = 0.5 (d_a a_{mb} + d_b a_{ma} - d_m a_{ab})
         low = 0.5 * (np.transpose(da, (2, 1, 0, 3)) + np.transpose(da, (1, 2, 0, 3)) - da)
-        gamma_upper = np.einsum("gmp,abmp->gabp", ainv, low)
-        return _field(y.shape[:-1], gamma_upper, low)
+        gamma = np.einsum("gmp,abmp->gabp", ainv, low)
+        return gamma.reshape((3, 3, 3) + y.shape[:-1])
 
     def is_flat(self):
         return False
@@ -106,10 +107,8 @@ class FlatMetric(AmbientMetric):
         y = np.asarray(y, dtype=float)
         return np.zeros(y.shape[:-1] + (3, 3, 3, 3))
 
-    def christoffel(self, y) -> ChristoffelField:
-        lead = y.shape[:-1]
-        n_pts = int(np.prod(lead))
-        return _field(lead, np.zeros((3, 3, 3, n_pts)), np.zeros((3, 3, 3, n_pts)))
+    def christoffel(self, y):
+        return np.zeros((3, 3, 3) + y.shape[:-1])
 
     def is_flat(self):
         return True
@@ -155,18 +154,16 @@ class ConformalMetric(AmbientMetric):
             * core[..., None, None, :, :]
         )
 
-    def christoffel(self, y) -> ChristoffelField:
+    def christoffel(self, y):
         """Closed form: Gamma^g_{ab} = delta^g_a d_b phi + delta^g_b d_a phi -
-        delta_ab d_g phi and Gamma_{ab,g} = e^{2 phi} Gamma^g_{ab}, after
-        checking det a = e^{6 phi} at every point."""
+        delta_ab d_g phi as (g, a, b, ...), after checking det a = e^{6 phi}
+        at every point."""
         phi = self.phi_fn(y)
         det = np.exp(6.0 * phi)
         _require_positive(np.isfinite(det) & (det > 1e-14), det)
         grad = node_last(self.grad_fn(y).reshape((-1, 3)))        # (c, p)
-        scale = np.exp(2.0 * phi).reshape(-1)                     # (p,)
-        gamma_upper = np.einsum("gabc,cp->gabp", _CONFORMAL_PATTERN, grad)
-        low = np.einsum("gabp,p->abgp", gamma_upper, scale)
-        return _field(y.shape[:-1], gamma_upper, low)
+        gamma = np.einsum("gabc,cp->gabp", _CONFORMAL_PATTERN, grad)
+        return gamma.reshape((3, 3, 3) + y.shape[:-1])
 
 
 def conformal_linear_metric(k):
@@ -219,14 +216,6 @@ def make_metric(kind, params=None):
     return METRIC_KINDS[kind](params)
 
 
-@dataclass
-class ChristoffelField:
-    """Christoffel symbols at a batch of points."""
-
-    gamma_upper: np.ndarray  # (..., g, a, b)
-    gamma_lower: np.ndarray  # (..., a, s, b) = Gamma_{as,b}
-
-
 def check_positive_definite(a):
     """Leading principal minors of a symmetric (...,3,3) batch; the
     determinant must exceed 1e-14."""
@@ -248,20 +237,10 @@ def _require_positive(ok, det):
         )
 
 
-def _field(lead, gamma_upper, low):
-    """The ChristoffelField of node-last (g, a, b, p) symbols and (a, s, b, p)
-    lowered ones over the flattened batch points p."""
-    # the lowered array read as Gamma_{as,b} = low[..., a, s, b]
-    return ChristoffelField(
-        gamma_upper=node_first(gamma_upper).reshape(lead + (3, 3, 3)),
-        gamma_lower=node_first(low).reshape(lead + (3, 3, 3)),
-    )
-
-
-def christoffel_at(metric: AmbientMetric, points) -> ChristoffelField:
-    """Christoffel symbols of ``metric`` at (..., 3) points, by the plug-in's
-    ``christoffel``; raises DegenerateMetricError where a is not positive
-    definite."""
+def christoffel_at(metric: AmbientMetric, points):
+    """Christoffel symbols Gamma^g_{ab} of ``metric`` at (..., 3) points as
+    (g, a, b, ...), by the plug-in's ``christoffel``; raises
+    DegenerateMetricError where a is not positive definite."""
     return metric.christoffel(np.asarray(points, dtype=float))
 
 

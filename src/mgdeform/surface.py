@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._contract import node_first, node_last
+from ._contract import node_last
 from .errors import CoordinateError, GeometryError
 from .grid import DiskGrid
 from .metrics import AmbientMetric, christoffel_at, norm_monitor
@@ -103,41 +103,44 @@ def make_immersion(kind, params=None):
 class SurfaceState:
     """Immutable geometric data of the undeformed surface on the grid.
 
-    Each tensor is stored once, node-last, behind its (N, ...) view, so a
-    kernel's ``node_last(surface.<field>)`` is free.  ``build_surface`` marks
-    every array read-only: the transport prefix cache is keyed by the
-    identity of ``y`` and relies on it never changing in place.
+    Every tensor is stored node-last, (..., N), C-contiguous, as the kernels
+    contract it.  The R^3 point arrays keep the (N, 3) form of the plug-in
+    interfaces: ``y`` as the chart returns it, and ``n`` as the transpose
+    view of its node-last array, so ``n.T`` is free; the tangents ``y1`` and
+    ``y2`` are (N, 3) views of ``tang``.  ``build_surface`` marks every
+    array read-only: the transport prefix cache is keyed by the identity of
+    ``y`` and relies on it never changing in place.
     """
 
     grid: DiskGrid
     metric: AmbientMetric
     y: np.ndarray            # (N, 3)
-    tang: np.ndarray         # (N, 3, 2) tangents y_,i
+    tang: np.ndarray         # (3, 2, N) tangents y_,i
     n: np.ndarray            # (N, 3) unit normal in the ambient metric
-    n_deriv: np.ndarray      # (N, 3, 2) partial derivatives of n
-    g: np.ndarray            # (N, 2, 2)
+    n_deriv: np.ndarray      # (3, 2, N) partial derivatives of n
+    g: np.ndarray            # (2, 2, N)
     g_inv: np.ndarray
     g_det: np.ndarray
-    b: np.ndarray            # (N, 2, 2)
+    b: np.ndarray            # (2, 2, N)
     b_det: np.ndarray
     V: np.ndarray            # (N,) conjugate isothermal diagonal of b
     K: np.ndarray
     H: np.ndarray
-    gamma_surface: np.ndarray  # (N, 2, 2, 2) Gamma^k_{ij} of g
-    ambient_gamma: np.ndarray  # (N, 3, 3, 3) Gamma^g_{ab}(y)
-    ambient_a: np.ndarray      # (N, 3, 3)
+    gamma_surface: np.ndarray  # (2, 2, 2, N) Gamma^k_{ij} of g
+    ambient_gamma: np.ndarray  # (3, 3, 3, N) Gamma^g_{ab}(y)
+    ambient_a: np.ndarray      # (3, 3, N)
     ci_residual: float = 0.0
     ci_tol: float = CI_TOL   # the bound build_surface admitted ci_residual under
 
     @property
     def y1(self):
         """(N, 3) tangent d y / d x1, a view of ``tang``."""
-        return self.tang[..., 0]
+        return self.tang[:, 0].T
 
     @property
     def y2(self):
         """(N, 3) tangent d y / d x2, a view of ``tang``."""
-        return self.tang[..., 1]
+        return self.tang[:, 1].T
 
 
 def raw_fundamental_forms(grid, metric, y, y1=None, y2=None):
@@ -149,48 +152,43 @@ def raw_fundamental_forms(grid, metric, y, y1=None, y2=None):
     orientation is chosen and nothing is validated beyond a degenerate
     tangent plane or first form.  Returns a dict keyed by ``SurfaceState``
     field names (``ambient_a``, ``n``, ``tang``, ``g``, ``ambient_gamma``,
-    ``n_deriv``, ``b``, ``g_det``, ``b_det``, ``K``); each tensor is the
-    (N, ...) view of a node-last array.  K = det b / det g needs no g^-1, so
-    ``build_surface``, the one reader of g^-1 and H, takes them itself.
+    ``n_deriv``, ``b``, ``g_det``, ``b_det``, ``K``): each tensor node-last,
+    and ``n`` as the (N, 3) view of its node-last array.  K = det b / det g
+    needs no g^-1, so ``build_surface``, the one reader of g^-1 and H, takes
+    them itself.
     """
     if y1 is None:
-        tang = grid.grad_last(np.moveaxis(y, 0, -1))    # (3, 2, N)
-        y1, y2 = node_first(tang[:, 0]), node_first(tang[:, 1])
+        tang = grid.grad_last(y.T)                      # (3, 2, N)
     else:
         tang = node_last(np.stack([y1, y2], axis=-1))
     a = metric.metric(y)
+    a_l = node_last(a)
     # unit normal in the metric a: a^-1 (y1 x y2), normalized.  Where a is a
     # scalar multiple s delta at every node, a^-1 v is the quotient v / s;
     # with NumPy's OpenBLAS it has the batched solve's bits
-    n = np.cross(y1, y2)
-    scalar = a[..., :1, 0]
-    if np.array_equal(a, scalar[..., None] * np.eye(3)):
-        n = n / scalar
+    n = np.ascontiguousarray(np.cross(tang[:, 0], tang[:, 1], axis=0))
+    if np.array_equal(a_l, a_l[0, 0] * np.eye(3)[:, :, None]):
+        n = n / a_l[0, 0]
     else:
-        n = np.linalg.solve(a, n[..., None])[..., 0]
-    a_l, n_l = node_last(a), node_last(n)
-    nn = np.einsum("abn,an,bn->n", a_l, n_l, n_l)
+        n = node_last(np.linalg.solve(a, n.T[..., None])[..., 0])
+    nn = np.einsum("abn,an,bn->n", a_l, n, n)
     if np.any(nn <= 0):
         raise GeometryError("degenerate tangent plane: zero normal")
-    n = n / np.sqrt(nn)[:, None]
-    n_l = node_last(n)
+    n = n / np.sqrt(nn)
     g = np.einsum("abn,ain,bjn->ijn", a_l, tang, tang)
     g_det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
     if np.any(g_det <= 0):
         node = int(np.argmax(g_det <= 0))
         raise GeometryError(f"first fundamental form degenerate at node {node}")
-    ch = christoffel_at(metric, y)
-    n_deriv = grid.grad_last(n_l)                       # (3, 2, N)
+    gamma = christoffel_at(metric, y)
+    n_deriv = grid.grad_last(n)                         # (3, 2, N)
     # D*_j n = dn/dx_j + Gamma(y)(y_,j, n)
-    dstar_n = n_deriv + np.einsum(
-        "gabn,ajn,bn->gjn", node_last(ch.gamma_upper), tang, n_l)
+    dstar_n = n_deriv + np.einsum("gabn,ajn,bn->gjn", gamma, tang, n)
     b = -np.einsum("abn,ain,bjn->ijn", a_l, tang, dstar_n)
     b_det = b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0]
     return {
-        "ambient_a": node_first(a_l), "n": node_first(n_l), "tang": node_first(tang),
-        "g": node_first(g), "ambient_gamma": ch.gamma_upper,
-        "n_deriv": node_first(n_deriv), "b": node_first(b), "g_det": g_det,
-        "b_det": b_det, "K": b_det / g_det,
+        "ambient_a": a_l, "n": n.T, "tang": tang, "g": g, "ambient_gamma": gamma,
+        "n_deriv": n_deriv, "b": b, "g_det": g_det, "b_det": b_det, "K": b_det / g_det,
     }
 
 
@@ -211,11 +209,11 @@ def _surface_christoffels(grid, g, g_inv):
 
 
 def _ci_residual(b, v):
-    """Conjugate-isothermal residual max(|b11 - b22|, |b12|) of an (N, 2, 2)
-    second form, relative to max |V|."""
+    """Conjugate-isothermal residual max(|b11 - b22|, |b12|) of a node-last
+    (2, 2, N) second form, relative to max |V|."""
     scale = float(np.max(np.abs(v)))
     return float(
-        np.max(np.maximum(np.abs(b[:, 0, 0] - b[:, 1, 1]), np.abs(b[:, 0, 1])))
+        np.max(np.maximum(np.abs(b[0, 0] - b[1, 1]), np.abs(b[0, 1])))
     ) / max(scale, 1e-300)
 
 
@@ -230,14 +228,14 @@ def build_surface(immersion: Immersion, metric: AmbientMetric, grid: DiskGrid,
     y = immersion.chart(grid.x1, grid.x2)
     jac = immersion.jacobian(grid.x1, grid.x2)
     forms = raw_fundamental_forms(grid, metric, y, jac[..., 0], jac[..., 1])
-    g_inv = node_last(np.linalg.inv(forms["g"]))
-    forms["g_inv"] = node_first(g_inv)
-    forms["H"] = 0.5 * np.einsum("ijn,ijn->n", g_inv, node_last(forms["b"]))
+    g_inv = node_last(np.linalg.inv(forms["g"].transpose(2, 0, 1)))
+    forms["g_inv"] = g_inv
+    forms["H"] = 0.5 * np.einsum("ijn,ijn->n", g_inv, forms["b"])
     if np.mean(forms["H"]) < 0:
-        for key in ("n", "n_deriv", "b"):
-            forms[key] = node_first(-node_last(forms[key]))
-        forms["H"] = -forms["H"]
-    h, b = forms["H"], node_last(forms["b"])
+        forms["n"] = (-forms["n"].T).T    # the view of the negated node-last normal
+        for key in ("n_deriv", "b", "H"):
+            forms[key] = -forms[key]
+    h, b = forms["H"], forms["b"]
     v = 0.5 * (b[0, 0] + b[1, 1])
 
     if np.any(h <= 0):
@@ -250,16 +248,15 @@ def build_surface(immersion: Immersion, metric: AmbientMetric, grid: DiskGrid,
             f"second fundamental form not positive definite at node {node} "
             "(principal curvatures must be strictly positive)"
         )
-    ci_res = _ci_residual(forms["b"], v)
+    ci_res = _ci_residual(b, v)
     if ci_res > ci_tol:
         raise CoordinateError(
             f"parameterization is not conjugate isothermal: residual {ci_res:.3e} "
             f"exceeds {ci_tol:.1e} relative to V"
         )
 
-    gamma_surface = _surface_christoffels(grid, node_last(forms["g"]), g_inv)
-    state = SurfaceState(grid=grid, metric=metric, y=y, V=v,
-                         gamma_surface=node_first(gamma_surface),
+    gamma_surface = _surface_christoffels(grid, forms["g"], g_inv)
+    state = SurfaceState(grid=grid, metric=metric, y=y, V=v, gamma_surface=gamma_surface,
                          ci_residual=ci_res, ci_tol=ci_tol, **forms)
     for value in vars(state).values():
         if isinstance(value, np.ndarray):
@@ -270,18 +267,14 @@ def build_surface(immersion: Immersion, metric: AmbientMetric, grid: DiskGrid,
 def validate_hypotheses(state: SurfaceState):
     """Diagnostic report of the admissibility hypotheses, judged by the
     bounds the surface was built under; never raises."""
-    g, b = state.g, state.b
-    eig_g = np.linalg.eigvalsh(0.5 * (g + np.swapaxes(g, 1, 2)))
-    eig_b = np.linalg.eigvalsh(0.5 * (b + np.swapaxes(b, 1, 2)))
-    grid = state.grid
-    fields = {"y": state.y, "n": state.n, "V": state.V, "K": state.K, "H": state.H}
+    g, b, n = state.g, state.b, state.n.T
+    eig_g = np.linalg.eigvalsh((0.5 * (g + np.swapaxes(g, 0, 1))).transpose(2, 0, 1))
+    eig_b = np.linalg.eigvalsh((0.5 * (b + np.swapaxes(b, 0, 1))).transpose(2, 0, 1))
+    fields = {"y": state.y.T, "n": n, "V": state.V, "K": state.K, "H": state.H}
     c0 = {k: float(np.max(np.abs(v))) for k, v in fields.items()}
-    c1 = {
-        k: float(max(np.max(np.abs(d)) for d in grid.grad(v)))
-        for k, v in fields.items()
-    }
-    a_n = np.einsum("nab,na,nb->n", state.ambient_a, state.n, state.n)
-    a_nt = np.einsum("nab,na,nbi->ni", state.ambient_a, state.n, state.tang)
+    c1 = {k: float(np.max(np.abs(state.grid.grad_last(v)))) for k, v in fields.items()}
+    a_n = np.einsum("abn,an,bn->n", state.ambient_a, n, n)
+    a_nt = np.einsum("abn,an,bin->in", state.ambient_a, n, state.tang)
     report = {
         "min_eig_g": float(eig_g.min()),
         "min_eig_b": float(eig_b.min()),

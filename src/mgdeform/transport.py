@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._contract import node_first, node_last
+from ._contract import node_last
 from .errors import EmptyHistoryError, MgError
 from .metrics import AmbientMetric, christoffel_at
 
@@ -119,13 +119,17 @@ def static_history(n_points):
     return TransportHistory([0.0], zeros, zeros.copy())
 
 
+def _identity(n):
+    """The (3, 3, n) node-last identity, C-contiguous."""
+    return np.ascontiguousarray(np.broadcast_to(np.eye(3)[:, :, None], (3, 3, n)))
+
+
 def _gamma_zdot(metric, y0, z, zdot):
     """Matrix G[g, b, n] = Gamma^g_{ab}(y0 + z) zdot^a, node-last."""
     if metric.is_flat():
         return np.zeros((3, 3) + z.shape[:-1])
     pts = np.asarray(y0, dtype=float) + z
-    gamma = node_last(christoffel_at(metric, pts).gamma_upper)
-    return np.einsum("gabn,an->gbn", gamma, node_last(zdot))
+    return np.einsum("gabn,an->gbn", christoffel_at(metric, pts), node_last(zdot))
 
 
 def _rk4_step(g0, g_half, g1, a, h, sign):
@@ -139,7 +143,8 @@ def _rk4_step(g0, g_half, g1, a, h, sign):
 
 @dataclass(frozen=True, eq=False)
 class Propagator:
-    """Transport over the first ``k`` intervals of a history.
+    """Transport over the first ``k`` intervals of a history, every map
+    node-last (3, 3, N).
 
     ``backward`` = R_0 ... R_{k-1} carries a seed from tau_k to 0 and
     ``forward`` = R'_{k-1} ... R'_0 carries it back, where R_m, R'_m are the
@@ -169,19 +174,17 @@ class Propagator:
         """
         m = self.k
         dt = history.tau[m + 1] - history.tau[m]
-        g0 = node_last(self.g_end)
+        g0 = self.g_end
         g_half = _gamma_zdot(self.metric, self.y0, *history.hermite(m, 0.5))
         g1 = _gamma_zdot(self.metric, self.y0, *history.hermite(m, 1.0))
-        eye = node_last(np.broadcast_to(np.eye(3), self.backward.shape))
+        eye = _identity(history.n_points)
         r_back = _rk4_step(g1, g_half, g0, eye, dt, 1.0)
         r_fwd = _rk4_step(g0, g_half, g1, eye, dt, -1.0)
-        backward = np.einsum("gbn,bkn->gkn", node_last(self.backward), r_back)
-        forward = np.einsum("gbn,bkn->gkn", r_fwd, node_last(self.forward))
-        integral = node_last(self.integral) + 0.5 * dt * (g0 + g1)
         return _frozen_propagator(
             self.metric, self.y0, m + 1,
-            backward=node_first(backward), forward=node_first(forward),
-            integral=node_first(integral), g_end=node_first(g1),
+            backward=np.einsum("gbn,bkn->gkn", self.backward, r_back),
+            forward=np.einsum("gbn,bkn->gkn", r_fwd, self.forward),
+            integral=self.integral + 0.5 * dt * (g0 + g1), g_end=g1,
         )
 
 
@@ -213,21 +216,20 @@ def transport_propagator(metric: AmbientMetric, y0,
     """
     y0 = np.asarray(y0, dtype=float)   # the same object when y0 is a float array
     n = history.n_points
-    eye = np.broadcast_to(np.eye(3), (n, 3, 3))
     if metric.is_flat() or history.n_steps == 0:
         # nothing to integrate; with no interval, sample 0 is the final
         # sample, whose rate the children change, so nothing is cached
-        zeros = np.broadcast_to(0.0, (n, 3, 3))
-        return Propagator(metric, y0, history.n_steps, eye, eye, zeros, None)
+        eye = _identity(n)
+        return Propagator(metric, y0, history.n_steps, eye, eye, np.zeros((3, 3, n)), None)
     full = history._full
     if full is not None and full.matches(metric, y0):
         return full
     entry = history._prefix.entry
     if entry is None or not entry.matches(metric, y0):
         g0 = _gamma_zdot(metric, y0, history.z[0], history.zdot[0])
+        eye = _identity(n)
         entry = _frozen_propagator(metric, y0, 0, backward=eye, forward=eye,
-                                   integral=node_first(np.zeros((3, 3, n))),
-                                   g_end=node_first(g0))
+                                   integral=np.zeros((3, 3, n)), g_end=g0)
     while entry.k < history.n_steps - 1:
         entry = entry.extended(history)
     history._prefix.entry = entry
@@ -237,13 +239,13 @@ def transport_propagator(metric: AmbientMetric, y0,
 
 @dataclass
 class NormalTransport:
-    """Forward transport of the unit normal with its series tails."""
+    """Forward transport of the unit normal with its series tails, node-last."""
 
-    n_t: np.ndarray          # transported normal at tau = t
-    a1_vec: np.ndarray       # full tail n_t - n_0
-    a2_vec: np.ndarray       # tail beyond the first-order term
-    a1_mat: np.ndarray       # first-order matrix A_(1)(0, t)
-    norm: np.ndarray         # |n(t)| in the metric at the displaced point
+    n_t: np.ndarray          # (3, N) transported normal at tau = t
+    a1_vec: np.ndarray       # (3, N) full tail n_t - n_0
+    a2_vec: np.ndarray       # (3, N) tail beyond the first-order term
+    a1_mat: np.ndarray       # (3, 3, N) first-order matrix A_(1)(0, t)
+    norm: np.ndarray         # (N,) |n(t)| in the metric at the displaced point
 
 
 def transport_normal(metric: AmbientMetric, y0, history: TransportHistory,
@@ -252,12 +254,10 @@ def transport_normal(metric: AmbientMetric, y0, history: TransportHistory,
     n0 = np.asarray(n0, dtype=float)
     prop = transport_propagator(metric, y0, history)
     n0_l = node_last(n0)
-    n_t = np.einsum("gbn,bn->gn", node_last(prop.forward), n0_l)
-    a1_mat = -node_last(prop.integral)
+    n_t = np.einsum("gbn,bn->gn", prop.forward, n0_l)
+    a1_mat = -prop.integral
     a1_vec = n_t - n0_l
     a2_vec = a1_vec - np.einsum("gbn,bn->gn", a1_mat, n0_l)
     a_t = node_last(metric.metric(y0 + history.z[-1]))
     norm = np.sqrt(np.einsum("abn,an,bn->n", a_t, n_t, n_t))
-    return NormalTransport(n_t=node_first(n_t), a1_vec=node_first(a1_vec),
-                           a2_vec=node_first(a2_vec), a1_mat=node_first(a1_mat),
-                           norm=norm)
+    return NormalTransport(n_t=n_t, a1_vec=a1_vec, a2_vec=a2_vec, a1_mat=a1_mat, norm=norm)

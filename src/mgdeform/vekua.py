@@ -575,10 +575,9 @@ def boundary_data(surface, l_field, gamma_dot):
     """
     from .errors import BoundaryDegeneracyError
 
-    bidx = surface.grid.boundary_idx
-    g = surface.g[bidx]
+    g = surface.g[..., surface.grid.boundary_idx]
     l_field = np.asarray(l_field, dtype=float)
-    lam_tilde = np.einsum("nki,ni->nk", g, l_field)
+    lam_tilde = np.einsum("kin,ni->nk", g, l_field)
     den = lam_tilde[:, 0] ** 2 + lam_tilde[:, 1] ** 2
     if np.min(den) < 1e-14:
         raise BoundaryDegeneracyError(

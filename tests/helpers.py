@@ -26,6 +26,18 @@ def prescribed_deformation(surface, a1dot, a2dot, cdot, t, n_steps):
     )
 
 
+def dz_bar(grid, f):
+    """Wirtinger derivative 0.5 (d/dx1 + i d/dx2) of an (N,) field."""
+    f1, f2 = grid.grad_last(f)
+    return 0.5 * (f1 + 1j * f2)
+
+
+def partials(grid, z):
+    """The (N, 3) partials z_,1 and z_,2 of an (N, 3) field."""
+    d = grid.grad_last(z.T)
+    return d[:, 0].T, d[:, 1].T
+
+
 def state_at(surface, a1dot, a2dot, cdot, tau, t, n_steps):
     """Same prescribed flow truncated at an earlier time tau <= t."""
     m = int(round(tau / (t / n_steps)))

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from mgdeform._contract import node_first, node_last
+from mgdeform._contract import node_last
 from mgdeform.cdot import CdotSolution, kernel_fields
 from mgdeform.errors import MgError
 from mgdeform.gdef import DeformationState, GDefCoefficients, tangential_grad
@@ -177,10 +177,12 @@ def transport_tensor_ode(metric: AmbientMetric, y0, history: TransportHistory, s
                          direction="backward", substeps=1):
     """Integrate the transport system with classical RK4 over every interval.
 
-    ``seed`` is (n_pts, 3) or (n_pts, 3, k); backward means the seed sits at
-    tau = t and the value at tau = 0 is returned, forward the reverse.  The
-    all-interval reference for ``transport_propagator``: each distinct stage
-    point is evaluated once, 2 M substeps + 1 Christoffel evaluations in all.
+    ``seed`` is (n_pts, 3) or (n_pts, 3, k), and so is the result: node
+    first, unlike the propagator's node-last maps.  Backward means the seed
+    sits at tau = t and the value at tau = 0 is returned, forward the
+    reverse.  The all-interval reference for ``transport_propagator``: each
+    distinct stage point is evaluated once, 2 M substeps + 1 Christoffel
+    evaluations in all.
     """
     _check_direction(direction)
     y0 = np.asarray(y0, dtype=float)
@@ -203,7 +205,7 @@ def transport_tensor_ode(metric: AmbientMetric, y0, history: TransportHistory, s
             gs = _interval_gammas(metric, y0, history, m, fractions, g_start=shared)
             shared = gs[-1]
         a = _interval_step(gs, a, h, direction)
-    a = node_first(a)
+    a = np.moveaxis(a, -1, 0)
     return a[..., 0] if vec_mode else a
 
 
@@ -228,9 +230,10 @@ def transport_series_terms(metric: AmbientMetric, y0, history: TransportHistory,
                            k_max, direction="backward"):
     """Iterated transport integrals A_(k), k = 1..k_max, as matrices.
 
-    Backward terms are A_(k)(t, 0); forward terms A_(k)(0, t).  Index layout
-    matches the propagator: term[n, g, b] contracts the seed on b.  Each
-    trapezoid panel spans its own interval, so tau need not be uniform.
+    Backward terms are A_(k)(t, 0); forward terms A_(k)(0, t).  Each term is
+    node first, term[n, g, b], and contracts the seed on b; the propagator
+    holds the same matrices node-last.  Each trapezoid panel spans its own
+    interval, so tau need not be uniform.
     """
     if k_max < 1:
         raise MgError("k_max must be >= 1")
@@ -240,7 +243,7 @@ def transport_series_terms(metric: AmbientMetric, y0, history: TransportHistory,
         return [np.zeros((n, 3, 3)) for _ in range(k_max)]
     dt = np.diff(history.tau)[:, None, None, None]
     g_samples = np.stack(
-        [node_first(_gamma_zdot(metric, y0, history.z[m], history.zdot[m]))
+        [np.moveaxis(_gamma_zdot(metric, y0, history.z[m], history.zdot[m]), -1, 0)
          for m in range(history.tau.size)]
     )  # (M+1, n, 3, 3)
     terms = []
@@ -270,15 +273,15 @@ def path_norms(metric, y0, history):
     sup_zd = 0.0
     for m in range(history.tau.size):
         pts = y0 + history.z[m]
-        ch = christoffel_at(metric, pts)
+        gamma = christoffel_at(metric, pts)   # (g, a, b, n)
         # operator norm compatible with |Gamma zdot v|_inf <= |Gamma| |zdot| |v|_inf
-        sup_g = max(sup_g, float(np.max(np.sum(np.abs(ch.gamma_upper), axis=(-2, -1)))))
+        sup_g = max(sup_g, float(np.max(np.sum(np.abs(gamma), axis=(1, 2)))))
         sup_zd = max(sup_zd, float(np.max(np.abs(history.zdot[m]))))
     return sup_g, sup_zd
 
 
 def op_inf_norm(mat):
-    """Max row sum, batched over leading axes."""
+    """Max row sum of a node-first (..., g, b) matrix batch."""
     return float(np.max(np.sum(np.abs(mat), axis=-1)))
 
 
@@ -288,42 +291,43 @@ def op_inf_norm(mat):
 
 
 def metric_compatibility_residual(metric: AmbientMetric, points):
-    """Sup of | d a_{ab}/dy^s - (Gamma_{as,b} + Gamma_{bs,a}) |."""
+    """Sup of | d a_{ab}/dy^s - (Gamma_{as,b} + Gamma_{bs,a}) | with the
+    symbols lowered here, Gamma_{as,b} = a_{bg} Gamma^g_{as}."""
     y = np.asarray(points, dtype=float)
     da = metric.dmetric(y)  # (..., a, b, s)
-    ch = christoffel_at(metric, y)
-    low = ch.gamma_lower  # (..., a, s, b)
+    gamma = np.moveaxis(christoffel_at(metric, y), (0, 1, 2), (-3, -2, -1))
+    low = np.einsum("...bg,...gas->...asb", metric.metric(y), gamma)
     recon = np.einsum("...asb->...abs", low) + np.einsum("...bsa->...abs", low)
     return float(np.max(np.abs(da - recon)))
 
 
 def delta_g_direct(metric, surface, z, z1, z2):
-    """Reference: recompute the displaced first form and subtract."""
-    tang_t = surface.tang + np.stack([z1, z2], axis=-1)
-    a_t = metric.metric(surface.y + z)
-    return np.einsum("nab,nai,nbj->nij", a_t, tang_t, tang_t) - surface.g
+    """Reference: recompute the displaced first form and subtract; (N, 3)
+    z, z1, z2 in, node-last (2, 2, N) out."""
+    tang_t = surface.tang + np.stack([z1.T, z2.T], axis=1)
+    a_t = node_last(metric.metric(surface.y + z))
+    return np.einsum("abn,ain,bjn->ijn", a_t, tang_t, tang_t) - surface.g
 
 
 def gdef_residual(surface: SurfaceState, coeffs: GDefCoefficients,
                   deform: DeformationState):
-    """r_i = a^l b_li + (1 + N_0) c_,i + (d_i a^j) N_j + Q_i."""
+    """r_i = a^l b_li + (1 + N_0) c_,i + (d_i a^j) N_j + Q_i as (i, N)."""
     da = deform.da
-    a_vec = np.stack([deform.a1, deform.a2], axis=-1)
-    ab = np.einsum("nl,nli->ni", a_vec, surface.b)
-    nk = coeffs.n_j[:, 1:]
-    r = (
+    a_vec = np.stack([deform.a1, deform.a2])
+    ab = np.einsum("ln,lin->in", a_vec, surface.b)
+    nk = coeffs.n_j[1:]
+    return (
         ab
-        + (1.0 + coeffs.n_j[:, :1]) * deform.dc
-        + da[:, 0] * nk[:, :1] + da[:, 1] * nk[:, 1:2]
+        + (1.0 + coeffs.n_j[0]) * deform.dc
+        + da[0] * nk[0] + da[1] * nk[1]
         + coeffs.q_i
     )
-    return r
 
 
 def norm_chain_report(coeffs: GDefCoefficients):
     """Discrete-norm chain of the coefficient cascade (diagnostic)."""
-    s1 = op_inf_norm(coeffs.s1)
-    s2 = op_inf_norm(coeffs.s2)
+    s1 = op_inf_norm(np.moveaxis(coeffs.s1, -1, 0))
+    s2 = op_inf_norm(np.moveaxis(coeffs.s2, -1, 0))
     report = {
         "s1": s1,
         "s2": s2,
@@ -357,13 +361,13 @@ def loop_closedness(surface: SurfaceState, coeffs, a1, a2, a1dot, a2dot):
     diagnostic: the one-form must be closed up to discretization error)."""
     grid = surface.grid
     b1, b2 = kernel_fields(
-        surface, coeffs, np.stack([a1, a2], axis=-1), np.stack([a1dot, a2dot], axis=-1),
+        surface, coeffs, np.stack([a1, a2]), np.stack([a1dot, a2dot]),
         tangential_grad(grid, a1, a2), tangential_grad(grid, a1dot, a2dot),
     )
     v = surface.V
     p = b1 - v * a1dot
     q = b2 - v * a2dot
-    return float(np.max(np.abs(grid.ddx1(q) - grid.ddx2(p))))
+    return float(np.max(np.abs(grid.grad_last(q)[0] - grid.grad_last(p)[1])))
 
 
 # --------------------------------------------------------------------------

@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mgdeform._contract import node_first, node_last
+from mgdeform._contract import node_last
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "mgdeform"
 SOURCE = "".join(path.read_text() for path in SRC.glob("*.py"))
@@ -29,6 +29,7 @@ NODE_LAST = {
     "njpi,np,nsj->nsi": "jpin,pn,sjn->sin",
     "nki,njk->nij": "kin,jkn->ijn",
     "nki,nsk->nsi": "kin,skn->sin",
+    "nk,nki->ni": "kn,kin->in",
 }
 
 
@@ -57,13 +58,13 @@ def test_contract_serves_the_hot_paths():
 
 @pytest.mark.parametrize("subscripts", sorted(NODE_LAST))
 def test_contract_matches_plain_einsum(subscripts):
-    # the node-last contraction a kernel runs, handed back through
-    # node_first, equals the node-first einsum it replaces
+    # the node-last contraction a kernel runs, with its node axis moved back
+    # first, equals the node-first einsum it replaces
     last = NODE_LAST[subscripts]
     assert _served(last)
     rng = np.random.default_rng(11)
     ops = _operands(subscripts, rng)
     expect = np.einsum(subscripts, *ops)
-    got = node_first(np.einsum(last, *[node_last(op) for op in ops]))
+    got = np.moveaxis(np.einsum(last, *[node_last(op) for op in ops]), -1, 0)
     assert got.shape == expect.shape
     assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))

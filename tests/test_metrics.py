@@ -26,10 +26,9 @@ def fd_dmetric(metric, y, step=1e-6):
 
 def test_flat_christoffel_zero():
     pts = np.random.default_rng(0).normal(size=(4, 5, 3))
-    ch = christoffel_at(FlatMetric(), pts)
-    for field in (ch.gamma_upper, ch.gamma_lower):
-        assert field.shape == (4, 5, 3, 3, 3)
-        assert np.array_equal(field, np.zeros((4, 5, 3, 3, 3)))
+    gamma = christoffel_at(FlatMetric(), pts)
+    assert gamma.shape == (3, 3, 3, 4, 5)
+    assert np.array_equal(gamma, np.zeros((3, 3, 3, 4, 5)))
 
 
 @pytest.mark.parametrize("metric", [conformal_radial_metric(0.5),
@@ -37,15 +36,19 @@ def test_flat_christoffel_zero():
                          ids=["conformal_radial", "conformal_linear"])
 def test_closed_form_matches_general_path(metric):
     # the conformal closed form against the general path (inverse, positivity
-    # check, symbols from dmetric) called explicitly
+    # check, symbols from dmetric) called explicitly, raised and lowered with
+    # a: Gamma_{ab,g} = a_{gm} Gamma^m_{ab}
     pts = np.random.default_rng(6).uniform(-1.5, 1.5, size=(2049, 3))
     closed = christoffel_at(metric, pts)
     general = AmbientMetric.christoffel(metric, pts)
-    assert closed.gamma_upper.shape == closed.gamma_lower.shape == (2049, 3, 3, 3)
-    scale = np.max(np.abs(general.gamma_upper), axis=(1, 2, 3))[:, None, None, None]
-    assert np.max(np.abs(closed.gamma_upper - general.gamma_upper) / scale) <= 1e-14
-    scale = np.max(np.abs(general.gamma_lower), axis=(1, 2, 3))[:, None, None, None]
-    assert np.max(np.abs(closed.gamma_lower - general.gamma_lower) / scale) <= 1e-14
+    assert closed.shape == general.shape == (3, 3, 3, 2049)
+    scale = np.max(np.abs(general), axis=(0, 1, 2))
+    assert np.max(np.abs(closed - general) / scale) <= 1e-14
+    a = metric.metric(pts)
+    closed_low, general_low = (np.einsum("ngm,mabn->abgn", a, gamma)
+                               for gamma in (closed, general))
+    scale = np.max(np.abs(general_low), axis=(0, 1, 2))
+    assert np.max(np.abs(closed_low - general_low) / scale) <= 1e-14
 
 
 @pytest.mark.parametrize("y, det", [((-1.0, 0.0, 0.0), "det=8.757e-27"),
@@ -65,8 +68,7 @@ def test_closed_form_rejects_degenerate_points(y, det):
 def test_conformal_linear_christoffel_pattern():
     # metric e^{2 y1} delta at the origin
     m = conformal_linear_metric((1.0, 0.0, 0.0))
-    ch = christoffel_at(m, np.zeros((1, 3)))
-    g = ch.gamma_upper[0]
+    g = christoffel_at(m, np.zeros((1, 3)))[..., 0]
     assert abs(g[0, 0, 0] - 1.0) < 1e-12
     assert abs(g[0, 1, 1] + 1.0) < 1e-12
     assert abs(g[1, 0, 1] - 1.0) < 1e-12
@@ -89,8 +91,8 @@ def test_christoffel_against_fd_oracle():
         - da
     )
     expect = np.einsum("...gm,...abm->...gab", ainv, low)
-    ch = christoffel_at(m, pts)
-    assert np.max(np.abs(ch.gamma_upper - expect)) < 1e-8
+    gamma = np.moveaxis(christoffel_at(m, pts), -1, 0)
+    assert np.max(np.abs(gamma - expect)) < 1e-8
 
 
 def test_metric_compatibility_residual_small():
@@ -100,12 +102,14 @@ def test_metric_compatibility_residual_small():
 
 
 def test_lowered_consistent_with_raised():
+    # lowered with a, the conformal symbols are the raised ones times
+    # e^{2 phi}: Gamma_{as,b} = e^{2 phi} Gamma^b_{as}
     m = conformal_radial_metric(0.8)
     pts = 0.3 * np.random.default_rng(3).normal(size=(4, 3))
-    ch = christoffel_at(m, pts)
-    a = m.metric(pts)
-    relowered = np.einsum("...gb,...gas->...asb", a, ch.gamma_upper)
-    assert np.max(np.abs(relowered - ch.gamma_lower)) < 1e-12
+    gamma = christoffel_at(m, pts)                      # (g, a, s, n)
+    relowered = np.einsum("ngb,gasn->asbn", m.metric(pts), gamma)
+    expect = np.exp(2.0 * m.phi_fn(pts)) * np.transpose(gamma, (1, 2, 0, 3))
+    assert np.max(np.abs(relowered - expect)) < 1e-12
 
 
 def test_degenerate_metric_raises():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mgdeform import metrics, transport
-from mgdeform._contract import node_first, node_last
+from mgdeform._contract import node_last
 from mgdeform.errors import EmptyHistoryError, MgError
 from mgdeform.grid import DiskGrid
 from mgdeform.metrics import FlatMetric, conformal_linear_metric, conformal_radial_metric
@@ -141,7 +141,7 @@ def test_transport_normal_trivial_cases():
     y0 = np.zeros((1, 3))
     h = straight_history(0.4, 10)
     res = transport_normal(m, y0, h, n0)
-    assert np.max(np.abs(res.n_t - n0)) == 0.0
+    assert np.max(np.abs(res.n_t - n0.T)) == 0.0
     assert np.max(np.abs(res.a1_vec)) == 0.0
     assert abs(float(res.norm[0]) - 1.0) < 1e-14
     # t = 0: tails vanish, unit norm
@@ -160,7 +160,7 @@ def test_transport_normal_norm_preserved_curved():
     res = transport_normal(m, y0, h, n0)
     assert abs(float(res.norm[0]) - 1.0) < 1e-10
     # series tails consistent: a1_vec - a1_mat n0 = a2_vec
-    recon = res.a1_vec - np.einsum("ngb,nb->ng", res.a1_mat, n0)
+    recon = res.a1_vec - np.einsum("gbn,nb->gn", res.a1_mat, n0)
     assert np.max(np.abs(recon - res.a2_vec)) < 1e-14
 
 
@@ -180,7 +180,8 @@ def christoffel_calls(monkeypatch):
 
 def _per_stage_rk4(metric, y0, history, seed, direction):
     """Textbook RK4 evaluating Gamma zdot afresh at each of the 4 stages,
-    with the propagator's node-last stage product."""
+    with the propagator's node-last stage product; node-first seed and
+    result, as ``transport_tensor_ode``'s."""
     a = node_last(np.array(seed, dtype=float))
     n = history.n_steps
     backward = direction == "backward"
@@ -188,8 +189,8 @@ def _per_stage_rk4(metric, y0, history, seed, direction):
 
     def rhs(m, s, val):
         z, zd = history.hermite(m, s)
-        ch = metrics.christoffel_at(metric, y0 + z)
-        g = np.einsum("gabn,an->gbn", node_last(ch.gamma_upper), node_last(zd))
+        gamma = metrics.christoffel_at(metric, y0 + z)
+        g = np.einsum("gabn,an->gbn", gamma, node_last(zd))
         return sign * np.einsum("gbn,bkn->gkn", g, val)
 
     for m in (range(n - 1, -1, -1) if backward else range(n)):
@@ -200,7 +201,7 @@ def _per_stage_rk4(metric, y0, history, seed, direction):
         k3 = rhs(m, 0.5, a + 0.5 * h * k2)
         k4 = rhs(m, s1, a + h * k3)
         a = a + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return node_first(a)
+    return _by_node(a)
 
 
 def _quadratic_paths(tau):
@@ -235,14 +236,14 @@ def test_propagator_takes_one_rk4_step_per_interval():
     # one interval: the propagator's maps are the textbook step itself
     y0, h = _quadratic_paths([0.0, 0.3])
     prop = transport_propagator(m, y0, h)
-    assert np.array_equal(prop.backward, _per_stage_rk4(m, y0, h, eye, "backward"))
-    assert np.array_equal(prop.forward, _per_stage_rk4(m, y0, h, eye, "forward"))
+    assert np.array_equal(_by_node(prop.backward), _per_stage_rk4(m, y0, h, eye, "backward"))
+    assert np.array_equal(_by_node(prop.forward), _per_stage_rk4(m, y0, h, eye, "forward"))
     # several intervals: the maps are composed in another order than the
     # textbook carries its seed, so they agree to round-off
     y0, h = _quadratic_paths(np.linspace(0.0, 0.5, 8))
     prop = transport_propagator(m, y0, h)
-    assert _rel(prop.backward, _per_stage_rk4(m, y0, h, eye, "backward")) <= 1e-13
-    assert _rel(prop.forward, _per_stage_rk4(m, y0, h, eye, "forward")) <= 1e-13
+    assert _rel(_by_node(prop.backward), _per_stage_rk4(m, y0, h, eye, "backward")) <= 1e-13
+    assert _rel(_by_node(prop.forward), _per_stage_rk4(m, y0, h, eye, "forward")) <= 1e-13
 
 
 def test_nonuniform_history_matches_references():
@@ -266,16 +267,22 @@ def _rel(a, b):
     return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 
 
+def _by_node(x):
+    """The (N, ...) view of a node-last array, the references' layout."""
+    return np.moveaxis(x, -1, 0)
+
+
 def _check_against_full(metric, y0, hist, seed):
     prop = transport_propagator(metric, y0, hist)
-    eye = np.broadcast_to(np.eye(3), prop.backward.shape)
-    assert _rel(prop.backward, transport_tensor_ode(metric, y0, hist, eye, "backward")) <= 1e-13
-    assert _rel(prop.forward, transport_tensor_ode(metric, y0, hist, eye, "forward")) <= 1e-13
+    back, fwd, integral = (_by_node(x) for x in (prop.backward, prop.forward, prop.integral))
+    eye = np.broadcast_to(np.eye(3), back.shape)
+    assert _rel(back, transport_tensor_ode(metric, y0, hist, eye, "backward")) <= 1e-13
+    assert _rel(fwd, transport_tensor_ode(metric, y0, hist, eye, "forward")) <= 1e-13
     back_a1, = transport_series_terms(metric, y0, hist, 1, "backward")
     fwd_a1, = transport_series_terms(metric, y0, hist, 1, "forward")
-    assert _rel(prop.integral, back_a1) <= 1e-13
-    assert _rel(-prop.integral, fwd_a1) <= 1e-13
-    vec = np.einsum("nab,nb->na", prop.backward, seed)
+    assert _rel(integral, back_a1) <= 1e-13
+    assert _rel(-integral, fwd_a1) <= 1e-13
+    vec = np.einsum("nab,nb->na", back, seed)
     assert _rel(vec, transport_tensor_ode(metric, y0, hist, seed, "backward")) <= 1e-13
 
 
