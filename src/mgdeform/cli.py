@@ -8,8 +8,9 @@ Subcommands:
 
 Config grammar (documented, versioned v1): line-oriented sections
 ``[name]`` with ``key = value`` entries; ``#`` starts a comment.  Unknown
-sections or keys, values that fail to parse and non-finite floats are
-reported with their line numbers.  The [boundary] and [flow] sections are
+sections or keys, values that fail to parse, non-finite floats and
+non-positive values of the keys that must be positive are all reported, each
+with its line number.  The [boundary] and [flow] sections are
 the fields of ``BoundarySpec`` and ``FlowConfig``, with their defaults.
 
 Snapshot column order: node index, r, theta, a1, a2, c, dK, g_res1, g_res2.
@@ -83,6 +84,10 @@ SCHEMA = {
     },
 }
 
+# keys whose values must be positive, as their defaults are
+POSITIVE_KEYS = {"flow.t_final", "flow.dt", "flow.tol_k", "flow.tol_g", "flow.tol_b",
+                 "boundary.epsilon"}
+
 
 def _parse_value(raw, spec, line_no, key, errors):
     typ = spec[0]
@@ -144,15 +149,12 @@ def parse_config(text) -> dict:
                            f"unknown key {key!r} in [{current}]; "
                            f"valid: {sorted(SCHEMA[current])}"))
             continue
-        sections[current][key] = _parse_value(raw, SCHEMA[current][key],
-                                              line_no, key, errors)
+        value = _parse_value(raw, SCHEMA[current][key], line_no, key, errors)
+        if f"{current}.{key}" in POSITIVE_KEYS and value <= 0:
+            errors.append((line_no, 1, f"key {key!r}: {current}.{key} must be positive"))
+        sections[current][key] = value
     if errors:
         raise ConfigError(errors)
-    for key in ("t_final", "dt", "tol_k", "tol_g", "tol_b"):
-        if sections["flow"][key] <= 0:
-            raise ConfigError([(0, 0, f"flow.{key} must be positive")])
-    if sections["boundary"]["epsilon"] <= 0:
-        raise ConfigError([(0, 0, "boundary.epsilon must be positive")])
     return sections
 
 

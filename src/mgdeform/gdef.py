@@ -3,8 +3,10 @@
 The displacement z = a^j y_,j + c n is admissible when the transported
 tangent frame stays orthogonal to the undeformed normal.  Expanding the
 transport propagator around the identity produces coefficient families
-S_(1)..S_(5), T_j, N_j, Q_i; the equations then read
-a^l b_li + (1 + N_0) c_,i + (d_i a^j) N_j + Q_i = 0.
+S_(1), S_(2), S_(3), S_(5), T_j, N_j, Q_i; the equations then read
+a^l b_li + (1 + N_0) c_,i + (d_i a^j) N_j + Q_i = 0.  The paper's S_(4) is
+not formed: it subtracts a surface-Christoffel drag term that S_(5) adds
+back, so S_(5) follows from S_(3) directly.
 All coefficient fields vanish identically at t = 0 and in a flat ambient
 metric, where the system degenerates to c_,i = -a^l b_li.
 """
@@ -122,8 +124,7 @@ class GDefCoefficients:
     s1: np.ndarray      # (3, 3, N) sum of all transport terms
     s2: np.ndarray      # (3, 3, N) tail beyond the first term
     s3: np.ndarray      # (3, 2, N)
-    s4: np.ndarray
-    s5: np.ndarray
+    s5: np.ndarray      # (3, 2, N)
     t0: np.ndarray      # (3, N)
     tj: np.ndarray      # (3, 2, N)
     n_j: np.ndarray     # (3, N) components N_0, N_1, N_2
@@ -154,22 +155,17 @@ def assemble_coefficients(metric: AmbientMetric, surface: SurfaceState,
     prop = transport_propagator(metric, surface.y, hist)
     tang, n, a0 = surface.tang, surface.n.T, surface.ambient_a
     s1 = prop.backward - np.eye(3)[:, :, None]
-    a1_term = prop.integral
-    s2 = s1 - a1_term
+    s2 = s1 - prop.integral
 
-    # Gamma(0)(., z): gz[a, s] = Gamma^a_{b s} z^b
+    # A_(1) cancels from S_(3) = (S_(1) - Gamma(0)(., z)) y_,i; gz = Gamma^a_{bs} z^b
     gz = np.einsum("absn,bn->asn", surface.ambient_gamma, node_last(deform.z))
-    m1_core = a1_term - gz
-    s3 = np.einsum("asn,sin->ain", m1_core + s2, tang)
+    s3 = np.einsum("asn,sin->ain", s1 - gz, tang)
 
-    # bracket_i = z_,i - (d_i a^j) y_,j  (the non-frame part of Eq. 2.27)
-    bracket = deform.dz - np.einsum("jin,sjn->sin", deform.da, tang)
-    # surface-Christoffel drag term Gamma^j_{pi} a^p y_,j
-    a_vec = np.stack([deform.a1, deform.a2])
-    surf_term = np.einsum("jpin,pn,sjn->sin", surface.gamma_surface, a_vec, tang)
-    c_n = n[:, None, :] * deform.dc[None, :, :]
-    s4 = s3 + np.einsum("asn,sin->ain", s1, bracket - c_n - surf_term)
-    s5 = s4 + np.einsum("asn,sin->ain", s1, surf_term)
+    # S_(5) = S_(3) + S_(1) applied to z_,i - (d_i a^j) y_,j - n c_,i, the
+    # non-frame part of Eq. 2.27
+    bracket = (deform.dz - np.einsum("jin,sjn->sin", deform.da, tang)
+               - n[:, None, :] * deform.dc[None, :, :])
+    s5 = s3 + np.einsum("asn,sin->ain", s1, bracket)
 
     t0 = np.einsum("asn,sn->an", s1, n)
     tj = np.einsum("asn,sin->ain", s1, tang)
@@ -184,7 +180,7 @@ def assemble_coefficients(metric: AmbientMetric, surface: SurfaceState,
     else:
         ndot = np.zeros_like(n_j)
         qdot = np.zeros_like(q_i)
-    return GDefCoefficients(s1=s1, s2=s2, s3=s3, s4=s4, s5=s5, t0=t0, tj=tj,
+    return GDefCoefficients(s1=s1, s2=s2, s3=s3, s5=s5, t0=t0, tj=tj,
                             n_j=n_j, q_i=q_i, ndot=ndot, qdot=qdot)
 
 

@@ -3,7 +3,11 @@
 Delta(g_ij) follows from expanding the displaced metric around the base
 point; Delta(b_ij) = (d_i a^k) b_jk + M4_ij with the M-cascade collecting
 every transport, Christoffel-difference and normalization correction of the
-displaced second form built on the carried normal.  The monitored curvature
+displaced second form built on the carried normal, summed in closed form:
+its Christoffel terms collect into Gamma_t(y_,j + z_,j, n_t) -
+Gamma_0(y_,j, n_0) since A_(1) n_0 + A_(2) = n_t - n_0, and M1 with M2's
+transport term into -a_t(z_,i, D*n~), the rest of M2 being
+-(d_i a^k) b_jk since a_0(y_,k, y_,l) = g_kl.  The monitored curvature
 defect is Delta(K) = b(t)/g(t) - b/g for the determinants b, g; the
 variation of g/b, (Delta(g) - (g/b) Delta(b)) / b(t), equals
 -Delta(K) / (K K(t)) and vanishes with it.
@@ -78,11 +82,10 @@ class EquationCoefficients:
     qb0: np.ndarray
 
 
-def delta_g(metric: AmbientMetric, surface: SurfaceState, z, z1, z2) -> GVariation:
-    """First-form variation, no linearization in z; z and its partials z1,
-    z2 are (N, 3) point vectors."""
+def delta_g(metric: AmbientMetric, surface: SurfaceState, z, zder) -> GVariation:
+    """First-form variation, no linearization in z; z is the (N, 3) point
+    vector and zder its node-last partials z_,i, (3, 2, N)."""
     tang, a0 = surface.tang, surface.ambient_a
-    zder = np.stack([z1.T, z2.T], axis=1)         # (3, 2, N)
     pts = surface.y + z
     a_t = node_last(metric.metric(pts))
     z_l = node_last(z)
@@ -105,71 +108,49 @@ def delta_g(metric: AmbientMetric, surface: SurfaceState, z, z1, z2) -> GVariati
 
 def delta_b(metric: AmbientMetric, surface: SurfaceState, deform: DeformationState,
             fwd: NormalTransport, gvar: GVariation) -> BVariation:
-    """Second-form variation via the carried-normal cascade."""
+    """Second-form variation via the carried-normal cascade in closed form."""
     grid = surface.grid
     tang, n0 = surface.tang, surface.n.T
-    a0, gamma0, b0 = surface.ambient_a, surface.ambient_gamma, surface.b
+    a0, b0 = surface.ambient_a, surface.b
     zder = deform.dz                             # (3, 2, N)
-    tang_t = tang + zder
     pts = surface.y + deform.z
     a_t = node_last(metric.metric(pts))
     gamma_t = christoffel_at(metric, pts)
-    dgamma = gamma_t - gamma0
-    n_t, a1_vec, a2_vec, a1m = fwd.n_t, fwd.a1_vec, fwd.a2_vec, fwd.a1_mat
+    n_t, a2_vec, a1m = fwd.n_t, fwd.a2_vec, fwd.a1_mat
 
     norm = fwd.norm
     inv_norm = 1.0 / norm
     n_til = n_t * inv_norm
     dinv = grid.grad_last(inv_norm)              # (2, N)
     ntil_der = grid.grad_last(n_til)             # (3, 2, N)
-    dstar_ntil = ntil_der + np.einsum("gabn,ajn,bn->gjn", gamma_t, tang_t, n_til)
+    # Gamma_t(y_,j + z_,j, n_t); over |n_t| it is D*n~'s connection term
+    gamma_nt = np.einsum("gabn,ajn,bn->gjn", gamma_t, tang + zder, n_t)
+    dstar_ntil = ntil_der + gamma_nt * inv_norm
 
-    da = deform.da                               # (k, i, N)
-    da_y = np.einsum("kin,skn->sin", da, tang)
-    bracket = zder - da_y
-    m1 = -_form_product(a_t, bracket, dstar_ntil)
+    lin = np.einsum("kin,jkn->ijn", deform.da, b0)   # (d_i a^k) b_jk
+    m2 = -_form_product(a_t, zder, dstar_ntil) - lin
 
     bΓ = np.einsum("jkn,kln->jln", b0, surface.g_inv)
     dstar_n0 = -np.einsum("jln,sln->sjn", bΓ, tang)
-    m2 = (
-        -_form_product(a_t, da_y, dstar_ntil)
-        + _form_product(a0, da_y, dstar_n0)
-        + m1
-    )
-
-    a1m_der = grid.grad_last(a1m)                # (3, 3, 2, N)
-    a2v_der = grid.grad_last(a2_vec)             # (3, 2, N)
-    a1n0 = np.einsum("bsn,sn->bn", a1m, n0)
-
-    def gamma_term(gamma, u, v):
-        return np.einsum("bmtn,mjn,tn->bjn", gamma, u, v)
-
-    tails = (
+    # D*n_t - D*n_0: the transport tails and the Christoffel terms
+    dstar_dn = (
         np.einsum("bsn,sjn->bjn", a1m, surface.n_deriv)
-        + a2v_der
-        + gamma_term(gamma0, tang, a1n0)
-        + gamma_term(gamma0, tang, a2_vec)
-        + gamma_term(dgamma, tang, n0)
-        + gamma_term(dgamma, tang, a1_vec)
-        + gamma_term(gamma0, zder, a1_vec)
-        + gamma_term(dgamma, zder, n_t)
+        + grid.grad_last(a2_vec)
+        + np.einsum("bsjn,sn->bjn", grid.grad_last(a1m), n0)
+        + gamma_nt
+        - np.einsum("bmtn,mjn,tn->bjn", surface.ambient_gamma, tang, n0)
     )
-    core = (
-        np.einsum("bsjn,sn->bjn", a1m_der, n0)
-        + gamma_term(gamma0, zder, n0)
-    )
-    dstar_nt = dstar_n0 + core + tails
+    dstar_nt = dstar_n0 + dstar_dn
 
     m3 = (
         np.swapaxes(b0, 0, 1) * ((1.0 - norm) * inv_norm)
-        - _form_product(a0, tang, core) * inv_norm
-        - _form_product(a0, tang, tails) * inv_norm
+        - _form_product(a0, tang, dstar_dn) * inv_norm
         - _form_product(a_t - a0, tang, dstar_nt) * inv_norm
     )
     at_y_nt = np.einsum("abn,ain,bn->in", a_t, tang, n_t)
     m4 = m2 + m3 - at_y_nt[:, None, :] * dinv[None, :, :]
 
-    db_ij = np.einsum("kin,jkn->ijn", da, b0) + m4
+    db_ij = lin + m4
     w2b = db_ij[0, 0] * db_ij[1, 1] - db_ij[0, 1] * db_ij[1, 0]
     db = surface.V * (db_ij[0, 0] + db_ij[1, 1]) + w2b
     b_t = surface.b_det + db
@@ -187,8 +168,7 @@ def assemble_variation(metric, surface, deform: DeformationState, history=None):
     """Full variation state at the history's final time; a given ``history``
     must end at the state's displacement and only swaps the final rate."""
     hist = history if history is not None else deform.history
-    zder = deform.dz
-    gvar = delta_g(metric, surface, deform.z, zder[:, 0].T, zder[:, 1].T)
+    gvar = delta_g(metric, surface, deform.z, deform.dz)
     fwd = transport_normal(metric, surface.y, hist, surface.n)
     bvar = delta_b(metric, surface, deform, fwd, gvar)
     return gvar, bvar, fwd

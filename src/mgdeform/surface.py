@@ -107,9 +107,10 @@ class SurfaceState:
     contract it.  The R^3 point arrays keep the (N, 3) form of the plug-in
     interfaces: ``y`` as the chart returns it, and ``n`` as the transpose
     view of its node-last array, so ``n.T`` is free; the tangents ``y1`` and
-    ``y2`` are (N, 3) views of ``tang``.  ``build_surface`` marks every
-    array read-only: the transport prefix cache is keyed by the identity of
-    ``y`` and relies on it never changing in place.
+    ``y2`` are (N, 3) views of ``tang``.  The only Christoffel symbols kept
+    are the ambient metric's at ``y``.  ``build_surface`` marks every array
+    read-only: the transport prefix cache is keyed by the identity of ``y``
+    and relies on it never changing in place.
     """
 
     grid: DiskGrid
@@ -126,7 +127,6 @@ class SurfaceState:
     V: np.ndarray            # (N,) conjugate isothermal diagonal of b
     K: np.ndarray
     H: np.ndarray
-    gamma_surface: np.ndarray  # (2, 2, 2, N) Gamma^k_{ij} of g
     ambient_gamma: np.ndarray  # (3, 3, 3, N) Gamma^g_{ab}(y)
     ambient_a: np.ndarray      # (3, 3, N)
     ci_residual: float = 0.0
@@ -199,15 +199,6 @@ def gauss_curvature_of(grid, metric, y):
     return raw_fundamental_forms(grid, metric, y)["K"]
 
 
-def _surface_christoffels(grid, g, g_inv):
-    """Gamma^k_{ij} of the first form, node-last (k, i, j, N), from node-last
-    g and g_inv."""
-    dg = grid.grad_last(g)                      # (i, j, k, N) = d_k g_ij
-    # Gamma_{ij,l} = 0.5 (d_i g_{jl} + d_j g_{il} - d_l g_{ij})
-    low = 0.5 * (np.transpose(dg, (2, 0, 1, 3)) + np.transpose(dg, (0, 2, 1, 3)) - dg)
-    return np.einsum("kln,ijln->kijn", g_inv, low)
-
-
 def _ci_residual(b, v):
     """Conjugate-isothermal residual max(|b11 - b22|, |b12|) of a node-last
     (2, 2, N) second form, relative to max |V|."""
@@ -222,8 +213,8 @@ def build_surface(immersion: Immersion, metric: AmbientMetric, grid: DiskGrid,
     """Construct and validate the surface state on the grid.
 
     The forms come from ``raw_fundamental_forms``; the surface adds g^-1,
-    the mean curvature H and the orientation that makes it positive, the
-    admissibility checks and the surface Christoffels.
+    the mean curvature H and the orientation that makes it positive, and the
+    admissibility checks.
     """
     y = immersion.chart(grid.x1, grid.x2)
     jac = immersion.jacobian(grid.x1, grid.x2)
@@ -255,8 +246,7 @@ def build_surface(immersion: Immersion, metric: AmbientMetric, grid: DiskGrid,
             f"exceeds {ci_tol:.1e} relative to V"
         )
 
-    gamma_surface = _surface_christoffels(grid, forms["g"], g_inv)
-    state = SurfaceState(grid=grid, metric=metric, y=y, V=v, gamma_surface=gamma_surface,
+    state = SurfaceState(grid=grid, metric=metric, y=y, V=v,
                          ci_residual=ci_res, ci_tol=ci_tol, **forms)
     for value in vars(state).values():
         if isinstance(value, np.ndarray):

@@ -3,7 +3,38 @@
 import numpy as np
 
 from mgdeform.gdef import DeformationState, assemble_coefficients
+from mgdeform.metrics import AmbientMetric, conformal_linear_metric, conformal_radial_metric
 from mgdeform.transport import TransportHistory
+
+
+class RadialWarpedMetric(AmbientMetric):
+    """a = delta + beta y y^T, (1 + beta r^2) dr^2 + r^2 dOmega^2 in polar
+    form: not conformal, and it supplies only ``metric`` and ``dmetric``, so
+    its Christoffel symbols take the general path.  Spheres about the origin
+    are umbilic in it, so sphere caps stay conjugate isothermal."""
+
+    def __init__(self, beta):
+        self.beta = beta
+
+    def metric(self, y):
+        y = np.asarray(y, dtype=float)
+        return np.eye(3) + self.beta * y[..., :, None] * y[..., None, :]
+
+    def dmetric(self, y):
+        # d a_ab / d y^s = beta (delta_as y_b + y_a delta_bs)
+        y = np.asarray(y, dtype=float)
+        eye = np.eye(3)
+        return self.beta * (eye[:, None, :] * y[..., None, :, None]
+                            + y[..., :, None, None] * eye[None, :, :])
+
+
+# curved metrics whose Christoffel terms the closed-form cascades must carry:
+# both conformal kinds and a non-conformal one on the general path
+CURVED_METRICS = {
+    "conformal_radial": lambda: conformal_radial_metric(0.5),
+    "conformal_linear": lambda: conformal_linear_metric((0.3, 0.0, 0.2)),
+    "radial_warped": lambda: RadialWarpedMetric(0.5),
+}
 
 
 def prescribed_deformation(surface, a1dot, a2dot, cdot, t, n_steps):
@@ -30,12 +61,6 @@ def dz_bar(grid, f):
     """Wirtinger derivative 0.5 (d/dx1 + i d/dx2) of an (N,) field."""
     f1, f2 = grid.grad_last(f)
     return 0.5 * (f1 + 1j * f2)
-
-
-def partials(grid, z):
-    """The (N, 3) partials z_,1 and z_,2 of an (N, 3) field."""
-    d = grid.grad_last(z.T)
-    return d[:, 0].T, d[:, 1].T
 
 
 def state_at(surface, a1dot, a2dot, cdot, tau, t, n_steps):

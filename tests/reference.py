@@ -10,8 +10,10 @@ computes another way, or a diagnostic of a bound the package relies on:
   interval) and by its nested-integral series, with the path norms of the
   series bound;
 - the metric-compatibility residual of a Christoffel plug-in, the displaced
-  first form by recomputation, the algebraic G-condition residual and the
-  norm chain of its coefficient cascade, and the cdot diagnostics;
+  first form by recomputation, the second-form variation and the S
+  coefficients by the paper's term-by-term cascades, the algebraic
+  G-condition residual and the norm chain of its coefficient cascade, and
+  the cdot diagnostics;
 - the cumulative radial integral along the grid's rays.
 """
 
@@ -24,9 +26,15 @@ from mgdeform.cdot import CdotSolution, kernel_fields
 from mgdeform.errors import MgError
 from mgdeform.gdef import DeformationState, GDefCoefficients, tangential_grad
 from mgdeform.grid import DiskGrid
+from mgdeform.kpres import _form_product
 from mgdeform.metrics import AmbientMetric, christoffel_at
 from mgdeform.surface import SurfaceState
-from mgdeform.transport import TransportHistory, _gamma_zdot, _rk4_step
+from mgdeform.transport import (
+    TransportHistory,
+    _gamma_zdot,
+    _rk4_step,
+    transport_propagator,
+)
 from mgdeform.vekua import _core_particular, canonicalize, index_of
 
 # --------------------------------------------------------------------------
@@ -301,12 +309,126 @@ def metric_compatibility_residual(metric: AmbientMetric, points):
     return float(np.max(np.abs(da - recon)))
 
 
-def delta_g_direct(metric, surface, z, z1, z2):
-    """Reference: recompute the displaced first form and subtract; (N, 3)
-    z, z1, z2 in, node-last (2, 2, N) out."""
-    tang_t = surface.tang + np.stack([z1.T, z2.T], axis=1)
+def delta_g_direct(metric, surface, z, zder):
+    """Reference: recompute the displaced first form and subtract; (N, 3) z
+    and node-last (3, 2, N) partials z_,i in, node-last (2, 2, N) out."""
+    tang_t = surface.tang + zder
     a_t = node_last(metric.metric(surface.y + z))
     return np.einsum("abn,ain,bjn->ijn", a_t, tang_t, tang_t) - surface.g
+
+
+def delta_b_cascade(metric, surface, deform, fwd, gvar):
+    """Reference: the second-form variation term by term, M1 to M4 with
+    every transport-tail and Christoffel-difference term on its own.
+
+    Returns a dict of m4, db_ij and dK, node-last.
+    """
+    grid = surface.grid
+    tang, n0 = surface.tang, surface.n.T
+    a0, gamma0, b0 = surface.ambient_a, surface.ambient_gamma, surface.b
+    zder = deform.dz
+    tang_t = tang + zder
+    pts = surface.y + deform.z
+    a_t = node_last(metric.metric(pts))
+    gamma_t = christoffel_at(metric, pts)
+    dgamma = gamma_t - gamma0
+    n_t, a1_vec, a2_vec, a1m = fwd.n_t, fwd.a1_vec, fwd.a2_vec, fwd.a1_mat
+
+    norm = fwd.norm
+    inv_norm = 1.0 / norm
+    n_til = n_t * inv_norm
+    dinv = grid.grad_last(inv_norm)
+    ntil_der = grid.grad_last(n_til)
+    dstar_ntil = ntil_der + np.einsum("gabn,ajn,bn->gjn", gamma_t, tang_t, n_til)
+
+    da = deform.da
+    da_y = np.einsum("kin,skn->sin", da, tang)
+    m1 = -_form_product(a_t, zder - da_y, dstar_ntil)
+
+    b_up = np.einsum("jkn,kln->jln", b0, surface.g_inv)
+    dstar_n0 = -np.einsum("jln,sln->sjn", b_up, tang)
+    m2 = (
+        -_form_product(a_t, da_y, dstar_ntil)
+        + _form_product(a0, da_y, dstar_n0)
+        + m1
+    )
+
+    a1m_der = grid.grad_last(a1m)
+    a2v_der = grid.grad_last(a2_vec)
+    a1n0 = np.einsum("bsn,sn->bn", a1m, n0)
+
+    def gamma_term(gamma, u, v):
+        return np.einsum("bmtn,mjn,tn->bjn", gamma, u, v)
+
+    tails = (
+        np.einsum("bsn,sjn->bjn", a1m, surface.n_deriv)
+        + a2v_der
+        + gamma_term(gamma0, tang, a1n0)
+        + gamma_term(gamma0, tang, a2_vec)
+        + gamma_term(dgamma, tang, n0)
+        + gamma_term(dgamma, tang, a1_vec)
+        + gamma_term(gamma0, zder, a1_vec)
+        + gamma_term(dgamma, zder, n_t)
+    )
+    core = (
+        np.einsum("bsjn,sn->bjn", a1m_der, n0)
+        + gamma_term(gamma0, zder, n0)
+    )
+    dstar_nt = dstar_n0 + core + tails
+
+    m3 = (
+        np.swapaxes(b0, 0, 1) * ((1.0 - norm) * inv_norm)
+        - _form_product(a0, tang, core) * inv_norm
+        - _form_product(a0, tang, tails) * inv_norm
+        - _form_product(a_t - a0, tang, dstar_nt) * inv_norm
+    )
+    at_y_nt = np.einsum("abn,ain,bn->in", a_t, tang, n_t)
+    m4 = m2 + m3 - at_y_nt[:, None, :] * dinv[None, :, :]
+
+    db_ij = np.einsum("kin,jkn->ijn", da, b0) + m4
+    w2b = db_ij[0, 0] * db_ij[1, 1] - db_ij[0, 1] * db_ij[1, 0]
+    b_t = surface.b_det + surface.V * (db_ij[0, 0] + db_ij[1, 1]) + w2b
+    g_t = surface.g_det + gvar.dg
+    dK = b_t / g_t - surface.b_det / surface.g_det
+    return {"m4": m4, "db_ij": db_ij, "dK": dK}
+
+
+def surface_christoffels(grid, g, g_inv):
+    """Gamma^k_{ij} of the first form, node-last (k, i, j, N), from node-last
+    g and g_inv."""
+    dg = grid.grad_last(g)                      # (i, j, k, N) = d_k g_ij
+    # Gamma_{ij,l} = 0.5 (d_i g_{jl} + d_j g_{il} - d_l g_{ij})
+    low = 0.5 * (np.transpose(dg, (2, 0, 1, 3)) + np.transpose(dg, (0, 2, 1, 3)) - dg)
+    return np.einsum("kln,ijln->kijn", g_inv, low)
+
+
+def s_cascade(metric, surface, deform, history=None):
+    """Reference: the S coefficients term by term, S_(3) from the A_(1)
+    split and S_(4) with the surface-Christoffel drag term that S_(5) adds
+    back.
+
+    Returns a dict of s3, s4, s5 and q_i, node-last.
+    """
+    hist = history if history is not None else deform.history
+    prop = transport_propagator(metric, surface.y, hist)
+    tang, n, a0 = surface.tang, surface.n.T, surface.ambient_a
+    s1 = prop.backward - np.eye(3)[:, :, None]
+    a1_term = prop.integral
+    s2 = s1 - a1_term
+
+    gz = np.einsum("absn,bn->asn", surface.ambient_gamma, node_last(deform.z))
+    m1_core = a1_term - gz
+    s3 = np.einsum("asn,sin->ain", m1_core + s2, tang)
+
+    bracket = deform.dz - np.einsum("jin,sjn->sin", deform.da, tang)
+    a_vec = np.stack([deform.a1, deform.a2])
+    gamma_surface = surface_christoffels(surface.grid, surface.g, surface.g_inv)
+    surf_term = np.einsum("jpin,pn,sjn->sin", gamma_surface, a_vec, tang)
+    c_n = n[:, None, :] * deform.dc[None, :, :]
+    s4 = s3 + np.einsum("asn,sin->ain", s1, bracket - c_n - surf_term)
+    s5 = s4 + np.einsum("asn,sin->ain", s1, surf_term)
+    q_i = np.einsum("abn,ain,bn->in", a0, s5, n)
+    return {"s3": s3, "s4": s4, "s5": s5, "q_i": q_i}
 
 
 def gdef_residual(surface: SurfaceState, coeffs: GDefCoefficients,

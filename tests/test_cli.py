@@ -141,6 +141,20 @@ def test_non_finite_value_is_a_config_error(tmp_path, capsys, section, line):
     assert not (tmp_path / "out").exists()
 
 
+def test_non_positive_values_are_reported_with_their_lines():
+    # each with its own line, gathered with the parse errors
+    text = (MINIMAL.replace("n_r = 12", "n_r = soup").replace("dt = 0.005", "dt = -0.005")
+            + "\n[boundary]\nepsilon = 0\n")
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    lines = text.splitlines()
+    assert [(ln, msg) for ln, _, msg in exc.value.errors] == [
+        (lines.index("n_r = soup") + 1, "key 'n_r': cannot parse 'soup' as int"),
+        (lines.index("dt = -0.005") + 1, "key 'dt': flow.dt must be positive"),
+        (lines.index("epsilon = 0") + 1, "key 'epsilon': boundary.epsilon must be positive"),
+    ]
+
+
 def test_build_objects():
     cfg = parse_config(MINIMAL)
     metric, surface, boundary, flow_cfg = build_problem_objects(cfg)

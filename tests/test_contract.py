@@ -26,9 +26,7 @@ NODE_LAST = {
     "nji,nsj->nsi": "jin,sjn->sin",
     "njk,nkl->njl": "jkn,kln->jln",
     "njl,nsl->nsj": "jln,sln->sjn",
-    "njpi,np,nsj->nsi": "jpin,pn,sjn->sin",
     "nki,njk->nij": "kin,jkn->ijn",
-    "nki,nsk->nsi": "kin,skn->sin",
     "nk,nki->ni": "kn,kin->in",
 }
 

@@ -14,8 +14,8 @@ from mgdeform.kpres import (
 from mgdeform.metrics import FlatMetric, conformal_radial_metric
 from mgdeform.surface import SphereCapImmersion, build_surface, gauss_curvature_of
 
-from helpers import partials, prescribed_deformation, smooth_scalar
-from reference import delta_g_direct
+from helpers import CURVED_METRICS, prescribed_deformation, smooth_scalar
+from reference import delta_b_cascade, delta_g_direct
 
 
 @pytest.fixture(scope="module")
@@ -56,12 +56,27 @@ def test_delta_g_matches_direct(curved24):
     metric, surf = curved24
     a1, a2, c = g_pair(surf, 3, 1e-2)
     deform = prescribed_deformation(surf, a1, a2, c, 1.0, 4)
-    grid = surf.grid
     z = deform.history.z[-1]
-    z1, z2 = partials(grid, z)
-    gvar = delta_g(metric, surf, z, z1, z2)
-    direct = delta_g_direct(metric, surf, z, z1, z2)
+    gvar = delta_g(metric, surf, z, deform.dz)
+    direct = delta_g_direct(metric, surf, z, deform.dz)
     assert np.max(np.abs(gvar.dg_ij - direct)) < 1e-13
+
+
+@pytest.mark.parametrize("kind", sorted(CURVED_METRICS))
+def test_delta_b_matches_term_by_term_cascade(kind):
+    # the closed-form sums of the Christoffel and M1/M2 terms equal the
+    # paper's cascade, whose Christoffel terms are nonzero here
+    grid = DiskGrid(24, 48)
+    metric = CURVED_METRICS[kind]()
+    surf = build_surface(SphereCapImmersion(1.0, 0.5), metric, grid, ci_tol=1e-5)
+    rates = (smooth_scalar(grid, seed, 5e-2) for seed in (51, 52, 53))
+    deform = prescribed_deformation(surf, *rates, 0.1, 8)
+    gvar, bvar, fwd = assemble_variation(metric, surf, deform)
+    assert np.max(np.abs(surf.ambient_gamma)) > 0.1
+    ref = delta_b_cascade(metric, surf, deform, fwd, gvar)
+    for name, want in ref.items():
+        got = getattr(bvar, name)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), name
 
 
 def test_delta_g_flat_normal_bump_vs_rebuild(flat48):
@@ -71,9 +86,8 @@ def test_delta_g_flat_normal_bump_vs_rebuild(flat48):
     zero = np.zeros(grid.n_nodes)
     deform = prescribed_deformation(surf, zero, zero, c, 1.0, 4)
     z = deform.history.z[-1]
-    z1, z2 = partials(grid, z)
-    gvar = delta_g(metric, surf, z, z1, z2)
-    tang_t = surf.tang + np.stack([z1.T, z2.T], axis=1)
+    gvar = delta_g(metric, surf, z, deform.dz)
+    tang_t = surf.tang + deform.dz
     g_new = np.einsum("ab,ain,bjn->ijn", np.eye(3), tang_t, tang_t)
     assert np.max(np.abs(gvar.dg_ij - (g_new - surf.g))) < 1e-10
 
@@ -183,10 +197,7 @@ def test_w1dot_explicit_matches_finite_difference(curved24):
     vals = {}
     for tt in (t, t + 1e-5):
         deform = prescribed_deformation(surf, a1d, a2d, cd, tt, 8)
-        grid = surf.grid
-        z = deform.history.z[-1]
-        z1, z2 = partials(grid, z)
-        vals[tt] = delta_g(metric, surf, z, z1, z2)
+        vals[tt] = delta_g(metric, surf, deform.z, deform.dz)
     deform = prescribed_deformation(surf, a1d, a2d, cd, t, 8)
     gvar, bvar, _ = assemble_variation(metric, surf, deform)
     zdot = deform.rate_displacement()
