@@ -130,17 +130,15 @@ def delta_b(metric: AmbientMetric, surface: SurfaceState, deform: DeformationSta
     lin = np.einsum("kin,jkn->ijn", deform.da, b0)   # (d_i a^k) b_jk
     m2 = -_form_product(a_t, zder, dstar_ntil) - lin
 
-    bΓ = np.einsum("jkn,kln->jln", b0, surface.g_inv)
-    dstar_n0 = -np.einsum("jln,sln->sjn", bΓ, tang)
     # D*n_t - D*n_0: the transport tails and the Christoffel terms
     dstar_dn = (
         np.einsum("bsn,sjn->bjn", a1m, surface.n_deriv)
         + grid.grad_last(a2_vec)
         + np.einsum("bsjn,sn->bjn", grid.grad_last(a1m), n0)
         + gamma_nt
-        - np.einsum("bmtn,mjn,tn->bjn", surface.ambient_gamma, tang, n0)
+        - surface.gamma_n
     )
-    dstar_nt = dstar_n0 + dstar_dn
+    dstar_nt = surface.dstar_n + dstar_dn
 
     m3 = (
         np.swapaxes(b0, 0, 1) * ((1.0 - norm) * inv_norm)

@@ -119,6 +119,8 @@ class SurfaceState:
     tang: np.ndarray         # (3, 2, N) tangents y_,i
     n: np.ndarray            # (N, 3) unit normal in the ambient metric
     n_deriv: np.ndarray      # (3, 2, N) partial derivatives of n
+    gamma_n: np.ndarray      # (3, 2, N) Gamma(y)(y_,j, n)
+    dstar_n: np.ndarray      # (3, 2, N) D*_j n = -b_jk g^kl y_,l
     g: np.ndarray            # (2, 2, N)
     g_inv: np.ndarray
     g_det: np.ndarray
@@ -152,7 +154,8 @@ def raw_fundamental_forms(grid, metric, y, y1=None, y2=None):
     orientation is chosen and nothing is validated beyond a degenerate
     tangent plane or first form.  Returns a dict keyed by ``SurfaceState``
     field names (``ambient_a``, ``n``, ``tang``, ``g``, ``ambient_gamma``,
-    ``n_deriv``, ``b``, ``g_det``, ``b_det``, ``K``): each tensor node-last,
+    ``n_deriv``, ``gamma_n``, ``b``, ``g_det``, ``b_det``, ``K``): each
+    tensor node-last,
     and ``n`` as the (N, 3) view of its node-last array.  K = det b / det g
     needs no g^-1, so ``build_surface``, the one reader of g^-1 and H, takes
     them itself.
@@ -183,12 +186,13 @@ def raw_fundamental_forms(grid, metric, y, y1=None, y2=None):
     gamma = christoffel_at(metric, y)
     n_deriv = grid.grad_last(n)                         # (3, 2, N)
     # D*_j n = dn/dx_j + Gamma(y)(y_,j, n)
-    dstar_n = n_deriv + np.einsum("gabn,ajn,bn->gjn", gamma, tang, n)
-    b = -np.einsum("abn,ain,bjn->ijn", a_l, tang, dstar_n)
+    gamma_n = np.einsum("bmtn,mjn,tn->bjn", gamma, tang, n)
+    b = -np.einsum("abn,ain,bjn->ijn", a_l, tang, n_deriv + gamma_n)
     b_det = b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0]
     return {
         "ambient_a": a_l, "n": n.T, "tang": tang, "g": g, "ambient_gamma": gamma,
-        "n_deriv": n_deriv, "b": b, "g_det": g_det, "b_det": b_det, "K": b_det / g_det,
+        "n_deriv": n_deriv, "gamma_n": gamma_n, "b": b, "g_det": g_det,
+        "b_det": b_det, "K": b_det / g_det,
     }
 
 
@@ -213,8 +217,9 @@ def build_surface(immersion: Immersion, metric: AmbientMetric, grid: DiskGrid,
     """Construct and validate the surface state on the grid.
 
     The forms come from ``raw_fundamental_forms``; the surface adds g^-1,
-    the mean curvature H and the orientation that makes it positive, and the
-    admissibility checks.
+    the mean curvature H and the orientation that makes it positive (which
+    also negates n, its derivative, Gamma(y)(y_,j, n) and b), D*n =
+    -(b g^-1) y_,l for ΔB, and the admissibility checks.
     """
     y = immersion.chart(grid.x1, grid.x2)
     jac = immersion.jacobian(grid.x1, grid.x2)
@@ -224,7 +229,7 @@ def build_surface(immersion: Immersion, metric: AmbientMetric, grid: DiskGrid,
     forms["H"] = 0.5 * np.einsum("ijn,ijn->n", g_inv, forms["b"])
     if np.mean(forms["H"]) < 0:
         forms["n"] = (-forms["n"].T).T    # the view of the negated node-last normal
-        for key in ("n_deriv", "b", "H"):
+        for key in ("n_deriv", "gamma_n", "b", "H"):
             forms[key] = -forms[key]
     h, b = forms["H"], forms["b"]
     v = 0.5 * (b[0, 0] + b[1, 1])
@@ -246,6 +251,9 @@ def build_surface(immersion: Immersion, metric: AmbientMetric, grid: DiskGrid,
             f"exceeds {ci_tol:.1e} relative to V"
         )
 
+    # D*n by the Weingarten equation: ΔB builds D*n_t as D*n + (D*n_t - D*n)
+    b_up = np.einsum("jkn,kln->jln", b, g_inv)
+    forms["dstar_n"] = -np.einsum("jln,sln->sjn", b_up, forms["tang"])
     state = SurfaceState(grid=grid, metric=metric, y=y, V=v,
                          ci_residual=ci_res, ci_tol=ci_tol, **forms)
     for value in vars(state).values():

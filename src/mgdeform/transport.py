@@ -242,8 +242,7 @@ class NormalTransport:
     """Forward transport of the unit normal with its series tails, node-last."""
 
     n_t: np.ndarray          # (3, N) transported normal at tau = t
-    a1_vec: np.ndarray       # (3, N) full tail n_t - n_0
-    a2_vec: np.ndarray       # (3, N) tail beyond the first-order term
+    a2_vec: np.ndarray       # (3, N) tail n_t - n_0 beyond the first-order term
     a1_mat: np.ndarray       # (3, 3, N) first-order matrix A_(1)(0, t)
     norm: np.ndarray         # (N,) |n(t)| in the metric at the displaced point
 
@@ -256,8 +255,7 @@ def transport_normal(metric: AmbientMetric, y0, history: TransportHistory,
     n0_l = node_last(n0)
     n_t = np.einsum("gbn,bn->gn", prop.forward, n0_l)
     a1_mat = -prop.integral
-    a1_vec = n_t - n0_l
-    a2_vec = a1_vec - np.einsum("gbn,bn->gn", a1_mat, n0_l)
+    a2_vec = n_t - n0_l - np.einsum("gbn,bn->gn", a1_mat, n0_l)
     a_t = node_last(metric.metric(y0 + history.z[-1]))
     norm = np.sqrt(np.einsum("abn,an,bn->n", a_t, n_t, n_t))
-    return NormalTransport(n_t=n_t, a1_vec=a1_vec, a2_vec=a2_vec, a1_mat=a1_mat, norm=norm)
+    return NormalTransport(n_t=n_t, a2_vec=a2_vec, a1_mat=a1_mat, norm=norm)

@@ -29,55 +29,72 @@ from .grid import DiskGrid
 # --------------------------------------------------------------------------
 
 def _t_mode_tables(grid: DiskGrid):
-    """Per-interval Gauss points, interpolation weights and power kernels for
-    the mode-wise radial Volterra integrals of T."""
+    """Per-grid weights of the mode-wise radial Volterra integrals of T.
+
+    Each interval's integral takes the cubic Lagrange interpolant of a mode
+    profile through the four ray levels of the grid's panel stencil
+    (``_cum_idx``) against the interval's power kernel, by 4-point Gauss
+    quadrature.  Interpolation weights, Gauss weights and kernel depend on
+    the grid alone, so they fold into one real weight per stencil level s,
+    interval i and mode: w_b[s, i, m] = -2 sum_q wq interp ker_b for the
+    modes m >= 1 and w_f = 2 sum_q wq interp ker_f for m <= 0.  Every weight
+    and step ratio is stored twice in a row, for the real and imaginary
+    parts of a complex amplitude, as ``t_operator`` reads them.
+    """
     key = "t_mode"
     if key in grid._caches:
         return grid._caches[key]
-    n_r, nt = grid.n_r, grid.n_theta
+    n_r, half = grid.n_r, grid.n_theta // 2
     rs = grid.r_levels  # (n_r + 1,) radii including 0
     gauss_x, gauss_w = np.polynomial.legendre.leggauss(4)
     mid = 0.5 * (rs[:-1] + rs[1:])
-    half = 0.5 * (rs[1:] - rs[:-1])
-    rho = mid[:, None] + half[:, None] * gauss_x[None, :]      # (n_r, 4)
-    wq = half[:, None] * np.tile(gauss_w, (n_r, 1))            # (n_r, 4)
-    # cubic Lagrange interpolation of radial profiles onto the Gauss points,
-    # through the four ray levels of the grid's panel stencil:
+    half_len = 0.5 * (rs[1:] - rs[:-1])
+    rho = mid[:, None] + half_len[:, None] * gauss_x[None, :]      # (n_r, 4)
+    wq = half_len[:, None] * gauss_w[None, :]                      # (n_r, 4)
     # interp[i, q, s] = prod over o != s of (rho_iq - x_o) / (x_s - x_o)
-    xs = rs[grid._cum_idx]                                     # (n_r, 4)
+    xs = rs[grid._cum_idx]                                         # (n_r, 4)
     others = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
-    xo = xs[:, None, others]                                   # (n_r, 1, s, o)
+    xo = xs[:, None, others]                                       # (n_r, 1, s, o)
     fac = (rho[:, :, None, None] - xo) / (xs[:, None, :, None] - xo)
-    interp = fac[..., 0] * fac[..., 1] * fac[..., 2]           # (n_r, q, s)
-    # FFT index -> signed mode; T maps mode m to m - 1, so the lowest mode
-    # has no representable image and is left out
-    k = np.arange(nt)
-    modes = np.where(k < nt // 2, k, k - nt)
-    pos = modes >= 1
-    neg = (modes <= 0) & (modes > -(nt // 2))
-    mp = modes[pos]        # m >= 1, backward recurrence
-    mn = modes[neg]        # m <= 0, forward recurrence
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ker_b = np.where(
-            (rs[:-1, None, None] == 0.0) & (mp[None, None, :] == 1),
-            1.0,
-            (rs[:-1, None, None] / rho[:, :, None]) ** (mp[None, None, :] - 1),
-        )
-        rat_b = np.where(
-            (rs[:-1, None] == 0.0) & (mp[None, :] == 1),
-            1.0,
-            (rs[:-1, None] / rs[1:, None]) ** (mp[None, :] - 1),
-        )
-    ker_f = (rho[:, :, None] / rs[1:, None, None]) ** (1 - mn[None, None, :])
-    rat_f = (rs[:-1, None] / rs[1:, None]) ** (1 - mn[None, :])
+    interp = fac[..., 0] * fac[..., 1] * fac[..., 2]               # (n_r, q, s)
+    # T maps mode m to m - 1; the Nyquist mode -half has no representable
+    # image and is left out.  At r_0 = 0 the power 0^0 = 1 keeps mode 1.
+    mp = np.arange(1, half)           # m >= 1, backward recurrence
+    mn = np.arange(1 - half, 1)       # m <= 0, forward recurrence
+    ker_b = (rs[:-1, None, None] / rho[:, :, None]) ** (mp - 1)   # (n_r, q, m)
+    ker_f = (rho[:, :, None] / rs[1:, None, None]) ** (1 - mn)
+    step = rs[:-1, None] / rs[1:, None]
+    # sum over q as a product (i, s, q) @ (i, q, m), reordered to (s, i, m)
+    wi = np.transpose(wq[:, :, None] * interp, (0, 2, 1))
+
+    def pairs(a):
+        """``a`` with each value repeated for a real and an imaginary part."""
+        return np.ascontiguousarray(np.repeat(a, 2, axis=-1))
+
     tables = {
-        "wq": wq, "interp": interp, "pos": pos, "neg": neg,
-        "ker_b": ker_b, "rat_b": rat_b, "ker_f": ker_f, "rat_f": rat_f,
-        # output column of each mode's image m - 1
-        "dest_pos": (mp - 1) % nt, "dest_neg": (mn - 1) % nt,
+        "w_b": pairs(np.transpose(-2.0 * (wi @ ker_b), (1, 0, 2))),
+        "w_f": pairs(np.transpose(2.0 * (wi @ ker_f), (1, 0, 2))),
+        "rat_b": pairs(step ** (mp - 1)), "rat_f": pairs(step ** (1 - mn)),
     }
     grid._caches[key] = tables
     return tables
+
+
+def _panel_sums(weights, levels, out, tmp):
+    """out[i] = sum_s weights[s, i] levels[_cum_idx[i, s]] for every interval.
+
+    Rows 1 .. n_r - 2 read ray levels i - 1 + s, four slices of ``levels``;
+    row 0 reads row 1's levels and the rim row n_r - 1 reads row n_r - 2's.
+    """
+    n_mid = out.shape[0] - 2
+    np.multiply(weights[0, 1:-1], levels[:n_mid], out=out[1:-1])
+    np.multiply(weights[0, 0], levels[0], out=out[0])
+    np.multiply(weights[0, -1], levels[n_mid - 1], out=out[-1])
+    for s in (1, 2, 3):
+        lev = levels[s : s + n_mid]
+        out[1:-1] += np.multiply(weights[s, 1:-1], lev, out=tmp)
+        out[0] += np.multiply(weights[s, 0], lev[0], out=tmp[0])
+        out[-1] += np.multiply(weights[s, -1], lev[-1], out=tmp[0])
 
 
 def t_operator(grid: DiskGrid, f):
@@ -86,39 +103,49 @@ def t_operator(grid: DiskGrid, f):
     Evaluated mode by mode: on the disk T maps the angular mode m to m - 1
     with an explicit one-dimensional radial integral (from the rim inward
     for m >= 1, from the center outward for m <= 0), integrated at O(h^4)
-    with Gauss panels and stable power-ratio kernels.
+    with Gauss panels and stable power-ratio kernels folded into per-grid
+    weights.  The amplitudes are read and written through float views, so
+    every product with a real weight is one real multiply per part.
     """
     f = np.asarray(f, dtype=complex)
     tab = _t_mode_tables(grid)
     n_r, nt = grid.n_r, grid.n_theta
-    rings = f[1:].reshape(n_r, nt)
-    ghat = np.fft.fft(rings, axis=1) / nt        # (n_r, k) mode amplitudes
-    prof = np.zeros((n_r + 1, nt), dtype=complex)
-    prof[1:] = ghat
-    prof[0, 0] = f[0]                            # center carries mode 0 only
-    # interpolate every mode profile onto the Gauss points of each interval
-    gp = np.einsum("iqs,isk->iqk", tab["interp"], prof[grid._cum_idx])   # (n_r, 4, k)
-    wq = tab["wq"]
+    half = nt // 2
+    # mode amplitudes on ray levels 0 (the center, mode 0 only) .. n_r; a
+    # last column repeats mode 0 so that the modes -(half - 1) .. 0 form one
+    # block, columns half + 1 .. nt
+    prof = np.empty((n_r + 1, nt + 1), dtype=complex)
+    prof[1:, :nt] = np.fft.fft(f[1:].reshape(n_r, nt), axis=1, norm="forward")
+    prof[0] = 0.0
+    prof[0, 0] = f[0]
+    prof[:, nt] = prof[:, 0]
+    # the image of mode m is column m - 1: the m >= 1 block fills columns
+    # 0 .. half - 2, the m <= 0 block columns half .. nt - 1
+    out_prof = np.empty((n_r + 1, nt), dtype=complex)
+    out_prof[:, half - 1] = 0.0
+    pf, of = prof.view(float), out_prof.view(float)
+    nb, nf = 2 * half - 2, 2 * half      # floats per row of each block
+    seg = np.empty((n_r, nf))
+    tmp = np.empty((n_r - 2, nf))
 
-    out_prof = np.zeros((n_r + 1, nt), dtype=complex)
     # m >= 1: w(r_i) = rat * w(r_{i+1}) - 2 int_{r_i}^{r_{i+1}} g (r_i/rho)^{m-1} drho
-    seg_b = -2.0 * np.einsum("iq,iqm->im", wq, gp[:, :, tab["pos"]] * tab["ker_b"])
-    w_pos = np.zeros((n_r + 1, seg_b.shape[1]), dtype=complex)
+    w, rat, sb = of[:, :nb], tab["rat_b"], seg[:, :nb]
+    _panel_sums(tab["w_b"], pf[:, 2 : nb + 2], sb, tmp[:, :nb])
+    w[n_r] = 0.0
     for i in range(n_r - 1, -1, -1):
-        w_pos[i] = tab["rat_b"][i] * w_pos[i + 1] + seg_b[i]
+        np.multiply(rat[i], w[i + 1], out=w[i])
+        w[i] += sb[i]
     # m <= 0: w(r_{i+1}) = rat * w(r_i) + 2 int (rho/r_{i+1})^{1-m} g drho
-    seg_f = 2.0 * np.einsum("iq,iqm->im", wq, gp[:, :, tab["neg"]] * tab["ker_f"])
-    w_neg = np.zeros((n_r + 1, seg_f.shape[1]), dtype=complex)
+    w, rat = of[:, nb + 2 :], tab["rat_f"]
+    _panel_sums(tab["w_f"], pf[:, nb + 4 :], seg, tmp)
+    w[0] = 0.0
     for i in range(n_r):
-        w_neg[i + 1] = tab["rat_f"][i] * w_neg[i] + seg_f[i]
-
-    # scatter to output modes m - 1
-    out_prof[:, tab["dest_pos"]] += w_pos
-    out_prof[:, tab["dest_neg"]] += w_neg
+        np.multiply(rat[i], w[i], out=w[i + 1])
+        w[i + 1] += seg[i]
 
     out = np.empty(grid.n_nodes, dtype=complex)
     out[0] = out_prof[0, 0]
-    out[1:] = np.fft.ifft(out_prof[1:] * nt, axis=1).reshape(-1)
+    out[1:] = np.fft.ifft(out_prof[1:], axis=1, norm="forward").reshape(-1)
     return out
 
 
@@ -348,12 +375,15 @@ def _gmres(apply_op, rhs, atol, max_iter, x0=None):
         return x0, 0, 0.0
     q = np.empty((max_iter + 1, rhs.size))
     h = np.zeros((max_iter + 1, max_iter))
+    tmp = np.empty(rhs.size)
     q[0] = r0 / beta
     for k in range(max_iter):
-        v = apply_op(q[k])
+        # modified Gram-Schmidt on the next basis row, in place
+        v = q[k + 1]
+        v[:] = apply_op(q[k])
         for j in range(k + 1):
             h[j, k] = q[j] @ v
-            v = v - h[j, k] * q[j]
+            v -= np.multiply(q[j], h[j, k], out=tmp)
         h[k + 1, k] = np.linalg.norm(v)
         e1 = np.zeros(k + 2)
         e1[0] = beta
@@ -361,7 +391,7 @@ def _gmres(apply_op, rhs, atol, max_iter, x0=None):
         rnorm = np.linalg.norm(h[: k + 2, : k + 1] @ ysol - e1)
         if rnorm <= atol or h[k + 1, k] < 1e-300:
             return x0 + q[: k + 1].T @ ysol, k + 1, (rnorm / beta) ** (1.0 / (k + 1))
-        q[k + 1] = v / h[k + 1, k]
+        v /= h[k + 1, k]
     raise ConvergenceError(
         f"GMRES residual {rnorm:.3e} above {atol:.1e} after {max_iter} iterations"
     )

@@ -3,7 +3,9 @@
 Each function here is an independent route to a quantity the package
 computes another way, or a diagnostic of a bound the package relies on:
 
-- the all-pairs T operator and the chord-length quadrature of T(1);
+- the all-pairs T operator, the mode-wise T operator with its radial
+  quadrature unfolded, and the chord-length quadrature of T(1);
+- textbook modified Gram-Schmidt GMRES;
 - the homogeneous nullity and the n < 0 solvability functionals of the
   boundary condition;
 - transport over a whole history by RK4 (optionally several substeps per
@@ -57,6 +59,122 @@ def t_operator_direct(grid: DiskGrid, f):
         ker = np.where(dz == 0, 0.0, num / np.where(dz == 0, 1.0, dz))
         out[lo:hi] = ker @ w
     return -out / np.pi + f * np.conj(zeta)
+
+
+def _t_panel_tables(grid: DiskGrid):
+    """Per-interval Gauss points, interpolation weights and power kernels of
+    ``t_operator_panels``, unfolded."""
+    n_r, nt = grid.n_r, grid.n_theta
+    rs = grid.r_levels  # (n_r + 1,) radii including 0
+    gauss_x, gauss_w = np.polynomial.legendre.leggauss(4)
+    mid = 0.5 * (rs[:-1] + rs[1:])
+    half = 0.5 * (rs[1:] - rs[:-1])
+    rho = mid[:, None] + half[:, None] * gauss_x[None, :]      # (n_r, 4)
+    wq = half[:, None] * np.tile(gauss_w, (n_r, 1))            # (n_r, 4)
+    # cubic Lagrange interpolation of radial profiles onto the Gauss points,
+    # through the four ray levels of the grid's panel stencil:
+    # interp[i, q, s] = prod over o != s of (rho_iq - x_o) / (x_s - x_o)
+    xs = rs[grid._cum_idx]                                     # (n_r, 4)
+    others = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
+    xo = xs[:, None, others]                                   # (n_r, 1, s, o)
+    fac = (rho[:, :, None, None] - xo) / (xs[:, None, :, None] - xo)
+    interp = fac[..., 0] * fac[..., 1] * fac[..., 2]           # (n_r, q, s)
+    # FFT index -> signed mode; T maps mode m to m - 1, so the lowest mode
+    # has no representable image and is left out
+    k = np.arange(nt)
+    modes = np.where(k < nt // 2, k, k - nt)
+    pos = modes >= 1
+    neg = (modes <= 0) & (modes > -(nt // 2))
+    mp = modes[pos]        # m >= 1, backward recurrence
+    mn = modes[neg]        # m <= 0, forward recurrence
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ker_b = np.where(
+            (rs[:-1, None, None] == 0.0) & (mp[None, None, :] == 1),
+            1.0,
+            (rs[:-1, None, None] / rho[:, :, None]) ** (mp[None, None, :] - 1),
+        )
+        rat_b = np.where(
+            (rs[:-1, None] == 0.0) & (mp[None, :] == 1),
+            1.0,
+            (rs[:-1, None] / rs[1:, None]) ** (mp[None, :] - 1),
+        )
+    ker_f = (rho[:, :, None] / rs[1:, None, None]) ** (1 - mn[None, None, :])
+    rat_f = (rs[:-1, None] / rs[1:, None]) ** (1 - mn[None, :])
+    return {
+        "wq": wq, "interp": interp, "pos": pos, "neg": neg,
+        "ker_b": ker_b, "rat_b": rat_b, "ker_f": ker_f, "rat_f": rat_f,
+        # output column of each mode's image m - 1
+        "dest_pos": (mp - 1) % nt, "dest_neg": (mn - 1) % nt,
+    }
+
+
+def t_operator_panels(grid: DiskGrid, f):
+    """Reference mode-wise T(f) with its quadrature unfolded: every call
+    interpolates the mode profiles onto the Gauss points, multiplies by the
+    power kernels and sums the Gauss weights.  ``t_operator`` folds these
+    three per-grid factors into its weights."""
+    f = np.asarray(f, dtype=complex)
+    tab = _t_panel_tables(grid)
+    n_r, nt = grid.n_r, grid.n_theta
+    rings = f[1:].reshape(n_r, nt)
+    ghat = np.fft.fft(rings, axis=1) / nt        # (n_r, k) mode amplitudes
+    prof = np.zeros((n_r + 1, nt), dtype=complex)
+    prof[1:] = ghat
+    prof[0, 0] = f[0]                            # center carries mode 0 only
+    # interpolate every mode profile onto the Gauss points of each interval
+    gp = np.einsum("iqs,isk->iqk", tab["interp"], prof[grid._cum_idx])   # (n_r, 4, k)
+    wq = tab["wq"]
+
+    out_prof = np.zeros((n_r + 1, nt), dtype=complex)
+    # m >= 1: w(r_i) = rat * w(r_{i+1}) - 2 int_{r_i}^{r_{i+1}} g (r_i/rho)^{m-1} drho
+    seg_b = -2.0 * np.einsum("iq,iqm->im", wq, gp[:, :, tab["pos"]] * tab["ker_b"])
+    w_pos = np.zeros((n_r + 1, seg_b.shape[1]), dtype=complex)
+    for i in range(n_r - 1, -1, -1):
+        w_pos[i] = tab["rat_b"][i] * w_pos[i + 1] + seg_b[i]
+    # m <= 0: w(r_{i+1}) = rat * w(r_i) + 2 int (rho/r_{i+1})^{1-m} g drho
+    seg_f = 2.0 * np.einsum("iq,iqm->im", wq, gp[:, :, tab["neg"]] * tab["ker_f"])
+    w_neg = np.zeros((n_r + 1, seg_f.shape[1]), dtype=complex)
+    for i in range(n_r):
+        w_neg[i + 1] = tab["rat_f"][i] * w_neg[i] + seg_f[i]
+
+    # scatter to output modes m - 1
+    out_prof[:, tab["dest_pos"]] += w_pos
+    out_prof[:, tab["dest_neg"]] += w_neg
+
+    out = np.empty(grid.n_nodes, dtype=complex)
+    out[0] = out_prof[0, 0]
+    out[1:] = np.fft.ifft(out_prof[1:] * nt, axis=1).reshape(-1)
+    return out
+
+
+def gmres_mgs(apply_op, rhs, atol, max_iter, x0=None):
+    """Textbook GMRES with modified Gram-Schmidt, every update a new array
+    (``v = v - h q``): the reference for ``vekua._gmres``'s in-place loop,
+    with its contract and return value (x, k, factor)."""
+    if x0 is None:
+        x0, r0 = np.zeros(rhs.size), rhs
+    else:
+        r0 = rhs - apply_op(x0)
+    beta = np.linalg.norm(r0)
+    if beta <= atol:
+        return x0, 0, 0.0
+    q = np.empty((max_iter + 1, rhs.size))
+    h = np.zeros((max_iter + 1, max_iter))
+    q[0] = r0 / beta
+    for k in range(max_iter):
+        v = apply_op(q[k])
+        for j in range(k + 1):
+            h[j, k] = q[j] @ v
+            v = v - h[j, k] * q[j]
+        h[k + 1, k] = np.linalg.norm(v)
+        e1 = np.zeros(k + 2)
+        e1[0] = beta
+        ysol, *_ = np.linalg.lstsq(h[: k + 2, : k + 1], e1, rcond=None)
+        rnorm = np.linalg.norm(h[: k + 2, : k + 1] @ ysol - e1)
+        if rnorm <= atol or h[k + 1, k] < 1e-300:
+            return x0 + q[: k + 1].T @ ysol, k + 1, (rnorm / beta) ** (1.0 / (k + 1))
+        q[k + 1] = v / h[k + 1, k]
+    raise MgError(f"GMRES did not reach {atol:.1e} in {max_iter} iterations")
 
 
 def t_one_oracle(grid: DiskGrid, targets_idx=None, n_phi=4096):
@@ -332,7 +450,8 @@ def delta_b_cascade(metric, surface, deform, fwd, gvar):
     a_t = node_last(metric.metric(pts))
     gamma_t = christoffel_at(metric, pts)
     dgamma = gamma_t - gamma0
-    n_t, a1_vec, a2_vec, a1m = fwd.n_t, fwd.a1_vec, fwd.a2_vec, fwd.a1_mat
+    n_t, a2_vec, a1m = fwd.n_t, fwd.a2_vec, fwd.a1_mat
+    a1_vec = n_t - n0
 
     norm = fwd.norm
     inv_norm = 1.0 / norm

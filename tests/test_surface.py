@@ -174,3 +174,16 @@ def test_build_and_oracle_share_one_kernel(case):
                           s.g_inv)
     sign = -1.0 if case == "flipped_paraboloid" else 1.0
     assert np.array_equal(forms["b"], sign * s.b)
+    assert np.array_equal(forms["gamma_n"], sign * s.gamma_n)
+
+
+@pytest.mark.parametrize("curv", [1.0, -1.0])
+def test_weingarten_normal_derivative_matches_direct(curv):
+    # the stored D*n = -(b g^-1) y_,l equals n_,j + Gamma(y)(y_,j, n) to the
+    # discretization error, also where the build flips the normal (curv -1):
+    # Gamma(y)(y_,j, n) must flip with it.  A paraboloid in a conformal
+    # metric is not conjugate isothermal, hence the wide ci_tol.
+    s = build_surface(make_immersion("paraboloid", {"curv": curv}),
+                      conformal_radial_metric(0.5), DiskGrid(16, 32), ci_tol=1.0)
+    assert np.max(np.abs(s.gamma_n)) > 0.5
+    assert np.max(np.abs(s.n_deriv + s.gamma_n - s.dstar_n)) < 1e-5

@@ -142,12 +142,11 @@ def test_transport_normal_trivial_cases():
     h = straight_history(0.4, 10)
     res = transport_normal(m, y0, h, n0)
     assert np.max(np.abs(res.n_t - n0.T)) == 0.0
-    assert np.max(np.abs(res.a1_vec)) == 0.0
     assert abs(float(res.norm[0]) - 1.0) < 1e-14
     # t = 0: tails vanish, unit norm
     h0 = static_history(1)
     res0 = transport_normal(conformal_radial_metric(0.5), y0 + [[0, 0, 1.0]], h0, n0)
-    assert np.max(np.abs(res0.a1_vec)) == 0.0
+    assert np.max(np.abs(res0.n_t - n0.T)) == 0.0
     assert np.max(np.abs(res0.a2_vec)) == 0.0
     assert abs(float(res0.norm[0]) - 1.0) < 1e-14
 
@@ -159,8 +158,8 @@ def test_transport_normal_norm_preserved_curved():
     h = straight_history(0.2, 200, v=(0.1, -0.3, 0.2))
     res = transport_normal(m, y0, h, n0)
     assert abs(float(res.norm[0]) - 1.0) < 1e-10
-    # series tails consistent: a1_vec - a1_mat n0 = a2_vec
-    recon = res.a1_vec - np.einsum("gbn,nb->gn", res.a1_mat, n0)
+    # series tails consistent: (n_t - n0) - a1_mat n0 = a2_vec
+    recon = res.n_t - n0.T - np.einsum("gbn,nb->gn", res.a1_mat, n0)
     assert np.max(np.abs(recon - res.a2_vec)) < 1e-14
 
 

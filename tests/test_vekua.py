@@ -28,7 +28,14 @@ from mgdeform.vekua import (
 )
 
 from helpers import dz_bar
-from reference import adjoint_null_functionals, homogeneous_rank, t_one_oracle, t_operator_direct
+from reference import (
+    adjoint_null_functionals,
+    gmres_mgs,
+    homogeneous_rank,
+    t_one_oracle,
+    t_operator_direct,
+    t_operator_panels,
+)
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +90,19 @@ def test_t_consistent_with_direct(grid):
     a = t_operator(grid, f)
     b = t_operator_direct(grid, f)
     assert np.max(np.abs(a - b)) < 2e-2    # mode-wise vs all-pairs cells (rim-limited)
+
+
+@pytest.mark.parametrize("n_r, n_theta", [(16, 32), (48, 96), (128, 256)])
+def test_t_folded_weights_match_unfolded_panels(n_r, n_theta):
+    # the per-grid folded weights give the per-call interpolation, kernel
+    # products and Gauss sums to round-off, the center value included
+    g = DiskGrid(n_r, n_theta)
+    rng = np.random.default_rng(n_r)
+    f = rng.normal(size=g.n_nodes) + 1j * rng.normal(size=g.n_nodes)
+    f[0] = 1.5 - 0.75j
+    ref = t_operator_panels(g, f)
+    err = np.max(np.abs(t_operator(g, f) - ref))
+    assert err <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_dzbar_t_reproduces_field(grid):
@@ -331,6 +351,23 @@ def test_gmres_started_at_the_solution_returns_it():
     sol, its, factor = _gmres(lambda v: mat @ v, mat @ x, 1e-12, 5)
     assert 1 <= its <= 3 and 0 < factor < 1
     assert np.max(np.abs(sol - x)) <= 1e-12
+
+
+def test_gmres_in_place_arnoldi_matches_textbook_bits():
+    # the in-place Gram-Schmidt updates do the textbook's arithmetic, so the
+    # solution, iteration count and factor agree bit for bit
+    from mgdeform.vekua import _gmres
+
+    rng = np.random.default_rng(40)
+    mat = np.eye(40) + 0.4 * rng.normal(size=(40, 40)) / np.sqrt(40)
+    rhs = rng.normal(size=40)
+    x0 = rng.normal(size=40)
+    for start in (None, x0):
+        got = _gmres(lambda v: mat @ v, rhs, 1e-12, 40, x0=start)
+        want = gmres_mgs(lambda v: mat @ v, rhs, 1e-12, 40, x0=start)
+        assert got[1] == want[1] and got[1] > 5
+        assert np.array_equal(got[0], want[0]) and got[2] == want[2]
+        assert np.max(np.abs(mat @ got[0] - rhs)) <= 1e-11
 
 
 def test_zero_iteration_cap_is_rejected():
