@@ -75,7 +75,7 @@ class CdotSolution:
     cdot: np.ndarray
     gamma: np.ndarray
     iterations: int
-    rate: float            # observed contraction ratio K3
+    rate: float            # largest sweep ratio K3 above round-off; 0 if none
     residual: float        # sup |L(cdot) + gamma - cdot|, from the certifying sweep
     coeffs: GDefCoefficients   # coeff_fn(cdot), from that sweep
     dadot: np.ndarray      # d_i adot^j of the solve's rates, (j, i, N)
@@ -131,9 +131,13 @@ def solve_cdot(surface: SurfaceState, coeff_fn, a1, a2, a1dot, a2dot,
                 f"cdot iteration expands (ratio {rate:.3f}); reduce the time step ({sweeps})"
             )
         raise ConvergenceError(f"cdot iteration did not settle in {max_iter} sweeps ({sweeps})")
+    # a sweep difference within a few ulps of the iterate is the round-off of
+    # the line integral and the coefficients, not contraction: a ratio whose
+    # later difference is that small measures noise, so it is not counted
+    floor = 64 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(cdot))))
     rate = 0.0
     for i in range(1, len(diffs)):
-        if diffs[i - 1] > 1e-300 and diffs[i] > 0:
+        if diffs[i] > floor:
             rate = max(rate, diffs[i] / diffs[i - 1])
     return CdotSolution(cdot=cdot, gamma=gamma, iterations=len(diffs),
                         rate=rate, residual=d, coeffs=coeffs, dadot=dadot)

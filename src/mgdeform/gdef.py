@@ -2,13 +2,16 @@
 
 The displacement z = a^j y_,j + c n is admissible when the transported
 tangent frame stays orthogonal to the undeformed normal.  Expanding the
-transport propagator around the identity produces coefficient families
-S_(1), S_(2), S_(3), S_(5), T_j, N_j, Q_i; the equations then read
-a^l b_li + (1 + N_0) c_,i + (d_i a^j) N_j + Q_i = 0.  The paper's S_(4) is
-not formed: it subtracts a surface-Christoffel drag term that S_(5) adds
-back, so S_(5) follows from S_(3) directly.
-All coefficient fields vanish identically at t = 0 and in a flat ambient
-metric, where the system degenerates to c_,i = -a^l b_li.
+transport propagator around the identity, S_(1) = M(t, 0) - I, gives the
+equations a^l b_li + (1 + N_0) c_,i + (d_i a^j) N_j + Q_i = 0 with
+N_j = a0(S_(1) e_j, n) over the frame e = (n, y_,1, y_,2) and
+Q_i = a0(S_(5)i, n), S_(5)i = (S_(1) - Gamma0(., z)) y_,i +
+S_(1)(z_,i - (d_i a^j) y_,j - n c_,i).  Only N_j and Q_i are formed, from
+the lowered normal a0 n contracted with S_(1) and with S_(1) - Gamma0(., z);
+the paper's intermediate families S_(2) to S_(5) and T_j are built term by
+term in the tests' reference.  All coefficient fields vanish identically
+at t = 0 and in a flat ambient metric, where the system degenerates to
+c_,i = -a^l b_li.
 """
 
 from __future__ import annotations
@@ -118,22 +121,13 @@ def new_deformation(surface: SurfaceState) -> DeformationState:
 
 @dataclass
 class GDefCoefficients:
-    """S/T/N/Q coefficient fields at one time, plus finite-difference rates;
+    """N/Q coefficient fields at one time, plus finite-difference rates;
     all node-last."""
 
-    s1: np.ndarray      # (3, 3, N) sum of all transport terms
-    s2: np.ndarray      # (3, 3, N) tail beyond the first term
-    s3: np.ndarray      # (3, 2, N)
-    s5: np.ndarray      # (3, 2, N)
-    t0: np.ndarray      # (3, N)
-    tj: np.ndarray      # (3, 2, N)
     n_j: np.ndarray     # (3, N) components N_0, N_1, N_2
     q_i: np.ndarray     # (2, N)
     ndot: np.ndarray    # (3, N)
     qdot: np.ndarray    # (2, N)
-
-    def sup(self, name):
-        return float(np.max(np.abs(getattr(self, name))))
 
 
 def assemble_coefficients(metric: AmbientMetric, surface: SurfaceState,
@@ -141,38 +135,35 @@ def assemble_coefficients(metric: AmbientMetric, surface: SurfaceState,
                           history: TransportHistory | None = None,
                           prev: GDefCoefficients | None = None,
                           dt: float | None = None) -> GDefCoefficients:
-    """Build all coefficient fields at the history's final time.
+    """Build N_j and Q_i at the history's final time.
 
-    The leading matrix is taken from the transport propagator itself (exact
-    resummation); the first series term comes from direct quadrature so the
-    tail splits off without truncation error.  Both come from the history's
-    cached propagator, so only the final interval is integrated here.  A
-    given ``history`` must end at the state's displacement; it only swaps
-    the final rate.  Rates are backward finite differences against ``prev``
-    when given.
+    S_(1) is the transport propagator minus the identity (exact
+    resummation), taken from the history's cached propagator, so only the
+    final interval is integrated here.  A given ``history`` must end at the
+    state's displacement; it only swaps the final rate.  Rates are backward
+    finite differences against ``prev`` when given.
     """
     hist = history if history is not None else deform.history
     prop = transport_propagator(metric, surface.y, hist)
-    tang, n, a0 = surface.tang, surface.n.T, surface.ambient_a
+    tang, n = surface.tang, surface.n.T
     s1 = prop.backward - np.eye(3)[:, :, None]
-    s2 = s1 - prop.integral
+    an = np.einsum("abn,bn->an", surface.ambient_a, n)     # lowered normal a0 n
+    r1 = np.einsum("an,asn->sn", an, s1)
 
-    # A_(1) cancels from S_(3) = (S_(1) - Gamma(0)(., z)) y_,i; gz = Gamma^a_{bs} z^b
+    n_j = np.empty((3, surface.grid.n_nodes))
+    n_j[0] = np.einsum("sn,sn->n", r1, n)
+    n_j[1:] = np.einsum("sn,sin->in", r1, tang)
+
+    # S_(1) and Gamma0(., z) = Gamma^a_{bs} z^b agree to first order in t, so
+    # they are subtracted entry by entry before the contraction with a0 n;
+    # contracting each first and subtracting the two covectors loses several
+    # digits of Q to cancellation.
     gz = np.einsum("absn,bn->asn", surface.ambient_gamma, node_last(deform.z))
-    s3 = np.einsum("asn,sin->ain", s1 - gz, tang)
-
-    # S_(5) = S_(3) + S_(1) applied to z_,i - (d_i a^j) y_,j - n c_,i, the
-    # non-frame part of Eq. 2.27
+    r3 = np.einsum("an,asn->sn", an, s1 - gz)
+    # the non-frame part of Eq. 2.27: z_,i - (d_i a^j) y_,j - n c_,i
     bracket = (deform.dz - np.einsum("jin,sjn->sin", deform.da, tang)
                - n[:, None, :] * deform.dc[None, :, :])
-    s5 = s3 + np.einsum("asn,sin->ain", s1, bracket)
-
-    t0 = np.einsum("asn,sn->an", s1, n)
-    tj = np.einsum("asn,sin->ain", s1, tang)
-    n_j = np.empty((3, surface.grid.n_nodes))
-    n_j[0] = np.einsum("abn,an,bn->n", a0, t0, n)
-    n_j[1:] = np.einsum("abn,ain,bn->in", a0, tj, n)
-    q_i = np.einsum("abn,ain,bn->in", a0, s5, n)
+    q_i = np.einsum("sn,sin->in", r3, tang) + np.einsum("sn,sin->in", r1, bracket)
 
     if prev is not None and dt:
         ndot = (n_j - prev.n_j) / dt
@@ -180,8 +171,7 @@ def assemble_coefficients(metric: AmbientMetric, surface: SurfaceState,
     else:
         ndot = np.zeros_like(n_j)
         qdot = np.zeros_like(q_i)
-    return GDefCoefficients(s1=s1, s2=s2, s3=s3, s5=s5, t0=t0, tj=tj,
-                            n_j=n_j, q_i=q_i, ndot=ndot, qdot=qdot)
+    return GDefCoefficients(n_j=n_j, q_i=q_i, ndot=ndot, qdot=qdot)
 
 
 def gdef_normal_residual(metric: AmbientMetric, surface: SurfaceState,

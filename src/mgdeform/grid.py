@@ -65,7 +65,6 @@ class DiskGrid:
         self.z = self.x1 + 1j * self.x2
         self.boundary_idx = self.node_index(n_r, np.arange(n_theta))
         self.boundary_theta = thetas
-        self._build_area_weights()
         self._build_derivative_tables()
         self._build_cumint_weights()
         self._caches = {}
@@ -90,32 +89,6 @@ class DiskGrid:
             [center.reshape(1, -1), rings.reshape(self.n_r * self.n_theta, -1)]
         )
         return flat.reshape((self.n_nodes,) + shape_tail)
-
-    # -- quadrature ---------------------------------------------------------
-
-    def _build_area_weights(self):
-        h, nt = self.h, self.n_theta
-        w = np.empty(self.n_nodes)
-        w[0] = np.pi * (h / 2.0) ** 2
-        for i in range(1, self.n_r + 1):
-            if i < self.n_r:
-                band = self.r_levels[i] * h
-            else:
-                band = h / 2.0 - h * h / 8.0
-            w[self.node_index(i, np.arange(nt))] = band * self.dtheta
-        # split the rim half-band between the last two rings so that the
-        # radial first moment matches (the rim node sits off its band centroid)
-        i1 = (h / 2.0 - h * h / 8.0)
-        m1 = -h * h / 8.0 + h**3 / 24.0  # first moment about r = 1
-        w_in = -m1 / h
-        w_rim = i1 - w_in
-        w[self.node_index(self.n_r, np.arange(nt))] = w_rim * self.dtheta
-        w[self.node_index(self.n_r - 1, np.arange(nt))] += w_in * self.dtheta
-        self.area_weights = w
-
-    def integrate(self, f):
-        """Area integral over the closed disk."""
-        return np.tensordot(self.area_weights, np.asarray(f), axes=(0, 0))
 
     # -- differentiation ------------------------------------------------------
 

@@ -50,16 +50,13 @@ def _form_product(a, u, v):
 @dataclass
 class GVariation:
     dg_ij: np.ndarray   # (2, 2, N)
-    dg: np.ndarray      # (N,)
-    w1: np.ndarray
-    w2: np.ndarray
+    dg: np.ndarray      # (N,) det g(t) - det g
 
 
 @dataclass
 class BVariation:
     m4: np.ndarray      # (2, 2, N)
     db_ij: np.ndarray   # (2, 2, N)
-    db: np.ndarray      # (N,)
     dK: np.ndarray      # true defect K(t) - K with K = det b / det g
 
 
@@ -99,11 +96,9 @@ def delta_g(metric: AmbientMetric, surface: SurfaceState, z, zder) -> GVariation
     quad = _form_product(a_t, zder, zder)
     dg_ij = _sym(lead) + mid + _sym(cross) + quad
 
-    g_inv = surface.g_inv
-    w1 = _gtrace(g_inv, mid) + 2.0 * _gtrace(g_inv, cross) + _gtrace(g_inv, quad)
     w2 = dg_ij[0, 0] * dg_ij[1, 1] - dg_ij[0, 1] ** 2
-    dg = surface.g_det * _gtrace(g_inv, dg_ij) + w2
-    return GVariation(dg_ij=dg_ij, dg=dg, w1=w1, w2=w2)
+    dg = surface.g_det * _gtrace(surface.g_inv, dg_ij) + w2
+    return GVariation(dg_ij=dg_ij, dg=dg)
 
 
 def delta_b(metric: AmbientMetric, surface: SurfaceState, deform: DeformationState,
@@ -159,7 +154,7 @@ def delta_b(metric: AmbientMetric, surface: SurfaceState, deform: DeformationSta
         )
     g_t = surface.g_det + gvar.dg
     dK = b_t / g_t - surface.b_det / surface.g_det
-    return BVariation(m4=m4, db_ij=db_ij, db=db, dK=dK)
+    return BVariation(m4=m4, db_ij=db_ij, dK=dK)
 
 
 def assemble_variation(metric, surface, deform: DeformationState, history=None):

@@ -12,11 +12,12 @@ computes another way, or a diagnostic of a bound the package relies on:
   interval) and by its nested-integral series, with the path norms of the
   series bound;
 - the metric-compatibility residual of a Christoffel plug-in, the displaced
-  first form by recomputation, the second-form variation and the S
-  coefficients by the paper's term-by-term cascades, the algebraic
-  G-condition residual and the norm chain of its coefficient cascade, and
-  the cdot diagnostics;
-- the cumulative radial integral along the grid's rays.
+  first form by recomputation and its trace W1, the second-form variation
+  and the coefficient families S_(1) to S_(5), T_j, N_j and Q_i by the
+  paper's term-by-term cascades, the algebraic G-condition residual and
+  the norm chain of the coefficient cascade, and the cdot diagnostics;
+- the cumulative radial integral along the grid's rays and the disk's area
+  quadrature.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ def t_operator_direct(grid: DiskGrid, f):
     ``t_operator`` on small grids."""
     chunk = 512   # rows of the all-pairs kernel per block
     f = np.asarray(f, dtype=complex)
-    w = grid.area_weights
+    w = area_weights(grid)
     zeta = grid.z
     out = np.empty(grid.n_nodes, dtype=complex)
     for lo in range(0, grid.n_nodes, chunk):
@@ -435,6 +436,17 @@ def delta_g_direct(metric, surface, z, zder):
     return np.einsum("abn,ain,bjn->ijn", a_t, tang_t, tang_t) - surface.g
 
 
+def w1_trace(surface, gvar, z, zder):
+    """W1 = g^ij Delta(g_ij) - 2 g^ij a0(y_,i, D*z_,j): the trace of the
+    first-form variation beyond its term linear in D*z, whose time rate
+    ``assemble_rates`` forms as ``w1dot``; (N, 3) z and node-last (3, 2, N)
+    partials z_,i in."""
+    gz = np.einsum("agsn,sn->agn", surface.ambient_gamma, node_last(z))
+    dstar_z = zder + np.einsum("agn,gjn->ajn", gz, surface.tang)
+    lead = _form_product(surface.ambient_a, surface.tang, dstar_z)
+    return np.einsum("ijn,ijn->n", surface.g_inv, gvar.dg_ij - 2.0 * lead)
+
+
 def delta_b_cascade(metric, surface, deform, fwd, gvar):
     """Reference: the second-form variation term by term, M1 to M4 with
     every transport-tail and Christoffel-difference term on its own.
@@ -522,11 +534,12 @@ def surface_christoffels(grid, g, g_inv):
 
 
 def s_cascade(metric, surface, deform, history=None):
-    """Reference: the S coefficients term by term, S_(3) from the A_(1)
-    split and S_(4) with the surface-Christoffel drag term that S_(5) adds
-    back.
+    """Reference: the coefficient families term by term, S_(3) from the A_(1)
+    split, S_(4) with the surface-Christoffel drag term that S_(5) adds
+    back, T_0 = S_(1) n and T_j = S_(1) y_,j, and N_j, Q_i from a0(T, n)
+    and a0(S_(5), n).
 
-    Returns a dict of s3, s4, s5 and q_i, node-last.
+    Returns a dict of s1, s2, s3, s4, s5, t0, tj, n_j and q_i, node-last.
     """
     hist = history if history is not None else deform.history
     prop = transport_propagator(metric, surface.y, hist)
@@ -546,8 +559,14 @@ def s_cascade(metric, surface, deform, history=None):
     c_n = n[:, None, :] * deform.dc[None, :, :]
     s4 = s3 + np.einsum("asn,sin->ain", s1, bracket - c_n - surf_term)
     s5 = s4 + np.einsum("asn,sin->ain", s1, surf_term)
+
+    t0 = np.einsum("asn,sn->an", s1, n)
+    tj = np.einsum("asn,sin->ain", s1, tang)
+    n_j = np.concatenate([np.einsum("abn,an,bn->n", a0, t0, n)[None],
+                          np.einsum("abn,ain,bn->in", a0, tj, n)])
     q_i = np.einsum("abn,ain,bn->in", a0, s5, n)
-    return {"s3": s3, "s4": s4, "s5": s5, "q_i": q_i}
+    return {"s1": s1, "s2": s2, "s3": s3, "s4": s4, "s5": s5,
+            "t0": t0, "tj": tj, "n_j": n_j, "q_i": q_i}
 
 
 def gdef_residual(surface: SurfaceState, coeffs: GDefCoefficients,
@@ -565,18 +584,19 @@ def gdef_residual(surface: SurfaceState, coeffs: GDefCoefficients,
     )
 
 
-def norm_chain_report(coeffs: GDefCoefficients):
-    """Discrete-norm chain of the coefficient cascade (diagnostic)."""
-    s1 = op_inf_norm(np.moveaxis(coeffs.s1, -1, 0))
-    s2 = op_inf_norm(np.moveaxis(coeffs.s2, -1, 0))
+def norm_chain_report(ref):
+    """Discrete-norm chain of the coefficient cascade (diagnostic), from the
+    dict ``s_cascade`` returns."""
+    s1 = op_inf_norm(np.moveaxis(ref["s1"], -1, 0))
+    s2 = op_inf_norm(np.moveaxis(ref["s2"], -1, 0))
     report = {
         "s1": s1,
         "s2": s2,
         "s2_surrogate_bound": s1 * s1 / (1.0 - s1) if s1 < 1 else np.inf,
-        "n_sup": float(np.max(np.abs(coeffs.n_j))),
-        "q_sup": float(np.max(np.abs(coeffs.q_i))),
-        "s5_sup": float(np.max(np.abs(coeffs.s5))),
-        "t_sup": float(np.max(np.abs(coeffs.tj))),
+        "n_sup": float(np.max(np.abs(ref["n_j"]))),
+        "q_sup": float(np.max(np.abs(ref["q_i"]))),
+        "s5_sup": float(np.max(np.abs(ref["s5"]))),
+        "t_sup": float(np.max(np.abs(ref["tj"]))),
     }
     report["ratio_n_over_s1"] = report["n_sup"] / s1 if s1 > 0 else 0.0
     report["ratio_q_over_s5"] = (
@@ -619,3 +639,22 @@ def loop_closedness(surface: SurfaceState, coeffs, a1, a2, a1dot, a2dot):
 def cumint_radial(grid: DiskGrid, f):
     """Cumulative integral of f along each ray from the center outward."""
     return grid._cumulate_rays(*grid._ray_values(f))
+
+
+def area_weights(grid: DiskGrid):
+    """Area quadrature weights over the closed disk, one per node: a disk of
+    radius h/2 at the center, a band of width h around each inner ring and
+    the rim half-band split between the last two rings."""
+    h, nt, n_r = grid.h, grid.n_theta, grid.n_r
+    ring = grid.r_levels[1:] * h * grid.dtheta       # band of width h per ring
+    # split the rim half-band between the last two rings so that the radial
+    # first moment matches (the rim node sits off its band centroid)
+    rim_band = h / 2.0 - h * h / 8.0
+    m1 = -h * h / 8.0 + h**3 / 24.0                  # first moment about r = 1
+    w_in = -m1 / h
+    ring[n_r - 1] = (rim_band - w_in) * grid.dtheta
+    ring[n_r - 2] += w_in * grid.dtheta
+    w = np.empty(grid.n_nodes)
+    w[0] = np.pi * (h / 2.0) ** 2
+    w[1:] = np.repeat(ring, nt)
+    return w

@@ -109,7 +109,7 @@ def test_zero_rates_zero_cdot(setup_curved):
     assert np.max(np.abs(sol.cdot)) == 0.0
 
 
-def contraction_run(metric, surf, integ, t, c0=None, tol=1e-12, max_iter=50):
+def contraction_run(metric, surf, integ, t, c0=None, tol=1e-12, max_iter=50, wrap=None):
     grid = surf.grid
     a1dot = smooth_scalar(grid, 21, 5e-2)
     a2dot = smooth_scalar(grid, 22, 5e-2)
@@ -120,6 +120,8 @@ def contraction_run(metric, surf, integ, t, c0=None, tol=1e-12, max_iter=50):
     prev_state = prescribed_deformation(surf, a1dot, a2dot, cdot0, t - dt, n_steps - 1)
     prev = assemble_coefficients(metric, surf, prev_state)
     fn = make_coeff_fn(metric, surf, deform, a1dot, a2dot, prev=prev, dt=dt)
+    if wrap is not None:
+        fn = wrap(fn)
     return solve_cdot(surf, fn, deform.a1, deform.a2, a1dot, a2dot, integ,
                       tol=tol, c0=c0, max_iter=max_iter), (a1dot, a2dot)
 
@@ -133,6 +135,26 @@ def test_contraction_rates_below_one_and_monotone(setup_curved):
         assert sol.residual < 1e-10
         rates.append(sol.rate)
     assert rates[0] <= rates[1] <= rates[2]
+
+
+def test_rate_ignores_sweeps_at_round_off(setup_curved):
+    # the t = 0.025 solve ends on a sweep whose difference, 5.5e-17, is pure
+    # round-off; noise of 1e-15 on N_j moves that difference 4-fold, but the
+    # observed rate is the ratio of the first two sweeps either way
+    metric, surf, integ = setup_curved
+    rng = np.random.default_rng(5)
+
+    def noisy(fn):
+        def wrapped(cdot):
+            coeffs = fn(cdot)
+            return replace(coeffs, n_j=coeffs.n_j + 1e-15 * rng.standard_normal(coeffs.n_j.shape))
+        return wrapped
+
+    clean, _ = contraction_run(metric, surf, integ, 0.025)
+    perturbed, _ = contraction_run(metric, surf, integ, 0.025, wrap=noisy)
+    assert clean.iterations == perturbed.iterations == 4
+    assert clean.rate > 0
+    assert abs(perturbed.rate - clean.rate) <= 1e-6 * clean.rate
 
 
 def test_uniqueness_two_initial_iterates(setup_curved):
@@ -196,15 +218,12 @@ def test_path_independence_for_consistent_state(setup_flat):
 
 def test_near_singular_denominator_raises(setup_curved):
     metric, surf, integ = setup_curved
-    coeffs = assemble_coefficients(
-        metric, surf,
-        prescribed_deformation(surf, *(
-            [np.zeros(surf.grid.n_nodes)] * 3), 0.01, 2),
-    )
+    deform = prescribed_deformation(surf, *([np.zeros(surf.grid.n_nodes)] * 3), 0.01, 2)
+    coeffs = assemble_coefficients(metric, surf, deform)
     coeffs.n_j[0] = -0.9  # force the denominator down
     with pytest.raises(NearSingularDenominatorError):
         kernel_fields(surf, coeffs, coeffs.n_j[1:], coeffs.n_j[1:],
-                      coeffs.tj[:2], coeffs.tj[:2])
+                      deform.da, deform.da)
 
 
 def test_path_integrator_base_point_is_center():

@@ -12,11 +12,12 @@ SOURCE = "".join(path.read_text() for path in SRC.glob("*.py"))
 # the node-last subscripts the kernels run it with
 NODE_LAST = {
     "...gm,...abm->...gab": "gmp,abmp->gabp",
+    "na,nas->ns": "an,asn->sn",
     "nab,nai,nb->ni": "abn,ain,bn->in",
     "nab,nai,nbj->nij": "abn,ain,bjn->ijn",
+    "nab,nb->na": "abn,bn->an",
     "nabs,nb->nas": "absn,bn->asn",
     "nag,ngj->naj": "agn,gjn->ajn",
-    "nas,nsi->nai": "asn,sin->ain",
     "nbmt,nmj,nt->nbj": "bmtn,mjn,tn->bjn",
     "nbs,nsj->nbj": "bsn,sjn->bjn",
     "nbsj,ns->nbj": "bsjn,sn->bjn",
@@ -26,8 +27,10 @@ NODE_LAST = {
     "nji,nsj->nsi": "jin,sjn->sin",
     "njk,nkl->njl": "jkn,kln->jln",
     "njl,nsl->nsj": "jln,sln->sjn",
-    "nki,njk->nij": "kin,jkn->ijn",
     "nk,nki->ni": "kn,kin->in",
+    "nki,njk->nij": "kin,jkn->ijn",
+    "ns,ns->n": "sn,sn->n",
+    "ns,nsi->ni": "sn,sin->in",
 }
 
 

@@ -15,7 +15,7 @@ from mgdeform.metrics import FlatMetric, conformal_radial_metric
 from mgdeform.surface import SphereCapImmersion, build_surface, gauss_curvature_of
 
 from helpers import CURVED_METRICS, prescribed_deformation, smooth_scalar
-from reference import delta_b_cascade, delta_g_direct
+from reference import delta_b_cascade, delta_g_direct, w1_trace
 
 
 @pytest.fixture(scope="module")
@@ -46,8 +46,8 @@ def test_zero_deformation_all_zero(curved24):
     deform = new_deformation(surf)
     gvar, bvar, _ = assemble_variation(metric, surf, deform)
     assert np.max(np.abs(gvar.dg_ij)) == 0.0
-    assert np.max(np.abs(gvar.w1)) == 0.0
-    assert np.max(np.abs(gvar.w2)) == 0.0
+    assert np.max(np.abs(gvar.dg)) == 0.0
+    assert np.max(np.abs(w1_trace(surf, gvar, deform.z, deform.dz))) == 0.0
     assert np.max(np.abs(bvar.m4)) < 1e-12
     assert np.max(np.abs(bvar.dK)) < 1e-12
 
@@ -108,8 +108,10 @@ def test_determinant_identity(curved24):
     )
     exact = cofactor + db[0, 0] * db[1, 1] - db[0, 1] * db[1, 0]
     assert np.max(np.abs((det_b_new - surf.b_det) - exact)) < 1e-12
-    # the V-form deviates only at the conjugate-isothermal residual level
-    assert np.max(np.abs(bvar.db - exact)) < 10 * surf.ci_residual * np.max(np.abs(db))
+    # the V-form of det b(t) - det b that dK holds deviates only at the
+    # conjugate-isothermal residual level
+    db_v = (bvar.dK + surf.b_det / surf.g_det) * (surf.g_det + gvar.dg) - surf.b_det
+    assert np.max(np.abs(db_v - exact)) < 10 * surf.ci_residual * np.max(np.abs(db))
 
 
 def test_rigid_translation_preserves_curvature(flat48):
@@ -197,13 +199,14 @@ def test_w1dot_explicit_matches_finite_difference(curved24):
     vals = {}
     for tt in (t, t + 1e-5):
         deform = prescribed_deformation(surf, a1d, a2d, cd, tt, 8)
-        vals[tt] = delta_g(metric, surf, deform.z, deform.dz)
+        gv = delta_g(metric, surf, deform.z, deform.dz)
+        vals[tt] = (w1_trace(surf, gv, deform.z, deform.dz), gv.dg_ij)
     deform = prescribed_deformation(surf, a1d, a2d, cd, t, 8)
     gvar, bvar, _ = assemble_variation(metric, surf, deform)
     zdot = deform.rate_displacement()
     rates = assemble_rates(metric, surf, deform, gvar, bvar, zdot, a1d, a2d)
-    fd_w1 = (vals[t + 1e-5].w1 - vals[t].w1) / 1e-5
-    fd_dg = (vals[t + 1e-5].dg_ij - vals[t].dg_ij) / 1e-5
+    fd_w1 = (vals[t + 1e-5][0] - vals[t][0]) / 1e-5
+    fd_dg = (vals[t + 1e-5][1] - vals[t][1]) / 1e-5
     assert np.max(np.abs(rates.w1dot - fd_w1)) < 1e-4 * max(1.0, np.max(np.abs(fd_w1)))
     assert np.max(np.abs(rates.dgdot_ij - fd_dg)) < 1e-4 * max(1.0, np.max(np.abs(fd_dg)))
 
