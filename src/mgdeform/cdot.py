@@ -86,6 +86,14 @@ class CdotSolution:
         return self.cdot - self.gamma
 
 
+def _round_off_floor(cdot):
+    """64 eps max(1, max|c|): a sweep difference within a few ulps of the
+    iterate is the round-off of the line integral and the coefficients, not
+    contraction, so a ratio whose later difference is that small measures
+    noise and is not counted."""
+    return 64 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(cdot))))
+
+
 def solve_cdot(surface: SurfaceState, coeff_fn, a1, a2, a1dot, a2dot,
                integrator: PathIntegrator, tol=1e-10, max_iter=50,
                c0=None, da=None) -> CdotSolution:
@@ -97,7 +105,9 @@ def solve_cdot(surface: SurfaceState, coeff_fn, a1, a2, a1dot, a2dot,
     with d_k = |L(c_k) + gamma - c_k| <= tol max(1, |c_k|) is returned with
     those coefficients and ``residual`` d_k: the last ``coeff_fn`` call is at
     the returned iterate.  ``da`` is a state's cached d_i a^j, taken here
-    when not given; the rates are differentiated once per solve.
+    when not given; the rates are differentiated once per solve.  Where the
+    coefficients vanish (``GDefCoefficients.vanish``) the kernel is 0 and
+    the sweep's image is gamma itself.
     """
     if not tol > 0:
         raise MgError(f"tol must be positive, got {tol}")
@@ -115,8 +125,12 @@ def solve_cdot(surface: SurfaceState, coeff_fn, a1, a2, a1dot, a2dot,
     diffs = []
     for _ in range(max_iter):
         coeffs = coeff_fn(cdot)
-        b1, b2 = kernel_fields(surface, coeffs, a_vec, adot, da, dadot)
-        cdot_new = integrator.line_integral(b1, b2) + gamma
+        if coeffs.vanish:
+            # the kernel is linear in the coefficients and their rates
+            cdot_new = gamma
+        else:
+            b1, b2 = kernel_fields(surface, coeffs, a_vec, adot, da, dadot)
+            cdot_new = integrator.line_integral(b1, b2) + gamma
         d = float(np.max(np.abs(cdot_new - cdot)))
         diffs.append(d)
         if d <= tol * max(1.0, float(np.max(np.abs(cdot)))):
@@ -124,17 +138,16 @@ def solve_cdot(surface: SurfaceState, coeff_fn, a1, a2, a1dot, a2dot,
         cdot = cdot_new
     else:
         # diffs[-2] > 0, or that sweep would have stopped the loop
-        rate = diffs[-1] / diffs[-2] if len(diffs) > 1 else 0.0
+        rate = 0.0
+        if len(diffs) > 1 and diffs[-1] > _round_off_floor(cdot):
+            rate = diffs[-1] / diffs[-2]
         sweeps = "sweep differences " + ", ".join(f"{d:.3e}" for d in diffs)
         if rate >= 1.0:
             raise NoContractionError(
                 f"cdot iteration expands (ratio {rate:.3f}); reduce the time step ({sweeps})"
             )
         raise ConvergenceError(f"cdot iteration did not settle in {max_iter} sweeps ({sweeps})")
-    # a sweep difference within a few ulps of the iterate is the round-off of
-    # the line integral and the coefficients, not contraction: a ratio whose
-    # later difference is that small measures noise, so it is not counted
-    floor = 64 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(cdot))))
+    floor = _round_off_floor(cdot)
     rate = 0.0
     for i in range(1, len(diffs)):
         if diffs[i] > floor:

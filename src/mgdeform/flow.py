@@ -30,10 +30,12 @@ from .gdef import (
 from .kpres import (
     assemble_rates,
     assemble_variation,
+    delta_b,
     equation_coefficients,
     rhs_psi,
 )
 from .surface import SurfaceState, gauss_curvature_of
+from .transport import transport_normal
 from .vekua import (
     BoundaryProblem,
     PointPin,
@@ -197,6 +199,9 @@ class FlowState:
     records: list = field(default_factory=list)
     # per-node fields of the last completed step, replaced at every step
     fields: dict | None = field(default=None, init=False)
+    # assemble_variation of ``deform`` along its own history: the monitors
+    # of the step that made the state form it, and step 0 on first use
+    variation: tuple | None = field(default=None, init=False)
 
 
 def init_flow(metric, surface, boundary, config) -> FlowState:
@@ -248,14 +253,20 @@ def _make_assembler(state: FlowState):
     """psi-dot assembler closure over the current state; caches the pieces
     of its most recent evaluation for the advance step.  The cdot solve's
     last ``coeff_fn`` call is at the cdot it returns, so that call's trial
-    history, with its propagator memoised, serves the variation, and its
-    final rate sample is zdot."""
+    history, with its propagator memoised, serves the carried normal, and
+    its final rate sample is zdot.  The state's own variation serves every
+    call: its Delta(G) depends on the state alone, and its Delta(B) and
+    carried normal do too where the propagator is the identity (flat, or
+    step 0).  Elsewhere they are formed on the trial history."""
     metric, surface = state.metric, state.surface
     st = state.statics
     deform = state.deform
     prev = state.prev
     cfg = state.config
     cache = {}
+    if state.variation is None:
+        state.variation = assemble_variation(metric, surface, deform)
+    gvar, state_bvar, state_fwd = state.variation
 
     def assembler(w):
         a1dot = np.ascontiguousarray(w.imag)
@@ -272,7 +283,11 @@ def _make_assembler(state: FlowState):
             surface, coeff_fn, deform.a1, deform.a2,
             a1dot, a2dot, st.integ, da=deform.da,
         )
-        gvar, bvar, fwd = assemble_variation(metric, surface, deform, history=hist)
+        bvar = state_bvar
+        if not state_fwd.identity:
+            # the carried normal depends on the trial rate
+            bvar = delta_b(metric, surface, deform,
+                           transport_normal(metric, surface.y, hist, surface.n), gvar)
         zdot = hist.zdot[-1]
         m4dot_override = None
         if prev.m4 is None:
@@ -325,8 +340,9 @@ def step(state: FlowState):
     z_new = deform_new.z
     zdot = deform_new.rate_displacement()
 
-    # monitors at the advanced state
-    gvar_n, bvar_n, _ = assemble_variation(metric, surface, deform_new)
+    # monitors at the advanced state, whose variation the next step reuses
+    variation_n = assemble_variation(metric, surface, deform_new)
+    bvar_n = variation_n[1]
     dk_rel = float(np.max(np.abs(bvar_n.dK))) / st.k_scale
     k_def = gauss_curvature_of(grid, metric, surface.y + z_new)
     dk_oracle = float(np.max(np.abs(k_def - st.k_base))) / st.k_scale
@@ -360,6 +376,7 @@ def step(state: FlowState):
     state.prev = PrevRecords(coeffs=sol.coeffs, m4=last["bvar"].m4, psi1=last["psi1"],
                              w=final.w, w_before=prev.w)
     state.deform = deform_new
+    state.variation = variation_n
     state.step_index += 1
     state.records.append(rec)
     return rec

@@ -11,7 +11,9 @@ the lowered normal a0 n contracted with S_(1) and with S_(1) - Gamma0(., z);
 the paper's intermediate families S_(2) to S_(5) and T_j are built term by
 term in the tests' reference.  All coefficient fields vanish identically
 at t = 0 and in a flat ambient metric, where the system degenerates to
-c_,i = -a^l b_li.
+c_,i = -a^l b_li: there the propagator is the identity, S_(1) = 0, and
+``assemble_coefficients`` forms no contraction; its record says so
+(``GDefCoefficients.vanish``), so the cdot kernel and Psi_1 skip them too.
 """
 
 from __future__ import annotations
@@ -129,6 +131,13 @@ class GDefCoefficients:
     ndot: np.ndarray    # (3, N)
     qdot: np.ndarray    # (2, N)
 
+    @property
+    def vanish(self):
+        """All four fields are exact zeros, as under an identity propagator
+        whose previous record vanished too: then so do the cdot kernel and
+        Psi_1."""
+        return not any(np.any(f) for f in (self.n_j, self.q_i, self.ndot, self.qdot))
+
 
 def assemble_coefficients(metric: AmbientMetric, surface: SurfaceState,
                           deform: DeformationState,
@@ -141,29 +150,31 @@ def assemble_coefficients(metric: AmbientMetric, surface: SurfaceState,
     resummation), taken from the history's cached propagator, so only the
     final interval is integrated here.  A given ``history`` must end at the
     state's displacement; it only swaps the final rate.  Rates are backward
-    finite differences against ``prev`` when given.
+    finite differences against ``prev`` when given.  Under an identity
+    propagator S_(1) = 0, and N_j = Q_i = 0 are not contracted.
     """
     hist = history if history is not None else deform.history
     prop = transport_propagator(metric, surface.y, hist)
-    tang, n = surface.tang, surface.n.T
-    s1 = prop.backward - np.eye(3)[:, :, None]
-    an = np.einsum("abn,bn->an", surface.ambient_a, n)     # lowered normal a0 n
-    r1 = np.einsum("an,asn->sn", an, s1)
+    n_j = np.zeros((3, surface.grid.n_nodes))
+    q_i = np.zeros((2, surface.grid.n_nodes))
+    if not prop.identity:
+        tang, n = surface.tang, surface.n.T
+        s1 = prop.backward - np.eye(3)[:, :, None]
+        an = np.einsum("abn,bn->an", surface.ambient_a, n)     # lowered normal a0 n
+        r1 = np.einsum("an,asn->sn", an, s1)
+        n_j[0] = np.einsum("sn,sn->n", r1, n)
+        n_j[1:] = np.einsum("sn,sin->in", r1, tang)
 
-    n_j = np.empty((3, surface.grid.n_nodes))
-    n_j[0] = np.einsum("sn,sn->n", r1, n)
-    n_j[1:] = np.einsum("sn,sin->in", r1, tang)
-
-    # S_(1) and Gamma0(., z) = Gamma^a_{bs} z^b agree to first order in t, so
-    # they are subtracted entry by entry before the contraction with a0 n;
-    # contracting each first and subtracting the two covectors loses several
-    # digits of Q to cancellation.
-    gz = np.einsum("absn,bn->asn", surface.ambient_gamma, node_last(deform.z))
-    r3 = np.einsum("an,asn->sn", an, s1 - gz)
-    # the non-frame part of Eq. 2.27: z_,i - (d_i a^j) y_,j - n c_,i
-    bracket = (deform.dz - np.einsum("jin,sjn->sin", deform.da, tang)
-               - n[:, None, :] * deform.dc[None, :, :])
-    q_i = np.einsum("sn,sin->in", r3, tang) + np.einsum("sn,sin->in", r1, bracket)
+        # S_(1) and Gamma0(., z) = Gamma^a_{bs} z^b agree to first order in
+        # t, so they are subtracted entry by entry before the contraction
+        # with a0 n; contracting each first and subtracting the two
+        # covectors loses several digits of Q to cancellation.
+        gz = np.einsum("absn,bn->asn", surface.ambient_gamma, node_last(deform.z))
+        r3 = np.einsum("an,asn->sn", an, s1 - gz)
+        # the non-frame part of Eq. 2.27: z_,i - (d_i a^j) y_,j - n c_,i
+        bracket = (deform.dz - np.einsum("jin,sjn->sin", deform.da, tang)
+                   - n[:, None, :] * deform.dc[None, :, :])
+        q_i = np.einsum("sn,sin->in", r3, tang) + np.einsum("sn,sin->in", r1, bracket)
 
     if prev is not None and dt:
         ndot = (n_j - prev.n_j) / dt

@@ -16,11 +16,21 @@ Time rates: W1-dot and Delta(g_ij)-dot have explicit forms and are built
 directly; rates of the M-cascade come from backward differences over the
 step history.  The right-hand sides of the elliptic pair collect into
 psi1-dot (curl equation) and psi3 = qb0 P - P0 (divergence equation).
+
+Terms that vanish identically are not formed.  In a flat metric every term
+carrying a metric derivative, a Christoffel symbol or a_t - a0 is zero; under
+an identity propagator (flat, or t = 0) so are Delta(B)'s transport tails,
+and with vanishing N/Q coefficients so is Psi_1.  Each kernel lists its
+terms in one sum and adds the vanishing ones under one predicate, in the
+order of the full sum, so a curved result keeps its bits.  |n_t| differs
+from 1 by round-off even in a flat metric, so Delta(B)'s normalization
+terms stay.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -40,6 +50,11 @@ def _sym(m):
 def _gtrace(g_inv, m):
     """g^ij m_ij, node-last."""
     return np.einsum("ijn,ijn->n", g_inv, m)
+
+
+def _total(terms):
+    """terms[0] + terms[1] + ..., summed left to right."""
+    return reduce(np.add, terms)
 
 
 def _form_product(a, u, v):
@@ -81,20 +96,25 @@ class EquationCoefficients:
 
 def delta_g(metric: AmbientMetric, surface: SurfaceState, z, zder) -> GVariation:
     """First-form variation, no linearization in z; z is the (N, 3) point
-    vector and zder its node-last partials z_,i, (3, 2, N)."""
+    vector and zder its node-last partials z_,i, (3, 2, N).  The terms in
+    da, Gamma and a_t - a0 are formed only in a curved metric."""
     tang, a0 = surface.tang, surface.ambient_a
     pts = surface.y + z
     a_t = node_last(metric.metric(pts))
-    z_l = node_last(z)
-    da0z = np.einsum("absn,sn->abn", node_last(metric.dmetric(surface.y)), z_l)
-    gz = np.einsum("agsn,sn->agn", surface.ambient_gamma, z_l)
-    dstar_z = zder + np.einsum("agn,gjn->ajn", gz, tang)
+    dstar_z = zder
+    curved_terms = []
+    if not metric.is_flat():
+        z_l = node_last(z)
+        da0z = np.einsum("absn,sn->abn", surface.ambient_da, z_l)
+        gz = np.einsum("agsn,sn->agn", surface.ambient_gamma, z_l)
+        dstar_z = zder + np.einsum("agn,gjn->ajn", gz, tang)
+        mid = _form_product(a_t - a0 - da0z, tang, tang)
+        cross = _form_product(a_t - a0, tang, zder)
+        curved_terms = [mid, _sym(cross)]
 
     lead = _form_product(a0, tang, dstar_z)
-    mid = _form_product(a_t - a0 - da0z, tang, tang)
-    cross = _form_product(a_t - a0, tang, zder)
     quad = _form_product(a_t, zder, zder)
-    dg_ij = _sym(lead) + mid + _sym(cross) + quad
+    dg_ij = _total([_sym(lead), *curved_terms, quad])
 
     w2 = dg_ij[0, 0] * dg_ij[1, 1] - dg_ij[0, 1] ** 2
     dg = surface.g_det * _gtrace(surface.g_inv, dg_ij) + w2
@@ -103,43 +123,48 @@ def delta_g(metric: AmbientMetric, surface: SurfaceState, z, zder) -> GVariation
 
 def delta_b(metric: AmbientMetric, surface: SurfaceState, deform: DeformationState,
             fwd: NormalTransport, gvar: GVariation) -> BVariation:
-    """Second-form variation via the carried-normal cascade in closed form."""
+    """Second-form variation via the carried-normal cascade in closed form.
+
+    The Christoffel and a_t - a0 terms are formed only in a curved metric,
+    and the transport tails only where the propagator is not the identity
+    (``fwd.identity``); D*n_t - D*n_0 is zero in a flat metric.
+    """
     grid = surface.grid
     tang, n0 = surface.tang, surface.n.T
     a0, b0 = surface.ambient_a, surface.b
     zder = deform.dz                             # (3, 2, N)
     pts = surface.y + deform.z
     a_t = node_last(metric.metric(pts))
-    gamma_t = christoffel_at(metric, pts)
-    n_t, a2_vec, a1m = fwd.n_t, fwd.a2_vec, fwd.a1_mat
+    curved = not metric.is_flat()
+    n_t = fwd.n_t
 
     norm = fwd.norm
     inv_norm = 1.0 / norm
     n_til = n_t * inv_norm
     dinv = grid.grad_last(inv_norm)              # (2, N)
-    ntil_der = grid.grad_last(n_til)             # (3, 2, N)
-    # Gamma_t(y_,j + z_,j, n_t); over |n_t| it is D*n~'s connection term
-    gamma_nt = np.einsum("gabn,ajn,bn->gjn", gamma_t, tang + zder, n_t)
-    dstar_ntil = ntil_der + gamma_nt * inv_norm
+    dstar_ntil = grid.grad_last(n_til)           # (3, 2, N), D*n~ when flat
+    if curved:
+        # Gamma_t(y_,j + z_,j, n_t); over |n_t| it is D*n~'s connection term
+        gamma_nt = np.einsum("gabn,ajn,bn->gjn", christoffel_at(metric, pts),
+                             tang + zder, n_t)
+        dstar_ntil = dstar_ntil + gamma_nt * inv_norm
 
     lin = np.einsum("kin,jkn->ijn", deform.da, b0)   # (d_i a^k) b_jk
     m2 = -_form_product(a_t, zder, dstar_ntil) - lin
 
-    # D*n_t - D*n_0: the transport tails and the Christoffel terms
-    dstar_dn = (
-        np.einsum("bsn,sjn->bjn", a1m, surface.n_deriv)
-        + grid.grad_last(a2_vec)
-        + np.einsum("bsjn,sn->bjn", grid.grad_last(a1m), n0)
-        + gamma_nt
-        - surface.gamma_n
-    )
-    dstar_nt = surface.dstar_n + dstar_dn
-
-    m3 = (
-        np.swapaxes(b0, 0, 1) * ((1.0 - norm) * inv_norm)
-        - _form_product(a0, tang, dstar_dn) * inv_norm
-        - _form_product(a_t - a0, tang, dstar_nt) * inv_norm
-    )
+    m3 = np.swapaxes(b0, 0, 1) * ((1.0 - norm) * inv_norm)
+    if curved:
+        # D*n_t - D*n_0: the transport tails and the Christoffel terms
+        tails = []
+        if not fwd.identity:
+            a1m = fwd.a1_mat
+            tails = [np.einsum("bsn,sjn->bjn", a1m, surface.n_deriv),
+                     grid.grad_last(fwd.a2_vec),
+                     np.einsum("bsjn,sn->bjn", grid.grad_last(a1m), n0)]
+        dstar_dn = _total([*tails, gamma_nt]) - surface.gamma_n
+        dstar_nt = surface.dstar_n + dstar_dn
+        m3 = (m3 - _form_product(a0, tang, dstar_dn) * inv_norm
+              - _form_product(a_t - a0, tang, dstar_nt) * inv_norm)
     at_y_nt = np.einsum("abn,ain,bn->in", a_t, tang, n_t)
     m4 = m2 + m3 - at_y_nt[:, None, :] * dinv[None, :, :]
 
@@ -185,7 +210,8 @@ def assemble_rates(metric: AmbientMetric, surface: SurfaceState,
 
     ``zdot`` is the (N, 3) displacement rate.  ``dadot`` is d_i adot^j as
     (j, i, N), e.g. a cdot solve's; it is taken here when not given.
-    ``prev_m4`` and ``m4dot_override`` are node-last (2, 2, N).
+    ``prev_m4`` and ``m4dot_override`` are node-last (2, 2, N).  The terms in
+    da, Gamma and a_t - a0 (t1 to t4) are formed only in a curved metric.
     """
     grid = surface.grid
     tang, a0, g_inv = surface.tang, surface.ambient_a, surface.g_inv
@@ -194,28 +220,26 @@ def assemble_rates(metric: AmbientMetric, surface: SurfaceState,
     zdot_der = grid.grad_last(zdot_l)            # (3, 2, N)
     pts = surface.y + deform.z
     a_t = node_last(metric.metric(pts))
-    da_t_zdot = np.einsum("absn,sn->abn", node_last(metric.dmetric(pts)), zdot_l)
-    da0_zdot = np.einsum("absn,sn->abn", node_last(metric.dmetric(surface.y)), zdot_l)
+    dstar_zdot = zdot_der
+    w1dot_curved, dgdot_curved = [], []
+    if not metric.is_flat():
+        da_t_zdot = np.einsum("absn,sn->abn", node_last(metric.dmetric(pts)), zdot_l)
+        da0_zdot = np.einsum("absn,sn->abn", surface.ambient_da, zdot_l)
+        t1 = _form_product(da_t_zdot - da0_zdot, tang, tang)
+        t2 = _form_product(da_t_zdot, tang, zder)
+        t3 = _form_product(a_t - a0, tang, zdot_der)
+        t4 = _form_product(da_t_zdot, zder, zder)
+        w1dot_curved = [_gtrace(g_inv, t1), 2 * _gtrace(g_inv, t2),
+                        2 * _gtrace(g_inv, t3), _gtrace(g_inv, t4)]
+        dgdot_curved = [t1, _sym(t2), _sym(t3), t4]
+        gzd = np.einsum("agsn,sn->agn", surface.ambient_gamma, zdot_l)
+        dstar_zdot = zdot_der + np.einsum("agn,gjn->ajn", gzd, tang)
 
-    t1 = _form_product(da_t_zdot - da0_zdot, tang, tang)
-    t2 = _form_product(da_t_zdot, tang, zder)
-    t3 = _form_product(a_t - a0, tang, zdot_der)
-    t4 = _form_product(da_t_zdot, zder, zder)
     t5 = _form_product(a_t, zdot_der, zder)
     t6 = _form_product(a_t, zder, zdot_der)
-    w1dot = (_gtrace(g_inv, t1) + 2 * _gtrace(g_inv, t2) + 2 * _gtrace(g_inv, t3)
-             + _gtrace(g_inv, t4) + _gtrace(g_inv, t5) + _gtrace(g_inv, t6))
-
-    gzd = np.einsum("agsn,sn->agn", surface.ambient_gamma, zdot_l)
-    dstar_zdot = zdot_der + np.einsum("agn,gjn->ajn", gzd, tang)
+    w1dot = _total([*w1dot_curved, _gtrace(g_inv, t5), _gtrace(g_inv, t6)])
     s_lead = _form_product(a0, tang, dstar_zdot)
-    dgdot_ij = (
-        _sym(s_lead)
-        + t1
-        + _sym(t2)
-        + _sym(t3)
-        + t4 + t5 + t6
-    )
+    dgdot_ij = _total([_sym(s_lead), *dgdot_curved, t5, t6])
     dg_ij = gvar.dg_ij
     w2dot = (
         dgdot_ij[0, 0] * dg_ij[1, 1]
@@ -250,7 +274,10 @@ def assemble_rates(metric: AmbientMetric, surface: SurfaceState,
 
 def psi1_bracket(surface: SurfaceState, coeffs: GDefCoefficients,
                  deform: DeformationState):
-    """The curl-equation source Psi_1 = -(...)/V at the current state."""
+    """The curl-equation source Psi_1 = -(...)/V at the current state; 0,
+    with nothing differentiated, where the coefficients vanish."""
+    if coeffs.vanish:
+        return np.zeros(surface.grid.n_nodes)
     dc, da = deform.dc, deform.da
     dn = surface.grid.grad_last(coeffs.n_j)    # (j, i, N) = d_i N_j
     dq = surface.grid.grad_last(coeffs.q_i)    # (k, i, N) = d_i Q_k

@@ -9,6 +9,7 @@ where D* couples surface partials with ambient Christoffel contraction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -110,7 +111,8 @@ class SurfaceState:
     ``y2`` are (N, 3) views of ``tang``.  The only Christoffel symbols kept
     are the ambient metric's at ``y``.  ``build_surface`` marks every array
     read-only: the transport prefix cache is keyed by the identity of ``y``
-    and relies on it never changing in place.
+    and relies on it never changing in place.  The metric derivative at
+    ``y``, which only curved variations read, is taken on first use.
     """
 
     grid: DiskGrid
@@ -133,6 +135,13 @@ class SurfaceState:
     ambient_a: np.ndarray      # (3, 3, N)
     ci_residual: float = 0.0
     ci_tol: float = CI_TOL   # the bound build_surface admitted ci_residual under
+
+    @cached_property
+    def ambient_da(self):
+        """(3, 3, 3, N) d a_ab / d y^s at ``y``, read-only."""
+        da = node_last(self.metric.dmetric(self.y))
+        da.flags.writeable = False
+        return da
 
     @property
     def y1(self):

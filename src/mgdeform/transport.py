@@ -9,6 +9,13 @@ The flow's consumers read the propagator through ``transport_propagator``,
 which keeps the integrated prefix of a history (intervals 0..M-2) in a cache
 the history shares with its ``replace_final_rate`` children and hands to
 ``advance``; each call integrates only the final interval.
+
+In a flat metric, and over a history with no interval (t = 0 in any
+metric), the propagator is exactly the identity and does not depend on the
+final rate.  ``transport_propagator`` then integrates nothing and returns a
+propagator marked ``identity``, which ``NormalTransport`` carries on: the
+consumers skip the series tails and coefficient fields that vanish there,
+and a state's carried normal can serve every trial rate.
 """
 
 from __future__ import annotations
@@ -153,7 +160,9 @@ class Propagator:
     A_(1)(tau_k, 0), whose forward counterpart is its negative.  ``g_end`` is
     G at sample k, the start of the next interval (None where nothing is
     integrated).  The key fields say which metric and base points the maps
-    belong to.  Each interval is one RK4 step.
+    belong to.  Each interval is one RK4 step.  ``identity`` marks the
+    exact identity (flat metric or no interval): both maps are I, and
+    ``integral`` is 0.
     """
 
     metric: AmbientMetric
@@ -163,6 +172,7 @@ class Propagator:
     forward: np.ndarray
     integral: np.ndarray
     g_end: np.ndarray | None
+    identity: bool = False
 
     def matches(self, metric, y0):
         return self.metric is metric and self.y0 is y0
@@ -220,7 +230,8 @@ def transport_propagator(metric: AmbientMetric, y0,
         # nothing to integrate; with no interval, sample 0 is the final
         # sample, whose rate the children change, so nothing is cached
         eye = _identity(n)
-        return Propagator(metric, y0, history.n_steps, eye, eye, np.zeros((3, 3, n)), None)
+        return Propagator(metric, y0, history.n_steps, eye, eye, np.zeros((3, 3, n)), None,
+                          identity=True)
     full = history._full
     if full is not None and full.matches(metric, y0):
         return full
@@ -239,12 +250,16 @@ def transport_propagator(metric: AmbientMetric, y0,
 
 @dataclass
 class NormalTransport:
-    """Forward transport of the unit normal with its series tails, node-last."""
+    """Forward transport of the unit normal with its series tails, node-last.
+
+    Under an ``identity`` propagator n_t = n_0 and both tails are 0.
+    """
 
     n_t: np.ndarray          # (3, N) transported normal at tau = t
     a2_vec: np.ndarray       # (3, N) tail n_t - n_0 beyond the first-order term
     a1_mat: np.ndarray       # (3, 3, N) first-order matrix A_(1)(0, t)
     norm: np.ndarray         # (N,) |n(t)| in the metric at the displaced point
+    identity: bool = False   # the propagator is the identity
 
 
 def transport_normal(metric: AmbientMetric, y0, history: TransportHistory,
@@ -255,7 +270,10 @@ def transport_normal(metric: AmbientMetric, y0, history: TransportHistory,
     n0_l = node_last(n0)
     n_t = np.einsum("gbn,bn->gn", prop.forward, n0_l)
     a1_mat = -prop.integral
-    a2_vec = n_t - n0_l - np.einsum("gbn,bn->gn", a1_mat, n0_l)
+    a2_vec = n_t - n0_l
+    if not prop.identity:
+        a2_vec = a2_vec - np.einsum("gbn,bn->gn", a1_mat, n0_l)
     a_t = node_last(metric.metric(y0 + history.z[-1]))
     norm = np.sqrt(np.einsum("abn,an,bn->n", a_t, n_t, n_t))
-    return NormalTransport(n_t=n_t, a2_vec=a2_vec, a1_mat=a1_mat, norm=norm)
+    return NormalTransport(n_t=n_t, a2_vec=a2_vec, a1_mat=a1_mat, norm=norm,
+                           identity=prop.identity)

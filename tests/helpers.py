@@ -28,6 +28,20 @@ class RadialWarpedMetric(AmbientMetric):
                             + y[..., :, None, None] * eye[None, :, :])
 
 
+class UndeclaredFlatMetric(AmbientMetric):
+    """The Euclidean metric through the plug-in interface alone: identity
+    ``metric``, zero ``dmetric`` and ``is_flat()`` False, so every kernel
+    takes its curved path and forms the terms a flat metric skips."""
+
+    def metric(self, y):
+        y = np.asarray(y, dtype=float)
+        return np.broadcast_to(np.eye(3), y.shape[:-1] + (3, 3)).copy()
+
+    def dmetric(self, y):
+        y = np.asarray(y, dtype=float)
+        return np.zeros(y.shape[:-1] + (3, 3, 3))
+
+
 # curved metrics whose Christoffel terms the closed-form cascades must carry:
 # both conformal kinds and a non-conformal one on the general path
 CURVED_METRICS = {

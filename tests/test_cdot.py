@@ -292,6 +292,20 @@ def test_contracting_solve_cut_off_is_not_called_expanding(setup_curved):
         contraction_run(metric, surf, integ, 0.05, max_iter=1)
 
 
+def test_cut_off_at_round_off_is_not_called_expanding(setup_curved):
+    # a tolerance below round-off: the sweep differences fall from 2.0e-3 to
+    # 1.4e-17 and hold there, a ratio of 1 between two round-off differences,
+    # which is no measured expansion, so the cut-off did not settle
+    metric, surf, integ = setup_curved
+    with pytest.raises(ConvergenceError, match="did not settle in 8 sweeps") as err:
+        contraction_run(metric, surf, integ, 0.05, tol=1e-30, max_iter=8)
+    listed = [float(d) for d in
+              str(err.value).split("sweep differences ")[1].rstrip(")").split(", ")]
+    assert len(listed) == 8
+    assert listed[0] > 1e-3
+    assert listed[-1] == listed[-2] < 1e-16
+
+
 @pytest.mark.parametrize("fixture", ["setup_flat", "setup_curved"])
 def test_solution_is_the_iterate_its_last_sweep_certified(request, fixture):
     # one coeff_fn call per sweep, the last at the returned cdot: the

@@ -283,6 +283,34 @@ def test_curved_metric_flow_meets_acceptance_bounds(monkeypatch):
     assert rep["max_rate_sup"] > 1e-4
 
 
+def test_metric_derivative_at_the_surface_taken_once(monkeypatch):
+    # d a at y is a surface constant, taken once on first use; a curved
+    # steady step differentiates the metric only at the displaced points,
+    # once per rate assembly, which is once per outer pass
+    metric = conformal_radial_metric(0.5)
+    surf = build_surface(SphereCapImmersion(1.0, 0.5), metric, DiskGrid(16, 32),
+                         ci_tol=1e-5)
+    state = init_flow(metric, surf, BoundarySpec(), FlowConfig(t_final=0.02, dt=0.005))
+    real = metric.dmetric
+    at_y, displaced = [], []
+
+    def counting(y):
+        (at_y if y is surf.y else displaced).append(1)
+        return real(y)
+
+    monkeypatch.setattr(metric, "dmetric", counting)
+    per_step = []
+
+    def on_step(rec):
+        per_step.append((len(at_y), len(displaced)))
+        at_y.clear()
+        displaced.clear()
+
+    run_flow(state, on_step)
+    assert [y for y, _ in per_step] == [1, 0, 0, 0]
+    assert [d for _, d in per_step[1:]] == [r.bvp_passes for r in state.records[1:]]
+
+
 class GeneralPathMetric(AmbientMetric):
     """A plug-in with only ``metric`` and ``dmetric``, delegating to
     ``inner``: its Christoffel symbols take the general path."""

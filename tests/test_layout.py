@@ -97,9 +97,11 @@ def test_records_stored_node_last(curved):
 
 
 def test_flow_step_contracts_node_last(monkeypatch):
-    # every per-node contraction of a curved flow step (surface build,
+    # every per-node contraction of two curved flow steps (surface build,
     # step-0 statics, cdot sweeps, variations, rates, monitors and the rebuild
-    # oracle) is one plain einsum with the node axis last and contiguous
+    # oracle) is one plain einsum with the node axis last and contiguous; the
+    # cdot kernel first contracts at step 1, where the coefficients no longer
+    # vanish
     metric = conformal_radial_metric(0.5)
     grid = DiskGrid(16, 32)
     real = np.einsum
@@ -120,7 +122,8 @@ def test_flow_step_contracts_node_last(monkeypatch):
     monkeypatch.setattr(np, "einsum", guarded)
     surf = build_surface(SphereCapImmersion(1.0, 0.5), metric, grid, ci_tol=1e-5)
     boundary = BoundarySpec(winding=1, gamma_kind="harmonic", epsilon=1e-3, mode=1)
-    state = init_flow(metric, surf, boundary, FlowConfig(t_final=0.005, dt=0.005))
+    state = init_flow(metric, surf, boundary, FlowConfig(t_final=0.01, dt=0.005))
+    step(state)
     step(state)
     assert seen == set(KERNELS)
     assert bad == []
