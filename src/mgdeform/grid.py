@@ -13,6 +13,7 @@ stencil is needed away from the rim.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import MgError
 
@@ -68,6 +69,12 @@ class DiskGrid:
         self._build_derivative_tables()
         self._build_cumint_weights()
         self._caches = {}
+        self._ray_buffers = {}
+
+    def __getstate__(self):
+        """Copies leave out the ray integrals' work buffers, whose views of
+        one another a copy would not keep; they are rebuilt on first use."""
+        return dict(self.__dict__, _ray_buffers={})
 
     # -- indexing -----------------------------------------------------------
 
@@ -75,20 +82,6 @@ class DiskGrid:
         """Flat index of ring i (1..n_r), angle slot j (mod n_theta)."""
         j = np.asarray(j) % self.n_theta
         return 1 + (np.asarray(i) - 1) * self.n_theta + j
-
-    def _split(self, f):
-        f = np.asarray(f)
-        shape_tail = f.shape[1:]
-        flat = f.reshape(self.n_nodes, -1)
-        center = flat[0]
-        rings = flat[1:].reshape(self.n_r, self.n_theta, -1)
-        return center, rings, shape_tail
-
-    def _join(self, center, rings, shape_tail):
-        flat = np.concatenate(
-            [center.reshape(1, -1), rings.reshape(self.n_r * self.n_theta, -1)]
-        )
-        return flat.reshape((self.n_nodes,) + shape_tail)
 
     # -- differentiation ------------------------------------------------------
 
@@ -188,28 +181,77 @@ class DiskGrid:
         self._cum_idx = starts[:, None] + np.arange(4)[None, :]
         self._cum_w = self.h * w
 
-    def _ray_values(self, f):
-        """Field values along each ray: shape (n_r + 1, n_theta, M)."""
-        center, rings, tail = self._split(f)
-        rays = np.empty((self.n_r + 1, self.n_theta, rings.shape[2]), dtype=rings.dtype)
-        rays[0] = center[None, :]
-        rays[1:] = rings
-        return rays, tail
+    def _ray_scratch(self, dtype, m):
+        """Work buffers of the ray integrals of ``m``-column fields, and views
+        of them in the order ``line_integral_center`` unpacks them.
 
-    def _cumulate_rays(self, rays, tail):
-        """Cumulative panel integrals of ray samples, as a node field."""
-        incr = np.einsum("is,isjm->ijm", self._cum_w, rays[self._cum_idx])
-        cum = np.cumsum(incr, axis=0)
-        center = np.zeros(rays.shape[2], dtype=cum.dtype)
-        return self._join(center, cum, tail)
+        ``lev`` holds the integrand on ray levels 0 (the center, repeated on
+        every ray) .. n_r, each level a row of n_theta * m values; ``incr``
+        holds the panel integrals of rings 1 .. n_r below a zero level 0.
+        """
+        n_r, nt = self.n_r, self.n_theta
+        width = nt * m
+        lev = np.empty((n_r + 1, width), dtype)
+        tmp = np.empty_like(lev)
+        incr = np.zeros_like(lev)
+        rows, k = incr[1:], n_r - 2
+        step = lev.strides[0]
+        # the first and the rim panel read the four levels from 0 and from
+        # n_r - 3, the windows of rows 1 and n_r - 2
+        edge = as_strided(lev, (2, 4, width), ((n_r - 3) * step, step, lev.strides[1]),
+                          writeable=False)
+        mid = [(float(self._cum_w[1, s]), lev[s : s + k]) for s in range(4)]
+        return (
+            (n_r, width), lev, tmp, incr,
+            np.repeat(self._rim_cos, m), np.repeat(self._rim_sin, m),
+            self._rim_cos[:, None], self._rim_sin[:, None],
+            lev[0].reshape(nt, m), tmp[0].reshape(nt, m),
+            mid, rows[1:-1], tmp[:k],
+            edge, self._cum_w[:: n_r - 1, :, None], np.empty((2, 4, width), dtype),
+            rows[:: n_r - 1],
+        )
 
     def line_integral_center(self, p, q):
-        """Integral of p dx1 + q dx2 along straight rays from the center."""
-        p_rays, tail = self._ray_values(p)
-        q_rays, _ = self._ray_values(q)
-        integrand = (p_rays * self._rim_cos[None, :, None]
-                     + q_rays * self._rim_sin[None, :, None])
-        return self._cumulate_rays(integrand, tail)
+        """Integral of p dx1 + q dx2 along straight rays from the center.
+
+        Ring i's panel integrates the cubic through four ray levels of the
+        integrand p cos + q sin: rows 1 .. n_r - 2 read levels i - 1 .. i + 2
+        as shifted slices of one level buffer, the first and the rim panel
+        one window of four levels each; the products are summed in stencil
+        order.  The cumulative sum runs outward from a zero level, whose
+        last entry is the center node of the result.  ``p`` and ``q`` are
+        (N,) or (N, m) fields of one shape; the work buffers are kept per
+        dtype pair and m.
+        """
+        p = np.asarray(p)
+        q = np.asarray(q)
+        p2 = p.reshape(self.n_nodes, -1)
+        q2 = q.reshape(self.n_nodes, -1)
+        key = (p2.dtype, q2.dtype, p2.shape[1])
+        scratch = self._ray_buffers.get(key)
+        if scratch is None:
+            scratch = self._ray_buffers[key] = self._ray_scratch(
+                np.result_type(p2, q2, np.float64), p2.shape[1])
+        (shape, lev, tmp, incr, cos, sin, cos_col, sin_col, center_p, center_q,
+         mid, mid_out, mid_tmp, edge, edge_w, edge_prod, edge_out) = scratch
+
+        np.multiply(p2[1:].reshape(shape), cos, out=lev[1:])
+        np.multiply(q2[1:].reshape(shape), sin, out=tmp[1:])
+        np.multiply(p2[0], cos_col, out=center_p)
+        np.multiply(q2[0], sin_col, out=center_q)
+        lev += tmp
+
+        (w, level), *rest = mid
+        np.multiply(w, level, out=mid_out)
+        for w, level in rest:
+            mid_out += np.multiply(w, level, out=mid_tmp)
+        np.multiply(edge_w, edge, out=edge_prod)
+        np.add(edge_prod[:, 0], edge_prod[:, 1], out=edge_out)
+        edge_out += edge_prod[:, 2]
+        edge_out += edge_prod[:, 3]
+
+        cum = np.add.accumulate(incr, axis=0)
+        return cum.reshape(-1, p2.shape[1])[self.n_theta - 1 :].reshape(p.shape)
 
     def line_integral_from(self, x0_node, p, q):
         """Integral of p dx1 + q dx2 along straight segments x0 -> node.

@@ -631,47 +631,99 @@ def _fmt(x):
 def _write_text(path, header, blocks):
     """Header lines, then one ``begin name`` ... ``end`` block per
     (name, values, is_complex): one "re im" row per complex value, one value
-    per row otherwise."""
-    parts = list(header)
-    for name, values, is_complex in blocks:
-        if is_complex:
-            values = np.asarray(values, dtype=complex)
-            rows = map("{:.17g} {:.17g}".format, values.real.tolist(), values.imag.tolist())
-        else:
-            rows = map("{:.17g}".format, np.asarray(values, dtype=float).tolist())
-        parts += [f"begin {name}", "\n".join(rows), "end"]
+    per row otherwise, each value printed with 17 significant digits."""
     with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
+        fh.write("\n".join(header) + "\n")
+        for name, values, is_complex in blocks:
+            values = np.ascontiguousarray(values, dtype=complex if is_complex else float)
+            row = "%.17g %.17g\n" if is_complex else "%.17g\n"
+            fh.write(f"begin {name}\n")
+            fh.write(row * values.size % tuple(values.view(float).tolist()))
+            fh.write("end\n")
+
+
+# the ASCII whitespace that str.split and str.strip take besides space and newline
+_OTHER_SPACE = "\t\x0b\x0c\r\x1c\x1d\x1e\x1f"
+
+
+def _block_rows(body):
+    """Row count and whitespace-separated tokens of a block's text.
+
+    Every row ``_write_text`` writes ends in a newline and has one space
+    fewer than tokens, so its body holds (tokens - newlines) spaces.  A body
+    whose only whitespace is spaces and newlines and that holds that many
+    has no blank line and no stray space: one row per newline.  Any other
+    body, or one with a ``#``, is first reduced to its stripped lines that
+    are neither blank nor ``#`` comments.
+    """
+    tokens = body.split()
+    rows = body.count("\n")
+    if (not body.isascii() or "#" in body or any(c in body for c in _OTHER_SPACE)
+            or body.count(" ") != len(tokens) - rows):
+        lines = [ln for ln in map(str.strip, body.split("\n"))
+                 if ln and not ln.startswith("#")]
+        rows, tokens = len(lines), " ".join(lines).split()
+    return rows, tokens
+
+
+def _block_end(text, pos):
+    """(start, end) of the first line at or after ``pos`` that reads ``end``."""
+    i = pos
+    while (i := text.find("end", i)) >= 0:
+        start = text.rfind("\n", 0, i) + 1
+        stop = text.find("\n", i) + 1 or len(text)
+        if text[start:stop].strip() == "end":
+            return start, stop
+        i += 3
+    return None
 
 
 def _read_text(path):
-    """Header key -> value and block name -> row lines; blank lines and
-    ``#`` comments are skipped."""
+    """Header key -> value and block name -> (row count, tokens) of a problem file.
+
+    The grammar: ``key value`` header lines, then blocks that each open
+    with a ``begin <name>`` line and close at the next ``end`` line, with one
+    row per sample between them (``re im`` for a complex sample, each value
+    written with 17 significant digits).  Lines are read without their
+    surrounding whitespace; blank lines and ``#`` comment lines may stand
+    anywhere and count for nothing.  A repeated header key or block name is
+    a format error; ``load_problem`` rejects names it does not know.
+    """
     with open(path) as fh:
-        raw = [ln.strip() for ln in fh]
-    raw = [ln for ln in raw if ln and not ln.startswith("#")]
-    if not raw:
+        text = fh.read()
+    header, blocks = {}, {}
+    pos = 0
+    while pos < len(text):
+        stop = text.find("\n", pos) + 1 or len(text)
+        line = text[pos:stop].strip()
+        pos = stop
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("begin "):
+            name = line.split(None, 1)[1]
+            if name in blocks:
+                raise FormatError(f"{path}: repeated block {name!r}")
+            end = _block_end(text, pos)
+            if end is None:
+                raise FormatError(f"{path}: unterminated block {name!r}")
+            blocks[name] = _block_rows(text[pos : end[0]])
+            pos = end[1]
+        elif blocks:
+            raise FormatError(f"{path}: expected 'begin', got {line!r}")
+        else:
+            parts = line.split()
+            if len(parts) != 2:
+                raise FormatError(f"{path}: bad header line {line!r}")
+            if parts[0] in header:
+                raise FormatError(f"{path}: repeated header key {parts[0]!r}")
+            header[parts[0]] = parts[1]
+    if not (header or blocks):
         raise FormatError(f"{path}: empty problem file")
-    header = {}
-    i = 0
-    while i < len(raw) and not raw[i].startswith("begin "):
-        parts = raw[i].split()
-        if len(parts) != 2:
-            raise FormatError(f"{path}: bad header line {raw[i]!r}")
-        header[parts[0]] = parts[1]
-        i += 1
-    blocks = {}
-    while i < len(raw):
-        if not raw[i].startswith("begin "):
-            raise FormatError(f"{path}: expected 'begin', got {raw[i]!r}")
-        name = raw[i].split(None, 1)[1]
-        try:
-            end = raw.index("end", i + 1)
-        except ValueError:
-            raise FormatError(f"{path}: unterminated block {name!r}") from None
-        blocks[name] = raw[i + 1 : end]
-        i = end + 1
     return header, blocks
+
+
+_PROBLEM_HEADER = ("n_r", "n_theta", "x0_node", "e_swap")
+_PROBLEM_BLOCKS = ("lambda", "phi", "A", "B", "e0_point", "e0_weight", "psi")
 
 
 def save_problem(path, problem: BoundaryProblem):
@@ -692,6 +744,12 @@ def save_problem(path, problem: BoundaryProblem):
 
 def load_problem(path) -> BoundaryProblem:
     header, blocks = _read_text(path)
+    for key in header:
+        if key not in _PROBLEM_HEADER:
+            raise FormatError(f"{path}: unknown header key {key!r}")
+    for name in blocks:
+        if name not in _PROBLEM_BLOCKS:
+            raise FormatError(f"{path}: unknown block {name!r}")
     try:
         n_r = int(header["n_r"])
         n_theta = int(header["n_theta"])
@@ -713,12 +771,12 @@ def load_problem(path) -> BoundaryProblem:
         """The values of an optional block, checked against its row shape."""
         if name not in blocks:
             return None
-        rows = blocks[name]
+        rows, tokens = blocks[name]
         shape = f"{count} 're im' rows" if is_complex else f"{count} value rows"
-        if len(rows) != count:
+        if rows != count:
             raise FormatError(f"{path}: block {name!r} must have {shape}")
         try:
-            vals = np.array(" ".join(rows).split(), float)
+            vals = np.fromiter(map(float, tokens), float, len(tokens))
         except ValueError as exc:
             raise FormatError(f"{path}: block {name!r}: {exc}") from None
         if vals.size != (2 if is_complex else 1) * count:

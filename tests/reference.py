@@ -16,8 +16,8 @@ computes another way, or a diagnostic of a bound the package relies on:
   and the coefficient families S_(1) to S_(5), T_j, N_j and Q_i by the
   paper's term-by-term cascades, the algebraic G-condition residual and
   the norm chain of the coefficient cascade, and the cdot diagnostics;
-- the cumulative radial integral along the grid's rays and the disk's area
-  quadrature.
+- the cumulative radial integral and the line integral along the grid's
+  rays in gather form, and the disk's area quadrature.
 """
 
 from __future__ import annotations
@@ -636,9 +636,40 @@ def loop_closedness(surface: SurfaceState, coeffs, a1, a2, a1dot, a2dot):
 # --------------------------------------------------------------------------
 
 
+def _ray_values(grid: DiskGrid, f):
+    """Values of an (N, ...) field along each ray, (n_r + 1, n_theta, M), and
+    the field's trailing shape; level 0 is the center on every ray."""
+    f = np.asarray(f)
+    flat = f.reshape(grid.n_nodes, -1)
+    rays = np.empty((grid.n_r + 1, grid.n_theta, flat.shape[1]), dtype=flat.dtype)
+    rays[0] = flat[0]
+    rays[1:] = flat[1:].reshape(grid.n_r, grid.n_theta, -1)
+    return rays, f.shape[1:]
+
+
+def _cumulate_rays(grid: DiskGrid, rays, tail):
+    """Cumulative panel integrals of ray samples as a node field: each
+    panel's four levels are gathered out and contracted with its weights."""
+    incr = np.einsum("is,isjm->ijm", grid._cum_w, rays[grid._cum_idx])
+    cum = np.cumsum(incr, axis=0)
+    center = np.zeros((1, rays.shape[2]), dtype=cum.dtype)
+    flat = np.concatenate([center, cum.reshape(grid.n_r * grid.n_theta, -1)])
+    return flat.reshape((grid.n_nodes,) + tail)
+
+
 def cumint_radial(grid: DiskGrid, f):
     """Cumulative integral of f along each ray from the center outward."""
-    return grid._cumulate_rays(*grid._ray_values(f))
+    return _cumulate_rays(grid, *_ray_values(grid, f))
+
+
+def line_integral_gather(grid: DiskGrid, p, q):
+    """``DiskGrid.line_integral_center`` in gather form: the integrand
+    p cos + q sin on the rays, then ``cumint_radial``'s panel contraction."""
+    p_rays, tail = _ray_values(grid, p)
+    q_rays, _ = _ray_values(grid, q)
+    integrand = (p_rays * grid._rim_cos[None, :, None]
+                 + q_rays * grid._rim_sin[None, :, None])
+    return _cumulate_rays(grid, integrand, tail)
 
 
 def area_weights(grid: DiskGrid):

@@ -1,3 +1,4 @@
+import copy
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,7 @@ from mgdeform.errors import MgError
 from mgdeform.grid import _CENTER_RICHARDSON, _D1_ROWS, DiskGrid
 
 from helpers import dz_bar
-from reference import area_weights, cumint_radial
+from reference import area_weights, cumint_radial, line_integral_gather
 
 
 def smooth_field(grid, fn):
@@ -254,6 +255,40 @@ def test_line_integral_refinement_order():
 
     e1, e2 = err(12), err(24)
     assert e2 < e1 / 10.0  # ~4th order
+
+
+@pytest.mark.parametrize("n_r, n_theta", [(8, 16), (12, 24), (32, 64), (48, 96), (128, 256)])
+def test_line_integral_center_matches_gather_bit_for_bit(n_r, n_theta):
+    # the slice stencil adds the same products in the same order as the
+    # gathered contraction, which starts each panel's sum from +0
+    g = DiskGrid(n_r, n_theta)
+    rng = np.random.default_rng(n_r)
+    for shape in [(g.n_nodes,), (g.n_nodes, 1), (g.n_nodes, 3)]:
+        for dtype in (float, complex):
+            p, q = (rng.normal(size=shape) + (1j * rng.normal(size=shape) if dtype is complex
+                                               else 0.0) for _ in range(2))
+            # zeros signed - - + - on levels 0..3: on a first-quadrant ray
+            # every product of the first panel (weights + + - +) is -0
+            level = np.concatenate([[0], np.repeat(np.arange(1, n_r + 1), n_theta)])
+            zeros = np.zeros(shape, dtype)
+            zeros.real = np.where(np.isin(level, (0, 1, 3)), -0.0, 0.0).reshape(
+                (-1,) + (1,) * (len(shape) - 1))
+            for _ in range(2):  # again on the grid's kept buffers
+                for a, b in ((p, q), (zeros, zeros)):
+                    val = g.line_integral_center(a, b)
+                    ref = line_integral_gather(g, a, b)
+                    assert val.shape == ref.shape and val.dtype == ref.dtype
+                    assert val.tobytes() == ref.tobytes()
+
+
+def test_copied_grid_integrates_rays_like_its_original():
+    # a copy of a grid that has integrated rays rebuilds its own work buffers
+    g = DiskGrid(12, 24)
+    p, q = g.x1 * g.x2, np.cos(g.x1) + 1j * g.x2
+    first = g.line_integral_center(p, q)
+    twin = copy.deepcopy(g)
+    assert twin.line_integral_center(p, q).tobytes() == first.tobytes()
+    assert g.line_integral_center(2 * p, q).tobytes() == twin.line_integral_center(2 * p, q).tobytes()
 
 
 def test_line_integral_from_is_anchored_at_center():
