@@ -13,7 +13,6 @@ stencil is needed away from the rim.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import MgError
 
@@ -69,12 +68,6 @@ class DiskGrid:
         self._build_derivative_tables()
         self._build_cumint_weights()
         self._caches = {}
-        self._ray_buffers = {}
-
-    def __getstate__(self):
-        """Copies leave out the ray integrals' work buffers, whose views of
-        one another a copy would not keep; they are rebuilt on first use."""
-        return dict(self.__dict__, _ray_buffers={})
 
     # -- indexing -----------------------------------------------------------
 
@@ -180,78 +173,61 @@ class DiskGrid:
         # ray levels read by each panel's cubic: (n_r, 4)
         self._cum_idx = starts[:, None] + np.arange(4)[None, :]
         self._cum_w = self.h * w
+        # the first, an interior and the rim panel's weights, (4, 3)
+        self._panel_w = self._cum_w[[0, 1, -1]].T
 
-    def _ray_scratch(self, dtype, m):
-        """Work buffers of the ray integrals of ``m``-column fields, and views
-        of them in the order ``line_integral_center`` unpacks them.
+    def panel_sums(self, weights, levels, out):
+        """out[i] = sum_s weights[s, i] levels[_cum_idx[i, s]] for every panel.
 
-        ``lev`` holds the integrand on ray levels 0 (the center, repeated on
-        every ray) .. n_r, each level a row of n_theta * m values; ``incr``
-        holds the panel integrals of rings 1 .. n_r below a zero level 0.
+        Row i integrates the panel [r_i, r_{i+1}].  Rows 1 .. n_r - 2 read
+        ray levels i - 1 .. i + 2, four slices of ``levels``; row 0 reads
+        row 1's levels and the rim row n_r - 1 reads row n_r - 2's.  The
+        four products are added in stencil order.  ``levels`` holds ray
+        levels 0 .. n_r along its first axis.  ``weights`` is (4, n_r, ...),
+        one column per panel, or (4, 3, ...), whose middle column serves
+        every interior panel; either broadcasts against a row.  The T
+        operator and the ray integrals both walk the stencil here.
         """
-        n_r, nt = self.n_r, self.n_theta
-        width = nt * m
-        lev = np.empty((n_r + 1, width), dtype)
-        tmp = np.empty_like(lev)
-        incr = np.zeros_like(lev)
-        rows, k = incr[1:], n_r - 2
-        step = lev.strides[0]
-        # the first and the rim panel read the four levels from 0 and from
-        # n_r - 3, the windows of rows 1 and n_r - 2
-        edge = as_strided(lev, (2, 4, width), ((n_r - 3) * step, step, lev.strides[1]),
-                          writeable=False)
-        mid = [(float(self._cum_w[1, s]), lev[s : s + k]) for s in range(4)]
-        return (
-            (n_r, width), lev, tmp, incr,
-            np.repeat(self._rim_cos, m), np.repeat(self._rim_sin, m),
-            self._rim_cos[:, None], self._rim_sin[:, None],
-            lev[0].reshape(nt, m), tmp[0].reshape(nt, m),
-            mid, rows[1:-1], tmp[:k],
-            edge, self._cum_w[:: n_r - 1, :, None], np.empty((2, 4, width), dtype),
-            rows[:: n_r - 1],
-        )
+        n_mid = self.n_r - 2
+        tmp = np.empty_like(out[1:-1])
+        np.multiply(weights[0, 1:-1], levels[:n_mid], out=out[1:-1])
+        np.multiply(weights[0, 0], levels[0], out=out[0])
+        np.multiply(weights[0, -1], levels[n_mid - 1], out=out[-1])
+        for s in (1, 2, 3):
+            lev = levels[s : s + n_mid]
+            out[1:-1] += np.multiply(weights[s, 1:-1], lev, out=tmp)
+            out[0] += np.multiply(weights[s, 0], lev[0], out=tmp[0])
+            out[-1] += np.multiply(weights[s, -1], lev[-1], out=tmp[0])
 
     def line_integral_center(self, p, q):
         """Integral of p dx1 + q dx2 along straight rays from the center.
 
-        Ring i's panel integrates the cubic through four ray levels of the
-        integrand p cos + q sin: rows 1 .. n_r - 2 read levels i - 1 .. i + 2
-        as shifted slices of one level buffer, the first and the rim panel
-        one window of four levels each; the products are summed in stencil
-        order.  The cumulative sum runs outward from a zero level, whose
-        last entry is the center node of the result.  ``p`` and ``q`` are
-        (N,) or (N, m) fields of one shape; the work buffers are kept per
-        dtype pair and m.
+        The integrand p cos + q sin is laid out on ray levels 0 (the center,
+        on every ray) .. n_r, and ``panel_sums`` integrates ring i's panel
+        into row i of a buffer below a zero row.  The cumulative sum runs
+        outward from that zero row, whose last entry is the center node of
+        the result.  ``p`` and ``q`` are (N,) or (N, m) fields of one shape;
+        every buffer is made per call.
         """
         p = np.asarray(p)
         q = np.asarray(q)
-        p2 = p.reshape(self.n_nodes, -1)
-        q2 = q.reshape(self.n_nodes, -1)
-        key = (p2.dtype, q2.dtype, p2.shape[1])
-        scratch = self._ray_buffers.get(key)
-        if scratch is None:
-            scratch = self._ray_buffers[key] = self._ray_scratch(
-                np.result_type(p2, q2, np.float64), p2.shape[1])
-        (shape, lev, tmp, incr, cos, sin, cos_col, sin_col, center_p, center_q,
-         mid, mid_out, mid_tmp, edge, edge_w, edge_prod, edge_out) = scratch
-
-        np.multiply(p2[1:].reshape(shape), cos, out=lev[1:])
-        np.multiply(q2[1:].reshape(shape), sin, out=tmp[1:])
-        np.multiply(p2[0], cos_col, out=center_p)
-        np.multiply(q2[0], sin_col, out=center_q)
-        lev += tmp
-
-        (w, level), *rest = mid
-        np.multiply(w, level, out=mid_out)
-        for w, level in rest:
-            mid_out += np.multiply(w, level, out=mid_tmp)
-        np.multiply(edge_w, edge, out=edge_prod)
-        np.add(edge_prod[:, 0], edge_prod[:, 1], out=edge_out)
-        edge_out += edge_prod[:, 2]
-        edge_out += edge_prod[:, 3]
-
-        cum = np.add.accumulate(incr, axis=0)
-        return cum.reshape(-1, p2.shape[1])[self.n_theta - 1 :].reshape(p.shape)
+        n_r, nt = self.n_r, self.n_theta
+        p2 = p.reshape(self.n_nodes, 1, -1)
+        q2 = q.reshape(self.n_nodes, 1, -1)
+        rays = (n_r, nt, p2.shape[-1])
+        cos, sin = self._rim_cos[:, None], self._rim_sin[:, None]
+        lev = np.empty((n_r + 1,) + rays[1:], np.result_type(p2, q2, np.float64))
+        incr = np.empty_like(lev)
+        # the q sin term passes through incr, which the panels then overwrite
+        np.multiply(p2[1:].reshape(rays), cos, out=lev[1:])
+        np.multiply(p2[0], cos, out=lev[0])
+        np.multiply(q2[1:].reshape(rays), sin, out=incr[1:])
+        np.multiply(q2[0], sin, out=incr[0])
+        lev += incr
+        self.panel_sums(self._panel_w, lev, incr[1:])
+        incr[0] = 0.0
+        np.add.accumulate(incr, axis=0, out=incr)
+        return incr.reshape(-1, rays[-1])[nt - 1 :].reshape(p.shape)
 
     def line_integral_from(self, x0_node, p, q):
         """Integral of p dx1 + q dx2 along straight segments x0 -> node.

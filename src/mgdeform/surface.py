@@ -23,21 +23,14 @@ CI_TOL = 1e-6
 
 
 class Immersion:
-    """Chart plug-in; jacobian defaults to central differences of step 1e-6."""
+    """Chart plug-in: ``chart(x1, x2)`` gives the points (..., 3) and
+    ``jacobian(x1, x2)`` their partials (..., 3, 2), both in closed form."""
 
     def chart(self, x1, x2):
         raise NotImplementedError
 
     def jacobian(self, x1, x2):
-        step = 1e-6
-        cols = []
-        for k in range(2):
-            d1 = step if k == 0 else 0.0
-            d2 = step if k == 1 else 0.0
-            cols.append(
-                (self.chart(x1 + d1, x2 + d2) - self.chart(x1 - d1, x2 - d2)) / (2 * step)
-            )
-        return np.stack(cols, axis=-1)  # (..., 3, 2)
+        raise NotImplementedError
 
 
 class SphereCapImmersion(Immersion):
@@ -75,21 +68,34 @@ class SphereCapImmersion(Immersion):
 
 
 class GraphImmersion(Immersion):
-    """Graph surface y = (x1, x2, f(x1, x2))."""
+    """Graph surface y = (x1, x2, f(x1, x2)), with ``gradient_fn`` giving
+    (f_1, f_2)."""
 
-    def __init__(self, height_fn):
+    def __init__(self, height_fn, gradient_fn):
         self.height_fn = height_fn
+        self.gradient_fn = gradient_fn
 
     def chart(self, x1, x2):
         x1 = np.asarray(x1, dtype=float)
         x2 = np.asarray(x2, dtype=float)
         return np.stack([x1, x2, self.height_fn(x1, x2)], axis=-1)
 
+    def jacobian(self, x1, x2):
+        x1 = np.asarray(x1, dtype=float)
+        x2 = np.asarray(x2, dtype=float)
+        j = np.zeros(np.shape(x1) + (3, 2))
+        j[..., 0, 0] = 1.0
+        j[..., 1, 1] = 1.0
+        j[..., 2, 0], j[..., 2, 1] = self.gradient_fn(x1, x2)
+        return j
+
 
 IMMERSION_KINDS = {
     "sphere_cap": lambda p: SphereCapImmersion(p["radius"], p["cap"]),
-    "plane": lambda p: GraphImmersion(lambda a, b: np.zeros_like(a)),
-    "paraboloid": lambda p: GraphImmersion(lambda a, b: 0.5 * p["curv"] * (a * a + b * b)),
+    "plane": lambda p: GraphImmersion(lambda a, b: np.zeros_like(a),
+                                      lambda a, b: (0.0, 0.0)),
+    "paraboloid": lambda p: GraphImmersion(lambda a, b: 0.5 * p["curv"] * (a * a + b * b),
+                                           lambda a, b: (p["curv"] * a, p["curv"] * b)),
 }
 
 

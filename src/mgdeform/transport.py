@@ -33,19 +33,21 @@ class TransportHistory:
     """Samples (tau_m, z_m, zdot_m) of the deformation paths, tau strictly
     increasing.
 
-    ``z`` and ``zdot`` have shape (M+1, n_pts, 3).  The initial sample must
-    be the undeformed state z = 0.  The history caches its integrated
-    propagator, so samples are not changed in place: ``replace_final_rate``
-    and ``advance`` make the new histories.
+    ``z`` and ``zdot`` are tuples of M+1 rows of shape (n_pts, 3).  The
+    initial sample must be the undeformed state z = 0.  The history caches
+    its integrated propagator, so samples are not changed in place:
+    ``replace_final_rate`` and ``advance`` make the new histories, which
+    share every committed row with this one.
     """
 
     def __init__(self, tau, z, zdot):
         self.tau = np.asarray(tau, dtype=float)
-        self.z = np.asarray(z, dtype=float)
-        self.zdot = np.asarray(zdot, dtype=float)
+        self.z = tuple(np.asarray(row, dtype=float) for row in z)
+        self.zdot = tuple(np.asarray(row, dtype=float) for row in zdot)
         if self.tau.ndim != 1 or self.tau.size == 0:
             raise EmptyHistoryError("history needs at least the tau = 0 sample")
-        if self.z.shape[0] != self.tau.size or self.zdot.shape != self.z.shape:
+        shapes = {row.shape for row in self.z + self.zdot}
+        if len(self.z) != self.tau.size or len(self.zdot) != self.tau.size or len(shapes) != 1:
             raise MgError("history sample arrays disagree in shape")
         if np.max(np.abs(self.z[0])) > 1e-13:
             raise MgError("history must start from z(0) = 0")
@@ -67,7 +69,7 @@ class TransportHistory:
 
     @property
     def n_points(self):
-        return self.z.shape[1]
+        return self.z[0].shape[0]
 
     def replace_final_rate(self, zdot_final):
         """History with the rate of the last sample swapped out.
@@ -75,9 +77,7 @@ class TransportHistory:
         Only the final interval changes, so the child shares this history's
         propagator prefix cache.
         """
-        zd = self.zdot.copy()
-        zd[-1] = zdot_final
-        child = TransportHistory(self.tau, self.z, zd)
+        child = TransportHistory(self.tau, self.z, self.zdot[:-1] + (zdot_final,))
         child._prefix = self._prefix
         return child
 
@@ -96,8 +96,7 @@ class TransportHistory:
         zdot = np.asarray(zdot, dtype=float)
         child = TransportHistory(
             np.append(self.tau, self.tau[0] + (self.n_steps + 1) * dt),
-            np.concatenate([self.z, np.asarray(z_new, dtype=float)[None]], axis=0),
-            np.concatenate([self.zdot[:-1], zdot[None], zdot[None]], axis=0),
+            self.z + (z_new,), self.zdot[:-1] + (zdot, zdot),
         )
         child._prefix.entry = self._prefix.entry
         return child
@@ -122,8 +121,8 @@ class TransportHistory:
 
 def static_history(n_points):
     """The undeformed state's history: its one sample z = zdot = 0 at tau = 0."""
-    zeros = np.zeros((1, n_points, 3))
-    return TransportHistory([0.0], zeros, zeros.copy())
+    zeros = np.zeros((n_points, 3))
+    return TransportHistory([0.0], [zeros], [zeros])
 
 
 def _identity(n):

@@ -80,23 +80,6 @@ def _t_mode_tables(grid: DiskGrid):
     return tables
 
 
-def _panel_sums(weights, levels, out, tmp):
-    """out[i] = sum_s weights[s, i] levels[_cum_idx[i, s]] for every interval.
-
-    Rows 1 .. n_r - 2 read ray levels i - 1 + s, four slices of ``levels``;
-    row 0 reads row 1's levels and the rim row n_r - 1 reads row n_r - 2's.
-    """
-    n_mid = out.shape[0] - 2
-    np.multiply(weights[0, 1:-1], levels[:n_mid], out=out[1:-1])
-    np.multiply(weights[0, 0], levels[0], out=out[0])
-    np.multiply(weights[0, -1], levels[n_mid - 1], out=out[-1])
-    for s in (1, 2, 3):
-        lev = levels[s : s + n_mid]
-        out[1:-1] += np.multiply(weights[s, 1:-1], lev, out=tmp)
-        out[0] += np.multiply(weights[s, 0], lev[0], out=tmp[0])
-        out[-1] += np.multiply(weights[s, -1], lev[-1], out=tmp[0])
-
-
 def t_operator(grid: DiskGrid, f):
     """T(f)(z) = -(1/pi) integral of f(zeta)/(zeta - z) over the disk.
 
@@ -126,18 +109,17 @@ def t_operator(grid: DiskGrid, f):
     pf, of = prof.view(float), out_prof.view(float)
     nb, nf = 2 * half - 2, 2 * half      # floats per row of each block
     seg = np.empty((n_r, nf))
-    tmp = np.empty((n_r - 2, nf))
 
     # m >= 1: w(r_i) = rat * w(r_{i+1}) - 2 int_{r_i}^{r_{i+1}} g (r_i/rho)^{m-1} drho
     w, rat, sb = of[:, :nb], tab["rat_b"], seg[:, :nb]
-    _panel_sums(tab["w_b"], pf[:, 2 : nb + 2], sb, tmp[:, :nb])
+    grid.panel_sums(tab["w_b"], pf[:, 2 : nb + 2], sb)
     w[n_r] = 0.0
     for i in range(n_r - 1, -1, -1):
         np.multiply(rat[i], w[i + 1], out=w[i])
         w[i] += sb[i]
     # m <= 0: w(r_{i+1}) = rat * w(r_i) + 2 int (rho/r_{i+1})^{1-m} g drho
     w, rat = of[:, nb + 2 :], tab["rat_f"]
-    _panel_sums(tab["w_f"], pf[:, nb + 4 :], seg, tmp)
+    grid.panel_sums(tab["w_f"], pf[:, nb + 4 :], seg)
     w[0] = 0.0
     for i in range(n_r):
         np.multiply(rat[i], w[i], out=w[i + 1])
@@ -783,7 +765,7 @@ def load_problem(path) -> BoundaryProblem:
             raise FormatError(f"{path}: block {name!r} must have {shape}")
         if not np.all(np.isfinite(vals)):
             raise FormatError(f"{path}: block {name!r} has non-finite samples")
-        return vals[0::2] + 1j * vals[1::2] if is_complex else vals
+        return vals.view(complex) if is_complex else vals
 
     return BoundaryProblem(
         grid=grid,

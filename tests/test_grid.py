@@ -291,6 +291,27 @@ def test_copied_grid_integrates_rays_like_its_original():
     assert g.line_integral_center(2 * p, q).tobytes() == twin.line_integral_center(2 * p, q).tobytes()
 
 
+def test_ray_integrals_keep_no_buffers_on_the_grid():
+    # every work buffer is made per call: integrals of new shapes and dtypes
+    # leave the grid's attributes as they were
+    g = DiskGrid(12, 24)
+
+    def attributes():
+        # each attribute, and the keys of those that are dicts
+        return {k: (v, list(v) if isinstance(v, dict) else None) for k, v in vars(g).items()}
+
+    before = attributes()
+    for shape in [(g.n_nodes,), (g.n_nodes, 1), (g.n_nodes, 3)]:
+        for dtype in (float, complex):
+            p = np.full(shape, 0.5, dtype)
+            g.line_integral_center(p, p.real)
+            g.line_integral_from(0, p.real, p)
+    after = attributes()
+    assert after.keys() == before.keys()
+    for k, (v, keys) in before.items():
+        assert after[k][0] is v and after[k][1] == keys, k
+
+
 def test_line_integral_from_is_anchored_at_center():
     g = DiskGrid(12, 24)
     p, q = g.x1 * g.x2, g.x1 - g.x2

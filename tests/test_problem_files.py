@@ -209,3 +209,29 @@ def test_writer_prints_extreme_values_as_17_digit_rows(tmp_path):
         assert row in path.read_text()
     loaded = load_problem(path)
     assert loaded.phi.tobytes() == phi.tobytes()
+
+
+@pytest.mark.parametrize("case", ["n=-1", "signed zeros"])
+def test_save_load_save_keeps_every_byte(tmp_path, case):
+    # a loaded complex block keeps the sign of each zero part, so resaving
+    # a file reproduces it byte for byte
+    grid = DiskGrid(16, 32)
+    if case == "n=-1":
+        prob = manufactured_problem(grid, n=-1)[0]   # lambda's theta = 0 row is "1 -0"
+    else:
+        zeros = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 0j]
+        psi = np.exp(grid.z)
+        psi[: len(zeros)] = zeros
+        A = np.full(grid.n_nodes, complex(0.5, -0.0))
+        prob = BoundaryProblem(grid=grid, lam=np.exp(1j * grid.boundary_theta),
+                               phi=np.cos(grid.boundary_theta), A=A, psi=psi)
+    first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+    save_problem(first, prob)
+    if case == "n=-1":
+        assert "\n1 -0\n" in first.read_text()
+    loaded = load_problem(first)
+    save_problem(second, loaded)
+    assert second.read_bytes() == first.read_bytes()
+    for name in ("lam", "psi", "A"):
+        if getattr(prob, name) is not None:
+            assert getattr(loaded, name).tobytes() == getattr(prob, name).tobytes(), name

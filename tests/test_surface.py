@@ -39,6 +39,29 @@ def test_sphere_jacobian_matches_fd():
     assert np.max(np.abs(jac - jac_fd)) < 1e-8
 
 
+@pytest.mark.parametrize("kind, params", [("plane", {}), ("paraboloid", {"curv": 1.0}),
+                                           ("paraboloid", {"curv": -0.7})])
+def test_graph_jacobians_are_closed_form(kind, params):
+    # y = (x1, x2, f): rows (1, 0), (0, 1) and the gradient of f
+    imm = make_immersion(kind, params)
+    curv = params.get("curv", 0.0)
+    rng = np.random.default_rng(1)
+    x1 = rng.uniform(-0.6, 0.6, 10)
+    x2 = rng.uniform(-0.6, 0.6, 10)
+    jac = imm.jacobian(x1, x2)
+    expect = np.zeros((10, 3, 2))
+    expect[:, 0, 0] = expect[:, 1, 1] = 1.0
+    expect[:, 2, 0], expect[:, 2, 1] = curv * x1, curv * x2
+    assert np.array_equal(jac, expect)
+    step = 1e-6
+    jac_fd = np.stack(
+        [(imm.chart(x1 + step, x2) - imm.chart(x1 - step, x2)) / (2 * step),
+         (imm.chart(x1, x2 + step) - imm.chart(x1, x2 - step)) / (2 * step)],
+        axis=-1,
+    )
+    assert np.max(np.abs(jac - jac_fd)) < 1e-8
+
+
 def test_sphere_closed_form_oracle(sphere_state):
     # closed form: conformal factor 4 rho^2 / (1 + rho^2 |x|^2)^2, b = g, K = H = 1
     s = sphere_state

@@ -44,6 +44,23 @@ def test_history_validation():
         h.advance(0.3, np.zeros((1, 3)), np.zeros((1, 3)))
 
 
+def test_new_histories_share_committed_rows():
+    # a trial rate or a new step copies no committed sample: every row the
+    # child keeps is the parent's own object
+    h = straight_history(0.03, 3)
+    rate = np.full((1, 3), 0.25)
+    child = h.replace_final_rate(rate)
+    assert all(a is b for a, b in zip(child.z, h.z)) and len(child.z) == len(h.z)
+    assert all(a is b for a, b in zip(child.zdot[:-1], h.zdot[:-1]))
+    assert np.array_equal(child.zdot[-1], rate) and h.zdot[-1] is not child.zdot[-1]
+    z_new = h.z[-1] + 0.01 * rate
+    longer = h.advance(0.01, z_new, rate)
+    assert len(longer.z) == len(longer.zdot) == len(h.z) + 1
+    assert all(a is b for a, b in zip(longer.z, h.z)) and longer.z[-1] is z_new
+    assert all(a is b for a, b in zip(longer.zdot[:-2], h.zdot[:-1]))
+    assert np.array_equal(longer.zdot[-2], rate) and np.array_equal(longer.zdot[-1], rate)
+
+
 def test_flat_transport_is_identity():
     m = FlatMetric()
     h = straight_history(0.5, 10)
