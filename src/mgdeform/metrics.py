@@ -1,14 +1,13 @@
 """Ambient Riemannian metrics and their Christoffel symbols.
 
 A metric plug-in evaluates the symmetric tensor a[alpha, beta] at batches of
-ambient points, together with its first and second coordinate derivatives.
-Closed-form derivatives are supplied where available; the base class falls
-back to central differences with step 1e-5.
+ambient points, together with its first coordinate derivatives, both in
+closed form; there is no finite-difference fallback.
 
 Override points of a plug-in (subclass ``AmbientMetric``):
 
-- ``metric(y)`` is the one method a plug-in must supply.
-- ``dmetric(y)`` and ``d2metric(y)`` default to central differences.
+- ``metric(y)`` and ``dmetric(y)`` a plug-in must supply; the base class
+  raises ``NotImplementedError`` for either.
 - ``christoffel(y)`` returns the symbols Gamma^g_{ab} at points ``y`` and
   raises ``DegenerateMetricError`` where the metric is not positive definite.
   The default is the general path: it checks the leading minors, inverts the
@@ -34,8 +33,6 @@ import numpy as np
 from ._contract import node_last
 from .errors import DegenerateMetricError
 
-_FD_STEP = 1e-5
-
 # Gamma^g_{ab} of e^{2 phi} delta is _CONFORMAL_PATTERN[g, a, b, c] d_c phi:
 # delta^g_a delta_bc + delta^g_b delta_ac - delta_ab delta^g_c, entries 0, +-1
 _EYE = np.eye(3)
@@ -45,31 +42,13 @@ _CONFORMAL_PATTERN = (np.einsum("ga,bc->gabc", _EYE, _EYE)
 
 
 class AmbientMetric:
-    """Base metric plug-in with finite-difference derivative fallbacks."""
-
-    #: diagnostic bound used by hypothesis monitors
-    m0_bound = 1e3
+    """Base metric plug-in: ``metric`` and ``dmetric`` are required."""
 
     def metric(self, y):
         raise NotImplementedError
 
     def dmetric(self, y):
-        y = np.asarray(y, dtype=float)
-        out = np.empty(y.shape[:-1] + (3, 3, 3))
-        for s in range(3):
-            e = np.zeros(3)
-            e[s] = _FD_STEP
-            out[..., s] = (self.metric(y + e) - self.metric(y - e)) / (2 * _FD_STEP)
-        return out
-
-    def d2metric(self, y):
-        y = np.asarray(y, dtype=float)
-        out = np.empty(y.shape[:-1] + (3, 3, 3, 3))
-        for t in range(3):
-            e = np.zeros(3)
-            e[t] = _FD_STEP
-            out[..., t] = (self.dmetric(y + e) - self.dmetric(y - e)) / (2 * _FD_STEP)
-        return out
+        raise NotImplementedError
 
     def christoffel(self, y):
         """General path: Gamma^g_{ab} = 0.5 a^{gm} (d_a a_{mb} + d_b a_{ma} -
@@ -103,10 +82,6 @@ class FlatMetric(AmbientMetric):
         y = np.asarray(y, dtype=float)
         return np.zeros(y.shape[:-1] + (3, 3, 3))
 
-    def d2metric(self, y):
-        y = np.asarray(y, dtype=float)
-        return np.zeros(y.shape[:-1] + (3, 3, 3, 3))
-
     def christoffel(self, y):
         return np.zeros((3, 3, 3) + y.shape[:-1])
 
@@ -117,14 +92,13 @@ class FlatMetric(AmbientMetric):
 class ConformalMetric(AmbientMetric):
     """Metric e^{2 phi(y)} delta with a closed-form scalar exponent.
 
-    ``phi_fn`` maps (..., 3) points to scalars; ``grad_fn`` and ``hess_fn``
-    return the gradient (..., 3) and Hessian (..., 3, 3).
+    ``phi_fn`` maps (..., 3) points to scalars; ``grad_fn`` returns the
+    gradient (..., 3).
     """
 
-    def __init__(self, phi_fn, grad_fn, hess_fn):
+    def __init__(self, phi_fn, grad_fn):
         self.phi_fn = phi_fn
         self.grad_fn = grad_fn
-        self.hess_fn = hess_fn
 
     def metric(self, y):
         y = np.asarray(y, dtype=float)
@@ -139,20 +113,6 @@ class ConformalMetric(AmbientMetric):
         eye = np.eye(3)
         fac = 2.0 * np.exp(2.0 * phi)
         return fac[..., None, None, None] * eye[..., :, :, None] * grad[..., None, None, :]
-
-    def d2metric(self, y):
-        y = np.asarray(y, dtype=float)
-        phi = self.phi_fn(y)
-        grad = self.grad_fn(y)
-        hess = self.hess_fn(y)
-        eye = np.eye(3)
-        fac = 2.0 * np.exp(2.0 * phi)
-        core = hess + 2.0 * grad[..., :, None] * grad[..., None, :]
-        return (
-            fac[..., None, None, None, None]
-            * eye[..., :, :, None, None]
-            * core[..., None, None, :, :]
-        )
 
     def christoffel(self, y):
         """Closed form: Gamma^g_{ab} = delta^g_a d_b phi + delta^g_b d_a phi -
@@ -176,10 +136,7 @@ def conformal_linear_metric(k):
     def grad(y):
         return np.broadcast_to(k, y.shape).copy()
 
-    def hess(y):
-        return np.zeros(y.shape[:-1] + (3, 3))
-
-    return ConformalMetric(phi, grad, hess)
+    return ConformalMetric(phi, grad)
 
 
 def conformal_radial_metric(alpha):
@@ -195,11 +152,7 @@ def conformal_radial_metric(alpha):
     def grad(y):
         return alpha * y
 
-    def hess(y):
-        eye = np.eye(3)
-        return alpha * np.broadcast_to(eye, y.shape[:-1] + (3, 3)).copy()
-
-    return ConformalMetric(phi, grad, hess)
+    return ConformalMetric(phi, grad)
 
 
 METRIC_KINDS = {
@@ -245,16 +198,10 @@ def christoffel_at(metric: AmbientMetric, points):
 
 
 def norm_monitor(metric: AmbientMetric, points):
-    """Discrete sup norms of the metric and its derivatives vs the bound."""
+    """Discrete sup norms of the metric and its first derivatives at
+    ``points``, measured and not judged."""
     y = np.asarray(points, dtype=float)
-    sup_a = float(np.max(np.abs(metric.metric(y))))
-    sup_da = float(np.max(np.abs(metric.dmetric(y))))
-    sup_d2a = float(np.max(np.abs(metric.d2metric(y))))
-    bound = metric.m0_bound
     return {
-        "sup_metric": sup_a,
-        "sup_dmetric": sup_da,
-        "sup_d2metric": sup_d2a,
-        "m0_bound": bound,
-        "within_bound": max(sup_a, sup_da, sup_d2a) < bound,
+        "sup_metric": float(np.max(np.abs(metric.metric(y)))),
+        "sup_dmetric": float(np.max(np.abs(metric.dmetric(y)))),
     }

@@ -132,8 +132,6 @@ def _identity(n):
 
 def _gamma_zdot(metric, y0, z, zdot):
     """Matrix G[g, b, n] = Gamma^g_{ab}(y0 + z) zdot^a, node-last."""
-    if metric.is_flat():
-        return np.zeros((3, 3) + z.shape[:-1])
     pts = np.asarray(y0, dtype=float) + z
     return np.einsum("gabn,an->gbn", christoffel_at(metric, pts), node_last(zdot))
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mgdeform import flow, gdef, kpres, metrics, surface, transport, vekua
+from mgdeform.cli import within_tolerances
 from mgdeform.errors import ConvergenceError, MgError, UnderResolvedError
 from mgdeform.flow import (
     BoundarySpec,
@@ -13,8 +14,13 @@ from mgdeform.flow import (
     step,
 )
 from mgdeform.grid import DiskGrid
-from mgdeform.metrics import AmbientMetric, FlatMetric, conformal_radial_metric
-from mgdeform.surface import SphereCapImmersion, build_surface
+from mgdeform.metrics import (
+    AmbientMetric,
+    FlatMetric,
+    conformal_linear_metric,
+    conformal_radial_metric,
+)
+from mgdeform.surface import SphereCapImmersion, build_surface, make_immersion
 from mgdeform.vekua import point_pin
 
 
@@ -409,6 +415,53 @@ def test_flow_on_grid_with_n_theta_not_a_multiple_of_four(metric, n_r, n_theta):
     assert rep["max_boundary_residual"] <= 1e-6
     assert rep["max_fixed_point_z"] <= 1e-10
     assert rep["family_dimension_before"] == 3
+    assert rep["family_dimension_after"] == 1
+    assert rep["max_rate_sup"] > 1e-4
+
+
+def _scaled_flow(metric_kind, winding, s):
+    """Four steps on the radius-s cap with the rate amplitude s^2 0.05 and,
+    in conformal_linear, the exponent gradient k/s: the image of the s = 1
+    flow under the homothety y -> s y.  Returns z and the step records."""
+    metric = (FlatMetric() if metric_kind == "flat"
+              else conformal_linear_metric((0.3 / s, 0.0, 0.2 / s)))
+    surf = build_surface(SphereCapImmersion(s, 0.5), metric, DiskGrid(16, 32), ci_tol=1e-5)
+    boundary = BoundarySpec(winding=winding, gamma_kind="harmonic", epsilon=0.05 * s * s,
+                            mode=2)
+    state = init_flow(metric, surf, boundary, FlowConfig(t_final=0.02, dt=0.005))
+    run_flow(state)
+    return state.deform.z, state.records
+
+
+@pytest.mark.parametrize("s", [2.0, 0.5])
+@pytest.mark.parametrize("winding", [1, 2])
+@pytest.mark.parametrize("metric_kind", ["flat", "conformal_linear"])
+def test_flow_is_equivariant_under_scaling(metric_kind, winding, s):
+    # the homothety y -> s y maps the flow to one with z' = s z, taking the
+    # same solver iterations: every term of the rates must carry its power
+    # of the scale
+    z, recs = _scaled_flow(metric_kind, winding, 1.0)
+    z_s, recs_s = _scaled_flow(metric_kind, winding, s)
+    assert np.max(np.abs(z_s - s * z)) <= 1e-9 * np.max(np.abs(s * z))
+    for name in ("bvp_iterations", "bvp_passes", "cdot_iterations"):
+        assert [getattr(r, name) for r in recs_s] == [getattr(r, name) for r in recs], name
+
+
+def test_plane_flows_in_conformal_linear_metric():
+    # the plane is umbilic with H = k3 e^{-k.y} > 0 in e^{2 k.y} delta, so it
+    # is admissible there and flows within the criterion-11 bounds
+    metric = conformal_linear_metric((0.3, 0.0, 0.2))
+    surf = build_surface(make_immersion("plane"), metric, DiskGrid(16, 32))
+    assert np.max(np.abs(surf.K - surf.H ** 2)) <= 1e-12 * np.max(surf.K)
+    boundary = BoundarySpec(winding=1, gamma_kind="harmonic", epsilon=1e-3, mode=1)
+    cfg = FlowConfig(t_final=0.02, dt=0.005)
+    state = init_flow(metric, surf, boundary, cfg)
+    rep = run_flow(state)
+    assert within_tolerances(rep, cfg)
+    assert rep["index"] == 1
+    assert rep["steps"] == 4
+    assert rep["max_dk_oracle_rel"] <= 1e-7
+    assert rep["max_g_residual"] <= 1e-9
     assert rep["family_dimension_after"] == 1
     assert rep["max_rate_sup"] > 1e-4
 

@@ -126,23 +126,29 @@ def test_degenerate_metric_raises():
         christoffel_at(Bad(), np.zeros((2, 3)))
 
 
-def test_fd_fallback_matches_analytic():
+def test_plug_in_must_supply_dmetric():
+    # a positive-definite metric alone is not a plug-in: the general path
+    # needs the plug-in's closed-form dmetric, and there is no fallback
     m = conformal_linear_metric((0.5, 0.2, 0.0))
 
-    class NumericOnly(AmbientMetric):
+    class MetricOnly(AmbientMetric):
         def metric(self, y):
             return m.metric(y)
 
-    pts = 0.2 * np.random.default_rng(4).normal(size=(3, 3))
-    d_analytic = m.dmetric(pts)
-    d_numeric = NumericOnly().dmetric(pts)
-    assert np.max(np.abs(d_analytic - d_numeric)) < 1e-8
+    with pytest.raises(NotImplementedError):
+        christoffel_at(MetricOnly(), 0.2 * np.random.default_rng(4).normal(size=(3, 3)))
 
 
 def test_norm_monitor_and_factory():
-    m = make_metric("conformal_radial", {"alpha": 0.3})
+    # conformal_radial 0.3: a = e^{2 phi} delta and d_s a_ab = 2 alpha y_s a_ab
+    alpha = 0.3
+    m = make_metric("conformal_radial", {"alpha": alpha})
     pts = 0.5 * np.random.default_rng(5).normal(size=(10, 3))
+    scale = np.exp(alpha * (np.sum(pts * pts, axis=-1) - 1.0))
     rep = norm_monitor(m, pts)
-    assert rep["within_bound"]
+    assert set(rep) == {"sup_metric", "sup_dmetric"}
+    assert rep["sup_metric"] == pytest.approx(np.max(scale), rel=1e-14)
+    assert rep["sup_dmetric"] == pytest.approx(
+        np.max(2.0 * alpha * scale[:, None] * np.abs(pts)), rel=1e-14)
     with pytest.raises(KeyError):
         make_metric("nope")

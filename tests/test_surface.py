@@ -6,7 +6,12 @@ import pytest
 
 from mgdeform.errors import CoordinateError, GeometryError
 from mgdeform.grid import DiskGrid
-from mgdeform.metrics import AmbientMetric, FlatMetric, conformal_radial_metric
+from mgdeform.metrics import (
+    AmbientMetric,
+    FlatMetric,
+    conformal_linear_metric,
+    conformal_radial_metric,
+)
 from mgdeform.surface import (
     SphereCapImmersion,
     _ci_residual,
@@ -97,6 +102,9 @@ class AnisotropicMetric(AmbientMetric):
     def metric(self, y):
         return np.broadcast_to(np.diag([1.0, 2.0, 3.0]), y.shape[:-1] + (3, 3)).copy()
 
+    def dmetric(self, y):
+        return np.zeros(y.shape[:-1] + (3, 3, 3))
+
 
 @pytest.mark.parametrize("metric", [conformal_radial_metric(0.5), AnisotropicMetric()],
                          ids=["conformal_radial", "anisotropic"])
@@ -113,9 +121,14 @@ def test_normal_orthonormal_in_other_metrics(sphere_state, metric):
 
 
 def test_plane_rejected():
+    # the plane y3 = 0 stays minimal where the metric's exponent has no
+    # y3-gradient on it: flat, conformal_radial (phi even in y3) and
+    # conformal_linear with k3 = 0; it builds only where k3 != 0
     grid = DiskGrid(8, 16)
-    with pytest.raises(GeometryError):
-        build_surface(make_immersion("plane"), FlatMetric(), grid)
+    for metric in (FlatMetric(), conformal_radial_metric(0.5),
+                   conformal_linear_metric((0.3, 0.0, 0.0))):
+        with pytest.raises(GeometryError, match="mean curvature not strictly positive"):
+            build_surface(make_immersion("plane"), metric, grid)
 
 
 def test_non_conjugate_isothermal_rejected():
