@@ -96,7 +96,7 @@ def _round_off_floor(cdot):
 
 def solve_cdot(surface: SurfaceState, coeff_fn, a1, a2, a1dot, a2dot,
                integrator: PathIntegrator, tol=1e-10, max_iter=50,
-               c0=None, da=None) -> CdotSolution:
+               c0=None, da=None, dadot=None) -> CdotSolution:
     """Successive approximations for cdot = L(cdot) + gamma.
 
     ``coeff_fn(cdot_iterate)`` must return coefficient fields whose rates
@@ -104,8 +104,9 @@ def solve_cdot(surface: SurfaceState, coeff_fn, a1, a2, a1dot, a2dot,
     assembles coeff_fn(c_k), from c_0 = ``c0`` or gamma, and the first c_k
     with d_k = |L(c_k) + gamma - c_k| <= tol max(1, |c_k|) is returned with
     those coefficients and ``residual`` d_k: the last ``coeff_fn`` call is at
-    the returned iterate.  ``da`` is a state's cached d_i a^j, taken here
-    when not given; the rates are differentiated once per solve.  Where the
+    the returned iterate.  ``da`` is a state's cached d_i a^j and ``dadot``
+    d_i adot^j of the rates, each taken here when not given, so the rates
+    are differentiated at most once per solve.  Where the
     coefficients vanish (``GDefCoefficients.vanish``) the kernel is 0 and
     the sweep's image is gamma itself.
     """
@@ -118,7 +119,8 @@ def solve_cdot(surface: SurfaceState, coeff_fn, a1, a2, a1dot, a2dot,
     adot = np.stack([a1dot, a2dot])
     if da is None:
         da = tangential_grad(grid, a1, a2)
-    dadot = tangential_grad(grid, a1dot, a2dot)
+    if dadot is None:
+        dadot = tangential_grad(grid, a1dot, a2dot)
 
     gamma = gamma_t(surface, a1dot, a2dot, integrator)
     cdot = gamma.copy() if c0 is None else np.asarray(c0, dtype=float).copy()

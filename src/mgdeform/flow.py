@@ -26,6 +26,7 @@ from .gdef import (
     assemble_coefficients,
     gdef_normal_residual,
     new_deformation,
+    tangential_grad,
 )
 from .kpres import (
     assemble_rates,
@@ -43,6 +44,7 @@ from .vekua import (
     boundary_data,
     bvp_solve,
     canonicalize,
+    linear_response,
     point_pin,
     solve_family,
 )
@@ -136,14 +138,20 @@ class PrevRecords:
     psi1: np.ndarray | None = None
     w: np.ndarray | None = None         # the previous step's solution w_n
     w_before: np.ndarray | None = None  # and the one before it, w_{n-1}
+    image: np.ndarray | None = None     # (I - L) w_n, as the solve carried it
+    image_before: np.ndarray | None = None  # (I - L) w_{n-1}
 
     def start(self):
-        """Start of the next step's solve: the linear extrapolation
-        2 w_n - w_{n-1}, w_n after one step, None at step 0.  It keeps the
-        fixed boundary data and the linear center pin exactly."""
+        """Start of the next step's solve and its image under I - L: the
+        linear extrapolation 2 w_n - w_{n-1}, w_n after one step, None at
+        step 0.  It keeps the fixed boundary data and the linear center pin
+        exactly, and I - L is fixed over the flow, so the images extrapolate
+        with the same weights."""
         if self.w is None or self.w_before is None:
-            return self.w
-        return 2.0 * self.w - self.w_before
+            return self.w, self.image
+        if self.image is None or self.image_before is None:
+            return 2.0 * self.w - self.w_before, None
+        return 2.0 * self.w - self.w_before, 2.0 * self.image - self.image_before
 
 
 @dataclass
@@ -235,9 +243,11 @@ def _build_statics(metric, surface, boundary) -> FlowStatics:
     if sym.n >= 0:
         # A, B, E and the symbol are fixed over the flow, so the linear
         # response of each family member is solved once, here, with zero
-        # boundary data
+        # boundary data, and so is its image (I - L) K_i, which every pinned
+        # iterate's image takes in
         family, _ = solve_family(replace(problem, phi=np.zeros(grid.n_theta)), sym=sym)
-        pin = point_pin(family.basis)
+        pin = point_pin(family.basis,
+                        [k - linear_response(problem, sym, k) for k in family.basis])
     return FlowStatics(
         eq=eq, problem=problem, sym=sym,
         integ=PathIntegrator(grid), pin=pin,
@@ -267,10 +277,15 @@ def _make_assembler(state: FlowState):
     if state.variation is None:
         state.variation = assemble_variation(metric, surface, deform)
     gvar, state_bvar, state_fwd = state.variation
+    n = surface.grid.n_nodes
 
     def assembler(w):
         a1dot = np.ascontiguousarray(w.imag)
         a2dot = np.ascontiguousarray(w.real)
+        # the rates and their derivatives are taken once per call; a flow's
+        # first solve starts at w = 0, where both vanish identically
+        dadot = (tangential_grad(surface.grid, a1dot, a2dot) if w.any()
+                 else np.zeros((2, 2, n)))
         hist = None
 
         def coeff_fn(cdot_iter):
@@ -281,7 +296,7 @@ def _make_assembler(state: FlowState):
 
         sol = solve_cdot(
             surface, coeff_fn, deform.a1, deform.a2,
-            a1dot, a2dot, st.integ, da=deform.da,
+            a1dot, a2dot, st.integ, da=deform.da, dadot=dadot,
         )
         bvar = state_bvar
         if not state_fwd.identity:
@@ -289,6 +304,8 @@ def _make_assembler(state: FlowState):
             bvar = delta_b(metric, surface, deform,
                            transport_normal(metric, surface.y, hist, surface.n), gvar)
         zdot = hist.zdot[-1]
+        zdot_der = (surface.grid.grad_last(node_last(zdot)) if zdot.any()
+                    else np.zeros((3, 2, n)))
         m4dot_override = None
         if prev.m4 is None:
             # first step: no stored history yet, so the M4 rate comes from a
@@ -297,19 +314,20 @@ def _make_assembler(state: FlowState):
             # clamped to keep the displaced geometry admissible for any iterate
             rate_scale = max(1.0, float(np.max(np.abs(zdot))))
             delta = min(cfg.dt, 1e-3 / rate_scale)
-            deform_v = deform.advance(delta, a1dot, a2dot, sol.cdot)
+            deform_v = deform.advance(delta, a1dot, a2dot, sol.cdot,
+                                      dzdot=zdot_der, dadot=dadot)
             _, bvar_v, _ = assemble_variation(metric, surface, deform_v)
             m4dot_override = (bvar_v.m4 - bvar.m4) / delta
         rates = assemble_rates(
             metric, surface, deform, gvar, bvar, zdot, a1dot, a2dot,
             prev_m4=prev.m4, dt=cfg.dt, m4dot_override=m4dot_override,
-            dadot=sol.dadot,
+            dadot=dadot, zdot_der=zdot_der,
         )
         psi1dot, psi3, _, psi1 = rhs_psi(
             surface, sol.coeffs, deform, rates, st.eq.qb0, sol.p_field,
             prev_psi1=prev.psi1, dt=cfg.dt,
         )
-        cache["last"] = {"sol": sol, "bvar": bvar, "psi1": psi1}
+        cache["last"] = {"sol": sol, "bvar": bvar, "psi1": psi1, "zdot_der": zdot_der}
         # -conj(psi) for psi = (psi1dot + i psi3) / 2
         return 0.5 * (-psi1dot + 1j * psi3)
 
@@ -322,7 +340,9 @@ def step(state: FlowState):
     surface, metric, grid = state.surface, state.metric, state.surface.grid
     assembler, cache = _make_assembler(state)
     prev = state.prev
-    final = bvp_solve(st.problem, assembler, pin=st.pin, sym=st.sym, w0=prev.start())
+    w0, w0_image = prev.start()
+    final = bvp_solve(st.problem, assembler, pin=st.pin, sym=st.sym, w0=w0,
+                      w0_image=w0_image)
     dim_before = st.sym.family_size
     dim_after = dim_before - (st.pin.rank if st.pin else 0)
 
@@ -334,8 +354,11 @@ def step(state: FlowState):
     a2dot = np.ascontiguousarray(final.w.real)
 
     dt = cfg.dt
-    # times count whole steps, so they do not drift by repeated addition
-    deform_new = state.deform.advance(dt, a1dot, a2dot, sol.cdot)
+    # times count whole steps, so they do not drift by repeated addition;
+    # the final pass differentiated the rates, so the successor's z_,i and
+    # d_i a^j follow from them
+    deform_new = state.deform.advance(dt, a1dot, a2dot, sol.cdot,
+                                      dzdot=last["zdot_der"], dadot=sol.dadot)
     t_new = deform_new.t
     z_new = deform_new.z
     zdot = deform_new.rate_displacement()
@@ -374,7 +397,8 @@ def step(state: FlowState):
         "g_res1": g_res_fields[0], "g_res2": g_res_fields[1],
     }
     state.prev = PrevRecords(coeffs=sol.coeffs, m4=last["bvar"].m4, psi1=last["psi1"],
-                             w=final.w, w_before=prev.w)
+                             w=final.w, w_before=prev.w,
+                             image=final.image, image_before=prev.image)
     state.deform = deform_new
     state.variation = variation_n
     state.step_index += 1

@@ -95,30 +95,48 @@ class DeformationState:
             self.rate_displacement(a1dot, a2dot, cdot)
         )
 
-    def advance(self, dt, a1dot, a2dot, cdot):
+    def advance(self, dt, a1dot, a2dot, cdot, dzdot=None, dadot=None):
         """Explicit-Euler successor: the fields move by dt times the given
         rates, which the successor carries, and the history gains the sample
         (t + dt, z_new, zdot) with the rate that left this state.  The
         successor's time is its history's final time, which counts whole
-        steps."""
+        steps.  Given the rates' derivatives ``dzdot`` (zdot_,i, (3, 2, N))
+        and ``dadot`` (d_i adot^j, (j, i, N)), the successor's ``dz`` and
+        ``da`` are this state's plus dt times them: the grid derivative is
+        linear, so they equal the successor's own up to round-off."""
         a1 = self.a1 + dt * a1dot
         a2 = self.a2 + dt * a2dot
         c = self.c + dt * cdot
         history = self.history.advance(dt, self.displacement(a1, a2, c),
                                        self.rate_displacement(a1dot, a2dot, cdot))
-        return DeformationState(surface=self.surface, a1=a1, a2=a2, c=c,
-                                a1dot=a1dot, a2dot=a2dot, cdot=cdot,
-                                history=history, t=history.t_final)
+        new = DeformationState(surface=self.surface, a1=a1, a2=a2, c=c,
+                               a1dot=a1dot, a2dot=a2dot, cdot=cdot,
+                               history=history, t=history.t_final)
+        if dzdot is not None:
+            new._seed(dz=self.dz + dt * dzdot)
+        if dadot is not None:
+            new._seed(da=self.da + dt * dadot)
+        return new
+
+    def _seed(self, **derivatives):
+        """Store derivatives known without differentiating as the cached
+        ``dz``, ``da`` or ``dc``, which ``cached_property`` keeps in the
+        instance dict."""
+        self.__dict__.update(derivatives)
 
 
 def new_deformation(surface: SurfaceState) -> DeformationState:
+    """The undeformed state: every field, rate and derivative is an exact
+    zero, so none is differentiated."""
     n = surface.grid.n_nodes
     zeros = np.zeros(n)
-    return DeformationState(
+    state = DeformationState(
         surface=surface, a1=zeros.copy(), a2=zeros.copy(), c=zeros.copy(),
         a1dot=zeros.copy(), a2dot=zeros.copy(), cdot=zeros.copy(),
         history=static_history(n), t=0.0,
     )
+    state._seed(dz=np.zeros((3, 2, n)), da=np.zeros((2, 2, n)), dc=np.zeros((2, n)))
+    return state
 
 
 @dataclass

@@ -205,11 +205,12 @@ def equation_coefficients(surface: SurfaceState) -> EquationCoefficients:
 def assemble_rates(metric: AmbientMetric, surface: SurfaceState,
                    deform: DeformationState, gvar: GVariation, bvar: BVariation,
                    zdot, a1dot, a2dot, prev_m4=None, dt=None,
-                   m4dot_override=None, dadot=None) -> VariationRates:
+                   m4dot_override=None, dadot=None, zdot_der=None) -> VariationRates:
     """Time rates of the variation fields at the current iterate.
 
-    ``zdot`` is the (N, 3) displacement rate.  ``dadot`` is d_i adot^j as
-    (j, i, N), e.g. a cdot solve's; it is taken here when not given.
+    ``zdot`` is the (N, 3) displacement rate and ``zdot_der`` its partials
+    zdot_,i as (3, 2, N); ``dadot`` is d_i adot^j as (j, i, N), e.g. a cdot
+    solve's.  Each derivative is taken here when not given.
     ``prev_m4`` and ``m4dot_override`` are node-last (2, 2, N).  The terms in
     da, Gamma and a_t - a0 (t1 to t4) are formed only in a curved metric.
     """
@@ -217,7 +218,8 @@ def assemble_rates(metric: AmbientMetric, surface: SurfaceState,
     tang, a0, g_inv = surface.tang, surface.ambient_a, surface.g_inv
     zder = deform.dz
     zdot_l = node_last(zdot)
-    zdot_der = grid.grad_last(zdot_l)            # (3, 2, N)
+    if zdot_der is None:
+        zdot_der = grid.grad_last(zdot_l)        # (3, 2, N)
     pts = surface.y + deform.z
     a_t = node_last(metric.metric(pts))
     dstar_zdot = zdot_der

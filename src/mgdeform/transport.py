@@ -37,7 +37,7 @@ class TransportHistory:
     initial sample must be the undeformed state z = 0.  The history caches
     its integrated propagator, so samples are not changed in place:
     ``replace_final_rate`` and ``advance`` make the new histories, which
-    share every committed row with this one.
+    share every committed row with this one and check only their new rows.
     """
 
     def __init__(self, tau, z, zdot):
@@ -59,6 +59,23 @@ class TransportHistory:
         self._prefix = _PrefixSlot()
         self._full = None
 
+    def _new_rows(self, *rows):
+        """``rows`` as float arrays, checked against this history's sample
+        shape."""
+        rows = tuple(np.asarray(row, dtype=float) for row in rows)
+        if any(row.shape != self.z[0].shape for row in rows):
+            raise MgError("history sample arrays disagree in shape")
+        return rows
+
+    def _child(self, tau, z, zdot):
+        """A history of checked rows, this one's shared and new ones from
+        ``_new_rows``: O(1) Python work at any length."""
+        child = object.__new__(TransportHistory)
+        child.tau, child.z, child.zdot = tau, z, zdot
+        child._prefix = _PrefixSlot()
+        child._full = None
+        return child
+
     @property
     def n_steps(self):
         return self.tau.size - 1
@@ -77,7 +94,8 @@ class TransportHistory:
         Only the final interval changes, so the child shares this history's
         propagator prefix cache.
         """
-        child = TransportHistory(self.tau, self.z, self.zdot[:-1] + (zdot_final,))
+        (zdot_final,) = self._new_rows(zdot_final)
+        child = self._child(self.tau, self.z, self.zdot[:-1] + (zdot_final,))
         child._prefix = self._prefix
         return child
 
@@ -93,11 +111,12 @@ class TransportHistory:
         if np.any(np.abs(np.diff(self.tau) - dt) > 1e-12 * max(1.0, dt)):
             raise MgError(f"advance counts whole steps of {dt}, and this history "
                           "has steps of another length")
-        zdot = np.asarray(zdot, dtype=float)
-        child = TransportHistory(
-            np.append(self.tau, self.tau[0] + (self.n_steps + 1) * dt),
-            self.z + (z_new,), self.zdot[:-1] + (zdot, zdot),
-        )
+        tau_new = self.tau[0] + (self.n_steps + 1) * dt
+        if not tau_new > self.tau[-1]:
+            raise MgError("tau samples must increase strictly")
+        z_new, zdot = self._new_rows(z_new, zdot)
+        child = self._child(np.append(self.tau, tau_new), self.z + (z_new,),
+                            self.zdot[:-1] + (zdot, zdot))
         child._prefix.entry = self._prefix.entry
         return child
 

@@ -39,7 +39,8 @@ def _t_mode_tables(grid: DiskGrid):
     interval i and mode: w_b[s, i, m] = -2 sum_q wq interp ker_b for the
     modes m >= 1 and w_f = 2 sum_q wq interp ker_f for m <= 0.  Every weight
     and step ratio is stored twice in a row, for the real and imaginary
-    parts of a complex amplitude, as ``t_operator`` reads them.
+    parts of a complex amplitude, as ``t_operator`` reads them; the step
+    ratios of both blocks share one table, the m >= 1 block's rows reversed.
     """
     key = "t_mode"
     if key in grid._caches:
@@ -74,7 +75,10 @@ def _t_mode_tables(grid: DiskGrid):
     tables = {
         "w_b": pairs(np.transpose(-2.0 * (wi @ ker_b), (1, 0, 2))),
         "w_f": pairs(np.transpose(2.0 * (wi @ ker_f), (1, 0, 2))),
-        "rat_b": pairs(step ** (mp - 1)), "rat_f": pairs(step ** (1 - mn)),
+        # row j: the m >= 1 ratios of interval n_r - 1 - j, then the m <= 0
+        # ratios of interval j, as t_operator's one recurrence reads them
+        "rat": np.hstack([pairs(step[::-1] ** (mp - 1)), np.zeros((n_r, 2)),
+                          pairs(step ** (1 - mn))]),
     }
     grid._caches[key] = tables
     return tables
@@ -105,25 +109,24 @@ def t_operator(grid: DiskGrid, f):
     # the image of mode m is column m - 1: the m >= 1 block fills columns
     # 0 .. half - 2, the m <= 0 block columns half .. nt - 1
     out_prof = np.empty((n_r + 1, nt), dtype=complex)
-    out_prof[:, half - 1] = 0.0
-    pf, of = prof.view(float), out_prof.view(float)
-    nb, nf = 2 * half - 2, 2 * half      # floats per row of each block
-    seg = np.empty((n_r, nf))
-
-    # m >= 1: w(r_i) = rat * w(r_{i+1}) - 2 int_{r_i}^{r_{i+1}} g (r_i/rho)^{m-1} drho
-    w, rat, sb = of[:, :nb], tab["rat_b"], seg[:, :nb]
-    grid.panel_sums(tab["w_b"], pf[:, 2 : nb + 2], sb)
-    w[n_r] = 0.0
-    for i in range(n_r - 1, -1, -1):
-        np.multiply(rat[i], w[i + 1], out=w[i])
-        w[i] += sb[i]
-    # m <= 0: w(r_{i+1}) = rat * w(r_i) + 2 int (rho/r_{i+1})^{1-m} g drho
-    w, rat = of[:, nb + 2 :], tab["rat_f"]
-    grid.panel_sums(tab["w_f"], pf[:, nb + 4 :], seg)
+    pf, w = prof.view(float), out_prof.view(float)
+    nb = 2 * half - 2                    # floats per row of the m >= 1 block
+    # both recurrences run in one loop over rows j = 0 .. n_r of out_prof:
+    # the m >= 1 block, which runs from the rim inward, in reversed ring
+    # order (w_b(r_{n_r - j}) in row j), beside the m <= 0 block (w_f(r_j));
+    # row j + 1 first holds the panel sum that its step adds, and column
+    # half - 1 stays 0 under a zero ratio.  The m >= 1 rows are then put
+    # back in ring order.
     w[0] = 0.0
-    for i in range(n_r):
-        np.multiply(rat[i], w[i], out=w[i + 1])
-        w[i + 1] += seg[i]
+    w[1:, nb : nb + 2] = 0.0
+    grid.panel_sums(tab["w_b"], pf[:, 2 : nb + 2], w[n_r:0:-1, :nb])
+    grid.panel_sums(tab["w_f"], pf[:, nb + 4 :], w[1:, nb + 2 :])
+    # m >= 1: w(r_i) = rat * w(r_{i+1}) - 2 int_{r_i}^{r_{i+1}} g (r_i/rho)^{m-1} drho
+    # m <= 0: w(r_{i+1}) = rat * w(r_i) + 2 int (rho/r_{i+1})^{1-m} g drho
+    rat, scaled = tab["rat"], np.empty(2 * nt)
+    for j in range(n_r):
+        w[j + 1] += np.multiply(rat[j], w[j], out=scaled)
+    w[:, :nb] = w[::-1, :nb]
 
     out = np.empty(grid.n_nodes, dtype=complex)
     out[0] = out_prof[0, 0]
@@ -278,6 +281,7 @@ class SolutionFamily:
     boundary_residual: float = 0.0
     fixed_point_residual: float = 0.0
     solvability: np.ndarray = field(default_factory=lambda: np.array([]))
+    image: np.ndarray | None = None   # (I - L) w, as a solve with an assembler carries it
 
     @property
     def dimension(self):
@@ -336,25 +340,29 @@ def assemble_AB(p1, p2, qb1, qb2, q0=None):
     return a, b, e0_point
 
 
-def _gmres(apply_op, rhs, atol, max_iter, x0=None):
+def _gmres(apply_op, rhs, atol, max_iter, x0=None, r0=None, residual=False):
     """Matrix-free GMRES on real vectors from ``x0`` (zero when None), no
     restarts, deterministic.
 
-    Returns (x, k, factor): the first iterate whose residual 2-norm is at
-    most ``atol``, the k Krylov iterations it took, and the observed
-    contraction (|r_k| / |r_0|)^(1/k), 0 when k = 0.  A given ``x0`` costs
-    one more ``apply_op`` call, for its residual.  Raises ConvergenceError
-    when ``max_iter`` iterations leave the residual above ``atol``.
+    Returns (x, k, factor, r): the first iterate whose residual 2-norm is at
+    most ``atol``, the k Krylov iterations it took, the observed contraction
+    (|r_k| / |r_0|)^(1/k), 0 when k = 0, and, when ``residual`` is set, the
+    residual vector r_k = rhs - A x (None otherwise).  r_k is formed from the
+    Arnoldi relation A Q_k = Q_{k+1} H_k as Q_{k+1} (beta e_1 - H_k y), with
+    no ``apply_op`` call.  A caller that holds the image A x0 of its start
+    passes the start residual ``r0`` = rhs - A x0; without it a given
+    ``x0`` costs one more ``apply_op`` call.  Raises ConvergenceError when
+    ``max_iter`` iterations leave the residual above ``atol``.
     """
     if max_iter < 1:
         raise MgError(f"GMRES needs max_iter >= 1, got {max_iter}")
     if x0 is None:
         x0, r0 = np.zeros(rhs.size), rhs
-    else:
+    elif r0 is None:
         r0 = rhs - apply_op(x0)
     beta = np.linalg.norm(r0)
     if beta <= atol:
-        return x0, 0, 0.0
+        return x0, 0, 0.0, (r0 if residual else None)
     q = np.empty((max_iter + 1, rhs.size))
     h = np.zeros((max_iter + 1, max_iter))
     tmp = np.empty(rhs.size)
@@ -370,9 +378,15 @@ def _gmres(apply_op, rhs, atol, max_iter, x0=None):
         e1 = np.zeros(k + 2)
         e1[0] = beta
         ysol, *_ = np.linalg.lstsq(h[: k + 2, : k + 1], e1, rcond=None)
-        rnorm = np.linalg.norm(h[: k + 2, : k + 1] @ ysol - e1)
+        hy_e1 = h[: k + 2, : k + 1] @ ysol - e1
+        rnorm = np.linalg.norm(hy_e1)
         if rnorm <= atol or h[k + 1, k] < 1e-300:
-            return x0 + q[: k + 1].T @ ysol, k + 1, (rnorm / beta) ** (1.0 / (k + 1))
+            r = None
+            if residual:
+                # v is q_{k+1} before its division by h[k+1, k], so the last
+                # term h[k+1, k] y_k q_{k+1} is y_k v, also at a breakdown
+                r = -(q[: k + 1].T @ hy_e1[: k + 1]) - ysol[k] * v
+            return (x0 + q[: k + 1].T @ ysol, k + 1, (rnorm / beta) ** (1.0 / (k + 1)), r)
         v /= h[k + 1, k]
     raise ConvergenceError(
         f"GMRES residual {rnorm:.3e} above {atol:.1e} after {max_iter} iterations"
@@ -387,15 +401,35 @@ class PointPin:
     basis: list          # K_i = (I - L)^{-1} b_i, one per family member
     pinv: np.ndarray     # (nb, 2) pseudo-inverse of [Re K_i(0); Im K_i(0)]
     rank: int            # constraints the pin imposes, at most 2
+    images: list | None = None   # (I - L) K_i, when known
 
 
-def point_pin(basis) -> PointPin:
+def point_pin(basis, images=None) -> PointPin:
     """Least-norm pin of w = 0 at the center node through the linear-response
-    ``basis``."""
+    ``basis``; ``images`` are the members' images (I - L) K_i, with which a
+    pinned solve carries the image of every iterate."""
     at_center = np.array([k[0] for k in basis], dtype=complex)
     mat = np.stack([at_center.real, at_center.imag])          # (2, nb)
     tol = 1e-12 * max(1.0, np.abs(mat).max(initial=0.0))
-    return PointPin(basis, np.linalg.pinv(mat), int(np.linalg.matrix_rank(mat, tol=tol)))
+    return PointPin(basis, np.linalg.pinv(mat), int(np.linalg.matrix_rank(mat, tol=tol)),
+                    images)
+
+
+def _corrected_t(sym: CanonicalSymbol, field_on_disk, phi_target):
+    """T of a field plus the core solution that gives it the boundary data
+    ``phi_target``, and that core solve's solvability residuals."""
+    grid = sym.grid
+    u = t_operator(grid, field_on_disk)
+    corr, resid = _core_particular(
+        sym, phi_target - np.real(np.conj(sym.lam) * u[grid.boundary_idx])
+    )
+    return u + corr, resid
+
+
+def linear_response(problem: BoundaryProblem, sym: CanonicalSymbol, w):
+    """L w: the volume-term response of the full problem, one T call."""
+    u, _ = _corrected_t(sym, -problem.volume_terms(w), np.zeros(problem.grid.n_theta))
+    return u
 
 
 # largest n < 0 solvability residual accepted, relative to the data scale
@@ -404,7 +438,8 @@ SOLVABILITY_TOL = 1e-6
 
 def bvp_solve(problem: BoundaryProblem, psi_assembler=None, tol=1e-10,
               max_iter=60, pin: PointPin | None = None, mode="auto",
-              sym: CanonicalSymbol | None = None, w0=None) -> SolutionFamily:
+              sym: CanonicalSymbol | None = None, w0=None,
+              w0_image=None) -> SolutionFamily:
     """Solve the full problem by alternating areal correction and core solve.
 
     ``psi_assembler`` maps the current iterate w to the right-hand side field;
@@ -415,14 +450,19 @@ def bvp_solve(problem: BoundaryProblem, psi_assembler=None, tol=1e-10,
     assembled, so the assembler's most recent call is at the returned w.
     Each pass solves its frozen-right-side problem (I - L) v = rhs by GMRES
     (at most 4 ``max_iter`` iterations) from the previous pass's v, the first
-    pass from ``w0``; ``iterations`` counts the applications of L and
-    ``ratio`` is the largest per-pass contraction (|r_k| / |r_0|)^(1/k).
-    ``mode`` must be "auto", the one strategy.  With a ``pin`` every outer
-    iterate is moved along the linear-response basis to w = 0 at the center
-    node with least-norm family parameters; without one the family
-    parameters are zero.  The returned ``basis`` are the core members b_i,
-    not homogeneous solutions of the full problem; ``solve_family`` adds the
-    linear-response basis.
+    pass from ``w0``.  A start's residual rhs - (I - L) v comes from the
+    image (I - L) v the solve carries: the previous pass's GMRES hands on
+    rhs - r_k, and ``w0_image`` = (I - L) w0 serves the first pass; a ``w0``
+    without it costs one application of L.  ``iterations`` counts the
+    applications of L in the passes and ``ratio`` is the largest per-pass
+    contraction (|r_k| / |r_0|)^(1/k).  ``mode`` must be "auto", the one
+    strategy.  With a ``pin`` every outer iterate is moved along the
+    linear-response basis to w = 0 at the center node with least-norm
+    family parameters; without one the family parameters are zero.  With an
+    assembler the returned ``image`` is (I - L) w of the returned w, when
+    the pin carries its members' images.  The returned ``basis`` are the
+    core members b_i, not homogeneous solutions of the full problem;
+    ``solve_family`` adds the linear-response basis.
     """
     if mode != "auto":
         raise MgError(f"the solve strategy is 'auto', got {mode!r}")
@@ -444,18 +484,6 @@ def bvp_solve(problem: BoundaryProblem, psi_assembler=None, tol=1e-10,
     bidx = grid.boundary_idx
     lam = sym.lam
 
-    def corrected_t(field_on_disk, phi_target):
-        u = t_operator(grid, field_on_disk)
-        corr, resid = _core_particular(
-            sym, phi_target - np.real(np.conj(lam) * u[bidx])
-        )
-        return u + corr, resid
-
-    def linear_response(w):
-        vol = problem.volume_terms(w)
-        u, _ = corrected_t(-vol, np.zeros(grid.n_theta))
-        return u
-
     def pack(w):
         return np.concatenate([w.real, w.imag])
 
@@ -463,17 +491,30 @@ def bvp_solve(problem: BoundaryProblem, psi_assembler=None, tol=1e-10,
         half = v.size // 2
         return v[:half] + 1j * v[half:]
 
-    # each pass's inner problem (I - L) v = rhs starts from the previous
-    # pass's solution before the pin, the first one from w0
-    if w0 is None:
-        w, v = np.zeros(grid.n_nodes, dtype=complex), None
-    else:
-        w = v = np.asarray(w0, dtype=complex)
-    ratio = 0.0
-
     def apply_m(vec):
         ww = unpack(vec)
-        return pack(ww - linear_response(ww))
+        return pack(ww - linear_response(problem, sym, ww))
+
+    # each pass's inner problem (I - L) v = rhs starts from the previous
+    # pass's solution before the pin, the first one from w0.  With an
+    # assembler a next pass may read the start's image v_img = (I - L) v
+    # (packed), and w_img is (I - L) w of the outer iterate w (None where it
+    # is not known); a fixed right side makes one pass and carries neither.
+    carry = not psi_is_fixed
+    start_cost = 0
+    if w0 is None:
+        w, v, v_img = np.zeros(grid.n_nodes, dtype=complex), None, None
+        w_img = np.zeros(grid.n_nodes, dtype=complex) if carry else None
+    else:
+        w = v = np.asarray(w0, dtype=complex)
+        if w0_image is not None:
+            w_img = np.asarray(w0_image, dtype=complex)
+            v_img = pack(w_img)
+        else:
+            v_img = apply_m(pack(v))
+            w_img = unpack(v_img) if carry else None
+            start_cost = 1
+    ratio = 0.0
 
     # outer substitution of the iterate into the right-hand side; each pass
     # solves the frozen-right-side problem with zero parameters, then adds
@@ -482,25 +523,35 @@ def bvp_solve(problem: BoundaryProblem, psi_assembler=None, tol=1e-10,
     pass_diffs, pass_iters = [], []
     for outer in range(max_outer):
         psi = psi_assembler(w)
-        rhs_field, solv_hist = corrected_t(psi, problem.phi)
+        rhs_field, solv_hist = _corrected_t(sym, psi, problem.phi)
+        rhs = pack(rhs_field)
         # a residual 2-norm below tol/2 bounds its sup norm too
         atol = 0.5 * tol * max(1.0, float(np.max(np.abs(rhs_field))))
-        x0 = None if v is None else pack(v)
         try:
-            sol, its, factor = _gmres(apply_m, pack(rhs_field), atol, 4 * max_iter,
-                                      x0=x0)
+            sol, its, factor, r = _gmres(
+                apply_m, rhs, atol, 4 * max_iter, x0=None if v is None else pack(v),
+                r0=None if v_img is None else rhs - v_img, residual=carry)
         except ConvergenceError as exc:
             earlier = (f"; earlier {_fmt_passes(pass_diffs, pass_iters)}"
                        if pass_diffs else "")
             raise ConvergenceError(f"outer pass {outer + 1}: {exc}{earlier}") from None
-        # applications of L: a start's residual takes one
-        pass_iters.append(its + (x0 is not None))
+        pass_iters.append(its + start_cost)
+        start_cost = 0
         ratio = max(ratio, factor)
         v = w_new = unpack(sol)
+        w_new_img = None
+        if carry:
+            v_img = rhs - r
+            w_new_img = unpack(v_img)
         if pin is not None:
             params = pin.pinv @ -np.array([w_new[0].real, w_new[0].imag])
             for c, k in zip(params, pin.basis):
                 w_new = w_new + c * k
+            if pin.images is None:
+                w_new_img = None
+            elif carry:
+                for c, k_img in zip(params, pin.images):
+                    w_new_img = w_new_img + c * k_img
         d = float(np.max(np.abs(w_new - w)))
         pass_diffs.append(d)
         if psi_is_fixed:
@@ -514,7 +565,7 @@ def bvp_solve(problem: BoundaryProblem, psi_assembler=None, tol=1e-10,
                 f"(step {d:.3e} after {outer + 1} passes; "
                 f"{_fmt_passes(pass_diffs, pass_iters)})"
             )
-        w = w_new
+        w, w_img = w_new, w_new_img
     else:
         raise ConvergenceError(
             f"outer right-hand-side iteration did not settle in {max_outer} passes "
@@ -535,10 +586,11 @@ def bvp_solve(problem: BoundaryProblem, psi_assembler=None, tol=1e-10,
                 f"{np.max(np.abs(solv_hist)):.3e} exceed tolerance"
             )
 
+    # the independent check applies L itself rather than reading the image
     fp_field = rhs_field
     for c, b in zip(params, sym.basis):
         fp_field = fp_field + c * b
-    fp_field = fp_field + linear_response(w)
+    fp_field = fp_field + linear_response(problem, sym, w)
     fixed_point_residual = float(np.max(np.abs(fp_field - w)))
     boundary_residual = float(np.max(np.abs(
         np.real(np.conj(lam) * w[bidx]) - problem.phi
@@ -549,6 +601,7 @@ def bvp_solve(problem: BoundaryProblem, psi_assembler=None, tol=1e-10,
         boundary_residual=boundary_residual,
         fixed_point_residual=fixed_point_residual,
         solvability=np.asarray(solv_hist),
+        image=w_img if carry else None,
     )
 
 

@@ -4,7 +4,38 @@ import numpy as np
 
 from mgdeform.gdef import DeformationState, assemble_coefficients
 from mgdeform.metrics import AmbientMetric, conformal_linear_metric, conformal_radial_metric
+from mgdeform.surface import Immersion
 from mgdeform.transport import TransportHistory
+
+
+class ChartRotated(Immersion):
+    """The immersion in the chart rotated by ``alpha``: y'(x) = y(R x), with
+    partials y'_,i = y_,k R_ki.  The surface and its metric are unchanged;
+    on a grid with alpha = 2 pi s / n_theta node (i, j) of the new chart is
+    node (i, j + s) of the old one (``chart_shift``)."""
+
+    def __init__(self, base, alpha):
+        self.base = base
+        c, s = np.cos(alpha), np.sin(alpha)
+        self.rot = np.array([[c, -s], [s, c]])
+
+    def _rotated(self, x1, x2):
+        (r11, r12), (r21, r22) = self.rot
+        return r11 * x1 + r12 * x2, r21 * x1 + r22 * x2
+
+    def chart(self, x1, x2):
+        return self.base.chart(*self._rotated(x1, x2))
+
+    def jacobian(self, x1, x2):
+        return self.base.jacobian(*self._rotated(x1, x2)) @ self.rot
+
+
+def chart_shift(grid, s):
+    """Node permutation p with f[p] the field f read in the chart rotated by
+    s angle slots: p maps node (i, j) to (i, j + s) and keeps the center."""
+    rings = np.repeat(np.arange(1, grid.n_r + 1), grid.n_theta)
+    slots = np.tile(np.arange(grid.n_theta), grid.n_r)
+    return np.concatenate([[0], grid.node_index(rings, slots + s)])
 
 
 class RadialWarpedMetric(AmbientMetric):

@@ -23,6 +23,8 @@ from mgdeform.metrics import (
 from mgdeform.surface import SphereCapImmersion, build_surface, make_immersion
 from mgdeform.vekua import point_pin
 
+from helpers import ChartRotated, chart_shift
+
 
 def assert_warm_inner_solves(records):
     """Every warm-started step makes at most 5 inner iterations per pass,
@@ -469,8 +471,8 @@ def test_plane_flows_in_conformal_linear_metric():
 def test_state_fields_differentiated_once_per_step(flat_cap, monkeypatch):
     # a state takes z_,i, d_i a^j and c_,i once; every assembly of the step
     # (cdot sweeps, variations, rates, monitors) reads the cached fields, and
-    # the rates of each assembler iterate are differentiated once, by the
-    # cdot solve, whose d_i adot^j the rate assembly reads.  Every grid
+    # the rates of each assembler iterate are differentiated once, and those
+    # of the zero start of the flow's first solve not at all.  Every grid
     # derivative goes through DiskGrid.grad_last, which receives the
     # node-last view np.moveaxis(f, 0, -1) of an (N, ...) field f
     metric, surf = flat_cap
@@ -504,9 +506,11 @@ def test_state_fields_differentiated_once_per_step(flat_cap, monkeypatch):
         for name in ("a1", "a2", "c", "z"):
             assert seen[field_key(getattr(deform, name))] <= 1, name
     assert iterates
+    assert not (iterates[0][0].any() or iterates[0][1].any())
     for a1dot, a2dot in iterates:
-        assert seen[field_key(a1dot)] == 1
-        assert seen[field_key(a2dot)] == 1
+        once = int(bool(a1dot.any() or a2dot.any()))
+        assert seen[field_key(a1dot)] == once
+        assert seen[field_key(a2dot)] == once
 
 
 def test_history_times_count_whole_steps(flat_cap):
@@ -537,3 +541,107 @@ def test_winding_beyond_the_rim_resolution_is_rejected(flat_cap, monkeypatch, wi
     monkeypatch.setattr(flow, "solve_family", no_solve)
     with pytest.raises(UnderResolvedError, match=f"winding {winding}"):
         init_flow(metric, surf, boundary, cfg)
+
+
+@pytest.mark.parametrize("metric", [FlatMetric(), conformal_radial_metric(0.5)],
+                         ids=["flat", "conformal_radial"])
+def test_step_applies_l_once_per_krylov_vector(metric, monkeypatch):
+    # a step's T calls are one per pass for its right-hand side, one per
+    # application of L, and one for the closing fixed-point check; every
+    # application of L builds a Krylov vector, as the warm starts' residuals
+    # come from the images the solve carries.  The successor's z_,i and
+    # d_i a^j come from the rates' derivatives, not from differentiating it
+    surf = build_surface(SphereCapImmersion(1.0, 0.5), metric, DiskGrid(16, 32),
+                         ci_tol=1e-5)
+    grid = surf.grid
+    boundary = BoundarySpec(winding=1, gamma_kind="harmonic", epsilon=1e-3, mode=1)
+    state = init_flow(metric, surf, boundary, FlowConfig(t_final=0.02, dt=0.005))
+    t_calls, krylov, grad_args = [], [], []
+    real_t, real_gmres, real_grad = vekua.t_operator, vekua._gmres, DiskGrid.grad_last
+
+    def counting_t(*args):
+        t_calls.append(1)
+        return real_t(*args)
+
+    def counting_gmres(*args, **kwargs):
+        out = real_gmres(*args, **kwargs)
+        krylov.append(out[1])
+        return out
+
+    def recording_grad(self, f):
+        grad_args.append(f)   # held, so no two recorded arrays share an address
+        return real_grad(self, f)
+
+    monkeypatch.setattr(vekua, "t_operator", counting_t)
+    monkeypatch.setattr(vekua, "_gmres", counting_gmres)
+    monkeypatch.setattr(DiskGrid, "grad_last", recording_grad)
+    for _ in range(4):
+        t_calls.clear()
+        krylov.clear()
+        grad_args.clear()
+        rec = step(state)
+        assert rec.bvp_iterations == sum(krylov)
+        assert len(t_calls) == rec.bvp_passes + rec.bvp_iterations + 1
+        new = state.deform
+        touched = {np.asarray(a).__array_interface__["data"][0] for a in grad_args}
+        for f in (new.a1, new.a2, new.z):
+            assert f.__array_interface__["data"][0] not in touched
+        grad_args.clear()
+        for got, want in ((new.dz, real_grad(grid, new.z.T)),
+                          (new.da, gdef.tangential_grad(grid, new.a1, new.a2))):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_step_zero_differentiates_no_zero_field(flat_cap, monkeypatch):
+    # the undeformed state's derivatives are exact zeros, given, and the
+    # zero start of the first solve has zero rate derivatives
+    metric, surf = flat_cap
+    boundary = BoundarySpec(winding=1, gamma_kind="harmonic", epsilon=1e-3, mode=1)
+    state = init_flow(metric, surf, boundary, FlowConfig(t_final=0.005, dt=0.005))
+    for name in ("dz", "da", "dc"):
+        field = getattr(state.deform, name)
+        assert not np.any(field) and not np.any(np.signbit(field)), name
+    real_grad = DiskGrid.grad_last
+
+    def nonzero_grad(self, f):
+        assert np.any(f), "differentiated an all-zero field"
+        return real_grad(self, f)
+
+    monkeypatch.setattr(DiskGrid, "grad_last", nonzero_grad)
+    step(state)
+
+
+def _rotated_chart_flow(metric, winding, s):
+    """Four steps on the cap in the chart rotated by s angle slots, with the
+    boundary phases mapped to the same tangent field and rate."""
+    grid = DiskGrid(16, 32)
+    alpha = 2 * np.pi * s / grid.n_theta
+    surf = build_surface(ChartRotated(SphereCapImmersion(1.0, 0.5), alpha), metric, grid,
+                         ci_tol=1e-5)
+    boundary = BoundarySpec(winding=winding, phase=-(winding + 1) * alpha,
+                            gamma_kind="harmonic", epsilon=0.05, mode=2,
+                            gamma_phase=2 * alpha)
+    state = init_flow(metric, surf, boundary, FlowConfig(t_final=0.02, dt=0.005))
+    run_flow(state)
+    return state
+
+
+@pytest.mark.parametrize("winding", [1, 2])
+@pytest.mark.parametrize("metric_kind", ["flat", "conformal_linear"])
+def test_flow_is_equivariant_under_chart_rotation(metric_kind, winding):
+    # y'(x) = y(R x) is the same surface in a rotated chart; with the rim
+    # data mapped along, the flow returns the same z and c, read at the
+    # shifted nodes, in the same solver iterations
+    metric = (FlatMetric() if metric_kind == "flat"
+              else conformal_linear_metric((0.3, 0.0, 0.2)))
+    base = _rotated_chart_flow(metric, winding, 0)
+    rot = _rotated_chart_flow(metric, winding, 5)
+    perm = chart_shift(base.surface.grid, 5)
+    for name in ("z", "c"):
+        want = getattr(base.deform, name)[perm]
+        got = getattr(rot.deform, name)
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want)), name
+    for name in ("step", "n", "bvp_iterations", "bvp_passes", "cdot_iterations",
+                 "family_dimension_before", "family_dimension_after"):
+        assert ([getattr(r, name) for r in rot.records]
+                == [getattr(r, name) for r in base.records]), name

@@ -345,3 +345,27 @@ def test_cached_propagator_matches_full_recomputation(curved_cap, christoffel_ca
         prop = transport_propagator(other_metric, other_y0, child)
         assert len(christoffel_calls) == 2 * child.n_steps + 1
         _check_against_full(other_metric, other_y0, child, surf.y1)
+
+
+def test_trial_histories_share_checked_rows():
+    # a child history holds its parent's rows themselves and checks only the
+    # rows it adds
+    n = 7
+    zdot = np.ones((n, 3))
+    hist = TransportHistory([0.0, 0.005], [np.zeros((n, 3)), 0.005 * zdot], [zdot, zdot])
+    trial = hist.replace_final_rate(2 * zdot)
+    assert trial.z is hist.z and trial.zdot[0] is hist.zdot[0]
+    assert trial.tau is hist.tau
+    longer = hist.advance(0.005, 0.01 * zdot, zdot)
+    assert all(a is b for a, b in zip(longer.z, hist.z))
+    assert longer.zdot[0] is hist.zdot[0]
+    assert np.array_equal(longer.tau, [0.0, 0.005, 0.01])
+    for bad in (np.ones((n, 2)), np.ones((n + 1, 3))):
+        with pytest.raises(MgError, match="shape"):
+            hist.replace_final_rate(bad)
+        with pytest.raises(MgError, match="shape"):
+            hist.advance(0.005, bad, zdot)
+        with pytest.raises(MgError, match="shape"):
+            hist.advance(0.005, 0.01 * zdot, bad)
+    with pytest.raises(MgError, match="increase"):
+        static_history(n).advance(0.0, zdot, zdot)

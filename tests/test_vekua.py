@@ -18,6 +18,7 @@ from mgdeform.vekua import (
     bvp_solve,
     holomorphic_field,
     index_of,
+    linear_response,
     load_problem,
     point_pin,
     save_problem,
@@ -344,12 +345,12 @@ def test_gmres_started_at_the_solution_returns_it():
 
     mat = np.array([[2.0, 1.0, 0.0], [0.0, 3.0, 1.0], [1.0, 0.0, 4.0]])
     x = np.array([1.0, -2.0, 0.5])
-    sol, its, factor = _gmres(lambda v: mat @ v, mat @ x, 1e-12, 5, x0=x)
-    assert its == 0 and factor == 0.0
+    sol, its, factor, r = _gmres(lambda v: mat @ v, mat @ x, 1e-12, 5, x0=x)
+    assert its == 0 and factor == 0.0 and r is None
     assert np.array_equal(sol, x)
     # from zero it iterates to the same solution
-    sol, its, factor = _gmres(lambda v: mat @ v, mat @ x, 1e-12, 5)
-    assert 1 <= its <= 3 and 0 < factor < 1
+    sol, its, factor, r = _gmres(lambda v: mat @ v, mat @ x, 1e-12, 5)
+    assert 1 <= its <= 3 and 0 < factor < 1 and r is None
     assert np.max(np.abs(sol - x)) <= 1e-12
 
 
@@ -418,6 +419,61 @@ def test_solve_started_at_its_solution_makes_one_assembler_call():
     assert warm.fixed_point_residual <= tol
 
 
+def test_gmres_residual_from_the_arnoldi_relation():
+    # the residual vector GMRES hands back is rhs - A x without an operator
+    # call, and a start residual given with x0 reproduces the x0 start
+    from mgdeform.vekua import _gmres
+
+    rng = np.random.default_rng(41)
+    mat = np.eye(40) + 0.4 * rng.normal(size=(40, 40)) / np.sqrt(40)
+    rhs = rng.normal(size=40)
+    x0 = rng.normal(size=40)
+    calls = []
+
+    def apply_op(v):
+        calls.append(1)
+        return mat @ v
+
+    for start in (None, x0):
+        calls.clear()
+        x, k, factor, r = _gmres(apply_op, rhs, 1e-10, 40, x0=start, residual=True)
+        assert len(calls) == k + (start is not None)
+        assert np.max(np.abs(r - (rhs - mat @ x))) <= 1e-12
+    calls.clear()
+    got = _gmres(apply_op, rhs, 1e-10, 40, x0=x0, r0=rhs - mat @ x0)
+    want = gmres_mgs(lambda v: mat @ v, rhs, 1e-10, 40, x0=x0)
+    assert len(calls) == got[1] == want[1]
+    assert np.array_equal(got[0], want[0]) and got[2] == want[2] and got[3] is None
+    # a start within tolerance returns its own residual
+    r0 = rhs - mat @ x
+    assert _gmres(apply_op, rhs, 1e-8, 40, x0=x, r0=r0, residual=True)[1:] == (0, 0.0, r0)
+
+
+def test_solve_carries_the_image_of_its_iterate():
+    # a solve with an assembler returns (I - L) w of its w, pinned or not
+    # (the pin adds its members' images), and a restart from w with that
+    # image spends no application of L on its start
+    grid = DiskGrid(16, 32)
+    prob, _ = manufactured_problem(grid, n=1)
+    fam, sym = solve_family(replace(prob, phi=np.zeros(grid.n_theta)), tol=1e-12)
+    images = [k - linear_response(prob, sym, k) for k in fam.basis]
+
+    def assembler(w):
+        return prob.psi + 0.05 * np.conj(w)
+
+    for pin in (point_pin(fam.basis, images), None):
+        cold = bvp_solve(prob, assembler, pin=pin, sym=sym)
+        want = cold.w - linear_response(prob, sym, cold.w)
+        assert np.max(np.abs(cold.image - want)) <= 1e-10 * np.max(np.abs(want))
+    warm = bvp_solve(prob, assembler, sym=sym, w0=cold.w, w0_image=cold.image)
+    assert warm.passes == 1 and warm.image is cold.image
+    unknown = bvp_solve(prob, assembler, sym=sym, w0=cold.w)
+    assert unknown.passes == 1 and unknown.iterations == warm.iterations + 1
+    # a pin without images, or a fixed right side, carries none
+    assert bvp_solve(prob, assembler, pin=point_pin(fam.basis), sym=sym).image is None
+    assert bvp_solve(prob, sym=sym).image is None
+
+
 def outer_passes(message):
     """(difference, inner iterations) of every pass an outer-loop error lists."""
     listed = re.findall(r"([-+.0-9e]+) \((\d+) inner\)", message)
@@ -458,8 +514,8 @@ def test_outer_failure_lists_every_pass(factor, passes, reason, amp, scale, max_
     assert len(calls) == passes and len(listed) == finished
     assert listed[0][0] > 1e-3 * scale
     if not amp:
-        # L = 0: one iteration from zero, then a residual and one iteration
-        assert [k for _, k in listed] == [1] + [2] * (passes - 1)
+        # L = 0: one iteration per pass, the warm starts' residuals carried
+        assert [k for _, k in listed] == [1] * passes
 
 
 def test_problem_file_roundtrip(tmp_path, grid):
