@@ -44,7 +44,6 @@ from .vekua import (
     boundary_data,
     bvp_solve,
     canonicalize,
-    linear_response,
     point_pin,
     solve_family,
 )
@@ -136,22 +135,19 @@ class PrevRecords:
     coeffs: object = None      # GDefCoefficients at the previous step
     m4: np.ndarray | None = None
     psi1: np.ndarray | None = None
-    w: np.ndarray | None = None         # the previous step's solution w_n
-    w_before: np.ndarray | None = None  # and the one before it, w_{n-1}
-    image: np.ndarray | None = None     # (I - L) w_n, as the solve carried it
-    image_before: np.ndarray | None = None  # (I - L) w_{n-1}
+    inner: tuple | None = None         # (v_n, (I - L) v_n): the previous solve's start
+    inner_before: tuple | None = None  # and the one before it, (v_{n-1}, (I - L) v_{n-1})
 
     def start(self):
-        """Start of the next step's solve and its image under I - L: the
-        linear extrapolation 2 w_n - w_{n-1}, w_n after one step, None at
-        step 0.  It keeps the fixed boundary data and the linear center pin
-        exactly, and I - L is fixed over the flow, so the images extrapolate
-        with the same weights."""
-        if self.w is None or self.w_before is None:
-            return self.w, self.image
-        if self.image is None or self.image_before is None:
-            return 2.0 * self.w - self.w_before, None
-        return 2.0 * self.w - self.w_before, 2.0 * self.image - self.image_before
+        """Start of the next step's solve: the linear extrapolation
+        2 v_n - v_{n-1} of the last two solves' unpinned inner solutions,
+        with their images under I - L, which is fixed over the flow, taken
+        with the same weights; v_n after one step, None at step 0.  It keeps
+        the fixed boundary data exactly, and the center pin is linear, so
+        the solve's first iterate is 2 w_n - w_{n-1}."""
+        if self.inner is None or self.inner_before is None:
+            return self.inner
+        return tuple(2.0 * a - b for a, b in zip(self.inner, self.inner_before))
 
 
 @dataclass
@@ -243,11 +239,9 @@ def _build_statics(metric, surface, boundary) -> FlowStatics:
     if sym.n >= 0:
         # A, B, E and the symbol are fixed over the flow, so the linear
         # response of each family member is solved once, here, with zero
-        # boundary data, and so is its image (I - L) K_i, which every pinned
-        # iterate's image takes in
+        # boundary data
         family, _ = solve_family(replace(problem, phi=np.zeros(grid.n_theta)), sym=sym)
-        pin = point_pin(family.basis,
-                        [k - linear_response(problem, sym, k) for k in family.basis])
+        pin = point_pin(family.basis)
     return FlowStatics(
         eq=eq, problem=problem, sym=sym,
         integ=PathIntegrator(grid), pin=pin,
@@ -340,9 +334,7 @@ def step(state: FlowState):
     surface, metric, grid = state.surface, state.metric, state.surface.grid
     assembler, cache = _make_assembler(state)
     prev = state.prev
-    w0, w0_image = prev.start()
-    final = bvp_solve(st.problem, assembler, pin=st.pin, sym=st.sym, w0=w0,
-                      w0_image=w0_image)
+    final = bvp_solve(st.problem, assembler, pin=st.pin, sym=st.sym, start=prev.start())
     dim_before = st.sym.family_size
     dim_after = dim_before - (st.pin.rank if st.pin else 0)
 
@@ -397,8 +389,7 @@ def step(state: FlowState):
         "g_res1": g_res_fields[0], "g_res2": g_res_fields[1],
     }
     state.prev = PrevRecords(coeffs=sol.coeffs, m4=last["bvar"].m4, psi1=last["psi1"],
-                             w=final.w, w_before=prev.w,
-                             image=final.image, image_before=prev.image)
+                             inner=final.start, inner_before=prev.inner)
     state.deform = deform_new
     state.variation = variation_n
     state.step_index += 1

@@ -267,7 +267,10 @@ class SolutionFamily:
     ``basis`` holds the core members b_i (d_zbar b = 0, zero boundary data)
     as returned by ``bvp_solve``; they solve the full homogeneous problem
     only when A, B and E vanish.  ``solve_family`` replaces them with the
-    linear-response members K_i = (I - L)^{-1} b_i, which always do.
+    linear-response members K_i = (I - L)^{-1} b_i, which always do.  A
+    solve with an assembler sets ``start`` to its last pass's unpinned inner
+    solution v and its image (I - L) v, from which a later solve with the
+    same operator may start.
     """
 
     w: np.ndarray
@@ -281,7 +284,7 @@ class SolutionFamily:
     boundary_residual: float = 0.0
     fixed_point_residual: float = 0.0
     solvability: np.ndarray = field(default_factory=lambda: np.array([]))
-    image: np.ndarray | None = None   # (I - L) w, as a solve with an assembler carries it
+    start: tuple | None = None   # (v, (I - L) v) of the last pass
 
     @property
     def dimension(self):
@@ -341,25 +344,23 @@ def assemble_AB(p1, p2, qb1, qb2, q0=None):
 
 
 def _gmres(apply_op, rhs, atol, max_iter, x0=None, r0=None, residual=False):
-    """Matrix-free GMRES on real vectors from ``x0`` (zero when None), no
-    restarts, deterministic.
+    """Matrix-free GMRES on real vectors, no restarts, deterministic.
 
-    Returns (x, k, factor, r): the first iterate whose residual 2-norm is at
-    most ``atol``, the k Krylov iterations it took, the observed contraction
+    Starts from ``x0`` with its residual ``r0`` = rhs - A x0, which the
+    caller forms from the image A x0 it holds, so the start costs no
+    ``apply_op`` call; without ``x0`` it starts from zero.  Returns
+    (x, k, factor, r): the first iterate whose residual 2-norm is at most
+    ``atol``, the k Krylov iterations it took, the observed contraction
     (|r_k| / |r_0|)^(1/k), 0 when k = 0, and, when ``residual`` is set, the
     residual vector r_k = rhs - A x (None otherwise).  r_k is formed from the
     Arnoldi relation A Q_k = Q_{k+1} H_k as Q_{k+1} (beta e_1 - H_k y), with
-    no ``apply_op`` call.  A caller that holds the image A x0 of its start
-    passes the start residual ``r0`` = rhs - A x0; without it a given
-    ``x0`` costs one more ``apply_op`` call.  Raises ConvergenceError when
-    ``max_iter`` iterations leave the residual above ``atol``.
+    no ``apply_op`` call.  Raises ConvergenceError when ``max_iter``
+    iterations leave the residual above ``atol``.
     """
     if max_iter < 1:
         raise MgError(f"GMRES needs max_iter >= 1, got {max_iter}")
     if x0 is None:
         x0, r0 = np.zeros(rhs.size), rhs
-    elif r0 is None:
-        r0 = rhs - apply_op(x0)
     beta = np.linalg.norm(r0)
     if beta <= atol:
         return x0, 0, 0.0, (r0 if residual else None)
@@ -401,18 +402,25 @@ class PointPin:
     basis: list          # K_i = (I - L)^{-1} b_i, one per family member
     pinv: np.ndarray     # (nb, 2) pseudo-inverse of [Re K_i(0); Im K_i(0)]
     rank: int            # constraints the pin imposes, at most 2
-    images: list | None = None   # (I - L) K_i, when known
+
+    def apply(self, v):
+        """(w, params): ``v`` moved along the basis to w = 0 at the center
+        node, and the least-norm family parameters that move it.  The pin
+        is linear in ``v``."""
+        params = self.pinv @ -np.array([v[0].real, v[0].imag])
+        w = v
+        for c, k in zip(params, self.basis):
+            w = w + c * k
+        return w, params
 
 
-def point_pin(basis, images=None) -> PointPin:
+def point_pin(basis) -> PointPin:
     """Least-norm pin of w = 0 at the center node through the linear-response
-    ``basis``; ``images`` are the members' images (I - L) K_i, with which a
-    pinned solve carries the image of every iterate."""
+    ``basis``."""
     at_center = np.array([k[0] for k in basis], dtype=complex)
     mat = np.stack([at_center.real, at_center.imag])          # (2, nb)
     tol = 1e-12 * max(1.0, np.abs(mat).max(initial=0.0))
-    return PointPin(basis, np.linalg.pinv(mat), int(np.linalg.matrix_rank(mat, tol=tol)),
-                    images)
+    return PointPin(basis, np.linalg.pinv(mat), int(np.linalg.matrix_rank(mat, tol=tol)))
 
 
 def _corrected_t(sym: CanonicalSymbol, field_on_disk, phi_target):
@@ -438,31 +446,31 @@ SOLVABILITY_TOL = 1e-6
 
 def bvp_solve(problem: BoundaryProblem, psi_assembler=None, tol=1e-10,
               max_iter=60, pin: PointPin | None = None, mode="auto",
-              sym: CanonicalSymbol | None = None, w0=None,
-              w0_image=None) -> SolutionFamily:
+              sym: CanonicalSymbol | None = None, start=None) -> SolutionFamily:
     """Solve the full problem by alternating areal correction and core solve.
 
     ``psi_assembler`` maps the current iterate w to the right-hand side field;
-    when None the fixed ``problem.psi`` (or zero) is used and one pass returns
-    its image F(0).  With an assembler the outer passes w_{k+1} = F(w_k) start
-    at ``w0`` (zero when None) and stop once |F(w_k) - w_k| <= tol; the
-    returned iterate is that w_k, the last one whose right-hand side was
-    assembled, so the assembler's most recent call is at the returned w.
-    Each pass solves its frozen-right-side problem (I - L) v = rhs by GMRES
-    (at most 4 ``max_iter`` iterations) from the previous pass's v, the first
-    pass from ``w0``.  A start's residual rhs - (I - L) v comes from the
-    image (I - L) v the solve carries: the previous pass's GMRES hands on
-    rhs - r_k, and ``w0_image`` = (I - L) w0 serves the first pass; a ``w0``
-    without it costs one application of L.  ``iterations`` counts the
-    applications of L in the passes and ``ratio`` is the largest per-pass
-    contraction (|r_k| / |r_0|)^(1/k).  ``mode`` must be "auto", the one
-    strategy.  With a ``pin`` every outer iterate is moved along the
-    linear-response basis to w = 0 at the center node with least-norm
-    family parameters; without one the family parameters are zero.  With an
-    assembler the returned ``image`` is (I - L) w of the returned w, when
-    the pin carries its members' images.  The returned ``basis`` are the
-    core members b_i, not homogeneous solutions of the full problem;
-    ``solve_family`` adds the linear-response basis.
+    when None the fixed ``problem.psi`` (or zero) is used and one pass from
+    zero returns its image F(0).  With an assembler the outer passes
+    w_{k+1} = F(w_k) stop once |F(w_k) - w_k| <= tol; the returned iterate
+    is that w_k, the last one whose right-hand side was assembled, so the
+    assembler's most recent call is at the returned w.  Each pass solves its
+    frozen-right-side problem (I - L) v = rhs by GMRES (at most 4
+    ``max_iter`` iterations) from the previous pass's v, and w_{k+1} is that
+    v pinned.  ``start`` = (v0, (I - L) v0) is an unpinned start with its
+    image: the first iterate is v0 pinned and the first pass's GMRES starts
+    from v0 (without ``start``, w_0 = 0).  A start's residual
+    rhs - (I - L) v comes from the image the solve carries, the previous
+    pass's GMRES handing on rhs - r_k, so no start costs an application of
+    L.  ``iterations`` counts the applications of L in the passes and
+    ``ratio`` is the largest per-pass contraction (|r_k| / |r_0|)^(1/k).
+    ``mode`` must be "auto", the one strategy.  With a ``pin`` every v is
+    moved along the linear-response basis to w = 0 at the center node with
+    least-norm family parameters (``PointPin.apply``); without one the
+    family parameters are zero.  With an assembler the returned ``start`` is
+    the last pass's (v, (I - L) v), which a later solve may start from.  The
+    returned ``basis`` are the core members b_i, not homogeneous solutions
+    of the full problem; ``solve_family`` adds the linear-response basis.
     """
     if mode != "auto":
         raise MgError(f"the solve strategy is 'auto', got {mode!r}")
@@ -496,24 +504,19 @@ def bvp_solve(problem: BoundaryProblem, psi_assembler=None, tol=1e-10,
         return pack(ww - linear_response(problem, sym, ww))
 
     # each pass's inner problem (I - L) v = rhs starts from the previous
-    # pass's solution before the pin, the first one from w0.  With an
-    # assembler a next pass may read the start's image v_img = (I - L) v
-    # (packed), and w_img is (I - L) w of the outer iterate w (None where it
-    # is not known); a fixed right side makes one pass and carries neither.
+    # pass's v, packed as x, the first one from the start's v0.  With an
+    # assembler the solve carries x_img = (I - L) v (packed), from which a
+    # pass forms its start's residual; a fixed right side makes one pass
+    # from zero and carries neither.
     carry = not psi_is_fixed
-    start_cost = 0
-    if w0 is None:
-        w, v, v_img = np.zeros(grid.n_nodes, dtype=complex), None, None
-        w_img = np.zeros(grid.n_nodes, dtype=complex) if carry else None
-    else:
-        w = v = np.asarray(w0, dtype=complex)
-        if w0_image is not None:
-            w_img = np.asarray(w0_image, dtype=complex)
-            v_img = pack(w_img)
-        else:
-            v_img = apply_m(pack(v))
-            w_img = unpack(v_img) if carry else None
-            start_cost = 1
+    x = x_img = None
+    w = np.zeros(grid.n_nodes, dtype=complex)
+    if start is not None:
+        v0, v0_img = (np.asarray(f, dtype=complex) for f in start)
+        x, x_img = pack(v0), pack(v0_img)
+        w = v0
+        if pin is not None:
+            w, params = pin.apply(v0)
     ratio = 0.0
 
     # outer substitution of the iterate into the right-hand side; each pass
@@ -528,30 +531,20 @@ def bvp_solve(problem: BoundaryProblem, psi_assembler=None, tol=1e-10,
         # a residual 2-norm below tol/2 bounds its sup norm too
         atol = 0.5 * tol * max(1.0, float(np.max(np.abs(rhs_field))))
         try:
-            sol, its, factor, r = _gmres(
-                apply_m, rhs, atol, 4 * max_iter, x0=None if v is None else pack(v),
-                r0=None if v_img is None else rhs - v_img, residual=carry)
+            x, its, factor, r = _gmres(
+                apply_m, rhs, atol, 4 * max_iter, x0=x,
+                r0=None if x is None else rhs - x_img, residual=carry)
         except ConvergenceError as exc:
             earlier = (f"; earlier {_fmt_passes(pass_diffs, pass_iters)}"
                        if pass_diffs else "")
             raise ConvergenceError(f"outer pass {outer + 1}: {exc}{earlier}") from None
-        pass_iters.append(its + start_cost)
-        start_cost = 0
+        pass_iters.append(its)
         ratio = max(ratio, factor)
-        v = w_new = unpack(sol)
-        w_new_img = None
         if carry:
-            v_img = rhs - r
-            w_new_img = unpack(v_img)
+            x_img = rhs - r
+        w_new = unpack(x)
         if pin is not None:
-            params = pin.pinv @ -np.array([w_new[0].real, w_new[0].imag])
-            for c, k in zip(params, pin.basis):
-                w_new = w_new + c * k
-            if pin.images is None:
-                w_new_img = None
-            elif carry:
-                for c, k_img in zip(params, pin.images):
-                    w_new_img = w_new_img + c * k_img
+            w_new, params = pin.apply(w_new)
         d = float(np.max(np.abs(w_new - w)))
         pass_diffs.append(d)
         if psi_is_fixed:
@@ -565,7 +558,7 @@ def bvp_solve(problem: BoundaryProblem, psi_assembler=None, tol=1e-10,
                 f"(step {d:.3e} after {outer + 1} passes; "
                 f"{_fmt_passes(pass_diffs, pass_iters)})"
             )
-        w, w_img = w_new, w_new_img
+        w = w_new
     else:
         raise ConvergenceError(
             f"outer right-hand-side iteration did not settle in {max_outer} passes "
@@ -601,7 +594,7 @@ def bvp_solve(problem: BoundaryProblem, psi_assembler=None, tol=1e-10,
         boundary_residual=boundary_residual,
         fixed_point_residual=fixed_point_residual,
         solvability=np.asarray(solv_hist),
-        image=w_img if carry else None,
+        start=(unpack(x), unpack(x_img)) if carry else None,
     )
 
 

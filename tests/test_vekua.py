@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mgdeform import vekua
 from mgdeform.errors import (
     ConvergenceError,
     MgError,
@@ -345,11 +346,12 @@ def test_gmres_started_at_the_solution_returns_it():
 
     mat = np.array([[2.0, 1.0, 0.0], [0.0, 3.0, 1.0], [1.0, 0.0, 4.0]])
     x = np.array([1.0, -2.0, 0.5])
-    sol, its, factor, r = _gmres(lambda v: mat @ v, mat @ x, 1e-12, 5, x0=x)
+    rhs = mat @ x
+    sol, its, factor, r = _gmres(lambda v: mat @ v, rhs, 1e-12, 5, x0=x, r0=rhs - mat @ x)
     assert its == 0 and factor == 0.0 and r is None
     assert np.array_equal(sol, x)
     # from zero it iterates to the same solution
-    sol, its, factor, r = _gmres(lambda v: mat @ v, mat @ x, 1e-12, 5)
+    sol, its, factor, r = _gmres(lambda v: mat @ v, rhs, 1e-12, 5)
     assert 1 <= its <= 3 and 0 < factor < 1 and r is None
     assert np.max(np.abs(sol - x)) <= 1e-12
 
@@ -364,7 +366,8 @@ def test_gmres_in_place_arnoldi_matches_textbook_bits():
     rhs = rng.normal(size=40)
     x0 = rng.normal(size=40)
     for start in (None, x0):
-        got = _gmres(lambda v: mat @ v, rhs, 1e-12, 40, x0=start)
+        r0 = None if start is None else rhs - mat @ start
+        got = _gmres(lambda v: mat @ v, rhs, 1e-12, 40, x0=start, r0=r0)
         want = gmres_mgs(lambda v: mat @ v, rhs, 1e-12, 40, x0=start)
         assert got[1] == want[1] and got[1] > 5
         assert np.array_equal(got[0], want[0]) and got[2] == want[2]
@@ -410,18 +413,18 @@ def test_solve_started_at_its_solution_makes_one_assembler_call():
     assert cold.passes == len(calls) >= 3
     assert cold.fixed_point_residual <= tol
     calls.clear()
-    warm = bvp_solve(prob, assembler, tol=tol, w0=cold.w)
+    warm = bvp_solve(prob, assembler, tol=tol, start=cold.start)
     assert warm.passes == len(calls) == 1
-    # its inner solve starts at the solution too: one application of L
-    # forms the residual, and at most one iteration follows
-    assert warm.iterations <= 2
+    # its inner solve starts at the solution too, with the residual its
+    # image gives: at most one application of L
+    assert warm.iterations <= 1
     assert np.max(np.abs(warm.w - cold.w)) <= tol
     assert warm.fixed_point_residual <= tol
 
 
 def test_gmres_residual_from_the_arnoldi_relation():
     # the residual vector GMRES hands back is rhs - A x without an operator
-    # call, and a start residual given with x0 reproduces the x0 start
+    # call, and a start x0 costs none either, given with its residual
     from mgdeform.vekua import _gmres
 
     rng = np.random.default_rng(41)
@@ -435,9 +438,10 @@ def test_gmres_residual_from_the_arnoldi_relation():
         return mat @ v
 
     for start in (None, x0):
+        r0 = None if start is None else rhs - mat @ start
         calls.clear()
-        x, k, factor, r = _gmres(apply_op, rhs, 1e-10, 40, x0=start, residual=True)
-        assert len(calls) == k + (start is not None)
+        x, k, factor, r = _gmres(apply_op, rhs, 1e-10, 40, x0=start, r0=r0, residual=True)
+        assert len(calls) == k
         assert np.max(np.abs(r - (rhs - mat @ x))) <= 1e-12
     calls.clear()
     got = _gmres(apply_op, rhs, 1e-10, 40, x0=x0, r0=rhs - mat @ x0)
@@ -449,29 +453,37 @@ def test_gmres_residual_from_the_arnoldi_relation():
     assert _gmres(apply_op, rhs, 1e-8, 40, x0=x, r0=r0, residual=True)[1:] == (0, 0.0, r0)
 
 
-def test_solve_carries_the_image_of_its_iterate():
-    # a solve with an assembler returns (I - L) w of its w, pinned or not
-    # (the pin adds its members' images), and a restart from w with that
-    # image spends no application of L on its start
+def test_solve_carries_the_image_of_its_iterate(monkeypatch):
+    # a solve with an assembler returns its last pass's unpinned inner
+    # solution v with (I - L) v, pinned or not, and a restart from that
+    # start spends no application of L on it
     grid = DiskGrid(16, 32)
     prob, _ = manufactured_problem(grid, n=1)
     fam, sym = solve_family(replace(prob, phi=np.zeros(grid.n_theta)), tol=1e-12)
-    images = [k - linear_response(prob, sym, k) for k in fam.basis]
+    calls = []
 
     def assembler(w):
         return prob.psi + 0.05 * np.conj(w)
 
-    for pin in (point_pin(fam.basis, images), None):
+    def counting_t(*args):
+        calls.append(1)
+        return t_operator(*args)
+
+    monkeypatch.setattr(vekua, "t_operator", counting_t)
+    for pin in (point_pin(fam.basis), None):
         cold = bvp_solve(prob, assembler, pin=pin, sym=sym)
-        want = cold.w - linear_response(prob, sym, cold.w)
-        assert np.max(np.abs(cold.image - want)) <= 1e-10 * np.max(np.abs(want))
-    warm = bvp_solve(prob, assembler, sym=sym, w0=cold.w, w0_image=cold.image)
-    assert warm.passes == 1 and warm.image is cold.image
-    unknown = bvp_solve(prob, assembler, sym=sym, w0=cold.w)
-    assert unknown.passes == 1 and unknown.iterations == warm.iterations + 1
-    # a pin without images, or a fixed right side, carries none
-    assert bvp_solve(prob, assembler, pin=point_pin(fam.basis), sym=sym).image is None
-    assert bvp_solve(prob, sym=sym).image is None
+        v, v_img = cold.start
+        want = v - linear_response(prob, sym, v)
+        assert np.max(np.abs(v_img - want)) <= 1e-10 * np.max(np.abs(want))
+        calls.clear()
+        warm = bvp_solve(prob, assembler, pin=pin, sym=sym, start=cold.start)
+        # one T call for the right-hand side, one per application of L and
+        # one for the closing check
+        assert warm.passes == 1
+        assert len(calls) == 1 + warm.iterations + 1
+        assert np.max(np.abs(warm.w - cold.w)) <= 1e-10
+    # a fixed right side carries no start
+    assert bvp_solve(prob, sym=sym).start is None
 
 
 def outer_passes(message):
