@@ -86,7 +86,7 @@ SCHEMA = {
 
 # keys whose values must be positive, as their defaults are
 POSITIVE_KEYS = {"flow.t_final", "flow.dt", "flow.tol_k", "flow.tol_g", "flow.tol_b",
-                 "boundary.epsilon"}
+                 "boundary.epsilon", "surface.ci_tol"}
 
 
 def _parse_value(raw, spec, line_no, key, errors):

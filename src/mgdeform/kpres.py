@@ -3,11 +3,12 @@
 Delta(g_ij) follows from expanding the displaced metric around the base
 point; Delta(b_ij) = (d_i a^k) b_jk + M4_ij with the M-cascade collecting
 every transport, Christoffel-difference and normalization correction of the
-displaced second form built on the carried normal, summed in closed form:
-its Christoffel terms collect into Gamma_t(y_,j + z_,j, n_t) -
-Gamma_0(y_,j, n_0) since A_(1) n_0 + A_(2) = n_t - n_0, and M1 with M2's
-transport term into -a_t(z_,i, D*n~), the rest of M2 being
--(d_i a^k) b_jk since a_0(y_,k, y_,l) = g_kl.  The monitored curvature
+displaced second form built on the carried normal, summed in closed form.
+The transport series splits n_t - n_0 into A_(1) n_0 + A_(2), so the
+cascade's transport tails sum to one gradient, formed as d n_t - d n_0.  Its
+Christoffel terms collect into Gamma_t(y_,j + z_,j, n_t) - Gamma_0(y_,j,
+n_0), and M1 with M2's transport term into -a_t(z_,i, D*n~), the rest of M2
+being -(d_i a^k) b_jk since a_0(y_,k, y_,l) = g_kl.  The monitored curvature
 defect is Delta(K) = b(t)/g(t) - b/g for the determinants b, g; the
 variation of g/b, (Delta(g) - (g/b) Delta(b)) / b(t), equals
 -Delta(K) / (K K(t)) and vanishes with it.
@@ -19,7 +20,7 @@ psi1-dot (curl equation) and psi3 = qb0 P - P0 (divergence equation).
 
 Terms that vanish identically are not formed.  In a flat metric every term
 carrying a metric derivative, a Christoffel symbol or a_t - a0 is zero; under
-an identity propagator (flat, or t = 0) so are Delta(B)'s transport tails,
+an identity propagator (flat, or t = 0) so is Delta(B)'s transport tail,
 and with vanishing N/Q coefficients so is Psi_1.  Each kernel lists its
 terms in one sum and adds the vanishing ones under one predicate, in the
 order of the full sum, so a curved result keeps its bits.  |n_t| differs
@@ -126,12 +127,11 @@ def delta_b(metric: AmbientMetric, surface: SurfaceState, deform: DeformationSta
     """Second-form variation via the carried-normal cascade in closed form.
 
     The Christoffel and a_t - a0 terms are formed only in a curved metric,
-    and the transport tails only where the propagator is not the identity
+    and the transport tail only where the propagator is not the identity
     (``fwd.identity``); D*n_t - D*n_0 is zero in a flat metric.
     """
     grid = surface.grid
-    tang, n0 = surface.tang, surface.n.T
-    a0, b0 = surface.ambient_a, surface.b
+    tang, a0, b0 = surface.tang, surface.ambient_a, surface.b
     zder = deform.dz                             # (3, 2, N)
     pts = surface.y + deform.z
     a_t = node_last(metric.metric(pts))
@@ -154,13 +154,9 @@ def delta_b(metric: AmbientMetric, surface: SurfaceState, deform: DeformationSta
 
     m3 = np.swapaxes(b0, 0, 1) * ((1.0 - norm) * inv_norm)
     if curved:
-        # D*n_t - D*n_0: the transport tails and the Christoffel terms
-        tails = []
-        if not fwd.identity:
-            a1m = fwd.a1_mat
-            tails = [np.einsum("bsn,sjn->bjn", a1m, surface.n_deriv),
-                     grid.grad_last(fwd.a2_vec),
-                     np.einsum("bsjn,sn->bjn", grid.grad_last(a1m), n0)]
+        # D*n_t - D*n_0: the transport tail d(n_t - n_0) and the
+        # Christoffel terms
+        tails = [] if fwd.identity else [grid.grad_last(n_t) - surface.n_deriv]
         dstar_dn = _total([*tails, gamma_nt]) - surface.gamma_n
         dstar_nt = surface.dstar_n + dstar_dn
         m3 = (m3 - _form_product(a0, tang, dstar_dn) * inv_norm

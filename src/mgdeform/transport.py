@@ -2,8 +2,10 @@
 
 Each surface node owns the path u(tau) = y + z(tau), tau in [0, t], stored as
 samples of z and zdot at strictly increasing tau.  Transport of a tensor seed
-solves dA/dtau + Gamma(u(tau)) zdot(tau) A = 0 either backward (seed given at
-tau = t, value wanted at tau = 0) or forward, one RK4 step per interval.
+solves dA/dtau + Gamma(u(tau)) zdot(tau) A = 0.  The flow keeps one map per
+history, the backward map B that carries a seed from tau = t to tau = 0, one
+RK4 step per interval.  Transport is invertible, so forward transport is
+B^-1: the carried normal is n_t = B^-1 n_0, one 3x3 solve per node.
 
 The flow's consumers read the propagator through ``transport_propagator``,
 which keeps the integrated prefix of a history (intervals 0..M-2) in a cache
@@ -14,7 +16,7 @@ In a flat metric, and over a history with no interval (t = 0 in any
 metric), the propagator is exactly the identity and does not depend on the
 final rate.  ``transport_propagator`` then integrates nothing and returns a
 propagator marked ``identity``, which ``NormalTransport`` carries on: the
-consumers skip the series tails and coefficient fields that vanish there,
+consumers skip the transport tails and coefficient fields that vanish there,
 and a state's carried normal can serve every trial rate.
 """
 
@@ -166,27 +168,21 @@ def _rk4_step(g0, g_half, g1, a, h, sign):
 
 @dataclass(frozen=True, eq=False)
 class Propagator:
-    """Transport over the first ``k`` intervals of a history, every map
-    node-last (3, 3, N).
+    """Transport over the first ``k`` intervals of a history, node-last
+    (3, 3, N).
 
-    ``backward`` = R_0 ... R_{k-1} carries a seed from tau_k to 0 and
-    ``forward`` = R'_{k-1} ... R'_0 carries it back, where R_m, R'_m are the
-    per-node RK4 maps of interval m.  ``integral`` is the trapezoid integral
-    of G = Gamma(u) zdot over [tau_0, tau_k]: the first series term
-    A_(1)(tau_k, 0), whose forward counterpart is its negative.  ``g_end`` is
-    G at sample k, the start of the next interval (None where nothing is
-    integrated).  The key fields say which metric and base points the maps
-    belong to.  Each interval is one RK4 step.  ``identity`` marks the
-    exact identity (flat metric or no interval): both maps are I, and
-    ``integral`` is 0.
+    ``backward`` = R_0 ... R_{k-1} carries a seed from tau_k to 0, where R_m
+    is the per-node RK4 map of interval m; its inverse carries a seed from 0
+    to tau_k.  ``g_end`` is G = Gamma(u) zdot at sample k, the start of the
+    next interval (None where nothing is integrated).  The key fields say
+    which metric and base points the map belongs to.  ``identity`` marks the
+    exact identity (flat metric or no interval).
     """
 
     metric: AmbientMetric
     y0: np.ndarray
     k: int
     backward: np.ndarray
-    forward: np.ndarray
-    integral: np.ndarray
     g_end: np.ndarray | None
     identity: bool = False
 
@@ -194,23 +190,18 @@ class Propagator:
         return self.metric is metric and self.y0 is y0
 
     def extended(self, history: TransportHistory) -> Propagator:
-        """The propagator over one more interval of ``history``: one RK4 step
-        each way, with G = Gamma zdot at the interval's start (``g_end``,
-        which Hermite interpolation reproduces bit for bit), middle and end.
+        """The propagator over one more interval of ``history``: one RK4 step,
+        with G at the interval's start (``g_end``, which Hermite
+        interpolation reproduces bit for bit), middle and end.
         """
         m = self.k
         dt = history.tau[m + 1] - history.tau[m]
-        g0 = self.g_end
         g_half = _gamma_zdot(self.metric, self.y0, *history.hermite(m, 0.5))
         g1 = _gamma_zdot(self.metric, self.y0, *history.hermite(m, 1.0))
-        eye = _identity(history.n_points)
-        r_back = _rk4_step(g1, g_half, g0, eye, dt, 1.0)
-        r_fwd = _rk4_step(g0, g_half, g1, eye, dt, -1.0)
+        r_back = _rk4_step(g1, g_half, self.g_end, _identity(history.n_points), dt, 1.0)
         return _frozen_propagator(
             self.metric, self.y0, m + 1,
-            backward=np.einsum("gbn,bkn->gkn", self.backward, r_back),
-            forward=np.einsum("gbn,bkn->gkn", r_fwd, self.forward),
-            integral=self.integral + 0.5 * dt * (g0 + g1), g_end=g1,
+            backward=np.einsum("gbn,bkn->gkn", self.backward, r_back), g_end=g1,
         )
 
 
@@ -245,18 +236,14 @@ def transport_propagator(metric: AmbientMetric, y0,
     if metric.is_flat() or history.n_steps == 0:
         # nothing to integrate; with no interval, sample 0 is the final
         # sample, whose rate the children change, so nothing is cached
-        eye = _identity(n)
-        return Propagator(metric, y0, history.n_steps, eye, eye, np.zeros((3, 3, n)), None,
-                          identity=True)
+        return Propagator(metric, y0, history.n_steps, _identity(n), None, identity=True)
     full = history._full
     if full is not None and full.matches(metric, y0):
         return full
     entry = history._prefix.entry
     if entry is None or not entry.matches(metric, y0):
         g0 = _gamma_zdot(metric, y0, history.z[0], history.zdot[0])
-        eye = _identity(n)
-        entry = _frozen_propagator(metric, y0, 0, backward=eye, forward=eye,
-                                   integral=np.zeros((3, 3, n)), g_end=g0)
+        entry = _frozen_propagator(metric, y0, 0, backward=_identity(n), g_end=g0)
     while entry.k < history.n_steps - 1:
         entry = entry.extended(history)
     history._prefix.entry = entry
@@ -266,30 +253,29 @@ def transport_propagator(metric: AmbientMetric, y0,
 
 @dataclass
 class NormalTransport:
-    """Forward transport of the unit normal with its series tails, node-last.
+    """Forward transport of the unit normal, node-last.
 
-    Under an ``identity`` propagator n_t = n_0 and both tails are 0.
+    Under an ``identity`` propagator n_t = n_0.
     """
 
     n_t: np.ndarray          # (3, N) transported normal at tau = t
-    a2_vec: np.ndarray       # (3, N) tail n_t - n_0 beyond the first-order term
-    a1_mat: np.ndarray       # (3, 3, N) first-order matrix A_(1)(0, t)
     norm: np.ndarray         # (N,) |n(t)| in the metric at the displaced point
     identity: bool = False   # the propagator is the identity
 
 
 def transport_normal(metric: AmbientMetric, y0, history: TransportHistory,
                      n0) -> NormalTransport:
+    """The unit normal ``n0`` carried to the history's final time, n_t =
+    B^-1 n_0 for the backward map B."""
     y0 = np.asarray(y0, dtype=float)
     n0 = np.asarray(n0, dtype=float)
     prop = transport_propagator(metric, y0, history)
-    n0_l = node_last(n0)
-    n_t = np.einsum("gbn,bn->gn", prop.forward, n0_l)
-    a1_mat = -prop.integral
-    a2_vec = n_t - n0_l
-    if not prop.identity:
-        a2_vec = a2_vec - np.einsum("gbn,bn->gn", a1_mat, n0_l)
+    if prop.identity:
+        n_t = node_last(n0)
+    else:
+        # (N, 3, 1) right side: NumPy 1.x and 2.x read it alike
+        n_t = node_last(np.linalg.solve(np.moveaxis(prop.backward, -1, 0),
+                                        n0[..., None])[..., 0])
     a_t = node_last(metric.metric(y0 + history.z[-1]))
     norm = np.sqrt(np.einsum("abn,an,bn->n", a_t, n_t, n_t))
-    return NormalTransport(n_t=n_t, a2_vec=a2_vec, a1_mat=a1_mat, norm=norm,
-                           identity=prop.identity)
+    return NormalTransport(n_t=n_t, norm=norm, identity=prop.identity)

@@ -449,7 +449,8 @@ def w1_trace(surface, gvar, z, zder):
 
 def delta_b_cascade(metric, surface, deform, fwd, gvar):
     """Reference: the second-form variation term by term, M1 to M4 with
-    every transport-tail and Christoffel-difference term on its own.
+    every Christoffel-difference term on its own, the series split
+    n_t - n_0 = A_(1) n_0 + A_(2) taken from ``transport_series_terms``.
 
     Returns a dict of m4, db_ij and dK, node-last.
     """
@@ -462,8 +463,13 @@ def delta_b_cascade(metric, surface, deform, fwd, gvar):
     a_t = node_last(metric.metric(pts))
     gamma_t = christoffel_at(metric, pts)
     dgamma = gamma_t - gamma0
-    n_t, a2_vec, a1m = fwd.n_t, fwd.a2_vec, fwd.a1_mat
+    n_t = fwd.n_t
     a1_vec = n_t - n0
+    # the series split n_t - n_0 = A_(1) n_0 + A_(2), A_(1) by trapezoids
+    a1m = node_last(transport_series_terms(metric, surface.y, deform.history, 1,
+                                           "forward")[0])
+    a1n0 = np.einsum("bsn,sn->bn", a1m, n0)
+    a2_vec = a1_vec - a1n0
 
     norm = fwd.norm
     inv_norm = 1.0 / norm
@@ -484,16 +490,13 @@ def delta_b_cascade(metric, surface, deform, fwd, gvar):
         + m1
     )
 
-    a1m_der = grid.grad_last(a1m)
-    a2v_der = grid.grad_last(a2_vec)
-    a1n0 = np.einsum("bsn,sn->bn", a1m, n0)
-
     def gamma_term(gamma, u, v):
         return np.einsum("bmtn,mjn,tn->bjn", gamma, u, v)
 
+    # the transport tails d(A_(1)) n_0 + A_(1) d n_0 + d A_(2) sum to the
+    # one gradient d(n_t - n_0)
     tails = (
-        np.einsum("bsn,sjn->bjn", a1m, surface.n_deriv)
-        + a2v_der
+        grid.grad_last(n_t) - surface.n_deriv
         + gamma_term(gamma0, tang, a1n0)
         + gamma_term(gamma0, tang, a2_vec)
         + gamma_term(dgamma, tang, n0)
@@ -501,10 +504,7 @@ def delta_b_cascade(metric, surface, deform, fwd, gvar):
         + gamma_term(gamma0, zder, a1_vec)
         + gamma_term(dgamma, zder, n_t)
     )
-    core = (
-        np.einsum("bsjn,sn->bjn", a1m_der, n0)
-        + gamma_term(gamma0, zder, n0)
-    )
+    core = gamma_term(gamma0, zder, n0)
     dstar_nt = dstar_n0 + core + tails
 
     m3 = (
@@ -545,7 +545,7 @@ def s_cascade(metric, surface, deform, history=None):
     prop = transport_propagator(metric, surface.y, hist)
     tang, n, a0 = surface.tang, surface.n.T, surface.ambient_a
     s1 = prop.backward - np.eye(3)[:, :, None]
-    a1_term = prop.integral
+    a1_term = node_last(transport_series_terms(metric, surface.y, hist, 1, "backward")[0])
     s2 = s1 - a1_term
 
     gz = np.einsum("absn,bn->asn", surface.ambient_gamma, node_last(deform.z))

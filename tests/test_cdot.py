@@ -15,7 +15,7 @@ from mgdeform.errors import (
     NearSingularDenominatorError,
     NoContractionError,
 )
-from mgdeform.gdef import assemble_coefficients, tangential_grad
+from mgdeform.gdef import GDefCoefficients, assemble_coefficients, tangential_grad
 from mgdeform.grid import DiskGrid
 from mgdeform.metrics import FlatMetric, conformal_radial_metric
 from mgdeform.surface import SphereCapImmersion, build_surface
@@ -333,3 +333,43 @@ def test_solution_is_the_iterate_its_last_sweep_certified(request, fixture):
     image = integ.line_integral(b1, b2) + sol.gamma
     assert sol.residual == float(np.max(np.abs(image - sol.cdot)))
     assert sol.residual <= 1e-10 * max(1.0, float(np.max(np.abs(sol.cdot))))
+
+
+def test_kernel_is_the_time_derivative_of_the_g_condition(setup_curved):
+    # c_,i = -(V a_i + N_k d_i a^k + Q_i) / (1 + N_0) along a G-deformation,
+    # and the kernel plus V adot is its time derivative: checked against a
+    # 4th-order centred difference in t along fields polynomial in t
+    _, surf, _ = setup_curved
+    grid = surf.grid
+    seeds = iter(range(100, 200))
+
+    def cubic(*shape):
+        """Coefficients of t^0..t^3, each (*shape, N), of size 0.1-0.3."""
+        return np.stack([np.reshape([smooth_scalar(grid, next(seeds), 0.05)
+                                     for _ in range(int(np.prod(shape)))],
+                                    (*shape, grid.n_nodes)) for _ in range(4)])
+
+    fields = {"a": cubic(2), "da": cubic(2, 2), "n": cubic(3), "q": cubic(2)}
+
+    def at(name, t):
+        return sum(c * t**k for k, c in enumerate(fields[name]))
+
+    def rate(name, t):
+        return sum(k * c * t ** (k - 1) for k, c in enumerate(fields[name]) if k)
+
+    def condition(t):
+        n = at("n", t)
+        stat = (surf.V * at("a", t) + np.einsum("kn,kin->in", n[1:], at("da", t))
+                + at("q", t))
+        return -stat / (1.0 + n[0])
+
+    t, h = 0.3, 1e-3
+    coeffs = GDefCoefficients(n_j=at("n", t), q_i=at("q", t),
+                              ndot=rate("n", t), qdot=rate("q", t))
+    kernel = np.stack(kernel_fields(surf, coeffs, at("a", t), rate("a", t),
+                                    at("da", t), rate("da", t)))
+    got = kernel - surf.V * rate("a", t)
+    want = (-condition(t + 2 * h) + 8 * condition(t + h) - 8 * condition(t - h)
+            + condition(t - 2 * h)) / (12 * h)
+    assert np.max(np.abs(want)) > 0.1
+    assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))

@@ -155,6 +155,26 @@ def test_non_positive_values_are_reported_with_their_lines():
     ]
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("value", ["-1e-6", "0"])
+def test_non_positive_ci_tol_is_a_config_error(tmp_path, capsys, command, value):
+    # a bound no residual can meet is the config's fault, reported with its
+    # line (exit 1), not a coordinate error blamed on the surface (exit 2)
+    text = MINIMAL + f"\n[surface]\nci_tol = {value}\n"
+    cpath = tmp_path / "cfg.txt"
+    cpath.write_text(text)
+    args = ["--config", str(cpath)]
+    if command == "run":
+        args += ["--out", str(tmp_path / "out")]
+    rc = main(["--log-level", "quiet", command, *args])
+    assert rc == 1
+    line_no = text.splitlines().index(f"ci_tol = {value}") + 1
+    err = capsys.readouterr().err
+    assert f"line {line_no}, col 1: key 'ci_tol': surface.ci_tol must be positive" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_build_objects():
     cfg = parse_config(MINIMAL)
     metric, surface, boundary, flow_cfg = build_problem_objects(cfg)

@@ -19,8 +19,6 @@ NODE_LAST = {
     "nabs,nb->nas": "absn,bn->asn",
     "nag,ngj->naj": "agn,gjn->ajn",
     "nbmt,nmj,nt->nbj": "bmtn,mjn,tn->bjn",
-    "nbs,nsj->nbj": "bsn,sjn->bjn",
-    "nbsj,ns->nbj": "bsjn,sn->bjn",
     "ngab,na->ngb": "gabn,an->gbn",
     "ngab,naj,nb->ngj": "gabn,ajn,bn->gjn",
     "ngb,nbk->ngk": "gbn,bkn->gkn",

@@ -639,6 +639,33 @@ def test_steady_steps_make_one_pass_from_the_unpinned_start(metric, max_inner):
     assert max(r.bvp_iterations for r in steady) <= max_inner
 
 
+def test_curved_one_pass_step_makes_four_rk4_steps(monkeypatch):
+    # criterion 11 in conformal_radial at 32x64: the carried normal reads
+    # the one backward map, so a steady step's pass integrates the final
+    # interval of its two trial histories once each, and the monitors extend
+    # the new state's history by its committed and its final interval
+    metric = conformal_radial_metric(0.5)
+    surf = build_surface(SphereCapImmersion(1.0, 0.5), metric, DiskGrid(32, 64),
+                         ci_tol=1e-5)
+    boundary = BoundarySpec(winding=1, gamma_kind="harmonic", epsilon=1e-3, mode=1)
+    state = init_flow(metric, surf, boundary, FlowConfig(t_final=0.025, dt=0.005))
+    calls = []
+    real = transport._rk4_step
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(transport, "_rk4_step", counting)
+    per_step = []
+    for _ in range(5):
+        calls.clear()
+        rec = step(state)
+        per_step.append((rec.bvp_passes, len(calls)))
+    assert per_step[-1] == (1, 4)
+    assert all(n == 2 + 2 * p for p, n in per_step[1:]), per_step
+
+
 @pytest.mark.parametrize("winding", [1, 2])
 def test_init_flow_applies_t_only_in_its_solves(flat_cap, monkeypatch, winding):
     # the pin holds the linear-response basis and nothing else: init_flow's

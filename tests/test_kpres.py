@@ -1,21 +1,26 @@
 import numpy as np
 import pytest
 
+from mgdeform._contract import node_last
 from mgdeform.errors import DegenerateCurvatureError
 from mgdeform.gdef import assemble_coefficients, new_deformation
 from mgdeform.grid import DiskGrid
 from mgdeform.kpres import (
+    BVariation,
+    VariationRates,
     assemble_rates,
     assemble_variation,
     delta_g,
     equation_coefficients,
     psi1_bracket,
+    rhs_psi,
 )
 from mgdeform.metrics import FlatMetric, conformal_radial_metric
 from mgdeform.surface import SphereCapImmersion, build_surface, gauss_curvature_of
+from mgdeform.transport import transport_normal
 
 from helpers import CURVED_METRICS, prescribed_deformation, smooth_scalar
-from reference import delta_b_cascade, delta_g_direct, w1_trace
+from reference import delta_b_cascade, delta_g_direct, transport_series_terms, w1_trace
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +82,33 @@ def test_delta_b_matches_term_by_term_cascade(kind):
     for name, want in ref.items():
         got = getattr(bvar, name)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), name
+
+
+@pytest.mark.parametrize("kind", sorted(CURVED_METRICS))
+def test_transport_tails_are_one_gradient(kind):
+    # Delta(B) takes the series tails d(A_(1)) n0 + A_(1) d n0 + d A_(2) as
+    # the one gradient d n_t - d n0.  On the grid the two differ by the
+    # product rule's discretization error, which falls at the grid's order
+    # (about 6) from 24x48 to 48x96
+    def split_minus_one(n_r):
+        grid = DiskGrid(n_r, 2 * n_r)
+        metric = CURVED_METRICS[kind]()
+        surf = build_surface(SphereCapImmersion(1.0, 0.5), metric, grid, ci_tol=1e-5)
+        rates = (smooth_scalar(grid, seed, 5e-2) for seed in (51, 52, 53))
+        deform = prescribed_deformation(surf, *rates, 0.1, 8)
+        n0 = surf.n.T
+        n_t = transport_normal(metric, surf.y, deform.history, surf.n).n_t
+        a1m = node_last(transport_series_terms(metric, surf.y, deform.history, 1,
+                                               "forward")[0])
+        a2 = n_t - n0 - np.einsum("bsn,sn->bn", a1m, n0)
+        split = (np.einsum("bsjn,sn->bjn", grid.grad_last(a1m), n0)
+                 + np.einsum("bsn,sjn->bjn", a1m, surf.n_deriv) + grid.grad_last(a2))
+        one = grid.grad_last(n_t) - surf.n_deriv
+        assert np.max(np.abs(one)) > 1e-3
+        return float(np.max(np.abs(split - one)))
+
+    coarse, fine = split_minus_one(24), split_minus_one(48)
+    assert np.log2(coarse / fine) >= 5.5, (coarse, fine)
 
 
 def test_delta_g_flat_normal_bump_vs_rebuild(flat48):
@@ -211,6 +243,53 @@ def test_w1dot_explicit_matches_finite_difference(curved24):
     assert np.max(np.abs(rates.dgdot_ij - fd_dg)) < 1e-4 * max(1.0, np.max(np.abs(fd_dg)))
 
 
+def test_p0_takes_the_time_derivative_of_delta_b(curved24):
+    # with Delta(b_ij) = (d_i a^k) b_jk + M4_ij, p0's Delta(B) part
+    # -tr(M4-dot)/V - (d/dt det Delta(b))/V^2 is the time derivative of
+    # -tr(M4)/V - det Delta(b)/V^2: checked by a 4th-order centred difference
+    # along d_i a^k and M4 polynomial in t.  The rest of p0 reads neither, so
+    # it cancels against the same state with both rates zero
+    metric, surf = curved24
+    grid = surf.grid
+    rates = (smooth_scalar(grid, seed, 1e-2) for seed in (71, 72, 73))
+    deform = prescribed_deformation(surf, *rates, 0.05, 4)
+    gvar = delta_g(metric, surf, deform.z, deform.dz)
+    zdot = deform.rate_displacement()
+    seeds = iter(range(300, 400))
+
+    def cubic():
+        """Coefficients of t^0..t^3 of a (2, 2, N) field of size 0.1-0.3."""
+        return [np.reshape([smooth_scalar(grid, next(seeds), 0.05) for _ in range(4)],
+                           (2, 2, grid.n_nodes)) for _ in range(4)]
+
+    da, m4 = cubic(), cubic()
+
+    def at(c, t):
+        return sum(x * t**k for k, x in enumerate(c))
+
+    def rate(c, t):
+        return sum(k * x * t ** (k - 1) for k, x in enumerate(c) if k)
+
+    def db(t):
+        return np.einsum("kin,jkn->ijn", at(da, t), surf.b) + at(m4, t)
+
+    def part(t):
+        d, m = db(t), at(m4, t)
+        return -(m[0, 0] + m[1, 1]) / surf.V - (d[0, 0] * d[1, 1] - d[0, 1] * d[1, 0]) / surf.V**2
+
+    def p0(t, dadot, m4dot):
+        bvar = BVariation(m4=at(m4, t), db_ij=db(t), dK=np.zeros(grid.n_nodes))
+        return assemble_rates(metric, surf, deform, gvar, bvar, zdot, None, None,
+                              m4dot_override=m4dot, dadot=dadot).p0
+
+    t, h = 0.3, 1e-3
+    zero = np.zeros((2, 2, grid.n_nodes))
+    got = p0(t, rate(da, t), rate(m4, t)) - p0(t, zero, zero)
+    want = (-part(t + 2 * h) + 8 * part(t + h) - 8 * part(t - h) + part(t - 2 * h)) / (12 * h)
+    assert np.max(np.abs(want)) > 0.1
+    assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
 def test_p0_lipschitz_shrinks_with_t(curved24):
     metric, surf = curved24
     grid = surf.grid
@@ -247,6 +326,24 @@ def test_psi1_bracket_zero_state(curved24):
     coeffs = assemble_coefficients(metric, surf, deform)
     psi1 = psi1_bracket(surf, coeffs, deform)
     assert np.max(np.abs(psi1)) == 0.0
+
+
+def test_rhs_psi_rate_is_the_backward_difference(curved24):
+    # the curl equation's source rate is (psi1 - prev_psi1) / dt: zero for
+    # an unchanged source and r for one moved by dt r
+    metric, surf = curved24
+    rates = (smooth_scalar(surf.grid, seed, 1e-2) for seed in (61, 62, 63))
+    deform = prescribed_deformation(surf, *rates, 0.05, 4)
+    coeffs = assemble_coefficients(metric, surf, deform)
+    zero = np.zeros(surf.grid.n_nodes)
+    var_rates = VariationRates(w1dot=zero, dgdot_ij=np.zeros((2, 2, zero.size)), p0=zero)
+    psi1 = psi1_bracket(surf, coeffs, deform)
+    assert np.max(np.abs(psi1)) > 1e-6
+    dt, r = 0.005, smooth_scalar(surf.grid, 64, 1.0)
+    still, *_ = rhs_psi(surf, coeffs, deform, var_rates, zero, zero, psi1, dt)
+    assert np.max(np.abs(still)) == 0.0
+    moved, *_ = rhs_psi(surf, coeffs, deform, var_rates, zero, zero, psi1 - dt * r, dt)
+    assert np.max(np.abs(moved - r)) <= 1e-10 * np.max(np.abs(r))
 
 
 def test_rhs_psi_zero_state_flat(flat48):

@@ -5,6 +5,7 @@ from mgdeform.errors import DegenerateMetricError
 from mgdeform.metrics import (
     AmbientMetric,
     FlatMetric,
+    check_positive_definite,
     christoffel_at,
     conformal_linear_metric,
     conformal_radial_metric,
@@ -124,6 +125,17 @@ def test_degenerate_metric_raises():
 
     with pytest.raises(DegenerateMetricError):
         christoffel_at(Bad(), np.zeros((2, 3)))
+
+
+def test_positive_definite_check_reads_the_2x2_minor():
+    # symmetric and indefinite: a00 = 1 > 0 and det = 3 > 0 pass, so only the
+    # 2x2 leading minor a00 a11 - a01 a10 = -3 rejects it
+    a = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, -1.0]])
+    ok, det = check_positive_definite(a[None])
+    assert abs(float(det[0]) - 3.0) < 1e-12
+    assert not ok[0]
+    ok, _ = check_positive_definite(np.eye(3)[None])
+    assert ok[0]
 
 
 def test_plug_in_must_supply_dmetric():

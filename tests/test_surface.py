@@ -176,6 +176,15 @@ def test_validate_hypotheses_pass_and_flag(sphere_state):
     assert not rep_bad["conjugate_isothermal_ok"]
 
 
+def test_normal_unit_residual_reads_a_n_n_minus_one(sphere_state):
+    # a normal 1.001 times too long has a(n, n) - 1 = 1.001^2 - 1 = 2.001e-3
+    # in the flat metric
+    long = dataclasses.replace(sphere_state, n=1.001 * sphere_state.n)
+    rep = validate_hypotheses(long)
+    assert abs(rep["normal_unit_residual"] - 2.001e-3) < 1e-12
+    assert validate_hypotheses(sphere_state)["normal_unit_residual"] < 1e-12
+
+
 def test_rebuild_matches_built_curvature(sphere_state):
     s = sphere_state
     k = gauss_curvature_of(s.grid, s.metric, s.y)

@@ -164,7 +164,7 @@ def test_transport_normal_trivial_cases():
     h0 = static_history(1)
     res0 = transport_normal(conformal_radial_metric(0.5), y0 + [[0, 0, 1.0]], h0, n0)
     assert np.max(np.abs(res0.n_t - n0.T)) == 0.0
-    assert np.max(np.abs(res0.a2_vec)) == 0.0
+    assert res0.identity
     assert abs(float(res0.norm[0]) - 1.0) < 1e-14
 
 
@@ -175,9 +175,9 @@ def test_transport_normal_norm_preserved_curved():
     h = straight_history(0.2, 200, v=(0.1, -0.3, 0.2))
     res = transport_normal(m, y0, h, n0)
     assert abs(float(res.norm[0]) - 1.0) < 1e-10
-    # series tails consistent: (n_t - n0) - a1_mat n0 = a2_vec
-    recon = res.n_t - n0.T - np.einsum("gbn,nb->gn", res.a1_mat, n0)
-    assert np.max(np.abs(recon - res.a2_vec)) < 1e-14
+    # n_t = B^-1 n0: the backward map carries it back to n0
+    back = transport_propagator(m, y0, h).backward
+    assert np.max(np.abs(np.einsum("gbn,bn->gn", back, res.n_t) - n0.T)) < 1e-14
 
 
 @pytest.fixture
@@ -253,13 +253,51 @@ def test_propagator_takes_one_rk4_step_per_interval():
     y0, h = _quadratic_paths([0.0, 0.3])
     prop = transport_propagator(m, y0, h)
     assert np.array_equal(_by_node(prop.backward), _per_stage_rk4(m, y0, h, eye, "backward"))
-    assert np.array_equal(_by_node(prop.forward), _per_stage_rk4(m, y0, h, eye, "forward"))
-    # several intervals: the maps are composed in another order than the
+    # several intervals: the map is composed in another order than the
     # textbook carries its seed, so they agree to round-off
     y0, h = _quadratic_paths(np.linspace(0.0, 0.5, 8))
     prop = transport_propagator(m, y0, h)
     assert _rel(_by_node(prop.backward), _per_stage_rk4(m, y0, h, eye, "backward")) <= 1e-13
-    assert _rel(_by_node(prop.forward), _per_stage_rk4(m, y0, h, eye, "forward")) <= 1e-13
+
+
+def test_each_extension_makes_one_rk4_step(monkeypatch):
+    # one map per interval: a fresh propagator makes one RK4 step per
+    # interval, a trial rate one for the final interval, and an advance one
+    # more for the interval it commits
+    calls = []
+    real = transport._rk4_step
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(transport, "_rk4_step", counting)
+    m = conformal_radial_metric(0.7)
+    y0, h = _quadratic_paths(np.linspace(0.0, 0.5, 8))
+    transport_propagator(m, y0, h)
+    assert len(calls) == h.n_steps
+    calls.clear()
+    transport_propagator(m, y0, h.replace_final_rate(1.1 * h.zdot[-1]))
+    assert len(calls) == 1
+    calls.clear()
+    transport_propagator(m, y0, h.advance(h.tau[1], h.z[-1] + h.tau[1] * h.zdot[-1],
+                                          h.zdot[-1]))
+    assert len(calls) == 2
+
+
+def test_carried_normal_converges_at_fourth_order():
+    # n_t = B^-1 n0 inverts the RK4 backward map, so it is the forward
+    # transport to RK4's order: its distance to a finely substepped forward
+    # solve falls by at least 12x per halving of the interval
+    m = conformal_radial_metric(0.7)
+    n0 = np.array([[0.6, 0.0, 0.8], [0.0, -1.0, 0.0]])
+    errs = []
+    for n_steps in (4, 8, 16):
+        y0, h = _quadratic_paths(np.linspace(0.0, 0.5, n_steps + 1))
+        got = transport_normal(m, y0, h, n0).n_t.T
+        want = transport_tensor_ode(m, y0, h, n0, "forward", substeps=64)
+        errs.append(float(np.max(np.abs(got - want))))
+    assert errs[0] >= 12 * errs[1] and errs[1] >= 12 * errs[2], errs
 
 
 def test_nonuniform_history_matches_references():
@@ -290,14 +328,9 @@ def _by_node(x):
 
 def _check_against_full(metric, y0, hist, seed):
     prop = transport_propagator(metric, y0, hist)
-    back, fwd, integral = (_by_node(x) for x in (prop.backward, prop.forward, prop.integral))
+    back = _by_node(prop.backward)
     eye = np.broadcast_to(np.eye(3), back.shape)
     assert _rel(back, transport_tensor_ode(metric, y0, hist, eye, "backward")) <= 1e-13
-    assert _rel(fwd, transport_tensor_ode(metric, y0, hist, eye, "forward")) <= 1e-13
-    back_a1, = transport_series_terms(metric, y0, hist, 1, "backward")
-    fwd_a1, = transport_series_terms(metric, y0, hist, 1, "forward")
-    assert _rel(integral, back_a1) <= 1e-13
-    assert _rel(-integral, fwd_a1) <= 1e-13
     vec = np.einsum("nab,nb->na", back, seed)
     assert _rel(vec, transport_tensor_ode(metric, y0, hist, seed, "backward")) <= 1e-13
 
