@@ -296,7 +296,8 @@ def _make_assembler(state: FlowState):
         if not state_fwd.identity:
             # the carried normal depends on the trial rate
             bvar = delta_b(metric, surface, deform,
-                           transport_normal(metric, surface.y, hist, surface.n), gvar)
+                           transport_normal(metric, surface.y, hist, surface.n,
+                                            ambient_a=deform.ambient_a), gvar)
         zdot = hist.zdot[-1]
         zdot_der = (surface.grid.grad_last(node_last(zdot)) if zdot.any()
                     else np.zeros((3, 2, n)))

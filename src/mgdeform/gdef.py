@@ -9,8 +9,12 @@ Q_i = a0(S_(5)i, n), S_(5)i = (S_(1) - Gamma0(., z)) y_,i +
 S_(1)(z_,i - (d_i a^j) y_,j - n c_,i).  Only N_j and Q_i are formed, from
 the lowered normal a0 n contracted with S_(1) and with S_(1) - Gamma0(., z);
 the paper's intermediate families S_(2) to S_(5) and T_j are built term by
-term in the tests' reference.  All coefficient fields vanish identically
-at t = 0 and in a flat ambient metric, where the system degenerates to
+term in the tests' reference.  The parts that depend on the state alone,
+Gamma0(., z) and the non-frame bracket, are cached on the
+``DeformationState`` and the lowered normal on the surface, so a cdot
+sweep forms only the contractions with its trial propagator.  All
+coefficient fields vanish identically at t = 0 and in a flat ambient
+metric, where the system degenerates to
 c_,i = -a^l b_li: there the propagator is the identity, S_(1) = 0, and
 ``assemble_coefficients`` forms no contraction; its record says so
 (``GDefCoefficients.vanish``), so the cdot kernel and Psi_1 skip them too.
@@ -25,7 +29,7 @@ import numpy as np
 
 from ._contract import node_last
 from .metrics import AmbientMetric
-from .surface import SurfaceState
+from .surface import SurfaceState, require_surface_metric
 from .transport import TransportHistory, static_history, transport_propagator
 
 
@@ -38,11 +42,15 @@ def tangential_grad(grid, a1, a2):
 class DeformationState:
     """Tangential/normal deformation fields, their rates, and path history.
 
-    Fields are never reassigned (the dataclass is frozen), so the
-    derivatives every assembly reads are taken once, on first use: ``dz``
-    (z_,i), ``da`` (d_i a^j) and ``dc`` (c_,i), node-last.  The fields a1,
-    a2, c and their rates are (N,) scalars; z and its rate are (N, 3) point
-    vectors, as the history holds them.
+    Fields are never reassigned (the dataclass is frozen), so what every
+    assembly reads of the state alone is taken once, on first use, and
+    node-last: the derivatives ``dz`` (z_,i), ``da`` (d_i a^j) and ``dc``
+    (c_,i); the ambient metric a(y + z) at the state's points
+    (``ambient_a``), the one evaluation the variations, the rates and the
+    carried normal's length share; and the state parts of the coefficient
+    assembly, ``gamma0_z`` and ``frame_bracket``.  The fields a1, a2, c and
+    their rates are (N,) scalars; z and its rate are (N, 3) point vectors,
+    as the history holds them.
     ``advance`` builds the successor state.
     """
 
@@ -89,6 +97,24 @@ class DeformationState:
         """c_,i as (2, N)."""
         return self.surface.grid.grad_last(self.c)
 
+    @cached_property
+    def ambient_a(self):
+        """a(y + z) of the surface's metric as (3, 3, N)."""
+        return node_last(self.surface.metric.metric(self.surface.y + self.z))
+
+    @cached_property
+    def gamma0_z(self):
+        """Gamma0(., z) = Gamma^a_{bs}(y) z^b as (a, s, N)."""
+        return np.einsum("absn,bn->asn", self.surface.ambient_gamma, node_last(self.z))
+
+    @cached_property
+    def frame_bracket(self):
+        """The non-frame part of Eq. 2.27, z_,i - (d_i a^j) y_,j - n c_,i,
+        as (3, 2, N)."""
+        s = self.surface
+        return (self.dz - np.einsum("jin,sjn->sin", self.da, s.tang)
+                - s.n.T[:, None, :] * self.dc[None, :, :])
+
     def history_with_rates(self, a1dot, a2dot, cdot):
         """History whose final sample carries the given iterate rates."""
         return self.history.replace_final_rate(
@@ -118,16 +144,17 @@ class DeformationState:
             new._seed(da=self.da + dt * dadot)
         return new
 
-    def _seed(self, **derivatives):
-        """Store derivatives known without differentiating as the cached
-        ``dz``, ``da`` or ``dc``, which ``cached_property`` keeps in the
-        instance dict."""
-        self.__dict__.update(derivatives)
+    def _seed(self, **cached):
+        """Store fields known without computing them as the cached ``dz``,
+        ``da``, ``dc`` or ``ambient_a``, which ``cached_property`` keeps in
+        the instance dict."""
+        self.__dict__.update(cached)
 
 
 def new_deformation(surface: SurfaceState) -> DeformationState:
     """The undeformed state: every field, rate and derivative is an exact
-    zero, so none is differentiated."""
+    zero, so none is differentiated, and its points are the surface's, so
+    a(y + z) is the surface's a(y)."""
     n = surface.grid.n_nodes
     zeros = np.zeros(n)
     state = DeformationState(
@@ -135,7 +162,8 @@ def new_deformation(surface: SurfaceState) -> DeformationState:
         a1dot=zeros.copy(), a2dot=zeros.copy(), cdot=zeros.copy(),
         history=static_history(n), t=0.0,
     )
-    state._seed(dz=np.zeros((3, 2, n)), da=np.zeros((2, 2, n)), dc=np.zeros((2, n)))
+    state._seed(dz=np.zeros((3, 2, n)), da=np.zeros((2, 2, n)), dc=np.zeros((2, n)),
+                ambient_a=surface.ambient_a)
     return state
 
 
@@ -169,30 +197,29 @@ def assemble_coefficients(metric: AmbientMetric, surface: SurfaceState,
     final interval is integrated here.  A given ``history`` must end at the
     state's displacement; it only swaps the final rate.  Rates are backward
     finite differences against ``prev`` when given.  Under an identity
-    propagator S_(1) = 0, and N_j = Q_i = 0 are not contracted.
+    propagator S_(1) = 0, and N_j = Q_i = 0 are not contracted.  ``metric``
+    must be ``surface.metric``.
     """
+    require_surface_metric(metric, surface)
     hist = history if history is not None else deform.history
     prop = transport_propagator(metric, surface.y, hist)
     n_j = np.zeros((3, surface.grid.n_nodes))
     q_i = np.zeros((2, surface.grid.n_nodes))
     if not prop.identity:
-        tang, n = surface.tang, surface.n.T
+        tang, n, an = surface.tang, surface.n.T, surface.lowered_n
         s1 = prop.backward - np.eye(3)[:, :, None]
-        an = np.einsum("abn,bn->an", surface.ambient_a, n)     # lowered normal a0 n
         r1 = np.einsum("an,asn->sn", an, s1)
         n_j[0] = np.einsum("sn,sn->n", r1, n)
         n_j[1:] = np.einsum("sn,sin->in", r1, tang)
 
-        # S_(1) and Gamma0(., z) = Gamma^a_{bs} z^b agree to first order in
-        # t, so they are subtracted entry by entry before the contraction
-        # with a0 n; contracting each first and subtracting the two
-        # covectors loses several digits of Q to cancellation.
-        gz = np.einsum("absn,bn->asn", surface.ambient_gamma, node_last(deform.z))
-        r3 = np.einsum("an,asn->sn", an, s1 - gz)
-        # the non-frame part of Eq. 2.27: z_,i - (d_i a^j) y_,j - n c_,i
-        bracket = (deform.dz - np.einsum("jin,sjn->sin", deform.da, tang)
-                   - n[:, None, :] * deform.dc[None, :, :])
-        q_i = np.einsum("sn,sin->in", r3, tang) + np.einsum("sn,sin->in", r1, bracket)
+        # S_(1) and Gamma0(., z) agree to first order in t, so they are
+        # subtracted entry by entry before the contraction with a0 n;
+        # contracting each first and subtracting the two covectors loses
+        # several digits of Q to cancellation.
+        s1 -= deform.gamma0_z
+        r3 = np.einsum("an,asn->sn", an, s1)
+        q_i = (np.einsum("sn,sin->in", r3, tang)
+               + np.einsum("sn,sin->in", r1, deform.frame_bracket))
 
     if prev is not None and dt:
         ndot = (n_j - prev.n_j) / dt
@@ -209,8 +236,10 @@ def gdef_normal_residual(metric: AmbientMetric, surface: SurfaceState,
 
     Bypasses the S/N/Q algebra entirely; vanishing means the normal is
     carried by parallel transport (the defining property of the flow).
-    Returns the residual of each tangent as (2, N).
+    Returns the residual of each tangent as (2, N).  ``metric`` must be
+    ``surface.metric``.
     """
+    require_surface_metric(metric, surface)
     mback = transport_propagator(metric, surface.y, deform.history).backward
     back = np.einsum("abn,bin->ain", mback, surface.tang + deform.dz)
     return np.einsum("abn,ain,bn->in", surface.ambient_a, back, surface.n.T)

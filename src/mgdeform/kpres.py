@@ -26,6 +26,12 @@ terms in one sum and adds the vanishing ones under one predicate, in the
 order of the full sum, so a curved result keeps its bits.  |n_t| differs
 from 1 by round-off even in a flat metric, so Delta(B)'s normalization
 terms stay.
+
+The kernels read a(y + z) from the state's cache (``DeformationState
+.ambient_a``) and meet Gamma and d a at the displaced points only
+contracted, through the metric's ``christoffel_contract`` and
+``dmetric_contract``; at the surface points they read the stored Gamma0 and
+d a0.  Each kernel's ``metric`` must be ``surface.metric``.
 """
 
 from __future__ import annotations
@@ -38,8 +44,8 @@ import numpy as np
 from ._contract import node_last
 from .errors import DegenerateCurvatureError, GeometryError
 from .gdef import DeformationState, GDefCoefficients, tangential_grad
-from .metrics import AmbientMetric, christoffel_at
-from .surface import SurfaceState
+from .metrics import AmbientMetric
+from .surface import SurfaceState, require_surface_metric
 from .transport import NormalTransport, transport_normal
 
 
@@ -95,13 +101,15 @@ class EquationCoefficients:
     qb0: np.ndarray
 
 
-def delta_g(metric: AmbientMetric, surface: SurfaceState, z, zder) -> GVariation:
+def delta_g(metric: AmbientMetric, surface: SurfaceState, z, zder,
+            ambient_a=None) -> GVariation:
     """First-form variation, no linearization in z; z is the (N, 3) point
-    vector and zder its node-last partials z_,i, (3, 2, N).  The terms in
-    da, Gamma and a_t - a0 are formed only in a curved metric."""
+    vector and zder its node-last partials z_,i, (3, 2, N).  ``ambient_a``
+    is a(y + z) node-last when the caller holds it, as a state caches it.
+    The terms in da, Gamma and a_t - a0 are formed only in a curved metric."""
+    require_surface_metric(metric, surface)
     tang, a0 = surface.tang, surface.ambient_a
-    pts = surface.y + z
-    a_t = node_last(metric.metric(pts))
+    a_t = ambient_a if ambient_a is not None else node_last(metric.metric(surface.y + z))
     dstar_z = zder
     curved_terms = []
     if not metric.is_flat():
@@ -109,8 +117,9 @@ def delta_g(metric: AmbientMetric, surface: SurfaceState, z, zder) -> GVariation
         da0z = np.einsum("absn,sn->abn", surface.ambient_da, z_l)
         gz = np.einsum("agsn,sn->agn", surface.ambient_gamma, z_l)
         dstar_z = zder + np.einsum("agn,gjn->ajn", gz, tang)
-        mid = _form_product(a_t - a0 - da0z, tang, tang)
-        cross = _form_product(a_t - a0, tang, zder)
+        da_t = a_t - a0
+        mid = _form_product(da_t - da0z, tang, tang)
+        cross = _form_product(da_t, tang, zder)
         curved_terms = [mid, _sym(cross)]
 
     lead = _form_product(a0, tang, dstar_z)
@@ -130,11 +139,11 @@ def delta_b(metric: AmbientMetric, surface: SurfaceState, deform: DeformationSta
     and the transport tail only where the propagator is not the identity
     (``fwd.identity``); D*n_t - D*n_0 is zero in a flat metric.
     """
+    require_surface_metric(metric, surface)
     grid = surface.grid
     tang, a0, b0 = surface.tang, surface.ambient_a, surface.b
     zder = deform.dz                             # (3, 2, N)
-    pts = surface.y + deform.z
-    a_t = node_last(metric.metric(pts))
+    a_t = deform.ambient_a
     curved = not metric.is_flat()
     n_t = fwd.n_t
 
@@ -144,9 +153,10 @@ def delta_b(metric: AmbientMetric, surface: SurfaceState, deform: DeformationSta
     dinv = grid.grad_last(inv_norm)              # (2, N)
     dstar_ntil = grid.grad_last(n_til)           # (3, 2, N), D*n~ when flat
     if curved:
-        # Gamma_t(y_,j + z_,j, n_t); over |n_t| it is D*n~'s connection term
-        gamma_nt = np.einsum("gabn,ajn,bn->gjn", christoffel_at(metric, pts),
-                             tang + zder, n_t)
+        # Gamma_t(y_,j + z_,j, n_t), Gamma_t(n_t, .) contracted first; over
+        # |n_t| it is D*n~'s connection term
+        g_nt = metric.christoffel_contract(surface.y + deform.z, n_t)
+        gamma_nt = np.einsum("gbn,bjn->gjn", g_nt, tang + zder)
         dstar_ntil = dstar_ntil + gamma_nt * inv_norm
 
     lin = np.einsum("kin,jkn->ijn", deform.da, b0)   # (d_i a^k) b_jk
@@ -181,9 +191,10 @@ def delta_b(metric: AmbientMetric, surface: SurfaceState, deform: DeformationSta
 def assemble_variation(metric, surface, deform: DeformationState, history=None):
     """Full variation state at the history's final time; a given ``history``
     must end at the state's displacement and only swaps the final rate."""
+    require_surface_metric(metric, surface)
     hist = history if history is not None else deform.history
-    gvar = delta_g(metric, surface, deform.z, deform.dz)
-    fwd = transport_normal(metric, surface.y, hist, surface.n)
+    gvar = delta_g(metric, surface, deform.z, deform.dz, ambient_a=deform.ambient_a)
+    fwd = transport_normal(metric, surface.y, hist, surface.n, ambient_a=deform.ambient_a)
     bvar = delta_b(metric, surface, deform, fwd, gvar)
     return gvar, bvar, fwd
 
@@ -210,18 +221,18 @@ def assemble_rates(metric: AmbientMetric, surface: SurfaceState,
     ``prev_m4`` and ``m4dot_override`` are node-last (2, 2, N).  The terms in
     da, Gamma and a_t - a0 (t1 to t4) are formed only in a curved metric.
     """
+    require_surface_metric(metric, surface)
     grid = surface.grid
     tang, a0, g_inv = surface.tang, surface.ambient_a, surface.g_inv
     zder = deform.dz
     zdot_l = node_last(zdot)
     if zdot_der is None:
         zdot_der = grid.grad_last(zdot_l)        # (3, 2, N)
-    pts = surface.y + deform.z
-    a_t = node_last(metric.metric(pts))
+    a_t = deform.ambient_a
     dstar_zdot = zdot_der
     w1dot_curved, dgdot_curved = [], []
     if not metric.is_flat():
-        da_t_zdot = np.einsum("absn,sn->abn", node_last(metric.dmetric(pts)), zdot_l)
+        da_t_zdot = metric.dmetric_contract(surface.y + deform.z, zdot_l)
         da0_zdot = np.einsum("absn,sn->abn", surface.ambient_da, zdot_l)
         t1 = _form_product(da_t_zdot - da0_zdot, tang, tang)
         t2 = _form_product(da_t_zdot, tang, zder)

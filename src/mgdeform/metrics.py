@@ -16,14 +16,27 @@ Override points of a plug-in (subclass ``AmbientMetric``):
   zeros, and ``ConformalMetric`` (a = e^{2 phi} delta) returns
   Gamma^g_{ab} = delta^g_a d_b phi + delta^g_b d_a phi - delta_ab d_g phi,
   with det a = e^{6 phi}.
+- ``christoffel_contract(y, u)`` returns G[g, b] = Gamma^g_{ab}(y) u^a for
+  one vector u per point, with the same positivity check.  The default
+  contracts ``christoffel``.  ``ConformalMetric`` overrides it with
+  (grad phi . u) delta^g_b + u^g d_b phi - d^g phi u_b, and ``FlatMetric``
+  returns zeros.
+- ``dmetric_contract(y, u)`` returns d_s a_{ab}(y) u^s.  The default
+  contracts ``dmetric``.  ``ConformalMetric`` overrides it with
+  2 e^{2 phi} (grad phi . u) delta_ab, and ``FlatMetric`` returns zeros.
 
-``christoffel_at(metric, points)`` is the one entry point the package calls.
+The kernels at displaced points y + z need only these contractions, so
+they call the two ``*_contract`` methods and never form the (3, 3, 3) field
+there.  ``christoffel_at(metric, points)`` is the entry point for the full
+symbols, which ``build_surface`` stores at the surface points.
 
 Index conventions on arrays: metric (..., a, b); first derivative
 (..., a, b, s) meaning d a_{ab} / d y^s, both with the batch axes of ``y``
 first, as plug-ins evaluate them.  The Christoffel symbols are node-last,
 (g, a, b, ...) for Gamma^g_{ab} with the batch axes of ``y`` last, the layout
-the per-node kernels contract in.
+the per-node kernels contract in.  The vector u of a contraction and its
+results are node-last too: u is (3, ...), G is (g, b, ...) and the
+contracted derivative (a, b, ...), with the batch axes of ``y`` last.
 """
 
 from __future__ import annotations
@@ -65,6 +78,23 @@ class AmbientMetric:
         gamma = np.einsum("gmp,abmp->gabp", ainv, low)
         return gamma.reshape((3, 3, 3) + y.shape[:-1])
 
+    def christoffel_contract(self, y, u):
+        """G[g, b, ...] = Gamma^g_{ab}(y) u^a for node-last u (3, ...); by
+        default the contraction of ``christoffel``, with its check."""
+        y = np.asarray(y, dtype=float)
+        # computed node-last over the flattened batch points n
+        gamma = self.christoffel(y).reshape((3, 3, 3, -1))
+        out = np.einsum("gabn,an->gbn", gamma, np.reshape(u, (3, -1)))
+        return out.reshape((3, 3) + y.shape[:-1])
+
+    def dmetric_contract(self, y, u):
+        """d_s a_{ab}(y) u^s as (a, b, ...) for node-last u (3, ...); by
+        default the contraction of ``dmetric``."""
+        y = np.asarray(y, dtype=float)
+        da = node_last(self.dmetric(y).reshape((-1, 3, 3, 3)))   # (a, b, s, n)
+        out = np.einsum("absn,sn->abn", da, np.reshape(u, (3, -1)))
+        return out.reshape((3, 3) + y.shape[:-1])
+
     def is_flat(self):
         return False
 
@@ -84,6 +114,12 @@ class FlatMetric(AmbientMetric):
 
     def christoffel(self, y):
         return np.zeros((3, 3, 3) + y.shape[:-1])
+
+    def christoffel_contract(self, y, u):
+        return np.zeros((3, 3) + np.shape(y)[:-1])
+
+    def dmetric_contract(self, y, u):
+        return np.zeros((3, 3) + np.shape(y)[:-1])
 
     def is_flat(self):
         return True
@@ -114,16 +150,47 @@ class ConformalMetric(AmbientMetric):
         fac = 2.0 * np.exp(2.0 * phi)
         return fac[..., None, None, None] * eye[..., :, :, None] * grad[..., None, None, :]
 
+    def _checked_grad(self, y):
+        """grad phi as (c, p) over the flattened points, after checking
+        det a = e^{6 phi} at every point."""
+        phi = self.phi_fn(y)
+        det = np.exp(6.0 * phi)
+        _require_positive(np.isfinite(det) & (det > 1e-14), det)
+        return node_last(self.grad_fn(y).reshape((-1, 3)))
+
     def christoffel(self, y):
         """Closed form: Gamma^g_{ab} = delta^g_a d_b phi + delta^g_b d_a phi -
         delta_ab d_g phi as (g, a, b, ...), after checking det a = e^{6 phi}
         at every point."""
-        phi = self.phi_fn(y)
-        det = np.exp(6.0 * phi)
-        _require_positive(np.isfinite(det) & (det > 1e-14), det)
-        grad = node_last(self.grad_fn(y).reshape((-1, 3)))        # (c, p)
+        grad = self._checked_grad(y)
         gamma = np.einsum("gabc,cp->gabp", _CONFORMAL_PATTERN, grad)
         return gamma.reshape((3, 3, 3) + y.shape[:-1])
+
+    def christoffel_contract(self, y, u):
+        """Closed form: G[g, b] = (grad phi . u) delta^g_b + u^g d_b phi -
+        d^g phi u_b, after the check of ``christoffel``; entry by entry, as
+        broadcast outer products of (3, N) fields run several times slower."""
+        y = np.asarray(y, dtype=float)
+        grad = self._checked_grad(y)
+        u = np.reshape(u, (3, -1))
+        out = np.empty((3, 3, u.shape[-1]))
+        out[0, 0] = out[1, 1] = out[2, 2] = grad[0] * u[0] + grad[1] * u[1] + grad[2] * u[2]
+        # the rest is antisymmetric in g and b
+        for g, b in ((0, 1), (0, 2), (1, 2)):
+            np.subtract(u[g] * grad[b], grad[g] * u[b], out=out[g, b])
+            np.negative(out[g, b], out=out[b, g])
+        return out.reshape((3, 3) + y.shape[:-1])
+
+    def dmetric_contract(self, y, u):
+        """Closed form: d_s a_{ab} u^s = 2 e^{2 phi} (grad phi . u) delta_ab."""
+        y = np.asarray(y, dtype=float)
+        fac = 2.0 * np.exp(2.0 * self.phi_fn(y)).reshape(-1)
+        # the factor goes on grad phi first, as in ``dmetric``
+        w = fac * node_last(self.grad_fn(y).reshape((-1, 3)))
+        u = np.reshape(u, (3, -1))
+        out = np.zeros((3, 3, u.shape[-1]))
+        out[0, 0] = out[1, 1] = out[2, 2] = w[0] * u[0] + w[1] * u[1] + w[2] * u[2]
+        return out.reshape((3, 3) + y.shape[:-1])
 
 
 def conformal_linear_metric(k):
@@ -147,7 +214,9 @@ def conformal_radial_metric(alpha):
     """
 
     def phi(y):
-        return 0.5 * alpha * (np.sum(y * y, axis=-1) - 1.0)
+        # |y|^2 summed as np.sum does, without its reduction machinery
+        yy = y * y
+        return 0.5 * alpha * (yy[..., 0] + yy[..., 1] + yy[..., 2] - 1.0)
 
     def grad(y):
         return alpha * y

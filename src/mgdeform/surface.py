@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from ._contract import node_last
-from .errors import CoordinateError, GeometryError
+from .errors import CoordinateError, GeometryError, MgError
 from .grid import DiskGrid
 from .metrics import AmbientMetric, christoffel_at, norm_monitor
 
@@ -118,7 +118,8 @@ class SurfaceState:
     are the ambient metric's at ``y``.  ``build_surface`` marks every array
     read-only: the transport prefix cache is keyed by the identity of ``y``
     and relies on it never changing in place.  The metric derivative at
-    ``y``, which only curved variations read, is taken on first use.
+    ``y``, which only curved variations read, and the lowered normal, which
+    only curved coefficient assemblies read, are taken on first use.
     """
 
     grid: DiskGrid
@@ -149,6 +150,14 @@ class SurfaceState:
         da.flags.writeable = False
         return da
 
+    @cached_property
+    def lowered_n(self):
+        """(3, N) a0 n, the normal lowered with the metric at ``y``,
+        read-only."""
+        an = np.einsum("abn,bn->an", self.ambient_a, self.n.T)
+        an.flags.writeable = False
+        return an
+
     @property
     def y1(self):
         """(N, 3) tangent d y / d x1, a view of ``tang``."""
@@ -168,12 +177,12 @@ def raw_fundamental_forms(grid, metric, y, y1=None, y2=None):
     differentiation of ``y``; the normal derivative always is.  No
     orientation is chosen and nothing is validated beyond a degenerate
     tangent plane or first form.  Returns a dict keyed by ``SurfaceState``
-    field names (``ambient_a``, ``n``, ``tang``, ``g``, ``ambient_gamma``,
-    ``n_deriv``, ``gamma_n``, ``b``, ``g_det``, ``b_det``, ``K``): each
-    tensor node-last,
+    field names (``ambient_a``, ``n``, ``tang``, ``g``, ``n_deriv``,
+    ``gamma_n``, ``b``, ``g_det``, ``b_det``, ``K``): each tensor node-last,
     and ``n`` as the (N, 3) view of its node-last array.  K = det b / det g
-    needs no g^-1, so ``build_surface``, the one reader of g^-1 and H, takes
-    them itself.
+    needs no g^-1, and Gamma(y)(y_,j, n) needs only Gamma contracted with n,
+    so ``build_surface``, the one reader of g^-1, H and the full symbols,
+    takes them itself.
     """
     if y1 is None:
         tang = grid.grad_last(y.T)                      # (3, 2, N)
@@ -198,16 +207,14 @@ def raw_fundamental_forms(grid, metric, y, y1=None, y2=None):
     if np.any(g_det <= 0):
         node = int(np.argmax(g_det <= 0))
         raise GeometryError(f"first fundamental form degenerate at node {node}")
-    gamma = christoffel_at(metric, y)
     n_deriv = grid.grad_last(n)                         # (3, 2, N)
-    # D*_j n = dn/dx_j + Gamma(y)(y_,j, n)
-    gamma_n = np.einsum("bmtn,mjn,tn->bjn", gamma, tang, n)
+    # D*_j n = dn/dx_j + Gamma(y)(y_,j, n), Gamma(n, .) contracted first
+    gamma_n = np.einsum("gbn,bjn->gjn", metric.christoffel_contract(y, n), tang)
     b = -np.einsum("abn,ain,bjn->ijn", a_l, tang, n_deriv + gamma_n)
     b_det = b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0]
     return {
-        "ambient_a": a_l, "n": n.T, "tang": tang, "g": g, "ambient_gamma": gamma,
-        "n_deriv": n_deriv, "gamma_n": gamma_n, "b": b, "g_det": g_det,
-        "b_det": b_det, "K": b_det / g_det,
+        "ambient_a": a_l, "n": n.T, "tang": tang, "g": g, "n_deriv": n_deriv,
+        "gamma_n": gamma_n, "b": b, "g_det": g_det, "b_det": b_det, "K": b_det / g_det,
     }
 
 
@@ -239,6 +246,7 @@ def build_surface(immersion: Immersion, metric: AmbientMetric, grid: DiskGrid,
     y = immersion.chart(grid.x1, grid.x2)
     jac = immersion.jacobian(grid.x1, grid.x2)
     forms = raw_fundamental_forms(grid, metric, y, jac[..., 0], jac[..., 1])
+    forms["ambient_gamma"] = christoffel_at(metric, y)
     g_inv = node_last(np.linalg.inv(forms["g"].transpose(2, 0, 1)))
     forms["g_inv"] = g_inv
     forms["H"] = 0.5 * np.einsum("ijn,ijn->n", g_inv, forms["b"])
@@ -275,6 +283,16 @@ def build_surface(immersion: Immersion, metric: AmbientMetric, grid: DiskGrid,
         if isinstance(value, np.ndarray):
             value.flags.writeable = False
     return state
+
+
+def require_surface_metric(metric: AmbientMetric, surface: SurfaceState):
+    """Raise MgError unless ``metric`` is the object ``surface`` was built
+    with.  The kernels evaluate ``surface.metric`` in the per-state caches
+    and key the transport cache by the metric's identity, so any other
+    metric, even an equal one, would be mixed in without a word."""
+    if metric is not surface.metric:
+        raise MgError(f"metric {type(metric).__name__} is not the surface's own "
+                      f"{type(surface.metric).__name__} object; pass surface.metric")
 
 
 def validate_hypotheses(state: SurfaceState):

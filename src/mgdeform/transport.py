@@ -5,7 +5,9 @@ samples of z and zdot at strictly increasing tau.  Transport of a tensor seed
 solves dA/dtau + Gamma(u(tau)) zdot(tau) A = 0.  The flow keeps one map per
 history, the backward map B that carries a seed from tau = t to tau = 0, one
 RK4 step per interval.  Transport is invertible, so forward transport is
-B^-1: the carried normal is n_t = B^-1 n_0, one 3x3 solve per node.
+B^-1: the carried normal is n_t = B^-1 n_0, from B's adjugate per node.
+Gamma enters only contracted with the path's rate, so the stage points ask
+the metric for ``christoffel_contract`` and never form the symbols.
 
 The flow's consumers read the propagator through ``transport_propagator``,
 which keeps the integrated prefix of a history (intervals 0..M-2) in a cache
@@ -28,7 +30,7 @@ import numpy as np
 
 from ._contract import node_last
 from .errors import EmptyHistoryError, MgError
-from .metrics import AmbientMetric, christoffel_at
+from .metrics import AmbientMetric
 
 
 class TransportHistory:
@@ -123,7 +125,11 @@ class TransportHistory:
         return child
 
     def hermite(self, m, s):
-        """Cubic Hermite state and rate inside interval m at fraction s."""
+        """Cubic Hermite state and rate inside interval m at fraction s; at
+        s = 1 they are the end sample itself, which the formula reproduces
+        bit for bit."""
+        if s == 1.0:
+            return self.z[m + 1], self.zdot[m + 1]
         dt = self.tau[m + 1] - self.tau[m]
         z0, z1 = self.z[m], self.z[m + 1]
         d0, d1 = self.zdot[m], self.zdot[m + 1]
@@ -153,17 +159,39 @@ def _identity(n):
 
 def _gamma_zdot(metric, y0, z, zdot):
     """Matrix G[g, b, n] = Gamma^g_{ab}(y0 + z) zdot^a, node-last."""
-    pts = np.asarray(y0, dtype=float) + z
-    return np.einsum("gabn,an->gbn", christoffel_at(metric, pts), node_last(zdot))
+    return metric.christoffel_contract(np.asarray(y0, dtype=float) + z, node_last(zdot))
 
 
 def _rk4_step(g0, g_half, g1, a, h, sign):
-    """One classical RK4 step of dA = sign G A with G at start, middle, end."""
-    k1 = sign * np.einsum("gbn,bkn->gkn", g0, a)
-    k2 = sign * np.einsum("gbn,bkn->gkn", g_half, a + 0.5 * h * k1)
-    k3 = sign * np.einsum("gbn,bkn->gkn", g_half, a + 0.5 * h * k2)
-    k4 = sign * np.einsum("gbn,bkn->gkn", g1, a + h * k3)
-    return a + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    """One classical RK4 step of dA = sign G A with G at start, middle, end.
+    ``a = None`` seeds it with the identity, whose first stage is sign G.
+
+    The result is a + (h/6) (k1 + 2 k2 + 2 k3 + k4), summed in that order
+    in place: with a few thousand nodes each (3, 3, N) temporary costs
+    fresh pages, so the stages share three buffers."""
+    if a is None:
+        a = _identity(g0.shape[-1])
+        acc = sign * g0
+    else:
+        acc = np.einsum("gbn,bkn->gkn", g0, a)
+        acc *= sign
+    arg = np.multiply(0.5 * h, acc)              # the stage argument a + step k
+    arg += a
+    k = np.einsum("gbn,bkn->gkn", g_half, arg)
+    for g, step in ((g_half, 0.5 * h), (g1, h)):
+        # k is stage 2, then 3: it gives the next stage's argument, and
+        # enters the sum with weight 2
+        k *= sign
+        np.multiply(step, k, out=arg)
+        arg += a
+        k *= 2
+        acc += k
+        np.einsum("gbn,bkn->gkn", g, arg, out=k)
+    k *= sign
+    acc += k
+    acc *= h / 6.0
+    acc += a
+    return acc
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,7 +226,7 @@ class Propagator:
         dt = history.tau[m + 1] - history.tau[m]
         g_half = _gamma_zdot(self.metric, self.y0, *history.hermite(m, 0.5))
         g1 = _gamma_zdot(self.metric, self.y0, *history.hermite(m, 1.0))
-        r_back = _rk4_step(g1, g_half, self.g_end, _identity(history.n_points), dt, 1.0)
+        r_back = _rk4_step(g1, g_half, self.g_end, None, dt, 1.0)
         return _frozen_propagator(
             self.metric, self.y0, m + 1,
             backward=np.einsum("gbn,bkn->gkn", self.backward, r_back), g_end=g1,
@@ -263,19 +291,34 @@ class NormalTransport:
     identity: bool = False   # the propagator is the identity
 
 
+def _carried_normal(backward, n0):
+    """n_t = B^-1 n_0 per node by the adjugate: the rows of B^-1 are the
+    cross products of B's columns, b_1 x b_2, b_2 x b_0 and b_0 x b_1, over
+    det B = b_0 . (b_1 x b_2).  Transport starts from the identity and keeps
+    det B positive; where it is not finite and positive, MgError names the
+    node."""
+    b0, b1, b2 = backward[:, 0], backward[:, 1], backward[:, 2]
+    rows = [np.cross(u, v, axis=0) for u, v in ((b1, b2), (b2, b0), (b0, b1))]
+    det = np.sum(b0 * rows[0], axis=0)
+    bad = ~(np.isfinite(det) & (det > 0))
+    if np.any(bad):
+        node = int(np.argmax(bad))
+        raise MgError(f"backward transport map singular at node {node}, "
+                      f"det={det[node]:.3e}")
+    return np.stack([np.sum(row * n0, axis=0) for row in rows]) / det
+
+
 def transport_normal(metric: AmbientMetric, y0, history: TransportHistory,
-                     n0) -> NormalTransport:
+                     n0, ambient_a=None) -> NormalTransport:
     """The unit normal ``n0`` carried to the history's final time, n_t =
-    B^-1 n_0 for the backward map B."""
+    B^-1 n_0 for the backward map B, and its length in the metric there.
+    ``ambient_a`` is that metric, a(y0 + z) node-last, when the caller holds
+    it (a ``DeformationState`` caches it); it is evaluated otherwise."""
     y0 = np.asarray(y0, dtype=float)
-    n0 = np.asarray(n0, dtype=float)
+    n0 = node_last(np.asarray(n0, dtype=float))
     prop = transport_propagator(metric, y0, history)
-    if prop.identity:
-        n_t = node_last(n0)
-    else:
-        # (N, 3, 1) right side: NumPy 1.x and 2.x read it alike
-        n_t = node_last(np.linalg.solve(np.moveaxis(prop.backward, -1, 0),
-                                        n0[..., None])[..., 0])
-    a_t = node_last(metric.metric(y0 + history.z[-1]))
-    norm = np.sqrt(np.einsum("abn,an,bn->n", a_t, n_t, n_t))
+    n_t = n0 if prop.identity else _carried_normal(prop.backward, n0)
+    if ambient_a is None:
+        ambient_a = node_last(metric.metric(y0 + history.z[-1]))
+    norm = np.sqrt(np.einsum("abn,an,bn->n", ambient_a, n_t, n_t))
     return NormalTransport(n_t=n_t, norm=norm, identity=prop.identity)

@@ -30,6 +30,31 @@ class ChartRotated(Immersion):
         return self.base.jacobian(*self._rotated(x1, x2)) @ self.rot
 
 
+class AmbientMoved(Immersion):
+    """The immersion moved by the ambient map y -> R y + d: chart R y + d,
+    jacobian R J.  Where the map is an isometry of the metric, the flow of
+    the moved surface is the moved flow, z' = R z."""
+
+    def __init__(self, base, rot, shift=(0.0, 0.0, 0.0)):
+        self.base = base
+        self.rot = np.asarray(rot, dtype=float)
+        self.shift = np.asarray(shift, dtype=float)
+
+    def chart(self, x1, x2):
+        return self.base.chart(x1, x2) @ self.rot.T + self.shift
+
+    def jacobian(self, x1, x2):
+        return self.rot @ self.base.jacobian(x1, x2)
+
+
+def rotation(axis, angle):
+    """The rotation by ``angle`` about the unit vector along ``axis``
+    (Rodrigues' formula)."""
+    k = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
+    cross = np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]])
+    return np.eye(3) + np.sin(angle) * cross + (1.0 - np.cos(angle)) * cross @ cross
+
+
 def chart_shift(grid, s):
     """Node permutation p with f[p] the field f read in the chart rotated by
     s angle slots: p maps node (i, j) to (i, j + s) and keeps the center."""

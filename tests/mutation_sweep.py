@@ -1,46 +1,57 @@
 """Mutation sweep of the numerical kernels: which sign flips does the suite miss?
 
-For each line of the swept modules that holds ` + ` or ` - `, the first of
-them is swapped for the other on a temporary copy of the repository, and the
-tier-1 suite runs against that copy, stopping at its first failure.  A mutant
-the suite passes is a survivor; each is printed as ``module.py:line: text``.
-Survivors in docstrings or error text are expected; one in code is a gap in
-the tests unless the swap is equivalent.
+For each line of the swept modules that holds a binary ` + ` or ` - `
+operator, the first of them is swapped for the other on a temporary copy of
+the repository, and the tier-1 suite runs against that copy, stopping at its
+first failure.  Operators are read with ``tokenize``, so no mutant lands in a
+docstring, a comment or error text: every one is a change to the code.  A
+mutant the suite passes is a survivor; each is printed as
+``module.py:line: text``, and is a gap in the tests unless the swap is
+equivalent.
 
 Run by hand from the repository root (pytest does not collect this file):
 
     python tests/mutation_sweep.py [--jobs 2] [--modules kpres cdot ...]
+    python tests/mutation_sweep.py --list    # print the mutants, run none
 
 One mutant takes up to a full suite run, so the default sweep of six modules
-(about 170 mutants) takes tens of minutes per job.
+(about 130 mutants) takes tens of minutes per job.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import os
-import re
 import shutil
 import subprocess
 import sys
 import tempfile
+import tokenize
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = ("kpres", "gdef", "cdot", "transport", "surface", "metrics")
-OPERATOR = re.compile(r" ([+-]) ")
 SWAP = {"+": "-", "-": "+"}
 
 
 def mutants(module):
-    """(line number, mutated line) for each line holding ` + ` or ` - `."""
-    lines = (ROOT / "src" / "mgdeform" / f"{module}.py").read_text().splitlines(True)
-    for no, line in enumerate(lines, start=1):
-        hit = OPERATOR.search(line)
-        if hit:
-            op = hit.group(1)
-            yield no, line[:hit.start(1)] + SWAP[op] + line[hit.end(1):]
+    """(line number, mutated line) for each line whose code holds ` + ` or
+    ` - `: the first such operator token of the line, swapped."""
+    text = (ROOT / "src" / "mgdeform" / f"{module}.py").read_text()
+    lines = text.splitlines(True)
+    seen = set()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        no, col = tok.start
+        if tok.type != tokenize.OP or tok.string not in SWAP or no in seen:
+            continue
+        line = lines[no - 1]
+        # binary as the code spells it, with a space on either side; a unary
+        # sign, as in ``-x`` or ``(-1, 0)``, is left alone
+        if line[col - 1:col] == " " and line[col + 1:col + 2] == " ":
+            seen.add(no)
+            yield no, line[:col] + SWAP[tok.string] + line[col + 1:]
 
 
 def _copy_repo(dest):
@@ -81,8 +92,15 @@ def main(argv=None):
                         help="mutants run at once, each on its own copy")
     parser.add_argument("--timeout", type=float, default=600.0,
                         help="seconds before a mutant's run counts as killed")
+    parser.add_argument("--list", action="store_true",
+                        help="print the mutants and their count without running them")
     args = parser.parse_args(argv)
     work = [(m, no, text) for m in args.modules for no, text in mutants(m)]
+    if args.list:
+        for module, no, text in work:
+            print(f"{module}.py:{no}: {text.strip()}")
+        print(f"{len(work)} mutants")
+        return 0
     with tempfile.TemporaryDirectory(prefix="mutation_sweep_") as tmp:
         copies = []
         for k in range(max(1, args.jobs)):

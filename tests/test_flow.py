@@ -23,7 +23,7 @@ from mgdeform.metrics import (
 from mgdeform.surface import SphereCapImmersion, build_surface, make_immersion
 from mgdeform.vekua import point_pin
 
-from helpers import ChartRotated, chart_shift
+from helpers import AmbientMoved, ChartRotated, chart_shift, rotation
 
 
 def assert_warm_inner_solves(records):
@@ -258,27 +258,29 @@ def test_curved_metric_flow_meets_acceptance_bounds(monkeypatch):
     cfg = FlowConfig(t_final=0.05, dt=0.005)
     state = init_flow(metric, surf, boundary, cfg)
     calls = []
-    real = metrics.christoffel_at
+    for name in ("christoffel", "christoffel_contract"):
+        def counting(self, *args, _real=getattr(metrics.ConformalMetric, name), _name=name):
+            calls.append(_name)
+            return _real(self, *args)
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    for module in (metrics, transport, kpres, surface):
-        monkeypatch.setattr(module, "christoffel_at", counting)
+        monkeypatch.setattr(metrics.ConformalMetric, name, counting)
     per_step = []
 
     def on_step(rec):
-        per_step.append(len(calls))
+        per_step.append(Counter(calls))
         calls.clear()
 
     rep = run_flow(state, on_step)
-    # the transport prefix is cached on the history, so a step's Christoffel
-    # work does not grow with the history length: past its fixed part it is
-    # a fixed count per assembler call, and the calls vary from step to step
+    # past the set-up, every consumer of Gamma at displaced points (the RK4
+    # stage points, Delta(B) and the rebuild oracle) asks for a contraction
+    # and no step forms the full symbols.  The transport prefix is cached on
+    # the history, so a step's contractions do not grow with the history
+    # length: past a fixed part they are a fixed count per assembler call
+    assert all(c["christoffel"] == 0 for c in per_step)
     passes = [r.bvp_passes for r in state.records]
     per_pass = 5
-    assert len({c - per_pass * p for c, p in zip(per_step[2:], passes[2:])}) == 1
+    assert len({c["christoffel_contract"] - per_pass * p
+                for c, p in zip(per_step[2:], passes[2:])}) == 1
     # the cold step 0 needs many passes; each inner GMRES starts from the
     # previous pass's solution
     assert state.records[0].bvp_iterations <= 150
@@ -296,30 +298,37 @@ def test_curved_metric_flow_meets_acceptance_bounds(monkeypatch):
 
 def test_metric_derivative_at_the_surface_taken_once(monkeypatch):
     # d a at y is a surface constant, taken once on first use; a curved
-    # steady step differentiates the metric only at the displaced points,
-    # once per rate assembly, which is once per outer pass
+    # steady step meets d a at the displaced points only contracted with
+    # zdot, once per rate assembly, which is once per outer pass, and never
+    # forms the (N, 3, 3, 3) tensor there
     metric = conformal_radial_metric(0.5)
     surf = build_surface(SphereCapImmersion(1.0, 0.5), metric, DiskGrid(16, 32),
                          ci_tol=1e-5)
     state = init_flow(metric, surf, BoundarySpec(), FlowConfig(t_final=0.02, dt=0.005))
-    real = metric.dmetric
-    at_y, displaced = [], []
+    real, real_contract = metric.dmetric, metric.dmetric_contract
+    at_y, displaced, contracted = [], [], []
 
     def counting(y):
         (at_y if y is surf.y else displaced).append(1)
         return real(y)
 
+    def counting_contract(y, u):
+        contracted.append(1)
+        return real_contract(y, u)
+
     monkeypatch.setattr(metric, "dmetric", counting)
+    monkeypatch.setattr(metric, "dmetric_contract", counting_contract)
     per_step = []
 
     def on_step(rec):
-        per_step.append((len(at_y), len(displaced)))
-        at_y.clear()
-        displaced.clear()
+        per_step.append((len(at_y), len(displaced), len(contracted)))
+        for calls in (at_y, displaced, contracted):
+            calls.clear()
 
     run_flow(state, on_step)
-    assert [y for y, _ in per_step] == [1, 0, 0, 0]
-    assert [d for _, d in per_step[1:]] == [r.bvp_passes for r in state.records[1:]]
+    assert [y for y, _, _ in per_step] == [1, 0, 0, 0]
+    assert [d for _, d, _ in per_step] == [0, 0, 0, 0]
+    assert [c for _, _, c in per_step[1:]] == [r.bvp_passes for r in state.records[1:]]
 
 
 class GeneralPathMetric(AmbientMetric):
@@ -461,9 +470,10 @@ def assert_same_solver_counts(recs, base, near):
             assert got == want, name
 
 
-@pytest.mark.parametrize("s", [2.0, 0.5])
-@pytest.mark.parametrize("winding", [1, 2])
-@pytest.mark.parametrize("metric_kind", ["flat", "conformal_linear", "conformal_radial"])
+@pytest.mark.parametrize("metric_kind, winding, s", [
+    (kind, winding, s) for kind in ("flat", "conformal_linear", "conformal_radial")
+    for winding in (1, 2) for s in (2.0, 0.5)
+] + [("flat", 0, 2.0), ("flat", 0, 0.5)])
 def test_flow_is_equivariant_under_scaling(metric_kind, winding, s):
     # the homothety y -> s y maps the flow to one with z' = s z, taking the
     # same solver iterations: every term of the rates must carry its power
@@ -752,3 +762,66 @@ def test_flow_is_equivariant_under_chart_rotation(metric_kind, winding):
                 == [getattr(r, name) for r in base.records]), name
     assert_same_solver_counts(rot.records, base.records,
                               near=metric_kind == "conformal_radial")
+
+
+# conformal_linear's exponent gradient, and a point its rotation axis runs
+# through
+_K = np.array([0.3, 0.0, 0.2])
+_AXIS_POINT = np.array([0.2, -0.4, 0.1])
+_ISOMETRY_METRICS = {
+    "flat": FlatMetric(),
+    "conformal_radial": conformal_radial_metric(0.5),
+    "conformal_linear": conformal_linear_metric(_K),
+}
+
+
+def _moved_flow(metric_kind, rot=np.eye(3), shift=(0.0, 0.0, 0.0)):
+    """Four steps of the winding-1 cap moved by y -> R y + d."""
+    metric = _ISOMETRY_METRICS[metric_kind]
+    surf = build_surface(AmbientMoved(SphereCapImmersion(1.0, 0.5), rot, shift), metric,
+                         DiskGrid(16, 32), ci_tol=1e-5)
+    boundary = BoundarySpec(winding=1, gamma_kind="harmonic", epsilon=0.05, mode=2)
+    state = init_flow(metric, surf, boundary, FlowConfig(t_final=0.02, dt=0.005))
+    run_flow(state)
+    return state
+
+
+@pytest.fixture(scope="module")
+def unmoved_flows():
+    return {kind: _moved_flow(kind) for kind in _ISOMETRY_METRICS}
+
+
+def _relative_move(state, base, rot):
+    want = base.deform.z @ rot.T
+    return float(np.max(np.abs(state.deform.z - want)) / np.max(np.abs(want)))
+
+
+_ROT_K = rotation(_K, 0.8)
+
+
+@pytest.mark.parametrize("metric_kind, rot, shift, bound", [
+    ("flat", rotation((1.0, 2.0, 3.0), 0.7), (0.3, -0.2, 0.5), 1e-13),
+    ("conformal_radial", rotation((1.0, -1.0, 2.0), 0.9), (0.0, 0.0, 0.0), 1e-10),
+    ("conformal_linear", _ROT_K, _AXIS_POINT - _ROT_K @ _AXIS_POINT, 1e-11),
+    ("conformal_linear", np.eye(3), (0.2, 0.5, -0.3), 1e-11),
+], ids=["flat-rigid_motion", "conformal_radial-rotation_about_origin",
+        "conformal_linear-rotation_about_axis_along_k", "conformal_linear-shift_normal_to_k"])
+def test_flow_is_equivariant_under_ambient_isometries(unmoved_flows, metric_kind, rot,
+                                                      shift, bound):
+    # an isometry of the ambient metric moves the surface and its flow
+    # together: the moved cap's flow is z' = R z, with the same c, in the
+    # same solver iterations (a GMRES or cdot count within one where its
+    # stop crosses at round-off).  Readings: 2.5e-14 flat, 1.4e-11 radial,
+    # 2.0e-12 and 6.0e-13 linear
+    base = unmoved_flows[metric_kind]
+    moved = _moved_flow(metric_kind, rot, shift)
+    assert _relative_move(moved, base, rot) <= bound
+    assert np.max(np.abs(moved.deform.c - base.deform.c)) <= bound * np.max(np.abs(base.deform.c))
+    assert_same_solver_counts(moved.records, base.records, near=metric_kind != "flat")
+
+
+def test_a_non_isometry_moves_the_flow(unmoved_flows):
+    # the control of the isometry cells: a 1e-3 shift is no isometry of
+    # conformal_radial, and it moves z far above their bounds (read 6.9e-4)
+    moved = _moved_flow("conformal_radial", shift=(1e-3, 0.0, 0.0))
+    assert _relative_move(moved, unmoved_flows["conformal_radial"], np.eye(3)) >= 1e-4

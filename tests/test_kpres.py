@@ -1,15 +1,19 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from mgdeform._contract import node_last
-from mgdeform.errors import DegenerateCurvatureError
-from mgdeform.gdef import assemble_coefficients, new_deformation
+from mgdeform.cdot import PathIntegrator, solve_cdot
+from mgdeform.errors import DegenerateCurvatureError, MgError
+from mgdeform.gdef import assemble_coefficients, gdef_normal_residual, new_deformation
 from mgdeform.grid import DiskGrid
 from mgdeform.kpres import (
     BVariation,
     VariationRates,
     assemble_rates,
     assemble_variation,
+    delta_b,
     delta_g,
     equation_coefficients,
     psi1_bracket,
@@ -17,7 +21,7 @@ from mgdeform.kpres import (
 )
 from mgdeform.metrics import FlatMetric, conformal_radial_metric
 from mgdeform.surface import SphereCapImmersion, build_surface, gauss_curvature_of
-from mgdeform.transport import transport_normal
+from mgdeform.transport import transport_normal, transport_propagator
 
 from helpers import CURVED_METRICS, prescribed_deformation, smooth_scalar
 from reference import delta_b_cascade, delta_g_direct, transport_series_terms, w1_trace
@@ -376,3 +380,92 @@ def test_collapsed_surface_raises_degenerate_curvature():
     deform = prescribed_deformation(surf, zero, zero, np.ones(grid.n_nodes), 1.0, 4)
     with pytest.raises(DegenerateCurvatureError, match="determinant vanished"):
         assemble_variation(metric, surf, deform)
+
+
+@pytest.mark.parametrize("other", [FlatMetric, lambda: conformal_radial_metric(0.5)],
+                         ids=["flat", "equal_instance"])
+def test_kernels_reject_a_metric_not_the_surfaces(curved24, other):
+    # the kernels evaluate surface.metric in a state's caches and key the
+    # transport cache by the metric's identity, so a metric other than the
+    # surface's own object, even an equal one, is an error, not a mix of two
+    metric, surf = curved24
+    other = other()
+    a1d, a2d, cd = (smooth_scalar(surf.grid, seed, 2e-2) for seed in (1, 2, 3))
+    deform = prescribed_deformation(surf, a1d, a2d, cd, 0.01, 2)
+    gvar, bvar, fwd = assemble_variation(metric, surf, deform)
+    kernels = {
+        "assemble_coefficients": lambda m: assemble_coefficients(m, surf, deform),
+        "gdef_normal_residual": lambda m: gdef_normal_residual(m, surf, deform),
+        "delta_g": lambda m: delta_g(m, surf, deform.z, deform.dz),
+        "delta_b": lambda m: delta_b(m, surf, deform, fwd, gvar),
+        "assemble_variation": lambda m: assemble_variation(m, surf, deform),
+        "assemble_rates": lambda m: assemble_rates(m, surf, deform, gvar, bvar,
+                                                   deform.rate_displacement(), a1d, a2d),
+    }
+    for name, kernel in kernels.items():
+        kernel(metric)
+        with pytest.raises(MgError, match="not the surface's own"):
+            kernel(other)
+
+
+def test_curved_assembly_forms_contractions_only(monkeypatch):
+    # one step's assembly on a 32x64 conformal_radial 0.5 cap at a 10-step
+    # history, as a flow's steady step makes it: cdot sweeps, both
+    # variations on the final trial history, the rates, the right-hand side
+    # and the G monitor.  Gamma and d a at the displaced points enter only
+    # contracted, a(y + z) is evaluated once for the state, and the carried
+    # normal needs no batched solve
+    metric = conformal_radial_metric(0.5)
+    surf = build_surface(SphereCapImmersion(1.0, 0.5), metric, DiskGrid(32, 64),
+                         ci_tol=1e-5)
+    grid, dt = surf.grid, 0.005
+    a1d, a2d, cd = (smooth_scalar(grid, seed, 2e-2) for seed in (4, 5, 6))
+    before = prescribed_deformation(surf, a1d, a2d, cd, 9 * dt, 9)
+    deform = prescribed_deformation(surf, a1d, a2d, cd, 10 * dt, 10)
+    prev = assemble_coefficients(metric, surf, before)
+    prev_m4 = assemble_variation(metric, surf, before)[1].m4
+    # the state's own propagator, which the flow's monitors formed when
+    # they made the state; its prefix serves every trial history
+    transport_propagator(metric, surf.y, deform.history)
+    counts = Counter()
+
+    def counted(name, real, at_surface_too=True):
+        def wrapper(*args, **kwargs):
+            if at_surface_too or args[-1] is not surf.y:
+                counts[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in ("christoffel", "christoffel_contract", "dmetric_contract"):
+        monkeypatch.setattr(metric, name, counted(name, getattr(metric, name)))
+    for name in ("metric", "dmetric"):
+        monkeypatch.setattr(metric, name, counted(name, getattr(metric, name), False))
+    monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
+
+    hists = []
+
+    def coeff_fn(cdot_iter):
+        hists.append(deform.history_with_rates(a1d, a2d, cdot_iter))
+        return assemble_coefficients(metric, surf, deform, history=hists[-1],
+                                     prev=prev, dt=dt)
+
+    sol = solve_cdot(surf, coeff_fn, deform.a1, deform.a2, a1d, a2d, PathIntegrator(grid),
+                     da=deform.da)
+    # the last sweep's trial history is at the returned cdot
+    hist = hists[-1]
+    gvar, bvar, fwd = assemble_variation(metric, surf, deform, history=hist)
+    rates = assemble_rates(metric, surf, deform, gvar, bvar, hist.zdot[-1], a1d, a2d,
+                           prev_m4=prev_m4, dt=dt)
+    rhs_psi(surf, sol.coeffs, deform, rates, equation_coefficients(surf).qb0,
+            sol.p_field, prev_psi1=np.zeros(grid.n_nodes), dt=dt)
+    gdef_normal_residual(metric, surf, deform)
+    # each cdot sweep's trial history integrates its final interval (two
+    # stage points), and Delta(B) contracts Gamma_t with n_t once
+    assert sol.iterations >= 2
+    assert counts == {"metric": 1, "dmetric_contract": 1,
+                      "christoffel_contract": 2 * sol.iterations + 1}
+    # the rebuild oracle is independent: it evaluates a(y + z) itself, and
+    # contracts Gamma with its own normal
+    counts.clear()
+    gauss_curvature_of(grid, metric, surf.y + deform.z)
+    assert counts == {"metric": 1, "christoffel_contract": 1}

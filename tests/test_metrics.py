@@ -4,6 +4,7 @@ import pytest
 from mgdeform.errors import DegenerateMetricError
 from mgdeform.metrics import (
     AmbientMetric,
+    ConformalMetric,
     FlatMetric,
     check_positive_definite,
     christoffel_at,
@@ -13,6 +14,7 @@ from mgdeform.metrics import (
     norm_monitor,
 )
 
+from helpers import RadialWarpedMetric
 from reference import metric_compatibility_residual
 
 
@@ -64,6 +66,61 @@ def test_closed_form_rejects_degenerate_points(y, det):
     for path in (christoffel_at, AmbientMetric.christoffel):
         with pytest.raises(DegenerateMetricError, match=message), np.errstate(invalid="ignore"):
             path(metric, pts)
+
+
+CONFORMAL = pytest.mark.parametrize(
+    "metric", [conformal_radial_metric(0.5), conformal_linear_metric((0.3, 0.0, 0.2))],
+    ids=["conformal_radial", "conformal_linear"])
+
+
+@CONFORMAL
+def test_closed_form_contractions_match_the_symbols(metric):
+    # G[g, b] = Gamma^g_{ab} u^a and d_s a_{ab} u^s in closed form against
+    # the base class's contractions of ``christoffel`` and ``dmetric``,
+    # relative to each point's largest entry
+    rng = np.random.default_rng(7)
+    pts = rng.uniform(-1.5, 1.5, size=(2049, 3))
+    u = rng.normal(size=(3, 2049))
+    for name in ("christoffel_contract", "dmetric_contract"):
+        closed = getattr(metric, name)(pts, u)
+        general = getattr(AmbientMetric, name)(metric, pts, u)
+        assert closed.shape == general.shape == (3, 3, 2049), name
+        scale = np.max(np.abs(general), axis=(0, 1))
+        assert np.max(np.abs(closed - general) / scale) <= 1e-15, name
+    # batch axes of y stay last, as in ``christoffel``
+    pts, u = pts[:2048].reshape(64, 32, 3), u[:, :2048].reshape(3, 64, 32)
+    assert metric.christoffel_contract(pts, u).shape == (3, 3, 64, 32)
+    assert metric.dmetric_contract(pts, u).shape == (3, 3, 64, 32)
+
+
+def test_flat_and_general_contractions():
+    # zeros in a flat metric; a plug-in with only metric and dmetric gets
+    # the base class's contractions of its general-path symbols
+    rng = np.random.default_rng(8)
+    pts, u = rng.uniform(-1.0, 1.0, size=(5, 3)), rng.normal(size=(3, 5))
+    for name in ("christoffel_contract", "dmetric_contract"):
+        assert np.array_equal(getattr(FlatMetric(), name)(pts, u), np.zeros((3, 3, 5)))
+    warped = RadialWarpedMetric(0.5)
+    gamma = christoffel_at(warped, pts)
+    assert np.array_equal(warped.christoffel_contract(pts, u),
+                          np.einsum("gabn,an->gbn", gamma, u))
+    da = np.moveaxis(warped.dmetric(pts), 0, -1)
+    assert np.array_equal(warped.dmetric_contract(pts, u), np.einsum("absn,sn->abn", da, u))
+
+
+@pytest.mark.parametrize("y, det", [((-1.0, 0.0, 0.0), "det=8.757e-27"),
+                                    ((np.nan, 0.0, 0.0), "det=nan")],
+                         ids=["det_below_bound", "nan_point"])
+def test_closed_form_contraction_rejects_degenerate_points(y, det):
+    # the contraction checks det a = e^{6 phi} as ``christoffel`` does, with
+    # the same message
+    metric = conformal_linear_metric((10.0, 0.0, 0.0))
+    pts = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], y, y])
+    u = np.ones((3, 4))
+    message = rf"at 2 point\(s\); first offending index \(2,\), {det}"
+    for path in (ConformalMetric.christoffel_contract, AmbientMetric.christoffel_contract):
+        with pytest.raises(DegenerateMetricError, match=message), np.errstate(invalid="ignore"):
+            path(metric, pts, u)
 
 
 def test_conformal_linear_christoffel_pattern():

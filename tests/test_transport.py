@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -180,17 +182,64 @@ def test_transport_normal_norm_preserved_curved():
     assert np.max(np.abs(np.einsum("gbn,bn->gn", back, res.n_t) - n0.T)) < 1e-14
 
 
+def test_carried_normal_inverts_the_backward_map(curved_cap, monkeypatch):
+    # n_t = B^-1 n_0 from B's adjugate at every node of a curved cap, with
+    # no batched solve: B n_t = n_0 to 1e-14
+    metric, surf = curved_cap
+    rates = [smooth_scalar(surf.grid, seed, 0.2) for seed in range(3)]
+    deform = prescribed_deformation(surf, *rates, 0.05, 10)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("batched solve called")
+
+    monkeypatch.setattr(np.linalg, "solve", no_solve)
+    res = transport_normal(metric, surf.y, deform.history, surf.n)
+    back = transport_propagator(metric, surf.y, deform.history).backward
+    assert np.max(np.abs(back - np.eye(3)[:, :, None])) > 1e-3
+    assert np.max(np.abs(np.einsum("gbn,bn->gn", back, res.n_t) - surf.n.T)) <= 1e-14
+
+
+def test_singular_backward_map_raises():
+    # det B must be finite and positive: a zero, a negative and a NaN
+    # determinant each name their node
+    n0 = np.tile([[0.0], [0.0], [1.0]], (1, 4))
+    for bad, det in ((np.diag([1.0, 1.0, 0.0]), "0.000e+00"),
+                     (np.diag([1.0, -1.0, 1.0]), "-1.000e+00"),
+                     (np.diag([1.0, np.nan, 1.0]), "nan")):
+        back = np.repeat(np.eye(3)[:, :, None], 4, axis=2)
+        back[:, :, 2] = bad
+        with pytest.raises(MgError, match=re.escape(f"singular at node 2, det={det}")), \
+                np.errstate(invalid="ignore"):
+            transport._carried_normal(back, n0)
+
+
+def test_hermite_end_sample_is_the_sample():
+    # at s = 1 the interval's end sample itself, which the cubic reproduces
+    # bit for bit
+    y0, h = _quadratic_paths([0.0, 0.03, 0.05, 0.11])
+    for m in range(h.n_steps):
+        z, zd = h.hermite(m, 1.0)
+        assert z is h.z[m + 1] and zd is h.zdot[m + 1]
+        dt = h.tau[m + 1] - h.tau[m]
+        # the cubic at s = 1: h01 = 1 and g11 = 1, every other weight 0
+        assert np.array_equal(0.0 * h.z[m] + 0.0 * dt * h.zdot[m] + 1.0 * h.z[m + 1]
+                              + 0.0 * dt * h.zdot[m + 1], z)
+        assert np.array_equal((0.0 * h.z[m] + 0.0 * h.z[m + 1]) / dt + 0.0 * h.zdot[m]
+                              + 1.0 * h.zdot[m + 1], zd)
+
+
 @pytest.fixture
 def christoffel_calls(monkeypatch):
-    """Counts christoffel_at evaluations made through the transport module."""
+    """Names each Christoffel evaluation of a conformal metric:
+    "christoffel_contract" for Gamma(u(tau)) zdot at a stage point,
+    "christoffel" for a full (3, 3, 3, N) tensor."""
     calls = []
-    real = metrics.christoffel_at
+    for name in ("christoffel_contract", "christoffel"):
+        def counting(self, *args, _real=getattr(metrics.ConformalMetric, name), _name=name):
+            calls.append(_name)
+            return _real(self, *args)
 
-    def counting(metric, points):
-        calls.append(1)
-        return real(metric, points)
-
-    monkeypatch.setattr(transport, "christoffel_at", counting)
+        monkeypatch.setattr(metrics.ConformalMetric, name, counting)
     return calls
 
 
@@ -239,7 +288,8 @@ def test_ode_evaluates_each_stage_point_once(christoffel_calls):
     for direction in ("backward", "forward"):
         christoffel_calls.clear()
         out = transport_tensor_ode(m, y0, h, mat_seed, direction)
-        assert len(christoffel_calls) == 2 * h.n_steps + 1   # 4 M before sharing
+        # one contraction per stage point (4 M before sharing), no full tensor
+        assert christoffel_calls == ["christoffel_contract"] * (2 * h.n_steps + 1)
         assert np.array_equal(out, _per_stage_rk4(m, y0, h, mat_seed, direction))
         out = transport_tensor_ode(m, y0, h, vec_seed, direction)
         ref = _per_stage_rk4(m, y0, h, vec_seed[..., None], direction)[..., 0]
@@ -263,26 +313,27 @@ def test_propagator_takes_one_rk4_step_per_interval():
 def test_each_extension_makes_one_rk4_step(monkeypatch):
     # one map per interval: a fresh propagator makes one RK4 step per
     # interval, a trial rate one for the final interval, and an advance one
-    # more for the interval it commits
+    # more for the interval it commits; each step is seeded with the
+    # identity (a = None), so its first stage is G itself
     calls = []
     real = transport._rk4_step
 
     def counting(*args):
-        calls.append(1)
+        calls.append(args[3])
         return real(*args)
 
     monkeypatch.setattr(transport, "_rk4_step", counting)
     m = conformal_radial_metric(0.7)
     y0, h = _quadratic_paths(np.linspace(0.0, 0.5, 8))
     transport_propagator(m, y0, h)
-    assert len(calls) == h.n_steps
+    assert calls == [None] * h.n_steps
     calls.clear()
     transport_propagator(m, y0, h.replace_final_rate(1.1 * h.zdot[-1]))
-    assert len(calls) == 1
+    assert calls == [None]
     calls.clear()
     transport_propagator(m, y0, h.advance(h.tau[1], h.z[-1] + h.tau[1] * h.zdot[-1],
                                           h.zdot[-1]))
-    assert len(calls) == 2
+    assert calls == [None, None]
 
 
 def test_carried_normal_converges_at_fourth_order():
@@ -363,9 +414,9 @@ def test_cached_propagator_matches_full_recomputation(curved_cap, christoffel_ca
             assert np.array_equal(hist.zdot[:-2], old.zdot[:-1])
         christoffel_calls.clear()
         prop = transport_propagator(metric, y0, hist)
-        # the cached prefix leaves the final interval (2 evaluations), plus
+        # the cached prefix leaves the final interval (2 contractions), plus
         # one more interval after an advance
-        assert len(christoffel_calls) == (2 if kind == "replace" else 4)
+        assert christoffel_calls == ["christoffel_contract"] * (2 if kind == "replace" else 4)
         assert transport_propagator(metric, y0, hist) is prop
         _check_against_full(metric, y0, hist, surf.y2 + hist.z[-1])
 
@@ -376,7 +427,7 @@ def test_cached_propagator_matches_full_recomputation(curved_cap, christoffel_ca
         child = hist.replace_final_rate(rate(90))
         christoffel_calls.clear()
         prop = transport_propagator(other_metric, other_y0, child)
-        assert len(christoffel_calls) == 2 * child.n_steps + 1
+        assert christoffel_calls == ["christoffel_contract"] * (2 * child.n_steps + 1)
         _check_against_full(other_metric, other_y0, child, surf.y1)
 
 
