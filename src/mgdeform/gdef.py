@@ -105,7 +105,7 @@ class DeformationState:
     @cached_property
     def gamma0_z(self):
         """Gamma0(., z) = Gamma^a_{bs}(y) z^b as (a, s, N)."""
-        return np.einsum("absn,bn->asn", self.surface.ambient_gamma, node_last(self.z))
+        return self.surface.metric.christoffel_contract(self.surface.y, node_last(self.z))
 
     @cached_property
     def frame_bracket(self):

@@ -27,11 +27,11 @@ order of the full sum, so a curved result keeps its bits.  |n_t| differs
 from 1 by round-off even in a flat metric, so Delta(B)'s normalization
 terms stay.
 
-The kernels read a(y + z) from the state's cache (``DeformationState
-.ambient_a``) and meet Gamma and d a at the displaced points only
-contracted, through the metric's ``christoffel_contract`` and
-``dmetric_contract``; at the surface points they read the stored Gamma0 and
-d a0.  Each kernel's ``metric`` must be ``surface.metric``.
+The kernels read a(y + z) and Gamma0(., z) from the state's caches
+(``DeformationState.ambient_a`` and ``.gamma0_z``) and meet Gamma and d a,
+at the surface points and the displaced points alike, only contracted,
+through the metric's ``christoffel_contract`` and ``dmetric_contract``.
+Each kernel's ``metric`` must be ``surface.metric``.
 """
 
 from __future__ import annotations
@@ -101,22 +101,20 @@ class EquationCoefficients:
     qb0: np.ndarray
 
 
-def delta_g(metric: AmbientMetric, surface: SurfaceState, z, zder,
-            ambient_a=None) -> GVariation:
-    """First-form variation, no linearization in z; z is the (N, 3) point
-    vector and zder its node-last partials z_,i, (3, 2, N).  ``ambient_a``
-    is a(y + z) node-last when the caller holds it, as a state caches it.
-    The terms in da, Gamma and a_t - a0 are formed only in a curved metric."""
+def delta_g(metric: AmbientMetric, surface: SurfaceState,
+            deform: DeformationState) -> GVariation:
+    """First-form variation at the state's displacement, no linearization
+    in z.  The terms in da, Gamma and a_t - a0 are formed only in a curved
+    metric; Gamma0 is symmetric in its lower indices, so D*z's connection
+    term Gamma0(y_,j, z) is the state's ``gamma0_z`` applied to y_,j."""
     require_surface_metric(metric, surface)
     tang, a0 = surface.tang, surface.ambient_a
-    a_t = ambient_a if ambient_a is not None else node_last(metric.metric(surface.y + z))
+    zder, a_t = deform.dz, deform.ambient_a
     dstar_z = zder
     curved_terms = []
     if not metric.is_flat():
-        z_l = node_last(z)
-        da0z = np.einsum("absn,sn->abn", surface.ambient_da, z_l)
-        gz = np.einsum("agsn,sn->agn", surface.ambient_gamma, z_l)
-        dstar_z = zder + np.einsum("agn,gjn->ajn", gz, tang)
+        da0z = metric.dmetric_contract(surface.y, node_last(deform.z))
+        dstar_z = zder + np.einsum("agn,gjn->ajn", deform.gamma0_z, tang)
         da_t = a_t - a0
         mid = _form_product(da_t - da0z, tang, tang)
         cross = _form_product(da_t, tang, zder)
@@ -193,7 +191,7 @@ def assemble_variation(metric, surface, deform: DeformationState, history=None):
     must end at the state's displacement and only swaps the final rate."""
     require_surface_metric(metric, surface)
     hist = history if history is not None else deform.history
-    gvar = delta_g(metric, surface, deform.z, deform.dz, ambient_a=deform.ambient_a)
+    gvar = delta_g(metric, surface, deform)
     fwd = transport_normal(metric, surface.y, hist, surface.n, ambient_a=deform.ambient_a)
     bvar = delta_b(metric, surface, deform, fwd, gvar)
     return gvar, bvar, fwd
@@ -233,7 +231,7 @@ def assemble_rates(metric: AmbientMetric, surface: SurfaceState,
     w1dot_curved, dgdot_curved = [], []
     if not metric.is_flat():
         da_t_zdot = metric.dmetric_contract(surface.y + deform.z, zdot_l)
-        da0_zdot = np.einsum("absn,sn->abn", surface.ambient_da, zdot_l)
+        da0_zdot = metric.dmetric_contract(surface.y, zdot_l)
         t1 = _form_product(da_t_zdot - da0_zdot, tang, tang)
         t2 = _form_product(da_t_zdot, tang, zder)
         t3 = _form_product(a_t - a0, tang, zdot_der)
@@ -241,7 +239,7 @@ def assemble_rates(metric: AmbientMetric, surface: SurfaceState,
         w1dot_curved = [_gtrace(g_inv, t1), 2 * _gtrace(g_inv, t2),
                         2 * _gtrace(g_inv, t3), _gtrace(g_inv, t4)]
         dgdot_curved = [t1, _sym(t2), _sym(t3), t4]
-        gzd = np.einsum("agsn,sn->agn", surface.ambient_gamma, zdot_l)
+        gzd = metric.christoffel_contract(surface.y, zdot_l)
         dstar_zdot = zdot_der + np.einsum("agn,gjn->ajn", gzd, tang)
 
     t5 = _form_product(a_t, zdot_der, zder)

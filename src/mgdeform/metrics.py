@@ -4,39 +4,31 @@ A metric plug-in evaluates the symmetric tensor a[alpha, beta] at batches of
 ambient points, together with its first coordinate derivatives, both in
 closed form; there is no finite-difference fallback.
 
-Override points of a plug-in (subclass ``AmbientMetric``):
+The paper's transport, variations and coefficients meet the connection only
+contracted with a vector, so a plug-in offers Gamma and d a only as
+contractions and the symbols are never stored.  Its override points
+(subclass ``AmbientMetric``):
 
-- ``metric(y)`` and ``dmetric(y)`` a plug-in must supply; the base class
-  raises ``NotImplementedError`` for either.
-- ``christoffel(y)`` returns the symbols Gamma^g_{ab} at points ``y`` and
-  raises ``DegenerateMetricError`` where the metric is not positive definite.
-  The default is the general path: it checks the leading minors, inverts the
-  N batched 3x3 metrics and builds the symbols from ``dmetric``.  A plug-in
-  whose symbols have a closed form overrides it: ``FlatMetric`` returns
-  zeros, and ``ConformalMetric`` (a = e^{2 phi} delta) returns
-  Gamma^g_{ab} = delta^g_a d_b phi + delta^g_b d_a phi - delta_ab d_g phi,
-  with det a = e^{6 phi}.
+- ``metric(y)`` and ``dmetric(y)``, which a plug-in must supply; the base
+  class raises ``NotImplementedError`` for either.
 - ``christoffel_contract(y, u)`` returns G[g, b] = Gamma^g_{ab}(y) u^a for
-  one vector u per point, with the same positivity check.  The default
-  contracts ``christoffel``.  ``ConformalMetric`` overrides it with
-  (grad phi . u) delta^g_b + u^g d_b phi - d^g phi u_b, and ``FlatMetric``
-  returns zeros.
+  one vector u per point, and raises ``DegenerateMetricError`` where the
+  metric is not positive definite.  The default is the general path: it
+  checks the leading minors, inverts the batched 3x3 metrics and builds the
+  symbols from ``dmetric``.  A plug-in whose symbols have a closed form
+  overrides it: ``ConformalMetric`` (a = e^{2 phi} delta, det a = e^{6 phi})
+  with (grad phi . u) delta^g_b + u^g d_b phi - d^g phi u_b, and
+  ``FlatMetric`` with zeros.
 - ``dmetric_contract(y, u)`` returns d_s a_{ab}(y) u^s.  The default
   contracts ``dmetric``.  ``ConformalMetric`` overrides it with
-  2 e^{2 phi} (grad phi . u) delta_ab, and ``FlatMetric`` returns zeros.
-
-The kernels at displaced points y + z need only these contractions, so
-they call the two ``*_contract`` methods and never form the (3, 3, 3) field
-there.  ``christoffel_at(metric, points)`` is the entry point for the full
-symbols, which ``build_surface`` stores at the surface points.
+  2 e^{2 phi} (grad phi . u) delta_ab, and ``FlatMetric`` with zeros.
 
 Index conventions on arrays: metric (..., a, b); first derivative
 (..., a, b, s) meaning d a_{ab} / d y^s, both with the batch axes of ``y``
-first, as plug-ins evaluate them.  The Christoffel symbols are node-last,
-(g, a, b, ...) for Gamma^g_{ab} with the batch axes of ``y`` last, the layout
-the per-node kernels contract in.  The vector u of a contraction and its
-results are node-last too: u is (3, ...), G is (g, b, ...) and the
-contracted derivative (a, b, ...), with the batch axes of ``y`` last.
+first, as plug-ins evaluate them.  The vector u of a contraction and its
+results are node-last: u is (3, ...), G is (g, b, ...) and the contracted
+derivative (a, b, ...), with the batch axes of ``y`` last, the layout the
+per-node kernels contract in.
 """
 
 from __future__ import annotations
@@ -45,13 +37,6 @@ import numpy as np
 
 from ._contract import node_last
 from .errors import DegenerateMetricError
-
-# Gamma^g_{ab} of e^{2 phi} delta is _CONFORMAL_PATTERN[g, a, b, c] d_c phi:
-# delta^g_a delta_bc + delta^g_b delta_ac - delta_ab delta^g_c, entries 0, +-1
-_EYE = np.eye(3)
-_CONFORMAL_PATTERN = (np.einsum("ga,bc->gabc", _EYE, _EYE)
-                      + np.einsum("gb,ac->gabc", _EYE, _EYE)
-                      - np.einsum("ab,gc->gabc", _EYE, _EYE))
 
 
 class AmbientMetric:
@@ -63,27 +48,21 @@ class AmbientMetric:
     def dmetric(self, y):
         raise NotImplementedError
 
-    def christoffel(self, y):
-        """General path: Gamma^g_{ab} = 0.5 a^{gm} (d_a a_{mb} + d_b a_{ma} -
-        d_m a_{ab}) as (g, a, b, ...), after the positivity check of every
-        point."""
+    def christoffel_contract(self, y, u):
+        """G[g, b, ...] = Gamma^g_{ab}(y) u^a for node-last u (3, ...), after
+        the positivity check of every point.  General path: the symbols
+        Gamma^g_{ab} = 0.5 a^{gm} (d_a a_{mb} + d_b a_{ma} - d_m a_{ab})
+        from ``dmetric``, contracted with u."""
+        y = np.asarray(y, dtype=float)
         a = self.metric(y)
         ok, det = check_positive_definite(a)
         _require_positive(ok, det)
-        # computed node-last over the flattened batch points p
-        da = node_last(self.dmetric(y).reshape((-1, 3, 3, 3)))   # (a, b, s, p)
+        # computed node-last over the flattened batch points n
+        da = node_last(self.dmetric(y).reshape((-1, 3, 3, 3)))   # (a, b, s, n)
         ainv = node_last(np.linalg.inv(a).reshape((-1, 3, 3)))
         # lowered: Gamma_{ab,m} = 0.5 (d_a a_{mb} + d_b a_{ma} - d_m a_{ab})
         low = 0.5 * (np.transpose(da, (2, 1, 0, 3)) + np.transpose(da, (1, 2, 0, 3)) - da)
-        gamma = np.einsum("gmp,abmp->gabp", ainv, low)
-        return gamma.reshape((3, 3, 3) + y.shape[:-1])
-
-    def christoffel_contract(self, y, u):
-        """G[g, b, ...] = Gamma^g_{ab}(y) u^a for node-last u (3, ...); by
-        default the contraction of ``christoffel``, with its check."""
-        y = np.asarray(y, dtype=float)
-        # computed node-last over the flattened batch points n
-        gamma = self.christoffel(y).reshape((3, 3, 3, -1))
+        gamma = np.einsum("gmn,abmn->gabn", ainv, low)
         out = np.einsum("gabn,an->gbn", gamma, np.reshape(u, (3, -1)))
         return out.reshape((3, 3) + y.shape[:-1])
 
@@ -111,9 +90,6 @@ class FlatMetric(AmbientMetric):
     def dmetric(self, y):
         y = np.asarray(y, dtype=float)
         return np.zeros(y.shape[:-1] + (3, 3, 3))
-
-    def christoffel(self, y):
-        return np.zeros((3, 3, 3) + y.shape[:-1])
 
     def christoffel_contract(self, y, u):
         return np.zeros((3, 3) + np.shape(y)[:-1])
@@ -150,28 +126,15 @@ class ConformalMetric(AmbientMetric):
         fac = 2.0 * np.exp(2.0 * phi)
         return fac[..., None, None, None] * eye[..., :, :, None] * grad[..., None, None, :]
 
-    def _checked_grad(self, y):
-        """grad phi as (c, p) over the flattened points, after checking
-        det a = e^{6 phi} at every point."""
-        phi = self.phi_fn(y)
-        det = np.exp(6.0 * phi)
-        _require_positive(np.isfinite(det) & (det > 1e-14), det)
-        return node_last(self.grad_fn(y).reshape((-1, 3)))
-
-    def christoffel(self, y):
-        """Closed form: Gamma^g_{ab} = delta^g_a d_b phi + delta^g_b d_a phi -
-        delta_ab d_g phi as (g, a, b, ...), after checking det a = e^{6 phi}
-        at every point."""
-        grad = self._checked_grad(y)
-        gamma = np.einsum("gabc,cp->gabp", _CONFORMAL_PATTERN, grad)
-        return gamma.reshape((3, 3, 3) + y.shape[:-1])
-
     def christoffel_contract(self, y, u):
         """Closed form: G[g, b] = (grad phi . u) delta^g_b + u^g d_b phi -
-        d^g phi u_b, after the check of ``christoffel``; entry by entry, as
-        broadcast outer products of (3, N) fields run several times slower."""
+        d^g phi u_b, after checking det a = e^{6 phi} at every point; entry
+        by entry, as broadcast outer products of (3, N) fields run several
+        times slower."""
         y = np.asarray(y, dtype=float)
-        grad = self._checked_grad(y)
+        det = np.exp(6.0 * self.phi_fn(y))
+        _require_positive(np.isfinite(det) & (det > 1e-14), det)
+        grad = node_last(self.grad_fn(y).reshape((-1, 3)))
         u = np.reshape(u, (3, -1))
         out = np.empty((3, 3, u.shape[-1]))
         out[0, 0] = out[1, 1] = out[2, 2] = grad[0] * u[0] + grad[1] * u[1] + grad[2] * u[2]
@@ -257,13 +220,6 @@ def _require_positive(ok, det):
             f"metric not positive definite at {bad.shape[0]} point(s); "
             f"first offending index {first}, det={det[first]:.3e}"
         )
-
-
-def christoffel_at(metric: AmbientMetric, points):
-    """Christoffel symbols Gamma^g_{ab} of ``metric`` at (..., 3) points as
-    (g, a, b, ...), by the plug-in's ``christoffel``; raises
-    DegenerateMetricError where a is not positive definite."""
-    return metric.christoffel(np.asarray(points, dtype=float))
 
 
 def norm_monitor(metric: AmbientMetric, points):

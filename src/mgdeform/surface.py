@@ -16,7 +16,7 @@ import numpy as np
 from ._contract import node_last
 from .errors import CoordinateError, GeometryError, MgError
 from .grid import DiskGrid
-from .metrics import AmbientMetric, christoffel_at, norm_monitor
+from .metrics import AmbientMetric, norm_monitor
 
 # default bound on the conjugate-isothermal residual, relative to max |V|
 CI_TOL = 1e-6
@@ -114,12 +114,10 @@ class SurfaceState:
     contract it.  The R^3 point arrays keep the (N, 3) form of the plug-in
     interfaces: ``y`` as the chart returns it, and ``n`` as the transpose
     view of its node-last array, so ``n.T`` is free; the tangents ``y1`` and
-    ``y2`` are (N, 3) views of ``tang``.  The only Christoffel symbols kept
-    are the ambient metric's at ``y``.  ``build_surface`` marks every array
+    ``y2`` are (N, 3) views of ``tang``.  ``build_surface`` marks every array
     read-only: the transport prefix cache is keyed by the identity of ``y``
-    and relies on it never changing in place.  The metric derivative at
-    ``y``, which only curved variations read, and the lowered normal, which
-    only curved coefficient assemblies read, are taken on first use.
+    and relies on it never changing in place.  The lowered normal, which
+    only curved coefficient assemblies read, is taken on first use.
     """
 
     grid: DiskGrid
@@ -138,17 +136,9 @@ class SurfaceState:
     V: np.ndarray            # (N,) conjugate isothermal diagonal of b
     K: np.ndarray
     H: np.ndarray
-    ambient_gamma: np.ndarray  # (3, 3, 3, N) Gamma^g_{ab}(y)
-    ambient_a: np.ndarray      # (3, 3, N)
+    ambient_a: np.ndarray    # (3, 3, N)
     ci_residual: float = 0.0
     ci_tol: float = CI_TOL   # the bound build_surface admitted ci_residual under
-
-    @cached_property
-    def ambient_da(self):
-        """(3, 3, 3, N) d a_ab / d y^s at ``y``, read-only."""
-        da = node_last(self.metric.dmetric(self.y))
-        da.flags.writeable = False
-        return da
 
     @cached_property
     def lowered_n(self):
@@ -181,8 +171,9 @@ def raw_fundamental_forms(grid, metric, y, y1=None, y2=None):
     ``gamma_n``, ``b``, ``g_det``, ``b_det``, ``K``): each tensor node-last,
     and ``n`` as the (N, 3) view of its node-last array.  K = det b / det g
     needs no g^-1, and Gamma(y)(y_,j, n) needs only Gamma contracted with n,
-    so ``build_surface``, the one reader of g^-1, H and the full symbols,
-    takes them itself.
+    whose ``christoffel_contract`` also rejects a metric that is not
+    positive definite at ``y``; ``build_surface``, the one reader of g^-1
+    and H, takes them itself.
     """
     if y1 is None:
         tang = grid.grad_last(y.T)                      # (3, 2, N)
@@ -246,7 +237,6 @@ def build_surface(immersion: Immersion, metric: AmbientMetric, grid: DiskGrid,
     y = immersion.chart(grid.x1, grid.x2)
     jac = immersion.jacobian(grid.x1, grid.x2)
     forms = raw_fundamental_forms(grid, metric, y, jac[..., 0], jac[..., 1])
-    forms["ambient_gamma"] = christoffel_at(metric, y)
     g_inv = node_last(np.linalg.inv(forms["g"].transpose(2, 0, 1)))
     forms["g_inv"] = g_inv
     forms["H"] = 0.5 * np.einsum("ijn,ijn->n", g_inv, forms["b"])

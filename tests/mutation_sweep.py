@@ -1,10 +1,11 @@
-"""Mutation sweep of the numerical kernels: which sign flips does the suite miss?
+"""Mutation sweep of the numerical kernels: which operator swaps does the suite miss?
 
-For each line of the swept modules that holds a binary ` + ` or ` - `
-operator, the first of them is swapped for the other on a temporary copy of
-the repository, and the tier-1 suite runs against that copy, stopping at its
-first failure.  Operators are read with ``tokenize``, so no mutant lands in a
-docstring, a comment or error text: every one is a change to the code.  A
+For each line of the swept modules, the first binary ` + ` or ` - `
+operator is swapped for the other, and so, as a mutant of its own, is the
+first binary ` * ` or ` / `, each on a temporary copy of the repository;
+the tier-1 suite runs against that copy, stopping at its first failure.
+Operators are read with ``tokenize``, so no mutant lands in a docstring, a
+comment or error text: every one is a change to the code.  A
 mutant the suite passes is a survivor; each is printed as
 ``module.py:line: text``, and is a gap in the tests unless the swap is
 equivalent.
@@ -15,7 +16,7 @@ Run by hand from the repository root (pytest does not collect this file):
     python tests/mutation_sweep.py --list    # print the mutants, run none
 
 One mutant takes up to a full suite run, so the default sweep of six modules
-(about 130 mutants) takes tens of minutes per job.
+(about 230 mutants) takes over an hour per job.
 """
 
 from __future__ import annotations
@@ -33,24 +34,26 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = ("kpres", "gdef", "cdot", "transport", "surface", "metrics")
-SWAP = {"+": "-", "-": "+"}
+SWAP = {"+": "-", "-": "+", "*": "/", "/": "*"}
 
 
 def mutants(module):
-    """(line number, mutated line) for each line whose code holds ` + ` or
-    ` - `: the first such operator token of the line, swapped."""
+    """(line number, mutated line) for the first binary ` + ` or ` - ` token
+    of each line's code, swapped, and for its first ` * ` or ` / `."""
     text = (ROOT / "src" / "mgdeform" / f"{module}.py").read_text()
     lines = text.splitlines(True)
     seen = set()
     for tok in tokenize.generate_tokens(io.StringIO(text).readline):
         no, col = tok.start
-        if tok.type != tokenize.OP or tok.string not in SWAP or no in seen:
+        if tok.type != tokenize.OP or tok.string not in SWAP:
             continue
+        key = (no, tok.string in "+-")
         line = lines[no - 1]
         # binary as the code spells it, with a space on either side; a unary
-        # sign, as in ``-x`` or ``(-1, 0)``, is left alone
-        if line[col - 1:col] == " " and line[col + 1:col + 2] == " ":
-            seen.add(no)
+        # sign or star, as in ``-x``, ``(-1, 0)`` or ``*args``, is left alone,
+        # and ``**``, ``//`` and the augmented assignments are other tokens
+        if key not in seen and line[col - 1:col] == " " and line[col + 1:col + 2] == " ":
+            seen.add(key)
             yield no, line[:col] + SWAP[tok.string] + line[col + 1:]
 
 

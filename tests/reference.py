@@ -11,7 +11,8 @@ computes another way, or a diagnostic of a bound the package relies on:
 - transport over a whole history by RK4 (optionally several substeps per
   interval) and by its nested-integral series, with the path norms of the
   series bound;
-- the metric-compatibility residual of a Christoffel plug-in, the displaced
+- the Christoffel symbols of a metric plug-in by the textbook formula, the
+  metric-compatibility residual of its contractions, the displaced
   first form by recomputation and its trace W1, the second-form variation
   and the coefficient families S_(1) to S_(5), T_j, N_j and Q_i by the
   paper's term-by-term cascades, the algebraic G-condition residual and
@@ -30,7 +31,7 @@ from mgdeform.errors import MgError
 from mgdeform.gdef import DeformationState, GDefCoefficients, tangential_grad
 from mgdeform.grid import DiskGrid
 from mgdeform.kpres import _form_product
-from mgdeform.metrics import AmbientMetric, christoffel_at
+from mgdeform.metrics import AmbientMetric
 from mgdeform.surface import SurfaceState
 from mgdeform.transport import (
     TransportHistory,
@@ -400,7 +401,7 @@ def path_norms(metric, y0, history):
     sup_zd = 0.0
     for m in range(history.tau.size):
         pts = y0 + history.z[m]
-        gamma = christoffel_at(metric, pts)   # (g, a, b, n)
+        gamma = christoffel_symbols(metric, pts)   # (g, a, b, n)
         # operator norm compatible with |Gamma zdot v|_inf <= |Gamma| |zdot| |v|_inf
         sup_g = max(sup_g, float(np.max(np.sum(np.abs(gamma), axis=(1, 2)))))
         sup_zd = max(sup_zd, float(np.max(np.abs(history.zdot[m]))))
@@ -417,12 +418,34 @@ def op_inf_norm(mat):
 # --------------------------------------------------------------------------
 
 
+def christoffel_symbols(metric: AmbientMetric, points):
+    """Gamma^g_{ab} = 0.5 a^{gm} (d_a a_{mb} + d_b a_{ma} - d_m a_{ab}) of
+    ``metric`` at (..., 3) points, from its ``metric`` and ``dmetric`` by the
+    textbook formula, as node-last (g, a, b, ...)."""
+    y = np.asarray(points, dtype=float)
+    da = metric.dmetric(y)  # (..., m, b, s) = d_s a_{mb}
+    low = 0.5 * (np.einsum("...mba->...abm", da) + np.einsum("...mab->...abm", da) - da)
+    gamma = np.einsum("...gm,...abm->...gab", np.linalg.inv(metric.metric(y)), low)
+    return np.moveaxis(gamma, (-3, -2, -1), (0, 1, 2))
+
+
+def christoffel_from_contractions(metric: AmbientMetric, points):
+    """The symbols Gamma^g_{ab} at (..., 3) points as node-last (g, a, b, ...),
+    assembled from the plug-in's ``christoffel_contract`` with each basis
+    vector e_a."""
+    y = np.asarray(points, dtype=float)
+    basis = np.eye(3).reshape((3, 3) + (1,) * (y.ndim - 1))
+    return np.stack([metric.christoffel_contract(y, np.broadcast_to(e, (3,) + y.shape[:-1]))
+                     for e in basis], axis=1)
+
+
 def metric_compatibility_residual(metric: AmbientMetric, points):
     """Sup of | d a_{ab}/dy^s - (Gamma_{as,b} + Gamma_{bs,a}) | with the
-    symbols lowered here, Gamma_{as,b} = a_{bg} Gamma^g_{as}."""
+    symbols of the plug-in's contractions lowered here, Gamma_{as,b} =
+    a_{bg} Gamma^g_{as}."""
     y = np.asarray(points, dtype=float)
     da = metric.dmetric(y)  # (..., a, b, s)
-    gamma = np.moveaxis(christoffel_at(metric, y), (0, 1, 2), (-3, -2, -1))
+    gamma = np.moveaxis(christoffel_from_contractions(metric, y), (0, 1, 2), (-3, -2, -1))
     low = np.einsum("...bg,...gas->...asb", metric.metric(y), gamma)
     recon = np.einsum("...asb->...abs", low) + np.einsum("...bsa->...abs", low)
     return float(np.max(np.abs(da - recon)))
@@ -441,7 +464,8 @@ def w1_trace(surface, gvar, z, zder):
     first-form variation beyond its term linear in D*z, whose time rate
     ``assemble_rates`` forms as ``w1dot``; (N, 3) z and node-last (3, 2, N)
     partials z_,i in."""
-    gz = np.einsum("agsn,sn->agn", surface.ambient_gamma, node_last(z))
+    gamma0 = christoffel_symbols(surface.metric, surface.y)
+    gz = np.einsum("agsn,sn->agn", gamma0, node_last(z))
     dstar_z = zder + np.einsum("agn,gjn->ajn", gz, surface.tang)
     lead = _form_product(surface.ambient_a, surface.tang, dstar_z)
     return np.einsum("ijn,ijn->n", surface.g_inv, gvar.dg_ij - 2.0 * lead)
@@ -456,12 +480,13 @@ def delta_b_cascade(metric, surface, deform, fwd, gvar):
     """
     grid = surface.grid
     tang, n0 = surface.tang, surface.n.T
-    a0, gamma0, b0 = surface.ambient_a, surface.ambient_gamma, surface.b
+    a0, b0 = surface.ambient_a, surface.b
+    gamma0 = christoffel_symbols(metric, surface.y)
     zder = deform.dz
     tang_t = tang + zder
     pts = surface.y + deform.z
     a_t = node_last(metric.metric(pts))
-    gamma_t = christoffel_at(metric, pts)
+    gamma_t = christoffel_symbols(metric, pts)
     dgamma = gamma_t - gamma0
     n_t = fwd.n_t
     a1_vec = n_t - n0
@@ -548,7 +573,8 @@ def s_cascade(metric, surface, deform, history=None):
     a1_term = node_last(transport_series_terms(metric, surface.y, hist, 1, "backward")[0])
     s2 = s1 - a1_term
 
-    gz = np.einsum("absn,bn->asn", surface.ambient_gamma, node_last(deform.z))
+    gz = np.einsum("absn,bn->asn", christoffel_symbols(metric, surface.y),
+                   node_last(deform.z))
     m1_core = a1_term - gz
     s3 = np.einsum("asn,sin->ain", m1_core + s2, tang)
 

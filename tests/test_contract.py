@@ -11,12 +11,11 @@ SOURCE = "".join(path.read_text() for path in SRC.glob("*.py"))
 # each per-node contraction of the flow step, in its node-first reading, and
 # the node-last subscripts the kernels run it with
 NODE_LAST = {
-    "...gm,...abm->...gab": "gmp,abmp->gabp",
+    "...gm,...abm->...gab": "gmn,abmn->gabn",
     "na,nas->ns": "an,asn->sn",
     "nab,nai,nb->ni": "abn,ain,bn->in",
     "nab,nai,nbj->nij": "abn,ain,bjn->ijn",
     "nab,nb->na": "abn,bn->an",
-    "nabs,nb->nas": "absn,bn->asn",
     "nabs,ns->nab": "absn,sn->abn",
     "nag,ngj->naj": "agn,gjn->ajn",
     "ngab,na->ngb": "gabn,an->gbn",

@@ -258,29 +258,28 @@ def test_curved_metric_flow_meets_acceptance_bounds(monkeypatch):
     cfg = FlowConfig(t_final=0.05, dt=0.005)
     state = init_flow(metric, surf, boundary, cfg)
     calls = []
-    for name in ("christoffel", "christoffel_contract"):
-        def counting(self, *args, _real=getattr(metrics.ConformalMetric, name), _name=name):
-            calls.append(_name)
-            return _real(self, *args)
+    real = metrics.ConformalMetric.christoffel_contract
 
-        monkeypatch.setattr(metrics.ConformalMetric, name, counting)
+    def counting(self, *args):
+        calls.append(1)
+        return real(self, *args)
+
+    monkeypatch.setattr(metrics.ConformalMetric, "christoffel_contract", counting)
     per_step = []
 
     def on_step(rec):
-        per_step.append(Counter(calls))
+        per_step.append(len(calls))
         calls.clear()
 
     rep = run_flow(state, on_step)
-    # past the set-up, every consumer of Gamma at displaced points (the RK4
-    # stage points, Delta(B) and the rebuild oracle) asks for a contraction
-    # and no step forms the full symbols.  The transport prefix is cached on
-    # the history, so a step's contractions do not grow with the history
-    # length: past a fixed part they are a fixed count per assembler call
-    assert all(c["christoffel"] == 0 for c in per_step)
+    # every consumer of Gamma (the RK4 stage points, the coefficients,
+    # Delta(G), Delta(B), the rates and the rebuild oracle) asks for a
+    # contraction.  The transport prefix is cached on the history, so a
+    # step's contractions do not grow with the history length: past a fixed
+    # part they are a fixed count per assembler call
     passes = [r.bvp_passes for r in state.records]
-    per_pass = 5
-    assert len({c["christoffel_contract"] - per_pass * p
-                for c, p in zip(per_step[2:], passes[2:])}) == 1
+    per_pass = 6
+    assert len({c - per_pass * p for c, p in zip(per_step[2:], passes[2:])}) == 1
     # the cold step 0 needs many passes; each inner GMRES starts from the
     # previous pass's solution
     assert state.records[0].bvp_iterations <= 150
@@ -296,20 +295,19 @@ def test_curved_metric_flow_meets_acceptance_bounds(monkeypatch):
     assert rep["max_rate_sup"] > 1e-4
 
 
-def test_metric_derivative_at_the_surface_taken_once(monkeypatch):
-    # d a at y is a surface constant, taken once on first use; a curved
-    # steady step meets d a at the displaced points only contracted with
-    # zdot, once per rate assembly, which is once per outer pass, and never
-    # forms the (N, 3, 3, 3) tensor there
+def test_flow_never_forms_the_metric_derivative(monkeypatch):
+    # the flow meets d a only contracted, at the surface points and the
+    # displaced points alike: over init_flow and four steps it never forms
+    # the (N, 3, 3, 3) tensor.  Delta(G) contracts it with z at y, and the
+    # rates with zdot at y and at y + z
     metric = conformal_radial_metric(0.5)
     surf = build_surface(SphereCapImmersion(1.0, 0.5), metric, DiskGrid(16, 32),
                          ci_tol=1e-5)
-    state = init_flow(metric, surf, BoundarySpec(), FlowConfig(t_final=0.02, dt=0.005))
     real, real_contract = metric.dmetric, metric.dmetric_contract
-    at_y, displaced, contracted = [], [], []
+    formed, contracted = [], []
 
     def counting(y):
-        (at_y if y is surf.y else displaced).append(1)
+        formed.append(1)
         return real(y)
 
     def counting_contract(y, u):
@@ -318,17 +316,22 @@ def test_metric_derivative_at_the_surface_taken_once(monkeypatch):
 
     monkeypatch.setattr(metric, "dmetric", counting)
     monkeypatch.setattr(metric, "dmetric_contract", counting_contract)
+    state = init_flow(metric, surf, BoundarySpec(), FlowConfig(t_final=0.02, dt=0.005))
+    assert formed == contracted == []
     per_step = []
 
     def on_step(rec):
-        per_step.append((len(at_y), len(displaced), len(contracted)))
-        for calls in (at_y, displaced, contracted):
+        per_step.append((len(formed), len(contracted)))
+        for calls in (formed, contracted):
             calls.clear()
 
     run_flow(state, on_step)
-    assert [y for y, _, _ in per_step] == [1, 0, 0, 0]
-    assert [d for _, d, _ in per_step] == [0, 0, 0, 0]
-    assert [c for _, _, c in per_step[1:]] == [r.bvp_passes for r in state.records[1:]]
+    assert [f for f, _ in per_step] == [0, 0, 0, 0]
+    # two contractions per pass for the rates, and one for Delta(G) of each
+    # state whose variation is formed: the step's new state, and at step 0
+    # also the initial state and each pass's virtual forward state
+    passes = [r.bvp_passes for r in state.records]
+    assert [c for _, c in per_step] == [3 * passes[0] + 2] + [2 * p + 1 for p in passes[1:]]
 
 
 class GeneralPathMetric(AmbientMetric):
@@ -722,13 +725,12 @@ def test_step_zero_differentiates_no_zero_field(flat_cap, monkeypatch):
     step(state)
 
 
-def _rotated_chart_flow(metric, winding, s):
-    """Four steps on the cap in the chart rotated by s angle slots, with the
-    boundary phases mapped to the same tangent field and rate."""
+def _rotated_chart_flow(metric, immersion, winding, s):
+    """Four steps on ``immersion`` in the chart rotated by s angle slots, with
+    the boundary phases mapped to the same tangent field and rate."""
     grid = DiskGrid(16, 32)
     alpha = 2 * np.pi * s / grid.n_theta
-    surf = build_surface(ChartRotated(SphereCapImmersion(1.0, 0.5), alpha), metric, grid,
-                         ci_tol=1e-5)
+    surf = build_surface(ChartRotated(immersion, alpha), metric, grid, ci_tol=1e-5)
     boundary = BoundarySpec(winding=winding, phase=-(winding + 1) * alpha,
                             gamma_kind="harmonic", epsilon=0.05, mode=2,
                             gamma_phase=2 * alpha)
@@ -737,21 +739,26 @@ def _rotated_chart_flow(metric, winding, s):
     return state
 
 
-@pytest.mark.parametrize("metric_kind, winding", [
-    ("flat", 0), ("flat", 1), ("flat", 2),
-    ("conformal_linear", 1), ("conformal_linear", 2),
-    ("conformal_radial", 1), ("conformal_radial", 2),
-])
-def test_flow_is_equivariant_under_chart_rotation(metric_kind, winding):
+@pytest.mark.parametrize("metric_kind, winding, surface_kind", [
+    pytest.param(kind, winding, "sphere_cap", id=f"{kind}-{winding}")
+    for kind, winding in (("flat", 0), ("flat", 1), ("flat", 2),
+                          ("conformal_linear", 1), ("conformal_linear", 2),
+                          ("conformal_radial", 1), ("conformal_radial", 2))
+] + [pytest.param("flat", winding, "paraboloid", id=f"flat-paraboloid-{winding}")
+     for winding in (1, 2)])
+def test_flow_is_equivariant_under_chart_rotation(metric_kind, winding, surface_kind):
     # y'(x) = y(R x) is the same surface in a rotated chart; with the rim
     # data mapped along, the flow returns the same z and c, read at the
     # shifted nodes, in the same solver iterations (conformal_radial: a
-    # GMRES or cdot count within one)
+    # GMRES or cdot count within one).  The paraboloid's chart is a graph
+    # with a closed-form jacobian, so it meets the same bound as the cap
     metric = {"flat": FlatMetric(),
               "conformal_linear": conformal_linear_metric((0.3, 0.0, 0.2)),
               "conformal_radial": conformal_radial_metric(0.5)}[metric_kind]
-    base = _rotated_chart_flow(metric, winding, 0)
-    rot = _rotated_chart_flow(metric, winding, 5)
+    immersion = {"sphere_cap": SphereCapImmersion(1.0, 0.5),
+                 "paraboloid": make_immersion("paraboloid", {"curv": 1.0})}[surface_kind]
+    base = _rotated_chart_flow(metric, immersion, winding, 0)
+    rot = _rotated_chart_flow(metric, immersion, winding, 5)
     perm = chart_shift(base.surface.grid, 5)
     for name in ("z", "c"):
         want = getattr(base.deform, name)[perm]

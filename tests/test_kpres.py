@@ -24,7 +24,13 @@ from mgdeform.surface import SphereCapImmersion, build_surface, gauss_curvature_
 from mgdeform.transport import transport_normal, transport_propagator
 
 from helpers import CURVED_METRICS, prescribed_deformation, smooth_scalar
-from reference import delta_b_cascade, delta_g_direct, transport_series_terms, w1_trace
+from reference import (
+    christoffel_symbols,
+    delta_b_cascade,
+    delta_g_direct,
+    transport_series_terms,
+    w1_trace,
+)
 
 
 @pytest.fixture(scope="module")
@@ -65,9 +71,8 @@ def test_delta_g_matches_direct(curved24):
     metric, surf = curved24
     a1, a2, c = g_pair(surf, 3, 1e-2)
     deform = prescribed_deformation(surf, a1, a2, c, 1.0, 4)
-    z = deform.history.z[-1]
-    gvar = delta_g(metric, surf, z, deform.dz)
-    direct = delta_g_direct(metric, surf, z, deform.dz)
+    gvar = delta_g(metric, surf, deform)
+    direct = delta_g_direct(metric, surf, deform.z, deform.dz)
     assert np.max(np.abs(gvar.dg_ij - direct)) < 1e-13
 
 
@@ -81,7 +86,7 @@ def test_delta_b_matches_term_by_term_cascade(kind):
     rates = (smooth_scalar(grid, seed, 5e-2) for seed in (51, 52, 53))
     deform = prescribed_deformation(surf, *rates, 0.1, 8)
     gvar, bvar, fwd = assemble_variation(metric, surf, deform)
-    assert np.max(np.abs(surf.ambient_gamma)) > 0.1
+    assert np.max(np.abs(christoffel_symbols(metric, surf.y))) > 0.1
     ref = delta_b_cascade(metric, surf, deform, fwd, gvar)
     for name, want in ref.items():
         got = getattr(bvar, name)
@@ -121,8 +126,7 @@ def test_delta_g_flat_normal_bump_vs_rebuild(flat48):
     c = smooth_scalar(grid, 7, 1e-4)
     zero = np.zeros(grid.n_nodes)
     deform = prescribed_deformation(surf, zero, zero, c, 1.0, 4)
-    z = deform.history.z[-1]
-    gvar = delta_g(metric, surf, z, deform.dz)
+    gvar = delta_g(metric, surf, deform)
     tang_t = surf.tang + deform.dz
     g_new = np.einsum("ab,ain,bjn->ijn", np.eye(3), tang_t, tang_t)
     assert np.max(np.abs(gvar.dg_ij - (g_new - surf.g))) < 1e-10
@@ -235,7 +239,7 @@ def test_w1dot_explicit_matches_finite_difference(curved24):
     vals = {}
     for tt in (t, t + 1e-5):
         deform = prescribed_deformation(surf, a1d, a2d, cd, tt, 8)
-        gv = delta_g(metric, surf, deform.z, deform.dz)
+        gv = delta_g(metric, surf, deform)
         vals[tt] = (w1_trace(surf, gv, deform.z, deform.dz), gv.dg_ij)
     deform = prescribed_deformation(surf, a1d, a2d, cd, t, 8)
     gvar, bvar, _ = assemble_variation(metric, surf, deform)
@@ -257,7 +261,7 @@ def test_p0_takes_the_time_derivative_of_delta_b(curved24):
     grid = surf.grid
     rates = (smooth_scalar(grid, seed, 1e-2) for seed in (71, 72, 73))
     deform = prescribed_deformation(surf, *rates, 0.05, 4)
-    gvar = delta_g(metric, surf, deform.z, deform.dz)
+    gvar = delta_g(metric, surf, deform)
     zdot = deform.rate_displacement()
     seeds = iter(range(300, 400))
 
@@ -396,7 +400,7 @@ def test_kernels_reject_a_metric_not_the_surfaces(curved24, other):
     kernels = {
         "assemble_coefficients": lambda m: assemble_coefficients(m, surf, deform),
         "gdef_normal_residual": lambda m: gdef_normal_residual(m, surf, deform),
-        "delta_g": lambda m: delta_g(m, surf, deform.z, deform.dz),
+        "delta_g": lambda m: delta_g(m, surf, deform),
         "delta_b": lambda m: delta_b(m, surf, deform, fwd, gvar),
         "assemble_variation": lambda m: assemble_variation(m, surf, deform),
         "assemble_rates": lambda m: assemble_rates(m, surf, deform, gvar, bvar,
@@ -412,9 +416,9 @@ def test_curved_assembly_forms_contractions_only(monkeypatch):
     # one step's assembly on a 32x64 conformal_radial 0.5 cap at a 10-step
     # history, as a flow's steady step makes it: cdot sweeps, both
     # variations on the final trial history, the rates, the right-hand side
-    # and the G monitor.  Gamma and d a at the displaced points enter only
-    # contracted, a(y + z) is evaluated once for the state, and the carried
-    # normal needs no batched solve
+    # and the G monitor.  Gamma and d a enter only contracted, a(y + z) is
+    # evaluated once for the state, and the carried normal needs no batched
+    # solve
     metric = conformal_radial_metric(0.5)
     surf = build_surface(SphereCapImmersion(1.0, 0.5), metric, DiskGrid(32, 64),
                          ci_tol=1e-5)
@@ -436,7 +440,7 @@ def test_curved_assembly_forms_contractions_only(monkeypatch):
             return real(*args, **kwargs)
         return wrapper
 
-    for name in ("christoffel", "christoffel_contract", "dmetric_contract"):
+    for name in ("christoffel_contract", "dmetric_contract"):
         monkeypatch.setattr(metric, name, counted(name, getattr(metric, name)))
     for name in ("metric", "dmetric"):
         monkeypatch.setattr(metric, name, counted(name, getattr(metric, name), False))
@@ -460,10 +464,13 @@ def test_curved_assembly_forms_contractions_only(monkeypatch):
             sol.p_field, prev_psi1=np.zeros(grid.n_nodes), dt=dt)
     gdef_normal_residual(metric, surf, deform)
     # each cdot sweep's trial history integrates its final interval (two
-    # stage points), and Delta(B) contracts Gamma_t with n_t once
+    # stage points); the state contracts Gamma0 with z once, for the
+    # coefficients and Delta(G); Delta(B) contracts Gamma_t with n_t, and
+    # the rates Gamma0 with zdot.  Delta(G) contracts d a0 with z, and the
+    # rates d a_t and d a0 with zdot
     assert sol.iterations >= 2
-    assert counts == {"metric": 1, "dmetric_contract": 1,
-                      "christoffel_contract": 2 * sol.iterations + 1}
+    assert counts == {"metric": 1, "dmetric_contract": 3,
+                      "christoffel_contract": 2 * sol.iterations + 3}
     # the rebuild oracle is independent: it evaluates a(y + z) itself, and
     # contracts Gamma with its own normal
     counts.clear()

@@ -14,7 +14,7 @@ from mgdeform.metrics import FlatMetric, conformal_radial_metric
 from mgdeform.surface import SphereCapImmersion, build_surface, make_immersion
 from mgdeform.transport import transport_propagator
 
-from helpers import make_coeff_fn, prescribed_deformation, smooth_scalar
+from helpers import RadialWarpedMetric, make_coeff_fn, prescribed_deformation, smooth_scalar
 
 KERNELS = ("kpres", "gdef", "transport", "metrics", "surface", "cdot")
 
@@ -101,8 +101,9 @@ def test_flow_step_contracts_node_last(monkeypatch):
     # step-0 statics, cdot sweeps, variations, rates, monitors and the rebuild
     # oracle) is one plain einsum with the node axis last and contiguous; the
     # cdot kernel first contracts at step 1, where the coefficients no longer
-    # vanish
-    metric = conformal_radial_metric(0.5)
+    # vanish.  The metric takes the general path, whose symbols and
+    # contractions are einsums; the conformal closed forms form none
+    metric = RadialWarpedMetric(0.5)
     grid = DiskGrid(16, 32)
     real = np.einsum
     seen, bad = set(), []

@@ -7,7 +7,6 @@ from mgdeform.metrics import (
     ConformalMetric,
     FlatMetric,
     check_positive_definite,
-    christoffel_at,
     conformal_linear_metric,
     conformal_radial_metric,
     make_metric,
@@ -15,7 +14,11 @@ from mgdeform.metrics import (
 )
 
 from helpers import RadialWarpedMetric
-from reference import metric_compatibility_residual
+from reference import (
+    christoffel_from_contractions,
+    christoffel_symbols,
+    metric_compatibility_residual,
+)
 
 
 def fd_dmetric(metric, y, step=1e-6):
@@ -29,7 +32,7 @@ def fd_dmetric(metric, y, step=1e-6):
 
 def test_flat_christoffel_zero():
     pts = np.random.default_rng(0).normal(size=(4, 5, 3))
-    gamma = christoffel_at(FlatMetric(), pts)
+    gamma = christoffel_from_contractions(FlatMetric(), pts)
     assert gamma.shape == (3, 3, 3, 4, 5)
     assert np.array_equal(gamma, np.zeros((3, 3, 3, 4, 5)))
 
@@ -38,12 +41,12 @@ def test_flat_christoffel_zero():
                                     conformal_linear_metric((0.3, 0.0, 0.2))],
                          ids=["conformal_radial", "conformal_linear"])
 def test_closed_form_matches_general_path(metric):
-    # the conformal closed form against the general path (inverse, positivity
-    # check, symbols from dmetric) called explicitly, raised and lowered with
-    # a: Gamma_{ab,g} = a_{gm} Gamma^m_{ab}
+    # every symbol of the conformal closed form, contracted with each basis
+    # vector, against the textbook symbols from dmetric, raised and lowered
+    # with a: Gamma_{ab,g} = a_{gm} Gamma^m_{ab}
     pts = np.random.default_rng(6).uniform(-1.5, 1.5, size=(2049, 3))
-    closed = christoffel_at(metric, pts)
-    general = AmbientMetric.christoffel(metric, pts)
+    closed = christoffel_from_contractions(metric, pts)
+    general = christoffel_symbols(metric, pts)
     assert closed.shape == general.shape == (3, 3, 3, 2049)
     scale = np.max(np.abs(general), axis=(0, 1, 2))
     assert np.max(np.abs(closed - general) / scale) <= 1e-14
@@ -54,20 +57,6 @@ def test_closed_form_matches_general_path(metric):
     assert np.max(np.abs(closed_low - general_low) / scale) <= 1e-14
 
 
-@pytest.mark.parametrize("y, det", [((-1.0, 0.0, 0.0), "det=8.757e-27"),
-                                    ((np.nan, 0.0, 0.0), "det=nan")],
-                         ids=["det_below_bound", "nan_point"])
-def test_closed_form_rejects_degenerate_points(y, det):
-    # det a = e^{6 phi} must be finite and exceed 1e-14; the message names
-    # the first offending index and its det, as the general path's does
-    metric = conformal_linear_metric((10.0, 0.0, 0.0))
-    pts = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], y, y])
-    message = rf"at 2 point\(s\); first offending index \(2,\), {det}"
-    for path in (christoffel_at, AmbientMetric.christoffel):
-        with pytest.raises(DegenerateMetricError, match=message), np.errstate(invalid="ignore"):
-            path(metric, pts)
-
-
 CONFORMAL = pytest.mark.parametrize(
     "metric", [conformal_radial_metric(0.5), conformal_linear_metric((0.3, 0.0, 0.2))],
     ids=["conformal_radial", "conformal_linear"])
@@ -76,8 +65,8 @@ CONFORMAL = pytest.mark.parametrize(
 @CONFORMAL
 def test_closed_form_contractions_match_the_symbols(metric):
     # G[g, b] = Gamma^g_{ab} u^a and d_s a_{ab} u^s in closed form against
-    # the base class's contractions of ``christoffel`` and ``dmetric``,
-    # relative to each point's largest entry
+    # the base class's general path, which forms the symbols from
+    # ``dmetric``, relative to each point's largest entry
     rng = np.random.default_rng(7)
     pts = rng.uniform(-1.5, 1.5, size=(2049, 3))
     u = rng.normal(size=(3, 2049))
@@ -87,7 +76,7 @@ def test_closed_form_contractions_match_the_symbols(metric):
         assert closed.shape == general.shape == (3, 3, 2049), name
         scale = np.max(np.abs(general), axis=(0, 1))
         assert np.max(np.abs(closed - general) / scale) <= 1e-15, name
-    # batch axes of y stay last, as in ``christoffel``
+    # batch axes of y stay last
     pts, u = pts[:2048].reshape(64, 32, 3), u[:, :2048].reshape(3, 64, 32)
     assert metric.christoffel_contract(pts, u).shape == (3, 3, 64, 32)
     assert metric.dmetric_contract(pts, u).shape == (3, 3, 64, 32)
@@ -95,15 +84,15 @@ def test_closed_form_contractions_match_the_symbols(metric):
 
 def test_flat_and_general_contractions():
     # zeros in a flat metric; a plug-in with only metric and dmetric gets
-    # the base class's contractions of its general-path symbols
+    # the base class's contractions of its symbols and its dmetric
     rng = np.random.default_rng(8)
     pts, u = rng.uniform(-1.0, 1.0, size=(5, 3)), rng.normal(size=(3, 5))
     for name in ("christoffel_contract", "dmetric_contract"):
         assert np.array_equal(getattr(FlatMetric(), name)(pts, u), np.zeros((3, 3, 5)))
     warped = RadialWarpedMetric(0.5)
-    gamma = christoffel_at(warped, pts)
-    assert np.array_equal(warped.christoffel_contract(pts, u),
-                          np.einsum("gabn,an->gbn", gamma, u))
+    want = np.einsum("gabn,an->gbn", christoffel_symbols(warped, pts), u)
+    got = warped.christoffel_contract(pts, u)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
     da = np.moveaxis(warped.dmetric(pts), 0, -1)
     assert np.array_equal(warped.dmetric_contract(pts, u), np.einsum("absn,sn->abn", da, u))
 
@@ -112,8 +101,9 @@ def test_flat_and_general_contractions():
                                     ((np.nan, 0.0, 0.0), "det=nan")],
                          ids=["det_below_bound", "nan_point"])
 def test_closed_form_contraction_rejects_degenerate_points(y, det):
-    # the contraction checks det a = e^{6 phi} as ``christoffel`` does, with
-    # the same message
+    # det a = e^{6 phi} must be finite and exceed 1e-14; the closed form's
+    # message names the first offending index and its det, as the general
+    # path's does
     metric = conformal_linear_metric((10.0, 0.0, 0.0))
     pts = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], y, y])
     u = np.ones((3, 4))
@@ -126,7 +116,7 @@ def test_closed_form_contraction_rejects_degenerate_points(y, det):
 def test_conformal_linear_christoffel_pattern():
     # metric e^{2 y1} delta at the origin
     m = conformal_linear_metric((1.0, 0.0, 0.0))
-    g = christoffel_at(m, np.zeros((1, 3)))[..., 0]
+    g = christoffel_from_contractions(m, np.zeros((1, 3)))[..., 0]
     assert abs(g[0, 0, 0] - 1.0) < 1e-12
     assert abs(g[0, 1, 1] + 1.0) < 1e-12
     assert abs(g[1, 0, 1] - 1.0) < 1e-12
@@ -149,7 +139,7 @@ def test_christoffel_against_fd_oracle():
         - da
     )
     expect = np.einsum("...gm,...abm->...gab", ainv, low)
-    gamma = np.moveaxis(christoffel_at(m, pts), -1, 0)
+    gamma = np.moveaxis(christoffel_from_contractions(m, pts), -1, 0)
     assert np.max(np.abs(gamma - expect)) < 1e-8
 
 
@@ -164,7 +154,7 @@ def test_lowered_consistent_with_raised():
     # e^{2 phi}: Gamma_{as,b} = e^{2 phi} Gamma^b_{as}
     m = conformal_radial_metric(0.8)
     pts = 0.3 * np.random.default_rng(3).normal(size=(4, 3))
-    gamma = christoffel_at(m, pts)                      # (g, a, s, n)
+    gamma = christoffel_from_contractions(m, pts)       # (g, a, s, n)
     relowered = np.einsum("ngb,gasn->asbn", m.metric(pts), gamma)
     expect = np.exp(2.0 * m.phi_fn(pts)) * np.transpose(gamma, (1, 2, 0, 3))
     assert np.max(np.abs(relowered - expect)) < 1e-12
@@ -181,7 +171,7 @@ def test_degenerate_metric_raises():
             return out
 
     with pytest.raises(DegenerateMetricError):
-        christoffel_at(Bad(), np.zeros((2, 3)))
+        Bad().christoffel_contract(np.zeros((2, 3)), np.ones((3, 2)))
 
 
 def test_positive_definite_check_reads_the_2x2_minor():
@@ -193,6 +183,11 @@ def test_positive_definite_check_reads_the_2x2_minor():
     assert not ok[0]
     ok, _ = check_positive_definite(np.eye(3)[None])
     assert ok[0]
+    # positive definite with a00 = a11 = 2: the minor is a00 a11 - a01^2 =
+    # 1.75, where a00 / a11 - a01^2 would read -1.25
+    a = np.array([[2.0, 1.5, 0.0], [1.5, 2.0, 0.0], [0.0, 0.0, 1.0]])
+    ok, det = check_positive_definite(a[None])
+    assert ok[0] and abs(float(det[0]) - 1.75) < 1e-12
 
 
 def test_plug_in_must_supply_dmetric():
@@ -205,7 +200,8 @@ def test_plug_in_must_supply_dmetric():
             return m.metric(y)
 
     with pytest.raises(NotImplementedError):
-        christoffel_at(MetricOnly(), 0.2 * np.random.default_rng(4).normal(size=(3, 3)))
+        MetricOnly().christoffel_contract(0.2 * np.random.default_rng(4).normal(size=(3, 3)),
+                                          np.ones((3, 3)))
 
 
 def test_norm_monitor_and_factory():

@@ -4,7 +4,7 @@ from dataclasses import FrozenInstanceError
 import numpy as np
 import pytest
 
-from mgdeform.errors import CoordinateError, GeometryError
+from mgdeform.errors import CoordinateError, DegenerateMetricError, GeometryError
 from mgdeform.grid import DiskGrid
 from mgdeform.metrics import (
     AmbientMetric,
@@ -147,6 +147,16 @@ def test_non_conjugate_isothermal_rejected():
     grid = DiskGrid(8, 16)
     with pytest.raises((CoordinateError, GeometryError)):
         build_surface(Skew(1.0, 0.8), FlatMetric(), grid)
+
+
+def test_metric_degenerate_on_the_surface_rejected():
+    # det a = e^{60 y1} falls below 1e-14 where y1 < -0.537 on the cap; the
+    # build rejects the metric where it contracts Gamma with the normal,
+    # naming the first offending node and its det
+    message = r"at 47 point\(s\); first offending index \(304,\), det=2\.805e-15$"
+    with pytest.raises(DegenerateMetricError, match=message):
+        build_surface(SphereCapImmersion(1.0, 0.5), conformal_linear_metric((10.0, 0.0, 0.0)),
+                      DiskGrid(16, 32))
 
 
 def test_sphere_in_radial_conformal_metric():

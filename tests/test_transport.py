@@ -230,16 +230,17 @@ def test_hermite_end_sample_is_the_sample():
 
 @pytest.fixture
 def christoffel_calls(monkeypatch):
-    """Names each Christoffel evaluation of a conformal metric:
-    "christoffel_contract" for Gamma(u(tau)) zdot at a stage point,
-    "christoffel" for a full (3, 3, 3, N) tensor."""
+    """Names each Christoffel evaluation of a conformal metric, which is
+    always a contraction: "christoffel_contract" for Gamma(u(tau)) zdot at a
+    stage point."""
     calls = []
-    for name in ("christoffel_contract", "christoffel"):
-        def counting(self, *args, _real=getattr(metrics.ConformalMetric, name), _name=name):
-            calls.append(_name)
-            return _real(self, *args)
+    real = metrics.ConformalMetric.christoffel_contract
 
-        monkeypatch.setattr(metrics.ConformalMetric, name, counting)
+    def counting(self, *args):
+        calls.append("christoffel_contract")
+        return real(self, *args)
+
+    monkeypatch.setattr(metrics.ConformalMetric, "christoffel_contract", counting)
     return calls
 
 
@@ -254,8 +255,7 @@ def _per_stage_rk4(metric, y0, history, seed, direction):
 
     def rhs(m, s, val):
         z, zd = history.hermite(m, s)
-        gamma = metrics.christoffel_at(metric, y0 + z)
-        g = np.einsum("gabn,an->gbn", gamma, node_last(zd))
+        g = metric.christoffel_contract(y0 + z, node_last(zd))
         return sign * np.einsum("gbn,bkn->gkn", g, val)
 
     for m in (range(n - 1, -1, -1) if backward else range(n)):
