@@ -100,6 +100,26 @@ def test_flat_and_general_contractions():
 @pytest.mark.parametrize("y, det", [((-1.0, 0.0, 0.0), "det=8.757e-27"),
                                     ((np.nan, 0.0, 0.0), "det=nan")],
                          ids=["det_below_bound", "nan_point"])
+def test_closed_form_rejects_degenerate_points(y, det):
+    # det a = e^{6 phi} must be finite and exceed 1e-14 whatever vector is
+    # contracted: the full symbols, assembled from the basis vectors, and
+    # the zero vector are refused by the closed form and the general path,
+    # each naming the first offending index and its det
+    metric = conformal_linear_metric((10.0, 0.0, 0.0))
+    pts = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], y, y])
+    message = rf"at 2 point\(s\); first offending index \(2,\), {det}"
+    with pytest.raises(DegenerateMetricError, match=message), np.errstate(invalid="ignore"):
+        christoffel_from_contractions(metric, pts)
+    for path in (ConformalMetric.christoffel_contract, AmbientMetric.christoffel_contract):
+        for u in (*np.eye(3), np.zeros(3)):
+            with pytest.raises(DegenerateMetricError, match=message), \
+                    np.errstate(invalid="ignore"):
+                path(metric, pts, np.broadcast_to(u[:, None], (3, 4)))
+
+
+@pytest.mark.parametrize("y, det", [((-1.0, 0.0, 0.0), "det=8.757e-27"),
+                                    ((np.nan, 0.0, 0.0), "det=nan")],
+                         ids=["det_below_bound", "nan_point"])
 def test_closed_form_contraction_rejects_degenerate_points(y, det):
     # det a = e^{6 phi} must be finite and exceed 1e-14; the closed form's
     # message names the first offending index and its det, as the general
