@@ -12,6 +12,8 @@ stencil is needed away from the rim.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .errors import MgError
@@ -40,6 +42,10 @@ class DiskGrid:
     """Disk discretization shared by every field-valued module."""
 
     def __init__(self, n_r: int, n_theta: int):
+        for name, size in (("n_r", n_r), ("n_theta", n_theta)):
+            if not isinstance(size, numbers.Integral) or isinstance(size, bool):
+                raise MgError(f"{name} must be an integer, got {size!r}")
+        n_r, n_theta = int(n_r), int(n_theta)
         if n_r < 8:
             raise MgError(f"n_r must be >= 8, got {n_r}")
         if n_theta < 16:
@@ -53,20 +59,26 @@ class DiskGrid:
         self.dtheta = 2.0 * np.pi / n_theta
 
         self.r_levels = np.arange(n_r + 1) * self.h  # 0 = center
-        thetas = np.arange(n_theta) * self.dtheta
-        rr = np.repeat(self.r_levels[1:], n_theta)
-        tt = np.tile(thetas, n_r)
-        self.r = np.concatenate([[0.0], rr])
-        self.theta = np.concatenate([[0.0], tt])
-        self.x1 = self.r * np.cos(self.theta)
-        self.x2 = self.r * np.sin(self.theta)
-        self.x1[0] = 0.0
-        self.x2[0] = 0.0
-        self.z = self.x1 + 1j * self.x2
+        self.boundary_theta = np.arange(n_theta) * self.dtheta
+        self._rim_cos = np.cos(self.boundary_theta)
+        self._rim_sin = np.sin(self.boundary_theta)
+        # every node field is the center, then the rings as (n_r, n_theta)
+        # views; the trig of the ring angles serves all rings
+        rings, radii = (n_r, n_theta), self.r_levels[1:, None]
+        self.r, self.theta, self.x1, self.x2 = (np.empty(self.n_nodes) for _ in range(4))
+        self.z = np.empty(self.n_nodes, dtype=complex)
+        for field in (self.r, self.theta, self.x1, self.x2, self.z):
+            field[0] = 0.0
+        self.r[1:].reshape(rings)[:] = radii
+        self.theta[1:].reshape(rings)[:] = self.boundary_theta
+        np.multiply(radii, self._rim_cos, out=self.x1[1:].reshape(rings))
+        np.multiply(radii, self._rim_sin, out=self.x2[1:].reshape(rings))
+        self.z.real = self.x1
+        self.z.imag = self.x2
         self.boundary_idx = self.node_index(n_r, np.arange(n_theta))
-        self.boundary_theta = thetas
-        self._build_derivative_tables()
         self._build_cumint_weights()
+        # per-grid tables built on first use: the derivative factors here,
+        # the T operator's mode weights in ``vekua``
         self._caches = {}
 
     # -- indexing -----------------------------------------------------------
@@ -78,32 +90,39 @@ class DiskGrid:
 
     # -- differentiation ------------------------------------------------------
 
-    def _build_derivative_tables(self):
-        """Per-grid factors of the Cartesian gradient, shared by every call."""
+    def _derivative_tables(self):
+        """Per-grid factors of the Cartesian gradient, built on the first
+        derivative and shared by every later one."""
+        tables = self._caches.get("deriv")
+        if tables is not None:
+            return tables
         n_r, nt = self.n_r, self.n_theta
-        self._dr_w = _D1_ROWS * n_r / 60.0  # n_r = 1/h exactly
         k = np.fft.fftfreq(nt, d=1.0 / nt)
         k[nt // 2] = 0.0  # odd derivative of the Nyquist mode
-        self._ik = 1j * k
-        rinv = np.zeros_like(self.r)
-        rinv[1:] = 1.0 / self.r[1:]
-        cos, sin = np.cos(self.theta), np.sin(self.theta)
-        rings = (n_r, nt)
-        self._cos = cos[1:].reshape(rings)
-        self._sin = sin[1:].reshape(rings)
-        self._sin_rinv = (sin * rinv)[1:].reshape(rings)
-        self._cos_rinv = (cos * rinv)[1:].reshape(rings)
+        # contiguous (n_r, nt) factors: broadcast views of the rim trig
+        # slow the products in grad_last
+        cos = np.tile(self._rim_cos, (n_r, 1))
+        sin = np.tile(self._rim_sin, (n_r, 1))
+        rinv = (1.0 / self.r_levels[1:])[:, None]
         # center gradient: the m=1 Fourier coefficient of a smooth field on
         # ring r expands in odd powers of r; Richardson weights over the
         # first three rings isolate the linear term.  With
         # alpha_pm = sum_i w_i sum_j f_ij e^{-+i theta_j} / n_theta the
         # gradient is (alpha_+ + alpha_-, i (alpha_+ - alpha_-)), which folds
         # into real weights 2 w_i (cos, sin)(theta_j) / n_theta.
-        self._rim_cos = np.cos(self.boundary_theta)
-        self._rim_sin = np.sin(self.boundary_theta)
         w = _CENTER_RICHARDSON * n_r / 30.0
         ring = 2.0 / nt * np.stack([self._rim_cos, self._rim_sin])
-        self._center_w = (ring[:, None, :] * w[None, :, None]).reshape(2, 3 * nt)
+        tables = {
+            "dr_w": _D1_ROWS * n_r / 60.0,  # n_r = 1/h exactly
+            "ik": 1j * k,
+            "cos": cos,
+            "sin": sin,
+            "sin_rinv": sin * rinv,
+            "cos_rinv": cos * rinv,
+            "center_w": (ring[:, None, :] * w[None, :, None]).reshape(2, 3 * nt),
+        }
+        self._caches["deriv"] = tables
+        return tables
 
     def grad_last(self, f):
         """Cartesian gradient of a node-last field (..., N) as (..., 2, N).
@@ -116,6 +135,8 @@ class DiskGrid:
         """
         f = np.asarray(f)
         n_r, nt, half = self.n_r, self.n_theta, self.n_theta // 2
+        tab = self._derivative_tables()
+        dr_w, ik = tab["dr_w"], tab["ik"]
         tail = f.shape[:-1]
         # levels: rings n_r..1 turned by half a turn, the center, rings 1..n_r
         ext = np.empty(tail + (2 * n_r + 1, nt), dtype=np.result_type(f.dtype, np.float64))
@@ -137,25 +158,25 @@ class DiskGrid:
         k = n_r - 3
         dr = np.empty_like(rings)
         mid, tmp = dr[:, :k], g2[:, :k]
-        np.multiply(self._dr_w[0, 0], ext[:, n_r - 2 : n_r - 2 + k], out=mid)
+        np.multiply(dr_w[0, 0], ext[:, n_r - 2 : n_r - 2 + k], out=mid)
         for s in (1, 2, 4, 5, 6):
-            mid += np.multiply(self._dr_w[0, s], ext[:, n_r - 2 + s : n_r - 2 + s + k], out=tmp)
-        dr[:, k:] = np.einsum("rs,msj->mrj", self._dr_w[1:], ext[:, -7:])
+            mid += np.multiply(dr_w[0, s], ext[:, n_r - 2 + s : n_r - 2 + s + k], out=tmp)
+        dr[:, k:] = np.einsum("rs,msj->mrj", dr_w[1:], ext[:, -7:])
 
         if np.iscomplexobj(rings):
             spec = np.fft.fft(rings, axis=-1)
-            spec *= self._ik
+            spec *= ik
             dt = np.fft.ifft(spec, axis=-1)
         else:
             spec = np.fft.rfft(rings, axis=-1)
-            spec *= self._ik[: half + 1]
+            spec *= ik[: half + 1]
             dt = np.fft.irfft(spec, n=nt, axis=-1)
 
-        np.multiply(self._cos, dr, out=g1)
-        np.multiply(self._sin, dr, out=g2)
-        g1 -= np.multiply(self._sin_rinv, dt, out=dr)
-        g2 += np.multiply(self._cos_rinv, dt, out=dr)
-        out[:, :, 0] = ext[:, n_r + 1 : n_r + 4].reshape(-1, 3 * nt) @ self._center_w.T
+        np.multiply(tab["cos"], dr, out=g1)
+        np.multiply(tab["sin"], dr, out=g2)
+        g1 -= np.multiply(tab["sin_rinv"], dt, out=dr)
+        g2 += np.multiply(tab["cos_rinv"], dt, out=dr)
+        out[:, :, 0] = ext[:, n_r + 1 : n_r + 4].reshape(-1, 3 * nt) @ tab["center_w"].T
         return out.reshape(tail + (2, self.n_nodes))
 
     # -- cumulative radial integration ---------------------------------------

@@ -237,7 +237,9 @@ def build_surface(immersion: Immersion, metric: AmbientMetric, grid: DiskGrid,
     y = immersion.chart(grid.x1, grid.x2)
     jac = immersion.jacobian(grid.x1, grid.x2)
     forms = raw_fundamental_forms(grid, metric, y, jac[..., 0], jac[..., 1])
-    g_inv = node_last(np.linalg.inv(forms["g"].transpose(2, 0, 1)))
+    # g^-1 is g's adjugate over the determinant the forms already hold
+    g, g_det = forms["g"], forms["g_det"]
+    g_inv = np.stack([np.stack([g[1, 1], -g[0, 1]]), np.stack([-g[1, 0], g[0, 0]])]) / g_det
     forms["g_inv"] = g_inv
     forms["H"] = 0.5 * np.einsum("ijn,ijn->n", g_inv, forms["b"])
     if np.mean(forms["H"]) < 0:

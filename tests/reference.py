@@ -17,8 +17,9 @@ computes another way, or a diagnostic of a bound the package relies on:
   and the coefficient families S_(1) to S_(5), T_j, N_j and Q_i by the
   paper's term-by-term cascades, the algebraic G-condition residual and
   the norm chain of the coefficient cascade, and the cdot diagnostics;
-- the cumulative radial integral and the line integral along the grid's
-  rays in gather form, and the disk's area quadrature.
+- the grid's node coordinates by repeat, tile and r cos theta over every
+  node, the cumulative radial integral and the line integral along the
+  grid's rays in gather form, and the disk's area quadrature.
 """
 
 from __future__ import annotations
@@ -660,6 +661,19 @@ def loop_closedness(surface: SurfaceState, coeffs, a1, a2, a1dot, a2dot):
 # --------------------------------------------------------------------------
 # grid
 # --------------------------------------------------------------------------
+
+
+def grid_coordinates(n_r, n_theta):
+    """``DiskGrid``'s node coordinates built node by node: the ring radii
+    repeated over the angles, the angles tiled over the rings and the trig
+    taken at every node.  Returns r, theta, x1, x2, z and boundary_idx."""
+    thetas = np.arange(n_theta) * (2.0 * np.pi / n_theta)
+    r = np.concatenate([[0.0], np.repeat(np.arange(1, n_r + 1) * (1.0 / n_r), n_theta)])
+    theta = np.concatenate([[0.0], np.tile(thetas, n_r)])
+    x1 = r * np.cos(theta)
+    x2 = r * np.sin(theta)
+    boundary_idx = 1 + (n_r - 1) * n_theta + np.arange(n_theta)
+    return r, theta, x1, x2, x1 + 1j * x2, boundary_idx
 
 
 def _ray_values(grid: DiskGrid, f):

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from mgdeform.errors import MgError
 from mgdeform.grid import _CENTER_RICHARDSON, _D1_ROWS, DiskGrid
+from mgdeform.vekua import bvp_solve, holomorphic_field, load_problem, save_problem, t_operator
 
-from helpers import dz_bar
-from reference import area_weights, cumint_radial, line_integral_gather
+from helpers import dz_bar, manufactured_problem
+from reference import area_weights, cumint_radial, grid_coordinates, line_integral_gather
 
 
 def smooth_field(grid, fn):
@@ -25,6 +26,68 @@ def test_grid_shapes_and_validation():
         DiskGrid(4, 16)
     with pytest.raises(MgError):
         DiskGrid(8, 15)
+
+
+@pytest.mark.parametrize("sizes", [(16.0, 32), (16, 32.0), ("16", 32), (16, None), (True, 32)])
+def test_non_integral_sizes_rejected(sizes):
+    # a float n_theta would otherwise build and fail only at the first
+    # derivative, in fftfreq
+    with pytest.raises(MgError, match="must be an integer"):
+        DiskGrid(*sizes)
+
+
+def test_numpy_integer_sizes_accepted():
+    g = DiskGrid(np.int64(16), np.int32(32))
+    assert type(g.n_r) is int and type(g.n_theta) is int
+    assert g.x1.tobytes() == DiskGrid(16, 32).x1.tobytes()
+
+
+@pytest.mark.parametrize("n_r, n_theta",
+                         [(8, 16), (12, 24), (24, 48), (48, 96), (100, 200), (128, 256)])
+def test_coordinates_match_node_by_node_construction(n_r, n_theta):
+    # the grid takes the trig of the n_theta ring angles once and scales it
+    # by each ring's radius: the bits of the trig taken at every node
+    g = DiskGrid(n_r, n_theta)
+    names = ("r", "theta", "x1", "x2", "z", "boundary_idx")
+    for name, want in zip(names, grid_coordinates(n_r, n_theta)):
+        got = getattr(g, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+def test_grid_builds_derivative_tables_on_first_derivative(tmp_path):
+    # T, the ray integrals, holomorphic fields and the problem-file path
+    # never differentiate, so their grids never build the derivative tables
+    g = DiskGrid(16, 32)
+    f = np.exp(g.x1) * np.cos(g.x2) + 1j * g.x1 * g.x2
+    t_operator(g, f)
+    g.line_integral_center(f.real, f)
+    g.line_integral_from(0, f, f.imag)
+    holomorphic_field(g, [1.0, 0.5j, -0.25])
+    assert "deriv" not in g._caches
+    path = tmp_path / "problem.txt"
+    save_problem(path, manufactured_problem(g)[0])
+    problem = load_problem(path)
+    bvp_solve(problem, tol=1e-10, mode="auto")
+    assert "deriv" not in problem.grid._caches
+    g.grad_last(f)
+    assert "deriv" in g._caches
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_grad_last_on_copies_before_and_after_first_derivative(complex_field):
+    # deep copies of a grid, taken before its first derivative (no tables)
+    # and after it (a copy of the tables), differentiate to the same bits
+    g = DiskGrid(24, 48)
+    f = np.stack([np.exp(g.x1) * g.x2, np.sin(3.0 * g.x1 - g.x2)])
+    if complex_field:
+        f = f + 1j * np.cos(g.x1 + 2.0 * g.x2)
+    before = copy.deepcopy(g)
+    first = g.grad_last(f)
+    after = copy.deepcopy(g)
+    assert "deriv" not in before._caches and "deriv" in after._caches
+    for grid in (before, after, g):
+        assert grid.grad_last(f).tobytes() == first.tobytes()
 
 
 def test_area_weights_sum_to_disk_area():

@@ -225,8 +225,12 @@ def test_build_and_oracle_share_one_kernel(case):
         assert np.array_equal(forms[key], getattr(s, key))
     # the oracle reads only K, so g^-1 and H are the build's own
     assert "g_inv" not in forms and "H" not in forms
-    assert np.array_equal(np.linalg.inv(forms["g"].transpose(2, 0, 1)).transpose(1, 2, 0),
-                          s.g_inv)
+    g = forms["g"]
+    adjugate = np.array([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]])
+    assert np.array_equal(adjugate / forms["g_det"], s.g_inv)
+    # independent of the formula: g^-1 inverts g at every node
+    residual = np.einsum("ijn,jkn->ikn", s.g, s.g_inv) - np.eye(2)[:, :, None]
+    assert np.max(np.abs(residual)) <= 1e-14
     sign = -1.0 if case == "flipped_paraboloid" else 1.0
     assert np.array_equal(forms["b"], sign * s.b)
     assert np.array_equal(forms["gamma_n"], sign * s.gamma_n)
