@@ -159,13 +159,15 @@ def parse_config(text) -> dict:
 
 
 def build_problem_objects(cfg: dict):
+    """(surface, boundary, flow config) of a parsed config; the surface
+    carries the configured metric, as ``init_flow`` reads it."""
     m = cfg["metric"]
     metric = make_metric(m["kind"], m)
     grid = DiskGrid(cfg["grid"]["n_r"], cfg["grid"]["n_theta"])
     s = cfg["surface"]
     immersion = make_immersion(s["kind"], s)
     surface = build_surface(immersion, metric, grid, ci_tol=s["ci_tol"])
-    return metric, surface, BoundarySpec(**cfg["boundary"]), FlowConfig(**cfg["flow"])
+    return surface, BoundarySpec(**cfg["boundary"]), FlowConfig(**cfg["flow"])
 
 
 def _json_default(o):
@@ -200,9 +202,9 @@ def within_tolerances(report, flow_cfg):
 
 
 def run_from_config(cfg: dict, out_dir, log=print):
-    metric, surface, boundary, flow_cfg = build_problem_objects(cfg)
+    surface, boundary, flow_cfg = build_problem_objects(cfg)
     hyp = validate_hypotheses(surface)
-    state = init_flow(metric, surface, boundary, flow_cfg)
+    state = init_flow(surface, boundary, flow_cfg)
     # created only once the problem is built, so a rejected run leaves none
     os.makedirs(out_dir, exist_ok=True)
     trace_path = os.path.join(out_dir, "trace.jsonl")
@@ -264,7 +266,7 @@ def cmd_bvp(args):
 def cmd_validate(args):
     with open(args.config) as fh:
         cfg = parse_config(fh.read())
-    _, surface, _, _ = build_problem_objects(cfg)
+    surface, _, _ = build_problem_objects(cfg)
     rep = validate_hypotheses(surface)
     print(json.dumps(rep, indent=1, sort_keys=True, default=_json_default))
     return 0 if rep["ok"] else 3

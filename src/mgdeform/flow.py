@@ -193,8 +193,7 @@ class StepRecord:
 
 @dataclass
 class FlowState:
-    metric: object
-    surface: SurfaceState
+    surface: SurfaceState      # its ``metric`` is the flow's ambient metric
     deform: DeformationState
     config: FlowConfig
     statics: FlowStatics
@@ -208,13 +207,15 @@ class FlowState:
     variation: tuple | None = field(default=None, init=False)
 
 
-def init_flow(metric, surface, boundary, config) -> FlowState:
+def init_flow(surface, boundary, config) -> FlowState:
+    """A flow from the undeformed ``surface`` in the metric it was built
+    with, ``surface.metric``."""
     config.validate()
-    return FlowState(metric=metric, surface=surface, deform=new_deformation(surface),
-                     config=config, statics=_build_statics(metric, surface, boundary))
+    return FlowState(surface=surface, deform=new_deformation(surface),
+                     config=config, statics=_build_statics(surface, boundary))
 
 
-def _build_statics(metric, surface, boundary) -> FlowStatics:
+def _build_statics(surface, boundary) -> FlowStatics:
     """The solve setup and rim data, all fixed over a flow."""
     grid = surface.grid
     eq = equation_coefficients(surface)
@@ -245,7 +246,7 @@ def _build_statics(metric, surface, boundary) -> FlowStatics:
     return FlowStatics(
         eq=eq, problem=problem, sym=sym,
         integ=PathIntegrator(grid), pin=pin,
-        k_base=gauss_curvature_of(grid, metric, surface.y),
+        k_base=gauss_curvature_of(grid, surface.metric, surface.y),
         k_scale=float(np.max(np.abs(surface.K))),
         rim_metric=surface.ambient_a[..., bidx],
         rim_dir=np.einsum("in,sin->sn", node_last(l_field), surface.tang[..., bidx]),
@@ -262,7 +263,8 @@ def _make_assembler(state: FlowState):
     call: its Delta(G) depends on the state alone, and its Delta(B) and
     carried normal do too where the propagator is the identity (flat, or
     step 0).  Elsewhere they are formed on the trial history."""
-    metric, surface = state.metric, state.surface
+    surface = state.surface
+    metric = surface.metric
     st = state.statics
     deform = state.deform
     prev = state.prev
@@ -309,7 +311,7 @@ def _make_assembler(state: FlowState):
             # clamped to keep the displaced geometry admissible for any iterate
             rate_scale = max(1.0, float(np.max(np.abs(zdot))))
             delta = min(cfg.dt, 1e-3 / rate_scale)
-            deform_v = deform.advance(delta, a1dot, a2dot, sol.cdot,
+            deform_v = deform.advance(delta, a1dot, a2dot, sol.cdot, hist,
                                       dzdot=zdot_der, dadot=dadot)
             _, bvar_v, _ = assemble_variation(metric, surface, deform_v)
             m4dot_override = (bvar_v.m4 - bvar.m4) / delta
@@ -322,7 +324,8 @@ def _make_assembler(state: FlowState):
             surface, sol.coeffs, deform, rates, st.eq.qb0, sol.p_field,
             prev_psi1=prev.psi1, dt=cfg.dt,
         )
-        cache["last"] = {"sol": sol, "bvar": bvar, "psi1": psi1, "zdot_der": zdot_der}
+        cache["last"] = {"sol": sol, "hist": hist, "bvar": bvar, "psi1": psi1,
+                         "zdot_der": zdot_der}
         # -conj(psi) for psi = (psi1dot + i psi3) / 2
         return 0.5 * (-psi1dot + 1j * psi3)
 
@@ -332,7 +335,8 @@ def _make_assembler(state: FlowState):
 def step(state: FlowState):
     """One explicit-Euler step; returns the appended trace record."""
     cfg, st = state.config, state.statics
-    surface, metric, grid = state.surface, state.metric, state.surface.grid
+    surface, grid = state.surface, state.surface.grid
+    metric = surface.metric
     assembler, cache = _make_assembler(state)
     prev = state.prev
     final = bvp_solve(st.problem, assembler, pin=st.pin, sym=st.sym, start=prev.start())
@@ -349,8 +353,9 @@ def step(state: FlowState):
     dt = cfg.dt
     # times count whole steps, so they do not drift by repeated addition;
     # the final pass differentiated the rates, so the successor's z_,i and
-    # d_i a^j follow from them
-    deform_new = state.deform.advance(dt, a1dot, a2dot, sol.cdot,
+    # d_i a^j follow from them, and its trial history at the accepted rate
+    # has integrated the successor's transport prefix
+    deform_new = state.deform.advance(dt, a1dot, a2dot, sol.cdot, last["hist"],
                                       dzdot=last["zdot_der"], dadot=sol.dadot)
     t_new = deform_new.t
     z_new = deform_new.z

@@ -121,21 +121,25 @@ class DeformationState:
             self.rate_displacement(a1dot, a2dot, cdot)
         )
 
-    def advance(self, dt, a1dot, a2dot, cdot, dzdot=None, dadot=None):
+    def advance(self, dt, a1dot, a2dot, cdot, history, dzdot=None, dadot=None):
         """Explicit-Euler successor: the fields move by dt times the given
-        rates, which the successor carries, and the history gains the sample
-        (t + dt, z_new, zdot) with the rate that left this state.  The
-        successor's time is its history's final time, which counts whole
-        steps.  Given the rates' derivatives ``dzdot`` (zdot_,i, (3, 2, N))
-        and ``dadot`` (d_i adot^j, (j, i, N)), the successor's ``dz`` and
-        ``da`` are this state's plus dt times them: the grid derivative is
-        linear, so they equal the successor's own up to round-off."""
+        rates, which the successor carries, and the history advances to
+        (t + dt, z_new) at the rate that left this state.  ``history`` is
+        this state's history at those rates (``history_with_rates``); the
+        successor's history keeps its propagator as its prefix, so the flow
+        hands in its accepted trial history, whose propagator is already
+        integrated.  The successor's time is its
+        history's final time, which counts whole steps.  Given the rates'
+        derivatives ``dzdot`` (zdot_,i, (3, 2, N)) and ``dadot`` (d_i adot^j,
+        (j, i, N)), the successor's ``dz`` and ``da`` are this state's plus
+        dt times them: the grid derivative is linear, so they equal the
+        successor's own up to round-off."""
         a1 = self.a1 + dt * a1dot
         a2 = self.a2 + dt * a2dot
         c = self.c + dt * cdot
-        history = self.history.advance(dt, self.displacement(a1, a2, c),
-                                       self.rate_displacement(a1dot, a2dot, cdot))
-        new = DeformationState(surface=self.surface, a1=a1, a2=a2, c=c,
+        s = self.surface
+        history = history.advance(s.metric, s.y, dt, self.displacement(a1, a2, c))
+        new = DeformationState(surface=s, a1=a1, a2=a2, c=c,
                                a1dot=a1dot, a2dot=a2dot, cdot=cdot,
                                history=history, t=history.t_final)
         if dzdot is not None:

@@ -11,8 +11,11 @@ the metric for ``christoffel_contract`` and never form the symbols.
 
 The flow's consumers read the propagator through ``transport_propagator``,
 which keeps the integrated prefix of a history (intervals 0..M-2) in a cache
-the history shares with its ``replace_final_rate`` children and hands to
-``advance``; each call integrates only the final interval.
+the history shares with its ``replace_final_rate`` children; each call
+integrates only the final interval.  ``advance`` binds the whole propagator
+of the history it extends, as the longer history's prefix, to the metric and
+base points, and keeps only the new final interval's samples, so a flow's
+history holds O(1) state at any length.
 
 In a flat metric, and over a history with no interval (t = 0 in any
 metric), the propagator is exactly the identity and does not depend on the
@@ -34,14 +37,19 @@ from .metrics import AmbientMetric
 
 
 class TransportHistory:
-    """Samples (tau_m, z_m, zdot_m) of the deformation paths, tau strictly
-    increasing.
+    """Samples (tau_m, z_m, zdot_m) of the deformation paths from tau_0 = 0,
+    tau strictly increasing.
 
-    ``z`` and ``zdot`` are tuples of M+1 rows of shape (n_pts, 3).  The
-    initial sample must be the undeformed state z = 0.  The history caches
-    its integrated propagator, so samples are not changed in place:
-    ``replace_final_rate`` and ``advance`` make the new histories, which
-    share every committed row with this one and check only their new rows.
+    Built from arrays, a history holds all M+1 samples: ``tau`` and the
+    tuples ``z`` and ``zdot`` of (n_pts, 3) rows, from which it integrates
+    its propagator on first use.  A history made by ``advance`` holds only
+    its final interval's two samples (``tau``, ``z`` and ``zdot`` are those
+    two) and the propagator over its earlier intervals, bound to the metric
+    and base points it was advanced with, so its state does not grow with
+    its length.  The initial sample must be the undeformed state z = 0.
+    The history caches its integrated propagator, so samples are not
+    changed in place: ``replace_final_rate`` and ``advance`` make the new
+    histories, which share rows with this one and check only their new rows.
     """
 
     def __init__(self, tau, z, zdot):
@@ -53,36 +61,46 @@ class TransportHistory:
         shapes = {row.shape for row in self.z + self.zdot}
         if len(self.z) != self.tau.size or len(self.zdot) != self.tau.size or len(shapes) != 1:
             raise MgError("history sample arrays disagree in shape")
-        if np.max(np.abs(self.z[0])) > 1e-13:
-            raise MgError("history must start from z(0) = 0")
+        if self.tau[0] != 0.0 or np.max(np.abs(self.z[0])) > 1e-13:
+            raise MgError("history must start from z(0) = 0 at tau = 0")
         if np.any(np.diff(self.tau) <= 0):
             raise MgError("tau samples must increase strictly")
-        # propagator over intervals 0..M-2, shared with the histories that
-        # agree on them (see transport_propagator); the whole-history result
-        # is kept per instance
+        # index of the first sample held; the propagator over intervals
+        # 0..M-2, shared with the histories that agree on them (see
+        # transport_propagator); the whole-history result is kept per instance
+        self._first = 0
         self._prefix = _PrefixSlot()
         self._full = None
 
-    def _new_rows(self, *rows):
-        """``rows`` as float arrays, checked against this history's sample
+    def _new_row(self, row):
+        """``row`` as a float array, checked against this history's sample
         shape."""
-        rows = tuple(np.asarray(row, dtype=float) for row in rows)
-        if any(row.shape != self.z[0].shape for row in rows):
+        row = np.asarray(row, dtype=float)
+        if row.shape != self.z[0].shape:
             raise MgError("history sample arrays disagree in shape")
-        return rows
+        return row
 
-    def _child(self, tau, z, zdot):
+    def _child(self, tau, z, zdot, first, prefix):
         """A history of checked rows, this one's shared and new ones from
-        ``_new_rows``: O(1) Python work at any length."""
+        ``_new_row``, starting at sample ``first``: O(1) Python work at any
+        length."""
         child = object.__new__(TransportHistory)
         child.tau, child.z, child.zdot = tau, z, zdot
-        child._prefix = _PrefixSlot()
+        child._first = first
+        child._prefix = prefix
         child._full = None
         return child
 
+    def _local(self, m):
+        """Position in ``tau``, ``z`` and ``zdot`` of interval m's start."""
+        if m < self._first:
+            raise MgError(f"interval {m} lies in this history's bound propagator; "
+                          f"it holds the intervals from {self._first} on")
+        return m - self._first
+
     @property
     def n_steps(self):
-        return self.tau.size - 1
+        return self._first + self.tau.size - 1
 
     @property
     def t_final(self):
@@ -96,43 +114,49 @@ class TransportHistory:
         """History with the rate of the last sample swapped out.
 
         Only the final interval changes, so the child shares this history's
-        propagator prefix cache.
+        propagator prefix.
         """
-        (zdot_final,) = self._new_rows(zdot_final)
-        child = self._child(self.tau, self.z, self.zdot[:-1] + (zdot_final,))
-        child._prefix = self._prefix
-        return child
+        return self._child(self.tau, self.z, self.zdot[:-1] + (self._new_row(zdot_final),),
+                           self._first, self._prefix)
 
-    def advance(self, dt, z_new, zdot):
-        """History one step longer: the last sample's rate becomes ``zdot``
-        (the rate that left it) and (tau_M + dt, z_new, zdot) is appended.
+    def advance(self, metric, y0, dt, z_new):
+        """History one step of ``dt`` longer at the final sample's rate,
+        ending at (tau_M + dt, z_new, zdot_M).
 
-        Intervals 0..M-2 are unchanged, so the extended history starts from
-        this history's cached prefix and integrates interval M-1 once.  The
-        new time counts whole steps from tau_0, so it does not drift by
-        repeated addition; every step already taken must therefore be ``dt``.
+        The new history holds its final interval's two samples, and this
+        history's whole propagator as its prefix, bound to ``metric`` and
+        ``y0`` (integrated here unless already memoised; the identity in a
+        flat metric).  The new time counts whole steps, (M + 1) dt, so it
+        does not drift by repeated addition; tau_M must therefore be M dt.
         """
-        if np.any(np.abs(np.diff(self.tau) - dt) > 1e-12 * max(1.0, dt)):
+        n = self.n_steps
+        if abs(self.t_final - n * dt) > 1e-12 * max(1.0, abs(self.t_final)):
             raise MgError(f"advance counts whole steps of {dt}, and this history "
-                          "has steps of another length")
-        tau_new = self.tau[0] + (self.n_steps + 1) * dt
-        if not tau_new > self.tau[-1]:
+                          f"ends at {self.t_final!r} after {n} steps")
+        tau_new = (n + 1) * dt
+        if not tau_new > self.t_final:
             raise MgError("tau samples must increase strictly")
-        z_new, zdot = self._new_rows(z_new, zdot)
-        child = self._child(np.append(self.tau, tau_new), self.z + (z_new,),
-                            self.zdot[:-1] + (zdot, zdot))
-        child._prefix.entry = self._prefix.entry
-        return child
+        z_new = self._new_row(z_new)
+        y0 = np.asarray(y0, dtype=float)
+        if n == 0 and not metric.is_flat():
+            # no interval yet: the new one starts from sample 0's G
+            prefix = _start_entry(metric, y0, self)
+        else:
+            prefix = transport_propagator(metric, y0, self)
+        return self._child(np.array([self.tau[-1], tau_new]), (self.z[-1], z_new),
+                           (self.zdot[-1], self.zdot[-1]), n,
+                           _PrefixSlot(prefix, bound=True))
 
     def hermite(self, m, s):
         """Cubic Hermite state and rate inside interval m at fraction s; at
         s = 1 they are the end sample itself, which the formula reproduces
         bit for bit."""
+        j = self._local(m)
         if s == 1.0:
-            return self.z[m + 1], self.zdot[m + 1]
-        dt = self.tau[m + 1] - self.tau[m]
-        z0, z1 = self.z[m], self.z[m + 1]
-        d0, d1 = self.zdot[m], self.zdot[m + 1]
+            return self.z[j + 1], self.zdot[j + 1]
+        dt = self.tau[j + 1] - self.tau[j]
+        z0, z1 = self.z[j], self.z[j + 1]
+        d0, d1 = self.zdot[j], self.zdot[j + 1]
         h00 = 2 * s**3 - 3 * s**2 + 1
         h10 = s**3 - 2 * s**2 + s
         h01 = -2 * s**3 + 3 * s**2
@@ -223,7 +247,8 @@ class Propagator:
         interpolation reproduces bit for bit), middle and end.
         """
         m = self.k
-        dt = history.tau[m + 1] - history.tau[m]
+        j = history._local(m)
+        dt = history.tau[j + 1] - history.tau[j]
         g_half = _gamma_zdot(self.metric, self.y0, *history.hermite(m, 0.5))
         g1 = _gamma_zdot(self.metric, self.y0, *history.hermite(m, 1.0))
         r_back = _rk4_step(g1, g_half, self.g_end, None, dt, 1.0)
@@ -241,12 +266,21 @@ def _frozen_propagator(metric, y0, k, **fields):
 
 
 class _PrefixSlot:
-    """One-entry cache of the propagator over intervals 0..M-2."""
+    """One-entry cache of the propagator over intervals 0..M-2.  A ``bound``
+    entry is the one an advanced history keeps in place of its earlier
+    samples; it serves only its own metric and base points."""
 
-    __slots__ = ("entry",)
+    __slots__ = ("entry", "bound")
 
-    def __init__(self):
-        self.entry = None
+    def __init__(self, entry=None, bound=False):
+        self.entry = entry
+        self.bound = bound
+
+
+def _start_entry(metric, y0, history):
+    """The propagator over no interval, with G at sample 0."""
+    g0 = _gamma_zdot(metric, y0, history.z[0], history.zdot[0])
+    return _frozen_propagator(metric, y0, 0, backward=_identity(history.n_points), g_end=g0)
 
 
 def transport_propagator(metric: AmbientMetric, y0,
@@ -257,9 +291,15 @@ def transport_propagator(metric: AmbientMetric, y0,
     history grows; only the final interval, the one a new final rate changes,
     is integrated when the cache holds the prefix.  The cache is keyed by the
     identity of ``metric`` and ``y0``: another key starts it afresh, so
-    neither object may be changed in place while in use.
+    neither object may be changed in place while in use.  A history made by
+    ``advance`` no longer holds the samples of its prefix, so another key
+    raises ``MgError`` there.
     """
     y0 = np.asarray(y0, dtype=float)   # the same object when y0 is a float array
+    slot = history._prefix
+    if slot.bound and not slot.entry.matches(metric, y0):
+        raise MgError("an advanced history keeps its propagator only for the metric "
+                      "and base-point objects it was advanced with")
     n = history.n_points
     if metric.is_flat() or history.n_steps == 0:
         # nothing to integrate; with no interval, sample 0 is the final
@@ -268,13 +308,12 @@ def transport_propagator(metric: AmbientMetric, y0,
     full = history._full
     if full is not None and full.matches(metric, y0):
         return full
-    entry = history._prefix.entry
+    entry = slot.entry
     if entry is None or not entry.matches(metric, y0):
-        g0 = _gamma_zdot(metric, y0, history.z[0], history.zdot[0])
-        entry = _frozen_propagator(metric, y0, 0, backward=_identity(n), g_end=g0)
+        entry = _start_entry(metric, y0, history)
     while entry.k < history.n_steps - 1:
         entry = entry.extended(history)
-    history._prefix.entry = entry
+    slot.entry = entry
     history._full = entry.extended(history)
     return history._full
 

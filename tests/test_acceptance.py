@@ -269,7 +269,7 @@ def test_criterion_10_zero_data_identity_flow():
     surf = build_surface(SphereCapImmersion(1.0, 0.5), metric, grid, ci_tol=1e-5)
     boundary = BoundarySpec(winding=-1, gamma_kind="zero")
     cfg = FlowConfig(t_final=0.05, dt=0.005)
-    state = init_flow(metric, surf, boundary, cfg)
+    state = init_flow(surf, boundary, cfg)
     rep = run_flow(state)
     rate_max = max(r.rate_sup for r in state.records)
     ok = (rep["index"] == -1 and rep["steps"] == 10 and rate_max <= 1e-12)

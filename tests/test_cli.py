@@ -177,14 +177,16 @@ def test_non_positive_ci_tol_is_a_config_error(tmp_path, capsys, command, value)
 
 def test_build_objects():
     cfg = parse_config(MINIMAL)
-    metric, surface, boundary, flow_cfg = build_problem_objects(cfg)
+    surface, boundary, flow_cfg = build_problem_objects(cfg)
     assert surface.grid.n_r == 12
+    # the surface carries the configured metric, the flow's one source of it
+    assert surface.metric.is_flat()
     assert flow_cfg.dt == 0.005
 
 
 def test_n_theta_not_a_multiple_of_four_builds():
     cfg = parse_config(MINIMAL.replace("n_theta = 24", "n_theta = 34"))
-    _, surface, _, _ = build_problem_objects(cfg)
+    surface, _, _ = build_problem_objects(cfg)
     assert surface.grid.n_theta == 34
 
 
@@ -300,7 +302,7 @@ def test_snapshot_run_keeps_no_arrays_in_its_records(tmp_path, monkeypatch):
 
 def test_within_tolerances_checks_oracle_and_fixed_point(tiny_run):
     _, summary = tiny_run
-    flow_cfg = build_problem_objects(parse_config(MINIMAL))[3]
+    flow_cfg = build_problem_objects(parse_config(MINIMAL))[2]
     report = dict(summary["flow_report"])
     assert within_tolerances(report, flow_cfg)
     # each check alone turns the verdict

@@ -1,3 +1,5 @@
+import gc
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -47,10 +49,10 @@ def flat_cap():
 
 
 def test_zero_data_negative_index_is_identity_flow(flat_cap):
-    metric, surf = flat_cap
+    _, surf = flat_cap
     boundary = BoundarySpec(winding=-1, gamma_kind="zero")
     cfg = FlowConfig(t_final=0.02, dt=0.005)
-    state = init_flow(metric, surf, boundary, cfg)
+    state = init_flow(surf, boundary, cfg)
     rep = run_flow(state)
     assert rep["index"] == -1
     assert rep["max_rate_sup"] <= 1e-12
@@ -61,10 +63,10 @@ def test_zero_data_negative_index_is_identity_flow(flat_cap):
 def test_failed_step_raises_its_own_error(flat_cap, monkeypatch):
     # no retry: the error of a failing step propagates unchanged, dt stays,
     # and the completed steps stay recorded
-    metric, surf = flat_cap
+    _, surf = flat_cap
     boundary = BoundarySpec(winding=-1, gamma_kind="zero")
     cfg = FlowConfig(t_final=0.02, dt=0.005)
-    state = init_flow(metric, surf, boundary, cfg)
+    state = init_flow(surf, boundary, cfg)
     real_step = flow.step
     calls = []
 
@@ -83,10 +85,10 @@ def test_failed_step_raises_its_own_error(flat_cap, monkeypatch):
 
 
 def test_single_step_invariants(flat_cap):
-    metric, surf = flat_cap
+    _, surf = flat_cap
     boundary = BoundarySpec(winding=1, gamma_kind="harmonic", epsilon=1e-3, mode=1)
     cfg = FlowConfig(t_final=0.005, dt=0.005)
-    state = init_flow(metric, surf, boundary, cfg)
+    state = init_flow(surf, boundary, cfg)
     rec = step(state)
     assert rec.n == 1
     assert rec.family_dimension_before == 3
@@ -101,12 +103,11 @@ def test_single_step_invariants(flat_cap):
 
 def test_step_refinement_first_order(flat_cap):
     # halving dt roughly halves the state difference against a fine reference
-    metric, surf = flat_cap
+    _, surf = flat_cap
     boundary = BoundarySpec(winding=1, gamma_kind="harmonic", epsilon=1e-3, mode=1)
 
     def advance(dt):
-        state = init_flow(metric, surf, boundary,
-                          FlowConfig(t_final=0.02, dt=dt))
+        state = init_flow(surf, boundary, FlowConfig(t_final=0.02, dt=dt))
         run_flow(state)
         return state.deform.z
 
@@ -156,10 +157,10 @@ def test_point_pin_counts():
 
 
 def test_continuity_bound(flat_cap):
-    metric, surf = flat_cap
+    _, surf = flat_cap
     boundary = BoundarySpec(winding=1, gamma_kind="harmonic", epsilon=1e-3, mode=1)
     cfg = FlowConfig(t_final=0.01, dt=0.005)
-    state = init_flow(metric, surf, boundary, cfg)
+    state = init_flow(surf, boundary, cfg)
     rec = step(state)
     assert rec.step_displacement <= cfg.dt * rec.rate_sup + 1e-18
 
@@ -168,7 +169,7 @@ def test_one_pinned_solve_per_step(flat_cap, monkeypatch):
     # the fixed-right-side solves of the linear-response basis run once, in
     # init_flow; every step, step 0 included, then makes exactly one solve,
     # with an assembler
-    metric, surf = flat_cap
+    _, surf = flat_cap
     boundary = BoundarySpec(winding=1, gamma_kind="harmonic", epsilon=1e-3, mode=1)
     real_solve = vekua.bvp_solve
     calls = []
@@ -179,7 +180,7 @@ def test_one_pinned_solve_per_step(flat_cap, monkeypatch):
 
     monkeypatch.setattr(vekua, "bvp_solve", counting_solve)
     monkeypatch.setattr(flow, "bvp_solve", counting_solve)
-    state = init_flow(metric, surf, boundary, FlowConfig(t_final=0.015, dt=0.005))
+    state = init_flow(surf, boundary, FlowConfig(t_final=0.015, dt=0.005))
     assert state.statics is not None
     assert calls and not any(calls)
     per_step = []
@@ -198,10 +199,10 @@ def test_warm_started_steps_make_at_most_two_assembler_calls(flat_cap, monkeypat
     # extrapolation of the last two solutions and returns the last iterate it
     # assembled, so every step after the first makes at most two right-hand
     # side assemblies (a cold start plus a closing assembly made four)
-    metric, surf = flat_cap
+    _, surf = flat_cap
     boundary = BoundarySpec(winding=1, gamma_kind="harmonic", epsilon=1e-3, mode=1)
     cfg = FlowConfig(t_final=0.05, dt=0.005)
-    state = init_flow(metric, surf, boundary, cfg)
+    state = init_flow(surf, boundary, cfg)
     real_solve = flow.bvp_solve
     calls = []
 
@@ -233,7 +234,7 @@ def test_warm_started_steps_make_at_most_two_assembler_calls(flat_cap, monkeypat
 def test_boundary_data_built_once_per_flow(flat_cap, monkeypatch):
     # the shipped boundary rates are steady, so lambda and phi are flow
     # statics
-    metric, surf = flat_cap
+    _, surf = flat_cap
     boundary = BoundarySpec(winding=1, gamma_kind="harmonic", epsilon=1e-3, mode=1)
     real = vekua.boundary_data
     calls = []
@@ -243,7 +244,7 @@ def test_boundary_data_built_once_per_flow(flat_cap, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(flow, "boundary_data", counting)
-    state = init_flow(metric, surf, boundary, FlowConfig(t_final=0.015, dt=0.005))
+    state = init_flow(surf, boundary, FlowConfig(t_final=0.015, dt=0.005))
     run_flow(state)
     assert len(state.records) == 3
     assert len(calls) == 1
@@ -256,7 +257,7 @@ def test_curved_metric_flow_meets_acceptance_bounds(monkeypatch):
                          ci_tol=1e-5)
     boundary = BoundarySpec(winding=1, gamma_kind="harmonic", epsilon=1e-3, mode=1)
     cfg = FlowConfig(t_final=0.05, dt=0.005)
-    state = init_flow(metric, surf, boundary, cfg)
+    state = init_flow(surf, boundary, cfg)
     calls = []
     real = metrics.ConformalMetric.christoffel_contract
 
@@ -316,7 +317,7 @@ def test_flow_never_forms_the_metric_derivative(monkeypatch):
 
     monkeypatch.setattr(metric, "dmetric", counting)
     monkeypatch.setattr(metric, "dmetric_contract", counting_contract)
-    state = init_flow(metric, surf, BoundarySpec(), FlowConfig(t_final=0.02, dt=0.005))
+    state = init_flow(surf, BoundarySpec(), FlowConfig(t_final=0.02, dt=0.005))
     assert formed == contracted == []
     per_step = []
 
@@ -358,7 +359,7 @@ def test_closed_form_step_matches_general_path():
         surf = build_surface(SphereCapImmersion(1.0, 0.5), metric, DiskGrid(16, 32),
                              ci_tol=1e-5)
         boundary = BoundarySpec(winding=1, gamma_kind="harmonic", epsilon=1e-3, mode=1)
-        state = init_flow(metric, surf, boundary, FlowConfig(t_final=0.005, dt=0.005))
+        state = init_flow(surf, boundary, FlowConfig(t_final=0.005, dt=0.005))
         recs.append(step(state))
     closed, general = recs
     for name in ("bvp_passes", "bvp_iterations", "cdot_iterations",
@@ -380,7 +381,7 @@ def test_assembler_builds_one_trial_history_per_cdot_sweep(monkeypatch):
     metric = conformal_radial_metric(0.5)
     surf = build_surface(SphereCapImmersion(1.0, 0.5), metric, DiskGrid(16, 32),
                          ci_tol=1e-5)
-    state = init_flow(metric, surf, BoundarySpec(), FlowConfig(t_final=0.015, dt=0.005))
+    state = init_flow(surf, BoundarySpec(), FlowConfig(t_final=0.015, dt=0.005))
     hists, sols, per_call = [], [], []
     real_hist = gdef.DeformationState.history_with_rates
     real_solve = flow.solve_cdot
@@ -423,7 +424,7 @@ def test_flow_on_grid_with_n_theta_not_a_multiple_of_four(metric, n_r, n_theta):
     surf = build_surface(SphereCapImmersion(1.0, 0.5), metric, DiskGrid(n_r, n_theta),
                          ci_tol=1e-5)
     boundary = BoundarySpec(winding=1, gamma_kind="harmonic", epsilon=1e-3, mode=1)
-    state = init_flow(metric, surf, boundary, FlowConfig(t_final=0.02, dt=0.005))
+    state = init_flow(surf, boundary, FlowConfig(t_final=0.02, dt=0.005))
     rep = run_flow(state)
     assert rep["index"] == 1
     assert rep["steps"] == 4
@@ -454,7 +455,7 @@ def _scaled_flow(metric_kind, winding, s):
     surf = build_surface(SphereCapImmersion(s, 0.5), metric, DiskGrid(16, 32), ci_tol=1e-5)
     boundary = BoundarySpec(winding=winding, gamma_kind="harmonic", epsilon=epsilon,
                             mode=2)
-    state = init_flow(metric, surf, boundary, FlowConfig(t_final=0.02, dt=0.005))
+    state = init_flow(surf, boundary, FlowConfig(t_final=0.02, dt=0.005))
     run_flow(state)
     return state.deform.z, state.records
 
@@ -498,7 +499,7 @@ def test_plane_flows_in_conformal_linear_metric():
     assert np.max(np.abs(surf.K - surf.H ** 2)) <= 1e-12 * np.max(surf.K)
     boundary = BoundarySpec(winding=1, gamma_kind="harmonic", epsilon=1e-3, mode=1)
     cfg = FlowConfig(t_final=0.02, dt=0.005)
-    state = init_flow(metric, surf, boundary, cfg)
+    state = init_flow(surf, boundary, cfg)
     rep = run_flow(state)
     assert within_tolerances(rep, cfg)
     assert rep["index"] == 1
@@ -516,9 +517,9 @@ def test_state_fields_differentiated_once_per_step(flat_cap, monkeypatch):
     # of the zero start of the flow's first solve not at all.  Every grid
     # derivative goes through DiskGrid.grad_last, which receives the
     # node-last view np.moveaxis(f, 0, -1) of an (N, ...) field f
-    metric, surf = flat_cap
+    _, surf = flat_cap
     boundary = BoundarySpec(winding=1, gamma_kind="harmonic", epsilon=1e-3, mode=1)
-    state = init_flow(metric, surf, boundary, FlowConfig(t_final=0.005, dt=0.005))
+    state = init_flow(surf, boundary, FlowConfig(t_final=0.005, dt=0.005))
     args = []
     real_grad = DiskGrid.grad_last
     iterates = []
@@ -555,25 +556,83 @@ def test_state_fields_differentiated_once_per_step(flat_cap, monkeypatch):
 
 
 def test_history_times_count_whole_steps(flat_cap):
-    # the history's sample times are k dt exactly, like the step clock
-    metric, surf = flat_cap
+    # the step clock and the history's sample times are k dt exactly: they
+    # count whole steps, where a sum of steps would drift from step 6 on
+    _, surf = flat_cap
     boundary = BoundarySpec(winding=1, gamma_kind="harmonic", epsilon=1e-3, mode=1)
-    state = init_flow(metric, surf, boundary, FlowConfig(t_final=0.05, dt=0.005))
-    run_flow(state)
-    history = state.deform.history
-    assert np.array_equal(history.tau, np.arange(11) * 0.005)
-    assert history.t_final == state.deform.t == 0.05
+    state = init_flow(surf, boundary, FlowConfig(t_final=0.05, dt=0.005))
+    times = []
+    run_flow(state, lambda rec: times.append((rec.t_new, list(state.deform.history.tau))))
+    assert len(times) == 10
+    for k, (t_new, tau) in enumerate(times, start=1):
+        assert t_new == k * 0.005
+        assert tau == [(k - 1) * 0.005, k * 0.005]
+    assert state.deform.history.t_final == state.deform.t == 0.05
+
+
+def test_flow_history_holds_its_final_interval_only():
+    # after every step a flow's history holds two samples; over 20 curved
+    # steps its propagator is, bit for bit, that of a history built from
+    # every sample the flow made, and it serves no other metric or points
+    metric = conformal_radial_metric(0.5)
+    surf = build_surface(SphereCapImmersion(1.0, 0.5), metric, DiskGrid(16, 32),
+                         ci_tol=1e-5)
+    boundary = BoundarySpec(winding=1, gamma_kind="harmonic", epsilon=1e-3, mode=1)
+    state = init_flow(surf, boundary, FlowConfig(t_final=0.1, dt=0.005))
+    zs, zdots = [], []
+
+    def on_step(rec):
+        hist = state.deform.history
+        assert len(hist.tau) == len(hist.z) == len(hist.zdot) == 2
+        assert hist.n_steps == rec.step + 1
+        zs.append(hist.z[0])
+        zdots.append(hist.zdot[0])
+
+    run_flow(state, on_step)
+    hist = state.deform.history
+    whole = transport.TransportHistory(np.arange(21) * 0.005, zs + [hist.z[1]],
+                                       zdots + [hist.zdot[1]])
+    got = transport.transport_propagator(metric, surf.y, hist)
+    want = transport.transport_propagator(metric, surf.y, whole)
+    assert got.k == want.k == 20
+    assert np.array_equal(got.backward, want.backward)
+    assert np.array_equal(got.g_end, want.g_end)
+    for other_metric, other_y in ((conformal_radial_metric(0.5), surf.y),
+                                  (metric, surf.y.copy())):
+        with pytest.raises(MgError, match="advanced with"):
+            transport.transport_propagator(other_metric, other_y, hist)
+
+
+def test_flow_memory_does_not_grow_with_its_steps(flat_cap):
+    # a flow's state is O(1) in its steps: from step 10 to step 60 of a flat
+    # 16x32 flow its traced memory grows by less than 0.25 MB, the records
+    # of the 50 steps included (one z and one zdot row per step, kept, would
+    # add 1.2 MB)
+    _, surf = flat_cap
+    boundary = BoundarySpec(winding=1, gamma_kind="harmonic", epsilon=1e-3, mode=1)
+    state = init_flow(surf, boundary, FlowConfig(t_final=0.3, dt=0.005))
+    traced = {}
+    tracemalloc.start()
+    try:
+        for k in range(1, 61):
+            step(state)
+            if k in (10, 60):
+                gc.collect()
+                traced[k] = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert traced[60] - traced[10] < 0.25e6, traced
 
 
 @pytest.mark.parametrize("winding", [15, 16, 17, 40])
 def test_winding_beyond_the_rim_resolution_is_rejected(flat_cap, monkeypatch, winding):
     # n_theta = 32 rim samples cannot tell winding k from k - 32: 40 would run
     # as index 8 and 17 as index -15, so |winding| >= 16 fails before any solve
-    metric, surf = flat_cap
+    _, surf = flat_cap
     boundary = BoundarySpec(winding=winding)
     cfg = FlowConfig(t_final=0.005, dt=0.005)
     if winding < surf.grid.n_theta // 2:
-        assert run_flow(init_flow(metric, surf, boundary, cfg))["index"] == winding
+        assert run_flow(init_flow(surf, boundary, cfg))["index"] == winding
         return
 
     def no_solve(*args, **kwargs):
@@ -581,7 +640,7 @@ def test_winding_beyond_the_rim_resolution_is_rejected(flat_cap, monkeypatch, wi
 
     monkeypatch.setattr(flow, "solve_family", no_solve)
     with pytest.raises(UnderResolvedError, match=f"winding {winding}"):
-        init_flow(metric, surf, boundary, cfg)
+        init_flow(surf, boundary, cfg)
 
 
 @pytest.mark.parametrize("metric", [FlatMetric(), conformal_radial_metric(0.5)],
@@ -596,7 +655,7 @@ def test_step_applies_l_once_per_krylov_vector(metric, monkeypatch):
                          ci_tol=1e-5)
     grid = surf.grid
     boundary = BoundarySpec(winding=1, gamma_kind="harmonic", epsilon=1e-3, mode=1)
-    state = init_flow(metric, surf, boundary, FlowConfig(t_final=0.02, dt=0.005))
+    state = init_flow(surf, boundary, FlowConfig(t_final=0.02, dt=0.005))
     t_calls, krylov, grad_args = [], [], []
     real_t, real_gmres, real_grad = vekua.t_operator, vekua._gmres, DiskGrid.grad_last
 
@@ -644,7 +703,7 @@ def test_steady_steps_make_one_pass_from_the_unpinned_start(metric, max_inner):
     surf = build_surface(SphereCapImmersion(1.0, 0.5), metric, DiskGrid(16, 32),
                          ci_tol=1e-5)
     boundary = BoundarySpec(winding=1, gamma_kind="harmonic", epsilon=1e-3, mode=1)
-    state = init_flow(metric, surf, boundary, FlowConfig(t_final=0.06, dt=0.005))
+    state = init_flow(surf, boundary, FlowConfig(t_final=0.06, dt=0.005))
     run_flow(state)
     steady = state.records[4:]
     assert len(steady) == 8
@@ -652,31 +711,41 @@ def test_steady_steps_make_one_pass_from_the_unpinned_start(metric, max_inner):
     assert max(r.bvp_iterations for r in steady) <= max_inner
 
 
-def test_curved_one_pass_step_makes_four_rk4_steps(monkeypatch):
+def test_curved_one_pass_step_makes_three_rk4_steps(monkeypatch):
     # criterion 11 in conformal_radial at 32x64: the carried normal reads
     # the one backward map, so a steady step's pass integrates the final
-    # interval of its two trial histories once each, and the monitors extend
-    # the new state's history by its committed and its final interval
+    # interval of its two trial histories once each.  The accepted trial's
+    # propagator is the new state's prefix, so the monitors integrate only
+    # the new final interval: 3 RK4 steps and 11 Christoffel contractions
+    # in steps 4-9, 13 and 80 at most in step 0
     metric = conformal_radial_metric(0.5)
     surf = build_surface(SphereCapImmersion(1.0, 0.5), metric, DiskGrid(32, 64),
                          ci_tol=1e-5)
     boundary = BoundarySpec(winding=1, gamma_kind="harmonic", epsilon=1e-3, mode=1)
-    state = init_flow(metric, surf, boundary, FlowConfig(t_final=0.025, dt=0.005))
-    calls = []
-    real = transport._rk4_step
+    state = init_flow(surf, boundary, FlowConfig(t_final=0.05, dt=0.005))
+    rk4, contractions = [], []
+    real_rk4 = transport._rk4_step
+    real_contract = metrics.ConformalMetric.christoffel_contract
 
-    def counting(*args):
-        calls.append(1)
-        return real(*args)
+    def counting_rk4(*args):
+        rk4.append(1)
+        return real_rk4(*args)
 
-    monkeypatch.setattr(transport, "_rk4_step", counting)
+    def counting_contract(self, *args):
+        contractions.append(1)
+        return real_contract(self, *args)
+
+    monkeypatch.setattr(transport, "_rk4_step", counting_rk4)
+    monkeypatch.setattr(metrics.ConformalMetric, "christoffel_contract", counting_contract)
     per_step = []
-    for _ in range(5):
-        calls.clear()
+    for _ in range(10):
+        rk4.clear()
+        contractions.clear()
         rec = step(state)
-        per_step.append((rec.bvp_passes, len(calls)))
-    assert per_step[-1] == (1, 4)
-    assert all(n == 2 + 2 * p for p, n in per_step[1:]), per_step
+        per_step.append((rec.bvp_passes, len(rk4), len(contractions)))
+    assert per_step[0][1] <= 13 and per_step[0][2] <= 80, per_step
+    assert all(n == 1 + 2 * p for p, n, _ in per_step[1:]), per_step
+    assert per_step[4:] == [(1, 3, 11)] * 6, per_step
 
 
 @pytest.mark.parametrize("winding", [1, 2])
@@ -685,7 +754,7 @@ def test_init_flow_applies_t_only_in_its_solves(flat_cap, monkeypatch, winding):
     # T calls are those of solve_family's 2n + 2 fixed-right-side solves,
     # one for the right side, one per application of L and one for the
     # closing check each
-    metric, surf = flat_cap
+    _, surf = flat_cap
     boundary = BoundarySpec(winding=winding, gamma_kind="harmonic", epsilon=1e-3, mode=1)
     t_calls, solves = [], []
     real_t, real_solve = vekua.t_operator, vekua.bvp_solve
@@ -701,7 +770,7 @@ def test_init_flow_applies_t_only_in_its_solves(flat_cap, monkeypatch, winding):
 
     monkeypatch.setattr(vekua, "t_operator", counting_t)
     monkeypatch.setattr(vekua, "bvp_solve", recording_solve)
-    init_flow(metric, surf, boundary, FlowConfig(t_final=0.005, dt=0.005))
+    init_flow(surf, boundary, FlowConfig(t_final=0.005, dt=0.005))
     assert len(solves) == 2 * winding + 2
     assert len(t_calls) == sum(f.passes + f.iterations + 1 for f in solves)
 
@@ -709,9 +778,9 @@ def test_init_flow_applies_t_only_in_its_solves(flat_cap, monkeypatch, winding):
 def test_step_zero_differentiates_no_zero_field(flat_cap, monkeypatch):
     # the undeformed state's derivatives are exact zeros, given, and the
     # zero start of the first solve has zero rate derivatives
-    metric, surf = flat_cap
+    _, surf = flat_cap
     boundary = BoundarySpec(winding=1, gamma_kind="harmonic", epsilon=1e-3, mode=1)
-    state = init_flow(metric, surf, boundary, FlowConfig(t_final=0.005, dt=0.005))
+    state = init_flow(surf, boundary, FlowConfig(t_final=0.005, dt=0.005))
     for name in ("dz", "da", "dc"):
         field = getattr(state.deform, name)
         assert not np.any(field) and not np.any(np.signbit(field)), name
@@ -734,7 +803,7 @@ def _rotated_chart_flow(metric, immersion, winding, s):
     boundary = BoundarySpec(winding=winding, phase=-(winding + 1) * alpha,
                             gamma_kind="harmonic", epsilon=0.05, mode=2,
                             gamma_phase=2 * alpha)
-    state = init_flow(metric, surf, boundary, FlowConfig(t_final=0.02, dt=0.005))
+    state = init_flow(surf, boundary, FlowConfig(t_final=0.02, dt=0.005))
     run_flow(state)
     return state
 
@@ -788,7 +857,7 @@ def _moved_flow(metric_kind, rot=np.eye(3), shift=(0.0, 0.0, 0.0)):
     surf = build_surface(AmbientMoved(SphereCapImmersion(1.0, 0.5), rot, shift), metric,
                          DiskGrid(16, 32), ci_tol=1e-5)
     boundary = BoundarySpec(winding=1, gamma_kind="harmonic", epsilon=0.05, mode=2)
-    state = init_flow(metric, surf, boundary, FlowConfig(t_final=0.02, dt=0.005))
+    state = init_flow(surf, boundary, FlowConfig(t_final=0.02, dt=0.005))
     run_flow(state)
     return state
 

@@ -163,23 +163,29 @@ def test_advance_matches_hand_built_successor(curved_sphere):
     metric, surf = curved_sphere
     grid = surf.grid
     deform = prescribed_deformation(surf, *small_rates(grid), 0.02, 4)
-    transport_propagator(metric, surf.y, deform.history)   # fills the prefix cache
     r1, r2, r3 = (smooth_scalar(grid, seed, 2e-2) for seed in (21, 22, 23))
     dt = 0.005
     a1, a2, c = deform.a1 + dt * r1, deform.a2 + dt * r2, deform.c + dt * r3
     z_new = a1[:, None] * surf.y1 + a2[:, None] * surf.y2 + c[:, None] * surf.n
     zdot = r1[:, None] * surf.y1 + r2[:, None] * surf.y2 + r3[:, None] * surf.n
-    hist = deform.history.advance(dt, z_new, zdot)
+    hist = deform.history.replace_final_rate(zdot).advance(metric, surf.y, dt, z_new)
 
-    nxt = deform.advance(dt, r1, r2, r3)
+    rated = deform.history_with_rates(r1, r2, r3)
+    nxt = deform.advance(dt, r1, r2, r3, rated)
     for name, want in (("a1", a1), ("a2", a2), ("c", c),
                        ("a1dot", r1), ("a2dot", r2), ("cdot", r3)):
         assert np.array_equal(getattr(nxt, name), want), name
-    assert nxt.surface is surf and nxt.t == deform.t + dt
+    # times count whole steps: the fifth step ends at 5 dt exactly
+    assert nxt.surface is surf and nxt.t == 5 * dt
     for name in ("tau", "z", "zdot"):
         assert np.array_equal(getattr(nxt.history, name), getattr(hist, name)), name
-    assert deform.history._prefix.entry is not None
-    assert nxt.history._prefix.entry is deform.history._prefix.entry
+    # the successor's prefix is the given history's propagator itself, bound
+    # to the surface's metric and points, and equal to the hand-built one
+    prefix = nxt.history._prefix.entry
+    assert nxt.history._prefix.bound and prefix.matches(surf.metric, surf.y)
+    assert prefix is transport_propagator(metric, surf.y, rated)
+    assert np.array_equal(prefix.backward, hist._prefix.entry.backward)
+    assert nxt.history.z[0] is deform.z
     # derivatives are taken once and kept; the fields cannot be reassigned
     assert np.array_equal(nxt.dz, grid.grad_last(nxt.z.T))
     assert nxt.da is nxt.da and nxt.dc is nxt.dc

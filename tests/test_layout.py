@@ -123,7 +123,7 @@ def test_flow_step_contracts_node_last(monkeypatch):
     monkeypatch.setattr(np, "einsum", guarded)
     surf = build_surface(SphereCapImmersion(1.0, 0.5), metric, grid, ci_tol=1e-5)
     boundary = BoundarySpec(winding=1, gamma_kind="harmonic", epsilon=1e-3, mode=1)
-    state = init_flow(metric, surf, boundary, FlowConfig(t_final=0.01, dt=0.005))
+    state = init_flow(surf, boundary, FlowConfig(t_final=0.01, dt=0.005))
     step(state)
     step(state)
     assert seen == set(KERNELS)

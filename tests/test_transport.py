@@ -38,17 +38,20 @@ def test_history_validation():
         TransportHistory([0.0, 0.5, 0.5], np.zeros((3, 1, 3)), np.zeros((3, 1, 3)))
     with pytest.raises(EmptyHistoryError):
         TransportHistory(np.zeros(0), np.zeros((0, 1, 3)), np.zeros((0, 1, 3)))
+    with pytest.raises(MgError, match="tau = 0"):
+        TransportHistory([0.1, 0.5], np.zeros((2, 1, 3)), np.zeros((2, 1, 3)))
     # uneven steps make a valid history, which advance cannot extend by whole
-    # steps (3 dt = 0.9 would still come after 0.7)
+    # steps (its end 0.7 is not 2 dt = 0.6, though 3 dt = 0.9 comes after it)
     h = TransportHistory([0.0, 0.5, 0.7], np.zeros((3, 1, 3)), np.zeros((3, 1, 3)))
     assert h.t_final == 0.7
     with pytest.raises(MgError, match="whole steps"):
-        h.advance(0.3, np.zeros((1, 3)), np.zeros((1, 3)))
+        h.advance(FlatMetric(), np.zeros((1, 3)), 0.3, np.zeros((1, 3)))
 
 
 def test_new_histories_share_committed_rows():
     # a trial rate or a new step copies no committed sample: every row the
-    # child keeps is the parent's own object
+    # child keeps is the parent's own object, and an advanced history keeps
+    # only its final interval's two samples
     h = straight_history(0.03, 3)
     rate = np.full((1, 3), 0.25)
     child = h.replace_final_rate(rate)
@@ -56,11 +59,11 @@ def test_new_histories_share_committed_rows():
     assert all(a is b for a, b in zip(child.zdot[:-1], h.zdot[:-1]))
     assert np.array_equal(child.zdot[-1], rate) and h.zdot[-1] is not child.zdot[-1]
     z_new = h.z[-1] + 0.01 * rate
-    longer = h.advance(0.01, z_new, rate)
-    assert len(longer.z) == len(longer.zdot) == len(h.z) + 1
-    assert all(a is b for a, b in zip(longer.z, h.z)) and longer.z[-1] is z_new
-    assert all(a is b for a, b in zip(longer.zdot[:-2], h.zdot[:-1]))
-    assert np.array_equal(longer.zdot[-2], rate) and np.array_equal(longer.zdot[-1], rate)
+    longer = child.advance(conformal_radial_metric(0.7), np.zeros((1, 3)), 0.01, z_new)
+    assert longer.n_steps == h.n_steps + 1 and longer.t_final == 4 * 0.01
+    assert len(longer.tau) == len(longer.z) == len(longer.zdot) == 2
+    assert longer.z[0] is h.z[-1] and longer.z[1] is z_new
+    assert longer.zdot[0] is longer.zdot[1] is child.zdot[-1]
 
 
 def test_flat_transport_is_identity():
@@ -312,8 +315,9 @@ def test_propagator_takes_one_rk4_step_per_interval():
 
 def test_each_extension_makes_one_rk4_step(monkeypatch):
     # one map per interval: a fresh propagator makes one RK4 step per
-    # interval, a trial rate one for the final interval, and an advance one
-    # more for the interval it commits; each step is seeded with the
+    # interval, a trial rate one for the final interval, and an advance
+    # none for the interval it commits when that history's propagator is
+    # memoised, which becomes its prefix; each step is seeded with the
     # identity (a = None), so its first stage is G itself
     calls = []
     real = transport._rk4_step
@@ -331,9 +335,16 @@ def test_each_extension_makes_one_rk4_step(monkeypatch):
     transport_propagator(m, y0, h.replace_final_rate(1.1 * h.zdot[-1]))
     assert calls == [None]
     calls.clear()
-    transport_propagator(m, y0, h.advance(h.tau[1], h.z[-1] + h.tau[1] * h.zdot[-1],
-                                          h.zdot[-1]))
-    assert calls == [None, None]
+    longer = h.advance(m, y0, h.tau[1], h.z[-1] + h.tau[1] * h.zdot[-1])
+    assert calls == []
+    transport_propagator(m, y0, longer)
+    assert calls == [None]
+    calls.clear()
+    # a rate whose propagator is not yet integrated: the advance makes its
+    # final interval's step
+    trial = h.replace_final_rate(1.2 * h.zdot[-1])
+    longer = trial.advance(m, y0, h.tau[1], h.z[-1] + h.tau[1] * trial.zdot[-1])
+    assert calls == [None]
 
 
 def test_carried_normal_converges_at_fourth_order():
@@ -355,9 +366,9 @@ def test_nonuniform_history_matches_references():
     m = conformal_radial_metric(0.7)
     y0, h = _quadratic_paths([0.0, 0.03, 0.05, 0.11, 0.12, 0.2])
     _check_against_full(m, y0, h, np.array([[1.0, 0.2, -0.3], [-0.5, 0.8, 0.1]]))
-    for dt in (0.01, 0.05):   # 6 dt = 0.06 or 0.3, before or after tau_M = 0.2
+    for dt in (0.01, 0.05):   # 5 dt = 0.05 or 0.25, before or after tau_M = 0.2
         with pytest.raises(MgError, match="whole steps"):
-            h.advance(dt, h.z[-1], h.zdot[-1])
+            h.advance(m, y0, dt, h.z[-1])
 
 
 @pytest.fixture(scope="module")
@@ -397,38 +408,73 @@ def test_cached_propagator_matches_full_recomputation(curved_cap, christoffel_ca
         return deform.rate_displacement(*fields)
 
     hist = deform.history
+    # the same samples, array-built: an advanced history holds only its
+    # final interval, so the references integrate this one
+    taus, zs, zdots = list(hist.tau), list(hist.z), list(hist.zdot)
     christoffel_calls.clear()
     _check_against_full(metric, y0, hist, surf.y1)
     chain = [("replace", 20), ("replace", 30), ("advance", 40), ("replace", 50),
              ("advance", 60), ("advance", 70), ("replace", 80)]
     for kind, seed in chain:
-        if kind == "replace":
-            hist = hist.replace_final_rate(rate(seed))
-        else:
-            old = hist
-            z_new = hist.z[-1] + 0.005 * rate(seed)
-            hist = hist.advance(0.005, z_new, rate(seed))
-            assert np.array_equal(hist.tau[:-1], old.tau)
-            assert hist.tau[-1] == (old.n_steps + 1) * 0.005   # whole steps from tau_0 = 0
-            assert np.array_equal(hist.zdot[-2], hist.zdot[-1])
-            assert np.array_equal(hist.zdot[:-2], old.zdot[:-1])
         christoffel_calls.clear()
+        zdots[-1] = rate(seed)
+        hist = hist.replace_final_rate(zdots[-1])
+        if kind == "advance":
+            old = hist
+            z_new = hist.z[-1] + 0.005 * zdots[-1]
+            hist = hist.advance(metric, y0, 0.005, z_new)
+            assert hist.tau[-1] == (old.n_steps + 1) * 0.005   # whole steps from tau_0 = 0
+            assert hist.tau[0] == old.tau[-1] and hist.z[0] is old.z[-1]
+            assert hist.zdot[0] is hist.zdot[1] is zdots[-1]
+            taus.append(hist.tau[-1])
+            zs.append(z_new)
+            zdots.append(zdots[-1])
         prop = transport_propagator(metric, y0, hist)
         # the cached prefix leaves the final interval (2 contractions), plus
-        # one more interval after an advance
+        # the committed one after an advance, integrated by the advance
         assert christoffel_calls == ["christoffel_contract"] * (2 if kind == "replace" else 4)
         assert transport_propagator(metric, y0, hist) is prop
-        _check_against_full(metric, y0, hist, surf.y2 + hist.z[-1])
+        mirror = TransportHistory(taus, zs, zdots)
+        assert mirror.n_steps == hist.n_steps
+        assert np.array_equal(prop.backward, transport_propagator(metric, y0, mirror).backward)
+        _check_against_full(metric, y0, mirror, surf.y2 + hist.z[-1])
 
-    # another metric or base-point object never reads the cached prefix
+    # another metric or base-point object never reads the cached prefix: an
+    # array-built history integrates afresh, an advanced one raises
     for other_metric, other_y0 in ((conformal_radial_metric(0.5), y0),
                                    (metric, y0.copy()),
                                    (conformal_radial_metric(0.7), y0)):
-        child = hist.replace_final_rate(rate(90))
+        zdots[-1] = rate(90)
+        child = TransportHistory(taus, zs, zdots)
         christoffel_calls.clear()
-        prop = transport_propagator(other_metric, other_y0, child)
+        transport_propagator(other_metric, other_y0, child)
         assert christoffel_calls == ["christoffel_contract"] * (2 * child.n_steps + 1)
         _check_against_full(other_metric, other_y0, child, surf.y1)
+        with pytest.raises(MgError, match="advanced with"):
+            transport_propagator(other_metric, other_y0, hist.replace_final_rate(zdots[-1]))
+
+
+def test_advanced_history_is_bound_to_its_metric_and_points():
+    # an advanced history no longer holds the samples of its prefix, so it
+    # gives no propagator under another metric or other base points, flat
+    # ones included, where its prefix is the identity
+    y0 = np.array([[0.2, 0.1, -0.3]])
+    rate = np.array([[0.25, 0.3, -0.1]])
+    for metric in (FlatMetric(), conformal_radial_metric(0.7)):
+        hist = static_history(1).replace_final_rate(rate).advance(metric, y0, 0.01, 0.01 * rate)
+        hist = hist.advance(metric, y0, 0.01, 0.02 * rate)
+        prop = transport_propagator(metric, y0, hist)
+        assert prop.identity == metric.is_flat() and prop.k == 2
+        for other_metric, other_y0 in ((type(metric)() if metric.is_flat()
+                                        else conformal_radial_metric(0.7), y0),
+                                       (metric, y0.copy())):
+            with pytest.raises(MgError, match="advanced with"):
+                transport_propagator(other_metric, other_y0, hist)
+            with pytest.raises(MgError, match="advanced with"):
+                hist.advance(other_metric, other_y0, 0.01, 0.03 * rate)
+        # nor does it integrate an interval it no longer holds
+        with pytest.raises(MgError, match="holds the intervals from 1"):
+            hist.hermite(0, 0.5)
 
 
 def test_trial_histories_share_checked_rows():
@@ -436,20 +482,19 @@ def test_trial_histories_share_checked_rows():
     # rows it adds
     n = 7
     zdot = np.ones((n, 3))
+    y0, metric = np.zeros((n, 3)), FlatMetric()
     hist = TransportHistory([0.0, 0.005], [np.zeros((n, 3)), 0.005 * zdot], [zdot, zdot])
     trial = hist.replace_final_rate(2 * zdot)
     assert trial.z is hist.z and trial.zdot[0] is hist.zdot[0]
     assert trial.tau is hist.tau
-    longer = hist.advance(0.005, 0.01 * zdot, zdot)
-    assert all(a is b for a, b in zip(longer.z, hist.z))
-    assert longer.zdot[0] is hist.zdot[0]
-    assert np.array_equal(longer.tau, [0.0, 0.005, 0.01])
+    longer = hist.advance(metric, y0, 0.005, 0.01 * zdot)
+    assert longer.z[0] is hist.z[-1]
+    assert longer.zdot[0] is longer.zdot[1] is hist.zdot[-1]
+    assert np.array_equal(longer.tau, [0.005, 0.01])
     for bad in (np.ones((n, 2)), np.ones((n + 1, 3))):
         with pytest.raises(MgError, match="shape"):
             hist.replace_final_rate(bad)
         with pytest.raises(MgError, match="shape"):
-            hist.advance(0.005, bad, zdot)
-        with pytest.raises(MgError, match="shape"):
-            hist.advance(0.005, 0.01 * zdot, bad)
+            hist.advance(metric, y0, 0.005, bad)
     with pytest.raises(MgError, match="increase"):
-        static_history(n).advance(0.0, zdot, zdot)
+        static_history(n).advance(metric, y0, 0.0, zdot)

@@ -86,8 +86,8 @@ def test_skipping_flow_equals_the_full_flow(both_metrics):
     # criterion 11's flow at 16x32 for 4 steps: the same trace records and
     # the same exported fields at every step
     runs = []
-    for metric, surf in both_metrics:
-        state = init_flow(metric, surf, CRITERION_11, FlowConfig(t_final=0.02, dt=0.005))
+    for _, surf in both_metrics:
+        state = init_flow(surf, CRITERION_11, FlowConfig(t_final=0.02, dt=0.005))
         fields = []
         while state.step_index < state.config.n_steps:
             step(state)
@@ -105,8 +105,8 @@ def test_flat_steady_step_forms_no_vanishing_field(both_metrics, monkeypatch):
     # after step 0 of criterion 11's flat flow, a step forms Delta(B) once,
     # in its monitors, and no contraction or derivative it runs is handed a
     # field that is zero everywhere
-    metric, surf = both_metrics[0]
-    state = init_flow(metric, surf, CRITERION_11, FlowConfig(t_final=0.02, dt=0.005))
+    _, surf = both_metrics[0]
+    state = init_flow(surf, CRITERION_11, FlowConfig(t_final=0.02, dt=0.005))
     step(state)
 
     delta_b_calls = []
