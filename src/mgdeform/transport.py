@@ -28,6 +28,7 @@ and a state's carried normal can serve every trial rate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -176,9 +177,13 @@ def static_history(n_points):
     return TransportHistory([0.0], [zeros], [zeros])
 
 
+@lru_cache(maxsize=8)
 def _identity(n):
-    """The (3, 3, n) node-last identity, C-contiguous."""
-    return np.ascontiguousarray(np.broadcast_to(np.eye(3)[:, :, None], (3, 3, n)))
+    """The (3, 3, n) node-last identity, C-contiguous and read-only: one
+    array per node count, shared by every caller."""
+    eye = np.ascontiguousarray(np.broadcast_to(np.eye(3)[:, :, None], (3, 3, n)))
+    eye.flags.writeable = False
+    return eye
 
 
 def _gamma_zdot(metric, y0, z, zdot):

@@ -11,6 +11,8 @@ explicit in polynomial form.
 
 from __future__ import annotations
 
+import io
+import re
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -670,30 +672,6 @@ def _write_text(path, header, blocks):
             fh.write("end\n")
 
 
-# the ASCII whitespace that str.split and str.strip take besides space and newline
-_OTHER_SPACE = "\t\x0b\x0c\r\x1c\x1d\x1e\x1f"
-
-
-def _block_rows(body):
-    """Row count and whitespace-separated tokens of a block's text.
-
-    Every row ``_write_text`` writes ends in a newline and has one space
-    fewer than tokens, so its body holds (tokens - newlines) spaces.  A body
-    whose only whitespace is spaces and newlines and that holds that many
-    has no blank line and no stray space: one row per newline.  Any other
-    body, or one with a ``#``, is first reduced to its stripped lines that
-    are neither blank nor ``#`` comments.
-    """
-    tokens = body.split()
-    rows = body.count("\n")
-    if (not body.isascii() or "#" in body or any(c in body for c in _OTHER_SPACE)
-            or body.count(" ") != len(tokens) - rows):
-        lines = [ln for ln in map(str.strip, body.split("\n"))
-                 if ln and not ln.startswith("#")]
-        rows, tokens = len(lines), " ".join(lines).split()
-    return rows, tokens
-
-
 def _block_end(text, pos):
     """(start, end) of the first line at or after ``pos`` that reads ``end``."""
     i = pos
@@ -707,15 +685,19 @@ def _block_end(text, pos):
 
 
 def _read_text(path):
-    """Header key -> value and block name -> (row count, tokens) of a problem file.
+    """Text, header key -> value and block name -> (start, stop) of the
+    block's rows in that text, of a problem file.
 
     The grammar: ``key value`` header lines, then blocks that each open
     with a ``begin <name>`` line and close at the next ``end`` line, with one
     row per sample between them (``re im`` for a complex sample, each value
     written with 17 significant digits).  Lines are read without their
     surrounding whitespace; blank lines and ``#`` comment lines may stand
-    anywhere and count for nothing.  A repeated header key or block name is
-    a format error; ``load_problem`` rejects names it does not know.
+    anywhere and count for nothing; a ``#`` after a value is an error.
+    ``load_problem`` parses each block with NumPy's text reader, so values
+    are plain float literals (no underscores).  A repeated header key or
+    block name is a format error; ``load_problem`` rejects names it does not
+    know.
     """
     with open(path) as fh:
         text = fh.read()
@@ -734,7 +716,7 @@ def _read_text(path):
             end = _block_end(text, pos)
             if end is None:
                 raise FormatError(f"{path}: unterminated block {name!r}")
-            blocks[name] = _block_rows(text[pos : end[0]])
+            blocks[name] = pos, end[0]
             pos = end[1]
         elif blocks:
             raise FormatError(f"{path}: expected 'begin', got {line!r}")
@@ -747,7 +729,13 @@ def _read_text(path):
             header[parts[0]] = parts[1]
     if not (header or blocks):
         raise FormatError(f"{path}: empty problem file")
-    return header, blocks
+    return text, header, blocks
+
+
+# a line that holds a value (a block without one is refused before loadtxt,
+# which would only warn), and one with a '#' after a value
+_DATA_LINE = re.compile(r"^[^\S\n]*[^\s#]", re.M)
+_VALUE_COMMENT = re.compile(r"^[^\S\n]*[^\s#][^\n#]*#", re.M)
 
 
 _PROBLEM_HEADER = ("n_r", "n_theta", "x0_node", "e_swap")
@@ -771,7 +759,7 @@ def save_problem(path, problem: BoundaryProblem):
 
 
 def load_problem(path) -> BoundaryProblem:
-    header, blocks = _read_text(path)
+    text, header, blocks = _read_text(path)
     for key in header:
         if key not in _PROBLEM_HEADER:
             raise FormatError(f"{path}: unknown header key {key!r}")
@@ -799,19 +787,22 @@ def load_problem(path) -> BoundaryProblem:
         """The values of an optional block, checked against its row shape."""
         if name not in blocks:
             return None
-        rows, tokens = blocks[name]
+        start, stop = blocks[name]
         shape = f"{count} 're im' rows" if is_complex else f"{count} value rows"
-        if rows != count:
+        if not _DATA_LINE.search(text, start, stop):
             raise FormatError(f"{path}: block {name!r} must have {shape}")
+        if text.find("#", start, stop) >= 0 and _VALUE_COMMENT.search(text, start, stop):
+            raise FormatError(f"{path}: block {name!r}: a '#' comment must fill its line")
         try:
-            vals = np.fromiter(map(float, tokens), float, len(tokens))
+            # skips blank and '#' lines; bytes take a quarter of a StringIO's memory
+            vals = np.loadtxt(io.BytesIO(text[start:stop].encode()), ndmin=2, encoding="utf-8")
         except ValueError as exc:
             raise FormatError(f"{path}: block {name!r}: {exc}") from None
-        if vals.size != (2 if is_complex else 1) * count:
+        if vals.shape != (count, 2 if is_complex else 1):
             raise FormatError(f"{path}: block {name!r} must have {shape}")
         if not np.all(np.isfinite(vals)):
             raise FormatError(f"{path}: block {name!r} has non-finite samples")
-        return vals.view(complex) if is_complex else vals
+        return (vals.view(complex) if is_complex else vals).ravel()
 
     return BoundaryProblem(
         grid=grid,

@@ -302,6 +302,15 @@ def _check_direction(direction):
         raise MgError(f"unknown direction {direction!r}")
 
 
+def _check_whole_path(history):
+    """Reject a history that no longer holds every sample of its path: one
+    made by ``advance`` keeps its final interval only."""
+    held = history.tau.size - 1
+    if history.n_steps != held:
+        raise MgError(f"the history holds {held} of its {history.n_steps} intervals; "
+                      "this reference reads the whole path")
+
+
 def transport_tensor_ode(metric: AmbientMetric, y0, history: TransportHistory, seed,
                          direction="backward", substeps=1):
     """Integrate the transport system with classical RK4 over every interval.
@@ -366,6 +375,7 @@ def transport_series_terms(metric: AmbientMetric, y0, history: TransportHistory,
     """
     if k_max < 1:
         raise MgError("k_max must be >= 1")
+    _check_whole_path(history)
     y0 = np.asarray(y0, dtype=float)
     n = history.n_points
     if history.n_steps == 0:
@@ -397,6 +407,7 @@ def transport_series_terms(metric: AmbientMetric, y0, history: TransportHistory,
 
 def path_norms(metric, y0, history):
     """Discrete sup norms (Gamma, zdot) along the path, for bound monitors."""
+    _check_whole_path(history)
     y0 = np.asarray(y0, dtype=float)
     sup_g = 0.0
     sup_zd = 0.0

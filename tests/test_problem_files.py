@@ -7,6 +7,9 @@ surrounding whitespace.  Every variant of a clean file below either loads to
 the clean file's arrays or raises a ``FormatError`` that names the block.
 """
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -41,12 +44,6 @@ def _with_surrounding_whitespace(text):
     return "".join(f"  {line} \t\n" for line in text.splitlines())
 
 
-def _with_tab_separators(text):
-    # a marker is "begin" and its name parted by one space
-    return "\n".join(line if line.startswith("begin ") else line.replace(" ", "\t")
-                     for line in text.split("\n"))
-
-
 def _between_blocks(text):
     return "\n# first\n\n" + text.replace("end\n", "end\n\n  # between\n\n").rstrip("\n")
 
@@ -73,6 +70,26 @@ def _sample(text, block, value):
     return text[:start] + " ".join([value] + rest) + "\n" + text[stop:]
 
 
+def _separators(text, sep):
+    # a marker is "begin" and its name parted by one space
+    return "\n".join(line if line.startswith("begin ") else line.replace(" ", sep)
+                     for line in text.split("\n"))
+
+
+def _three_then_one(text, block):
+    # as many rows, lines and values as the clean block, but rows of 3 and 1
+    start, stop = _first_row(text, block)
+    second = text.index("\n", stop) + 1
+    first, last = text[start:stop].split(), text[stop:second].split()
+    return (text[:start] + " ".join(first + last[:1]) + "\n" + last[1] + "\n"
+            + text[second:])
+
+
+def _value_comment(text, block):
+    start, stop = _first_row(text, block)
+    return text[:stop - 1] + " # note\n" + text[stop:]
+
+
 def _empty_block(text, block):
     head, _, tail = text.partition(f"begin {block}\n")
     _, _, rest = tail.partition("end\n")
@@ -83,7 +100,9 @@ SAME = {
     "comments and blank lines inside a block": _with_inside_comments,
     "comments and blank lines before and between blocks": _between_blocks,
     "whitespace around rows and markers": _with_surrounding_whitespace,
-    "tab separators": _with_tab_separators,
+    "tab separators": lambda text: _separators(text, "\t"),
+    "form-feed separators": lambda text: _separators(text, "\f"),
+    "vertical-tab separators": lambda text: _separators(text, "\v"),
     "no final newline": lambda text: text.rstrip("\n"),
 }
 
@@ -106,6 +125,10 @@ REJECTED = {
         lambda text: _two_rows_on_one_line(text, "A", " ", ""), ["'A'"]),
     "a tab-only line standing in for a row": (
         lambda text: _two_rows_on_one_line(text, "B", "\t", "\t"), ["'B'"]),
+    "rows of 3 and then 1 values in A": (lambda text: _three_then_one(text, "A"), ["'A'"]),
+    "a comment after the values of a row in B": (
+        lambda text: _value_comment(text, "B"), ["'B'", "'#'"]),
+    "an underscore in a literal": (lambda text: _sample(text, "phi", "1_0"), ["'phi'", "1_0"]),
 }
 
 
@@ -155,6 +178,32 @@ def test_malformed_variants_name_their_block(tmp_path, clean, case, crlf):
     with pytest.raises(FormatError) as exc:
         load_problem(path)
     assert all(word in str(exc.value) for word in words), str(exc.value)
+
+
+@pytest.mark.parametrize("body", ["", "# no rows\n\n"], ids=["empty", "comment only"])
+def test_empty_block_is_a_format_error_without_a_warning(tmp_path, clean, body):
+    text, _ = clean
+    path = tmp_path / "problem.txt"
+    path.write_text(_empty_block(text, "B").replace("begin B\nend\n", f"begin B\n{body}end\n"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FormatError, match="'B' must have"):
+            load_problem(path)
+
+
+def test_loading_a_128x256_problem_peaks_under_15_mb(tmp_path):
+    # each block is parsed on its own from one buffer of its text, so the
+    # peak is the file's text, the grid, one block's buffer and the arrays
+    path = tmp_path / "problem.txt"
+    save_problem(path, manufactured_problem(DiskGrid(128, 256))[0])
+    load_problem(path)
+    tracemalloc.start()
+    try:
+        load_problem(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 15e6, f"{peak / 1e6:.1f} MB"
 
 
 def test_clean_file_round_trips_byte_for_byte(tmp_path, clean):

@@ -75,6 +75,19 @@ def test_flat_transport_is_identity():
     assert np.max(np.abs(out - seed)) == 0.0
 
 
+def test_identity_is_one_read_only_array_per_node_count():
+    # every flat propagator and RK4 seed reads the same identity, which no
+    # consumer may write to
+    eye = transport._identity(7)
+    assert transport._identity(7) is eye
+    assert not eye.flags.writeable and eye.flags.c_contiguous
+    assert np.array_equal(eye, np.broadcast_to(np.eye(3)[:, :, None], (3, 3, 7)))
+    assert transport._identity(8).shape == (3, 3, 8)
+    h = straight_history(0.5, 10)
+    y0 = np.zeros((h.n_points, 3))
+    assert transport_propagator(FlatMetric(), y0, h).backward is transport._identity(h.n_points)
+
+
 def test_ode_transport_refinement_order():
     m = conformal_linear_metric((0.8, -0.4, 0.3))
     y0 = np.array([[0.05, -0.1, 0.2]])
@@ -369,6 +382,26 @@ def test_nonuniform_history_matches_references():
     for dt in (0.01, 0.05):   # 5 dt = 0.05 or 0.25, before or after tau_M = 0.2
         with pytest.raises(MgError, match="whole steps"):
             h.advance(m, y0, dt, h.z[-1])
+
+
+def test_whole_path_references_refuse_an_advanced_history():
+    # an advanced history holds its final interval only, so the references
+    # that read tau, z and zdot as the whole path must refuse it rather than
+    # integrate that interval alone
+    m = conformal_radial_metric(0.7)
+    y0 = np.array([[0.2, 0.1, -0.3]])
+    rate = np.array([[0.25, 0.3, -0.1]])
+    hist = static_history(1).replace_final_rate(rate)
+    for k in range(1, 6):
+        hist = hist.advance(m, y0, 0.01, 0.01 * k * rate)
+    with pytest.raises(MgError, match="holds 1 of its 5 intervals"):
+        transport_series_terms(m, y0, hist, 1)
+    with pytest.raises(MgError, match="holds 1 of its 5 intervals"):
+        path_norms(m, y0, hist)
+    whole = TransportHistory([0.01 * k for k in range(6)], [0.01 * k * rate for k in range(6)],
+                             [rate] * 6)
+    assert np.all(np.isfinite(transport_series_terms(m, y0, whole, 1)[0]))
+    assert all(np.isfinite(path_norms(m, y0, whole)))
 
 
 @pytest.fixture(scope="module")
