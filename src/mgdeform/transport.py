@@ -12,10 +12,11 @@ the metric for ``christoffel_contract`` and never form the symbols.
 The flow's consumers read the propagator through ``transport_propagator``,
 which keeps the integrated prefix of a history (intervals 0..M-2) in a cache
 the history shares with its ``replace_final_rate`` children; each call
-integrates only the final interval.  ``advance`` binds the whole propagator
-of the history it extends, as the longer history's prefix, to the metric and
-base points, and keeps only the new final interval's samples, so a flow's
-history holds O(1) state at any length.
+integrates only the final interval.  The cache belongs to the metric and
+base-point objects it was first filled with.  ``advance`` fills the longer
+history's cache with the whole propagator of the history it extends and
+keeps only the new final interval's samples, so a flow's history holds O(1)
+state at any length.
 
 In a flat metric, and over a history with no interval (t = 0 in any
 metric), the propagator is exactly the identity and does not depend on the
@@ -45,12 +46,13 @@ class TransportHistory:
     tuples ``z`` and ``zdot`` of (n_pts, 3) rows, from which it integrates
     its propagator on first use.  A history made by ``advance`` holds only
     its final interval's two samples (``tau``, ``z`` and ``zdot`` are those
-    two) and the propagator over its earlier intervals, bound to the metric
-    and base points it was advanced with, so its state does not grow with
-    its length.  The initial sample must be the undeformed state z = 0.
-    The history caches its integrated propagator, so samples are not
-    changed in place: ``replace_final_rate`` and ``advance`` make the new
-    histories, which share rows with this one and check only their new rows.
+    two) and the propagator over its earlier intervals, so its state does
+    not grow with its length.  Either way the propagator serves only the
+    metric and base points it was first integrated with.  The initial
+    sample must be the undeformed state z = 0.  The history caches its
+    integrated propagator, so samples are not changed in place:
+    ``replace_final_rate`` and ``advance`` make the new histories, which
+    share rows with this one and check only their new rows.
     """
 
     def __init__(self, tau, z, zdot):
@@ -125,9 +127,9 @@ class TransportHistory:
         ending at (tau_M + dt, z_new, zdot_M).
 
         The new history holds its final interval's two samples, and this
-        history's whole propagator as its prefix, bound to ``metric`` and
-        ``y0`` (integrated here unless already memoised; the identity in a
-        flat metric).  The new time counts whole steps, (M + 1) dt, so it
+        history's whole propagator under ``metric`` and ``y0`` as its prefix
+        (integrated here unless already memoised; the identity in a flat
+        metric).  The new time counts whole steps, (M + 1) dt, so it
         does not drift by repeated addition; tau_M must therefore be M dt.
         """
         n = self.n_steps
@@ -145,8 +147,7 @@ class TransportHistory:
         else:
             prefix = transport_propagator(metric, y0, self)
         return self._child(np.array([self.tau[-1], tau_new]), (self.z[-1], z_new),
-                           (self.zdot[-1], self.zdot[-1]), n,
-                           _PrefixSlot(prefix, bound=True))
+                           (self.zdot[-1], self.zdot[-1]), n, _PrefixSlot(prefix))
 
     def hermite(self, m, s):
         """Cubic Hermite state and rate inside interval m at fraction s; at
@@ -271,15 +272,13 @@ def _frozen_propagator(metric, y0, k, **fields):
 
 
 class _PrefixSlot:
-    """One-entry cache of the propagator over intervals 0..M-2.  A ``bound``
-    entry is the one an advanced history keeps in place of its earlier
-    samples; it serves only its own metric and base points."""
+    """One-entry cache of the propagator over intervals 0..M-2, shared by a
+    history and its ``replace_final_rate`` children."""
 
-    __slots__ = ("entry", "bound")
+    __slots__ = ("entry",)
 
-    def __init__(self, entry=None, bound=False):
+    def __init__(self, entry=None):
         self.entry = entry
-        self.bound = bound
 
 
 def _start_entry(metric, y0, history):
@@ -292,34 +291,30 @@ def transport_propagator(metric: AmbientMetric, y0,
                          history: TransportHistory) -> Propagator:
     """Propagator and first series term over the whole history.
 
-    Intervals 0..M-2 come from the history's prefix cache, extended as the
-    history grows; only the final interval, the one a new final rate changes,
-    is integrated when the cache holds the prefix.  The cache is keyed by the
-    identity of ``metric`` and ``y0``: another key starts it afresh, so
-    neither object may be changed in place while in use.  A history made by
-    ``advance`` no longer holds the samples of its prefix, so another key
-    raises ``MgError`` there.
+    Intervals 0..M-2 come from the prefix cache the history shares with its
+    ``replace_final_rate`` children, so only the final interval, the one a
+    new final rate changes, is integrated once the cache holds the prefix.
+    The cache belongs to the identity of the ``metric`` and ``y0`` it was
+    first filled with, by integration or by ``advance``; another key raises
+    ``MgError``, and neither object may be changed in place while in use.
     """
     y0 = np.asarray(y0, dtype=float)   # the same object when y0 is a float array
-    slot = history._prefix
-    if slot.bound and not slot.entry.matches(metric, y0):
-        raise MgError("an advanced history keeps its propagator only for the metric "
-                      "and base-point objects it was advanced with")
-    n = history.n_points
+    entry = history._prefix.entry
+    if entry is not None and not entry.matches(metric, y0):
+        raise MgError("a history keeps its propagator only for the metric and base-point "
+                      "objects it was first integrated or advanced with")
     if metric.is_flat() or history.n_steps == 0:
         # nothing to integrate; with no interval, sample 0 is the final
         # sample, whose rate the children change, so nothing is cached
-        return Propagator(metric, y0, history.n_steps, _identity(n), None, identity=True)
-    full = history._full
-    if full is not None and full.matches(metric, y0):
-        return full
-    entry = slot.entry
-    if entry is None or not entry.matches(metric, y0):
-        entry = _start_entry(metric, y0, history)
-    while entry.k < history.n_steps - 1:
-        entry = entry.extended(history)
-    slot.entry = entry
-    history._full = entry.extended(history)
+        return Propagator(metric, y0, history.n_steps, _identity(history.n_points), None,
+                          identity=True)
+    if history._full is None:
+        if entry is None:
+            entry = _start_entry(metric, y0, history)
+        while entry.k < history.n_steps - 1:
+            entry = entry.extended(history)
+        history._prefix.entry = entry
+        history._full = entry.extended(history)
     return history._full
 
 

@@ -446,6 +446,18 @@ def linear_response(problem: BoundaryProblem, sym: CanonicalSymbol, w):
 SOLVABILITY_TOL = 1e-6
 
 
+def _solvability_floor(problem: BoundaryProblem):
+    """64 eps max(1, max|A|, max|B|, max|e0_point| max|e0_weight|), the
+    round-off of forming the volume terms: a solvability residual under it
+    is noise, which no bound relative to a round-off-sized source's own
+    scale would admit."""
+    def peak(field):
+        return 0.0 if field is None else float(np.max(np.abs(field)))
+    weight = 1.0 if problem.e0_weight is None else peak(problem.e0_weight)
+    scale = max(1.0, peak(problem.A), peak(problem.B), peak(problem.e0_point) * weight)
+    return 64 * np.finfo(float).eps * scale
+
+
 def bvp_solve(problem: BoundaryProblem, psi_assembler=None, tol=1e-10,
               max_iter=60, pin: PointPin | None = None, mode="auto",
               sym: CanonicalSymbol | None = None, start=None) -> SolutionFamily:
@@ -473,6 +485,10 @@ def bvp_solve(problem: BoundaryProblem, psi_assembler=None, tol=1e-10,
     the last pass's (v, (I - L) v), which a later solve may start from.  The
     returned ``basis`` are the core members b_i, not homogeneous solutions
     of the full problem; ``solve_family`` adds the linear-response basis.
+    For n < 0 the data must meet the solvability conditions: a residual
+    above both ``SOLVABILITY_TOL`` max(max|phi|, max|psi|) and the round-off
+    floor 64 eps max(1, max|A|, max|B|, max|e0_point| max|e0_weight|)
+    raises ``UnsolvableDataError``.
     """
     if mode != "auto":
         raise MgError(f"the solve strategy is 'auto', got {mode!r}")
@@ -570,12 +586,9 @@ def bvp_solve(problem: BoundaryProblem, psi_assembler=None, tol=1e-10,
     # psi and rhs_field belong to the returned w: with an assembler w is the
     # last assembled iterate, and a fixed psi does not depend on w
     if n < 0 and len(solv_hist):
-        data_scale = max(
-            float(np.max(np.abs(problem.phi))),
-            float(np.max(np.abs(psi))),
-            1e-30,
-        )
-        if np.max(np.abs(solv_hist)) > SOLVABILITY_TOL * data_scale:
+        data_scale = max(float(np.max(np.abs(problem.phi))), float(np.max(np.abs(psi))))
+        if np.max(np.abs(solv_hist)) > max(SOLVABILITY_TOL * data_scale,
+                                           _solvability_floor(problem)):
             raise UnsolvableDataError(
                 f"negative index {n}: solvability residuals "
                 f"{np.max(np.abs(solv_hist)):.3e} exceed tolerance"
@@ -738,6 +751,17 @@ _DATA_LINE = re.compile(r"^[^\S\n]*[^\s#]", re.M)
 _VALUE_COMMENT = re.compile(r"^[^\S\n]*[^\s#][^\n#]*#", re.M)
 
 
+def _ragged_row(text, start, stop, width):
+    """(file line, value count) of the first row of the block at
+    text[start:stop] that does not hold ``width`` values, or None."""
+    first = text.count("\n", 0, start) + 1
+    for i, line in enumerate(text[start:stop].split("\n")):
+        values = line.split()
+        if values and not values[0].startswith("#") and len(values) != width:
+            return first + i, len(values)
+    return None
+
+
 _PROBLEM_HEADER = ("n_r", "n_theta", "x0_node", "e_swap")
 _PROBLEM_BLOCKS = ("lambda", "phi", "A", "B", "e0_point", "e0_weight", "psi")
 
@@ -788,6 +812,7 @@ def load_problem(path) -> BoundaryProblem:
         if name not in blocks:
             return None
         start, stop = blocks[name]
+        width = 2 if is_complex else 1
         shape = f"{count} 're im' rows" if is_complex else f"{count} value rows"
         if not _DATA_LINE.search(text, start, stop):
             raise FormatError(f"{path}: block {name!r} must have {shape}")
@@ -797,8 +822,15 @@ def load_problem(path) -> BoundaryProblem:
             # skips blank and '#' lines; bytes take a quarter of a StringIO's memory
             vals = np.loadtxt(io.BytesIO(text[start:stop].encode()), ndmin=2, encoding="utf-8")
         except ValueError as exc:
-            raise FormatError(f"{path}: block {name!r}: {exc}") from None
-        if vals.shape != (count, 2 if is_complex else 1):
+            # loadtxt counts value rows and advises options the format lacks,
+            # so a ragged row is reported by its file line
+            ragged = _ragged_row(text, start, stop, width)
+            if ragged is None:
+                raise FormatError(f"{path}: block {name!r}: {exc}") from None
+            line, found = ragged
+            raise FormatError(f"{path}: block {name!r} must have {shape}; line {line} "
+                              f"holds {found} value{'s' * (found != 1)}") from None
+        if vals.shape != (count, width):
             raise FormatError(f"{path}: block {name!r} must have {shape}")
         if not np.all(np.isfinite(vals)):
             raise FormatError(f"{path}: block {name!r} has non-finite samples")

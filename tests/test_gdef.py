@@ -179,10 +179,10 @@ def test_advance_matches_hand_built_successor(curved_sphere):
     assert nxt.surface is surf and nxt.t == 5 * dt
     for name in ("tau", "z", "zdot"):
         assert np.array_equal(getattr(nxt.history, name), getattr(hist, name)), name
-    # the successor's prefix is the given history's propagator itself, bound
-    # to the surface's metric and points, and equal to the hand-built one
+    # the successor's prefix is the given history's propagator itself, under
+    # the surface's metric and points, and equal to the hand-built one
     prefix = nxt.history._prefix.entry
-    assert nxt.history._prefix.bound and prefix.matches(surf.metric, surf.y)
+    assert prefix.matches(surf.metric, surf.y)
     assert prefix is transport_propagator(metric, surf.y, rated)
     assert np.array_equal(prefix.backward, hist._prefix.entry.backward)
     assert nxt.history.z[0] is deform.z

@@ -112,7 +112,8 @@ REJECTED = {
     "missing end of the last block": (lambda text: _drop_end(text, "psi"), ["'psi'"]),
     "header line after a block": (
         lambda text: text.replace("begin B\n", "n_r 8\nbegin B\n"), ["'n_r 8'"]),
-    "short row in lambda": (lambda text: _short_row(text, "lambda"), ["'lambda'"]),
+    "short row in lambda": (
+        lambda text: _short_row(text, "lambda"), ["'lambda'", "line 7 holds 1 value"]),
     "extra row in B": (lambda text: _extra_row(text, "B"), ["'B'"]),
     "extra row in phi": (lambda text: _extra_row(text, "phi"), ["'phi'"]),
     "nan sample in psi": (lambda text: _sample(text, "psi", "nan"), ["'psi'", "non-finite"]),
@@ -125,7 +126,9 @@ REJECTED = {
         lambda text: _two_rows_on_one_line(text, "A", " ", ""), ["'A'"]),
     "a tab-only line standing in for a row": (
         lambda text: _two_rows_on_one_line(text, "B", "\t", "\t"), ["'B'"]),
-    "rows of 3 and then 1 values in A": (lambda text: _three_then_one(text, "A"), ["'A'"]),
+    # the clean file's first A row is its line 43
+    "rows of 3 and then 1 values in A": (
+        lambda text: _three_then_one(text, "A"), ["'A'", "line 43 holds 3 values"]),
     "a comment after the values of a row in B": (
         lambda text: _value_comment(text, "B"), ["'B'", "'#'"]),
     "an underscore in a literal": (lambda text: _sample(text, "phi", "1_0"), ["'phi'", "1_0"]),
@@ -178,6 +181,8 @@ def test_malformed_variants_name_their_block(tmp_path, clean, case, crlf):
     with pytest.raises(FormatError) as exc:
         load_problem(path)
     assert all(word in str(exc.value) for word in words), str(exc.value)
+    # no advice about reader options the format does not have
+    assert "usecols" not in str(exc.value)
 
 
 @pytest.mark.parametrize("body", ["", "# no rows\n\n"], ids=["empty", "comment only"])

@@ -472,8 +472,8 @@ def test_cached_propagator_matches_full_recomputation(curved_cap, christoffel_ca
         assert np.array_equal(prop.backward, transport_propagator(metric, y0, mirror).backward)
         _check_against_full(metric, y0, mirror, surf.y2 + hist.z[-1])
 
-    # another metric or base-point object never reads the cached prefix: an
-    # array-built history integrates afresh, an advanced one raises
+    # another metric or base-point object never reads the cached prefix: a
+    # fresh array-built history integrates under it, an advanced one raises
     for other_metric, other_y0 in ((conformal_radial_metric(0.5), y0),
                                    (metric, y0.copy()),
                                    (conformal_radial_metric(0.7), y0)):
@@ -485,6 +485,31 @@ def test_cached_propagator_matches_full_recomputation(curved_cap, christoffel_ca
         _check_against_full(other_metric, other_y0, child, surf.y1)
         with pytest.raises(MgError, match="advanced with"):
             transport_propagator(other_metric, other_y0, hist.replace_final_rate(zdots[-1]))
+
+
+def test_array_built_history_is_bound_to_its_first_key(curved_cap, christoffel_calls):
+    # an array-built history and its children belong to the metric and
+    # base-point objects of their first integration, as an advanced history
+    # does: another key raises before any integration, and the first key
+    # still reads the cached prefix
+    metric, surf = curved_cap
+    y0, zdot = surf.y, 0.5 * surf.y1
+    taus = [0.0, 0.01, 0.02, 0.03]
+    hist = TransportHistory(taus, [t * zdot for t in taus], [zdot] * len(taus))
+    prop = transport_propagator(metric, y0, hist)
+    child = hist.replace_final_rate(0.5 * surf.y2)
+    christoffel_calls.clear()
+    for other_metric, other_y0 in ((conformal_radial_metric(0.5), y0),
+                                   (metric, y0.copy()),
+                                   (conformal_radial_metric(0.7), y0)):
+        for h in (hist, child):
+            with pytest.raises(MgError, match="first integrated or advanced with"):
+                transport_propagator(other_metric, other_y0, h)
+    assert christoffel_calls == []
+    assert transport_propagator(metric, y0, hist) is prop
+    transport_propagator(metric, y0, child)
+    assert christoffel_calls == ["christoffel_contract"] * 2
+    _check_against_full(metric, y0, child, surf.y1)
 
 
 def test_advanced_history_is_bound_to_its_metric_and_points():

@@ -309,6 +309,26 @@ def test_negative_index_unsolvable_data_raises(grid):
         bvp_solve(prob, tol=1e-10)
 
 
+@pytest.mark.parametrize("amp, solves", [(1e-16, True), (1e-14, True), (1e-8, False)])
+def test_negative_index_round_off_source_meets_the_solvability_floor(amp, solves):
+    # a source at round-off size leaves residuals (4.7e-18 and 4.7e-16 here)
+    # under the floor 64 eps max(1, |A|, |B|) = 1.4e-14, which no bound
+    # relative to the source's own scale admits; amplitude 1e-8 leaves
+    # 4.7e-10, above both bounds
+    grid = DiskGrid(16, 32)
+    rng = np.random.default_rng(0)
+    psi = amp * (rng.normal(size=grid.n_nodes) + 1j * rng.normal(size=grid.n_nodes))
+    prob = BoundaryProblem(grid=grid, lam=np.exp(-1j * grid.boundary_theta),
+                           phi=np.zeros(grid.n_theta), A=np.full(grid.n_nodes, 0.3 + 0j),
+                           B=np.full(grid.n_nodes, 0.2 + 0j), psi=psi)
+    if solves:
+        fam = bvp_solve(prob)
+        assert fam.n == -1 and 0 < np.max(np.abs(fam.solvability)) < 1e-14
+    else:
+        with pytest.raises(UnsolvableDataError):
+            bvp_solve(prob)
+
+
 def test_contraction_failure_reported(grid):
     # huge coefficients put L far outside the contraction regime; GMRES
     # still solves the fixed point, and needs more than max_iter iterations
