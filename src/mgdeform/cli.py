@@ -254,7 +254,7 @@ def cmd_run(args):
 def cmd_bvp(args):
     problem = load_problem(args.problem)
     # the written basis_k are homogeneous solutions of the full problem
-    fam, _ = solve_family(problem)
+    fam = solve_family(problem)
     out = args.out or (os.path.splitext(args.problem)[0] + ".solution.txt")
     save_solution(out, fam)
     print(f"index {fam.n}, family dimension {fam.dimension}, "

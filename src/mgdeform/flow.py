@@ -14,13 +14,13 @@ which the elliptic pair takes the d_zbar form on the disk as it is.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from ._contract import node_last
 from .cdot import PathIntegrator, solve_cdot
-from .errors import MgError, UnderResolvedError
+from .errors import BoundaryDegeneracyError, MgError, UnderResolvedError
 from .gdef import (
     DeformationState,
     assemble_coefficients,
@@ -40,12 +40,10 @@ from .transport import transport_normal
 from .vekua import (
     BoundaryProblem,
     PointPin,
-    assemble_AB,
-    boundary_data,
     bvp_solve,
     canonicalize,
+    linear_response_basis,
     point_pin,
-    solve_family,
 )
 
 
@@ -215,34 +213,56 @@ def init_flow(surface, boundary, config) -> FlowState:
                      config=config, statics=_build_statics(surface, boundary))
 
 
+def _assemble_ab(eq):
+    """A, B and E's point factor of the elliptic pair in w.
+
+    In u = a1dot + i a2dot the pair reads i d_z u + A_u u + B_u conj(u) + E
+    = psi, A_u = (p1 + qb2 + i qb1 - i p2)/4, B_u = (p1 - qb2 + i qb1 + i p2)/4;
+    in w = i conj(u) it is d_zbar w + A w + B conj(w) + E = -conj(psi) with
+    A = i conj(A_u), B = -i conj(B_u) and the same E: (i qb0 / 2) at the field
+    point times V at the integration point, ``e_swap`` pairing (Im w, Re w) =
+    (a1dot, a2dot) with (dx1, dx2).
+    """
+    a_u = 0.25 * (eq.p1 + eq.qb2 + 1j * eq.qb1 - 1j * eq.p2)
+    b_u = 0.25 * (eq.p1 - eq.qb2 + 1j * eq.qb1 + 1j * eq.p2)
+    return 1j * np.conj(a_u), -1j * np.conj(b_u), 0.5j * eq.qb0
+
+
+def _boundary_data(surface, l_field, gamma_dot):
+    """Symbol lambda and data phi of the rim condition Re{conj(lambda) w} = phi.
+
+    With l^i the tangent field at the rim nodes and lambda~_k = g_ki l^i,
+    a(z_dot, l) = gamma_dot reads Re{conj(lambda_u) u} = phi for lambda_u =
+    (lambda~_1 + i lambda~_2) / |lambda~|^2 and phi = gamma_dot / |lambda~|^2,
+    both divided by |lambda_u|; in w = i conj(u), lambda = i conj(lambda_u).
+    """
+    g = surface.g[..., surface.grid.boundary_idx]
+    lam_tilde = np.einsum("kin,ni->nk", g, l_field)
+    den = lam_tilde[:, 0] ** 2 + lam_tilde[:, 1] ** 2
+    if np.min(den) < 1e-14:
+        raise BoundaryDegeneracyError("tangent field degenerates against the surface on the rim")
+    lam_k = lam_tilde / den[:, None]
+    phi = gamma_dot / den
+    lam_u = lam_k[:, 0] + 1j * lam_k[:, 1]
+    scale = np.abs(lam_u)
+    return 1j * np.conj(lam_u / scale), phi / scale
+
+
 def _build_statics(surface, boundary) -> FlowStatics:
     """The solve setup and rim data, all fixed over a flow."""
     grid = surface.grid
     eq = equation_coefficients(surface)
-    # assemble_AB and boundary_data speak of u = a1dot + i a2dot, whose pair
-    # reads i d_z u + A u + B conj(u) + E = psi; in w = i conj(u) it becomes
-    # d_zbar w + i conj(A) w - i conj(B) conj(w) + E = -conj(psi) with the
-    # symbol i conj(lam) and the same phi.  E is imaginary, so it is
-    # unchanged, and e_swap pairs (Im w, Re w) = (a1dot, a2dot) with (dx1, dx2).
-    a_u, b_u, e0_point = assemble_AB(eq.p1, eq.p2, eq.qb1, eq.qb2, q0=eq.qb0)
+    a, b, e0_point = _assemble_ab(eq)
     theta, bidx = grid.boundary_theta, grid.boundary_idx
     l_field = boundary.l_field(theta)
     gamma_dot = boundary.gamma_dot(theta)
-    lam_u, phi, _ = boundary_data(surface, l_field, gamma_dot)
-    lam = 1j * np.conj(lam_u)
+    lam, phi = _boundary_data(surface, l_field, gamma_dot)
     sym = canonicalize(grid, lam)
-    problem = BoundaryProblem(
-        grid=grid, lam=lam, phi=phi,
-        A=1j * np.conj(a_u), B=-1j * np.conj(b_u),
-        e0_point=e0_point, e0_weight=surface.V, e_swap=True,
-    )
-    pin = None
-    if sym.n >= 0:
-        # A, B, E and the symbol are fixed over the flow, so the linear
-        # response of each family member is solved once, here, with zero
-        # boundary data
-        family, _ = solve_family(replace(problem, phi=np.zeros(grid.n_theta)), sym=sym)
-        pin = point_pin(family.basis)
+    problem = BoundaryProblem(grid=grid, lam=lam, phi=phi, A=a, B=b,
+                              e0_point=e0_point, e0_weight=surface.V, e_swap=True)
+    # A, B, E and the symbol are fixed over the flow, so the linear response
+    # of each family member is solved once, here
+    pin = point_pin(linear_response_basis(problem, sym)) if sym.n >= 0 else None
     return FlowStatics(
         eq=eq, problem=problem, sym=sym,
         integ=PathIntegrator(grid), pin=pin,

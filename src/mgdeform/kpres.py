@@ -42,7 +42,7 @@ from functools import reduce
 import numpy as np
 
 from ._contract import node_last
-from .errors import DegenerateCurvatureError, GeometryError
+from .errors import DegenerateCurvatureError, GeometryError, MgError
 from .gdef import DeformationState, GDefCoefficients, tangential_grad
 from .metrics import AmbientMetric
 from .surface import SurfaceState, require_surface_metric
@@ -216,10 +216,15 @@ def assemble_rates(metric: AmbientMetric, surface: SurfaceState,
     ``zdot`` is the (N, 3) displacement rate and ``zdot_der`` its partials
     zdot_,i as (3, 2, N); ``dadot`` is d_i adot^j as (j, i, N), e.g. a cdot
     solve's.  Each derivative is taken here when not given.
-    ``prev_m4`` and ``m4dot_override`` are node-last (2, 2, N).  The terms in
-    da, Gamma and a_t - a0 (t1 to t4) are formed only in a curved metric.
+    The M4 rate is ``m4dot_override``, or else the backward difference
+    (M4 - ``prev_m4``) / ``dt``; without either it is an error, as a zero M4
+    rate is wrong at every step of a flow.  ``prev_m4`` and
+    ``m4dot_override`` are node-last (2, 2, N).  The terms in da, Gamma and
+    a_t - a0 (t1 to t4) are formed only in a curved metric.
     """
     require_surface_metric(metric, surface)
+    if m4dot_override is None and (prev_m4 is None or not dt):
+        raise MgError("the M4 rate needs m4dot_override, or prev_m4 with dt")
     grid = surface.grid
     tang, a0, g_inv = surface.tang, surface.ambient_a, surface.g_inv
     zder = deform.dz
@@ -254,12 +259,7 @@ def assemble_rates(metric: AmbientMetric, surface: SurfaceState,
         - 2.0 * dg_ij[0, 1] * dgdot_ij[0, 1]
     )
 
-    if m4dot_override is not None:
-        m4dot = m4dot_override
-    elif prev_m4 is not None and dt:
-        m4dot = (bvar.m4 - prev_m4) / dt
-    else:
-        m4dot = np.zeros((2, 2, grid.n_nodes))
+    m4dot = m4dot_override if m4dot_override is not None else (bvar.m4 - prev_m4) / dt
     if dadot is None:
         dadot = tangential_grad(grid, a1dot, a2dot)
     dbdot_ij = np.einsum("kin,jkn->ijn", dadot, surface.b) + m4dot

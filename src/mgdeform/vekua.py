@@ -266,9 +266,9 @@ def _core_particular(sym: CanonicalSymbol, phi_boundary):
 class SolutionFamily:
     """Solved boundary-value problem: the solution w plus the free family.
 
-    ``basis`` holds the core members b_i (d_zbar b = 0, zero boundary data)
-    as returned by ``bvp_solve``; they solve the full homogeneous problem
-    only when A, B and E vanish.  ``solve_family`` replaces them with the
+    ``basis`` holds the members ``params`` multiply: the core members b_i
+    (d_zbar b = 0, zero boundary data) of an unpinned ``bvp_solve``, which
+    solve the full homogeneous problem only when A, B and E vanish, or the
     linear-response members K_i = (I - L)^{-1} b_i, which always do.  A
     solve with an assembler sets ``start`` to its last pass's unpinned inner
     solution v and its image (I - L) v, from which a later solve with the
@@ -330,19 +330,6 @@ class BoundaryProblem:
         if self.B is not None:
             out = out + self.B * np.conj(w)
         return out
-
-
-def assemble_AB(p1, p2, qb1, qb2, q0=None):
-    """Coefficient fields of the complex form of the elliptic pair.
-
-    A = (p1 + qb2 + i qb1 - i p2)/4,  B = (p1 - qb2 + i qb1 + i p2)/4;
-    the volume kernel splits as (i q0 / 2) at the field point times the
-    weight V at the integration point (``BoundaryProblem.e0_weight``).
-    """
-    a = 0.25 * (p1 + qb2 + 1j * qb1 - 1j * p2)
-    b = 0.25 * (p1 - qb2 + 1j * qb1 + 1j * p2)
-    e0_point = None if q0 is None else 0.5j * np.asarray(q0, dtype=float)
-    return a, b, e0_point
 
 
 def _gmres(apply_op, rhs, atol, max_iter, x0=None, r0=None, residual=False):
@@ -483,8 +470,8 @@ def bvp_solve(problem: BoundaryProblem, psi_assembler=None, tol=1e-10,
     least-norm family parameters (``PointPin.apply``); without one the
     family parameters are zero.  With an assembler the returned ``start`` is
     the last pass's (v, (I - L) v), which a later solve may start from.  The
-    returned ``basis`` are the core members b_i, not homogeneous solutions
-    of the full problem; ``solve_family`` adds the linear-response basis.
+    returned ``basis`` is the pin's, so that w = v + sum params_i K_i, or
+    without a pin the core members b_i (``solve_family`` adds the K_i).
     For n < 0 the data must meet the solvability conditions: a residual
     above both ``SOLVABILITY_TOL`` max(max|phi|, max|psi|) and the round-off
     floor 64 eps max(1, max|A|, max|B|, max|e0_point| max|e0_weight|)
@@ -604,7 +591,7 @@ def bvp_solve(problem: BoundaryProblem, psi_assembler=None, tol=1e-10,
         np.real(np.conj(lam) * w[bidx]) - problem.phi
     )))
     return SolutionFamily(
-        w=w, basis=list(sym.basis), params=params, n=n,
+        w=w, basis=list(sym.basis if pin is None else pin.basis), params=params, n=n,
         iterations=sum(pass_iters), passes=len(pass_diffs), ratio=ratio,
         boundary_residual=boundary_residual,
         fixed_point_residual=fixed_point_residual,
@@ -619,48 +606,29 @@ def _fmt_passes(diffs, inner):
     return f"pass differences {listed}"
 
 
-def solve_family(problem: BoundaryProblem, tol=1e-10, max_iter=60, sym=None):
-    """Particular solution plus the linear-response basis of the family.
+def linear_response_basis(problem: BoundaryProblem, sym: CanonicalSymbol,
+                          tol=1e-10, max_iter=60):
+    """The linear-response members K_i = (I - L)^{-1} b_i of the family.
 
-    Member i is K_i = (I - L)^{-1} b_i for the core member b_i and the
-    volume-term response L: b_i plus one fixed-right-side solve with
-    psi = -(A b_i + B conj(b_i) + E(b_i)) and zero boundary data.
+    For the core member b_i and the volume-term response L, K_i is b_i plus
+    one fixed-right-side solve with psi = -(A b_i + B conj(b_i) + E(b_i))
+    and zero boundary data; ``problem``'s own phi and psi are not read.
     """
-    if sym is None:
-        sym = canonicalize(problem.grid, problem.lam)
-    base = bvp_solve(problem, tol=tol, max_iter=max_iter, sym=sym)
     zero_phi = np.zeros(problem.grid.n_theta)
-    base.basis = [
+    return [
         b + bvp_solve(replace(problem, phi=zero_phi, psi=-problem.volume_terms(b)),
                       tol=tol, max_iter=max_iter, sym=sym).w
         for b in sym.basis
     ]
-    return base, sym
 
 
-def boundary_data(surface, l_field, gamma_dot):
-    """Boundary symbol and right-hand side from a tangent field on the rim.
-
-    ``l_field`` holds the tangential components l^i at the boundary nodes;
-    lambda_tilde_k = a(y_,k, l^i y_,i) = g_ki l^i.  The symbol is rescaled to
-    unit modulus with phi rescaled consistently, so Re{conj(lambda) w} = phi
-    encodes a(z_dot, v) = gamma_dot exactly.
-    """
-    from .errors import BoundaryDegeneracyError
-
-    g = surface.g[..., surface.grid.boundary_idx]
-    l_field = np.asarray(l_field, dtype=float)
-    lam_tilde = np.einsum("kin,ni->nk", g, l_field)
-    den = lam_tilde[:, 0] ** 2 + lam_tilde[:, 1] ** 2
-    if np.min(den) < 1e-14:
-        raise BoundaryDegeneracyError(
-            "tangent field degenerates against the surface on the rim"
-        )
-    lam_k = lam_tilde / den[:, None]
-    phi = np.asarray(gamma_dot, dtype=float) / den
-    lam = lam_k[:, 0] + 1j * lam_k[:, 1]
-    scale = np.abs(lam)
-    return lam / scale, phi / scale, lam_tilde
+def solve_family(problem: BoundaryProblem, tol=1e-10, max_iter=60) -> SolutionFamily:
+    """Particular solution plus the linear-response basis of the family
+    (``linear_response_basis``)."""
+    sym = canonicalize(problem.grid, problem.lam)
+    family = bvp_solve(problem, tol=tol, max_iter=max_iter, sym=sym)
+    family.basis = linear_response_basis(problem, sym, tol=tol, max_iter=max_iter)
+    return family
 
 
 # --------------------------------------------------------------------------
@@ -751,14 +719,24 @@ _DATA_LINE = re.compile(r"^[^\S\n]*[^\s#]", re.M)
 _VALUE_COMMENT = re.compile(r"^[^\S\n]*[^\s#][^\n#]*#", re.M)
 
 
-def _ragged_row(text, start, stop, width):
-    """(file line, value count) of the first row of the block at
-    text[start:stop] that does not hold ``width`` values, or None."""
+# a value as NumPy's text reader parses it: decimal, inf or nan, no underscores
+_FLOAT = re.compile(r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+                    r"|inf(?:inity)?|nan)", re.I)
+
+
+def _bad_row(text, start, stop, width):
+    """(file line, what it holds) of the first row of the block at
+    text[start:stop] that does not hold ``width`` float literals, or None."""
     first = text.count("\n", 0, start) + 1
     for i, line in enumerate(text[start:stop].split("\n")):
         values = line.split()
-        if values and not values[0].startswith("#") and len(values) != width:
-            return first + i, len(values)
+        if not values or values[0].startswith("#"):
+            continue
+        if len(values) != width:
+            return first + i, f"{len(values)} value{'s' * (len(values) != 1)}, not {width}"
+        bad = [v for v in values if not _FLOAT.fullmatch(v)]
+        if bad:
+            return first + i, f"{bad[0]!r}, not a float literal"
     return None
 
 
@@ -822,14 +800,12 @@ def load_problem(path) -> BoundaryProblem:
             # skips blank and '#' lines; bytes take a quarter of a StringIO's memory
             vals = np.loadtxt(io.BytesIO(text[start:stop].encode()), ndmin=2, encoding="utf-8")
         except ValueError as exc:
-            # loadtxt counts value rows and advises options the format lacks,
-            # so a ragged row is reported by its file line
-            ragged = _ragged_row(text, start, stop, width)
-            if ragged is None:
+            # loadtxt counts value rows from 0 and advises options the format
+            # lacks, so the first bad row is reported by its file line
+            bad = _bad_row(text, start, stop, width)
+            if bad is None:
                 raise FormatError(f"{path}: block {name!r}: {exc}") from None
-            line, found = ragged
-            raise FormatError(f"{path}: block {name!r} must have {shape}; line {line} "
-                              f"holds {found} value{'s' * (found != 1)}") from None
+            raise FormatError(f"{path}: block {name!r}: line {bad[0]} holds {bad[1]}") from None
         if vals.shape != (count, width):
             raise FormatError(f"{path}: block {name!r} must have {shape}")
         if not np.all(np.isfinite(vals)):

@@ -120,7 +120,7 @@ def test_criterion_04_dimension_counts():
 def test_criterion_05_manufactured_recovery():
     grid = DiskGrid(64, 128)
     prob, w_star = manufactured_problem(grid, n=1, amp=0.3)
-    fam, _ = solve_family(prob, tol=1e-12)
+    fam = solve_family(prob, tol=1e-12)
     cols = np.stack([np.concatenate([b.real, b.imag]) for b in fam.basis], axis=1)
     rhs = np.concatenate([(w_star - fam.w).real, (w_star - fam.w).imag])
     coef, *_ = np.linalg.lstsq(cols, rhs, rcond=None)

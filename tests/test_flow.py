@@ -236,14 +236,14 @@ def test_boundary_data_built_once_per_flow(flat_cap, monkeypatch):
     # statics
     _, surf = flat_cap
     boundary = BoundarySpec(winding=1, gamma_kind="harmonic", epsilon=1e-3, mode=1)
-    real = vekua.boundary_data
+    real = flow._boundary_data
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(flow, "boundary_data", counting)
+    monkeypatch.setattr(flow, "_boundary_data", counting)
     state = init_flow(surf, boundary, FlowConfig(t_final=0.015, dt=0.005))
     run_flow(state)
     assert len(state.records) == 3
@@ -638,7 +638,7 @@ def test_winding_beyond_the_rim_resolution_is_rejected(flat_cap, monkeypatch, wi
     def no_solve(*args, **kwargs):
         raise AssertionError("solved an unresolved winding")
 
-    monkeypatch.setattr(flow, "solve_family", no_solve)
+    monkeypatch.setattr(flow, "linear_response_basis", no_solve)
     with pytest.raises(UnderResolvedError, match=f"winding {winding}"):
         init_flow(surf, boundary, cfg)
 
@@ -751,9 +751,9 @@ def test_curved_one_pass_step_makes_three_rk4_steps(monkeypatch):
 @pytest.mark.parametrize("winding", [1, 2])
 def test_init_flow_applies_t_only_in_its_solves(flat_cap, monkeypatch, winding):
     # the pin holds the linear-response basis and nothing else: init_flow's
-    # T calls are those of solve_family's 2n + 2 fixed-right-side solves,
-    # one for the right side, one per application of L and one for the
-    # closing check each
+    # T calls are those of its 2n + 1 fixed-right-side solves, one per
+    # family member, one for the right side, one per application of L and
+    # one for the closing check each
     _, surf = flat_cap
     boundary = BoundarySpec(winding=winding, gamma_kind="harmonic", epsilon=1e-3, mode=1)
     t_calls, solves = [], []
@@ -771,7 +771,7 @@ def test_init_flow_applies_t_only_in_its_solves(flat_cap, monkeypatch, winding):
     monkeypatch.setattr(vekua, "t_operator", counting_t)
     monkeypatch.setattr(vekua, "bvp_solve", recording_solve)
     init_flow(surf, boundary, FlowConfig(t_final=0.005, dt=0.005))
-    assert len(solves) == 2 * winding + 2
+    assert len(solves) == 2 * winding + 1
     assert len(t_calls) == sum(f.passes + f.iterations + 1 for f in solves)
 
 

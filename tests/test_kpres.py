@@ -244,7 +244,9 @@ def test_w1dot_explicit_matches_finite_difference(curved24):
     deform = prescribed_deformation(surf, a1d, a2d, cd, t, 8)
     gvar, bvar, _ = assemble_variation(metric, surf, deform)
     zdot = deform.rate_displacement()
-    rates = assemble_rates(metric, surf, deform, gvar, bvar, zdot, a1d, a2d)
+    # w1dot and dgdot_ij do not read the M4 rate
+    rates = assemble_rates(metric, surf, deform, gvar, bvar, zdot, a1d, a2d,
+                           m4dot_override=np.zeros((2, 2, surf.grid.n_nodes)))
     fd_w1 = (vals[t + 1e-5][0] - vals[t][0]) / 1e-5
     fd_dg = (vals[t + 1e-5][1] - vals[t][1]) / 1e-5
     assert np.max(np.abs(rates.w1dot - fd_w1)) < 1e-4 * max(1.0, np.max(np.abs(fd_w1)))
@@ -296,6 +298,19 @@ def test_p0_takes_the_time_derivative_of_delta_b(curved24):
     want = (-part(t + 2 * h) + 8 * part(t + h) - 8 * part(t - h) + part(t - 2 * h)) / (12 * h)
     assert np.max(np.abs(want)) > 0.1
     assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("source", ["none", "prev_m4 only", "dt only"])
+def test_assemble_rates_needs_an_m4_rate_source(curved24, source):
+    # neither an override nor prev_m4 with dt: no silent zero M4 rate
+    metric, surf = curved24
+    a1d, a2d, cd = (smooth_scalar(surf.grid, seed, 2e-2) for seed in (1, 2, 3))
+    deform = prescribed_deformation(surf, a1d, a2d, cd, 0.01, 2)
+    gvar, bvar, _ = assemble_variation(metric, surf, deform)
+    given = {"none": {}, "prev_m4 only": {"prev_m4": bvar.m4}, "dt only": {"dt": 0.005}}
+    with pytest.raises(MgError, match="m4dot_override, or prev_m4 with dt"):
+        assemble_rates(metric, surf, deform, gvar, bvar, deform.rate_displacement(),
+                       a1d, a2d, **given[source])
 
 
 def test_p0_lipschitz_shrinks_with_t(curved24):
@@ -364,7 +379,8 @@ def test_rhs_psi_zero_state_flat(flat48):
     gvar, bvar, _ = assemble_variation(metric, surf, deform)
     zdot = deform.rate_displacement()
     rates = assemble_rates(metric, surf, deform, gvar, bvar, zdot,
-                           deform.a1dot, deform.a2dot)
+                           deform.a1dot, deform.a2dot,
+                           m4dot_override=np.zeros((2, 2, surf.grid.n_nodes)))
     eq = equation_coefficients(surf)
     psi1dot, psi3, p0, psi1 = rhs_psi(surf, coeffs, deform, rates, eq.qb0,
                                       np.zeros(surf.grid.n_nodes))
@@ -404,7 +420,8 @@ def test_kernels_reject_a_metric_not_the_surfaces(curved24, other):
         "delta_b": lambda m: delta_b(m, surf, deform, fwd, gvar),
         "assemble_variation": lambda m: assemble_variation(m, surf, deform),
         "assemble_rates": lambda m: assemble_rates(m, surf, deform, gvar, bvar,
-                                                   deform.rate_displacement(), a1d, a2d),
+                                                   deform.rate_displacement(), a1d, a2d,
+                                                   prev_m4=bvar.m4, dt=0.005),
     }
     for name, kernel in kernels.items():
         kernel(metric)

@@ -7,6 +7,7 @@ surrounding whitespace.  Every variant of a clean file below either loads to
 the clean file's arrays or raises a ``FormatError`` that names the block.
 """
 
+import re
 import tracemalloc
 import warnings
 
@@ -131,8 +132,17 @@ REJECTED = {
         lambda text: _three_then_one(text, "A"), ["'A'", "line 43 holds 3 values"]),
     "a comment after the values of a row in B": (
         lambda text: _value_comment(text, "B"), ["'B'", "'#'"]),
-    "an underscore in a literal": (lambda text: _sample(text, "phi", "1_0"), ["'phi'", "1_0"]),
+    # the clean file's first phi row is its line 25 and its second A row line 44
+    "an underscore in a literal": (
+        lambda text: _sample(text, "phi", "1_0"), ["'phi'", "line 25 holds '1_0'"]),
+    "a word in a row": (
+        lambda text: _second_row(text, "A", "0.5 zz"), ["'A'", "line 44 holds 'zz'"]),
 }
+
+
+def _second_row(text, block, row):
+    _, start = _first_row(text, block)
+    return text[:start] + row + "\n" + text[text.index("\n", start) + 1:]
 
 
 def _split_row(text, block):
@@ -181,8 +191,10 @@ def test_malformed_variants_name_their_block(tmp_path, clean, case, crlf):
     with pytest.raises(FormatError) as exc:
         load_problem(path)
     assert all(word in str(exc.value) for word in words), str(exc.value)
-    # no advice about reader options the format does not have
+    # no advice about reader options the format does not have, and no row
+    # counted from the block's first value row
     assert "usecols" not in str(exc.value)
+    assert not re.search(r"\brow \d", str(exc.value)), str(exc.value)
 
 
 @pytest.mark.parametrize("body", ["", "# no rows\n\n"], ids=["empty", "comment only"])

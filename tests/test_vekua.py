@@ -17,9 +17,11 @@ from mgdeform.grid import DiskGrid
 from mgdeform.vekua import (
     BoundaryProblem,
     bvp_solve,
+    canonicalize,
     holomorphic_field,
     index_of,
     linear_response,
+    linear_response_basis,
     load_problem,
     point_pin,
     save_problem,
@@ -272,7 +274,7 @@ from helpers import manufactured_problem  # noqa: E402
 @pytest.mark.parametrize("swap", [False, True])
 def test_manufactured_recovery(grid, swap):
     prob, w_star = manufactured_problem(grid, n=1, swap=swap)
-    fam, _ = solve_family(prob, tol=1e-12)
+    fam = solve_family(prob, tol=1e-12)
     # match the free family against the manufactured member
     cols = np.stack([np.concatenate([b.real, b.imag]) for b in fam.basis], axis=1)
     rhs = np.concatenate([(w_star - fam.w).real, (w_star - fam.w).imag])
@@ -341,7 +343,8 @@ def test_pinned_solve_matches_least_norm_family_member(grid):
     # fixed right side, n = 1: one pinned solve reproduces the particular
     # solution plus the least-norm parameters that put w = 0 at the center
     prob, _ = manufactured_problem(grid, n=1)
-    fam, sym = solve_family(prob, tol=1e-12)
+    fam = solve_family(prob, tol=1e-12)
+    sym = canonicalize(grid, prob.lam)
     pin = point_pin(fam.basis)
     params = pin.pinv @ -np.array([fam.w[0].real, fam.w[0].imag])
     w_ref = fam.w + sum(c * k for c, k in zip(params, fam.basis))
@@ -473,13 +476,33 @@ def test_gmres_residual_from_the_arnoldi_relation():
     assert _gmres(apply_op, rhs, 1e-8, 40, x0=x, r0=r0, residual=True)[1:] == (0, 0.0, r0)
 
 
+def test_pinned_solve_returns_the_basis_its_params_multiply():
+    # the pin moves the last pass's unpinned inner solution v along the
+    # linear-response members, so w - sum params_i basis_i gives v back
+    grid = DiskGrid(16, 32)
+    prob, _ = manufactured_problem(grid, n=1)
+    sym = canonicalize(grid, prob.lam)
+    pin = point_pin(linear_response_basis(prob, sym))
+    fam = bvp_solve(prob, lambda w: prob.psi + 0.05 * np.conj(w), pin=pin, sym=sym)
+    v = fam.start[0]
+    assert np.max(np.abs(fam.params)) > 1e-3
+    assert all(b is k for b, k in zip(fam.basis, pin.basis))
+    moved = fam.w - sum(c * b for c, b in zip(fam.params, fam.basis))
+    assert np.max(np.abs(moved - v)) <= 1e-12 * np.max(np.abs(v))
+    # without a pin the params are zero and the basis is the core members
+    free = bvp_solve(prob, sym=sym)
+    assert not np.any(free.params)
+    assert all(b is c for b, c in zip(free.basis, sym.basis))
+
+
 def test_solve_carries_the_image_of_its_iterate(monkeypatch):
     # a solve with an assembler returns its last pass's unpinned inner
     # solution v with (I - L) v, pinned or not, and a restart from that
     # start spends no application of L on it
     grid = DiskGrid(16, 32)
     prob, _ = manufactured_problem(grid, n=1)
-    fam, sym = solve_family(replace(prob, phi=np.zeros(grid.n_theta)), tol=1e-12)
+    fam = solve_family(replace(prob, phi=np.zeros(grid.n_theta)), tol=1e-12)
+    sym = canonicalize(grid, prob.lam)
     calls = []
 
     def assembler(w):
@@ -636,45 +659,50 @@ def _sphere_surface():
     return build_surface(SphereCapImmersion(1.0, 0.5), FlatMetric(), grid, ci_tol=1e-5)
 
 
+# the flow's translation into this solver's problem, in its unknown
+# w = a2dot + i a1dot = i conj(u), u = a1dot + i a2dot
+
 def test_boundary_data_first_tangent():
-    from mgdeform.vekua import boundary_data
+    from mgdeform.flow import _boundary_data
 
     surf = _sphere_surface()
     nt = surf.grid.n_theta
     l_field = np.zeros((nt, 2))
     l_field[:, 0] = 1.0
-    lam, phi, lam_tilde = boundary_data(surf, l_field, np.zeros(nt))
-    # conformal first form: lambda_tilde parallel to (g11, 0)
-    assert np.max(np.abs(lam_tilde[:, 1])) < 1e-8
-    assert np.max(np.abs(lam - 1.0)) < 1e-8
+    lam, phi = _boundary_data(surf, l_field, np.zeros(nt))
+    # conformal first form: lambda_tilde parallel to (g11, 0), so lambda_u = 1
+    # and lambda = i conj(lambda_u) = i
+    assert np.max(np.abs(lam - 1j)) < 1e-8
     assert index_of(lam) == 0
     assert np.max(np.abs(phi)) == 0.0  # zero rate data -> zero phi
     assert np.max(np.abs(np.abs(lam) - 1.0)) < 1e-14
 
 
 def test_boundary_data_rotating_field_winds():
-    from mgdeform.vekua import boundary_data
+    from mgdeform.flow import _boundary_data
 
     surf = _sphere_surface()
     th = surf.grid.boundary_theta
     for k in (1, -1, 2):
         l_field = np.stack([np.cos(k * th), np.sin(k * th)], axis=-1)
-        lam, _, _ = boundary_data(surf, l_field, np.zeros_like(th))
-        assert index_of(lam) == k
+        lam, _ = _boundary_data(surf, l_field, np.zeros_like(th))
+        # lambda_u winds k times and its conjugate -k times
+        assert index_of(lam) == -k
 
 
 def test_boundary_data_consistency_identity():
     # Re{conj(lam) w} = phi encodes lam_tilde . adot = gamma_dot exactly
-    from mgdeform.vekua import boundary_data
+    from mgdeform.flow import _boundary_data
 
     surf = _sphere_surface()
     th = surf.grid.boundary_theta
     rng = np.random.default_rng(3)
     l_field = np.stack([np.cos(th + 0.2), np.sin(th + 0.2)], axis=-1)
     gd = rng.normal(size=len(th))
-    lam, phi, lam_tilde = boundary_data(surf, l_field, gd)
+    lam, phi = _boundary_data(surf, l_field, gd)
+    lam_tilde = np.einsum("kin,ni->nk", surf.g[..., surf.grid.boundary_idx], l_field)
     adot = rng.normal(size=(len(th), 2))
-    w = adot[:, 0] + 1j * adot[:, 1]
+    w = adot[:, 1] + 1j * adot[:, 0]
     lhs = np.real(np.conj(lam) * w) - phi
     rhs = (np.einsum("nk,nk->n", lam_tilde, adot) - gd) / np.abs(
         lam_tilde[:, 0] + 1j * lam_tilde[:, 1]
@@ -684,32 +712,33 @@ def test_boundary_data_consistency_identity():
 
 def test_boundary_data_degenerate_raises():
     from mgdeform.errors import BoundaryDegeneracyError
-    from mgdeform.vekua import boundary_data
+    from mgdeform.flow import _boundary_data
 
     surf = _sphere_surface()
     l_field = np.zeros((surf.grid.n_theta, 2))
     with pytest.raises(BoundaryDegeneracyError):
-        boundary_data(surf, l_field, np.zeros(surf.grid.n_theta))
+        _boundary_data(surf, l_field, np.zeros(surf.grid.n_theta))
 
 
 def test_assemble_ab_cases():
-    from mgdeform.vekua import assemble_AB
+    from mgdeform.flow import _assemble_ab
+    from mgdeform.kpres import EquationCoefficients
 
     n = 10
     zeros = np.zeros(n)
-    a, b, e0 = assemble_AB(zeros, zeros, zeros, zeros)
+    a, b, e0 = _assemble_ab(EquationCoefficients(zeros, zeros, zeros, zeros, zeros))
     assert np.max(np.abs(a)) == 0.0 and np.max(np.abs(b)) == 0.0
-    assert e0 is None
-    # real p1 only: A = B = p1 / 4
+    assert np.max(np.abs(e0)) == 0.0
+    # real p1 only: A_u = B_u = p1 / 4, so A = i p1 / 4 and B = -i p1 / 4
     p1 = np.linspace(0.5, 1.5, n)
-    a, b, _ = assemble_AB(p1, zeros, zeros, zeros)
-    assert np.max(np.abs(a - p1 / 4)) < 1e-15
-    assert np.max(np.abs(b - p1 / 4)) < 1e-15
+    a, b, _ = _assemble_ab(EquationCoefficients(p1, zeros, zeros, zeros, zeros))
+    assert np.max(np.abs(a - 0.25j * p1)) < 1e-15
+    assert np.max(np.abs(b + 0.25j * p1)) < 1e-15
     # generic values: spot-check the closed combination at three entries
     rng = np.random.default_rng(0)
     p1, p2, q1, q2 = rng.normal(size=(4, n))
-    a, b, e0 = assemble_AB(p1, p2, q1, q2, q0=np.full(n, 4.0))
+    a, b, e0 = _assemble_ab(EquationCoefficients(p1, p2, q1, q2, np.full(n, 4.0)))
     for i in (0, 3, 7):
-        assert abs(a[i] - 0.25 * (p1[i] + q2[i] + 1j * q1[i] - 1j * p2[i])) < 1e-15
-        assert abs(b[i] - 0.25 * (p1[i] - q2[i] + 1j * q1[i] + 1j * p2[i])) < 1e-15
+        assert abs(a[i] - 0.25 * (q1[i] - p2[i] + 1j * (p1[i] + q2[i]))) < 1e-15
+        assert abs(b[i] + 0.25 * (q1[i] + p2[i] + 1j * (p1[i] - q2[i]))) < 1e-15
     assert np.max(np.abs(e0 - 2.0j)) < 1e-15
