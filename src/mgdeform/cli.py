@@ -44,10 +44,6 @@ from .surface import (
 from .vekua import load_problem, save_solution, solve_family
 
 
-# bound on |z(x0)|: the flow fixes x0 exactly, so only round-off may remain
-FIXED_POINT_TOL = 1e-10
-
-
 def _fields_section(cls, kinds):
     """Schema of a section that is dataclass ``cls``: each field's type, or
     its tuple of kinds from ``kinds``, and its default."""
@@ -170,14 +166,6 @@ def build_problem_objects(cfg: dict):
     return surface, BoundarySpec(**cfg["boundary"]), FlowConfig(**cfg["flow"])
 
 
-def _json_default(o):
-    if isinstance(o, (np.floating, np.integer)):
-        return o.item()
-    if isinstance(o, np.ndarray):
-        return o.tolist()
-    raise TypeError(f"not serializable: {type(o)}")
-
-
 def _write_snapshot(path, grid, fields):
     cols = ["a1", "a2", "c", "dK", "g_res1", "g_res2"]
     table = np.column_stack([np.arange(grid.n_nodes), grid.r, grid.theta]
@@ -186,19 +174,10 @@ def _write_snapshot(path, grid, fields):
                header="node r theta " + " ".join(cols), comments="# ")
 
 
-def within_tolerances(report, flow_cfg):
-    """True when a flow report holds every monitored bound: the curvature
-    defect by formula and by the rebuild oracle, both residuals, and the
-    fixed point where the flow fixes one (index n >= 1; for n <= 0 the
-    2n - 1 point conditions are void, so |z(x0)| is only reported)."""
-    return bool(
-        report["steps"]
-        and report["max_dk_rel"] <= flow_cfg.tol_k
-        and report["max_dk_oracle_rel"] <= flow_cfg.tol_k
-        and report["max_g_residual"] <= flow_cfg.tol_g
-        and report["max_boundary_residual"] <= flow_cfg.tol_b
-        and (report["index"] <= 0 or report["max_fixed_point_z"] <= FIXED_POINT_TOL)
-    )
+def within_tolerances(report):
+    """True when a flow report made steps and fails no monitored bound
+    (``flow.failed_bounds``)."""
+    return bool(report["steps"]) and not report["failed"]
 
 
 def run_from_config(cfg: dict, out_dir, log=print):
@@ -212,7 +191,7 @@ def run_from_config(cfg: dict, out_dir, log=print):
 
     def on_step(rec):
         if trace_fh:
-            trace_fh.write(json.dumps(rec.as_dict(), default=_json_default))
+            trace_fh.write(json.dumps(rec.as_dict()))
             trace_fh.write("\n")
         if cfg["output"]["snapshots"]:
             _write_snapshot(
@@ -228,7 +207,7 @@ def run_from_config(cfg: dict, out_dir, log=print):
     finally:
         if trace_fh:
             trace_fh.close()
-    report["within_tolerances"] = within_tolerances(report, flow_cfg)
+    report["within_tolerances"] = within_tolerances(report)
     summary = {
         "version": __version__,
         "config": cfg,
@@ -236,7 +215,7 @@ def run_from_config(cfg: dict, out_dir, log=print):
         "flow_report": report,
     }
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=1, sort_keys=True, default=_json_default)
+        json.dump(summary, fh, indent=1, sort_keys=True)
         fh.write("\n")
     return summary
 
@@ -246,9 +225,13 @@ def cmd_run(args):
         cfg = parse_config(fh.read())
     log = print if args.log_level != "quiet" else (lambda *a, **k: None)
     summary = run_from_config(cfg, out_dir=args.out, log=log)
-    ok = summary["flow_report"]["within_tolerances"]
-    log(json.dumps(summary["flow_report"], default=_json_default, indent=1))
-    return 0 if ok else 3
+    report = summary["flow_report"]
+    log(json.dumps(report, indent=1))
+    if report["within_tolerances"]:
+        return 0
+    failed = ", ".join(f"{name} from step {step}" for name, step in report["failed"].items())
+    print(f"outside tolerances: {failed}", file=sys.stderr)
+    return 3
 
 
 def cmd_bvp(args):
@@ -268,7 +251,7 @@ def cmd_validate(args):
         cfg = parse_config(fh.read())
     surface, _, _ = build_problem_objects(cfg)
     rep = validate_hypotheses(surface)
-    print(json.dumps(rep, indent=1, sort_keys=True, default=_json_default))
+    print(json.dumps(rep, indent=1, sort_keys=True))
     return 0 if rep["ok"] else 3
 
 

@@ -126,6 +126,10 @@ class FlowConfig:
                           f"got t_final/dt = {ratio:.17g}")
 
 
+# bound on |z(x0)|: the flow fixes x0 exactly, so only round-off may remain
+FIXED_POINT_TOL = 1e-10
+
+
 # -- per-step bookkeeping ------------------------------------------------------
 
 @dataclass
@@ -423,8 +427,27 @@ def step(state: FlowState):
     return rec
 
 
+def failed_bounds(records, config: FlowConfig):
+    """Each monitored bound that some record fails, with the first step that
+    fails it: the curvature defect by formula and by the rebuild oracle
+    (``tol_k``), both residuals (``tol_g``, ``tol_b``), and |z(x0)| where the
+    flow fixes the point (index n >= 1; for n <= 0 the 2n - 1 point
+    conditions are void, so it is only reported).  NaN fails every bound."""
+    failed = {}
+    for rec in records:
+        bounds = {"dk_max_rel": config.tol_k, "dk_oracle_rel": config.tol_k,
+                  "g_residual": config.tol_g, "boundary_residual": config.tol_b}
+        if rec.n >= 1:
+            bounds["fixed_point_z"] = FIXED_POINT_TOL
+        for name, bound in bounds.items():
+            if not getattr(rec, name) <= bound:
+                failed.setdefault(name, rec.step)
+    return failed
+
+
 def run_flow(state: FlowState, on_step=None):
-    """Step to t_final and report the monitored maxima over all steps.
+    """Step to t_final and report the monitored maxima over all steps, and
+    the bounds they fail (``failed_bounds``).
 
     ``on_step(rec)`` runs after each completed step.  A failing step raises
     its own error; the records of the completed steps stay in
@@ -447,4 +470,5 @@ def run_flow(state: FlowState, on_step=None):
         "family_dimension_before": recs[-1].family_dimension_before if recs else None,
         "family_dimension_after": recs[-1].family_dimension_after if recs else None,
         "max_rate_sup": max((r.rate_sup for r in recs), default=0.0),
+        "failed": failed_bounds(recs, state.config),
     }

@@ -64,11 +64,8 @@ class DeformationState:
     history: TransportHistory
     t: float = 0.0
 
-    def displacement(self, a1=None, a2=None, c=None):
+    def displacement(self, a1, a2, c):
         s = self.surface
-        a1 = self.a1 if a1 is None else a1
-        a2 = self.a2 if a2 is None else a2
-        c = self.c if c is None else c
         return a1[:, None] * s.y1 + a2[:, None] * s.y2 + c[:, None] * s.n
 
     def rate_displacement(self, a1dot=None, a2dot=None, cdot=None):

@@ -97,7 +97,7 @@ class DiskGrid:
         if tables is not None:
             return tables
         n_r, nt = self.n_r, self.n_theta
-        k = np.fft.fftfreq(nt, d=1.0 / nt)
+        k = np.fft.fftfreq(nt, d=1.0 / nt)[: nt // 2 + 1]   # the rfft's modes
         k[nt // 2] = 0.0  # odd derivative of the Nyquist mode
         # contiguous (n_r, nt) factors: broadcast views of the rim trig
         # slow the products in grad_last
@@ -130,16 +130,20 @@ class DiskGrid:
         Each ray is extended through the center onto its antipodal ray in
         one buffer of 2 n_r + 1 levels; the centered stencil row is a sum of
         shifted slices and the three rim rows read the last seven levels.
-        The angular derivative is a real FFT for real fields.  Every grid
+        The angular derivative is a real FFT, so ``f`` is real: a complex
+        field is differentiated by its real and imaginary parts.  Every grid
         derivative goes through here; ``f`` may be any strided view.
         """
         f = np.asarray(f)
+        if np.iscomplexobj(f):
+            raise TypeError("grad_last takes real fields; differentiate the real and "
+                            "imaginary parts of a complex one")
         n_r, nt, half = self.n_r, self.n_theta, self.n_theta // 2
         tab = self._derivative_tables()
-        dr_w, ik = tab["dr_w"], tab["ik"]
+        dr_w = tab["dr_w"]
         tail = f.shape[:-1]
         # levels: rings n_r..1 turned by half a turn, the center, rings 1..n_r
-        ext = np.empty(tail + (2 * n_r + 1, nt), dtype=np.result_type(f.dtype, np.float64))
+        ext = np.empty(tail + (2 * n_r + 1, nt))
         rings = f[..., 1:].reshape(tail + (n_r, nt))
         ext[..., n_r + 1:, :] = rings
         ext[..., n_r, :] = f[..., :1]
@@ -163,14 +167,9 @@ class DiskGrid:
             mid += np.multiply(dr_w[0, s], ext[:, n_r - 2 + s : n_r - 2 + s + k], out=tmp)
         dr[:, k:] = np.einsum("rs,msj->mrj", dr_w[1:], ext[:, -7:])
 
-        if np.iscomplexobj(rings):
-            spec = np.fft.fft(rings, axis=-1)
-            spec *= ik
-            dt = np.fft.ifft(spec, axis=-1)
-        else:
-            spec = np.fft.rfft(rings, axis=-1)
-            spec *= ik[: half + 1]
-            dt = np.fft.irfft(spec, n=nt, axis=-1)
+        spec = np.fft.rfft(rings, axis=-1)
+        spec *= tab["ik"]
+        dt = np.fft.irfft(spec, n=nt, axis=-1)
 
         np.multiply(tab["cos"], dr, out=g1)
         np.multiply(tab["sin"], dr, out=g2)

@@ -21,7 +21,9 @@ contractions and the symbols are never stored.  Its override points
   ``FlatMetric`` with zeros.
 - ``dmetric_contract(y, u)`` returns d_s a_{ab}(y) u^s.  The default
   contracts ``dmetric``.  ``ConformalMetric`` overrides it with
-  2 e^{2 phi} (grad phi . u) delta_ab, and ``FlatMetric`` with zeros.
+  2 e^{2 phi} (grad phi . u) delta_ab.  ``FlatMetric`` overrides only
+  ``christoffel_contract``: every caller of this one checks ``is_flat()``
+  first.
 
 Index conventions on arrays: metric (..., a, b); first derivative
 (..., a, b, s) meaning d a_{ab} / d y^s, both with the batch axes of ``y``
@@ -92,9 +94,6 @@ class FlatMetric(AmbientMetric):
         return np.zeros(y.shape[:-1] + (3, 3, 3))
 
     def christoffel_contract(self, y, u):
-        return np.zeros((3, 3) + np.shape(y)[:-1])
-
-    def dmetric_contract(self, y, u):
         return np.zeros((3, 3) + np.shape(y)[:-1])
 
     def is_flat(self):

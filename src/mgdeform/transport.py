@@ -192,32 +192,26 @@ def _gamma_zdot(metric, y0, z, zdot):
     return metric.christoffel_contract(np.asarray(y0, dtype=float) + z, node_last(zdot))
 
 
-def _rk4_step(g0, g_half, g1, a, h, sign):
-    """One classical RK4 step of dA = sign G A with G at start, middle, end.
-    ``a = None`` seeds it with the identity, whose first stage is sign G.
+def _rk4_step(g0, g_half, g1, h):
+    """One classical RK4 step of dA = G A from the identity, with G at
+    start, middle and end, so its first stage is G itself.
 
-    The result is a + (h/6) (k1 + 2 k2 + 2 k3 + k4), summed in that order
+    The result is I + (h/6) (k1 + 2 k2 + 2 k3 + k4), summed in that order
     in place: with a few thousand nodes each (3, 3, N) temporary costs
     fresh pages, so the stages share three buffers."""
-    if a is None:
-        a = _identity(g0.shape[-1])
-        acc = sign * g0
-    else:
-        acc = np.einsum("gbn,bkn->gkn", g0, a)
-        acc *= sign
+    a = _identity(g0.shape[-1])
+    acc = g0.copy()
     arg = np.multiply(0.5 * h, acc)              # the stage argument a + step k
     arg += a
     k = np.einsum("gbn,bkn->gkn", g_half, arg)
     for g, step in ((g_half, 0.5 * h), (g1, h)):
         # k is stage 2, then 3: it gives the next stage's argument, and
         # enters the sum with weight 2
-        k *= sign
         np.multiply(step, k, out=arg)
         arg += a
         k *= 2
         acc += k
         np.einsum("gbn,bkn->gkn", g, arg, out=k)
-    k *= sign
     acc += k
     acc *= h / 6.0
     acc += a
@@ -257,7 +251,7 @@ class Propagator:
         dt = history.tau[j + 1] - history.tau[j]
         g_half = _gamma_zdot(self.metric, self.y0, *history.hermite(m, 0.5))
         g1 = _gamma_zdot(self.metric, self.y0, *history.hermite(m, 1.0))
-        r_back = _rk4_step(g1, g_half, self.g_end, None, dt, 1.0)
+        r_back = _rk4_step(g1, g_half, self.g_end, dt)
         return _frozen_propagator(
             self.metric, self.y0, m + 1,
             backward=np.einsum("gbn,bkn->gkn", self.backward, r_back), g_end=g1,
@@ -348,16 +342,13 @@ def _carried_normal(backward, n0):
 
 
 def transport_normal(metric: AmbientMetric, y0, history: TransportHistory,
-                     n0, ambient_a=None) -> NormalTransport:
+                     n0, ambient_a) -> NormalTransport:
     """The unit normal ``n0`` carried to the history's final time, n_t =
-    B^-1 n_0 for the backward map B, and its length in the metric there.
-    ``ambient_a`` is that metric, a(y0 + z) node-last, when the caller holds
-    it (a ``DeformationState`` caches it); it is evaluated otherwise."""
+    B^-1 n_0 for the backward map B, and its length in the metric there,
+    ``ambient_a`` = a(y0 + z) node-last (a ``DeformationState`` caches it)."""
     y0 = np.asarray(y0, dtype=float)
     n0 = node_last(np.asarray(n0, dtype=float))
     prop = transport_propagator(metric, y0, history)
     n_t = n0 if prop.identity else _carried_normal(prop.backward, n0)
-    if ambient_a is None:
-        ambient_a = node_last(metric.metric(y0 + history.z[-1]))
     norm = np.sqrt(np.einsum("abn,an,bn->n", ambient_a, n_t, n_t))
     return NormalTransport(n_t=n_t, norm=norm, identity=prop.identity)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import io
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -249,16 +249,13 @@ def _core_particular(sym: CanonicalSymbol, phi_boundary):
         shifted[sym.n :] = coeffs
         w = holomorphic_field(grid, shifted[: grid.n_theta]) * sym.exp_is
         return w, np.array([])
+    # index_of keeps |n| <= n_theta/2 and coeffs holds n_theta/2 + 1 entries,
+    # so every residual coefficient and coeffs[m:] exist
     m = -sym.n
     res = [coeffs[0].real]
-    for k in range(1, min(m, len(coeffs))):
+    for k in range(1, m):
         res.extend([coeffs[k].real, coeffs[k].imag])
-    while len(res) < 2 * m - 1:
-        res.append(0.0)
-    proj = coeffs.copy()
-    proj[: min(m, len(proj))] = 0.0
-    shifted = proj[m:] if len(proj) > m else np.zeros(1, dtype=complex)
-    w = holomorphic_field(grid, shifted) * sym.exp_is
+    w = holomorphic_field(grid, coeffs[m:]) * sym.exp_is
     return w, np.array(res)
 
 
@@ -279,14 +276,14 @@ class SolutionFamily:
     basis: list
     params: np.ndarray
     n: int
-    iterations: int = 0
-    passes: int = 0          # right-hand-side evaluations (assembler calls)
-    ratio: float = 0.0
+    iterations: int
+    passes: int              # right-hand-side evaluations (assembler calls)
+    ratio: float
+    boundary_residual: float
+    fixed_point_residual: float
+    solvability: np.ndarray
+    start: tuple | None      # (v, (I - L) v) of the last pass
     mode: str = "gmres"      # the one inner solver; read by perfbench's tracer
-    boundary_residual: float = 0.0
-    fixed_point_residual: float = 0.0
-    solvability: np.ndarray = field(default_factory=lambda: np.array([]))
-    start: tuple | None = None   # (v, (I - L) v) of the last pass
 
     @property
     def dimension(self):

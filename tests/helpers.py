@@ -128,9 +128,10 @@ def prescribed_deformation(surface, a1dot, a2dot, cdot, t, n_steps):
 
 
 def dz_bar(grid, f):
-    """Wirtinger derivative 0.5 (d/dx1 + i d/dx2) of an (N,) field."""
-    f1, f2 = grid.grad_last(f)
-    return 0.5 * (f1 + 1j * f2)
+    """Wirtinger derivative 0.5 (d/dx1 + i d/dx2) of an (N,) field, from the
+    gradients of its real and imaginary parts."""
+    (re1, re2), (im1, im2) = grid.grad_last(np.stack([np.real(f), np.imag(f)]))
+    return 0.5 * ((re1 - im2) + 1j * (re2 + im1))
 
 
 def state_at(surface, a1dot, a2dot, cdot, tau, t, n_steps):

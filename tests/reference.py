@@ -19,7 +19,10 @@ computes another way, or a diagnostic of a bound the package relies on:
   the norm chain of the coefficient cascade, and the cdot diagnostics;
 - the grid's node coordinates by repeat, tile and r cos theta over every
   node, the cumulative radial integral and the line integral along the
-  grid's rays in gather form, and the disk's area quadrature.
+  grid's rays in gather form, and the disk's area quadrature;
+- the restriction of a field to the nodes of the grid with half the rings
+  and angles, and the split of the rebuild oracle's reading on nested grids
+  into its own grid error and the solution's.
 """
 
 from __future__ import annotations
@@ -33,13 +36,8 @@ from mgdeform.gdef import DeformationState, GDefCoefficients, tangential_grad
 from mgdeform.grid import DiskGrid
 from mgdeform.kpres import _form_product
 from mgdeform.metrics import AmbientMetric
-from mgdeform.surface import SurfaceState
-from mgdeform.transport import (
-    TransportHistory,
-    _gamma_zdot,
-    _rk4_step,
-    transport_propagator,
-)
+from mgdeform.surface import SurfaceState, gauss_curvature_of
+from mgdeform.transport import TransportHistory, _gamma_zdot, transport_propagator
 from mgdeform.vekua import _core_particular, canonicalize, index_of
 
 # --------------------------------------------------------------------------
@@ -284,16 +282,29 @@ def _interval_gammas(metric, y0, history, m, fractions, g_start=None, g_end=None
     return out
 
 
+def _rk4(g0, g_half, g1, a, h, sign):
+    """One textbook RK4 step of dA = sign G A from ``a``, stage by stage,
+    with G at the step's start, middle and end."""
+    def rhs(g, val):
+        return sign * np.einsum("gbn,bkn->gkn", g, val)
+
+    k1 = rhs(g0, a)
+    k2 = rhs(g_half, a + 0.5 * h * k1)
+    k3 = rhs(g_half, a + 0.5 * h * k2)
+    k4 = rhs(g1, a + h * k3)
+    return a + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
 def _interval_step(gs, a, h, direction):
     """Carry ``a`` (3, k, n) across one interval, all node-last; ``gs``
     holds G at the stage fractions, ``h`` is the substep length."""
     last = len(gs) - 1
     for q in range(last // 2):
         if direction == "forward":
-            a = _rk4_step(gs[2 * q], gs[2 * q + 1], gs[2 * q + 2], a, h, -1.0)
+            a = _rk4(gs[2 * q], gs[2 * q + 1], gs[2 * q + 2], a, h, -1.0)
         else:
             j = last - 2 * q
-            a = _rk4_step(gs[j], gs[j - 1], gs[j - 2], a, h, 1.0)
+            a = _rk4(gs[j], gs[j - 1], gs[j - 2], a, h, 1.0)
     return a
 
 
@@ -740,3 +751,42 @@ def area_weights(grid: DiskGrid):
     w[0] = np.pi * (h / 2.0) ** 2
     w[1:] = np.repeat(ring, nt)
     return w
+
+
+def restrict(fine: DiskGrid, coarse: DiskGrid, f):
+    """An (N_fine, ...) field at the nodes of ``coarse``, whose n_r rings and
+    n_theta angles the ``fine`` grid doubles: coarse node (i, j) is fine
+    node (2i, 2j), and the centers coincide."""
+    if (fine.n_r, fine.n_theta) != (2 * coarse.n_r, 2 * coarse.n_theta):
+        raise MgError(f"{fine.n_r}x{fine.n_theta} does not double "
+                      f"{coarse.n_r}x{coarse.n_theta}")
+    rings = np.repeat(np.arange(1, coarse.n_r + 1), coarse.n_theta)
+    slots = np.tile(np.arange(coarse.n_theta), coarse.n_r)
+    return np.asarray(f)[np.concatenate([[0], fine.node_index(2 * rings, 2 * slots)])]
+
+
+def nested_split(coarse: SurfaceState, fine: SurfaceState, z_coarse, z_fine):
+    """The coarse solution's and the coarse rebuild oracle's grid errors,
+    read against the fine grid's solution restricted to the coarse nodes, R
+    z_fine.  With K_c and K_f the oracles of the two grids, y the coarse
+    points and max|K| the coarse surface's:
+
+    - ``z``: max|z_coarse - R z_fine|;
+    - ``oracle``, the oracle's own error: max|[K_c(y + R z_fine) - K_c(y)]
+      - R [K_f(y_f + z_fine) - K_f(y_f)]| / max|K|;
+    - ``solution``, the solution's error as the oracle sees it:
+      max|K_c(y + z_coarse) - K_c(y + R z_fine)| / max|K|.
+    """
+    metric, cg, fg = coarse.metric, coarse.grid, fine.grid
+    z_ref = restrict(fg, cg, z_fine)
+    k_base = gauss_curvature_of(cg, metric, coarse.y)
+    k_ref = gauss_curvature_of(cg, metric, coarse.y + z_ref)
+    dk_fine = (gauss_curvature_of(fg, metric, fine.y + z_fine)
+               - gauss_curvature_of(fg, metric, fine.y))
+    k_scale = float(np.max(np.abs(coarse.K)))
+    return {
+        "z": float(np.max(np.abs(z_coarse - z_ref))),
+        "oracle": float(np.max(np.abs(k_ref - k_base - restrict(fg, cg, dk_fine)))) / k_scale,
+        "solution": float(np.max(np.abs(gauss_curvature_of(cg, metric, coarse.y + z_coarse)
+                                        - k_ref))) / k_scale,
+    }

@@ -1,6 +1,7 @@
 import json
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from mgdeform.cli import (
 )
 from mgdeform import flow
 from mgdeform.errors import ConfigError, ConvergenceError
-from mgdeform.flow import BoundarySpec, FlowConfig
+from mgdeform.flow import BoundarySpec, FlowConfig, failed_bounds
 from mgdeform.grid import DiskGrid
 from mgdeform.metrics import METRIC_KINDS, make_metric
 from mgdeform.surface import IMMERSION_KINDS, SphereCapImmersion, make_immersion
@@ -301,20 +302,45 @@ def test_snapshot_run_keeps_no_arrays_in_its_records(tmp_path, monkeypatch):
 
 
 def test_within_tolerances_checks_oracle_and_fixed_point(tiny_run):
-    _, summary = tiny_run
+    # the verdict is that no bound failed; failed_bounds names each failed
+    # bound with the first step that fails it
+    out, summary = tiny_run
     flow_cfg = build_problem_objects(parse_config(MINIMAL))[2]
-    report = dict(summary["flow_report"])
-    assert within_tolerances(report, flow_cfg)
-    # each check alone turns the verdict
-    assert not within_tolerances(
-        dict(report, max_dk_oracle_rel=2.0 * flow_cfg.tol_k), flow_cfg)
-    assert not within_tolerances(dict(report, max_fixed_point_z=1e-9), flow_cfg)
+    report = summary["flow_report"]
+    assert report["failed"] == {} and within_tolerances(report)
+    assert not within_tolerances(dict(report, failed={"dk_oracle_rel": 1}))
+    recs = [SimpleNamespace(**json.loads(line))
+            for line in (out / "trace.jsonl").read_text().splitlines()]
+    assert [r.step for r in recs] == [0, 1] and failed_bounds(recs, flow_cfg) == {}
+
+    def failed_from(step, **changed):
+        return failed_bounds([SimpleNamespace(**dict(vars(r), **changed)) if r.step >= step
+                              else r for r in recs], flow_cfg)
+
+    # each check alone fails, from the first step past it; NaN fails too
+    assert failed_from(1, dk_oracle_rel=2.0 * flow_cfg.tol_k) == {"dk_oracle_rel": 1}
+    assert failed_from(0, fixed_point_z=1e-9) == {"fixed_point_z": 0}
+    assert failed_from(1, g_residual=float("nan")) == {"g_residual": 1}
     # for index n <= 0 the flow fixes no point, so |z(x0)| leaves the verdict
-    assert report["index"] == 1
-    loose = dict(report, max_fixed_point_z=4.2e-5)
+    assert recs[0].n == 1
     for index in (-1, 0):
-        assert within_tolerances(dict(loose, index=index), flow_cfg)
-    assert not within_tolerances(loose, flow_cfg)
+        assert failed_from(0, n=index, fixed_point_z=4.2e-5) == {}
+    assert failed_from(0, fixed_point_z=4.2e-5) == {"fixed_point_z": 0}
+
+
+def test_exit_3_names_the_failed_bounds_and_their_first_steps(tmp_path, capsys):
+    # a 16x32 flow held to tol_k = 1e-12 misses both curvature bounds from
+    # step 0 and meets the rest: the summary and the closing line name them
+    cpath = tmp_path / "tight.cfg"
+    cpath.write_text("[grid]\nn_r = 16\nn_theta = 32\n\n"
+                     "[flow]\nt_final = 0.02\ndt = 0.005\ntol_k = 1e-12\n")
+    rc = main(["run", "--config", str(cpath), "--out", str(tmp_path / "out")])
+    assert rc == 3
+    report = json.loads((tmp_path / "out" / "summary.json").read_text())["flow_report"]
+    assert report["failed"] == {"dk_max_rel": 0, "dk_oracle_rel": 0}
+    assert not report["within_tolerances"]
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "outside tolerances: dk_max_rel from step 0, dk_oracle_rel from step 0")
 
 
 def test_zero_data_negative_index_identity(tmp_path):

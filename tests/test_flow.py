@@ -501,7 +501,7 @@ def test_plane_flows_in_conformal_linear_metric():
     cfg = FlowConfig(t_final=0.02, dt=0.005)
     state = init_flow(surf, boundary, cfg)
     rep = run_flow(state)
-    assert within_tolerances(rep, cfg)
+    assert within_tolerances(rep) and rep["failed"] == {}
     assert rep["index"] == 1
     assert rep["steps"] == 4
     assert rep["max_dk_oracle_rel"] <= 1e-7

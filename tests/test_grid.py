@@ -70,18 +70,19 @@ def test_grid_builds_derivative_tables_on_first_derivative(tmp_path):
     problem = load_problem(path)
     bvp_solve(problem, tol=1e-10, mode="auto")
     assert "deriv" not in problem.grid._caches
-    g.grad_last(f)
+    g.grad_last(f.real)
     assert "deriv" in g._caches
 
 
-@pytest.mark.parametrize("complex_field", [False, True])
-def test_grad_last_on_copies_before_and_after_first_derivative(complex_field):
+@pytest.mark.parametrize("imag_part", [False, True])
+def test_grad_last_on_copies_before_and_after_first_derivative(imag_part):
     # deep copies of a grid, taken before its first derivative (no tables)
-    # and after it (a copy of the tables), differentiate to the same bits
+    # and after it (a copy of the tables), differentiate to the same bits,
+    # also the imaginary part of a complex field, a view two floats apart
     g = DiskGrid(24, 48)
     f = np.stack([np.exp(g.x1) * g.x2, np.sin(3.0 * g.x1 - g.x2)])
-    if complex_field:
-        f = f + 1j * np.cos(g.x1 + 2.0 * g.x2)
+    if imag_part:
+        f = (f + 1j * np.cos(g.x1 + 2.0 * g.x2)).imag
     before = copy.deepcopy(g)
     first = g.grad_last(f)
     after = copy.deepcopy(g)
@@ -174,19 +175,20 @@ def test_derivative_vector_field_shapes():
 
 
 @pytest.mark.parametrize("tail", [(), (3,), (3, 3)])
-@pytest.mark.parametrize("complex_field", [False, True])
-def test_grad_last_bit_identical_on_strided_views(tail, complex_field):
+@pytest.mark.parametrize("imag_part", [False, True])
+def test_grad_last_bit_identical_on_strided_views(tail, imag_part):
     # the kernels hand grad_last transposed views such as z.T; any strided
-    # layout of a field gives the bits of its contiguous copy
+    # layout of a field gives the bits of its contiguous copy, also the
+    # imaginary part of a complex view, whose values lie two floats apart
     g = DiskGrid(12, 24)
     rng = np.random.default_rng(7)
     base = np.exp(g.x1) * np.sin(2.0 * g.x2) + g.x1 * g.x2**2
     f = base.reshape((-1,) + (1,) * len(tail)) * rng.normal(size=tail)
-    if complex_field:
-        f = f + 1j * np.cos(g.x1 - g.x2).reshape((-1,) + (1,) * len(tail))
     view = np.moveaxis(f, 0, -1)
+    if imag_part:
+        view = (view + 1j * np.cos(g.x1 - g.x2)).imag
     d = g.grad_last(view)
-    assert d.shape == tail + (2, g.n_nodes) and d.dtype == f.dtype
+    assert d.shape == tail + (2, g.n_nodes) and d.dtype == np.float64
     assert np.array_equal(d, g.grad_last(np.ascontiguousarray(view)))
 
 
@@ -227,15 +229,19 @@ def _gather_fft_grad(g, f):
 
 @pytest.mark.parametrize("n_r, n_theta", [(16, 32), (48, 96)])
 @pytest.mark.parametrize("tail", [(), (3,), (3, 3), (3, 2)])
-@pytest.mark.parametrize("complex_field", [False, True])
-def test_grad_last_matches_gather_and_complex_fft(n_r, n_theta, tail, complex_field):
-    # random fields carry every Fourier mode and every radial frequency
+@pytest.mark.parametrize("by_parts", [False, True])
+def test_grad_last_matches_gather_and_complex_fft(n_r, n_theta, tail, by_parts):
+    # random fields carry every Fourier mode and every radial frequency; a
+    # complex field, differentiated by its real and imaginary parts as its
+    # callers must, matches the complex FFT's derivative
     g = DiskGrid(n_r, n_theta)
     rng = np.random.default_rng(n_r + len(tail))
     f = rng.normal(size=(g.n_nodes,) + tail)
-    if complex_field:
+    if by_parts:
         f = f + 1j * rng.normal(size=f.shape)
-    got = g.grad_last(np.moveaxis(f, 0, -1))
+    view = np.moveaxis(f, 0, -1)
+    got = g.grad_last(view.real) + 1j * g.grad_last(view.imag) if by_parts \
+        else g.grad_last(view)
     want = _gather_fft_grad(g, f)
     assert got.shape == tail + (2, g.n_nodes)
     assert got.dtype == want.dtype == f.dtype
@@ -248,10 +254,16 @@ def test_nyquist_mode_differentiates_to_zero():
     g = DiskGrid(16, 32)
     f = np.where(np.arange(g.n_nodes) % 2 == 1, 1.0, -1.0)
     f[0] = 0.0
-    for field in (f, 1j * f):
-        d = g.grad_last(field)
-        assert np.isrealobj(d) == np.isrealobj(field)
-        assert np.max(np.abs(d[:, g.node_index(4, 0):])) < 1e-12
+    d = g.grad_last(f)
+    assert np.max(np.abs(d[:, g.node_index(4, 0):])) < 1e-12
+
+
+def test_grad_last_refuses_complex_fields():
+    # the angular derivative is a real FFT; a complex field is differentiated
+    # by parts, never silently cut to its real part
+    g = DiskGrid(8, 16)
+    with pytest.raises(TypeError, match="real and imaginary parts"):
+        g.grad_last(g.z)
 
 
 def test_batched_ray_integrals_match_ring_loop():
@@ -275,7 +287,8 @@ def test_complex_derivative_holomorphic():
     f = g.z**3
     resid = dz_bar(g, f)
     assert np.max(np.abs(resid)) < 1e-9
-    f1, f2 = g.grad_last(f)
+    (re1, re2), (im1, im2) = g.grad_last(np.stack([f.real, f.imag]))
+    f1, f2 = re1 + 1j * im1, re2 + 1j * im2
     assert np.max(np.abs(0.5 * (f1 - 1j * f2) - 3.0 * g.z**2)) < 1e-9
 
 

@@ -55,7 +55,7 @@ def test_non_positive_index_flow_meets_criterion_11_or_is_unsolvable(metric_kind
     except UnsolvableDataError:
         return
     assert report["index"] == winding and report["steps"] == 4
-    assert within_tolerances(report, cfg)
+    assert within_tolerances(report)
 
 
 @pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,

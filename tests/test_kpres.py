@@ -106,7 +106,7 @@ def test_transport_tails_are_one_gradient(kind):
         rates = (smooth_scalar(grid, seed, 5e-2) for seed in (51, 52, 53))
         deform = prescribed_deformation(surf, *rates, 0.1, 8)
         n0 = surf.n.T
-        n_t = transport_normal(metric, surf.y, deform.history, surf.n).n_t
+        n_t = transport_normal(metric, surf.y, deform.history, surf.n, deform.ambient_a).n_t
         a1m = node_last(transport_series_terms(metric, surf.y, deform.history, 1,
                                                "forward")[0])
         a2 = n_t - n0 - np.einsum("bsn,sn->bn", a1m, n0)

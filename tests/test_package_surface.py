@@ -6,7 +6,9 @@ definition refers to it, in ``src/mgdeform`` or in the benchmark's
 ``perfbench/*.py``.  Dunder methods are called by Python itself and are not
 checked; a plug-in override point such as ``metric`` or ``chart`` passes
 because the package calls it by name.  Code only the tests call belongs in
-``tests/reference.py``.
+``tests/reference.py``.  This check reads names only; the statement-level
+check, that traffic runs every statement of the package, is
+``tests/test_traffic_trace.py``.
 """
 
 import ast

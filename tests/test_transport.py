@@ -31,6 +31,11 @@ def straight_history(t, n_steps, v=(0.3, -0.2, 0.1)):
     return history_from_path(lambda tau: tau * v, lambda tau: v, t, n_steps)
 
 
+def final_metric(metric, y0, history):
+    """a(y0 + z) node-last at the history's final sample."""
+    return node_last(metric.metric(np.asarray(y0, dtype=float) + history.z[-1]))
+
+
 def test_history_validation():
     with pytest.raises(MgError):
         TransportHistory([0.0, 1.0], np.ones((2, 1, 3)), np.ones((2, 1, 3)))
@@ -175,12 +180,13 @@ def test_transport_normal_trivial_cases():
     n0 = np.array([[0.0, 0.0, 1.0]])
     y0 = np.zeros((1, 3))
     h = straight_history(0.4, 10)
-    res = transport_normal(m, y0, h, n0)
+    res = transport_normal(m, y0, h, n0, final_metric(m, y0, h))
     assert np.max(np.abs(res.n_t - n0.T)) == 0.0
     assert abs(float(res.norm[0]) - 1.0) < 1e-14
     # t = 0: tails vanish, unit norm
     h0 = static_history(1)
-    res0 = transport_normal(conformal_radial_metric(0.5), y0 + [[0, 0, 1.0]], h0, n0)
+    m0, y00 = conformal_radial_metric(0.5), y0 + [[0, 0, 1.0]]
+    res0 = transport_normal(m0, y00, h0, n0, final_metric(m0, y00, h0))
     assert np.max(np.abs(res0.n_t - n0.T)) == 0.0
     assert res0.identity
     assert abs(float(res0.norm[0]) - 1.0) < 1e-14
@@ -191,7 +197,7 @@ def test_transport_normal_norm_preserved_curved():
     y0 = np.array([[0.0, 0.0, 1.0]])  # on the unit sphere, metric = identity there
     n0 = np.array([[0.0, 0.0, 1.0]])
     h = straight_history(0.2, 200, v=(0.1, -0.3, 0.2))
-    res = transport_normal(m, y0, h, n0)
+    res = transport_normal(m, y0, h, n0, final_metric(m, y0, h))
     assert abs(float(res.norm[0]) - 1.0) < 1e-10
     # n_t = B^-1 n0: the backward map carries it back to n0
     back = transport_propagator(m, y0, h).backward
@@ -209,7 +215,7 @@ def test_carried_normal_inverts_the_backward_map(curved_cap, monkeypatch):
         raise AssertionError("batched solve called")
 
     monkeypatch.setattr(np.linalg, "solve", no_solve)
-    res = transport_normal(metric, surf.y, deform.history, surf.n)
+    res = transport_normal(metric, surf.y, deform.history, surf.n, deform.ambient_a)
     back = transport_propagator(metric, surf.y, deform.history).backward
     assert np.max(np.abs(back - np.eye(3)[:, :, None])) > 1e-3
     assert np.max(np.abs(np.einsum("gbn,bn->gn", back, res.n_t) - surf.n.T)) <= 1e-14
@@ -330,34 +336,33 @@ def test_each_extension_makes_one_rk4_step(monkeypatch):
     # one map per interval: a fresh propagator makes one RK4 step per
     # interval, a trial rate one for the final interval, and an advance
     # none for the interval it commits when that history's propagator is
-    # memoised, which becomes its prefix; each step is seeded with the
-    # identity (a = None), so its first stage is G itself
+    # memoised, which becomes its prefix
     calls = []
     real = transport._rk4_step
 
     def counting(*args):
-        calls.append(args[3])
+        calls.append(1)
         return real(*args)
 
     monkeypatch.setattr(transport, "_rk4_step", counting)
     m = conformal_radial_metric(0.7)
     y0, h = _quadratic_paths(np.linspace(0.0, 0.5, 8))
     transport_propagator(m, y0, h)
-    assert calls == [None] * h.n_steps
+    assert len(calls) == h.n_steps
     calls.clear()
     transport_propagator(m, y0, h.replace_final_rate(1.1 * h.zdot[-1]))
-    assert calls == [None]
+    assert len(calls) == 1
     calls.clear()
     longer = h.advance(m, y0, h.tau[1], h.z[-1] + h.tau[1] * h.zdot[-1])
-    assert calls == []
+    assert not calls
     transport_propagator(m, y0, longer)
-    assert calls == [None]
+    assert len(calls) == 1
     calls.clear()
     # a rate whose propagator is not yet integrated: the advance makes its
     # final interval's step
     trial = h.replace_final_rate(1.2 * h.zdot[-1])
     longer = trial.advance(m, y0, h.tau[1], h.z[-1] + h.tau[1] * trial.zdot[-1])
-    assert calls == [None]
+    assert len(calls) == 1
 
 
 def test_carried_normal_converges_at_fourth_order():
@@ -369,7 +374,7 @@ def test_carried_normal_converges_at_fourth_order():
     errs = []
     for n_steps in (4, 8, 16):
         y0, h = _quadratic_paths(np.linspace(0.0, 0.5, n_steps + 1))
-        got = transport_normal(m, y0, h, n0).n_t.T
+        got = transport_normal(m, y0, h, n0, final_metric(m, y0, h)).n_t.T
         want = transport_tensor_ode(m, y0, h, n0, "forward", substeps=64)
         errs.append(float(np.max(np.abs(got - want))))
     assert errs[0] >= 12 * errs[1] and errs[1] >= 12 * errs[2], errs

@@ -68,10 +68,11 @@ def test_skipping_kernels_equal_the_full_kernels(both_metrics):
                                              dt=0.005),
                          deform.a1, deform.a2, a1d, a2d, PathIntegrator(GRID))
         gvar = delta_g(metric, surf, deform)
-        fwd = transport_normal(metric, surf.y, deform.history, surf.n)
+        fwd = transport_normal(metric, surf.y, deform.history, surf.n, deform.ambient_a)
         bvar = delta_b(metric, surf, deform, fwd, gvar)
         prev_m4 = delta_b(metric, surf, before,
-                          transport_normal(metric, surf.y, before.history, surf.n),
+                          transport_normal(metric, surf.y, before.history, surf.n,
+                                           before.ambient_a),
                           delta_g(metric, surf, before)).m4
         rates = assemble_rates(metric, surf, deform, gvar, bvar, deform.rate_displacement(),
                                a1d, a2d, prev_m4=prev_m4, dt=0.005, dadot=sol.dadot)
