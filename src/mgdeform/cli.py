@@ -75,7 +75,6 @@ SCHEMA = {
                                                "gamma_kind": tuple(GAMMA_KINDS)}),
     "flow": _fields_section(FlowConfig, {}),
     "output": {
-        "trace": (bool, True),
         "snapshots": (bool, True),
     },
 }
@@ -186,13 +185,10 @@ def run_from_config(cfg: dict, out_dir, log=print):
     state = init_flow(surface, boundary, flow_cfg)
     # created only once the problem is built, so a rejected run leaves none
     os.makedirs(out_dir, exist_ok=True)
-    trace_path = os.path.join(out_dir, "trace.jsonl")
-    trace_fh = open(trace_path, "w") if cfg["output"]["trace"] else None
 
     def on_step(rec):
-        if trace_fh:
-            trace_fh.write(json.dumps(rec.as_dict()))
-            trace_fh.write("\n")
+        trace_fh.write(json.dumps(rec.as_dict()))
+        trace_fh.write("\n")
         if cfg["output"]["snapshots"]:
             _write_snapshot(
                 os.path.join(out_dir, f"step_{rec.step:04d}.tsv"),
@@ -202,11 +198,9 @@ def run_from_config(cfg: dict, out_dir, log=print):
             f"dK/K={rec.dk_max_rel:.3e} G={rec.g_residual:.3e} "
             f"B={rec.boundary_residual:.3e}")
 
-    try:
+    # a failing step raises; the completed steps' records stay in the trace
+    with open(os.path.join(out_dir, "trace.jsonl"), "w") as trace_fh:
         report = run_flow(state, on_step)
-    finally:
-        if trace_fh:
-            trace_fh.close()
     report["within_tolerances"] = within_tolerances(report)
     summary = {
         "version": __version__,

@@ -158,7 +158,7 @@ class FlowStatics:
     problem: BoundaryProblem   # A, B, E, symbol and phi in w
     sym: object
     integ: PathIntegrator
-    pin: PointPin | None       # linear-response basis pin (None for n < 0)
+    pin: PointPin              # linear-response basis pin (empty, rank 0, for n < 0)
     k_base: np.ndarray         # rebuild-oracle curvature of the undeformed surface
     k_scale: float             # max |K| of the undeformed surface
     rim_metric: np.ndarray     # ambient metric at the rim nodes, node last
@@ -199,7 +199,6 @@ class FlowState:
     deform: DeformationState
     config: FlowConfig
     statics: FlowStatics
-    step_index: int = 0
     prev: PrevRecords = field(default_factory=PrevRecords)
     records: list = field(default_factory=list)
     # per-node fields of the last completed step, replaced at every step
@@ -266,7 +265,7 @@ def _build_statics(surface, boundary) -> FlowStatics:
                               e0_point=e0_point, e0_weight=surface.V, e_swap=True)
     # A, B, E and the symbol are fixed over the flow, so the linear response
     # of each family member is solved once, here
-    pin = point_pin(linear_response_basis(problem, sym)) if sym.n >= 0 else None
+    pin = point_pin(linear_response_basis(problem, sym))
     return FlowStatics(
         eq=eq, problem=problem, sym=sym,
         integ=PathIntegrator(grid), pin=pin,
@@ -365,7 +364,7 @@ def step(state: FlowState):
     prev = state.prev
     final = bvp_solve(st.problem, assembler, pin=st.pin, sym=st.sym, start=prev.start())
     dim_before = st.sym.family_size
-    dim_after = dim_before - (st.pin.rank if st.pin else 0)
+    dim_after = dim_before - st.pin.rank
 
     # bvp_solve returns its last assembled iterate, so the cached cdot/kpres
     # pieces already belong to final.w
@@ -400,7 +399,7 @@ def step(state: FlowState):
     z_x0 = float(np.linalg.norm(z_new[0]))
 
     rec = StepRecord(
-        step=state.step_index, t_new=t_new, n=st.sym.n,
+        step=state.deform.history.n_steps, t_new=t_new, n=st.sym.n,
         dk_max_rel=dk_rel, dk_oracle_rel=dk_oracle, g_residual=g_res,
         boundary_residual=b_res, fixed_point_z=z_x0,
         bvp_iterations=final.iterations, bvp_ratio=final.ratio,
@@ -422,7 +421,6 @@ def step(state: FlowState):
                              inner=final.start, inner_before=prev.inner)
     state.deform = deform_new
     state.variation = variation_n
-    state.step_index += 1
     state.records.append(rec)
     return rec
 
@@ -453,7 +451,7 @@ def run_flow(state: FlowState, on_step=None):
     its own error; the records of the completed steps stay in
     ``state.records``.
     """
-    while state.step_index < state.config.n_steps:
+    while state.deform.history.n_steps < state.config.n_steps:
         rec = step(state)
         if on_step is not None:
             on_step(rec)

@@ -305,7 +305,6 @@ tol_g = 1e-6
 tol_b = 1e-6
 
 [output]
-trace = true
 snapshots = true
 """
 

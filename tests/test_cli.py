@@ -40,7 +40,7 @@ def test_minimal_config_defaults():
     assert cfg["surface"]["kind"] == "sphere_cap"
     assert cfg["grid"]["n_r"] == 12
     assert cfg["flow"]["dt"] == 0.005
-    assert cfg["output"]["trace"] is True
+    assert cfg["output"] == {"snapshots": True}
 
 
 def test_unknown_kind_and_key_errors():
@@ -75,6 +75,17 @@ def test_removed_output_directory_key_is_unknown():
         parse_config("[output]\ndirectory = out\n")
     line, _, msg = exc.value.errors[0]
     assert line == 2 and "unknown key 'directory'" in msg
+
+
+def test_removed_output_trace_key_is_a_config_error(tmp_path, capsys):
+    # every run writes trace.jsonl, where a failed flow's completed steps
+    # survive
+    cpath = tmp_path / "cfg.txt"
+    cpath.write_text("[output]\ntrace = false\n")
+    rc = main(["run", "--config", str(cpath), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "line 2, col 1: unknown key 'trace' in [output]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def _readme_config_block():
@@ -253,13 +264,45 @@ def test_snapshot_row_columns_and_digits(tmp_path):
     assert [float(t) for t in lines[1 + node].split()[1:]] == values
 
 
-def test_run_deterministic(tiny_run, tmp_path):
-    out, _ = tiny_run
-    cfg = parse_config(MINIMAL)
-    out2 = tmp_path / "again"
-    run_from_config(cfg, out_dir=str(out2), log=lambda *a, **k: None)
-    for name in ("trace.jsonl", "step_0000.tsv", "step_0001.tsv", "summary.json"):
-        assert (out / name).read_bytes() == (out2 / name).read_bytes()
+RERUN = """
+[metric]
+{metric}
+
+[surface]
+{surface}
+
+[grid]
+n_r = 16
+n_theta = 32
+
+[flow]
+t_final = 0.02
+dt = 0.005
+"""
+CONFORMAL_LINEAR = "kind = conformal_linear\nk1 = 0.3\nk2 = 0.0\nk3 = 0.2"
+
+
+@pytest.mark.parametrize("metric, surface", [
+    ("kind = flat", ""),
+    ("kind = conformal_radial\nalpha = 0.5", "cap = 0.5\nci_tol = 1e-5"),
+    (CONFORMAL_LINEAR, "cap = 0.5\nci_tol = 1e-5"),
+    # admissible (umbilic, H > 0) only in conformal_linear with k3 != 0
+    (CONFORMAL_LINEAR, "kind = plane\ncap = 0.5\nci_tol = 1e-5"),
+], ids=["flat", "conformal_radial", "conformal_linear", "plane"])
+def test_run_deterministic(tmp_path, metric, surface):
+    # a 16x32 flow of four steps run twice through the command line: every
+    # export is the same, byte for byte (criterion 12 in each metric)
+    cpath = tmp_path / "cfg.txt"
+    cpath.write_text(RERUN.format(metric=metric, surface=surface))
+    outs = [tmp_path / "o1", tmp_path / "o2"]
+    for out in outs:
+        assert main(["--log-level", "quiet", "run", "--config", str(cpath),
+                     "--out", str(out)]) == 0
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    assert names == [f"step_{k:04d}.tsv" for k in range(4)] + ["summary.json", "trace.jsonl"]
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 def test_run_without_snapshots_writes_trace_and_summary_only(tmp_path, monkeypatch):
@@ -359,7 +402,7 @@ def test_failed_step_exits_2_and_keeps_completed_trace(tmp_path, monkeypatch):
     calls = []
 
     def fail_second_call(flow_state):
-        calls.append(flow_state.step_index)
+        calls.append(flow_state.deform.history.n_steps)
         if len(calls) == 2:
             raise ConvergenceError("injected failure")
         return real_step(flow_state)

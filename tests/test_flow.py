@@ -71,7 +71,7 @@ def test_failed_step_raises_its_own_error(flat_cap, monkeypatch):
     calls = []
 
     def fail_second_call(flow_state):
-        calls.append(flow_state.step_index)
+        calls.append(flow_state.deform.history.n_steps)
         if len(calls) == 2:
             raise ConvergenceError("injected failure")
         return real_step(flow_state)

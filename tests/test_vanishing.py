@@ -90,7 +90,7 @@ def test_skipping_flow_equals_the_full_flow(both_metrics):
     for _, surf in both_metrics:
         state = init_flow(surf, CRITERION_11, FlowConfig(t_final=0.02, dt=0.005))
         fields = []
-        while state.step_index < state.config.n_steps:
+        for _ in range(state.config.n_steps):
             step(state)
             fields.append(state.fields)
         runs.append((state.records, fields))

@@ -6,11 +6,13 @@ The traffic runs in this interpreter, with only the frames of
 
 - the command line over every shipped kind (``cli_traffic``): 16x32 flows
   of four steps in the flat, conformal_radial and conformal_linear metrics,
-  with ``validate`` on each; flat plane and paraboloid surfaces, the
+  with ``validate`` on each; the plane in conformal_linear, with
+  ``validate``; flat plane and paraboloid surfaces, the
   paraboloid with curv = 1 and -1 (built with its normal flipped); a
-  ``first_tangent`` flow with a zero rate; windings -1 and -2; a
-  conformal_radial flow of mode 2 and epsilon 0.05 over 10 steps, whose
-  cdot solves contract; and a flow held to tol_k = 1e-12 (exit 3).  One
+  ``first_tangent`` flow with a zero rate; windings -1 and -2, and 40,
+  which the 32 rim samples cannot resolve (exit 2); a conformal_radial
+  flow of mode 2 and epsilon 0.05 over 10 steps, whose cdot solves
+  contract; and a flow held to tol_k = 1e-12 (exit 3).  One
   ``validate`` goes through the module's ``__main__`` line;
 - the user errors the command line reports: every configuration error in
   one file, each spelling of a bool key, a missing file and each
@@ -141,7 +143,7 @@ dt = nan
 t_final = -0.02
 tol_bvp = 1e-10
 [output]
-trace = maybe
+snapshots = maybe
 """
 
 # problem-file text -> text with one format error, each a FormatError (exit 2)
@@ -223,19 +225,21 @@ def cli_traffic(work):
 
     for metric in METRICS:
         flow(metric, 0, validate=0, metric=metric)
-    flow("plane_conformal_linear", 0, metric="conformal_linear", surface="kind = plane")
+    flow("plane_conformal_linear", 0, validate=0, metric="conformal_linear",
+         surface="kind = plane")
     flow("plane_flat", 2, validate=2, surface="kind = plane")
     for curv in (1, -1):
         flow(f"paraboloid_{curv}", 0, surface=f"kind = paraboloid\ncurv = {curv}")
     flow("first_tangent", 0, boundary="tangent_kind = first_tangent\ngamma_kind = zero")
     flow("winding_-1", 2, boundary="winding = -1")
     flow("winding_-2", 2, boundary="winding = -2")
+    flow("winding_40", 2, boundary="winding = 40")
     flow("mode_2", 3, metric="conformal_radial", boundary="epsilon = 0.05\nmode = 2",
          t_final=0.05)
     flow("tol_k", 3, flow="tol_k = 1e-12")
-    for yes, no in (("true", "false"), ("yes", "no"), ("1", "0")):
-        command(f"bool_{yes}_{no}.cfg", ["validate", "--config", "{}"], 0,
-                config(output=f"trace = {yes}\nsnapshots = {no}"))
+    for spelling in ("true", "false", "yes", "no", "1", "0"):
+        command(f"bool_{spelling}.cfg", ["validate", "--config", "{}"], 0,
+                config(output=f"snapshots = {spelling}"))
     command("config_errors.cfg", ["validate", "--config", "{}"], 1, CONFIG_ERRORS)
     command("missing.cfg", ["validate", "--config", "{}"], 2)
 
